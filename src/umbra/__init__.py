@@ -29,6 +29,5 @@ from .core import (
     op_commutator,
     parse_rational,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"

@@ -6,7 +6,12 @@ Exact commands exchange rationals as "p/q" strings and polynomials as
 comma-separated coefficient lists; numeric commands take decimal
 floats.  Exit codes: 0 success/pass, 1 verification failure (or an
 inconclusive result: a truncation-tainted check certifies nothing),
-2 usage or parameter error, 3 numeric non-convergence.
+2 usage or parameter error, 3 numeric non-convergence, 141 (128 +
+SIGPIPE) when the reader of stdout went away before the output was
+written, as in ``umbra ... | head -1``; that case prints nothing more.
+
+``verify`` runs the checks listed in ``CHECKS``: one by name with
+``--check``, or every one that applies to the model with ``--all``.
 
 UMBRA_DEFAULT_DEGREE overrides the default working degree of 32.
 """
@@ -15,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_DEGREE_CAP,
@@ -31,11 +38,11 @@ from .core import (
 )
 from .models import MODEL_NAMES, UmbralModel, build_model, verify_model
 from .reports import (
-    PASS,
+    ResidualReport,
     VerificationReport,
     reports_to_json,
     rows_to_csv,
-    worst_status,
+    status_of,
 )
 from . import heisenberg, numeric, transforms, translations
 from .quadrature import QuadratureSpec
@@ -44,13 +51,7 @@ _EXIT_OK = 0
 _EXIT_FAIL = 1
 _EXIT_USAGE = 2
 _EXIT_NUMERIC = 3
-
-_MODEL_CHECKS = ("ladder", "lowering", "raising", "vacuum", "commutator")
-_CHECKS = _MODEL_CHECKS + (
-    "duals", "covariant", "genfun", "binomial", "character", "delsarte",
-    "transmute", "group-law", "weyl", "composition", "twisted", "sl2",
-    "metaplectic", "poisson-intertwining", "hankel-intertwining",
-)
+_EXIT_PIPE = 141
 
 
 def _default_degree() -> int:
@@ -78,9 +79,13 @@ def _rational_flag(name: str, text: str) -> Fraction:
 def _float_flag(name: str, text: str) -> float:
     """Numeric commands accept either a decimal float or "p/q"."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {text!r}")
+        return value
     try:
         return float(parse_rational(text))
     except (UmbraError, ValueError):
@@ -119,12 +124,37 @@ def _load_model(args: argparse.Namespace, attr: str = "model") -> UmbralModel:
         flag = {"src": "--from", "to": "--to"}.get(attr, "--model")
         raise ParameterError(f"{flag} is required")
     nu = None
-    nu_attr = f"{attr}_nu" if attr != "model" else "nu"
-    raw_nu = getattr(args, nu_attr, None) or getattr(args, "nu", None)
+    if attr == "model":
+        raw_nu = args.nu
+    else:
+        # --from-nu / --to-nu name one side; --nu goes to a side that takes nu
+        raw_nu = getattr(args, f"{attr}_nu", None)
+        if not raw_nu and name == "bessel":
+            raw_nu = args.nu
     if raw_nu is not None:
         nu = _rational_flag("--nu", raw_nu)
-    degree = args.degree if getattr(args, "degree", None) else _default_degree()
+    degree = _default_degree() if args.degree is None else args.degree
     return build_model(name, degree, nu=nu)
+
+
+def _load_pair(args: argparse.Namespace) -> tuple[UmbralModel, UmbralModel]:
+    """The --from and --to models."""
+    src = _load_model(args, "src")
+    dst = _load_model(args, "to")
+    if args.nu is not None and "bessel" not in (args.src, args.to):
+        raise ParameterError(
+            f"--nu given but neither {args.src!r} nor {args.to!r} takes nu"
+        )
+    return src, dst
+
+
+def _order(args: argparse.Namespace, default: int | None) -> int | None:
+    """--order if it was given, else ``default``."""
+    if args.order is None:
+        return default
+    if args.order < 0:
+        raise ParameterError(f"--order must be >= 0, got {args.order}")
+    return args.order
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -152,16 +182,26 @@ def _coeff_output(args: argparse.Namespace, poly: Poly, var: str) -> str:
     return ", ".join(coeffs[: top + 1])
 
 
-def _report_exit(reports: Sequence[VerificationReport]) -> int:
-    worst = worst_status(reports)
-    return _EXIT_OK if worst == PASS else _EXIT_FAIL
+def _report_exit(reports: Sequence[VerificationReport | ResidualReport]) -> int:
+    return _EXIT_OK if all(r.passed for r in reports) else _EXIT_FAIL
 
 
-def _report_output(args: argparse.Namespace, reports: Sequence[VerificationReport]) -> str:
+def _report_output(
+    args: argparse.Namespace, reports: Sequence[VerificationReport | ResidualReport]
+) -> str:
     if args.format == "json":
         if len(reports) == 1:
             return reports[0].to_json()
         return reports_to_json(reports)
+    if isinstance(reports[0], ResidualReport):
+        rep = reports[0]
+        if args.format == "csv":
+            return rows_to_csv(
+                ("check", "max_residual", "direction_holding"),
+                [(rep.check, rep.max_residual, rep.direction_holding or "")],
+            )
+        return (f"{rep.check}: max_residual={rep.max_residual:.3e} "
+                f"direction={rep.direction_holding}")
     if args.format == "csv":
         return rows_to_csv(
             ("check", "model", "status", "max_residual", "first_failure"),
@@ -229,111 +269,124 @@ def _binomial_reports(m: UmbralModel, top: int) -> list[VerificationReport]:
             return [r]
     return [VerificationReport(
         check="binomial", model=m.label(),
-        params={"n_max": top}, status=PASS,
+        params={"n_max": top}, status=status_of(None),
     )]
 
 
-def _formal_order(args: argparse.Namespace, default: int) -> int:
-    return args.order if getattr(args, "order", None) else default
-
-
-def _run_check(args: argparse.Namespace, check: str) -> list[VerificationReport]:
-    if check in _MODEL_CHECKS:
-        reports = verify_model(_load_model(args))
-        if check == "ladder":
-            return reports
-        name = {"lowering": "ladder-lowering", "raising": "ladder-raising"}.get(check, check)
-        return [r for r in reports if r.check == name]
-    if check == "duals":
-        return [transforms.biorthogonality_check(_load_model(args))]
-    if check == "covariant":
-        return [transforms.covariant_check(_load_model(args))]
-    if check == "genfun":
-        m = _load_model(args)
-        return [transforms.generating_function(m, _formal_order(args, m.n_max)).report]
-    if check == "binomial":
-        m = _load_model(args)
-        return _binomial_reports(m, _formal_order(args, m.n_max))
-    if check == "character":
-        return [translations.character_check(_load_model(args), _formal_order(args, 8))]
-    if check == "delsarte":
-        m = _load_model(args)
-        return [translations.delsarte_eigen_check(m, _formal_order(args, m.n_max))]
-    if check == "transmute":
-        return [transforms.check_transmutation_intertwining(
-            _load_model(args, "src"), _load_model(args, "to"),
-        )]
-    if check == "group-law":
-        return [heisenberg.group_law_check(_load_model(args), _formal_order(args, 4))]
-    if check == "weyl":
-        return [heisenberg.weyl_relation_check(_load_model(args), _formal_order(args, 4))]
-    if check == "composition":
-        return [heisenberg.composition_check_formal(_load_model(args), _formal_order(args, 4))]
-    if check == "twisted":
-        return [heisenberg.twisted_convolve_check()]
-    if check == "sl2":
-        return [heisenberg.sl2_closure_check(_load_model(args))]
-    if check == "metaplectic":
-        return heisenberg.metaplectic_check(_load_model(args))
-    raise ParameterError(f"unknown check {check!r}")
-
-
-def _residual_check(args: argparse.Namespace, check: str) -> int:
-    tol = args.tol if args.tol else 1e-6
-    if check == "poisson-intertwining":
-        nu = _float_flag("--nu", args.nu) if args.nu else 2.0
-        f = numeric.canned_fn(args.fn or "cos")
-        if args.grid:
-            grid = _parse_grid(args.grid, "--grid")
-        else:
-            grid = [0.5 + k * 4.5 / 19 for k in range(20)]
-        rep = numeric.poisson_intertwining_check(nu, f, grid, tol=tol)
-        ok = rep.max_residual <= tol
+def _poisson_intertwining(args: argparse.Namespace) -> ResidualReport:
+    nu = _float_flag("--nu", args.nu) if args.nu else 2.0
+    f = numeric.canned_fn(args.fn or "cos")
+    if args.grid:
+        grid = _parse_grid(args.grid, "--grid")
     else:
-        nu = _float_flag("--nu", args.nu) if args.nu else 2.0
-        f = numeric.canned_fn(args.fn or "bump")
-        grid = _parse_grid(args.grid, "--grid") if args.grid else [0.25, 1.0, 4.0]
-        rep = numeric.hankel_intertwining_check(nu, f, grid, tol=tol)
-        ok = rep.max_residual <= tol
-    if args.format == "csv":
-        _emit(args, rows_to_csv(
-            ("check", "max_residual", "direction_holding"),
-            [(rep.check, rep.max_residual, rep.direction_holding or "")],
-        ))
-    elif args.format == "plain":
-        _emit(args, f"{rep.check}: max_residual={rep.max_residual:.3e} "
-                    f"direction={rep.direction_holding}")
-    else:
-        _emit(args, rep.to_json())
-    return _EXIT_OK if ok else _EXIT_FAIL
+        grid = [0.5 + k * 4.5 / 19 for k in range(20)]
+    return numeric.poisson_intertwining_check(nu, f, grid, tol=args.tol or 1e-6)
+
+
+def _hankel_intertwining(args: argparse.Namespace) -> ResidualReport:
+    nu = _float_flag("--nu", args.nu) if args.nu else 2.0
+    f = numeric.canned_fn(args.fn or "bump")
+    grid = _parse_grid(args.grid, "--grid") if args.grid else [0.25, 1.0, 4.0]
+    return numeric.hankel_intertwining_check(nu, f, grid, tol=args.tol or 1e-6)
+
+
+class _Target:
+    """What the checks of one verify run act on: the --model model, built
+    on first use and then shared, and the flags for everything else."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+
+    @cached_property
+    def model(self) -> UmbralModel:
+        return _load_model(self.args)
+
+
+#: Order default meaning the model's top basis index.
+TOP = "n_max"
+
+
+def _always(m: UmbralModel) -> bool:
+    return True
+
+
+class Check(NamedTuple):
+    """One verify check.
+
+    ``run(target, order)`` returns its reports.  ``applies(model)`` says
+    whether ``--all`` runs it on that model.  ``order`` and
+    ``all_order`` are its formal order by default under ``--check`` and
+    under ``--all``: None for a check that takes no order, an int that
+    ``--order`` replaces, or ``TOP``, the model's top basis index, which
+    ``--order`` replaces under ``--check`` only.
+    """
+
+    run: Callable[[_Target, int | None], list]
+    applies: Callable[[UmbralModel], bool] = lambda m: False
+    order: int | str | None = None
+    all_order: int | str | None = None
+
+
+def _model_check(name: str) -> Callable[[_Target, int | None], list]:
+    return lambda t, _: [r for r in verify_model(t.model) if r.check == name]
+
+
+# Checks call through their module attributes so that anything wrapping
+# a module function (a profiler, a tracer) sees the call.
+CHECKS: dict[str, Check] = {
+    "ladder": Check(lambda t, _: verify_model(t.model), _always),
+    "lowering": Check(_model_check("ladder-lowering")),
+    "raising": Check(_model_check("ladder-raising")),
+    "vacuum": Check(_model_check("vacuum")),
+    "commutator": Check(_model_check("commutator")),
+    "duals": Check(lambda t, _: [transforms.biorthogonality_check(t.model)], _always),
+    "covariant": Check(lambda t, _: [transforms.covariant_check(t.model)], _always),
+    "genfun": Check(lambda t, k: [transforms.generating_function(t.model, k).report],
+                    _always, TOP, TOP),
+    "binomial": Check(lambda t, k: _binomial_reports(t.model, k),
+                      lambda m: m.shift_invariant and m.vacuum_is_eval0(), TOP, TOP),
+    "character": Check(lambda t, k: [translations.character_check(t.model, k)], _always, 8, 6),
+    "delsarte": Check(lambda t, k: [translations.delsarte_eigen_check(t.model, k)],
+                      lambda m: m.vacuum_is_eval0(), TOP, TOP),
+    "transmute": Check(
+        lambda t, _: [transforms.check_transmutation_intertwining(*_load_pair(t.args))]),
+    "group-law": Check(lambda t, k: [heisenberg.group_law_check(t.model, k)], _always, 4, 4),
+    "weyl": Check(lambda t, k: [heisenberg.weyl_relation_check(t.model, k)], _always, 4, 4),
+    "composition": Check(lambda t, k: [heisenberg.composition_check_formal(t.model, k)],
+                         _always, 4, 4),
+    "twisted": Check(lambda t, _: [heisenberg.twisted_convolve_check()], _always),
+    "sl2": Check(lambda t, _: [heisenberg.sl2_closure_check(t.model)], _always),
+    "metaplectic": Check(lambda t, _: heisenberg.metaplectic_check(t.model), _always),
+    "poisson-intertwining": Check(lambda t, _: [_poisson_intertwining(t.args)]),
+    "hankel-intertwining": Check(lambda t, _: [_hankel_intertwining(t.args)]),
+}
+
+
+def _check_order(check: Check, target: _Target, sweep: bool) -> int | None:
+    """The formal order ``check`` runs at; ``sweep`` is True under --all."""
+    given = _order(target.args, None)
+    default = check.all_order if sweep else check.order
+    if default is None:
+        return None
+    if default == TOP:
+        if sweep or given is None:
+            return target.model.n_max
+    elif given is None:
+        return default
+    return given
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    target = _Target(args)
     if args.all:
-        m = _load_model(args)
-        reports = list(verify_model(m))
-        reports.append(transforms.biorthogonality_check(m))
-        reports.append(transforms.covariant_check(m))
-        reports.append(transforms.generating_function(m, m.n_max).report)
-        if m.shift_invariant and m.vacuum_is_eval0():
-            reports.extend(_binomial_reports(m, m.n_max))
-        reports.append(translations.character_check(m, _formal_order(args, 6)))
-        if m.vacuum_is_eval0():
-            reports.append(translations.delsarte_eigen_check(m, m.n_max))
-        order = _formal_order(args, 4)
-        reports.append(heisenberg.group_law_check(m, order))
-        reports.append(heisenberg.weyl_relation_check(m, order))
-        reports.append(heisenberg.composition_check_formal(m, order))
-        reports.append(heisenberg.twisted_convolve_check())
-        reports.append(heisenberg.sl2_closure_check(m))
-        reports.extend(heisenberg.metaplectic_check(m))
-        _emit(args, _report_output(args, reports))
-        return _report_exit(reports)
-    if not args.check:
+        checks = [c for c in CHECKS.values() if c.applies(target.model)]
+    elif args.check:
+        checks = [CHECKS[args.check]]
+    else:
         raise ParameterError("verify needs --check NAME or --all")
-    if args.check in ("poisson-intertwining", "hankel-intertwining"):
-        return _residual_check(args, args.check)
-    reports = _run_check(args, args.check)
+    reports = []
+    for check in checks:
+        reports.extend(check.run(target, _check_order(check, target, args.all)))
     _emit(args, _report_output(args, reports))
     return _report_exit(reports)
 
@@ -348,8 +401,7 @@ def _cmd_w0(args: argparse.Namespace) -> int:
 
 
 def _cmd_transmute(args: argparse.Namespace) -> int:
-    src = _load_model(args, "src")
-    dst = _load_model(args, "to")
+    src, dst = _load_pair(args)
     if not args.poly:
         raise ParameterError("transmute needs --poly \"c0,c1,...\"")
     f = _parse_poly(args.poly, src.degree_cap)
@@ -371,7 +423,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 def _cmd_genfun(args: argparse.Namespace) -> int:
     m = _load_model(args)
-    table = transforms.generating_function(m, _formal_order(args, min(8, m.n_max)))
+    table = transforms.generating_function(m, _order(args, min(8, m.n_max)))
     if args.format == "json":
         _emit(args, json.dumps(
             {
@@ -400,7 +452,7 @@ def _cmd_genfun(args: argparse.Namespace) -> int:
 
 def _scalar_fn(args: argparse.Namespace) -> numeric.ScalarFn:
     if getattr(args, "poly", None):
-        cap = args.degree if getattr(args, "degree", None) else _default_degree()
+        cap = _default_degree() if args.degree is None else args.degree
         p = _parse_poly(args.poly, cap)
         fs = [float(c) for c in p.coeffs]
         deg = max((k for k, c in enumerate(p.coeffs) if c), default=0)
@@ -535,7 +587,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification checks")
     _add_common(p, model=True)
-    p.add_argument("--check", choices=_CHECKS)
+    p.add_argument("--check", choices=tuple(CHECKS))
     p.add_argument("--all", action="store_true",
                    help="every check applicable to the model")
     p.add_argument("--order", type=int, help="formal order for series checks")
@@ -622,13 +674,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return code
     except QuadratureError as exc:
         print(f"umbra: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except UmbraError as exc:
         print(f"umbra: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush
+        # at interpreter exit does not raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return _EXIT_PIPE
 
 
 if __name__ == "__main__":

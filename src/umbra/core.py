@@ -570,6 +570,20 @@ def exp_lowering(a: LinearOp, y: Fraction | int, f: Poly) -> Poly:
     return acc
 
 
+def _exp_series(a: LinearOp, y: Fraction) -> LinearOp:
+    """sum_k y^k a^k / k! for a nilpotent matrix a, up to its first
+    vanishing power."""
+    acc = term = LinearOp.identity(a.cap)
+    yk = ONE
+    for k in range(1, a.cap + 2):
+        term = a @ term
+        if term.is_zero():
+            break
+        yk *= Fraction(y, k)
+        acc = acc + term.scale(yk)
+    return acc
+
+
 def exp_nilpotent_matrix(a: LinearOp, y: Fraction | int) -> LinearOp:
     """exp(y*a) as a matrix, for genuinely nilpotent a (a lowering
     operator, typically).  The sum terminates on its own and nothing is
@@ -579,18 +593,9 @@ def exp_nilpotent_matrix(a: LinearOp, y: Fraction | int) -> LinearOp:
             "exp_nilpotent_matrix requires a nilpotent operator"
         )
     y = as_fraction(y)
-    acc = LinearOp.identity(a.cap)
     if y == 0:
-        return acc
-    term = LinearOp.identity(a.cap)
-    yk = ONE
-    for k in range(1, a.cap + 2):
-        term = a @ term
-        if term.is_zero():
-            break
-        yk *= Fraction(y, k)
-        acc = acc + term.scale(yk)
-    return acc
+        return LinearOp.identity(a.cap)
+    return _exp_series(a, y)
 
 
 def exp_raising_matrix(a: LinearOp, x: Fraction | int) -> LinearOp:
@@ -603,20 +608,12 @@ def exp_raising_matrix(a: LinearOp, x: Fraction | int) -> LinearOp:
     x != 0 (and inherits a.trunc_cols regardless).
     """
     x = as_fraction(x)
-    acc = LinearOp.identity(a.cap)
     if x == 0:
-        return acc
+        return LinearOp.identity(a.cap)
     if not a.is_nilpotent():
         raise NilpotencyError(
             "exp_raising_matrix needs the capped matrix to be nilpotent"
         )
-    term = LinearOp.identity(a.cap)
-    xk = ONE
-    for k in range(1, a.cap + 2):
-        term = a @ term
-        if term.is_zero():
-            break
-        xk *= Fraction(x, k)
-        acc = acc + term.scale(xk)
+    acc = _exp_series(a, x)
     all_cols = frozenset(range(a.cap + 1))
     return LinearOp(acc.num, acc.den, acc.cap, all_cols, _reduced_already=True)

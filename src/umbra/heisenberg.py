@@ -38,7 +38,7 @@ from .core import (
 )
 from .formal import FormalOpSeries, MultiPoly, OpWordTable, series_first_difference
 from .models import UmbralModel
-from .reports import FAIL, PASS, VerificationReport
+from .reports import VerificationReport, status_of
 from .transforms import expand_in_basis
 
 
@@ -113,23 +113,19 @@ def _formal_report(
         "output_index": output_degree,
         "n_work": m.n_max,
     }
-    if idx is None:
-        return VerificationReport(
-            check=check, model=m.label(), params=params,
-            status=PASS, max_residual=ZERO,
+    worst, ff = ZERO, None
+    if idx is not None:
+        a = lhs.materialize(idx)
+        b = rhs.materialize(idx)
+        worst = max(
+            abs(Fraction(a.num[i][j], a.den) - Fraction(b.num[i][j], b.den))
+            for j in cols
+            for i in range(a.cap + 1)
         )
-    a = lhs.materialize(idx)
-    b = rhs.materialize(idx)
-    worst = max(
-        abs(Fraction(a.num[i][j], a.den) - Fraction(b.num[i][j], b.den))
-        for j in cols
-        for i in range(a.cap + 1)
-    )
-    powers = {name: k for name, k in zip(lhs.params, idx) if k}
+        ff = {"multi_index": {name: k for name, k in zip(lhs.params, idx) if k}}
     return VerificationReport(
         check=check, model=m.label(), params=params,
-        status=FAIL, max_residual=worst,
-        first_failure={"multi_index": powers},
+        status=status_of(ff), max_residual=worst, first_failure=ff,
     )
 
 
@@ -462,13 +458,14 @@ def twisted_convolve_check() -> VerificationReport:
     )
     if reorder != DiscreteKernel.atom(1, -1, 1, 1):
         failures.append("reorder-phase")
+    ff = failures[0] if failures else None
     return VerificationReport(
         check="twisted-convolution",
         model=None,
         params={"atoms": [len(k1), len(k2), len(k3)]},
-        status=PASS if not failures else FAIL,
-        max_residual=ZERO if not failures else None,
-        first_failure=failures[0] if failures else None,
+        status=status_of(ff),
+        max_residual=ZERO if ff is None else None,
+        first_failure=ff,
     )
 
 
@@ -607,22 +604,18 @@ def metaplectic_check(
     out = []
     for name, lhs, rhs in checks:
         bad = lhs.equal_on_columns(rhs, cols)
-        if bad is None:
-            out.append(VerificationReport(
-                check=name, model=m.label(), params=dict(params),
-                status=PASS, max_residual=ZERO,
-            ))
-        else:
+        worst, ff = ZERO, None
+        if bad is not None:
             worst = max(
                 abs(Fraction(lhs.num[i][bad], lhs.den)
                     - Fraction(rhs.num[i][bad], rhs.den))
                 for i in range(lhs.cap + 1)
             )
-            out.append(VerificationReport(
-                check=name, model=m.label(), params=dict(params),
-                status=FAIL, max_residual=worst,
-                first_failure={"degree": bad},
-            ))
+            ff = {"degree": bad}
+        out.append(VerificationReport(
+            check=name, model=m.label(), params=dict(params),
+            status=status_of(ff), max_residual=worst, first_failure=ff,
+        ))
     return out
 
 
@@ -776,11 +769,10 @@ def sl2_closure_check(m: UmbralModel) -> VerificationReport:
     ladders and confirm they close with the metaplectic constants."""
     a, b, c = metaplectic_sequences(m)
     res = generic_sl2_ladder(a, b, c)
-    ok = res.ok and res.constants == METAPLECTIC_CONSTANTS
     ff = None
     if not res.ok:
         ff = {"bracket": res.first_violation[0], "index": res.first_violation[1]}
-    elif not ok:
+    elif res.constants != METAPLECTIC_CONSTANTS:
         ff = {"constants": [format_rational(q) for q in res.constants]}
     return VerificationReport(
         check="sl2-closure",
@@ -789,7 +781,7 @@ def sl2_closure_check(m: UmbralModel) -> VerificationReport:
             "indices": len(a) - 1,
             "constants": [format_rational(q) for q in res.constants],
         },
-        status=PASS if ok else FAIL,
-        max_residual=ZERO if ok else None,
+        status=status_of(ff),
+        max_residual=ZERO if ff is None else None,
         first_failure=ff,
     )

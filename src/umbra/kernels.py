@@ -1,27 +1,50 @@
-"""Backend selection for the integer matrix kernels.
+"""Integer matrix kernels.
 
-The compiled Cython kernels are preferred when present; setting the
-environment variable ``UMBRA_PURE_KERNELS=1`` forces the pure-Python
-fallback (useful for benchmarking and debugging).  ``BACKEND`` records
-which implementation is active.
+Matrices are sequences of row sequences of arbitrary-precision ints.
+Every function returns fresh lists and never mutates its arguments.
 """
 
 from __future__ import annotations
 
-import os
+from math import gcd
+from operator import mul
 
-if os.environ.get("UMBRA_PURE_KERNELS", "") not in ("", "0"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels_cy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernels_py as _impl  # type: ignore[no-redef]
 
-BACKEND: str = _impl.BACKEND
-imat_mul = _impl.imat_mul
-imat_vec = _impl.imat_vec
-ivec_mat = _impl.ivec_mat
-imat_comb = _impl.imat_comb
-imat_div = _impl.imat_div
-iseq_gcd = _impl.iseq_gcd
+def imat_mul(a, b):
+    """Product of integer matrices, (n x k) @ (k x m)."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def imat_vec(a, v):
+    """Matrix times column vector."""
+    return [sum(map(mul, row, v)) for row in a]
+
+
+def ivec_mat(v, a):
+    """Row vector times matrix."""
+    return [sum(map(mul, v, col)) for col in zip(*a)]
+
+
+def imat_comb(a, b, ca, cb):
+    """Entrywise ca*a + cb*b."""
+    return [
+        [ca * x + cb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)
+    ]
+
+
+def imat_div(a, g):
+    """Entrywise exact division by a positive int."""
+    return [[x // g for x in row] for row in a]
+
+
+def iseq_gcd(rows, seed):
+    """gcd of ``seed`` and every matrix entry; early exit at 1."""
+    g = abs(seed)
+    for row in rows:
+        for x in row:
+            if x:
+                g = gcd(g, x)
+                if g == 1:
+                    return 1
+    return g

@@ -430,7 +430,7 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
     Zero tolerance; any truncation-tainted comparison downgrades the
     check to "inconclusive" rather than passing it.
     """
-    from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
+    from .reports import VerificationReport, status_of
 
     params: dict[str, object] = {"degree": m.n_max}
     if m.nu is not None:
@@ -438,15 +438,12 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
     out: list[VerificationReport] = []
 
     def report(check: str, first_bad, inconclusive: bool) -> None:
-        status = PASS if first_bad is None else FAIL
-        if inconclusive and status == PASS:
-            status = INCONCLUSIVE
         out.append(
             VerificationReport(
                 check=check,
                 model=m.label(),
                 params=dict(params),
-                status=status,
+                status=status_of(first_bad, inconclusive),
                 first_failure=first_bad,
             )
         )

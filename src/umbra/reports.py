@@ -29,7 +29,14 @@ PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
-_STATUS_RANK = {PASS: 0, INCONCLUSIVE: 1, FAIL: 2}
+
+def status_of(first_failure: Any, tainted: bool = False) -> str:
+    """The status rule for every exact check: a located failure fails;
+    otherwise a truncation-tainted comparison certifies nothing and is
+    inconclusive; otherwise the check passes."""
+    if first_failure is not None:
+        return FAIL
+    return INCONCLUSIVE if tainted else PASS
 
 
 def _plain(value: Any) -> Any:
@@ -54,7 +61,7 @@ class VerificationReport:
     direction_holding: str | None = None
 
     def __post_init__(self) -> None:
-        if self.status not in _STATUS_RANK:
+        if self.status not in (PASS, FAIL, INCONCLUSIVE):
             raise ValueError(f"bad status {self.status!r}")
         if self.status == FAIL and self.first_failure is None:
             raise ValueError("failed report must locate the first failure")
@@ -87,6 +94,11 @@ class ResidualReport:
     max_residual: float = 0.0
     direction_holding: str | None = None
 
+    @property
+    def passed(self) -> bool:
+        """Within the tolerance the check records in ``params["tol"]``."""
+        return self.max_residual <= self.params["tol"]
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "check": self.check,
@@ -99,13 +111,6 @@ class ResidualReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def worst_status(reports: Sequence[VerificationReport]) -> str:
-    """pass < inconclusive < fail."""
-    if not reports:
-        return PASS
-    return max((r.status for r in reports), key=_STATUS_RANK.__getitem__)
 
 
 def reports_to_json(reports: Sequence[VerificationReport]) -> str:

@@ -25,7 +25,7 @@ from .core import (
     ZERO,
 )
 from .models import Parity, UmbralModel
-from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
+from .reports import VerificationReport, status_of
 
 
 def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
@@ -136,12 +136,11 @@ def check_transmutation_intertwining(
             if lhs != rhs:
                 bad = ("raising", n)
                 break
-    status = FAIL if bad is not None else (INCONCLUSIVE if tainted else PASS)
     return VerificationReport(
         check="transmutation-intertwining",
         model=f"{src.label()} -> {dst.label()}",
         params=params,
-        status=status,
+        status=status_of(bad, tainted),
         first_failure=bad,
     )
 
@@ -168,7 +167,7 @@ def biorthogonality_check(m: UmbralModel) -> VerificationReport:
         check="biorthogonality",
         model=m.label(),
         params={"indices": m.n_max},
-        status=PASS if bad is None else FAIL,
+        status=status_of(bad),
         first_failure=bad,
     )
 
@@ -203,12 +202,11 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
             if lhs != rhs:
                 bad = ("exchange-raising", n)
                 break
-    status = FAIL if bad is not None else (INCONCLUSIVE if tainted else PASS)
     return VerificationReport(
         check="covariant",
         model=m.label(),
         params={"indices": m.n_max},
-        status=status,
+        status=status_of(bad, tainted),
         first_failure=bad,
     )
 
@@ -244,12 +242,11 @@ def generating_function(m: UmbralModel, order: int) -> GeneratingTable:
             if g != m.basis[k - 1]:
                 bad = k
                 break
-    status = FAIL if bad is not None else (INCONCLUSIVE if tainted else PASS)
     report = VerificationReport(
         check="generating-function",
         model=m.label(),
         params={"order": order},
-        status=status,
+        status=status_of(bad, tainted),
         first_failure=bad,
     )
     return GeneratingTable(table=rows, report=report)

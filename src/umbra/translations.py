@@ -33,7 +33,7 @@ from .core import (
     as_fraction,
 )
 from .models import UmbralModel
-from .reports import FAIL, INCONCLUSIVE, PASS, VerificationReport
+from .reports import VerificationReport, status_of
 
 
 class BivariatePoly:
@@ -105,7 +105,7 @@ class BivariatePoly:
         return None
 
 
-def _require_cap(m: UmbralModel, n: int) -> None:
+def _require_index(m: UmbralModel, n: int) -> None:
     if not 0 <= n <= m.n_max:
         raise CapMismatchError(
             f"basis index {n} outside 0..{m.n_max}"
@@ -120,7 +120,7 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
     fails either gets a ParameterError naming the failed hypothesis --
     the Hermite model is shift-invariant but has the wrong vacuum.
     """
-    _require_cap(m, n)
+    _require_index(m, n)
     if not m.shift_invariant:
         raise ParameterError(
             f"not binomial type: {m.label()} has no shift-invariant "
@@ -139,7 +139,7 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
         check="binomial",
         model=m.label(),
         params={"n": n},
-        status=PASS if bad is None else FAIL,
+        status=status_of(bad),
         first_failure=bad,
     )
 
@@ -203,12 +203,11 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
         if diff is not None:
             bad = (a, diff)
             break
-    status = FAIL if bad is not None else (INCONCLUSIVE if tainted else PASS)
     return VerificationReport(
         check="character",
         model=m.label(),
         params={"order": order},
-        status=status,
+        status=status_of(bad, tainted),
         first_failure=bad,
     )
 
@@ -242,6 +241,6 @@ def delsarte_eigen_check(m: UmbralModel, order: int) -> VerificationReport:
         check="delsarte",
         model=m.label(),
         params={"order": order},
-        status=PASS if bad is None else FAIL,
+        status=status_of(bad),
         first_failure=bad,
     )

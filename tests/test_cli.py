@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +212,95 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["defractalize"])
     assert exc.value.code == 2
+
+
+ORDER_CHECKS = ("group-law", "weyl", "composition", "character", "genfun",
+                "binomial", "delsarte")
+
+
+@pytest.mark.parametrize("check", ORDER_CHECKS)
+def test_negative_order_is_a_usage_error(capsys, check):
+    rc, out, err = run(
+        capsys, "verify", "--check", check, "--model", "monomial",
+        "--degree", "8", "--order", "-1",
+    )
+    assert rc == 2
+    assert out == ""
+    assert "--order must be >= 0" in err
+
+
+def test_negative_order_under_all_is_a_usage_error(capsys):
+    rc, out, err = run(
+        capsys, "verify", "--all", "--model", "monomial", "--degree", "8", "--order", "-1",
+    )
+    assert (rc, out) == (2, "")
+    assert "--order" in err
+
+
+def test_genfun_negative_order_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "genfun", "--model", "monomial", "--degree", "8", "--order", "-2")
+    assert (rc, out) == (2, "")
+    assert "--order" in err
+
+
+@pytest.mark.parametrize("check", ORDER_CHECKS)
+def test_order_zero_is_not_replaced_by_the_default(capsys, check):
+    rc, out, _ = run(
+        capsys, "verify", "--check", check, "--model", "monomial",
+        "--degree", "8", "--order", "0", "--format", "json",
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["status"] == "pass"
+    assert doc["params"].get("order", doc["params"].get("n_max")) == 0
+
+
+def test_genfun_order_zero(capsys):
+    rc, out, _ = run(capsys, "genfun", "--model", "monomial", "--degree", "8", "--order", "0")
+    assert rc == 0
+    assert out.splitlines()[1:] == ["s^0: 1"]
+
+
+def test_degree_zero_reaches_the_model_builder(capsys):
+    rc, out, err = run(capsys, "verify", "--check", "ladder", "--model", "monomial", "--degree", "0")
+    assert (rc, out) == (2, "")
+    assert "n_max must be >= 1" in err
+
+
+def test_transmute_nu_goes_to_the_side_that_takes_it(capsys):
+    argv = ["transmute", "--from", "bessel", "--to", "heat", "--poly", "1", "--degree", "6"]
+    rc, out, err = run(capsys, *argv, "--nu", "2")
+    assert (rc, err) == (0, "")
+    rc2, out2, _ = run(capsys, *argv, "--from-nu", "2")
+    assert rc2 == 0
+    assert out == out2
+
+
+def test_transmute_nu_for_neither_side_is_a_usage_error(capsys):
+    rc, _, err = run(
+        capsys, "transmute", "--from", "heat", "--to", "monomial", "--poly", "1", "--nu", "2",
+    )
+    assert rc == 2
+    assert "takes nu" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_numeric_flag_is_a_usage_error(capsys, value):
+    rc, out, err = run(capsys, "bessel", "j", f"--x={value}")
+    assert (rc, out) == (2, "")
+    assert "--x must be finite" in err
+
+
+def test_closed_pipe_exits_quietly():
+    grid = ",".join(f"{k / 1000:.3f}" for k in range(1, 4001))  # ~100 kB of CSV
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "umbra.cli", "bessel", "j", "--grid", grid, "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"t,value\r\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

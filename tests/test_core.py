@@ -255,6 +255,18 @@ def test_exp_raising_matrix_truncates_honestly():
     assert len(e.trunc_cols) == cap + 1  # every column loses its tail
 
 
+def test_exp_matrices_zero_step_and_nilpotency_order():
+    ident = LinearOp.identity(3)
+    # the nilpotency check comes first for the lowering exponential ...
+    with pytest.raises(NilpotencyError):
+        exp_nilpotent_matrix(ident, 0)
+    # ... and after the zero-step shortcut for the raising one
+    e = exp_raising_matrix(ident, 0)
+    assert e == ident and not e.trunc_cols
+    with pytest.raises(NilpotencyError):
+        exp_raising_matrix(ident, 1)
+
+
 # -- Functional --------------------------------------------------------
 
 def test_eval_at_zero_functional():

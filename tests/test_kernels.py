@@ -1,18 +1,11 @@
-"""Both integer-kernel backends against naive references and each other."""
+"""Integer matrix kernels against naive references."""
 
 import math
 import random
 
 import pytest
 
-from umbra import _kernels_py as kpy
-
-try:
-    from umbra import _kernels_cy as kcy
-except ImportError:  # pragma: no cover - compiled backend absent
-    kcy = None
-
-BACKENDS = [kpy] + ([kcy] if kcy is not None else [])
+from umbra import kernels
 
 
 def naive_mul(a, b):
@@ -34,65 +27,41 @@ def rand_mat(rng, n, m, bits):
     ]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
 @pytest.mark.parametrize("bits", [8, 62, 200])
-def test_imat_mul_matches_naive(impl, bits):
+def test_imat_mul_matches_naive(bits):
     rng = random.Random(11 * bits)
     a = rand_mat(rng, 7, 5, bits)
     b = rand_mat(rng, 5, 9, bits)
-    assert impl.imat_mul(a, b) == naive_mul(a, b)
+    assert kernels.imat_mul(a, b) == naive_mul(a, b)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
-def test_vector_products(impl):
+def test_vector_products():
     rng = random.Random(3)
     a = rand_mat(rng, 6, 6, 70)
     v = [rng.getrandbits(70) - (1 << 69) for _ in range(6)]
-    col = impl.imat_vec(a, v)
-    row = impl.ivec_mat(v, a)
+    col = kernels.imat_vec(a, v)
+    row = kernels.ivec_mat(v, a)
     assert col == [sum(a[i][j] * v[j] for j in range(6)) for i in range(6)]
     assert row == [sum(v[i] * a[i][j] for i in range(6)) for j in range(6)]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
-def test_comb_div_gcd(impl):
+def test_comb_div_gcd():
     rng = random.Random(5)
     a = rand_mat(rng, 4, 4, 64)
     b = rand_mat(rng, 4, 4, 64)
-    comb = impl.imat_comb(a, b, 3, -7)
+    comb = kernels.imat_comb(a, b, 3, -7)
     assert comb == [
         [3 * x - 7 * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)
     ]
     scaled = [[6 * x for x in row] for row in a]
-    assert impl.imat_div(scaled, 6) == a
+    assert kernels.imat_div(scaled, 6) == a
     g = 0
     for row in scaled:
         for x in row:
             g = math.gcd(g, x)
     assert g % 6 == 0
-    assert impl.iseq_gcd(scaled, 12) == math.gcd(12, g)
-    assert impl.iseq_gcd(scaled, g) == g
-    assert impl.iseq_gcd([[0, 0]], 0) == 0
-    assert impl.iseq_gcd(a, 1) == 1
+    assert kernels.iseq_gcd(scaled, 12) == math.gcd(12, g)
+    assert kernels.iseq_gcd(scaled, g) == g
+    assert kernels.iseq_gcd([[0, 0]], 0) == 0
+    assert kernels.iseq_gcd(a, 1) == 1
 
-
-@pytest.mark.skipif(kcy is None, reason="compiled backend not built")
-def test_backends_agree_on_big_operands():
-    rng = random.Random(97)
-    a = rand_mat(rng, 12, 12, 300)
-    b = rand_mat(rng, 12, 12, 300)
-    assert kcy.imat_mul(a, b) == kpy.imat_mul(a, b)
-    assert kcy.imat_comb(a, b, 10**40, -(10**41)) == kpy.imat_comb(
-        a, b, 10**40, -(10**41)
-    )
-    v = [rng.getrandbits(300) for _ in range(12)]
-    assert kcy.imat_vec(a, v) == kpy.imat_vec(a, v)
-    assert kcy.ivec_mat(v, b) == kpy.ivec_mat(v, b)
-
-
-def test_facade_backend_resolves():
-    from umbra import kernels
-
-    assert kernels.BACKEND in ("cython", "python")
-    a = [[1, 2], [3, 4]]
-    assert kernels.imat_mul(a, a) == [[7, 10], [15, 22]]
