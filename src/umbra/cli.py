@@ -157,6 +157,16 @@ def _order(args: argparse.Namespace, default: int | None) -> int | None:
     return args.order
 
 
+def _tol(args: argparse.Namespace, default: float | None) -> float | None:
+    """--tol if it was given, else ``default``."""
+    tol = getattr(args, "tol", None)
+    if tol is None:
+        return default
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"--tol must be finite and > 0, got {tol}")
+    return tol
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
@@ -280,14 +290,14 @@ def _poisson_intertwining(args: argparse.Namespace) -> ResidualReport:
         grid = _parse_grid(args.grid, "--grid")
     else:
         grid = [0.5 + k * 4.5 / 19 for k in range(20)]
-    return numeric.poisson_intertwining_check(nu, f, grid, tol=args.tol or 1e-6)
+    return numeric.poisson_intertwining_check(nu, f, grid, tol=_tol(args, 1e-6))
 
 
 def _hankel_intertwining(args: argparse.Namespace) -> ResidualReport:
     nu = _float_flag("--nu", args.nu) if args.nu else 2.0
     f = numeric.canned_fn(args.fn or "bump")
     grid = _parse_grid(args.grid, "--grid") if args.grid else [0.25, 1.0, 4.0]
-    return numeric.hankel_intertwining_check(nu, f, grid, tol=args.tol or 1e-6)
+    return numeric.hankel_intertwining_check(nu, f, grid, tol=_tol(args, 1e-6))
 
 
 class _Target:
@@ -486,9 +496,10 @@ def _value_output(args: argparse.Namespace, pairs: list[tuple[str, float, float]
 
 
 def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
-    if getattr(args, "tol", None):
-        return QuadratureSpec(abs_tol=args.tol, rel_tol=args.tol)
-    return QuadratureSpec()
+    tol = _tol(args, None)
+    if tol is None:
+        return QuadratureSpec()
+    return QuadratureSpec(abs_tol=tol, rel_tol=tol)
 
 
 def _cmd_bessel(args: argparse.Namespace) -> int:

@@ -11,16 +11,20 @@ monomial basis t^k.  Three data types live here:
   never as success.
 
 * ``LinearOp`` -- a (cap+1) x (cap+1) rational matrix, column j holding
-  the image of t^j.  Internally the matrix is fraction-free: an integer
-  matrix plus a single positive denominator, reduced once per operation.
-  That keeps the hot paths (operator products in the verification
-  checks) on plain integer arithmetic; see ``umbra.kernels``.
+  the image of t^j.  Internally the matrix is sparse and fraction-free:
+  each column keeps only its nonzero entries, as a tuple of rows in
+  increasing order and a tuple of their integer numerators, over a
+  single positive denominator whose common factor with the nonzeros is
+  reduced away once per operation.  That keeps the
+  hot paths (operator products in the verification checks) on plain
+  integer arithmetic over the nonzeros; see ``umbra.kernels``.
   Operators remember which input columns are unreliable because the
   construction already truncated them (``trunc_cols``); applying an
   operator to a polynomial that touches such a column sets the
   polynomial's flag.
 
-* ``Functional`` -- a row vector pairing against coefficient vectors.
+* ``Functional`` -- a row vector pairing against coefficient vectors,
+  kept as its nonzero entries.
 
 Scalars are ``fractions.Fraction`` throughout; the wire format for
 rationals is the literal string "p/q" handled by ``parse_rational`` /
@@ -267,36 +271,39 @@ class Poly:
         return Poly(self.coeffs, self.cap, truncated)
 
 
-def _reduced(num: list[list[int]], den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Canonical fraction-free form: positive denominator, content 1."""
+def _reduced(cols, den: int):
+    """Canonical fraction-free form of sparse columns: positive
+    denominator, content 1 over the nonzeros."""
     if den == 0:
         raise ParameterError("zero denominator")
     if den < 0:
         den = -den
-        num = [[-x for x in row] for row in num]
-    g = kernels.iseq_gcd(num, den)
+        cols = [(rows, tuple(-x for x in vals)) for rows, vals in cols]
+    g = kernels.iseq_gcd(cols, den)
     if g > 1:
         den //= g
-        num = kernels.imat_div(num, g)
-    return tuple(tuple(row) for row in num), den
+        cols = [(rows, tuple(x // g for x in vals)) for rows, vals in cols]
+    return tuple(cols), den
 
 
 class LinearOp:
     """Rational matrix acting on Poly coefficient vectors.
 
-    Stored as (integer matrix ``num``, positive denominator ``den``)
-    with the content reduced away, so operator products run on plain
-    integer arithmetic.  ``trunc_cols`` marks input degrees whose
-    columns were already truncated when the operator was constructed
-    (for a raising operator, the top basis degree); applying the
-    operator to a polynomial with mass on such a column taints the
-    result's ``truncated`` flag.
+    Stored fraction-free and sparse: ``cols[j]`` is the pair (rows,
+    numerators) of column j's nonzero entries, rows increasing, over
+    one positive denominator ``den``, with the content of the nonzeros
+    reduced away (the column layout of ``umbra.kernels``).  ``num`` is
+    a dense tuple-of-rows view computed on demand.  ``trunc_cols``
+    marks input degrees whose columns were already truncated when the
+    operator was constructed (for a raising operator, the top basis
+    degree); applying the operator to a polynomial with mass on such a
+    column taints the result's ``truncated`` flag.
 
     Equality compares the rational matrices (caps included) and ignores
     ``trunc_cols``.
     """
 
-    __slots__ = ("num", "den", "cap", "trunc_cols")
+    __slots__ = ("cols", "den", "cap", "trunc_cols")
 
     def __init__(
         self,
@@ -309,15 +316,47 @@ class LinearOp:
         n = cap + 1
         if len(num) != n or any(len(row) != n for row in num):
             raise CapMismatchError(f"matrix shape does not match cap {cap}")
-        if _reduced_already:
-            self.num = tuple(tuple(row) for row in num)
-            self.den = den
+        cols = []
+        for j in range(n):
+            rows = tuple(i for i, row in enumerate(num) if row[j])
+            cols.append((rows, tuple(num[i][j] for i in rows)))
+        self._init(cols, den, cap, trunc_cols, _reduced_already)
+
+    def _init(self, cols, den: int, cap: int, trunc_cols: Iterable[int], reduced: bool) -> None:
+        if reduced:
+            self.cols, self.den = tuple(cols), den
         else:
-            self.num, self.den = _reduced([list(row) for row in num], den)
+            self.cols, self.den = _reduced(cols, den)
         self.cap = cap
         self.trunc_cols = frozenset(trunc_cols)
 
+    @classmethod
+    def _sparse(
+        cls, cols, den: int, cap: int,
+        trunc_cols: Iterable[int] = frozenset(), reduced: bool = False,
+    ) -> "LinearOp":
+        """From canonical sparse columns, skipping the dense view."""
+        op = cls.__new__(cls)
+        op._init(cols, den, cap, trunc_cols, reduced)
+        return op
+
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _from_fraction_columns(
+        cls,
+        cap: int,
+        columns: Sequence[Sequence[tuple[int, Fraction]]],
+        trunc_cols: Iterable[int],
+    ) -> "LinearOp":
+        """From columns of (row, rational) pairs sorted by row."""
+        cols = [[(i, q) for i, q in col if q] for col in columns]
+        nums, den = _common_denominator([q for col in cols for _, q in col])
+        nums = iter(nums)
+        return cls._sparse(
+            [(tuple(i for i, _ in col), tuple(next(nums) for _ in col)) for col in cols],
+            den, cap, trunc_cols,
+        )
 
     @classmethod
     def from_entries(
@@ -327,11 +366,13 @@ class LinearOp:
     ) -> "LinearOp":
         """Build from a square grid of rationals, entries[row][col]."""
         cap = len(entries) - 1
-        flat = [as_fraction(x) for row in entries for x in row]
-        nums, den = _common_denominator(flat)
-        n = cap + 1
-        num = [nums[i * n : (i + 1) * n] for i in range(n)]
-        return cls(num, den, cap, trunc_cols)
+        if any(len(row) != cap + 1 for row in entries):
+            raise CapMismatchError(f"matrix shape does not match cap {cap}")
+        columns = [
+            [(i, as_fraction(row[j])) for i, row in enumerate(entries)]
+            for j in range(cap + 1)
+        ]
+        return cls._from_fraction_columns(cap, columns, trunc_cols)
 
     @classmethod
     def from_columns(
@@ -342,42 +383,50 @@ class LinearOp:
     ) -> "LinearOp":
         """Build from the action on monomials: columns[j] maps output
         degree -> coefficient of the image of t^j."""
-        grid: list[list[Fraction]] = [
-            [ZERO] * (cap + 1) for _ in range(cap + 1)
-        ]
+        out = []
         for j in range(cap + 1):
             col = columns(j) if callable(columns) else columns.get(j, {})
-            for i, v in col.items():
+            for i in col:
                 if not 0 <= i <= cap:
                     raise CapMismatchError(
                         f"output degree {i} outside cap {cap}"
                     )
-                grid[i][j] = as_fraction(v)
-        return cls.from_entries(grid, trunc_cols)
+            out.append(sorted((i, as_fraction(v)) for i, v in col.items()))
+        return cls._from_fraction_columns(cap, out, trunc_cols)
 
     @classmethod
     def identity(cls, cap: int) -> "LinearOp":
-        n = cap + 1
-        num = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls(num, 1, cap, _reduced_already=True)
+        return cls._sparse([((j,), (1,)) for j in range(cap + 1)], 1, cap, reduced=True)
 
     @classmethod
     def zero(cls, cap: int) -> "LinearOp":
-        n = cap + 1
-        num = [[0] * n for _ in range(n)]
-        return cls(num, 1, cap, _reduced_already=True)
+        return cls._sparse([kernels.EMPTY] * (cap + 1), 1, cap, reduced=True)
 
     # -- inspection ---------------------------------------------------
 
+    @property
+    def num(self) -> tuple[tuple[int, ...], ...]:
+        """Dense integer numerators as a tuple of rows (a fresh view)."""
+        n = self.cap + 1
+        rows = [[0] * n for _ in range(n)]
+        for j, (col_rows, vals) in enumerate(self.cols):
+            for i, x in zip(col_rows, vals):
+                rows[i][j] = x
+        return tuple(tuple(row) for row in rows)
+
     def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i][j], self.den)
+        rows, vals = self.cols[j]
+        return Fraction(dict(zip(rows, vals)).get(i, 0), self.den)
 
     def column(self, j: int) -> Poly:
-        cs = [Fraction(self.num[i][j], self.den) for i in range(self.cap + 1)]
+        cs = [ZERO] * (self.cap + 1)
+        rows, vals = self.cols[j]
+        for i, x in zip(rows, vals):
+            cs[i] = Fraction(x, self.den)
         return Poly(cs, self.cap)
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.num)
+        return not any(rows for rows, _ in self.cols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearOp):
@@ -385,14 +434,14 @@ class LinearOp:
         return (
             self.cap == other.cap
             and self.den == other.den
-            and self.num == other.num
+            and self.cols == other.cols
         )
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den, self.cap))
+        return hash((self.cols, self.den, self.cap))
 
     def __repr__(self) -> str:
-        nz = sum(1 for row in self.num for x in row if x)
+        nz = sum(len(rows) for rows, _ in self.cols)
         return f"LinearOp(cap={self.cap}, nonzeros={nz}, den={self.den})"
 
     # -- algebra ------------------------------------------------------
@@ -404,30 +453,28 @@ class LinearOp:
             )
 
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
-        """Composition self o other (apply ``other`` first)."""
+        """Composition self o other (apply ``other`` first).  Column j
+        of the product is tainted when it is tainted in ``other`` or
+        when column j of ``other`` reaches a row that ``self`` marks."""
         self._check_cap(other)
-        num = kernels.imat_mul(self.num, other.num)
-        rnum, rden = _reduced(num, self.den * other.den)
+        cols = kernels.imat_mul(self.cols, other.cols)
         tcols = set(other.trunc_cols)
-        if self.trunc_cols:
-            bad_rows = self.trunc_cols
-            for j in range(self.cap + 1):
-                if j in tcols:
-                    continue
-                if any(other.num[i][j] for i in bad_rows):
-                    tcols.add(j)
-        return LinearOp(rnum, rden, self.cap, frozenset(tcols), _reduced_already=True)
+        bad_rows = self.trunc_cols
+        if bad_rows:
+            tcols.update(
+                j for j, (rows, _) in enumerate(other.cols)
+                if not bad_rows.isdisjoint(rows)
+            )
+        return LinearOp._sparse(cols, self.den * other.den, self.cap, tcols)
 
     def __add__(self, other: "LinearOp") -> "LinearOp":
         self._check_cap(other)
         g = math.gcd(self.den, other.den)
         ca = other.den // g
         cb = self.den // g
-        num = kernels.imat_comb(self.num, other.num, ca, cb)
-        rnum, rden = _reduced(num, self.den * ca)
-        return LinearOp(
-            rnum, rden, self.cap,
-            self.trunc_cols | other.trunc_cols, _reduced_already=True,
+        cols = kernels.imat_comb(((ca, self.cols), (cb, other.cols)))
+        return LinearOp._sparse(
+            cols, self.den * ca, self.cap, self.trunc_cols | other.trunc_cols
         )
 
     def __sub__(self, other: "LinearOp") -> "LinearOp":
@@ -437,9 +484,9 @@ class LinearOp:
         q = as_fraction(q)
         if q == 0:
             return LinearOp.zero(self.cap)
-        num = [[x * q.numerator for x in row] for row in self.num]
-        rnum, rden = _reduced(num, self.den * q.denominator)
-        return LinearOp(rnum, rden, self.cap, self.trunc_cols, _reduced_already=True)
+        p = q.numerator
+        cols = [(rows, tuple(p * x for x in vals)) for rows, vals in self.cols]
+        return LinearOp._sparse(cols, self.den * q.denominator, self.cap, self.trunc_cols)
 
     def power(self, k: int) -> "LinearOp":
         if k < 0:
@@ -454,10 +501,18 @@ class LinearOp:
             raise CapMismatchError(
                 f"degree caps differ: {self.cap} vs {f.cap}"
             )
-        nums, fden = _common_denominator(f.coeffs)
-        w = kernels.imat_vec(self.num, nums)
+        support = [(j, c) for j, c in enumerate(f.coeffs) if c]
+        nums, fden = _common_denominator([c for _, c in support])
+        acc: dict[int, int] = {}
+        for (j, _), y in zip(support, nums):
+            rows, vals = self.cols[j]
+            for i, x in zip(rows, vals):
+                acc[i] = acc.get(i, 0) + x * y
         d = self.den * fden
-        cs = [Fraction(x, d) for x in w]
+        cs = [ZERO] * (f.cap + 1)
+        for i, v in acc.items():
+            if v:
+                cs[i] = Fraction(v, d)
         tainted = f.truncated or any(
             f.coeffs[j] for j in self.trunc_cols if j <= f.cap
         )
@@ -466,14 +521,14 @@ class LinearOp:
     def is_nilpotent(self) -> bool:
         """True iff the matrix is nilpotent (checked by repeated squaring;
         on a (cap+1)-dimensional space nilpotency forces A^(cap+1) = 0)."""
-        num = [list(row) for row in self.num]
+        cols = self.cols
         e = 1
         while e <= self.cap:
-            num = kernels.imat_mul(num, num)
+            cols = kernels.imat_mul(cols, cols)
             e *= 2
-            if all(all(x == 0 for x in row) for row in num):
+            if not any(rows for rows, _ in cols):
                 return True
-        return all(all(x == 0 for x in row) for row in num)
+        return not any(rows for rows, _ in cols)
 
     def equal_on_columns(self, other: "LinearOp", cols: Iterable[int]) -> int | None:
         """First column in ``cols`` where the two operators differ, or
@@ -481,17 +536,21 @@ class LinearOp:
         self._check_cap(other)
         da, db = self.den, other.den
         for j in cols:
-            for i in range(self.cap + 1):
-                if self.num[i][j] * db != other.num[i][j] * da:
-                    return j
+            (ra, va), (rb, vb) = self.cols[j], other.cols[j]
+            if ra != rb or (
+                va != vb if da == db
+                else any(x * db != y * da for x, y in zip(va, vb))
+            ):
+                return j
         return None
 
 
 class Functional:
     """Linear functional on the truncated polynomial space: a row
-    vector paired against coefficient vectors."""
+    vector paired against coefficient vectors, stored as its nonzero
+    (index, coefficient) pairs in index order."""
 
-    __slots__ = ("row", "cap")
+    __slots__ = ("terms", "cap")
 
     def __init__(self, row: Iterable[Fraction | int], cap: int):
         rs = [as_fraction(c) for c in row]
@@ -499,14 +558,23 @@ class Functional:
             raise CapMismatchError(
                 f"{len(rs)} entries exceed degree cap {cap}"
             )
-        rs.extend([ZERO] * (cap + 1 - len(rs)))
-        self.row: tuple[Fraction, ...] = tuple(rs)
+        self.terms: tuple[tuple[int, Fraction], ...] = tuple(
+            (i, q) for i, q in enumerate(rs) if q
+        )
         self.cap = cap
 
     @classmethod
     def eval_at_zero(cls, cap: int) -> "Functional":
         """f |-> f(0)."""
         return cls((ONE,), cap)
+
+    @property
+    def row(self) -> tuple[Fraction, ...]:
+        """Dense row vector (a fresh view)."""
+        rs = [ZERO] * (self.cap + 1)
+        for i, q in self.terms:
+            rs[i] = q
+        return tuple(rs)
 
     def pair(self, f: Poly) -> Fraction:
         """<l, f>.  Exact; callers worried about truncated inputs must
@@ -515,9 +583,8 @@ class Functional:
             raise CapMismatchError(
                 f"degree caps differ: {self.cap} vs {f.cap}"
             )
-        return sum(
-            (a * b for a, b in zip(self.row, f.coeffs) if a and b), ZERO
-        )
+        cs = f.coeffs
+        return sum((a * cs[i] for i, a in self.terms if cs[i]), ZERO)
 
     def after(self, op: LinearOp) -> "Functional":
         """The pullback l o op (row vector times matrix)."""
@@ -525,22 +592,28 @@ class Functional:
             raise CapMismatchError(
                 f"degree caps differ: {self.cap} vs {op.cap}"
             )
-        nums, rden = _common_denominator(self.row)
-        w = kernels.ivec_mat(nums, op.num)
+        nums, rden = _common_denominator([a for _, a in self.terms])
+        weights = {i: y for (i, _), y in zip(self.terms, nums)}
         d = rden * op.den
-        return Functional([Fraction(x, d) for x in w], self.cap)
+        terms = []
+        for j, (rows, vals) in enumerate(op.cols):
+            w = sum(weights[i] * x for i, x in zip(rows, vals) if i in weights)
+            if w:
+                terms.append((j, Fraction(w, d)))
+        out = Functional.__new__(Functional)
+        out.terms, out.cap = tuple(terms), self.cap
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Functional):
             return NotImplemented
-        return self.cap == other.cap and self.row == other.row
+        return self.cap == other.cap and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.row, self.cap))
+        return hash((self.terms, self.cap))
 
     def __repr__(self) -> str:
-        nz = sum(1 for x in self.row if x)
-        return f"Functional(cap={self.cap}, nonzeros={nz})"
+        return f"Functional(cap={self.cap}, nonzeros={len(self.terms)})"
 
 
 def op_commutator(a: LinearOp, b: LinearOp) -> LinearOp:
@@ -616,4 +689,4 @@ def exp_raising_matrix(a: LinearOp, x: Fraction | int) -> LinearOp:
         )
     acc = _exp_series(a, x)
     all_cols = frozenset(range(a.cap + 1))
-    return LinearOp(acc.num, acc.den, acc.cap, all_cols, _reduced_already=True)
+    return LinearOp._sparse(acc.cols, acc.den, acc.cap, all_cols, reduced=True)

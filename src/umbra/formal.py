@@ -235,15 +235,12 @@ class FormalOpSeries:
         for q, op in lst:
             d = q.denominator * op.den
             den = den * d // math.gcd(den, d)
-        n = self.cap + 1
-        acc = [[0] * n for _ in range(n)]
-        tcols: set[int] = set()
-        for q, op in lst:
-            mult = (den // (q.denominator * op.den)) * q.numerator
-            if mult:
-                acc = kernels.imat_comb(acc, op.num, 1, mult)
-                tcols |= op.trunc_cols
-        return LinearOp(acc, den, self.cap, frozenset(tcols))
+        cols = kernels.imat_comb([
+            ((den // (q.denominator * op.den)) * q.numerator, op.cols)
+            for q, op in lst
+        ])
+        tcols = frozenset().union(*(op.trunc_cols for _, op in lst))
+        return LinearOp._sparse(cols, den, self.cap, tcols)
 
     def indices(self) -> list[Index]:
         return sorted(self.terms, key=lambda idx: (sum(idx), idx))

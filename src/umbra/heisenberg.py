@@ -47,6 +47,8 @@ from .transforms import expand_in_basis
 # ---------------------------------------------------------------------------
 
 def _require_cap(m: UmbralModel, order: int, output_degree: int) -> None:
+    if order < 0:
+        raise ParameterError("order must be >= 0")
     need = output_degree + order
     if output_degree < 0 or m.n_max < need:
         raise CapShortfallError(
@@ -98,6 +100,14 @@ def _safe_columns(m: UmbralModel, output_degree: int) -> list[int]:
     return [m.degree_of_index(j) for j in range(output_degree + 1)]
 
 
+def _max_abs_entry(op: LinearOp, cols: Iterable[int]) -> Fraction:
+    """Largest |entry| of ``op`` over the given columns."""
+    return max(
+        (abs(Fraction(x, op.den)) for j in cols for x in op.cols[j][1]),
+        default=ZERO,
+    )
+
+
 def _formal_report(
     check: str,
     m: UmbralModel,
@@ -115,13 +125,7 @@ def _formal_report(
     }
     worst, ff = ZERO, None
     if idx is not None:
-        a = lhs.materialize(idx)
-        b = rhs.materialize(idx)
-        worst = max(
-            abs(Fraction(a.num[i][j], a.den) - Fraction(b.num[i][j], b.den))
-            for j in cols
-            for i in range(a.cap + 1)
-        )
+        worst = _max_abs_entry(lhs.materialize(idx) - rhs.materialize(idx), cols)
         ff = {"multi_index": {name: k for name, k in zip(lhs.params, idx) if k}}
     return VerificationReport(
         check=check, model=m.label(), params=params,
@@ -496,11 +500,9 @@ class KernelRep:
         out = [[0.0] * n for _ in range(n)]
         for lw, op in self.terms:
             w = math.exp(lw)
-            for i in range(n):
-                row = op.num[i]
-                for j in range(n):
-                    if row[j]:
-                        out[i][j] += w * row[j] / op.den
+            for j, (rows, vals) in enumerate(op.cols):
+                for i, x in zip(rows, vals):
+                    out[i][j] += w * x / op.den
         return out
 
     @property
@@ -606,11 +608,7 @@ def metaplectic_check(
         bad = lhs.equal_on_columns(rhs, cols)
         worst, ff = ZERO, None
         if bad is not None:
-            worst = max(
-                abs(Fraction(lhs.num[i][bad], lhs.den)
-                    - Fraction(rhs.num[i][bad], rhs.den))
-                for i in range(lhs.cap + 1)
-            )
+            worst = _max_abs_entry(lhs - rhs, [bad])
             ff = {"degree": bad}
         out.append(VerificationReport(
             check=name, model=m.label(), params=dict(params),

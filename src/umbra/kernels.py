@@ -1,50 +1,72 @@
-"""Integer matrix kernels.
+"""Sparse integer matrix kernels.
 
-Matrices are sequences of row sequences of arbitrary-precision ints.
-Every function returns fresh lists and never mutates its arguments.
+A matrix is a sequence of columns.  Each column is a pair of tuples
+(rows, values): the rows holding a nonzero entry, in increasing order,
+and those entries as arbitrary-precision ints.  ``EMPTY`` is a zero
+column.  Two flat tuples cost two pointers per nonzero, against one per
+entry of a dense matrix and about eight for a tuple per (row, value)
+pair, so even the nearly dense ladder words of the factorial models
+take little more memory than dense rows.  Every function returns
+fresh columns in that form, sharing immutable tuples where it can, and
+never mutates its arguments.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
+
+EMPTY: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+
+
+def _column(acc: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    rows = tuple(sorted(i for i, v in acc.items() if v))
+    return rows, tuple(acc[i] for i in rows)
 
 
 def imat_mul(a, b):
-    """Product of integer matrices, (n x k) @ (k x m)."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    """Product a @ b, column by column (Gustavson 1978): column j of
+    the product is the combination of a's columns that b's column j
+    names."""
+    out = []
+    for rows, vals in b:
+        if len(rows) == 1:
+            arows, avals = a[rows[0]]
+            x = vals[0]
+            out.append((arows, tuple(y * x for y in avals)))
+            continue
+        acc: dict[int, int] = {}
+        for k, x in zip(rows, vals):
+            arows, avals = a[k]
+            for i, y in zip(arows, avals):
+                acc[i] = acc.get(i, 0) + y * x
+        out.append(_column(acc))
+    return out
 
 
-def imat_vec(a, v):
-    """Matrix times column vector."""
-    return [sum(map(mul, row, v)) for row in a]
+def imat_comb(terms):
+    """Linear combination sum c * M over the (c, M) pairs in ``terms``,
+    all matrices with the same number of columns."""
+    out = []
+    for j in range(len(terms[0][1])):
+        parts = [(c, m[j]) for c, m in terms if c and m[j][0]]
+        if len(parts) == 1:
+            c, (rows, vals) = parts[0]
+            out.append((rows, vals if c == 1 else tuple(c * x for x in vals)))
+            continue
+        acc: dict[int, int] = {}
+        for c, (rows, vals) in parts:
+            for i, x in zip(rows, vals):
+                acc[i] = acc.get(i, 0) + c * x
+        out.append(_column(acc))
+    return out
 
 
-def ivec_mat(v, a):
-    """Row vector times matrix."""
-    return [sum(map(mul, v, col)) for col in zip(*a)]
-
-
-def imat_comb(a, b, ca, cb):
-    """Entrywise ca*a + cb*b."""
-    return [
-        [ca * x + cb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)
-    ]
-
-
-def imat_div(a, g):
-    """Entrywise exact division by a positive int."""
-    return [[x // g for x in row] for row in a]
-
-
-def iseq_gcd(rows, seed):
-    """gcd of ``seed`` and every matrix entry; early exit at 1."""
+def iseq_gcd(cols, seed):
+    """gcd of ``seed`` and every nonzero entry; early exit at 1."""
     g = abs(seed)
-    for row in rows:
-        for x in row:
-            if x:
-                g = gcd(g, x)
-                if g == 1:
-                    return 1
+    for _, vals in cols:
+        for x in vals:
+            g = gcd(g, x)
+            if g == 1:
+                return 1
     return g

@@ -29,6 +29,7 @@ lowering this is forced: B_nu t = nu/t is not a polynomial).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -108,6 +109,15 @@ class UmbralModel:
 
     def vacuum_is_eval0(self) -> bool:
         return self.vacuum == Functional.eval_at_zero(self.degree_cap)
+
+    @functools.cached_property
+    def duals(self) -> tuple[Functional, ...]:
+        """l_k = l_0 o L^k for k = 0..n_max, computed once per model;
+        bi-orthogonal to the basis: <l_k, p_n> = delta_{kn}."""
+        out = [self.vacuum]
+        for _ in range(self.n_max):
+            out.append(out[-1].after(self.lowering))
+        return tuple(out)
 
 
 def bessel_ladder_constants(nu: Fraction, count: int) -> list[Fraction]:

@@ -54,11 +54,9 @@ def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
 
 def dual_functionals(m: UmbralModel) -> list[Functional]:
     """l_k = l_0 o L^k for k = 0..n_max; bi-orthogonal to the basis:
-    <l_k, p_n> = delta_{kn}."""
-    out = [m.vacuum]
-    for _ in range(m.n_max):
-        out.append(out[-1].after(m.lowering))
-    return out
+    <l_k, p_n> = delta_{kn}.  A fresh list over the model's cached
+    ``duals``."""
+    return list(m.duals)
 
 
 def expand_in_basis(m: UmbralModel, f: Poly) -> list[Fraction]:
@@ -224,6 +222,8 @@ def generating_function(m: UmbralModel, order: int) -> GeneratingTable:
     """Coefficient table of F(s, t) to s-order ``order``, plus an exact
     verification that L_t F = s F order by order: the s^{k+1} row of
     L F must equal row k, and L applied to row 0 must vanish."""
+    if order < 0:
+        raise ParameterError("order must be >= 0")
     if order > m.n_max:
         raise CapMismatchError(
             f"order {order} exceeds the top basis index {m.n_max}"

@@ -15,14 +15,15 @@ which for the heat model collapses to the even averaging
 property for the generating function F(lambda, t) = sum_k lambda^k p_k:
 T_t^y F = F(lambda, y) F(lambda, t), order by order in lambda.
 
-The two-variable identities here are checked on an exact dense
+The two-variable identities here are checked on an exact sparse
 coefficient table in (t, y); no float ever enters.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping
 
 from .core import (
     CapMismatchError,
@@ -37,72 +38,61 @@ from .reports import VerificationReport, status_of
 
 
 class BivariatePoly:
-    """Dense table of a polynomial in (t, y): entry [i][j] multiplies
-    t^i y^j.  Both variables share one degree cap."""
+    """Sparse table of a polynomial in (t, y): ``terms`` maps each
+    (t-degree, y-degree) with a nonzero coefficient to that coefficient.
+    Both variables share one degree cap."""
 
-    __slots__ = ("table", "cap")
+    __slots__ = ("terms", "cap")
 
-    def __init__(self, table: Sequence[Sequence[Fraction]], cap: int):
-        if len(table) != cap + 1 or any(len(r) != cap + 1 for r in table):
-            raise CapMismatchError("table shape does not match cap")
-        self.table = tuple(tuple(row) for row in table)
+    def __init__(self, terms: Mapping[tuple[int, int], Fraction], cap: int):
+        if any(not (0 <= i <= cap and 0 <= j <= cap) for i, j in terms):
+            raise CapMismatchError("table entry outside the cap")
+        self.terms = {k: q for k, q in terms.items() if q}
         self.cap = cap
 
     @classmethod
-    def zero(cls, cap: int) -> "BivariatePoly":
-        n = cap + 1
-        return cls([[ZERO] * n for _ in range(n)], cap)
-
-    @classmethod
-    def product(cls, in_t: Poly, in_y: Poly) -> "BivariatePoly":
-        """in_t(t) * in_y(y)."""
-        if in_t.cap != in_y.cap:
-            raise CapMismatchError("caps differ")
-        cap = in_t.cap
-        rows = [
-            [a * b for b in in_y.coeffs] if a else [ZERO] * (cap + 1)
-            for a in in_t.coeffs
-        ]
-        return cls(rows, cap)
+    def sum_of_products(
+        cls, pairs: Iterable[tuple[Poly, Poly]], cap: int
+    ) -> "BivariatePoly":
+        """sum of in_t(t) * in_y(y) over the (in_t, in_y) pairs."""
+        terms: dict[tuple[int, int], Fraction] = {}
+        for in_t, in_y in pairs:
+            if in_t.cap != cap or in_y.cap != cap:
+                raise CapMismatchError("caps differ")
+            ys = [(j, b) for j, b in enumerate(in_y.coeffs) if b]
+            for i, a in enumerate(in_t.coeffs):
+                if a:
+                    for j, b in ys:
+                        q = terms.get((i, j))
+                        terms[i, j] = a * b if q is None else q + a * b
+        return cls(terms, cap)
 
     @classmethod
     def from_shift(cls, p: Poly) -> "BivariatePoly":
         """p(t + y), expanded exactly (binomial theorem per monomial)."""
-        import math
-
-        cap = p.cap
-        rows = [[ZERO] * (cap + 1) for _ in range(cap + 1)]
+        terms: dict[tuple[int, int], Fraction] = {}
         for k, c in enumerate(p.coeffs):
             if not c:
                 continue
             for i in range(k + 1):
-                rows[i][k - i] += c * math.comb(k, i)
-        return cls(rows, cap)
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        if self.cap != other.cap:
-            raise CapMismatchError("caps differ")
-        rows = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.table, other.table)
-        ]
-        return BivariatePoly(rows, self.cap)
+                terms[i, k - i] = terms.get((i, k - i), ZERO) + c * math.comb(k, i)
+        return cls(terms, p.cap)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        return self.cap == other.cap and self.table == other.table
+        return self.cap == other.cap and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.table, self.cap))
+        return hash((frozenset(self.terms.items()), self.cap))
 
     def first_difference(self, other: "BivariatePoly") -> tuple[int, int] | None:
         """Smallest (t-degree, y-degree) where the tables differ."""
-        for i in range(self.cap + 1):
-            for j in range(self.cap + 1):
-                if self.table[i][j] != other.table[i][j]:
-                    return (i, j)
-        return None
+        a, b = self.terms, other.terms
+        return min(
+            (k for k in a.keys() | b.keys() if a.get(k, ZERO) != b.get(k, ZERO)),
+            default=None,
+        )
 
 
 def _require_index(m: UmbralModel, n: int) -> None:
@@ -131,9 +121,9 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
             f"not binomial type: {m.label()} vacuum is not evaluation at 0"
         )
     lhs = BivariatePoly.from_shift(m.basis[n])
-    rhs = BivariatePoly.zero(m.degree_cap)
-    for k in range(n + 1):
-        rhs = rhs + BivariatePoly.product(m.basis[k], m.basis[n - k])
+    rhs = BivariatePoly.sum_of_products(
+        ((m.basis[k], m.basis[n - k]) for k in range(n + 1)), m.degree_cap
+    )
     bad = lhs.first_difference(rhs)
     return VerificationReport(
         check="binomial",
@@ -183,6 +173,8 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
     with y kept symbolic, the right side sum_{i+j=a} p_i(y) p_j(t);
     both are exact tables in (t, y) and no cross-order cancellation is
     possible."""
+    if order < 0:
+        raise ParameterError("order must be >= 0")
     if order > m.n_max:
         raise CapMismatchError(
             f"order {order} exceeds the top basis index {m.n_max}"
@@ -190,15 +182,16 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
     bad = None
     tainted = False
     for a in range(order + 1):
-        lhs = BivariatePoly.zero(m.degree_cap)
+        pairs = []
         g = m.basis[a]
         for k in range(a + 1):
-            lhs = lhs + BivariatePoly.product(g, m.basis[k])
+            pairs.append((g, m.basis[k]))
             tainted |= g.truncated
             g = m.lowering.apply(g)
-        rhs = BivariatePoly.zero(m.degree_cap)
-        for i in range(a + 1):
-            rhs = rhs + BivariatePoly.product(m.basis[a - i], m.basis[i])
+        lhs = BivariatePoly.sum_of_products(pairs, m.degree_cap)
+        rhs = BivariatePoly.sum_of_products(
+            ((m.basis[a - i], m.basis[i]) for i in range(a + 1)), m.degree_cap
+        )
         diff = lhs.first_difference(rhs)
         if diff is not None:
             bad = (a, diff)
@@ -217,6 +210,8 @@ def delsarte_eigen_check(m: UmbralModel, order: int) -> VerificationReport:
     L p_n = p_{n-1} and p_n(0) = delta_{0n} for n <= order.  Requires a
     vacuum equal to evaluation at 0 (otherwise the second condition is
     not the model's own normalization and the check refuses to run)."""
+    if order < 0:
+        raise ParameterError("order must be >= 0")
     if order > m.n_max:
         raise CapMismatchError(
             f"order {order} exceeds the top basis index {m.n_max}"

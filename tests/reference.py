@@ -62,6 +62,39 @@ def p_trim(a):
     return a
 
 
+# -- dense Fraction matrices, as lists of rows -------------------------
+
+def m_mul(a, b):
+    """a @ b."""
+    return [
+        [sum((a[i][r] * b[r][j] for r in range(len(b))), Fraction(0))
+         for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def m_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def m_scale(a, c):
+    c = Fraction(c)
+    return [[c * x for x in row] for row in a]
+
+
+def m_vec(a, v):
+    """Matrix times column vector."""
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def v_mat(v, a):
+    """Row vector times matrix."""
+    return [
+        sum((v[i] * a[i][j] for i in range(len(a))), Fraction(0))
+        for j in range(len(a[0]))
+    ]
+
+
 # -- classical polynomial families -------------------------------------
 
 def falling_factorial(n):

@@ -291,6 +291,17 @@ def test_non_finite_numeric_flag_is_a_usage_error(capsys, value):
     assert "--x must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--check", "hankel-intertwining", "--tol", "0"),
+    ("cosine", "--fn", "gauss", "--v", "1", "--tol=-1"),
+    ("verify", "--check", "poisson-intertwining", "--tol", "nan"),
+], ids=["zero", "negative", "nan"])
+def test_tol_must_be_finite_and_positive(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "--tol must be finite and > 0" in err
+
+
 def test_closed_pipe_exits_quietly():
     grid = ",".join(f"{k / 1000:.3f}" for k in range(1, 4001))  # ~100 kB of CSV
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from umbra.core import CapMismatchError, CapShortfallError, ParameterError
+from umbra.formal import FormalOpSeries
 from umbra.heisenberg import (
     DiscreteKernel,
+    _formal_report,
     composition_check_formal,
     generic_sl2_ladder,
     group_law_check,
@@ -22,7 +24,7 @@ from umbra.heisenberg import (
     twisted_convolve_check,
     weyl_relation_check,
 )
-from umbra.core import LinearOp, exp_nilpotent_matrix, exp_raising_matrix
+from umbra.core import LinearOp, exp_nilpotent_matrix, exp_raising_matrix, op_commutator
 from umbra.models import build_model
 from umbra.reports import PASS
 
@@ -262,6 +264,36 @@ def test_metaplectic_constants_fixed():
 def test_metaplectic_check_catalog(name, nu, n):
     for r in metaplectic_check(build_model(name, n, nu=nu)):
         assert r.status == PASS, (name, r.check)
+
+
+def test_failed_checks_report_the_largest_entry_difference():
+    m = build_model("monomial", 8)
+    # formal report: the series differ by L/2 at x^1; on the safe
+    # degrees 0..3 the largest entry of L/2 = (d/dt)/2 is 3/2
+    a = FormalOpSeries(("x",), 1, m.degree_cap)
+    a.add_term((1,), Fraction(1), m.lowering)
+    b = FormalOpSeries(("x",), 1, m.degree_cap)
+    b.add_term((1,), Fraction(1, 2), m.lowering)
+    r = _formal_report("probe", m, 1, 3, a, b)
+    assert r.first_failure == {"multi_index": {"x": 1}}
+    assert r.max_residual == Fraction(3, 2)
+    # metaplectic: a perturbed lowering operator breaks the brackets
+    bump = LinearOp.from_columns(m.degree_cap, {4: {1: Fraction(1, 7)}})
+    bad = dataclasses.replace(m, lowering=m.lowering + bump)
+    s = metaplectic(bad)
+    sides = [
+        (op_commutator(s.lower2, s.raise2), s.z.scale(s.lam)),
+        (op_commutator(s.z, s.lower2), s.lower2.scale(s.lam_minus)),
+        (op_commutator(s.z, s.raise2), s.raise2.scale(s.lam_plus)),
+    ]
+    reports = metaplectic_check(bad)
+    assert any(r.status != PASS for r in reports)
+    for r, (lhs, rhs) in zip(reports, sides):
+        if r.first_failure is not None:
+            j = r.first_failure["degree"]
+            assert r.max_residual == max(
+                abs(lhs.entry(i, j) - rhs.entry(i, j)) for i in range(m.degree_cap + 1)
+            )
 
 
 def test_sl2_closure_check_catalog():

@@ -1,0 +1,170 @@
+"""Differential tests: the sparse fraction-free LinearOp and Functional
+against dense Fraction matrices from ``reference``."""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from umbra.core import Functional, LinearOp, Poly
+
+import reference as ref
+
+ZERO = Fraction(0)
+
+entries = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def grids(draw, cap):
+    """Square (cap+1) grid, entries[row][col], mixing empty columns,
+    all-zero grids, sparse and dense columns."""
+    n = cap + 1
+    grid = [[ZERO] * n for _ in range(n)]
+    for j in range(n):
+        kind = draw(st.sampled_from(["empty", "sparse", "dense"]))
+        for i in range(n):
+            if kind == "dense" or (kind == "sparse" and draw(st.booleans())):
+                grid[i][j] = draw(entries)
+    return grid
+
+
+@st.composite
+def grid_pairs(draw):
+    cap = draw(st.integers(0, 5))
+    return cap, draw(grids(cap)), draw(grids(cap))
+
+
+def vectors(cap):
+    return st.lists(st.one_of(st.just(ZERO), entries), min_size=cap + 1, max_size=cap + 1)
+
+
+def dense(op):
+    n = op.cap + 1
+    return [[op.entry(i, j) for j in range(n)] for i in range(n)]
+
+
+def two_ways(grid):
+    """The same matrix built from its grid and from its columns."""
+    cap = len(grid) - 1
+    cols = {j: {i: grid[i][j] for i in range(cap + 1) if grid[i][j]} for j in range(cap + 1)}
+    return LinearOp.from_entries(grid), LinearOp.from_columns(cap, cols)
+
+
+def assert_canonical(op):
+    assert op.den > 0
+    assert len(op.cols) == op.cap + 1
+    g = op.den
+    for rows, vals in op.cols:
+        assert list(rows) == sorted(set(rows)) and all(0 <= i <= op.cap for i in rows)
+        assert len(vals) == len(rows)
+        for x in vals:
+            assert x
+            g = math.gcd(g, x)
+    assert g == 1
+    assert op.num == tuple(
+        tuple(dict(zip(*op.cols[j])).get(i, 0) for j in range(op.cap + 1))
+        for i in range(op.cap + 1)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_pairs(), entries)
+def test_algebra_matches_dense_reference(pair, q):
+    _, ga, gb = pair
+    a, b = LinearOp.from_entries(ga), LinearOp.from_entries(gb)
+    cases = [
+        (a @ b, ref.m_mul(ga, gb)),
+        (a + b, ref.m_add(ga, gb)),
+        (a - b, ref.m_add(ga, ref.m_scale(gb, -1))),
+        (a.scale(q), ref.m_scale(ga, q)),
+        (a.scale(0), ref.m_scale(ga, 0)),
+    ]
+    for op, want in cases:
+        assert_canonical(op)
+        assert dense(op) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_vector_products_match_dense_reference(data):
+    cap, ga, _ = data.draw(grid_pairs())
+    a = LinearOp.from_entries(ga)
+    v = data.draw(vectors(cap))
+    w = data.draw(vectors(cap))
+    f = Poly(v, cap)
+    assert list(a.apply(f).coeffs) == ref.m_vec(ga, v)
+    l = Functional(w, cap)
+    assert list(l.after(a).row) == ref.v_mat(w, ga)
+    assert l.pair(f) == sum((x * y for x, y in zip(w, v)), ZERO)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_pairs(), st.lists(st.integers(0, 5), max_size=6), st.sets(st.integers(0, 5)))
+def test_equal_on_columns_finds_the_first_differing_column(pair, picks, shared):
+    cap, ga, gb = pair
+    # b copies a on the shared columns, so the two agree there even
+    # when their denominators differ
+    gb = [[ga[i][j] if j in shared else x for j, x in enumerate(row)] for i, row in enumerate(gb)]
+    cols = [j for j in picks if j <= cap]
+    want = next((j for j in cols if any(ga[i][j] != gb[i][j] for i in range(cap + 1))), None)
+    a, b = LinearOp.from_entries(ga), LinearOp.from_entries(gb)
+    assert a.equal_on_columns(b, cols) == want
+    assert a.equal_on_columns(a.scale(3).scale(Fraction(1, 3)), cols) is None
+
+
+def test_equal_on_columns_across_denominators():
+    x = LinearOp.from_entries([[Fraction(1, 2), ZERO], [ZERO, Fraction(1)]])
+    y = LinearOp.from_entries([[Fraction(1, 3), ZERO], [ZERO, Fraction(1)]])
+    assert (x.den, y.den) == (2, 3)
+    assert x.equal_on_columns(y, [1]) is None
+    assert x.equal_on_columns(y, [1, 0]) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_is_nilpotent_matches_dense_powers(data):
+    cap, ga, _ = data.draw(grid_pairs())
+    if data.draw(st.booleans()):  # strictly upper triangular: nilpotent
+        ga = [[x if i < j else ZERO for j, x in enumerate(row)] for i, row in enumerate(ga)]
+    power = ga
+    for _ in range(cap):
+        power = ref.m_mul(power, ga)
+    want = all(x == 0 for row in power for x in row)
+    assert LinearOp.from_entries(ga).is_nilpotent() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_pairs())
+def test_equal_matrices_built_two_ways_are_equal_and_hash_alike(pair):
+    cap, ga, _ = pair
+    x, y = two_ways(ga)
+    assert x == y and hash(x) == hash(y)
+    den = 6 * math.lcm(*(q.denominator for row in ga for q in row))
+    z = LinearOp([[q.numerator * (den // q.denominator) for q in row] for row in ga], den, cap)
+    assert z == x and hash(z) == hash(x)
+    assert dense(x) == ga
+    l1 = Functional(ga[0], cap)
+    l2 = l1.after(LinearOp.identity(cap))
+    assert l1 == l2 and hash(l1) == hash(l2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_pairs(), st.sets(st.integers(0, 5)), st.sets(st.integers(0, 5)))
+def test_trunc_cols_through_matmul_follow_the_dense_rule(pair, ta, tb):
+    cap, ga, gb = pair
+    ta = frozenset(j for j in ta if j <= cap)
+    tb = frozenset(j for j in tb if j <= cap)
+    a = LinearOp.from_entries(ga, trunc_cols=ta)
+    b = LinearOp.from_entries(gb, trunc_cols=tb)
+    # dense statement of the rule: a column of the product is tainted
+    # when it was in b, or when b's column reaches a row that a marks
+    want = set(tb)
+    for j in range(cap + 1):
+        if any(gb[i][j] for i in ta):
+            want.add(j)
+    assert (a @ b).trunc_cols == want

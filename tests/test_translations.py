@@ -3,11 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from umbra import heisenberg, transforms
 from umbra.core import ParameterError, Poly
 from umbra.models import build_model
 from umbra.reports import PASS
 from umbra.translations import (
+    BivariatePoly,
     binomial_check,
     character_check,
     delsarte_eigen_check,
@@ -156,3 +160,33 @@ def test_delsarte_bessel_and_heat():
 def test_delsarte_refuses_hermite():
     with pytest.raises(ParameterError):
         delsarte_eigen_check(build_model("hermite", 6), 4)
+
+
+@pytest.mark.parametrize("check", [
+    heisenberg.group_law_check,
+    heisenberg.weyl_relation_check,
+    heisenberg.composition_check_formal,
+    character_check,
+    delsarte_eigen_check,
+    lambda m, k: transforms.generating_function(m, k).report,
+], ids=["group-law", "weyl", "composition", "character", "delsarte", "genfun"])
+def test_negative_order_is_rejected(check):
+    m = build_model("monomial", 8)
+    with pytest.raises(ParameterError, match="order must be >= 0"):
+        check(m, -1)
+
+
+cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+tables = st.dictionaries(cells, st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables, tables)
+def test_first_difference_is_the_row_major_first(ta, tb):
+    a, b = BivariatePoly(ta, 3), BivariatePoly(tb, 3)
+    want = next(
+        ((i, j) for i in range(4) for j in range(4) if ta.get((i, j), 0) != tb.get((i, j), 0)),
+        None,
+    )
+    assert a.first_difference(b) == want
+    assert (a == b) == (want is None)
