@@ -7,6 +7,13 @@ derivatives are Richardson-extrapolated central differences over a
 *fixed* quadrature rule, so the integration error varies smoothly with
 the evaluation point and cancels in the difference quotients.  An
 adaptive rule there would amplify its panel-boundary noise by 1/h^2.
+
+The kernel j_nu has three evaluation paths, chosen from the argument
+(see _bessel_series): its power series in floats for small arguments,
+the same series in fixed point with a certified rounding check, and
+Hankel's asymptotic expansion for large arguments.  Every evaluation
+either returns within about a second or raises ParameterError, as does
+a non-finite input to any transform.
 """
 
 from __future__ import annotations
@@ -19,27 +26,35 @@ from .core import ParameterError, QuadratureError
 from .quadrature import FIXED, QuadratureSpec, ScalarFn, integrate
 from .reports import ResidualReport
 
-_EXACT_SERIES_THRESHOLD = 25.0   # on lam * t^2; see little_bessel_j
+_EXACT_SERIES_THRESHOLD = 25.0   # on |lam| t^2; see _bessel_series
+_ASYMPTOTIC_X = 2000.0           # x = sqrt(lam) |t| from which Hankel's expansion may run
+_SERIES_MAX_X = 4000.0           # work budget of the fixed-point series, on x
+_GUARD_BITS = 64                 # first guard beyond 53 bits; doubled on each retry
+_GUARD_RETRIES = 6
+_STOP_INV = 10 ** 25             # the series stops at an n > peak with |term_n| < 1e-25
+_LOG2_E = 1.4426950408889634
 
 
-def _as_exact(x: float) -> Fraction:
-    # binary floats are dyadic rationals; this loses nothing
-    return Fraction(x)
+def _require_finite(**values: float) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ParameterError(f"{name} must be finite, got {v!r}")
 
 
 def little_bessel_j(nu: float | Fraction, lam: float, t: float) -> float:
     """Normalized Bessel-type oscillation: the entire series
     sum_n (-lam)^n t^(2n) / c_n with c_n = prod_{k<=n} 2k(2k+nu-1),
     i.e. the solution of B_nu j = -lam j with j(0) = 1, j'(0) = 0.
-    For nu = 2 this telescopes to sin(sqrt(lam) t)/(sqrt(lam) t)."""
+    For nu = 2 this telescopes to sin(sqrt(lam) t)/(sqrt(lam) t).
+    See _bessel_series for the three evaluation paths."""
     return _bessel_series(nu, lam, t, 0)
 
 
 def little_bessel_j_with_derivatives(
     nu: float | Fraction, lam: float, t: float
 ) -> tuple[float, float, float]:
-    """(j, j', j'') by term-wise differentiation of the series; used to
-    measure the defining ODE's residual without finite differences."""
+    """(j, j', j''); used to measure the defining ODE's residual without
+    finite differences."""
     return (
         _bessel_series(nu, lam, t, 0),
         _bessel_series(nu, lam, t, 1),
@@ -48,6 +63,21 @@ def little_bessel_j_with_derivatives(
 
 
 def _bessel_series(nu: float | Fraction, lam: float, t: float, deriv: int) -> float:
+    """The deriv-th t-derivative of j_nu(lam, t) by one of three paths,
+    with z = lam t^2 and x = sqrt(|z|):
+
+    - |z| <= 25: the float series (_bessel_series_float), whose terms
+      stay below e^5, so it loses at most a few bits to cancellation;
+    - lam > 0, x >= 2000 and x >= 16 (|nu-1|/2 + 2)^2: Hankel's
+      expansion (_bessel_large), within a few hundred ulps of the
+      envelope Gamma(a+1) (2/x)^a sqrt(2/(pi x)), a = (nu-1)/2;
+    - otherwise, up to x = 4000: the series in fixed point
+      (_bessel_series_exact), correctly rounded.
+
+    Each path takes at most about a second; an input beyond all three,
+    a non-finite one and a result beyond the double range raise
+    ParameterError."""
+    _require_finite(nu=nu, lam=lam, t=t)
     if nu <= 0:
         raise ParameterError(f"need nu > 0, got {nu}")
     if t == 0.0:
@@ -56,6 +86,16 @@ def _bessel_series(nu: float | Fraction, lam: float, t: float, deriv: int) -> fl
     z = lam * t * t
     if abs(z) <= _EXACT_SERIES_THRESHOLD:
         return _bessel_series_float(float(nu), lam, t, deriv)
+    x = math.sqrt(abs(lam)) * abs(t)
+    if lam > 0 and _ASYMPTOTIC_X <= x < math.inf and 16 * (abs(nu - 1) / 2 + 2) ** 2 <= x:
+        return _bessel_large(nu, lam, t, deriv)
+    if x > _SERIES_MAX_X:
+        raise ParameterError(
+            f"j_nu(nu={nu}, lambda={lam!r}, t={t!r}) is beyond the work budget: "
+            f"x = sqrt(|lambda|) |t| = {x:.6g} exceeds {_SERIES_MAX_X:g} for the "
+            "series, and Hankel's expansion needs lambda > 0 and "
+            "x >= 16 (|nu-1|/2 + 2)^2"
+        )
     return _bessel_series_exact(Fraction(nu), lam, t, deriv)
 
 
@@ -79,29 +119,137 @@ def _bessel_series_float(nu: float, lam: float, t: float, deriv: int) -> float:
 
 
 def _bessel_series_exact(nu: Fraction, lam: float, t: float, deriv: int) -> float:
-    """Exact-rational summation for large lam*t^2, where the float loop
-    would lose most of its digits to cancellation (the terms peak near
-    exp(sqrt(z)) while the sum is O(1)).  Only the final conversion
-    rounds."""
-    zl = _as_exact(lam)
-    zt = _as_exact(t)
-    z = zl * zt * zt
-    term = Fraction(1)
-    acc = Fraction(1) if deriv == 0 else Fraction(0)
+    """The series for |lam| t^2 > 25, where floats would lose most of
+    their digits to cancellation: the terms peak near e^x, x =
+    sqrt(|lam|) |t|, while the sum is O(x^(-nu/2)) for lam > 0.
+
+    The value is the correctly rounded double of the partial sum through
+    the first n > isqrt(|lam t^2|) + 2 with |term_n| < 1e-25, which is
+    what summing the same terms in Fractions and rounding once gives.
+    The terms are summed in fixed point over integers scaled by 2^P,
+    P = bits(e^x) + 53 + guard bits, and every truncating division adds
+    one unit to an integer bound on the error.  Where the stop test is
+    in doubt, the terms after the first doubtful n widen the bound.  A
+    value returns only when both ends of the enclosure round to the same
+    double; otherwise the guard bits double, at most _GUARD_RETRIES
+    times (Ziv, ACM TOMS 17(3), 1991).  The cost is O(x^2) bit
+    operations per try."""
+    tn, td = Fraction(t).as_integer_ratio()
+    z = Fraction(lam) * Fraction(tn, td) ** 2
+    if tn < 0 and deriv % 2:
+        tn, td = -tn, -td
+    peak = math.isqrt(abs(z.numerator) // z.denominator) + 2
+    top = int(math.sqrt(abs(z)) * _LOG2_E) + 2   # every term is below e^x
+    guard = _GUARD_BITS
+    for _ in range(_GUARD_RETRIES):
+        prec = top + 53 + guard
+        s, err = _fixed_point_series(z, nu, deriv, peak, prec)
+        # the value is s / (2^prec t^deriv) to within err / (2^prec |t|^deriv)
+        den = tn ** deriv << prec
+        lo = _ratio_to_float((s - err) * td ** deriv, den)
+        hi = _ratio_to_float((s + err) * td ** deriv, den)
+        if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
+            if math.isinf(lo):
+                raise ParameterError(
+                    f"j_nu(nu={nu}, lambda={lam!r}, t={t!r}) exceeds the double "
+                    "range (|value| > 1.8e308)"
+                )
+            return lo
+        guard *= 2
+    raise ParameterError(
+        f"j_nu(nu={nu}, lambda={lam!r}, t={t!r}) could not be rounded in "
+        f"{_GUARD_RETRIES} tries"
+    )
+
+
+def _fixed_point_series(
+    z: Fraction, nu: Fraction, deriv: int, peak: int, prec: int
+) -> tuple[int, int]:
+    """(s, err): 2^prec times the partial sum of _bessel_series_exact,
+    times t^deriv, is within err of s."""
+    # term_n = term_{n-1} * (-z) / (2n (2n + nu - 1)) = term_{n-1} * mul / (zd d_n)
+    mul = -z.numerator * nu.denominator
+    amul = abs(mul)
+    zd = z.denominator
+    p, q = nu.numerator, nu.denominator
+    one = 1 << prec
+    below = one // _STOP_INV           # |T| + e < below: surely |term_n| < 1e-25
+    above = -(-one // _STOP_INV)       # |T| - e >= above: surely not
+    term, e = one, 0                   # the scaled term and its error bound
+    s = one if deriv == 0 else 0
+    err = 0
+    widen = -1                         # < 0 until the stop test is first in doubt
     n = 0
-    peak = math.isqrt(int(abs(z))) + 2
     while True:
         n += 1
-        term *= -z / (2 * n * (2 * n + nu - 1))
-        if deriv == 0:
-            piece = term
-        elif deriv == 1:
-            piece = term * (2 * n) / zt
-        else:
-            piece = term * (2 * n) * (2 * n - 1) / (zt * zt)
-        acc += piece
-        if n > peak and abs(term) < Fraction(1, 10**25):
-            return float(acc)
+        d = zd * 2 * n * (2 * n * q + p - q)
+        term = term * mul // d
+        e = -(-e * amul // d) + 1
+        w = 1 if deriv == 0 else 2 * n if deriv == 1 else 2 * n * (2 * n - 1)
+        s += w * term
+        err += w * e
+        if widen >= 0:
+            widen += w * (abs(term) + e)
+        if n > peak:
+            a = abs(term)
+            if a + e < below:
+                return s, err + max(widen, 0)
+            if widen < 0 and a - e < above:
+                widen = 0
+
+
+def _ratio_to_float(num: int, den: int) -> float:
+    """num / den correctly rounded, or a signed infinity past the double
+    range; den > 0."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _bessel_large(nu: float | Fraction, lam: float, t: float, deriv: int) -> float:
+    """The deriv-th t-derivative of j_nu from Hankel's expansion, with
+    j' = -lam t/(nu+1) j_{nu+2} and the ODE j'' = -lam j - (nu/t) j'."""
+    if deriv == 0:
+        return _hankel_expansion(nu, lam, t)
+    d1 = -lam * t / (nu + 1) * _hankel_expansion(nu + 2, lam, t)
+    if deriv == 1:
+        return d1
+    return -lam * _hankel_expansion(nu, lam, t) - nu * d1 / t
+
+
+def _hankel_expansion(nu: float | Fraction, lam: float, t: float) -> float:
+    """Gamma(a+1) (2/x)^a J_a(x), a = (nu-1)/2, x = sqrt(lam) |t|, with
+    J_a(x) = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - nu pi/4, from
+    Hankel's expansion (DLMF 10.17.3).  Where 16 (|a| + 1)^2 <= x every
+    term the sums use is below 1/32 of the one before; they stop past
+    k = a + 1 at a term below 2^-64, which then bounds the remainder
+    (DLMF 10.17(iii)).  The phase keeps the bits that rounding x to a
+    double loses, so the error stays within a few hundred ulps of the
+    envelope Gamma(a+1) (2/x)^a sqrt(2/(pi x)), most of them from the
+    exp of its logarithm."""
+    a = (float(nu) - 1.0) / 2.0
+    x = math.sqrt(lam) * abs(t)
+    xq = Fraction(x)
+    dx = float((Fraction(lam) * Fraction(t) ** 2 - xq * xq) / (2 * xq))
+    mu = 4.0 * a * a
+    pq = [0.0, 0.0]
+    u, k = 1.0, 0
+    while True:
+        # u_k = a_k(a) / x^k; P = u_0 - u_2 + u_4 - ..., Q = u_1 - u_3 + ...
+        pq[k % 2] += u if k % 4 < 2 else -u
+        k += 1
+        u *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        if u == 0.0 or (abs(u) < 2.0 ** -64 and k > a + 1):
+            break
+    # w = x + dx - r pi with r = nu/4 mod 2
+    r = float(Fraction(nu) / 4 % 2) * math.pi
+    cx, sx = math.cos(x), math.sin(x)
+    cd, sd = math.cos(dx - r), math.sin(dx - r)
+    envelope = math.exp(
+        math.lgamma(a + 1.0) + a * math.log(2.0 / x) + 0.5 * math.log(2.0 / (math.pi * x))
+    )
+    return envelope * (pq[0] * (cx * cd - sx * sd) - pq[1] * (sx * cd + cx * sd))
 
 
 def poisson_constant(nu: float) -> float:
@@ -117,6 +265,7 @@ def poisson_transform(
     dtheta.  The sine substitution has already absorbed the endpoint
     singularity of the (x^2-t^2) kernel, but only for nu >= 1; smaller
     nu is refused rather than mis-integrated."""
+    _require_finite(nu=nu, x=x)
     if nu < 1:
         raise ParameterError(
             f"poisson_transform supports nu >= 1 only, got {nu:g}"
@@ -253,6 +402,7 @@ def hankel_transform(
     module's little_bessel_j at the same nu, which in classical
     notation is the normalized Bessel function of order (nu-1)/2; at
     nu = 2 the transform is the sine transform divided by sqrt(lam)."""
+    _require_finite(nu=nu, lam=lam)
     if nu <= 0:
         raise ParameterError(f"hankel_transform needs nu > 0, got {nu:g}")
     if lam <= 0:
@@ -333,6 +483,7 @@ def heat_covariant(
     """(1/(2 sqrt(pi u))) integral f(s) exp(-s^2/4u) ds: smoothing by
     the heat kernel at time u.  Polynomially growing f is fine; the
     kernel picks the truncation point."""
+    _require_finite(u=u)
     if u <= 0:
         raise ParameterError(f"need u > 0, got {u:g}")
     if q is None:
@@ -355,6 +506,7 @@ def cosine_transform(
 ) -> float:
     """integral f(t) cos(sqrt(v) t) dt over the whole line.  Nothing
     here damps the integrand, so undeclared decay is refused."""
+    _require_finite(v=v)
     if v < 0:
         raise ParameterError(f"need v >= 0, got {v:g}")
     if q is None:

@@ -5,11 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from umbra.cli import main
+
+import reference as ref
 
 
 def run(capsys, *argv):
@@ -52,6 +55,28 @@ def test_bessel_j_sinc_zero(capsys):
     )
     assert rc == 0
     assert abs(float(out.strip())) <= 1e-10
+
+
+def test_bessel_j_overflow_is_a_usage_error(capsys):
+    # lam < 0 makes j grow like e^x: about e^800 here
+    rc, out, err = run(capsys, "bessel", "j", "--nu", "2", "--lambda=-1", "--x", "800")
+    assert rc == 2
+    assert out == ""
+    assert "double range" in err
+    assert "Traceback" not in err
+
+
+def test_bessel_j_large_argument_matches_mpmath(capsys):
+    # lambda t^2 = 1e10: Hankel's expansion, in milliseconds
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "bessel", "j", "--nu", "2", "--lambda", "1e6",
+                     "--x", "100", "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert json.loads(out)["value"] == pytest.approx(
+        ref.normalized_bessel(2, 1e6, 100.0), abs=1e-12
+    )
+    assert elapsed < 1.0
 
 
 def test_binomial_hermite_is_a_usage_error(capsys):

@@ -6,11 +6,15 @@ asserted at the tolerances the package promises.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from umbra import numeric
 from umbra.core import ParameterError
 from umbra.models import build_model
 from umbra.numeric import (
@@ -88,6 +92,194 @@ def test_bessel_series_rejects_bad_nu():
         little_bessel_j(0, 1.0, 1.0)
     with pytest.raises(ParameterError):
         little_bessel_j(-2.5, 1.0, 1.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_bessel_series_rejects_non_finite(bad):
+    for args in ((bad, 1.0, 1.0), (2, bad, 1.0), (2, 1.0, bad)):
+        with pytest.raises(ParameterError, match="finite"):
+            little_bessel_j(*args)
+        with pytest.raises(ParameterError, match="finite"):
+            little_bessel_j_with_derivatives(*args)
+
+
+# -- the fixed-point series against the Fraction loop -------------------
+
+@st.composite
+def exact_series_args(draw):
+    """nu rational in (0, 8], lam of either sign and 25 < |lam| t^2 <= 1e5.
+    lam has 12 significant bits and t 16, which keeps the Fraction loop
+    of the reference fast at the top of the range."""
+    q = draw(st.integers(1, 12))
+    nu = Fraction(draw(st.integers(1, 8 * q)), q)
+    lam = math.ldexp(draw(st.integers(1, 2**12 - 1)), draw(st.integers(-12, 4)))
+    lam *= draw(st.sampled_from((1.0, -1.0)))
+    z = 10.0 ** draw(st.floats(math.log10(25.0), 5.0))
+    m, e = math.frexp(math.sqrt(z / abs(lam)))
+    t = math.ldexp(round(m * 2**16), e - 16) * draw(st.sampled_from((1.0, -1.0)))
+    assume(25.0 < abs(lam) * t * t <= 1e5)
+    return nu, lam, t
+
+
+@settings(max_examples=30, deadline=None)
+@given(exact_series_args())
+def test_exact_series_matches_fraction_loop_bit_for_bit(args):
+    nu, lam, t = args
+    for deriv in (0, 1, 2):
+        want = float(ref.bessel_series_fraction(nu, lam, t, deriv))
+        got = numeric._bessel_series_exact(nu, lam, t, deriv)
+        assert got.hex() == want.hex(), (nu, lam, t, deriv)
+
+
+@pytest.mark.parametrize("nu, lam, t", [
+    (Fraction(7, 3), 0.7312345, 64.05194036670956),
+    (Fraction(1, 10), 2.718281828459045, -31.41592653589793),
+    (Fraction(5, 2), -1.2345678901234567, 11.11111111111111),
+    (Fraction(8), 0.1, 123.456789),
+])
+def test_exact_series_matches_fraction_loop_at_full_precision(nu, lam, t):
+    for deriv in (0, 1, 2):
+        want = float(ref.bessel_series_fraction(nu, lam, t, deriv))
+        assert numeric._bessel_series_exact(nu, lam, t, deriv).hex() == want.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_series_args(), st.integers(90, 200))
+def test_fixed_point_enclosure_holds_at_low_precision(args, prec):
+    # few bits make the truncation errors and the doubtful stop tests
+    # large enough for an unsound bound to miss the Fraction partial sum
+    nu, lam, t = args
+    z = Fraction(lam) * Fraction(t) ** 2
+    peak = math.isqrt(abs(z.numerator) // z.denominator) + 2
+    for deriv in (0, 1, 2):
+        s, err = numeric._fixed_point_series(z, nu, deriv, peak, prec)
+        exact = ref.bessel_series_fraction(nu, lam, t, deriv) * Fraction(t) ** deriv * 2**prec
+        assert s - err <= exact <= s + err, (nu, lam, t, deriv, prec)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_fixed_point_enclosure_holds_when_the_stop_is_in_doubt(side, sign):
+    # z = lam t^2 tiny, so peak = 2 and n = 3 is the first stop test;
+    # |term_3| = |z|^3 / c_3 lies within 2^-270 of 1e-25, below it
+    # (side -1: the Fraction loop stops at 3) or above (it stops at 4),
+    # which no precision used here can tell apart.  The truncations
+    # round the terms up in size for z > 0 and down for z < 0.
+    nu = Fraction(1)
+    c3 = 2 * 2 * 4 * 4 * 6 * 6
+    k = 300
+    target = c3 * 2 ** (3 * k) // 10**25
+    root = 1 << -(-target.bit_length() // 3)
+    while True:   # Newton from above: ends at floor(cbrt(target))
+        step = (2 * root + target // (root * root)) // 3
+        if step >= root:
+            break
+        root = step
+    z = sign * Fraction(root + (side > 0), 2**k)
+    assert (abs(z) ** 3 / c3 < Fraction(1, 10**25)) == (side < 0)
+    for prec in range(100, 260, 10):
+        for deriv in (0, 1, 2):
+            s, err = numeric._fixed_point_series(z, nu, deriv, 2, prec)
+            exact = ref.bessel_series_fraction(nu, z, 1, deriv) * 2**prec
+            assert s - err <= exact <= s + err, (prec, deriv)
+
+
+# -- Hankel's expansion for large arguments -----------------------------
+
+def envelope(nu, lam, t):
+    """Gamma(a+1) (2/x)^a sqrt(2/(pi x)): the size of j_nu's oscillation."""
+    a = (mpmath.mpf(float(nu)) - 1) / 2
+    x = mpmath.sqrt(mpmath.mpf(lam)) * abs(mpmath.mpf(t))
+    return float(mpmath.gamma(a + 1) * (2 / x) ** a * mpmath.sqrt(2 / (mpmath.pi * x)))
+
+
+LARGE_NUS = [1, 2, Fraction(5, 2), 3, Fraction(7, 2)]
+
+
+@pytest.mark.parametrize("nu", LARGE_NUS)
+@pytest.mark.parametrize("x", [2000.0, 2718.2818, 1e4 + 0.37, 123456.789, 1e6])
+@pytest.mark.parametrize("lam", [1.0, 0.37, 1e6])
+def test_large_argument_path_matches_mpmath(nu, x, lam):
+    t = x / math.sqrt(lam)
+    got = little_bessel_j(nu, lam, t)
+    assert got == numeric._bessel_large(nu, lam, t, 0)
+    want = ref.normalized_bessel(float(nu), lam, t)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert abs(got - want) <= 1e-13 * envelope(nu, lam, t)
+
+
+@pytest.mark.parametrize("nu", LARGE_NUS + [7])
+def test_large_argument_path_continuous_at_the_switch(nu):
+    x = numeric._ASYMPTOTIC_X
+    series = [numeric._bessel_series_exact(Fraction(nu), 1.0, x, d) for d in range(3)]
+    large = little_bessel_j_with_derivatives(nu, 1.0, x)
+    t_below = math.nextafter(x, 0.0)
+    below = little_bessel_j(nu, 1.0, t_below)
+    env = envelope(nu, 1.0, x)
+    assert large[0] == numeric._bessel_large(nu, 1.0, x, 0)
+    for d in range(3):
+        assert abs(large[d] - series[d]) <= 1e-13 * env, d
+    assert abs(large[0] - below) <= (x - t_below) * abs(large[1]) + 1e-13 * env
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.0, 3.5])
+@pytest.mark.parametrize("lam", [1.0, 250.0])
+@pytest.mark.parametrize("x", [2500.0, 1e4, 1e5])
+def test_large_argument_path_derivatives(nu, lam, x):
+    t = x / math.sqrt(lam)
+    j, dj, d2j = little_bessel_j_with_derivatives(nu, lam, t)
+    env = envelope(nu, lam, t)
+    assert abs(d2j + (nu / t) * dj + lam * j) <= 1e-12 * lam * env
+    a = (mpmath.mpf(float(nu)) - 1) / 2
+    sl = mpmath.sqrt(lam)
+    want = mpmath.diff(
+        lambda s: mpmath.gamma(a + 1) * (2 / (sl * s)) ** a * mpmath.besselj(a, sl * s),
+        mpmath.mpf(t),
+    )
+    assert abs(dj - float(want)) <= 1e-12 * math.sqrt(lam) * env
+
+
+@pytest.mark.parametrize("nu, lam, t", [
+    (60, 1.0, 5000.0),    # nu too large for Hankel's expansion, x too large for the series
+    (2, -1.0, 5000.0),    # lam < 0 has no large-argument path
+    (2, 1e300, 1e300),    # x overflows
+])
+def test_beyond_both_paths_raises_quickly(nu, lam, t):
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="work budget"):
+        little_bessel_j(nu, lam, t)
+    assert time.perf_counter() - start < 0.5
+
+
+# -- non-finite inputs to the transforms ----------------------------------
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_poisson_rejects_non_finite(bad):
+    for nu, x in ((bad, 1.0), (2.0, bad)):
+        with pytest.raises(ParameterError, match="finite"):
+            poisson_transform(nu, canned_fn("one"), x)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_hankel_rejects_non_finite(bad):
+    for nu, lam in ((bad, 1.0), (2.0, bad)):
+        with pytest.raises(ParameterError, match="finite"):
+            hankel_transform(nu, canned_fn("exp"), lam)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_heat_rejects_non_finite(bad):
+    with pytest.raises(ParameterError, match="finite"):
+        heat_covariant(canned_fn("gauss"), bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_cosine_rejects_non_finite(bad):
+    with pytest.raises(ParameterError, match="finite"):
+        cosine_transform(canned_fn("gauss"), bad)
 
 
 # -- Poisson transform -------------------------------------------------
