@@ -27,7 +27,8 @@ from .quadrature import FIXED, QuadratureSpec, ScalarFn, integrate
 from .reports import ResidualReport
 
 _EXACT_SERIES_THRESHOLD = 25.0   # on |lam| t^2; see _bessel_series
-_ASYMPTOTIC_X = 2000.0           # x = sqrt(lam) |t| from which Hankel's expansion may run
+_ASYMPTOTIC_X = 2000.0           # x = sqrt(lam) |t| from which Hankel's expansion may run;
+                                 # the series costs about 30 ms a call there, 12 ms at x = 1200
 _SERIES_MAX_X = 4000.0           # work budget of the fixed-point series, on x
 _GUARD_BITS = 64                 # first guard beyond 53 bits; doubled on each retry
 _GUARD_RETRIES = 6
@@ -87,6 +88,9 @@ def _bessel_series(nu: float | Fraction, lam: float, t: float, deriv: int) -> fl
     if abs(z) <= _EXACT_SERIES_THRESHOLD:
         return _bessel_series_float(float(nu), lam, t, deriv)
     x = math.sqrt(abs(lam)) * abs(t)
+    # _hankel_expansion needs 16 (|a| + 1)^2 <= x, a = (nu-1)/2; the + 2
+    # here covers the j_{nu+2} call (a + 1) that _bessel_large makes for
+    # the derivatives
     if lam > 0 and _ASYMPTOTIC_X <= x < math.inf and 16 * (abs(nu - 1) / 2 + 2) ** 2 <= x:
         return _bessel_large(nu, lam, t, deriv)
     if x > _SERIES_MAX_X:
@@ -209,7 +213,9 @@ def _ratio_to_float(num: int, den: int) -> float:
 
 def _bessel_large(nu: float | Fraction, lam: float, t: float, deriv: int) -> float:
     """The deriv-th t-derivative of j_nu from Hankel's expansion, with
-    j' = -lam t/(nu+1) j_{nu+2} and the ODE j'' = -lam j - (nu/t) j'."""
+    j' = -lam t/(nu+1) j_{nu+2} and the ODE j'' = -lam j - (nu/t) j'.
+    Valid where 16 (|nu-1|/2 + 2)^2 <= x: the j_{nu+2} call has
+    a = (nu+1)/2, one more than j_nu's."""
     if deriv == 0:
         return _hankel_expansion(nu, lam, t)
     d1 = -lam * t / (nu + 1) * _hankel_expansion(nu + 2, lam, t)

@@ -187,6 +187,34 @@ def test_fixed_point_enclosure_holds_when_the_stop_is_in_doubt(side, sign):
             assert s - err <= exact <= s + err, (prec, deriv)
 
 
+def test_fixed_point_stop_test_allows_for_the_truncation_error():
+    # z < 0, so every term is positive and every truncation lowers it.
+    # z is the negative -m/2^k nearest zero with 2^prec |term_27| at
+    # least 2^prec / 1e25 + 1/100: the Fraction loop goes on past n = 27
+    # (peak = 10).  The truncated 2^prec term_27 is one unit below
+    # floor(2^prec / 1e25), so a stop test that leaves out the term's
+    # error bound stops at 27 and drops the rest of the sum.
+    nu, n, prec, k = Fraction(8), 27, 202, 282
+    c = 1
+    for i in range(1, n + 1):
+        c *= 2 * i * (2 * i + nu - 1)
+    target = Fraction(1, 10**25) + Fraction(1, 100 * 2**prec)
+    lo, hi = 0, 2 ** (k + 7)   # |z| < 128
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if Fraction(mid, 2**k) ** n / c < target:
+            lo = mid
+        else:
+            hi = mid
+    z = -Fraction(hi, 2**k)
+    peak = math.isqrt(abs(z.numerator) // z.denominator) + 2
+    assert peak < n and abs(z) ** n / c >= Fraction(1, 10**25)
+    for deriv in (0, 1, 2):
+        s, err = numeric._fixed_point_series(z, nu, deriv, peak, prec)
+        exact = ref.bessel_series_fraction(nu, z, 1, deriv) * 2**prec
+        assert s - err <= exact <= s + err, deriv
+
+
 # -- Hankel's expansion for large arguments -----------------------------
 
 def envelope(nu, lam, t):
