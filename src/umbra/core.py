@@ -488,14 +488,6 @@ class LinearOp:
         cols = [(rows, tuple(p * x for x in vals)) for rows, vals in self.cols]
         return LinearOp._sparse(cols, self.den * q.denominator, self.cap, self.trunc_cols)
 
-    def power(self, k: int) -> "LinearOp":
-        if k < 0:
-            raise ParameterError("negative operator power")
-        acc = LinearOp.identity(self.cap)
-        for _ in range(k):
-            acc = self @ acc
-        return acc
-
     def apply(self, f: Poly) -> Poly:
         if f.cap != self.cap:
             raise CapMismatchError(

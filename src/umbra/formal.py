@@ -30,7 +30,6 @@ from .core import (
     CapMismatchError,
     LinearOp,
     ONE,
-    ParameterError,
     ZERO,
     as_fraction,
 )
@@ -101,12 +100,6 @@ class MultiPoly:
             self.nvars, self.order,
             {idx: q * v for idx, v in self.terms.items()} if q else {},
         )
-
-    def pow(self, k: int) -> "MultiPoly":
-        acc = MultiPoly.constant(self.nvars, self.order, 1)
-        for _ in range(k):
-            acc = acc * self
-        return acc
 
     def _check(self, other: "MultiPoly") -> None:
         if self.nvars != other.nvars or self.order != other.order:
@@ -267,19 +260,3 @@ def series_first_difference(
             return idx
     return None
 
-
-def exp_raising_formal(a: LinearOp, order: int) -> FormalOpSeries:
-    """Formal exponential of a raising-type operator in one parameter:
-    the coefficient at order k is exactly a^k/k! (as a matrix on the
-    capped space; its top columns carry a's truncation marks)."""
-    if order < 0:
-        raise ParameterError("order must be >= 0")
-    out = FormalOpSeries(("x",), order, a.cap)
-    power = LinearOp.identity(a.cap)
-    kfact = 1
-    for k in range(order + 1):
-        if k:
-            power = a @ power
-            kfact *= k
-        out.add_term((k,), Fraction(1, kfact), power)
-    return out

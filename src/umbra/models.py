@@ -9,8 +9,10 @@ fixed once for the whole package, so that [R, L] = -I on the safe zone.
 Catalog entries:
 
 ``monomial``          p_n = t^n/n!,            L = d/dt,      R = t*
-``lower-factorial``   p_n = t(t-1)...(t-n+1)/n!, L = forward difference
-``upper-factorial``   p_n = t(t+1)...(t+n-1)/n!, L = backward difference
+``lower-factorial``   p_n = t(t-1)...(t-n+1)/n!, L = forward difference,
+                      R f(t) = t f(t-1)
+``upper-factorial``   p_n = t(t+1)...(t+n-1)/n!, L = backward difference,
+                      R f(t) = t f(t+1)
 ``hermite``           p_n = He_n/n! (probabilists'), L = d/dt,
                       R = t* - d/dt; the vacuum is the dual row of the
                       basis matrix, *not* evaluation at 0
@@ -19,6 +21,12 @@ Catalog entries:
 ``bessel`` (nu > 0)   q_n = t^{2n}/c_n with c_n = prod 2k(2k+nu-1),
                       L = B_nu = d^2/dt^2 + (nu/t) d/dt on even
                       polynomials, R : t^{2n} -> t^{2n+2}/(2(2n+nu+1))
+
+The factorial raising operators are the closed form R = t f'(D)^{-1}
+of the delta operator L = f(D) (finite operator calculus); they and
+the factorial and Hermite bases are built over the integers.  On the
+capped space the factorial raising loses (n_max+1) p_{n_max+1} from its
+top column, which is marked truncated.
 
 The two even-parity models grade by basis index n <-> degree 2n and
 live on the even subspace only; applying their operators to a
@@ -154,16 +162,24 @@ def _mult_by_t_op(cap: int) -> LinearOp:
     )
 
 
-def _shift_op(cap: int, y: Fraction) -> LinearOp:
-    """f(t) -> f(t+y); exact, degree never grows."""
-    def col(j: int) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        yp = ONE
-        for i in range(j, -1, -1):
-            out[i] = math.comb(j, i) * yp
-            yp *= y
-        return out
-    return LinearOp.from_columns(cap, col)
+def _shift_op(cap: int, y: int) -> LinearOp:
+    """f(t) -> f(t+y) for y = +-1; exact, degree never grows."""
+    return LinearOp._sparse(
+        [
+            (tuple(range(j + 1)), tuple(math.comb(j, i) * y ** (j - i) for i in range(j + 1)))
+            for j in range(cap + 1)
+        ],
+        1, cap, reduced=True,
+    )
+
+
+def _integer_basis(polys: Sequence[Sequence[int]], cap: int) -> tuple[Poly, ...]:
+    """p_n = c_n/n! from the integer coefficient lists c_n."""
+    basis = []
+    for n, cs in enumerate(polys):
+        nf = math.factorial(n)
+        basis.append(Poly([Fraction(c, nf) for c in cs], cap))
+    return tuple(basis)
 
 
 def _dual_row0(basis: Sequence[Poly], cap: int, parity: Parity) -> Functional:
@@ -188,42 +204,6 @@ def _dual_row0(basis: Sequence[Poly], cap: int, parity: Parity) -> Functional:
     return Functional(x, cap)
 
 
-def _raising_from_ladder(
-    basis: Sequence[Poly], cap: int
-) -> LinearOp:
-    """Matrix R with R p_n = (n+1) p_{n+1}, built column by column by
-    expanding each monomial in the basis (triangular solve).  The top
-    basis element has no image inside the cap, so the top column is
-    marked truncated."""
-    n_max = len(basis) - 1
-    grid = [[ZERO] * (cap + 1) for _ in range(cap + 1)]
-    # gamma[j][n]: coefficient of p_n in t^j, filled j = 0..cap
-    for j in range(cap + 1):
-        residual = [ZERO] * (cap + 1)
-        residual[j] = ONE
-        image = [ZERO] * (cap + 1)
-        for n in range(j, -1, -1):
-            if n > n_max:
-                raise CapMismatchError(
-                    f"degree {j} exceeds top basis index {n_max}"
-                )
-            p = basis[n]
-            g = residual[n] / p.coeffs[n]
-            if g:
-                for i, c in enumerate(p.coeffs):
-                    if c:
-                        residual[i] -= g * c
-                if n < n_max:
-                    q = basis[n + 1]
-                    s = g * (n + 1)
-                    for i, c in enumerate(q.coeffs):
-                        if c:
-                            image[i] += s * c
-        for i in range(cap + 1):
-            grid[i][j] = image[i]
-    return LinearOp.from_entries(grid, trunc_cols=frozenset({cap}))
-
-
 def build_monomials(n_max: int, cap: int | None = None) -> UmbralModel:
     """p_n = t^n/n!; L = d/dt, R = multiplication by t, vacuum = f(0)."""
     if n_max < 1:
@@ -244,65 +224,55 @@ def build_monomials(n_max: int, cap: int | None = None) -> UmbralModel:
     )
 
 
-def _factorial_basis(n_max: int, cap: int, step: int) -> tuple[Poly, ...]:
-    """p_{n+1} = p_n * (t - step*n)/(n+1); step=+1 falling, -1 rising."""
-    basis = [Poly((ONE,), cap)]
-    for n in range(n_max):
-        factor = Poly([Fraction(-step * n), ONE], cap)
-        basis.append((basis[-1] * factor).scale(Fraction(1, n + 1)))
-    return tuple(basis)
+def _build_factorial(name: str, n_max: int, cap: int | None, step: int) -> UmbralModel:
+    """c_n = t(t-step)...(t-step(n-1)), p_n = c_n/n!, with the ladder
+    pair in closed form: L f = step*(f(t+step) - f(t)) and
+    R f = t f(t-step).  Column j < cap of R is t(t-step)^j.  The top
+    column is t(t-step)^cap less the (n_max+1) p_{n_max+1} = c_{cap+1}
+    term that leaves the space; their t^{cap+1} terms cancel."""
+    if n_max < 1:
+        raise ParameterError("n_max must be >= 1")
+    cap = n_max if cap is None else cap
+    if cap != n_max:
+        raise CapMismatchError(
+            "factorial models need the degree cap equal to the top basis "
+            "index (the top raising column is defined relative to cap = n_max)"
+        )
+    # c_{n+1} = c_n * (t - step*n), for n = 0..cap
+    cs = [[1]]
+    for n in range(cap + 1):
+        cs.append([y - step * n * x for x, y in zip(cs[-1] + [0], [0] + cs[-1])])
+    ahead, back = _shift_op(cap, step), _shift_op(cap, -step)
+    ident = LinearOp.identity(cap)
+    lowering = ahead - ident if step > 0 else ident - ahead
+    cols = [(tuple(i + 1 for i in rows), vals) for rows, vals in back.cols[:cap]]
+    top = [x - y for x, y in zip(back.cols[cap][1], cs[cap + 1][1:])]
+    cols.append((tuple(i + 1 for i, x in enumerate(top) if x), tuple(x for x in top if x)))
+    return UmbralModel(
+        name=name,
+        n_max=n_max,
+        degree_cap=cap,
+        parity=Parity.ALL,
+        basis=_integer_basis(cs[: n_max + 1], cap),
+        lowering=lowering,
+        raising=LinearOp._sparse(cols, 1, cap, {cap}, reduced=True),
+        vacuum=Functional.eval_at_zero(cap),
+        shift_invariant=True,
+    )
 
 
 def build_lower_factorial(n_max: int, cap: int | None = None) -> UmbralModel:
     """Falling-factorial basis t(t-1)...(t-n+1)/n!; the lowering
-    operator is the forward difference f(t+1) - f(t)."""
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
-    cap = n_max if cap is None else cap
-    if cap != n_max:
-        raise CapMismatchError(
-            "factorial models need the degree cap equal to the top basis "
-            "index (the raising matrix is defined through the basis span)"
-        )
-    basis = _factorial_basis(n_max, cap, step=+1)
-    lowering = _shift_op(cap, ONE) - LinearOp.identity(cap)
-    return UmbralModel(
-        name="lower-factorial",
-        n_max=n_max,
-        degree_cap=cap,
-        parity=Parity.ALL,
-        basis=basis,
-        lowering=lowering,
-        raising=_raising_from_ladder(basis, cap),
-        vacuum=Functional.eval_at_zero(cap),
-        shift_invariant=True,
-    )
+    operator is the forward difference f(t+1) - f(t), the raising
+    operator f(t) -> t f(t-1)."""
+    return _build_factorial("lower-factorial", n_max, cap, step=+1)
 
 
 def build_upper_factorial(n_max: int, cap: int | None = None) -> UmbralModel:
     """Rising-factorial basis t(t+1)...(t+n-1)/n!; the lowering
-    operator is the backward difference f(t) - f(t-1)."""
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
-    cap = n_max if cap is None else cap
-    if cap != n_max:
-        raise CapMismatchError(
-            "factorial models need the degree cap equal to the top basis "
-            "index (the raising matrix is defined through the basis span)"
-        )
-    basis = _factorial_basis(n_max, cap, step=-1)
-    lowering = LinearOp.identity(cap) - _shift_op(cap, -ONE)
-    return UmbralModel(
-        name="upper-factorial",
-        n_max=n_max,
-        degree_cap=cap,
-        parity=Parity.ALL,
-        basis=basis,
-        lowering=lowering,
-        raising=_raising_from_ladder(basis, cap),
-        vacuum=Functional.eval_at_zero(cap),
-        shift_invariant=True,
-    )
+    operator is the backward difference f(t) - f(t-1), the raising
+    operator f(t) -> t f(t+1)."""
+    return _build_factorial("upper-factorial", n_max, cap, step=-1)
 
 
 def build_hermite(n_max: int, cap: int | None = None) -> UmbralModel:
@@ -318,20 +288,18 @@ def build_hermite(n_max: int, cap: int | None = None) -> UmbralModel:
     cap = n_max if cap is None else cap
     if cap < n_max:
         raise CapMismatchError("degree cap below top basis index")
-    basis = [Poly((ONE,), cap), Poly((ZERO, ONE), cap)]
-    # He_{n+1} = t He_n - n He_{n-1}  =>  p_{n+1} = (t p_n - p_{n-1})/(n+1)
-    for n in range(1, n_max):
-        t_pn = Poly([ZERO, ONE], cap) * basis[n]
-        basis.append((t_pn - basis[n - 1]).scale(Fraction(1, n + 1)))
-    basis = basis[: n_max + 1]
+    he = [[1], [0, 1]]
+    for n in range(1, n_max):  # He_{n+1} = t He_n - n He_{n-1}
+        he.append([y - n * x for x, y in zip(he[-2] + [0, 0], [0] + he[-1])])
+    basis = _integer_basis(he, cap)
     lowering = _derivative_op(cap)
-    raising = _mult_by_t_op(cap) - _derivative_op(cap)
+    raising = _mult_by_t_op(cap) - lowering
     return UmbralModel(
         name="hermite",
         n_max=n_max,
         degree_cap=cap,
         parity=Parity.ALL,
-        basis=tuple(basis),
+        basis=basis,
         lowering=lowering,
         raising=raising,
         vacuum=_dual_row0(basis, cap, Parity.ALL),

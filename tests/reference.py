@@ -122,6 +122,30 @@ def hermite_he(n):
     return b
 
 
+def raising_from_basis(basis):
+    """Dense grid R[row][col] with R p_n = (n+1) p_{n+1}, for a basis
+    p_0..p_N given as coefficient lists (p_n of exact degree n, its list
+    of length n+1 to N+1).  Each monomial t^j is expanded in the basis
+    by a triangular solve, t^j = sum_n g_n p_n, and sent to
+    sum_{n<N} g_n (n+1) p_{n+1}: the top term g_N (N+1) p_{N+1} has no
+    image in the space and is dropped."""
+    size = len(basis)
+    grid = [[Fraction(0)] * size for _ in range(size)]
+    for j in range(size):
+        residual = [Fraction(0)] * size
+        residual[j] = Fraction(1)
+        for n in range(j, -1, -1):
+            g = residual[n] / basis[n][n]
+            if not g:
+                continue
+            for i, c in enumerate(basis[n]):
+                residual[i] -= g * c
+            if n + 1 < size:
+                for i, c in enumerate(basis[n + 1]):
+                    grid[i][j] += g * (n + 1) * c
+    return grid
+
+
 def normal_moment(k):
     """E X^k for X ~ N(0,1): (k-1)!! for even k, 0 for odd."""
     if k % 2:

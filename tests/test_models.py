@@ -28,6 +28,22 @@ def catalog(n_max=8, even_n=4):
     return out
 
 
+FACTORIAL_FAMILIES = {
+    "lower-factorial": (ref.falling_factorial, 1),
+    "upper-factorial": (ref.rising_factorial, -1),
+}
+
+
+def scaled_family(family, n):
+    """family(n)/n! as a coefficient list."""
+    return ref.p_scale(family(n), Fraction(1, ref.factorial(n)))
+
+
+def dense(op):
+    """The operator as a grid of Fractions, grid[row][col]."""
+    return [[Fraction(x, op.den) for x in row] for row in op.num]
+
+
 # -- basis elements against the classical families ---------------------
 
 def test_monomial_basis():
@@ -37,24 +53,51 @@ def test_monomial_basis():
 
 
 def test_lower_factorial_basis_matches_falling_factorials():
-    m = build_model("lower-factorial", 6)
-    for n in range(7):
-        want = ref.p_scale(ref.falling_factorial(n), Fraction(1, ref.factorial(n)))
-        assert list(m.basis[n].coeffs)[: n + 1] == want[: n + 1]
+    m = build_model("lower-factorial", 32)
+    for n in range(33):
+        assert m.basis[n] == Poly(scaled_family(ref.falling_factorial, n), 32), n
 
 
 def test_upper_factorial_basis_matches_rising_factorials():
-    m = build_model("upper-factorial", 6)
-    for n in range(7):
-        want = ref.p_scale(ref.rising_factorial(n), Fraction(1, ref.factorial(n)))
-        assert list(m.basis[n].coeffs)[: n + 1] == want[: n + 1]
+    m = build_model("upper-factorial", 32)
+    for n in range(33):
+        assert m.basis[n] == Poly(scaled_family(ref.rising_factorial, n), 32), n
 
 
 def test_hermite_basis_matches_he_recurrence():
-    m = build_model("hermite", 8)
-    for n in range(9):
-        want = ref.p_scale(ref.hermite_he(n), Fraction(1, ref.factorial(n)))
-        assert list(m.basis[n].coeffs)[: n + 1] == want[: n + 1]
+    m = build_model("hermite", 32)
+    for n in range(33):
+        assert m.basis[n] == Poly(scaled_family(ref.hermite_he, n), 32), n
+
+
+@pytest.mark.parametrize("degree", [*range(1, 41), 64])
+@pytest.mark.parametrize("name", sorted(FACTORIAL_FAMILIES))
+def test_factorial_raising_matches_triangular_solve(name, degree):
+    family, _ = FACTORIAL_FAMILIES[name]
+    m = build_model(name, degree)
+    want = ref.raising_from_basis(
+        [scaled_family(family, n) for n in range(degree + 1)]
+    )
+    got = dense(m.raising)
+    # the top column keeps t(t-step)^cap less the dropped top term
+    assert [row[degree] for row in got] == [row[degree] for row in want]
+    assert got == want
+    assert m.raising.trunc_cols == {degree}
+
+
+@pytest.mark.parametrize("degree", [1, 2, 7, 32, 64])
+@pytest.mark.parametrize("name", sorted(FACTORIAL_FAMILIES))
+def test_factorial_lowering_is_the_unit_difference(name, degree):
+    _, step = FACTORIAL_FAMILIES[name]
+    m = build_model(name, degree)
+    got = dense(m.lowering)
+    for j in range(degree + 1):
+        mono = [Fraction(0)] * j + [Fraction(1)]
+        diff = ref.p_add(ref.p_shift(mono, step), ref.p_scale(mono, -1))
+        want = ref.p_trim(ref.p_scale(diff, step))  # f(t+1) - f(t) or f(t) - f(t-1)
+        want += [Fraction(0)] * (degree + 1 - len(want))
+        assert [row[j] for row in got] == want, j
+    assert m.lowering.trunc_cols == frozenset()
 
 
 def test_heat_basis():
@@ -190,8 +233,10 @@ def test_bessel_requires_positive_nu():
 
 
 def test_factorial_models_pin_cap_to_top_index():
-    with pytest.raises(CapMismatchError):
-        build_model("lower-factorial", 4, cap=6)
+    for name in FACTORIAL_FAMILIES:
+        for cap in (3, 6):
+            with pytest.raises(CapMismatchError, match="top raising column"):
+                build_model(name, 4, cap=cap)
 
 
 def test_unknown_model_name():
