@@ -21,7 +21,8 @@ monomial basis t^k.  Three data types live here:
   Operators remember which input columns are unreliable because the
   construction already truncated them (``trunc_cols``); applying an
   operator to a polynomial that touches such a column sets the
-  polynomial's flag.
+  polynomial's flag; ``compare_on_columns``, the comparison behind the
+  exact checks, reports a compared column marked on either side.
 
 * ``Functional`` -- a row vector pairing against coefficient vectors,
   kept as its nonzero entries.
@@ -418,13 +419,6 @@ class LinearOp:
         rows, vals = self.cols[j]
         return Fraction(dict(zip(rows, vals)).get(i, 0), self.den)
 
-    def column(self, j: int) -> Poly:
-        cs = [ZERO] * (self.cap + 1)
-        rows, vals = self.cols[j]
-        for i, x in zip(rows, vals):
-            cs[i] = Fraction(x, self.den)
-        return Poly(cs, self.cap)
-
     def is_zero(self) -> bool:
         return not any(rows for rows, _ in self.cols)
 
@@ -522,19 +516,25 @@ class LinearOp:
                 return True
         return not any(rows for rows, _ in cols)
 
-    def equal_on_columns(self, other: "LinearOp", cols: Iterable[int]) -> int | None:
-        """First column in ``cols`` where the two operators differ, or
-        None if they agree on all of them."""
+    def compare_on_columns(
+        self, other: "LinearOp", cols: Iterable[int]
+    ) -> tuple[int | None, bool]:
+        """(first column in ``cols`` where the two operators differ, or
+        None; tainted): whether either side marks a column scanned up to
+        there as truncated.  ``reports.status_of`` turns it into a status."""
         self._check_cap(other)
         da, db = self.den, other.den
+        marks = self.trunc_cols | other.trunc_cols
+        tainted = False
         for j in cols:
+            tainted = tainted or j in marks
             (ra, va), (rb, vb) = self.cols[j], other.cols[j]
             if ra != rb or (
                 va != vb if da == db
                 else any(x * db != y * da for x, y in zip(va, vb))
             ):
-                return j
-        return None
+                return j, tainted
+        return None, tainted
 
 
 class Functional:

@@ -249,14 +249,18 @@ class FormalOpSeries:
 
 def series_first_difference(
     a: FormalOpSeries, b: FormalOpSeries, columns: Iterable[int]
-) -> Index | None:
-    """First multi-index (ordered by total order, then lexicographically)
-    where the materialized coefficients differ on the given columns."""
+) -> tuple[Index | None, bool]:
+    """(first multi-index, ordered by total order and then
+    lexicographically, where the materialized coefficients differ on
+    the given columns, or None; tainted), the taint gathered by
+    ``LinearOp.compare_on_columns`` over the coefficients compared."""
     a._check(b)
     cols = list(columns)
     keys = sorted(set(a.terms) | set(b.terms), key=lambda idx: (sum(idx), idx))
+    tainted = False
     for idx in keys:
-        if a.materialize(idx).equal_on_columns(b.materialize(idx), cols) is not None:
-            return idx
-    return None
-
+        bad, marked = a.materialize(idx).compare_on_columns(b.materialize(idx), cols)
+        tainted = tainted or marked
+        if bad is not None:
+            return idx, tainted
+    return None, tainted

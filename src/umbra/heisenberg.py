@@ -117,7 +117,7 @@ def _formal_report(
     rhs: FormalOpSeries,
 ) -> VerificationReport:
     cols = _safe_columns(m, output_degree)
-    idx = series_first_difference(lhs, rhs, cols)
+    idx, tainted = series_first_difference(lhs, rhs, cols)
     params = {
         "order": order,
         "output_index": output_degree,
@@ -129,7 +129,7 @@ def _formal_report(
         ff = {"multi_index": {name: k for name, k in zip(lhs.params, idx) if k}}
     return VerificationReport(
         check=check, model=m.label(), params=params,
-        status=status_of(ff), max_residual=worst, first_failure=ff,
+        status=status_of(ff, tainted), max_residual=worst, first_failure=ff,
     )
 
 
@@ -605,14 +605,14 @@ def metaplectic_check(
     }
     out = []
     for name, lhs, rhs in checks:
-        bad = lhs.equal_on_columns(rhs, cols)
+        bad, tainted = lhs.compare_on_columns(rhs, cols)
         worst, ff = ZERO, None
         if bad is not None:
             worst = _max_abs_entry(lhs - rhs, [bad])
             ff = {"degree": bad}
         out.append(VerificationReport(
             check=name, model=m.label(), params=dict(params),
-            status=status_of(ff), max_residual=worst, first_failure=ff,
+            status=status_of(ff, tainted), max_residual=worst, first_failure=ff,
         ))
     return out
 
@@ -626,15 +626,29 @@ def metaplectic_sequences(
     expanding the images in the model basis.  The top raising entry
     cannot be read off a capped space and is stored as 0; the closure
     solver never consults it."""
+    return _metaplectic_sequences(m)[:3]
+
+
+def _metaplectic_sequences(
+    m: UmbralModel,
+) -> tuple[list[Fraction], list[Fraction], list[Fraction], bool]:
+    """``metaplectic_sequences`` plus the truncation flag of the images."""
     s = metaplectic(m)
     top = m.n_max // 2
     a: list[Fraction] = []
     b: list[Fraction] = []
     c: list[Fraction] = []
+    flags: list[bool] = []
+
+    def expand(op: LinearOp, p) -> list[Fraction]:
+        image = op.apply(p)
+        flags.append(image.truncated)
+        return expand_in_basis(m, image)
+
     for k in range(top + 1):
         p = m.basis[2 * k]
-        low = expand_in_basis(m, s.lower2.apply(p))
-        diag = expand_in_basis(m, s.z.apply(p))
+        low = expand(s.lower2, p)
+        diag = expand(s.z, p)
         for n, q in enumerate(low):
             if q and n != 2 * k - 2:
                 raise ParameterError(
@@ -650,7 +664,7 @@ def metaplectic_sequences(
         a.append(low[2 * k - 2] if k else ZERO)
         c.append(diag[2 * k])
         if k < top:
-            high = expand_in_basis(m, s.raise2.apply(p))
+            high = expand(s.raise2, p)
             for n, q in enumerate(high):
                 if q and n != 2 * k + 2:
                     raise ParameterError(
@@ -660,7 +674,7 @@ def metaplectic_sequences(
             b.append(high[2 * k + 2])
         else:
             b.append(ZERO)
-    return a, b, c
+    return a, b, c, any(flags)
 
 
 @dataclass(frozen=True)
@@ -765,7 +779,7 @@ def generic_sl2_ladder(
 def sl2_closure_check(m: UmbralModel) -> VerificationReport:
     """Extract the even-index diagonal sequences from a model's squared
     ladders and confirm they close with the metaplectic constants."""
-    a, b, c = metaplectic_sequences(m)
+    a, b, c, tainted = _metaplectic_sequences(m)
     res = generic_sl2_ladder(a, b, c)
     ff = None
     if not res.ok:
@@ -779,7 +793,7 @@ def sl2_closure_check(m: UmbralModel) -> VerificationReport:
             "indices": len(a) - 1,
             "constants": [format_rational(q) for q in res.constants],
         },
-        status=status_of(ff),
+        status=status_of(ff, tainted),
         max_residual=ZERO if ff is None else None,
         first_failure=ff,
     )

@@ -55,7 +55,9 @@ from .core import (
     ZERO,
     as_fraction,
     format_rational,
+    op_commutator,
 )
+from .kernels import EMPTY
 
 IOTA = ONE  # structure constant of the Heisenberg relation, fixed package-wide
 
@@ -394,86 +396,74 @@ def build_bessel(
     )
 
 
+def basis_matrix(m: UmbralModel, top: int) -> LinearOp:
+    """The basis map B at the model's cap: column n is p_n, marked
+    truncated when p_n carries the flag, for n <= top; every other
+    column is zero.  The ladder axioms are operator identities on B."""
+    for p in m.basis[: top + 1]:
+        m.check_in_space(p)
+    return LinearOp._from_fraction_columns(
+        m.degree_cap,
+        [list(enumerate(p.coeffs)) for p in m.basis[: top + 1]]
+        + [[]] * (m.degree_cap - top),
+        [n for n, p in enumerate(m.basis[: top + 1]) if p.truncated],
+    )
+
+
+def lowering_mismatch(m: UmbralModel, b: LinearOp, top: int) -> tuple[int | None, bool]:
+    """L B = B S_down on columns 0..top, with S_down e_n = e_{n-1}:
+    the first n with L p_n != p_{n-1} (p_{-1} = 0), and the taint."""
+    s_down = LinearOp.from_columns(m.degree_cap, lambda j: {j - 1: ONE} if j else {})
+    return (m.lowering @ b).compare_on_columns(b @ s_down, range(top + 1))
+
+
+def rows_matrix(cap: int, rows: Sequence[Functional]) -> LinearOp:
+    """The operator whose row k is the functional rows[k]."""
+    tables = [dict(row.terms) for row in rows]
+    return LinearOp.from_columns(cap, lambda j: {k: t[j] for k, t in enumerate(tables) if j in t})
+
+
+def pairing_mismatch(db: LinearOp, k: int, top: int) -> tuple[int | None, bool]:
+    """l_k B = e_k on columns 0..top, given D B with l_k as row k of D:
+    the first n with <l_k, p_n> != delta_kn, and the taint.  e_k, the
+    one entry 1 at (0, k), also picks row k of D B out to row 0."""
+    cols = [EMPTY] * k + [((0,), (1,))] + [EMPTY] * (db.cap - k)
+    e_k = LinearOp._sparse(cols, 1, db.cap, reduced=True)
+    return (e_k @ db).compare_on_columns(e_k, range(top + 1))
+
+
 def verify_model(m: UmbralModel) -> list["VerificationReport"]:
-    """Exhaustive exact verification of the model axioms.
+    """The model axioms as identities on the basis matrix B, one report
+    each, with S_up e_n = (n+1) e_{n+1}:
 
-    Four sub-checks, each its own report:
-
-    * ``ladder-lowering``: L p_0 = 0 and L p_n = p_{n-1} for all n
-    * ``ladder-raising``:  R p_n = (n+1) p_{n+1} for n < n_max
-    * ``vacuum``:          <l_0, p_n> = delta_{0n} for all n
-    * ``commutator``:      [R, L] p_n = -iota p_n for n < n_max
+    * ``ladder-lowering``: L B = B S_down, i.e. L p_n = p_{n-1}, p_{-1} = 0
+    * ``ladder-raising``:  R B = B S_up on columns n < n_max
+    * ``vacuum``:          l_0 B = e_0, i.e. <l_0, p_n> = delta_{0n}
+    * ``commutator``:      [R, L] B = -iota B on columns n < n_max
       (the top index is excluded: there the raising already truncated)
 
-    Zero tolerance; any truncation-tainted comparison downgrades the
-    check to "inconclusive" rather than passing it.
+    ``LinearOp.compare_on_columns`` decides each: a differing column
+    fails, else a compared column marked truncated is "inconclusive".
     """
     from .reports import VerificationReport, status_of
 
     params: dict[str, object] = {"degree": m.n_max}
     if m.nu is not None:
         params["nu"] = m.nu
-    out: list[VerificationReport] = []
-
-    def report(check: str, first_bad, inconclusive: bool) -> None:
-        out.append(
-            VerificationReport(
-                check=check,
-                model=m.label(),
-                params=dict(params),
-                status=status_of(first_bad, inconclusive),
-                first_failure=first_bad,
-            )
-        )
-
-    # ladder, lowering side
-    bad = None
-    tainted = False
-    low0 = m.apply_lowering(m.basis[0])
-    tainted |= low0.truncated
-    if not low0.is_zero():
-        bad = 0
-    if bad is None:
-        for n in range(1, m.n_max + 1):
-            g = m.apply_lowering(m.basis[n])
-            tainted |= g.truncated
-            if g != m.basis[n - 1]:
-                bad = n
-                break
-    report("ladder-lowering", bad, tainted)
-
-    # ladder, raising side
-    bad = None
-    tainted = False
-    for n in range(m.n_max):
-        g = m.apply_raising(m.basis[n])
-        tainted |= g.truncated
-        if g != m.basis[n + 1].scale(n + 1):
-            bad = n
-            break
-    report("ladder-raising", bad, tainted)
-
-    # vacuum pairing
-    bad = None
-    for n in range(m.n_max + 1):
-        want = ONE if n == 0 else ZERO
-        if m.vacuum.pair(m.basis[n]) != want:
-            bad = n
-            break
-    report("vacuum", bad, False)
-
-    # commutator on the truncation-safe zone
-    bad = None
-    tainted = False
-    comm = (m.raising @ m.lowering) - (m.lowering @ m.raising)
-    for n in range(m.n_max):
-        g = comm.apply(m.basis[n])
-        tainted |= g.truncated
-        if g != m.basis[n].scale(-m.iota):
-            bad = n
-            break
-    report("commutator", bad, tainted)
-    return out
+    top, cap = m.n_max, m.degree_cap
+    b = basis_matrix(m, top)
+    s_up = LinearOp.from_columns(cap, lambda j: {j + 1: j + 1} if j < cap else {})
+    comm = op_commutator(m.raising, m.lowering)
+    outcomes = {
+        "ladder-lowering": lowering_mismatch(m, b, top),
+        "ladder-raising": (m.raising @ b).compare_on_columns(b @ s_up, range(top)),
+        "vacuum": pairing_mismatch(rows_matrix(cap, [m.vacuum]) @ b, 0, top),
+        "commutator": (comm @ b).compare_on_columns(b.scale(-m.iota), range(top)),
+    }
+    return [
+        VerificationReport(check, m.label(), dict(params), status_of(bad, tainted), first_failure=bad)
+        for check, (bad, tainted) in outcomes.items()
+    ]
 
 
 def build_model(

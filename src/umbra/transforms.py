@@ -24,7 +24,8 @@ from .core import (
     Poly,
     ZERO,
 )
-from .models import Parity, UmbralModel
+from .models import Parity, UmbralModel, basis_matrix
+from .models import lowering_mismatch, pairing_mismatch, rows_matrix
 from .reports import VerificationReport, status_of
 
 
@@ -144,16 +145,16 @@ def check_transmutation_intertwining(
 
 
 def biorthogonality_check(m: UmbralModel) -> VerificationReport:
-    """<l_k, p_n> = delta_kn for all k, n, plus the round trip
+    """<l_k, p_n> = delta_kn for all k, n, as the identities
+    l_k B = e_k on the basis matrix B taken k by k, plus the round trip
     reassemble(expand(f)) = f on a dense combination of the basis."""
-    duals = dual_functionals(m)
+    db = rows_matrix(m.degree_cap, dual_functionals(m)) @ basis_matrix(m, m.n_max)
     bad = None
-    for k, l in enumerate(duals):
-        for n, p in enumerate(m.basis):
-            if l.pair(p) != (1 if k == n else 0):
-                bad = ("pairing", k, n)
-                break
-        if bad:
+    for k in range(m.n_max + 1):
+        # the duals carry no marks, so every row sees the taint of B
+        n, tainted = pairing_mismatch(db, k, m.n_max)
+        if n is not None:
+            bad = ("pairing", k, n)
             break
     if bad is None:
         f = m.basis[0].zero(m.degree_cap)
@@ -165,7 +166,7 @@ def biorthogonality_check(m: UmbralModel) -> VerificationReport:
         check="biorthogonality",
         model=m.label(),
         params={"indices": m.n_max},
-        status=status_of(bad),
+        status=status_of(bad, tainted),
         first_failure=bad,
     )
 
@@ -221,7 +222,8 @@ class GeneratingTable:
 def generating_function(m: UmbralModel, order: int) -> GeneratingTable:
     """Coefficient table of F(s, t) to s-order ``order``, plus an exact
     verification that L_t F = s F order by order: the s^{k+1} row of
-    L F must equal row k, and L applied to row 0 must vanish."""
+    L F must equal row k, and L applied to row 0 must vanish.  That is
+    L B = B S_down on the basis matrix B built up to ``order``."""
     if order < 0:
         raise ParameterError("order must be >= 0")
     if order > m.n_max:
@@ -229,19 +231,7 @@ def generating_function(m: UmbralModel, order: int) -> GeneratingTable:
             f"order {order} exceeds the top basis index {m.n_max}"
         )
     rows = tuple(m.basis[k].coeffs for k in range(order + 1))
-    bad = None
-    tainted = False
-    g0 = m.apply_lowering(m.basis[0])
-    tainted |= g0.truncated
-    if not g0.is_zero():
-        bad = 0
-    if bad is None:
-        for k in range(1, order + 1):
-            g = m.apply_lowering(m.basis[k])
-            tainted |= g.truncated
-            if g != m.basis[k - 1]:
-                bad = k
-                break
+    bad, tainted = lowering_mismatch(m, basis_matrix(m, order), order)
     report = VerificationReport(
         check="generating-function",
         model=m.label(),

@@ -210,3 +210,126 @@ def bessel_series_fraction(nu, lam, t, deriv):
         acc += piece
         if n > peak and abs(term) < Fraction(1, 10**25):
             return acc
+
+
+# -- ladder axioms as plain first-failure searches ---------------------
+#
+# A model is a dict of dense Fraction lists: the ladder matrices "L" and
+# "R" as lists of rows, their truncation marks "l_marks" and "r_marks"
+# (input columns whose image already lost mass above the cap), the
+# vacuum row "vac", the basis "basis" (p_n at index n, each of length
+# cap + 1), the set "b_marks" of basis indices flagged truncated, and
+# "iota".  An image A v is tainted when v is nonzero on a column that A
+# marks; a compared index is tainted when either side is.  A search
+# gathers the taint over the indices it scanned, up to and including
+# the first failure; a failure fails, else a taint is inconclusive.
+
+def _touches(v, marks):
+    return any(v[j] for j in marks)
+
+
+def _search(cases):
+    """(first index whose two sides differ, tainted) over the
+    (index, lhs, rhs, tainted) cases, in order."""
+    tainted = False
+    for idx, lhs, rhs, marked in cases:
+        tainted = tainted or marked
+        if lhs != rhs:
+            return idx, tainted
+    return None, tainted
+
+
+def _verdict(bad, tainted):
+    """(status, first failure)."""
+    return ("fail" if bad is not None else "inconclusive" if tainted else "pass"), bad
+
+
+def lowering_search(d, top):
+    """L p_n = p_{n-1} for n = 0..top, with p_{-1} = 0."""
+    b, marks = d["basis"], d["b_marks"]
+    zero = [Fraction(0)] * len(d["L"])
+    return _search(
+        (n, m_vec(d["L"], b[n]), b[n - 1] if n else zero,
+         n in marks or n - 1 in marks or _touches(b[n], d["l_marks"]))
+        for n in range(top + 1)
+    )
+
+
+def raising_search(d, top):
+    """R p_n = (n+1) p_{n+1} for n = 0..top-1."""
+    b, marks = d["basis"], d["b_marks"]
+    return _search(
+        (n, m_vec(d["R"], b[n]), p_scale(b[n + 1], n + 1),
+         n in marks or n + 1 in marks or _touches(b[n], d["r_marks"]))
+        for n in range(top)
+    )
+
+
+def commutator_search(d, top):
+    """(RL - LR) p_n = -iota p_n for n = 0..top-1.  RL marks the marks
+    of L and every column of L that reaches a mark of R; LR likewise."""
+    low, high, b = d["L"], d["R"], d["basis"]
+    size = len(low)
+    marks = set(d["l_marks"]) | set(d["r_marks"])
+    for j in range(size):
+        if _touches([row[j] for row in low], d["r_marks"]) or _touches(
+            [row[j] for row in high], d["l_marks"]
+        ):
+            marks.add(j)
+    comm = m_add(m_mul(high, low), m_scale(m_mul(low, high), -1))
+    return _search(
+        (n, m_vec(comm, b[n]), p_scale(b[n], -d["iota"]),
+         n in d["b_marks"] or _touches(b[n], marks))
+        for n in range(top)
+    )
+
+
+def pairing_search(d, row, k, top):
+    """<row, p_n> = delta_kn for n = 0..top."""
+    return _search(
+        (n, sum((x * y for x, y in zip(row, p)), Fraction(0)), Fraction(int(n == k)),
+         n in d["b_marks"])
+        for n, p in enumerate(d["basis"][: top + 1])
+    )
+
+
+def ladder_verdicts(d):
+    """(status, first failure) of the four model-axiom checks."""
+    top = len(d["basis"]) - 1
+    return {
+        "ladder-lowering": _verdict(*lowering_search(d, top)),
+        "ladder-raising": _verdict(*raising_search(d, top)),
+        "vacuum": _verdict(*pairing_search(d, d["vac"], 0, top)),
+        "commutator": _verdict(*commutator_search(d, top)),
+    }
+
+
+def generating_function_verdict(d, order):
+    return _verdict(*lowering_search(d, order))
+
+
+def delsarte_verdict(d, order):
+    """p_n(0) = delta_0n and L p_n = p_{n-1} for n <= order (the vacuum
+    being evaluation at 0); at equal n the value at 0 is reported."""
+    at0, tainted0 = pairing_search(d, d["vac"], 0, order)
+    low, tainted = lowering_search(d, order)
+    bad = None
+    if at0 is not None and (low is None or at0 <= low):
+        bad = ("value-at-0", at0)
+    elif low is not None:
+        bad = ("lowering", low)
+    return _verdict(bad, tainted0 or tainted)
+
+
+def biorthogonality_verdict(d):
+    """<l_k, p_n> = delta_kn with l_k = vac L^k, searched k first, then
+    n.  The round trip sum_k <l_k, f> p_k = f on the span then holds by
+    construction, so it adds no failure of its own."""
+    top = len(d["basis"]) - 1
+    row = d["vac"]
+    for k in range(top + 1):
+        n, tainted = pairing_search(d, row, k, top)
+        if n is not None:
+            return _verdict(("pairing", k, n), tainted)
+        row = v_mat(row, d["L"])
+    return _verdict(None, tainted)

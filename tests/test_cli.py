@@ -57,6 +57,13 @@ def test_bessel_j_sinc_zero(capsys):
     assert abs(float(out.strip())) <= 1e-10
 
 
+def test_bessel_j_takes_a_negative_lambda(capsys):
+    rc, out, _ = run(capsys, "bessel", "j", "--nu", "2", "--lambda=-3", "--x", "1",
+                     "--format", "plain")
+    assert rc == 0
+    assert float(out) == pytest.approx(math.sinh(math.sqrt(3)) / math.sqrt(3), rel=1e-14)
+
+
 def test_bessel_j_overflow_is_a_usage_error(capsys):
     # lam < 0 makes j grow like e^x: about e^800 here
     rc, out, err = run(capsys, "bessel", "j", "--nu", "2", "--lambda=-1", "--x", "800")

@@ -127,5 +127,11 @@ def test_series_first_difference_locates_mismatch():
     a.add_term((2,), Fraction(1), deriv_op(cap))
     b.add_term((2,), Fraction(1), deriv_op(cap).scale(2))
     cols = list(range(cap + 1))
-    assert series_first_difference(a, b, cols) == (2,)
-    assert series_first_difference(a, a, cols) is None
+    assert series_first_difference(a, b, cols) == ((2,), False)
+    assert series_first_difference(a, a, cols) == (None, False)
+    # a mark on a compared column of either side taints the comparison
+    marked = LinearOp.from_columns(cap, {}, trunc_cols=frozenset({4}))
+    a.add_term((1,), Fraction(1), marked)
+    b.add_term((1,), Fraction(1), marked)
+    assert series_first_difference(a, a, cols) == (None, True)
+    assert series_first_difference(a, b, cols[:4]) == ((2,), False)

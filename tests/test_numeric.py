@@ -53,6 +53,17 @@ def test_bessel_series_sinc_value():
     )
 
 
+def test_negative_lambda_gives_the_modified_kernel():
+    # nu = 2: sinh(sqrt|lam| t)/(sqrt|lam| t), on the float series path
+    want = math.sinh(math.sqrt(3)) / math.sqrt(3)
+    assert little_bessel_j(2, -3.0, 1.0) == pytest.approx(want, rel=1e-14)
+    # nu = 3 at lam t^2 = -100, on the fixed-point path:
+    # Gamma(a+1) (2/x)^a I_a(x) with a = (nu-1)/2 = 1, x = 10
+    x = mpmath.mpf(10)
+    want = float(mpmath.gamma(2) * (2 / x) * mpmath.besseli(1, x))
+    assert little_bessel_j(3, -25.0, 2.0) == pytest.approx(want, rel=1e-14)
+
+
 @pytest.mark.parametrize("nu", [1, 2, Fraction(5, 2), 3, Fraction(7, 2)])
 @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
 @pytest.mark.parametrize("t", [0.3, 1.0, 2.5, 7.0])

@@ -104,25 +104,33 @@ def test_vector_products_match_dense_reference(data):
 
 
 @settings(max_examples=80, deadline=None)
-@given(grid_pairs(), st.lists(st.integers(0, 5), max_size=6), st.sets(st.integers(0, 5)))
-def test_equal_on_columns_finds_the_first_differing_column(pair, picks, shared):
+@given(
+    grid_pairs(), st.lists(st.integers(0, 5), max_size=6), st.sets(st.integers(0, 5)),
+    st.sets(st.integers(0, 5)), st.sets(st.integers(0, 5)),
+)
+def test_compare_on_columns_finds_the_first_differing_column(pair, picks, shared, ma, mb):
     cap, ga, gb = pair
     # b copies a on the shared columns, so the two agree there even
     # when their denominators differ
     gb = [[ga[i][j] if j in shared else x for j, x in enumerate(row)] for i, row in enumerate(gb)]
     cols = [j for j in picks if j <= cap]
     want = next((j for j in cols if any(ga[i][j] != gb[i][j] for i in range(cap + 1))), None)
-    a, b = LinearOp.from_entries(ga), LinearOp.from_entries(gb)
-    assert a.equal_on_columns(b, cols) == want
-    assert a.equal_on_columns(a.scale(3).scale(Fraction(1, 3)), cols) is None
+    # the taint covers the columns scanned, up to and including the first difference
+    scanned = cols if want is None else cols[: cols.index(want) + 1]
+    marks = {j for j in ma | mb if j <= cap}
+    a = LinearOp.from_entries(ga, frozenset(j for j in ma if j <= cap))
+    b = LinearOp.from_entries(gb, frozenset(j for j in mb if j <= cap))
+    assert a.compare_on_columns(b, cols) == (want, any(j in marks for j in scanned))
+    same = a.scale(3).scale(Fraction(1, 3))
+    assert a.compare_on_columns(same, cols) == (None, any(j in a.trunc_cols for j in cols))
 
 
-def test_equal_on_columns_across_denominators():
+def test_compare_on_columns_across_denominators():
     x = LinearOp.from_entries([[Fraction(1, 2), ZERO], [ZERO, Fraction(1)]])
-    y = LinearOp.from_entries([[Fraction(1, 3), ZERO], [ZERO, Fraction(1)]])
+    y = LinearOp.from_entries([[Fraction(1, 3), ZERO], [ZERO, Fraction(1)]], frozenset({0}))
     assert (x.den, y.den) == (2, 3)
-    assert x.equal_on_columns(y, [1]) is None
-    assert x.equal_on_columns(y, [1, 0]) == 0
+    assert x.compare_on_columns(y, [1]) == (None, False)
+    assert x.compare_on_columns(y, [1, 0]) == (0, True)
 
 
 @settings(max_examples=80, deadline=None)
