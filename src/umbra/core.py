@@ -35,7 +35,6 @@ rationals is the literal string "p/q" handled by ``parse_rational`` /
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 

@@ -39,12 +39,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import (
-    DEFAULT_DEGREE_CAP,
     CapMismatchError,
     DomainError,
     Functional,
@@ -53,6 +52,7 @@ from .core import (
     ParameterError,
     Poly,
     ZERO,
+    _common_denominator,
     as_fraction,
     format_rational,
     op_commutator,
@@ -128,6 +128,18 @@ class UmbralModel:
         for _ in range(self.n_max):
             out.append(out[-1].after(self.lowering))
         return tuple(out)
+
+    @functools.cached_property
+    def basis_numerators(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+        """``integer_form`` of each p_n, computed once per model."""
+        return tuple(integer_form(p) for p in self.basis)
+
+
+def integer_form(p: Poly) -> tuple[tuple[tuple[int, int], ...], int]:
+    """p as its nonzero (degree, integer numerator) pairs over one
+    positive denominator."""
+    nums, den = _common_denominator(p.coeffs)
+    return tuple((i, x) for i, x in enumerate(nums) if x), den
 
 
 def bessel_ladder_constants(nu: Fraction, count: int) -> list[Fraction]:
@@ -421,6 +433,27 @@ def rows_matrix(cap: int, rows: Sequence[Functional]) -> LinearOp:
     """The operator whose row k is the functional rows[k]."""
     tables = [dict(row.terms) for row in rows]
     return LinearOp.from_columns(cap, lambda j: {k: t[j] for k, t in enumerate(tables) if j in t})
+
+
+def dual_matrix(m: UmbralModel) -> LinearOp:
+    """D, whose row k is the dual l_k = l_0 o L^k.  It marks every
+    column that L's sparsity pattern leads to a column L marks: the
+    closure of L's marks, which holds each mark ``@`` gives a power L^k."""
+    marks, grew = set(m.lowering.trunc_cols), True
+    while grew:
+        reach = {j for j, (rows, _) in enumerate(m.lowering.cols) if not marks.isdisjoint(rows)}
+        grew = not reach <= marks
+        marks |= reach
+    d = rows_matrix(m.degree_cap, m.duals)
+    return LinearOp._sparse(d.cols, d.den, d.cap, marks, reduced=True)
+
+
+def require_order(m: UmbralModel, order: int) -> None:
+    """Refuse a formal order below 0 or beyond the top basis index."""
+    if order < 0:
+        raise ParameterError("order must be >= 0")
+    if order > m.n_max:
+        raise CapMismatchError(f"order {order} exceeds the top basis index {m.n_max}")
 
 
 def pairing_mismatch(db: LinearOp, k: int, top: int) -> tuple[int | None, bool]:

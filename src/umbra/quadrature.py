@@ -11,7 +11,6 @@ bit for bit for a given spec.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable

@@ -7,6 +7,13 @@ d/du and the raising with multiplication by u, which is what makes it
 the hub for mapping one umbral model onto another: expand in the source
 basis through the dual functionals l_k = l_0 o L^k, reassemble in the
 target basis.
+
+W_0 is linear: W_0 = diag(1/k!) D, row k of D being the dual l_k.  On
+the basis matrix B (column n is p_n) its defining properties are the
+operator identities W_0 B = diag(1/n!), W_0 L B = D_u W_0 B and
+W_0 R B = U W_0 B, with D_u = d/du and U the product by u, and that is
+how ``covariant_check`` tests them.  ``covariant_w0`` applies L to its
+one input again and again, which costs less than building D.
 """
 
 from __future__ import annotations
@@ -19,13 +26,13 @@ from .core import (
     CapMismatchError,
     DomainError,
     Functional,
+    LinearOp,
     ONE,
-    ParameterError,
     Poly,
     ZERO,
 )
-from .models import Parity, UmbralModel, basis_matrix
-from .models import lowering_mismatch, pairing_mismatch, rows_matrix
+from .models import Parity, UmbralModel, basis_matrix, dual_matrix, require_order
+from .models import _derivative_op, _mult_by_t_op, lowering_mismatch, pairing_mismatch
 from .reports import VerificationReport, status_of
 
 
@@ -118,23 +125,20 @@ def check_transmutation_intertwining(
     implementation by computing each side through the matrices.
     """
     params = {"src": src.label(), "dst": dst.label()}
-    bad = None
-    tainted = False
-    for n in range(1, src.n_max + 1):
-        lhs = umbral_map(src, dst, src.apply_lowering(src.basis[n]))
-        rhs = dst.apply_lowering(umbral_map(src, dst, src.basis[n]))
-        tainted |= lhs.truncated or rhs.truncated
-        if lhs != rhs:
-            bad = ("lowering", n)
-            break
-    if bad is None:
-        for n in range(src.n_max):
-            lhs = umbral_map(src, dst, src.apply_raising(src.basis[n]))
-            rhs = dst.apply_raising(umbral_map(src, dst, src.basis[n]))
+    bad, tainted = None, False
+    for kind, on_src, on_dst, indices in (
+        ("lowering", src.apply_lowering, dst.apply_lowering, range(1, src.n_max + 1)),
+        ("raising", src.apply_raising, dst.apply_raising, range(src.n_max)),
+    ):
+        for n in indices:
+            lhs = umbral_map(src, dst, on_src(src.basis[n]))
+            rhs = on_dst(umbral_map(src, dst, src.basis[n]))
             tainted |= lhs.truncated or rhs.truncated
             if lhs != rhs:
-                bad = ("raising", n)
+                bad = (kind, n)
                 break
+        if bad is not None:
+            break
     return VerificationReport(
         check="transmutation-intertwining",
         model=f"{src.label()} -> {dst.label()}",
@@ -144,22 +148,26 @@ def check_transmutation_intertwining(
     )
 
 
+def _dense_combination(m: UmbralModel) -> Poly:
+    """sum_n (n+1)/(n+2) p_n, a round-trip input touching every p_n."""
+    terms = (p.scale(Fraction(n + 1, n + 2)) for n, p in enumerate(m.basis))
+    return sum(terms, Poly.zero(m.degree_cap))
+
+
 def biorthogonality_check(m: UmbralModel) -> VerificationReport:
     """<l_k, p_n> = delta_kn for all k, n, as the identities
     l_k B = e_k on the basis matrix B taken k by k, plus the round trip
-    reassemble(expand(f)) = f on a dense combination of the basis."""
-    db = rows_matrix(m.degree_cap, dual_functionals(m)) @ basis_matrix(m, m.n_max)
+    reassemble(expand(f)) = f on a dense combination of the basis.
+    D B carries the marks of B and of ``dual_matrix``."""
+    db = dual_matrix(m) @ basis_matrix(m, m.n_max)
     bad = None
     for k in range(m.n_max + 1):
-        # the duals carry no marks, so every row sees the taint of B
         n, tainted = pairing_mismatch(db, k, m.n_max)
         if n is not None:
             bad = ("pairing", k, n)
             break
     if bad is None:
-        f = m.basis[0].zero(m.degree_cap)
-        for n, p in enumerate(m.basis):
-            f = f + p.scale(Fraction(n + 1, n + 2))
+        f = _dense_combination(m)
         if reassemble(m, expand_in_basis(m, f)) != f:
             bad = ("round-trip", None, None)
     return VerificationReport(
@@ -172,35 +180,40 @@ def biorthogonality_check(m: UmbralModel) -> VerificationReport:
 
 
 def covariant_check(m: UmbralModel) -> VerificationReport:
-    """W0 p_n = u^n/n! for every basis element, and the two exchange
-    rules W0 L = d/du W0 (all n >= 1) and W0 R = u W0 (n < n_max, the
-    top raising image being outside the safe zone)."""
-    cap = m.degree_cap
-    bad = None
-    tainted = False
-    for n, p in enumerate(m.basis):
-        w = covariant_w0(m, p)
-        tainted |= w.truncated
-        if w != Poly.monomial(n, cap).scale(Fraction(1, math.factorial(n))):
-            bad = ("image", n)
+    """W0 p_n = u^n/n! for every basis element, and the exchange rules
+    W0 L = d/du W0 (n >= 1) and W0 R = u W0 (n < n_max, the top raising
+    image being outside the safe zone), tested in that order as
+    W0 B = diag(1/n!), W0 (L B) = D_u (W0 B) and W0 (R B) = U (W0 B),
+    with W0 = diag(1/k!) D and the taint gathered across them; U marks
+    its top column, as u * flags a coefficient pushed past the cap.  An
+    image L p_n or R p_n outside the model's space raises DomainError.
+    Last, ``covariant_w0`` of sum_n (n+1)/(n+2) p_n must be
+    sum_n (n+1)/(n+2) u^n/n!."""
+    cap, top = m.degree_cap, m.n_max
+    inv_fact = LinearOp.from_columns(
+        cap, lambda j: {j: Fraction(1, math.factorial(j))} if j <= top else {}
+    )
+    w0, b = inv_fact @ dual_matrix(m), basis_matrix(m, top)
+    wb = w0 @ b
+    lb, rb = m.lowering @ b, m.raising @ b
+    bad, tainted = None, False
+    for kind, image, lhs, rhs, cols in (
+        ("image", b, wb, inv_fact, range(top + 1)),
+        ("exchange-lowering", lb, w0 @ lb, _derivative_op(cap) @ wb, range(1, top + 1)),
+        ("exchange-raising", rb, w0 @ rb, _mult_by_t_op(cap) @ wb, range(top)),
+    ):
+        n, marked = lhs.compare_on_columns(rhs, cols)
+        if m.parity is Parity.EVEN:
+            for j in cols if n is None else range(cols.start, n + 1):
+                m.check_in_space(image.apply(Poly.monomial(j, cap)))
+        tainted |= marked
+        if n is not None:
+            bad = (kind, n)
             break
     if bad is None:
-        for n in range(1, m.n_max + 1):
-            lhs = covariant_w0(m, m.apply_lowering(m.basis[n]))
-            rhs = covariant_w0(m, m.basis[n]).derivative()
-            tainted |= lhs.truncated or rhs.truncated
-            if lhs != rhs:
-                bad = ("exchange-lowering", n)
-                break
-    if bad is None:
-        mult_u = Poly.monomial(1, cap)
-        for n in range(m.n_max):
-            lhs = covariant_w0(m, m.apply_raising(m.basis[n]))
-            rhs = mult_u * covariant_w0(m, m.basis[n])
-            tainted |= lhs.truncated or rhs.truncated
-            if lhs != rhs:
-                bad = ("exchange-raising", n)
-                break
+        want = [Fraction(n + 1, (n + 2) * math.factorial(n)) for n in range(top + 1)]
+        if covariant_w0(m, _dense_combination(m)) != Poly(want, cap):
+            bad = ("round-trip", None)
     return VerificationReport(
         check="covariant",
         model=m.label(),
@@ -224,12 +237,7 @@ def generating_function(m: UmbralModel, order: int) -> GeneratingTable:
     verification that L_t F = s F order by order: the s^{k+1} row of
     L F must equal row k, and L applied to row 0 must vanish.  That is
     L B = B S_down on the basis matrix B built up to ``order``."""
-    if order < 0:
-        raise ParameterError("order must be >= 0")
-    if order > m.n_max:
-        raise CapMismatchError(
-            f"order {order} exceeds the top basis index {m.n_max}"
-        )
+    require_order(m, order)
     rows = tuple(m.basis[k].coeffs for k in range(order + 1))
     bad, tainted = lowering_mismatch(m, basis_matrix(m, order), order)
     report = VerificationReport(

@@ -15,91 +15,51 @@ which for the heat model collapses to the even averaging
 property for the generating function F(lambda, t) = sum_k lambda^k p_k:
 T_t^y F = F(lambda, y) F(lambda, t), order by order in lambda.
 
-The two-variable identities here are checked on an exact sparse
-coefficient table in (t, y); no float ever enters.
+The two-variable identities here are checked on exact integer tables
+in (t, y) at one common denominator; no float ever enters.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .core import (
     CapMismatchError,
     ParameterError,
     Poly,
-    ZERO,
     as_fraction,
 )
-from .models import UmbralModel, basis_matrix
+from .models import UmbralModel, basis_matrix, integer_form, require_order
 from .models import lowering_mismatch, pairing_mismatch, rows_matrix
 from .reports import VerificationReport, status_of
 
 
-class BivariatePoly:
-    """Sparse table of a polynomial in (t, y): ``terms`` maps each
-    (t-degree, y-degree) with a nonzero coefficient to that coefficient.
-    Both variables share one degree cap."""
-
-    __slots__ = ("terms", "cap")
-
-    def __init__(self, terms: Mapping[tuple[int, int], Fraction], cap: int):
-        if any(not (0 <= i <= cap and 0 <= j <= cap) for i, j in terms):
-            raise CapMismatchError("table entry outside the cap")
-        self.terms = {k: q for k, q in terms.items() if q}
-        self.cap = cap
-
-    @classmethod
-    def sum_of_products(
-        cls, pairs: Iterable[tuple[Poly, Poly]], cap: int
-    ) -> "BivariatePoly":
-        """sum of in_t(t) * in_y(y) over the (in_t, in_y) pairs."""
-        terms: dict[tuple[int, int], Fraction] = {}
-        for in_t, in_y in pairs:
-            if in_t.cap != cap or in_y.cap != cap:
-                raise CapMismatchError("caps differ")
-            ys = [(j, b) for j, b in enumerate(in_y.coeffs) if b]
-            for i, a in enumerate(in_t.coeffs):
-                if a:
-                    for j, b in ys:
-                        q = terms.get((i, j))
-                        terms[i, j] = a * b if q is None else q + a * b
-        return cls(terms, cap)
-
-    @classmethod
-    def from_shift(cls, p: Poly) -> "BivariatePoly":
-        """p(t + y), expanded exactly (binomial theorem per monomial)."""
-        terms: dict[tuple[int, int], Fraction] = {}
-        for k, c in enumerate(p.coeffs):
-            if not c:
-                continue
-            for i in range(k + 1):
-                terms[i, k - i] = terms.get((i, k - i), ZERO) + c * math.comb(k, i)
-        return cls(terms, p.cap)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self.cap == other.cap and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self.terms.items()), self.cap))
-
-    def first_difference(self, other: "BivariatePoly") -> tuple[int, int] | None:
-        """Smallest (t-degree, y-degree) where the tables differ."""
-        a, b = self.terms, other.terms
-        return min(
-            (k for k in a.keys() | b.keys() if a.get(k, ZERO) != b.get(k, ZERO)),
-            default=None,
-        )
-
-
-def _require_index(m: UmbralModel, n: int) -> None:
-    if not 0 <= n <= m.n_max:
-        raise CapMismatchError(
-            f"basis index {n} outside 0..{m.n_max}"
-        )
+def first_difference(lhs: list, rhs: list) -> tuple[int, int] | None:
+    """Smallest (t-degree, y-degree) at which the tables sum a(t) b(y)
+    over the (a, b) pairs of ``lhs`` and of ``rhs`` differ, each
+    polynomial given in ``integer_form``; both are summed over the
+    integers at one common denominator."""
+    d = math.lcm(*(da * db for (_, da), (_, db) in lhs + rhs))
+    size = 1 + max((b[-1][0] for _, (b, _) in lhs + rhs if b), default=0)
+    tables = []
+    for terms in (lhs, rhs):
+        acc: dict[int, list[int]] = {}
+        for (a, da), (b, db) in terms:
+            w = d // (da * db)
+            for i, x in a:
+                row = acc.setdefault(i, [0] * size)
+                wx = w * x
+                for j, y in b:
+                    row[j] += wx * y
+        tables.append(acc)
+    ta, tb = tables
+    zero = [0] * size
+    for i in sorted(ta.keys() | tb.keys()):
+        ra, rb = ta.get(i, zero), tb.get(i, zero)
+        if ra != rb:
+            return i, next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)
+    return None
 
 
 def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
@@ -109,8 +69,13 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
     is shift-invariant and the vacuum is evaluation at 0.  A model that
     fails either gets a ParameterError naming the failed hypothesis --
     the Hermite model is shift-invariant but has the wrong vacuum.
+
+    With p_k = c_k/d_k over integers, both sides are integer tables at
+    one common denominator d (``first_difference``); for the catalog
+    models d = n! and the right side is sum_k C(n,k) c_k(t) c_{n-k}(y).
     """
-    _require_index(m, n)
+    if not 0 <= n <= m.n_max:
+        raise CapMismatchError(f"basis index {n} outside 0..{m.n_max}")
     if not m.shift_invariant:
         raise ParameterError(
             f"not binomial type: {m.label()} has no shift-invariant "
@@ -120,11 +85,14 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
         raise ParameterError(
             f"not binomial type: {m.label()} vacuum is not evaluation at 0"
         )
-    lhs = BivariatePoly.from_shift(m.basis[n])
-    rhs = BivariatePoly.sum_of_products(
-        ((m.basis[k], m.basis[n - k]) for k in range(n + 1)), m.degree_cap
-    )
-    bad = lhs.first_difference(rhs)
+    # Taylor: p_n(t + y) = sum_i t^i (d/dy)^i p_n(y) / i!, as pairs of integer forms
+    forms = m.basis_numerators
+    c, den = forms[n]
+    shifted = [
+        ((((i, 1),), 1), (tuple((j - i, x * math.comb(j, i)) for j, x in c if j >= i), den))
+        for i in range(c[-1][0] + 1 if c else 0)
+    ]
+    bad = first_difference(shifted, [(forms[k], forms[n - k]) for k in range(n + 1)])
     return VerificationReport(
         check="binomial",
         model=m.label(),
@@ -173,26 +141,19 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
     with y kept symbolic, the right side sum_{i+j=a} p_i(y) p_j(t);
     both are exact tables in (t, y) and no cross-order cancellation is
     possible."""
-    if order < 0:
-        raise ParameterError("order must be >= 0")
-    if order > m.n_max:
-        raise CapMismatchError(
-            f"order {order} exceeds the top basis index {m.n_max}"
-        )
+    require_order(m, order)
     bad = None
     tainted = False
     for a in range(order + 1):
         pairs = []
         g = m.basis[a]
         for k in range(a + 1):
-            pairs.append((g, m.basis[k]))
+            pairs.append((integer_form(g), m.basis_numerators[k]))
             tainted |= g.truncated
             g = m.lowering.apply(g)
-        lhs = BivariatePoly.sum_of_products(pairs, m.degree_cap)
-        rhs = BivariatePoly.sum_of_products(
-            ((m.basis[a - i], m.basis[i]) for i in range(a + 1)), m.degree_cap
+        diff = first_difference(
+            pairs, [(m.basis_numerators[a - i], m.basis_numerators[i]) for i in range(a + 1)]
         )
-        diff = lhs.first_difference(rhs)
         if diff is not None:
             bad = (a, diff)
             break
@@ -212,12 +173,7 @@ def delsarte_eigen_check(m: UmbralModel, order: int) -> VerificationReport:
     value-at-0 fails first.  Requires a vacuum equal to evaluation at 0
     (otherwise the second condition is not the model's own
     normalization and the check refuses to run)."""
-    if order < 0:
-        raise ParameterError("order must be >= 0")
-    if order > m.n_max:
-        raise CapMismatchError(
-            f"order {order} exceeds the top basis index {m.n_max}"
-        )
+    require_order(m, order)
     if not m.vacuum_is_eval0():
         raise ParameterError(
             f"{m.label()} vacuum is not evaluation at 0; the eigenfunction "

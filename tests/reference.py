@@ -324,12 +324,136 @@ def delsarte_verdict(d, order):
 def biorthogonality_verdict(d):
     """<l_k, p_n> = delta_kn with l_k = vac L^k, searched k first, then
     n.  The round trip sum_k <l_k, f> p_k = f on the span then holds by
-    construction, so it adds no failure of its own."""
+    construction, so it adds no failure of its own.  Index n is tainted
+    when p_n is, or when some L^j p_n touches a mark of L, as in the
+    covariant transform."""
     top = len(d["basis"]) - 1
+    marks = [w0(d, p, n in d["b_marks"])[1] for n, p in enumerate(d["basis"])]
     row = d["vac"]
     for k in range(top + 1):
-        n, tainted = pairing_search(d, row, k, top)
+        n, tainted = _search(
+            (n, sum((x * y for x, y in zip(row, p)), Fraction(0)), Fraction(int(n == k)), marks[n])
+            for n, p in enumerate(d["basis"])
+        )
         if n is not None:
             return _verdict(("pairing", k, n), tainted)
         row = v_mat(row, d["L"])
+    return _verdict(None, tainted)
+
+
+# -- the covariant transform by repeated lowering ----------------------
+#
+# "even" in the model dict says the model lives on even polynomials: a
+# transform input with odd-degree content is outside its space.
+
+class OutOfSpace(Exception):
+    """A transform input left the model's graded space."""
+
+
+def w0(d, f, marked):
+    """(W0 f, tainted): coefficient k is <vac, L^k f>/k! for k up to the
+    top basis index, the L^k f found by applying L again and again.  The
+    image is tainted when ``marked`` is or when an L^j f it applies L to
+    touches a mark of L."""
+    if d.get("even") and any(f[1::2]):
+        raise OutOfSpace
+    top = len(d["basis"]) - 1
+    out = [Fraction(0)] * len(f)
+    g = f
+    for k in range(top + 1):
+        out[k] = sum((x * y for x, y in zip(d["vac"], g)), Fraction(0)) / factorial(k)
+        marked = marked or _touches(g, d["l_marks"])
+        g = m_vec(d["L"], g)
+        if not any(g):
+            break
+    return out, marked
+
+
+def covariant_verdict(d):
+    """W0 p_n = u^n/n! for n <= top, then W0 L p_n = d/du W0 p_n for
+    1 <= n <= top, then W0 R p_n = u W0 p_n for n < top; the product by
+    u taints when it pushes a coefficient past the cap.  The taint
+    gathers over the three searches.  Raises OutOfSpace where a
+    transform input leaves the model's space."""
+    b, bm = d["basis"], d["b_marks"]
+    top, size = len(b) - 1, len(b[0])
+
+    def image(n):
+        w, marked = w0(d, b[n], n in bm)
+        want = [Fraction(0)] * size
+        want[n] = Fraction(1, factorial(n))
+        return n, w, want, marked
+
+    def lowering(n):
+        lhs, marked = w0(d, m_vec(d["L"], b[n]), n in bm or _touches(b[n], d["l_marks"]))
+        rhs, rmarked = w0(d, b[n], n in bm)
+        return n, lhs, p_deriv(rhs) + [Fraction(0)], marked or rmarked
+
+    def raising(n):
+        lhs, marked = w0(d, m_vec(d["R"], b[n]), n in bm or _touches(b[n], d["r_marks"]))
+        rhs, rmarked = w0(d, b[n], n in bm)
+        return n, lhs, [Fraction(0)] + rhs[:-1], marked or rmarked or bool(rhs[-1])
+
+    tainted = False
+    for kind, case, indices in (
+        ("image", image, range(top + 1)),
+        ("exchange-lowering", lowering, range(1, top + 1)),
+        ("exchange-raising", raising, range(top)),
+    ):
+        n, marked = _search(case(n) for n in indices)
+        tainted = tainted or marked
+        if n is not None:
+            return _verdict((kind, n), tainted)
+    return _verdict(None, tainted)
+
+
+# -- two-variable identities on Fraction tables in (t, y) ---------------
+
+def bivariate(pairs):
+    """sum a(t) b(y) over the (a, b) coefficient-list pairs, as a table
+    {(t-degree, y-degree): nonzero Fraction}."""
+    acc = {}
+    for a, b in pairs:
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if x and y:
+                    acc[i, j] = acc.get((i, j), 0) + x * y
+    return {k: q for k, q in acc.items() if q}
+
+
+def table_difference(a, b):
+    """Smallest (t-degree, y-degree) where the two tables differ."""
+    return min((k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)), default=None)
+
+
+def binomial_verdict(d, n):
+    """p_n(t+y) = sum_k p_k(t) p_{n-k}(y); the shifted side expanded by
+    the binomial theorem.  Truncation marks play no part."""
+    b = d["basis"]
+    shifted = {}
+    for j, c in enumerate(b[n]):
+        if c:
+            for i in range(j + 1):
+                shifted[i, j - i] = shifted.get((i, j - i), 0) + c * binom(j, i)
+    bad = table_difference(shifted, bivariate((b[k], b[n - k]) for k in range(n + 1)))
+    return _verdict(bad, False)
+
+
+def character_verdict(d, order):
+    """sum_{k<=a} (L^k p_a)(t) p_k(y) = sum_i p_{a-i}(t) p_i(y) for each
+    a <= order, failing at (a, first differing cell).  L^k p_a is
+    tainted when p_a is or when an earlier L^j p_a touches a mark of L."""
+    b = d["basis"]
+    tainted = False
+    for a in range(order + 1):
+        pairs = []
+        g, marked = b[a], a in d["b_marks"]
+        for k in range(a + 1):
+            pairs.append((g, b[k]))
+            tainted = tainted or marked
+            marked = marked or _touches(g, d["l_marks"])
+            g = m_vec(d["L"], g)
+        cell = table_difference(bivariate(pairs), bivariate((b[a - i], b[i]) for i in range(a + 1)))
+        if cell is not None:
+            return _verdict((a, cell), tainted)
     return _verdict(None, tainted)

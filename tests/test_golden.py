@@ -4,7 +4,10 @@ Each case runs ``umbra.cli.main`` in-process and compares its stdout
 with a file under ``tests/golden/``; ``exit_codes.json`` holds the exit
 code of every case.  The files were written from the code as it stood
 before the check registry replaced the hand-written check lists, so a
-refactor that changes any default report shows up here.
+refactor that changes any default report shows up here.  The two
+degree-32 lower-factorial cases were written from the Fraction-loop
+covariant and binomial checks, before those became operator and
+integer-table identities.
 
 Regenerate (only for an intended output change, noted in CHANGES.md):
 
@@ -54,6 +57,11 @@ def _cases() -> dict[str, list[str]]:
             target = ["--model", "monomial"]
         cases[f"check-{check}.json"] = [
             "verify", "--check", check, *target, "--degree", "8", "--format", "json",
+        ]
+    for check in ("covariant", "binomial"):
+        cases[f"check-{check}-lower-factorial.json"] = [
+            "verify", "--check", check, "--model", "lower-factorial",
+            "--degree", "32", "--format", "json",
         ]
     return cases
 

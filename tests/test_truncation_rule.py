@@ -1,6 +1,8 @@
 """The one comparison rule of the exact checks: every basis-indexed
 check agrees with a plain-list oracle on perturbed models, and a
-truncation mark inside the compared columns never lets a check pass."""
+truncation mark inside the compared columns never lets a check pass.
+The covariant, binomial and character oracles are the Fraction loops
+the operator and integer-table forms of those checks replaced."""
 
 import dataclasses
 from fractions import Fraction
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbra.core import Functional, LinearOp, ParameterError, Poly
+from umbra.core import DomainError, Functional, LinearOp, ParameterError, Poly
 from umbra.heisenberg import (
     composition_check_formal,
     group_law_check,
@@ -16,10 +18,10 @@ from umbra.heisenberg import (
     sl2_closure_check,
     weyl_relation_check,
 )
-from umbra.models import build_model, verify_model
+from umbra.models import Parity, build_model, verify_model
 from umbra.reports import PASS
-from umbra.transforms import biorthogonality_check, generating_function
-from umbra.translations import delsarte_eigen_check
+from umbra.transforms import biorthogonality_check, covariant_check, generating_function
+from umbra.translations import binomial_check, character_check, delsarte_eigen_check
 
 import reference as ref
 
@@ -41,6 +43,7 @@ def _plain(m) -> dict:
         "basis": [list(p.coeffs) for p in m.basis],
         "b_marks": {n for n, p in enumerate(m.basis) if p.truncated},
         "iota": m.iota,
+        "even": m.parity is Parity.EVEN,
     }
 
 
@@ -93,11 +96,25 @@ def test_rewritten_checks_agree_with_the_plain_list_oracle(case):
     assert {r.check: _verdict(r) for r in verify_model(m)} == ref.ladder_verdicts(d)
     assert _verdict(generating_function(m, order).report) == ref.generating_function_verdict(d, order)
     assert _verdict(biorthogonality_check(m)) == ref.biorthogonality_verdict(d)
+    assert _verdict(character_check(m, order)) == ref.character_verdict(d, order)
+    try:
+        want = ref.covariant_verdict(d)
+    except ref.OutOfSpace:
+        with pytest.raises(DomainError):
+            covariant_check(m)
+    else:
+        assert _verdict(covariant_check(m)) == want
     if d["vac"] == [1] + [0] * m.degree_cap:
         assert _verdict(delsarte_eigen_check(m, order)) == ref.delsarte_verdict(d, order)
     else:
         with pytest.raises(ParameterError):
             delsarte_eigen_check(m, order)
+    if m.shift_invariant and d["vac"] == [1] + [0] * m.degree_cap:
+        for n in range(m.n_max + 1):
+            assert _verdict(binomial_check(m, n)) == ref.binomial_verdict(d, n), n
+    else:
+        with pytest.raises(ParameterError):
+            binomial_check(m, order)
 
 
 def test_oracle_sees_each_outcome():
@@ -147,3 +164,16 @@ def test_a_marked_raising_never_passes():
     assert all(r.status == "inconclusive" for r in reports), [
         (r.check, r.status) for r in reports
     ]
+
+
+def test_a_marked_lowering_never_passes():
+    """A library-built monomial model whose lowering marks every column
+    truncated: the duals l_k = l_0 L^k read it, so biorthogonality is
+    inconclusive along with covariant and character."""
+    m = build_model("monomial", 8)
+    low = m.lowering
+    m = dataclasses.replace(
+        m, lowering=LinearOp(low.num, low.den, low.cap, frozenset(range(low.cap + 1)))
+    )
+    reports = [biorthogonality_check(m), covariant_check(m), character_check(m, 4)]
+    assert [r.status for r in reports] == ["inconclusive"] * 3
