@@ -36,7 +36,7 @@ from .core import (
     format_rational,
     op_commutator,
 )
-from .formal import FormalOpSeries, MultiPoly, OpWordTable, series_first_difference
+from .formal import FormalOpSeries, OpWordTable, series_first_difference
 from .models import UmbralModel
 from .reports import VerificationReport, status_of
 from .transforms import expand_in_basis
@@ -58,6 +58,52 @@ def _require_cap(m: UmbralModel, order: int, output_degree: int) -> None:
         )
 
 
+def _exp_ladder_series(
+    table: OpWordTable,
+    letter: str,
+    params: tuple[str, ...],
+    order: int,
+    slots: Sequence[int],
+    sign: int,
+) -> FormalOpSeries:
+    """exp(sign * (sum of the slot parameters) * A), A the operator of
+    ``letter``; the letter "" is the identity, for a scalar
+    exponential.  One or two parameter slots."""
+    out = FormalOpSeries(params, order, table)
+    for total in range(order + 1):
+        if len(slots) == 1:
+            splits: Iterable[tuple[int, ...]] = [(total,)]
+        else:
+            splits = [(r, total - r) for r in range(total + 1)]
+        for split in splits:
+            idx = [0] * len(params)
+            q = Fraction(sign ** total)
+            for slot, r in zip(slots, split):
+                idx[slot] = r
+                q /= math.factorial(r)
+            out.add_term(tuple(idx), q, letter * total)
+    return out
+
+
+def _phase_series(
+    table: OpWordTable,
+    params: tuple[str, ...],
+    order: int,
+    x_slot: int,
+    y_slot: int,
+    sign: int,
+) -> FormalOpSeries:
+    """exp(sign * x * y) as a scalar series carried on the identity."""
+    out = FormalOpSeries(params, order, table)
+    for k in range(order // 2 + 1):
+        idx = [0] * len(params)
+        idx[x_slot] = k
+        idx[y_slot] = k
+        q = Fraction(sign ** (k & 1), math.factorial(k))
+        out.add_term(tuple(idx), q, "")
+    return out
+
+
 def _pi_series(
     table: OpWordTable,
     params: tuple[str, ...],
@@ -69,21 +115,10 @@ def _pi_series(
     """exp(-s) exp(-y L) exp(-x R) expanded in the given parameter
     slots: the coefficient at s^a x^c y^b is (-1)^(a+b+c)/(a!b!c!)
     times the word L^b R^c."""
-    out = FormalOpSeries(params, order, table.cap)
-    nv = len(params)
-    for a in range(order + 1):
-        for b in range(order + 1 - a):
-            for c in range(order + 1 - a - b):
-                idx = [0] * nv
-                idx[s_slot] = a
-                idx[x_slot] = c
-                idx[y_slot] = b
-                q = Fraction(
-                    (-1) ** ((a + b + c) & 1),
-                    math.factorial(a) * math.factorial(b) * math.factorial(c),
-                )
-                out.add_term(tuple(idx), q, table.low_then_high_word(b, c))
-    return out
+    def exp(letter: str, slot: int) -> FormalOpSeries:
+        return _exp_ladder_series(table, letter, params, order, (slot,), -1)
+
+    return exp("", s_slot).mul(exp("L", y_slot)).mul(exp("R", x_slot))
 
 
 def heisenberg_rep_formal(m: UmbralModel, order: int) -> FormalOpSeries:
@@ -92,8 +127,7 @@ def heisenberg_rep_formal(m: UmbralModel, order: int) -> FormalOpSeries:
     capped space.  Coefficient columns for basis indices up to
     n_max - order are truncation-exact."""
     _require_cap(m, order, 0)
-    table = OpWordTable(m.lowering, m.raising, order)
-    return _pi_series(table, ("s", "x", "y"), order, 0, 1, 2)
+    return _pi_series(m.words, ("s", "x", "y"), order, 0, 1, 2)
 
 
 def _safe_columns(m: UmbralModel, output_degree: int) -> list[int]:
@@ -144,86 +178,19 @@ def group_law_check(
         output_degree = m.n_max - order
     _require_cap(m, order, output_degree)
     params = ("s1", "x1", "y1", "s2", "x2", "y2")
-    table = OpWordTable(m.lowering, m.raising, order)
+    table = m.words
+    lhs = _pi_series(table, params, order, 0, 1, 2).mul(
+        _pi_series(table, params, order, 3, 4, 5)
+    )
 
-    left = _pi_series(table, params, order, 0, 1, 2)
-    right_factor = _pi_series(table, params, order, 3, 4, 5)
-    lhs = left.mul(right_factor, table.cache)
+    def exp(letter: str, slots: tuple[int, int]) -> FormalOpSeries:
+        return _exp_ladder_series(table, letter, params, order, slots, -1)
 
-    # composite arguments: s -> s1+s2+x1*y2, y -> y1+y2, x -> x1+x2
-    def var(slot: int) -> MultiPoly:
-        return MultiPoly.variable(6, order, slot)
-
-    u = var(0) + var(3) + var(1) * var(5)
-    v = var(2) + var(5)
-    w = var(1) + var(4)
-    u_pows = [MultiPoly.constant(6, order, 1)]
-    v_pows = [MultiPoly.constant(6, order, 1)]
-    w_pows = [MultiPoly.constant(6, order, 1)]
-    for _ in range(order):
-        u_pows.append(u_pows[-1] * u)
-        v_pows.append(v_pows[-1] * v)
-        w_pows.append(w_pows[-1] * w)
-
-    rhs = FormalOpSeries(params, order, table.cap)
-    for a in range(order + 1):
-        for b in range(order + 1 - a):
-            for c in range(order + 1 - a - b):
-                base = Fraction(
-                    (-1) ** ((a + b + c) & 1),
-                    math.factorial(a) * math.factorial(b) * math.factorial(c),
-                )
-                word = table.low_then_high_word(b, c)
-                scalar = u_pows[a] * v_pows[b] * w_pows[c]
-                for idx, qs in scalar.terms.items():
-                    rhs.add_term(idx, base * qs, word)
-
+    # exp(-(s1+s2+x1*y2)) exp(-(y1+y2) L) exp(-(x1+x2) R): each
+    # (index, word) pair receives one product term
+    phase = _phase_series(table, params, order, 1, 5, -1)
+    rhs = exp("", (0, 3)).mul(phase).mul(exp("L", (2, 5))).mul(exp("R", (1, 4)))
     return _formal_report("group-law", m, order, output_degree, lhs, rhs)
-
-
-def _exp_ladder_series(
-    pows: Sequence[LinearOp],
-    params: tuple[str, ...],
-    order: int,
-    slots: Sequence[int],
-) -> FormalOpSeries:
-    """exp((sum of the slot parameters) * A) given the power table of
-    A; one or two parameter slots."""
-    out = FormalOpSeries(params, order, pows[0].cap)
-    nv = len(params)
-    for total in range(order + 1):
-        op = pows[total]
-        if len(slots) == 1:
-            splits: Iterable[tuple[int, ...]] = [(total,)]
-        else:
-            splits = [(r, total - r) for r in range(total + 1)]
-        for split in splits:
-            idx = [0] * nv
-            q = ONE
-            for slot, r in zip(slots, split):
-                idx[slot] = r
-                q /= math.factorial(r)
-            out.add_term(tuple(idx), q, op)
-    return out
-
-
-def _phase_series(
-    ident: LinearOp,
-    params: tuple[str, ...],
-    order: int,
-    x_slot: int,
-    y_slot: int,
-    sign: int,
-) -> FormalOpSeries:
-    """exp(sign * x * y) as a scalar series carried on the identity."""
-    out = FormalOpSeries(params, order, ident.cap)
-    for k in range(order // 2 + 1):
-        idx = [0] * len(params)
-        idx[x_slot] = k
-        idx[y_slot] = k
-        q = Fraction(sign ** (k & 1), math.factorial(k))
-        out.add_term(tuple(idx), q, ident)
-    return out
 
 
 def weyl_relation_check(
@@ -236,20 +203,12 @@ def weyl_relation_check(
         output_degree = m.n_max - order
     _require_cap(m, order, output_degree)
     params = ("x", "y")
-    table = OpWordTable(m.lowering, m.raising, order)
-
-    lhs = FormalOpSeries(params, order, table.cap)
-    for b in range(order + 1):
-        for c in range(order + 1 - b):
-            q = Fraction(1, math.factorial(b) * math.factorial(c))
-            lhs.add_term((c, b), q, table.low_then_high_word(b, c))
-
-    ident = LinearOp.identity(table.cap)
-    phase = _phase_series(ident, params, order, 0, 1, +1)
-    exp_r = _exp_ladder_series(table.high_pows, params, order, (0,))
-    exp_l = _exp_ladder_series(table.low_pows, params, order, (1,))
-    rhs = phase.mul(exp_r.mul(exp_l, table.cache), table.cache)
-
+    table = m.words
+    exp_r = _exp_ladder_series(table, "R", params, order, (0,), +1)
+    exp_l = _exp_ladder_series(table, "L", params, order, (1,), +1)
+    lhs = exp_l.mul(exp_r)
+    phase = _phase_series(table, params, order, 0, 1, +1)
+    rhs = phase.mul(exp_r.mul(exp_l))
     return _formal_report("weyl-relation", m, order, output_degree, lhs, rhs)
 
 
@@ -265,36 +224,29 @@ def composition_check_formal(
         output_degree = m.n_max - order
     _require_cap(m, order, output_degree)
     params = ("x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4")
-    table = OpWordTable(m.lowering, m.raising, order)
-    ident = LinearOp.identity(table.cap)
+    table = m.words
 
     coefs = {1: ONE, 2: Fraction(2, 3), 3: Fraction(3), 4: Fraction(1, 5)}
 
+    def exp(letter: str, slots: tuple[int, ...]) -> FormalOpSeries:
+        return _exp_ladder_series(table, letter, params, order, slots, +1)
+
     def atom_series(i: int) -> FormalOpSeries:
+        """coef_i exp(y_i L) exp(x_i R)."""
         x_slot, y_slot = 2 * (i - 1), 2 * (i - 1) + 1
-        out = FormalOpSeries(params, order, table.cap)
-        for b in range(order + 1):
-            for c in range(order + 1 - b):
-                idx = [0] * 8
-                idx[x_slot] = c
-                idx[y_slot] = b
-                q = coefs[i] / (math.factorial(b) * math.factorial(c))
-                out.add_term(tuple(idx), q, table.low_then_high_word(b, c))
-        return out
+        return exp("L", (y_slot,)).mul(exp("R", (x_slot,))).scale(coefs[i])
 
     k1 = atom_series(1) + atom_series(2)
     k2 = atom_series(3) + atom_series(4)
-    lhs = k1.mul(k2, table.cache)
+    lhs = k1.mul(k2)
 
-    rhs = FormalOpSeries(params, order, table.cap)
+    rhs = FormalOpSeries(params, order, table)
     for i in (1, 2):
         for j in (3, 4):
             xi, yi = 2 * (i - 1), 2 * (i - 1) + 1
             xj, yj = 2 * (j - 1), 2 * (j - 1) + 1
-            phase = _phase_series(ident, params, order, xi, yj, -1)
-            exp_l = _exp_ladder_series(table.low_pows, params, order, (yi, yj))
-            exp_r = _exp_ladder_series(table.high_pows, params, order, (xi, xj))
-            pair = phase.mul(exp_l.mul(exp_r, table.cache), table.cache)
+            phase = _phase_series(table, params, order, xi, yj, -1)
+            pair = phase.mul(exp("L", (yi, yj)).mul(exp("R", (xi, xj))))
             rhs = rhs + pair.scale(coefs[i] * coefs[j])
 
     return _formal_report(
@@ -571,9 +523,10 @@ def metaplectic(m: UmbralModel) -> Sl2Structure:
     makes [lower2, raise2] close onto 4z with no identity term, and the
     constants (4, -2, 2) are the same for every model with
     [lower, raise] = I."""
-    l2 = m.lowering @ m.lowering
-    r2 = m.raising @ m.raising
-    z = (m.raising @ m.lowering) + LinearOp.identity(m.degree_cap).scale(Fraction(1, 2))
+    words = m.words
+    l2 = words.op("LL")
+    r2 = words.op("RR")
+    z = words.op("RL") + words.op("").scale(Fraction(1, 2))
     lam, lam_minus, lam_plus = METAPLECTIC_CONSTANTS
     return Sl2Structure(
         lower2=l2, raise2=r2, z=z,

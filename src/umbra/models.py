@@ -57,6 +57,7 @@ from .core import (
     format_rational,
     op_commutator,
 )
+from .formal import OpWordTable
 from .kernels import EMPTY
 
 IOTA = ONE  # structure constant of the Heisenberg relation, fixed package-wide
@@ -128,6 +129,12 @@ class UmbralModel:
         for _ in range(self.n_max):
             out.append(out[-1].after(self.lowering))
         return tuple(out)
+
+    @functools.cached_property
+    def words(self) -> OpWordTable:
+        """The one table of ladder-word operators that the formal
+        checks and the squared-ladder triple share."""
+        return OpWordTable(self.lowering, self.raising)
 
     @functools.cached_property
     def basis_numerators(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:

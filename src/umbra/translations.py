@@ -73,6 +73,8 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
     With p_k = c_k/d_k over integers, both sides are integer tables at
     one common denominator d (``first_difference``); for the catalog
     models d = n! and the right side is sum_k C(n,k) c_k(t) c_{n-k}(y).
+    The check reads p_0..p_n, so a truncation flag on any of them
+    taints it.
     """
     if not 0 <= n <= m.n_max:
         raise CapMismatchError(f"basis index {n} outside 0..{m.n_max}")
@@ -97,7 +99,7 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
         check="binomial",
         model=m.label(),
         params={"n": n},
-        status=status_of(bad),
+        status=status_of(bad, any(p.truncated for p in m.basis[: n + 1])),
         first_failure=bad,
     )
 

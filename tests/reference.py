@@ -73,6 +73,22 @@ def m_mul(a, b):
     ]
 
 
+def word_marks(letters, marks, size):
+    """Truncation marks of the product letters[0] @ ... @ letters[-1]
+    of dense matrices: column j is marked when some path from j through
+    the letters' nonzero entries, the last letter taken first, reaches
+    a column that the letter it has come to marks."""
+    out = set()
+    for j in range(size):
+        reach = {j}
+        for a, mk in zip(reversed(letters), reversed(marks)):
+            if reach & mk:
+                out.add(j)
+                break
+            reach = {i for i in range(size) for c in reach if a[i][c]}
+    return out
+
+
 def m_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -428,7 +444,7 @@ def table_difference(a, b):
 
 def binomial_verdict(d, n):
     """p_n(t+y) = sum_k p_k(t) p_{n-k}(y); the shifted side expanded by
-    the binomial theorem.  Truncation marks play no part."""
+    the binomial theorem.  Tainted when any of p_0..p_n is flagged."""
     b = d["basis"]
     shifted = {}
     for j, c in enumerate(b[n]):
@@ -436,7 +452,7 @@ def binomial_verdict(d, n):
             for i in range(j + 1):
                 shifted[i, j - i] = shifted.get((i, j - i), 0) + c * binom(j, i)
     bad = table_difference(shifted, bivariate((b[k], b[n - k]) for k in range(n + 1)))
-    return _verdict(bad, False)
+    return _verdict(bad, any(k in d["b_marks"] for k in range(n + 1)))
 
 
 def character_verdict(d, order):

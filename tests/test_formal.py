@@ -1,15 +1,18 @@
 """Formal power series with operator coefficients: the bookkeeping."""
 
+import contextlib
+import io
+import itertools
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from umbra import kernels
+from umbra.cli import main
 from umbra.core import LinearOp
-from umbra.formal import (
-    FormalOpSeries,
-    MultiPoly,
-    OpWordTable,
-    _ProductCache,
-    series_first_difference,
-)
+from umbra.formal import FormalOpSeries, OpWordTable, series_first_difference
+
+import reference as ref
 
 
 def deriv_op(cap):
@@ -26,40 +29,21 @@ def mult_t_op(cap):
     )
 
 
-# -- MultiPoly ---------------------------------------------------------
-
-def test_multipoly_binomial_cube():
-    x = MultiPoly.variable(2, 6, 0)
-    y = MultiPoly.variable(2, 6, 1)
-    s = x + y
-    cube = s * s * s
-    assert cube.terms == {
-        (3, 0): Fraction(1),
-        (2, 1): Fraction(3),
-        (1, 2): Fraction(3),
-        (0, 3): Fraction(1),
-    }
+def _dense(op):
+    return [[Fraction(x, op.den) for x in row] for row in op.num]
 
 
-def test_multipoly_truncates_at_total_order():
-    x = MultiPoly.variable(1, 2, 0)
-    cube = x * x * x
-    assert cube.terms == {}
-    sq = x * x
-    assert sq.terms == {(2,): Fraction(1)}
+def _counting_products(monkeypatch):
+    """A list that grows by one on each ``kernels.imat_mul`` call."""
+    calls = []
+    product = kernels.imat_mul
 
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
 
-def test_multipoly_scale_drops_zero():
-    x = MultiPoly.variable(1, 3, 0)
-    z = x.scale(0)
-    assert z.terms == {}
-    assert x.scale(Fraction(2, 3)).terms == {(1,): Fraction(2, 3)}
-
-
-def test_multipoly_constant_and_add():
-    c = MultiPoly.constant(2, 4, Fraction(5, 2))
-    d = MultiPoly.constant(2, 4, Fraction(-5, 2))
-    assert (c + d).terms == {}
+    monkeypatch.setattr(kernels, "imat_mul", counted)
+    return calls
 
 
 # -- operator word table -----------------------------------------------
@@ -67,22 +51,74 @@ def test_multipoly_constant_and_add():
 def test_word_table_words_are_products():
     cap = 7
     lo, hi = deriv_op(cap), mult_t_op(cap)
-    table = OpWordTable(lo, hi, 3)
-    assert table.low_then_high_word(0, 0) == LinearOp.identity(cap)
-    assert table.low_then_high_word(1, 0) == lo
-    assert table.low_then_high_word(0, 2) == hi @ hi
+    table = OpWordTable(lo, hi)
+    assert table.op("") == LinearOp.identity(cap)
+    assert table.op("L") is lo
+    assert table.op("RR") == hi @ hi
     assert table.low_then_high_word(2, 1) == (lo @ lo) @ hi
+    assert table.low_then_high_word(2, 1) is table.op("LLR")
     assert table.high_then_low_word(1, 2) == hi @ (lo @ lo)
 
 
-def test_product_cache_memoizes_by_identity():
-    cap = 4
-    cache = _ProductCache()
-    a, b = deriv_op(cap), mult_t_op(cap)
-    first = cache.prod(a, b)
-    second = cache.prod(a, b)
-    assert first is second
-    assert first == a @ b
+@st.composite
+def ladder_pairs(draw):
+    """(cap, dense L, dense R, marks of L, marks of R): sparse rational
+    matrices with random truncation marks."""
+    cap = draw(st.integers(1, 4))
+    index = st.integers(0, cap)
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    mats, marks = [], []
+    for _ in range(2):
+        rows = [[Fraction(0)] * (cap + 1) for _ in range(cap + 1)]
+        for i, j, q in draw(st.lists(st.tuples(index, index, entry), max_size=2 * cap + 2)):
+            rows[i][j] = q
+        mats.append(rows)
+        marks.append(draw(st.sets(index, max_size=2)))
+    return cap, mats[0], mats[1], marks[0], marks[1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(ladder_pairs(), st.lists(st.text(alphabet="LR", max_size=6), min_size=1, max_size=4))
+def test_word_operators_are_the_letter_products_with_path_closed_marks(pair, words):
+    cap, low, high, low_marks, high_marks = pair
+    table = OpWordTable(
+        LinearOp.from_entries(low, frozenset(low_marks)),
+        LinearOp.from_entries(high, frozenset(high_marks)),
+    )
+    letters = {"L": (low, low_marks), "R": (high, high_marks)}
+    for word in words:
+        want = [[Fraction(int(i == j)) for j in range(cap + 1)] for i in range(cap + 1)]
+        for letter in word:
+            want = ref.m_mul(want, letters[letter][0])
+        op = table.op(word)
+        assert _dense(op) == want, word
+        assert op.trunc_cols == ref.word_marks(
+            [letters[x][0] for x in word], [letters[x][1] for x in word], cap + 1
+        ), word
+        assert table.op(word) is op
+
+
+def test_each_word_takes_one_product_and_none_with_the_identity(monkeypatch):
+    cap = 5
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    calls = _counting_products(monkeypatch)
+    words = ["".join(w) for n in range(5) for w in itertools.product("LR", repeat=n)]
+    for word in words:
+        table.op(word)
+    assert len(calls) == sum(1 for w in words if len(w) >= 2)
+    for word in words:
+        table.op(word)
+    assert len(calls) == sum(1 for w in words if len(w) >= 2)
+
+
+def test_a_catalog_run_makes_few_products(monkeypatch):
+    """One word table per model serves every formal check and the
+    squared-ladder triple: ``verify --all`` on lower-factorial at degree
+    32 makes 90 operator products (323 with a table per check)."""
+    calls = _counting_products(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--all", "--degree", "32", "--model", "lower-factorial"]) == 0
+    assert len(calls) <= 110
 
 
 # -- series arithmetic -------------------------------------------------
@@ -90,11 +126,12 @@ def test_product_cache_memoizes_by_identity():
 def test_series_mul_convolves_indices():
     cap = 6
     lo = deriv_op(cap)
-    cache = _ProductCache()
-    s = FormalOpSeries(("x",), 4, cap)
-    s.add_term((0,), Fraction(1), LinearOp.identity(cap))
-    s.add_term((1,), Fraction(1), lo)
-    prod = s.mul(s, cache)
+    table = OpWordTable(lo, mult_t_op(cap))
+    s = FormalOpSeries(("x",), 4, table)
+    s.add_term((0,), Fraction(1), "")
+    s.add_term((1,), Fraction(1), "L")
+    prod = s.mul(s)
+    assert prod.terms == {(0,): {"": 1}, (1,): {"L": 2}, (2,): {"LL": 1}}
     assert prod.materialize((0,)) == LinearOp.identity(cap)
     assert prod.materialize((1,)) == lo.scale(2)
     assert prod.materialize((2,)) == lo @ lo
@@ -102,36 +139,52 @@ def test_series_mul_convolves_indices():
 
 def test_series_linear_combination_materializes_exactly():
     cap = 5
-    s = FormalOpSeries(("x",), 2, cap)
-    s.add_term((1,), Fraction(1, 3), deriv_op(cap))
-    s.add_term((1,), Fraction(1, 6), deriv_op(cap))
-    assert s.materialize((1,)) == deriv_op(cap).scale(Fraction(1, 2))
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    s = FormalOpSeries(("x",), 2, table)
+    s.add_term((1,), Fraction(1, 3), "L")
+    s.add_term((1,), Fraction(1, 6), "L")
+    s.add_term((1,), Fraction(1), "LR")
+    assert s.terms == {(1,): {"L": Fraction(1, 2), "LR": 1}}
+    assert s.materialize((1,)) == deriv_op(cap).scale(Fraction(1, 2)) + table.op("LR")
     assert s.materialize((2,)) == LinearOp.zero(cap)
+
+
+def test_a_cancelled_word_keeps_its_marks():
+    cap = 4
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    s = FormalOpSeries(("x",), 2, table)
+    s.add_term((1,), Fraction(1), "R")
+    t = FormalOpSeries(("x",), 2, table)
+    t.add_term((1,), Fraction(-1), "R")
+    coef = (s + t).materialize((1,))
+    assert coef == LinearOp.zero(cap)
+    assert coef.trunc_cols == {cap}
 
 
 def test_series_drops_zero_and_overflow_terms():
     cap = 4
-    s = FormalOpSeries(("x", "y"), 2, cap)
-    s.add_term((1, 2), Fraction(1), deriv_op(cap))  # total order 3 > 2
-    s.add_term((1, 0), Fraction(0), deriv_op(cap))
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    s = FormalOpSeries(("x", "y"), 2, table)
+    s.add_term((1, 2), Fraction(1), "L")  # total order 3 > 2
+    s.add_term((1, 0), Fraction(0), "L")
     assert s.indices() == []
+    assert s.mul(s).indices() == []
 
 
 def test_series_first_difference_locates_mismatch():
     cap = 5
-    a = FormalOpSeries(("x",), 3, cap)
-    b = FormalOpSeries(("x",), 3, cap)
-    ident = LinearOp.identity(cap)
-    a.add_term((0,), Fraction(1), ident)
-    b.add_term((0,), Fraction(1), ident)
-    a.add_term((2,), Fraction(1), deriv_op(cap))
-    b.add_term((2,), Fraction(1), deriv_op(cap).scale(2))
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    a = FormalOpSeries(("x",), 3, table)
+    b = FormalOpSeries(("x",), 3, table)
+    a.add_term((0,), Fraction(1), "")
+    b.add_term((0,), Fraction(1), "")
+    a.add_term((2,), Fraction(1), "L")
+    b.add_term((2,), Fraction(2), "L")
     cols = list(range(cap + 1))
     assert series_first_difference(a, b, cols) == ((2,), False)
     assert series_first_difference(a, a, cols) == (None, False)
-    # a mark on a compared column of either side taints the comparison
-    marked = LinearOp.from_columns(cap, {}, trunc_cols=frozenset({4}))
-    a.add_term((1,), Fraction(1), marked)
-    b.add_term((1,), Fraction(1), marked)
+    # R marks column 5: a compared mark on either side taints
+    a.add_term((1,), Fraction(1), "R")
+    b.add_term((1,), Fraction(1), "R")
     assert series_first_difference(a, a, cols) == (None, True)
-    assert series_first_difference(a, b, cols[:4]) == ((2,), False)
+    assert series_first_difference(a, b, cols[:5]) == ((2,), False)

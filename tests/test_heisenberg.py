@@ -270,10 +270,10 @@ def test_failed_checks_report_the_largest_entry_difference():
     m = build_model("monomial", 8)
     # formal report: the series differ by L/2 at x^1; on the safe
     # degrees 0..3 the largest entry of L/2 = (d/dt)/2 is 3/2
-    a = FormalOpSeries(("x",), 1, m.degree_cap)
-    a.add_term((1,), Fraction(1), m.lowering)
-    b = FormalOpSeries(("x",), 1, m.degree_cap)
-    b.add_term((1,), Fraction(1, 2), m.lowering)
+    a = FormalOpSeries(("x",), 1, m.words)
+    a.add_term((1,), Fraction(1), "L")
+    b = FormalOpSeries(("x",), 1, m.words)
+    b.add_term((1,), Fraction(1, 2), "L")
     r = _formal_report("probe", m, 1, 3, a, b)
     assert r.first_failure == {"multi_index": {"x": 1}}
     assert r.max_residual == Fraction(3, 2)

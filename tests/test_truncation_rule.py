@@ -177,3 +177,16 @@ def test_a_marked_lowering_never_passes():
     )
     reports = [biorthogonality_check(m), covariant_check(m), character_check(m, 4)]
     assert [r.status for r in reports] == ["inconclusive"] * 3
+
+
+def test_a_flagged_basis_polynomial_never_passes_binomial():
+    """A library-built monomial model whose p_3 carries the truncated
+    flag: the binomial identity at n = 3 reads p_0..p_3, so it is
+    inconclusive like covariant and character; at n = 2 it passes."""
+    m = build_model("monomial", 8)
+    basis = list(m.basis)
+    basis[3] = basis[3].with_flag(True)
+    m = dataclasses.replace(m, basis=tuple(basis))
+    reports = [binomial_check(m, 3), covariant_check(m), character_check(m, 3)]
+    assert [r.status for r in reports] == ["inconclusive"] * 3
+    assert binomial_check(m, 2).status == PASS
