@@ -12,7 +12,11 @@ length <= M (the series order) moves basis degrees by at most M, so on
 a space capped at n_max every column with basis index <= n_max - M is
 computed exactly, truncation notwithstanding.  Callers pick the output
 degree D and working cap n_max = D + M accordingly; comparisons are
-restricted to the exact columns.
+restricted to the exact columns.  Two series are compared through
+their difference, merged word by word, and its coefficients are summed
+on those certified columns only: a word whose coefficients agree on
+both sides cancels to 0 and costs no arithmetic, though its truncation
+marks still count.
 
 Each coefficient is a linear combination of ladder words.  A word is a
 string over "L" (the lowering operator) and "R" (the raising one), read
@@ -130,21 +134,35 @@ class FormalOpSeries:
                         bucket[word] = bucket.get(word, ZERO) + qa * qb
         return out
 
-    def materialize(self, idx: Index) -> LinearOp:
+    def materialize(
+        self, idx: Index, columns: Iterable[int] | None = None
+    ) -> LinearOp:
         """Exact sum of the combination at one multi-index.  Its marks
         are those of every word there, a word whose coefficients
-        cancelled to 0 included."""
-        coef = self.terms.get(idx)
-        if not coef:
-            return LinearOp.zero(self.table.cap)
-        ops = [(q, self.table.op(word)) for word, q in coef.items()]
+        cancelled to 0 included.
+
+        With ``columns``, only those columns are summed, and only over
+        the words with a nonzero coefficient.  Every other column of a
+        restricted result is zero whatever the true sum holds there, so
+        it is meant only for comparison on ``columns``."""
+        cap = self.table.cap
+        coef = self.terms.get(idx, {})
+        words = [(q, self.table.op(word)) for word, q in coef.items()]
+        tcols = frozenset().union(*(op.trunc_cols for _, op in words))
+        ops = [(q, op) for q, op in words if q]
+        if not ops:
+            return LinearOp._sparse([kernels.EMPTY] * (cap + 1), 1, cap, tcols, reduced=True)
         den = math.lcm(*(q.denominator * op.den for q, op in ops))
-        cols = kernels.imat_comb([
-            ((den // (q.denominator * op.den)) * q.numerator, op.cols)
-            for q, op in ops
-        ])
-        tcols = frozenset().union(*(op.trunc_cols for _, op in ops))
-        return LinearOp._sparse(cols, den, self.table.cap, tcols)
+        terms = [((den // (q.denominator * op.den)) * q.numerator, op.cols) for q, op in ops]
+        if columns is None:
+            cols = kernels.imat_comb(terms)
+        else:
+            js = sorted(set(columns))
+            part = kernels.imat_comb([(c, [m[j] for j in js]) for c, m in terms])
+            cols = [kernels.EMPTY] * (cap + 1)
+            for j, col in zip(js, part):
+                cols[j] = col
+        return LinearOp._sparse(cols, den, cap, tcols)
 
     def indices(self) -> list[Index]:
         return sorted(self.terms, key=lambda idx: (sum(idx), idx))
@@ -162,15 +180,20 @@ def series_first_difference(
     a: FormalOpSeries, b: FormalOpSeries, columns: Iterable[int]
 ) -> tuple[Index | None, bool]:
     """(first multi-index, ordered by total order and then
-    lexicographically, where the materialized coefficients differ on
-    the given columns, or None; tainted), the taint gathered by
-    ``LinearOp.compare_on_columns`` over the coefficients compared."""
-    a._check(b)
+    lexicographically, where the coefficients differ on the given
+    columns, or None; tainted), the taint gathered by
+    ``LinearOp.compare_on_columns`` over the coefficients compared.
+
+    Each coefficient of the word-merged difference a - b is summed on
+    ``columns`` only and compared with zero.  A word on both sides
+    keeps its marks in the difference even where its coefficients
+    agree, so the taint is that of comparing the two sides."""
     cols = list(columns)
-    keys = sorted(set(a.terms) | set(b.terms), key=lambda idx: (sum(idx), idx))
+    diff = a + b.scale(-1)
+    zero = LinearOp.zero(a.table.cap)
     tainted = False
-    for idx in keys:
-        bad, marked = a.materialize(idx).compare_on_columns(b.materialize(idx), cols)
+    for idx in diff.indices():
+        bad, marked = diff.materialize(idx, cols).compare_on_columns(zero, cols)
         tainted = tainted or marked
         if bad is not None:
             return idx, tainted

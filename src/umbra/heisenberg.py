@@ -159,7 +159,7 @@ def _formal_report(
     }
     worst, ff = ZERO, None
     if idx is not None:
-        worst = _max_abs_entry(lhs.materialize(idx) - rhs.materialize(idx), cols)
+        worst = _max_abs_entry((lhs + rhs.scale(-1)).materialize(idx, cols), cols)
         ff = {"multi_index": {name: k for name, k in zip(lhs.params, idx) if k}}
     return VerificationReport(
         check=check, model=m.label(), params=params,

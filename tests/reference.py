@@ -98,6 +98,43 @@ def m_scale(a, c):
     return [[c * x for x in row] for row in a]
 
 
+def two_sided_first_difference(a, b, letters, cols):
+    """Formal series compared the way two sides are written, over dense
+    lists.  ``a`` and ``b`` map a multi-index to {word: rational}; a word
+    is a string over ``letters``, which maps "L" and "R" to (dense
+    matrix, marks), multiplied in written order.  Each coefficient is
+    summed in full on each side and marked with the word_marks of every
+    word there, whatever its coefficient; the two are compared on
+    ``cols`` in the order given, indices taken by total order and then
+    lexicographically.  Returns (first differing index or None, whether
+    a scanned column was marked on either side, largest |entry| of the
+    difference over ``cols`` at that index or 0)."""
+    size = len(letters["L"][0])
+
+    def coefficient(terms):
+        total = [[Fraction(0)] * size for _ in range(size)]
+        marks = set()
+        for word, q in terms.items():
+            mat = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+            for x in word:
+                mat = m_mul(mat, letters[x][0])
+            total = m_add(total, m_scale(mat, q))
+            marks |= word_marks(
+                [letters[x][0] for x in word], [letters[x][1] for x in word], size
+            )
+        return total, marks
+
+    tainted = False
+    for idx in sorted(set(a) | set(b), key=lambda i: (sum(i), i)):
+        (ma, ka), (mb, kb) = coefficient(a.get(idx, {})), coefficient(b.get(idx, {}))
+        for j in cols:
+            tainted = tainted or j in ka | kb
+            if any(ma[i][j] != mb[i][j] for i in range(size)):
+                residual = max(abs(ma[i][c] - mb[i][c]) for c in cols for i in range(size))
+                return idx, tainted, residual
+    return None, tainted, Fraction(0)
+
+
 def m_vec(a, v):
     """Matrix times column vector."""
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]

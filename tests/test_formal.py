@@ -11,6 +11,9 @@ from umbra import kernels
 from umbra.cli import main
 from umbra.core import LinearOp
 from umbra.formal import FormalOpSeries, OpWordTable, series_first_difference
+from umbra.heisenberg import _formal_report
+from umbra.models import build_model
+from umbra.reports import INCONCLUSIVE, status_of
 
 import reference as ref
 
@@ -33,16 +36,17 @@ def _dense(op):
     return [[Fraction(x, op.den) for x in row] for row in op.num]
 
 
-def _counting_products(monkeypatch):
-    """A list that grows by one on each ``kernels.imat_mul`` call."""
+def _counting_calls(monkeypatch, name):
+    """A list that grows by the arguments of each call of the kernel
+    ``kernels.<name>``."""
     calls = []
-    product = kernels.imat_mul
+    kernel = getattr(kernels, name)
 
-    def counted(a, b):
-        calls.append(1)
-        return product(a, b)
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
 
-    monkeypatch.setattr(kernels, "imat_mul", counted)
+    monkeypatch.setattr(kernels, name, counted)
     return calls
 
 
@@ -101,7 +105,7 @@ def test_word_operators_are_the_letter_products_with_path_closed_marks(pair, wor
 def test_each_word_takes_one_product_and_none_with_the_identity(monkeypatch):
     cap = 5
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
-    calls = _counting_products(monkeypatch)
+    calls = _counting_calls(monkeypatch, "imat_mul")
     words = ["".join(w) for n in range(5) for w in itertools.product("LR", repeat=n)]
     for word in words:
         table.op(word)
@@ -115,10 +119,22 @@ def test_a_catalog_run_makes_few_products(monkeypatch):
     """One word table per model serves every formal check and the
     squared-ladder triple: ``verify --all`` on lower-factorial at degree
     32 makes 90 operator products (323 with a table per check)."""
-    calls = _counting_products(monkeypatch)
+    calls = _counting_calls(monkeypatch, "imat_mul")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--all", "--degree", "32", "--model", "lower-factorial"]) == 0
     assert len(calls) <= 110
+
+
+def test_a_catalog_run_makes_few_combinations(monkeypatch):
+    """Each formal comparison sums the word-merged difference of its two
+    sides on the certified columns only, with no kernel call where the
+    words cancel: ``verify --all`` on lower-factorial at degree 32 makes
+    101 ``kernels.imat_comb`` calls (899 when each side is summed in
+    full)."""
+    calls = _counting_calls(monkeypatch, "imat_comb")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--all", "--degree", "32", "--model", "lower-factorial"]) == 0
+    assert len(calls) <= 150
 
 
 # -- series arithmetic -------------------------------------------------
@@ -188,3 +204,121 @@ def test_series_first_difference_locates_mismatch():
     b.add_term((1,), Fraction(1), "R")
     assert series_first_difference(a, a, cols) == (None, True)
     assert series_first_difference(a, b, cols[:5]) == ((2,), False)
+
+
+# -- comparison through the word-merged difference ---------------------
+
+def test_a_restricted_coefficient_is_the_full_one_on_its_columns():
+    cap = 5
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    s = FormalOpSeries(("x",), 2, table)
+    s.add_term((1,), Fraction(1, 3), "L")
+    s.add_term((1,), Fraction(-2), "RL")
+    # "LR" cancels to 0 but keeps the mark R leaves on column 5
+    s.add_term((1,), Fraction(1), "LR")
+    s.add_term((1,), Fraction(-1), "LR")
+    full, part = _dense(s.materialize((1,))), _dense(s.materialize((1,), [4, 1]))
+    for i in range(cap + 1):
+        for j in range(cap + 1):
+            assert part[i][j] == (full[i][j] if j in (1, 4) else 0), (i, j)
+    assert s.materialize((1,), [4, 1]).trunc_cols == s.materialize((1,)).trunc_cols == {cap}
+
+
+def test_the_difference_sums_only_compared_columns_of_uncancelled_words(monkeypatch):
+    cap = 5
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    a = FormalOpSeries(("x",), 2, table)
+    b = FormalOpSeries(("x",), 2, table)
+    for s in (a, b):
+        s.add_term((0,), Fraction(1), "")
+        s.add_term((1,), Fraction(1), "LR")
+    a.add_term((1,), Fraction(1), "R")
+    b.add_term((1,), Fraction(2), "R")
+    calls = _counting_calls(monkeypatch, "imat_comb")
+    assert series_first_difference(a, b, [0, 2, 3]) == ((1,), False)
+    # index (0,) cancels word by word; at (1,) only "R" is left, and
+    # only the three compared columns are summed
+    assert [(len(terms), len(terms[0][1])) for (terms,) in calls] == [(1, 3)]
+
+
+def test_a_word_cancelled_in_the_difference_still_taints():
+    """R marks column 5.  Its word has equal coefficients on both sides,
+    so it cancels from the difference, but its mark stays: comparing
+    column 5 is tainted, and the report is inconclusive, never a pass."""
+    cap = 5
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    a = FormalOpSeries(("x",), 2, table)
+    b = FormalOpSeries(("x",), 2, table)
+    for s in (a, b):
+        s.add_term((1,), Fraction(2, 3), "R")
+        s.add_term((1,), Fraction(1), "L")
+    idx, tainted = series_first_difference(a, b, range(cap + 1))
+    assert (idx, tainted) == (None, True)
+    assert status_of(idx, tainted) == INCONCLUSIVE
+    assert series_first_difference(a, b, range(cap)) == (None, False)
+    report = _formal_report("weyl-relation", build_model("monomial", cap), 1, cap, a, b)
+    assert report.status == INCONCLUSIVE
+
+
+INDICES = [(i, j) for i in range(3) for j in range(3 - i)]
+NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def series_pairs(draw):
+    """(cap, letters, (a, b), (plain a, plain b)): two series in x, y to
+    order 2 over random sparse rational ladder letters with random
+    marks, and the same series as plain {index: {word: rational}} dicts.
+    The sides share words with equal and with unequal coefficients, and
+    a side may hold a word whose coefficients cancel to 0."""
+    cap, low, high, low_marks, high_marks = draw(ladder_pairs())
+    table = OpWordTable(
+        LinearOp.from_entries(low, frozenset(low_marks)),
+        LinearOp.from_entries(high, frozenset(high_marks)),
+    )
+    letters = {"L": (low, low_marks), "R": (high, high_marks)}
+    sides = (FormalOpSeries(("x", "y"), 2, table), FormalOpSeries(("x", "y"), 2, table))
+    plain = ({}, {})
+
+    def add(side, idx, word, q):
+        sides[side].add_term(idx, q, word)
+        coef = plain[side].setdefault(idx, {})
+        coef[word] = coef.get(word, 0) + q
+
+    kinds = st.sampled_from(("equal", "unequal", "a only", "b only", "cancelled"))
+    terms = st.tuples(st.sampled_from(INDICES), st.text(alphabet="LR", max_size=4), kinds, NONZERO, NONZERO)
+    for idx, word, kind, qa, qb in draw(st.lists(terms, max_size=8)):
+        if kind == "equal":
+            add(0, idx, word, qa)
+            add(1, idx, word, qa)
+        elif kind == "unequal":
+            add(0, idx, word, qa)
+            add(1, idx, word, qb)
+        elif kind == "cancelled":
+            side = int(qb > 0)
+            add(side, idx, word, qa)
+            add(side, idx, word, -qa)
+        else:
+            add(kind == "b only", idx, word, qa)
+    return cap, letters, sides, plain
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pairs(), st.data())
+def test_the_difference_comparison_matches_the_two_sided_oracle(pair, data):
+    cap, letters, (a, b), (pa, pb) = pair
+    cols = data.draw(st.lists(st.integers(0, cap), unique=True))
+    want = ref.two_sided_first_difference(pa, pb, letters, cols)
+    assert series_first_difference(a, b, cols) == want[:2]
+    # the report reads its columns from a catalog model at this cap:
+    # every column, or the even ones
+    if cap % 2 == 0 and data.draw(st.booleans()):
+        m = build_model("heat", cap // 2)
+    else:
+        m = build_model("monomial", cap)
+    output_degree = data.draw(st.integers(0, m.n_max))
+    safe = [m.degree_of_index(j) for j in range(output_degree + 1)]
+    idx, tainted, residual = ref.two_sided_first_difference(pa, pb, letters, safe)
+    report = _formal_report("weyl-relation", m, 2, output_degree, a, b)
+    assert report.max_residual == residual
+    assert report.status == status_of(idx, tainted)
