@@ -154,14 +154,11 @@ class FormalOpSeries:
             return LinearOp._sparse([kernels.EMPTY] * (cap + 1), 1, cap, tcols, reduced=True)
         den = math.lcm(*(q.denominator * op.den for q, op in ops))
         terms = [((den // (q.denominator * op.den)) * q.numerator, op.cols) for q, op in ops]
-        if columns is None:
-            cols = kernels.imat_comb(terms)
-        else:
-            js = sorted(set(columns))
-            part = kernels.imat_comb([(c, [m[j] for j in js]) for c, m in terms])
-            cols = [kernels.EMPTY] * (cap + 1)
-            for j, col in zip(js, part):
-                cols[j] = col
+        js = range(cap + 1) if columns is None else sorted(set(columns))
+        part = kernels.imat_comb([(c, [m[j] for j in js]) for c, m in terms])
+        cols = [kernels.EMPTY] * (cap + 1)
+        for j, col in zip(js, part):
+            cols[j] = col
         return LinearOp._sparse(cols, den, cap, tcols)
 
     def indices(self) -> list[Index]:
@@ -176,13 +173,23 @@ class FormalOpSeries:
             raise CapMismatchError("mixed series shapes")
 
 
+def max_abs_entry(op: LinearOp, cols: Iterable[int]) -> Fraction:
+    """Largest |entry| of ``op`` over the given columns."""
+    return max(
+        (abs(Fraction(x, op.den)) for j in cols for x in op.cols[j][1]),
+        default=ZERO,
+    )
+
+
 def series_first_difference(
     a: FormalOpSeries, b: FormalOpSeries, columns: Iterable[int]
-) -> tuple[Index | None, bool]:
+) -> tuple[Index | None, bool, Fraction]:
     """(first multi-index, ordered by total order and then
     lexicographically, where the coefficients differ on the given
-    columns, or None; tainted), the taint gathered by
-    ``LinearOp.compare_on_columns`` over the coefficients compared.
+    columns, or None; tainted; residual), the taint gathered by
+    ``LinearOp.compare_on_columns`` over the coefficients compared and
+    the residual the largest |entry| of a - b over ``columns`` at that
+    multi-index, 0 when there is none.
 
     Each coefficient of the word-merged difference a - b is summed on
     ``columns`` only and compared with zero.  A word on both sides
@@ -193,8 +200,9 @@ def series_first_difference(
     zero = LinearOp.zero(a.table.cap)
     tainted = False
     for idx in diff.indices():
-        bad, marked = diff.materialize(idx, cols).compare_on_columns(zero, cols)
+        coef = diff.materialize(idx, cols)
+        bad, marked = coef.compare_on_columns(zero, cols)
         tainted = tainted or marked
         if bad is not None:
-            return idx, tainted
-    return None, tainted
+            return idx, tainted, max_abs_entry(coef, cols)
+    return None, tainted, ZERO

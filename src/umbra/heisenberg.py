@@ -36,7 +36,7 @@ from .core import (
     format_rational,
     op_commutator,
 )
-from .formal import FormalOpSeries, OpWordTable, series_first_difference
+from .formal import FormalOpSeries, OpWordTable, max_abs_entry, series_first_difference
 from .models import UmbralModel
 from .reports import VerificationReport, status_of
 from .transforms import expand_in_basis
@@ -134,14 +134,6 @@ def _safe_columns(m: UmbralModel, output_degree: int) -> list[int]:
     return [m.degree_of_index(j) for j in range(output_degree + 1)]
 
 
-def _max_abs_entry(op: LinearOp, cols: Iterable[int]) -> Fraction:
-    """Largest |entry| of ``op`` over the given columns."""
-    return max(
-        (abs(Fraction(x, op.den)) for j in cols for x in op.cols[j][1]),
-        default=ZERO,
-    )
-
-
 def _formal_report(
     check: str,
     m: UmbralModel,
@@ -151,15 +143,14 @@ def _formal_report(
     rhs: FormalOpSeries,
 ) -> VerificationReport:
     cols = _safe_columns(m, output_degree)
-    idx, tainted = series_first_difference(lhs, rhs, cols)
+    idx, tainted, worst = series_first_difference(lhs, rhs, cols)
     params = {
         "order": order,
         "output_index": output_degree,
         "n_work": m.n_max,
     }
-    worst, ff = ZERO, None
+    ff = None
     if idx is not None:
-        worst = _max_abs_entry((lhs + rhs.scale(-1)).materialize(idx, cols), cols)
         ff = {"multi_index": {name: k for name, k in zip(lhs.params, idx) if k}}
     return VerificationReport(
         check=check, model=m.label(), params=params,
@@ -561,7 +552,7 @@ def metaplectic_check(
         bad, tainted = lhs.compare_on_columns(rhs, cols)
         worst, ff = ZERO, None
         if bad is not None:
-            worst = _max_abs_entry(lhs - rhs, [bad])
+            worst = max_abs_entry(lhs - rhs, [bad])
             ff = {"degree": bad}
         out.append(VerificationReport(
             check=name, model=m.label(), params=dict(params),

@@ -53,8 +53,8 @@ MUTANTS = (
     Mutant(
         "the last certified column left out of the restricted combination",
         "src/umbra/formal.py",
-        "js = sorted(set(columns))",
-        "js = sorted(set(columns))[:-1]",
+        "else sorted(set(columns))",
+        "else sorted(set(columns))[:-1]",
         (
             "tests/test_formal.py::test_a_restricted_coefficient_is_the_full_one_on_its_columns",
             "tests/test_formal.py::test_the_difference_comparison_matches_the_two_sided_oracle",

@@ -197,13 +197,14 @@ def test_series_first_difference_locates_mismatch():
     a.add_term((2,), Fraction(1), "L")
     b.add_term((2,), Fraction(2), "L")
     cols = list(range(cap + 1))
-    assert series_first_difference(a, b, cols) == ((2,), False)
-    assert series_first_difference(a, a, cols) == (None, False)
+    # a - b is -L = -d/dt there, whose largest entry is 5 on column 5
+    assert series_first_difference(a, b, cols) == ((2,), False, 5)
+    assert series_first_difference(a, a, cols) == (None, False, 0)
     # R marks column 5: a compared mark on either side taints
     a.add_term((1,), Fraction(1), "R")
     b.add_term((1,), Fraction(1), "R")
-    assert series_first_difference(a, a, cols) == (None, True)
-    assert series_first_difference(a, b, cols[:5]) == ((2,), False)
+    assert series_first_difference(a, a, cols) == (None, True, 0)
+    assert series_first_difference(a, b, cols[:5]) == ((2,), False, 4)
 
 
 # -- comparison through the word-merged difference ---------------------
@@ -235,7 +236,7 @@ def test_the_difference_sums_only_compared_columns_of_uncancelled_words(monkeypa
     a.add_term((1,), Fraction(1), "R")
     b.add_term((1,), Fraction(2), "R")
     calls = _counting_calls(monkeypatch, "imat_comb")
-    assert series_first_difference(a, b, [0, 2, 3]) == ((1,), False)
+    assert series_first_difference(a, b, [0, 2, 3]) == ((1,), False, 1)
     # index (0,) cancels word by word; at (1,) only "R" is left, and
     # only the three compared columns are summed
     assert [(len(terms), len(terms[0][1])) for (terms,) in calls] == [(1, 3)]
@@ -252,10 +253,10 @@ def test_a_word_cancelled_in_the_difference_still_taints():
     for s in (a, b):
         s.add_term((1,), Fraction(2, 3), "R")
         s.add_term((1,), Fraction(1), "L")
-    idx, tainted = series_first_difference(a, b, range(cap + 1))
+    idx, tainted, _ = series_first_difference(a, b, range(cap + 1))
     assert (idx, tainted) == (None, True)
     assert status_of(idx, tainted) == INCONCLUSIVE
-    assert series_first_difference(a, b, range(cap)) == (None, False)
+    assert series_first_difference(a, b, range(cap)) == (None, False, 0)
     report = _formal_report("weyl-relation", build_model("monomial", cap), 1, cap, a, b)
     assert report.status == INCONCLUSIVE
 
@@ -309,7 +310,7 @@ def test_the_difference_comparison_matches_the_two_sided_oracle(pair, data):
     cap, letters, (a, b), (pa, pb) = pair
     cols = data.draw(st.lists(st.integers(0, cap), unique=True))
     want = ref.two_sided_first_difference(pa, pb, letters, cols)
-    assert series_first_difference(a, b, cols) == want[:2]
+    assert series_first_difference(a, b, cols) == want
     # the report reads its columns from a catalog model at this cap:
     # every column, or the even ones
     if cap % 2 == 0 and data.draw(st.booleans()):
