@@ -119,6 +119,13 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def integer_vector(values: Sequence[Fraction]) -> tuple[dict[int, int], int]:
+    """A rational vector as its nonzero {index: integer numerator} over
+    one positive denominator."""
+    nums, den = _common_denominator(values)
+    return {i: x for i, x in enumerate(nums) if x}, den
+
+
 class Poly:
     """Polynomial of degree <= cap with exact rational coefficients.
 
@@ -481,27 +488,29 @@ class LinearOp:
         cols = [(rows, tuple(p * x for x in vals)) for rows, vals in self.cols]
         return LinearOp._sparse(cols, self.den * q.denominator, self.cap, self.trunc_cols)
 
+    def times_vector(self, vec: Mapping[int, int]) -> dict[int, int]:
+        """This matrix times the column whose nonzero integer entries
+        are ``vec`` (index -> numerator), as {row: nonzero numerator}
+        over ``den`` times the column's own denominator."""
+        acc: dict[int, int] = {}
+        cols = self.cols
+        for j, y in vec.items():
+            rows, vals = cols[j]
+            for i, x in zip(rows, vals):
+                acc[i] = acc.get(i, 0) + x * y
+        return {i: v for i, v in acc.items() if v}
+
     def apply(self, f: Poly) -> Poly:
         if f.cap != self.cap:
             raise CapMismatchError(
                 f"degree caps differ: {self.cap} vs {f.cap}"
             )
-        support = [(j, c) for j, c in enumerate(f.coeffs) if c]
-        nums, fden = _common_denominator([c for _, c in support])
-        acc: dict[int, int] = {}
-        for (j, _), y in zip(support, nums):
-            rows, vals = self.cols[j]
-            for i, x in zip(rows, vals):
-                acc[i] = acc.get(i, 0) + x * y
+        vec, fden = integer_vector(f.coeffs)
         d = self.den * fden
         cs = [ZERO] * (f.cap + 1)
-        for i, v in acc.items():
-            if v:
-                cs[i] = Fraction(v, d)
-        tainted = f.truncated or any(
-            f.coeffs[j] for j in self.trunc_cols if j <= f.cap
-        )
-        return Poly(cs, f.cap, tainted)
+        for i, v in self.times_vector(vec).items():
+            cs[i] = Fraction(v, d)
+        return Poly(cs, f.cap, f.truncated or not self.trunc_cols.isdisjoint(vec))
 
     def is_nilpotent(self) -> bool:
         """True iff the matrix is nilpotent (checked by repeated squaring;

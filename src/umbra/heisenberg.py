@@ -39,7 +39,8 @@ from .core import (
 from .formal import FormalOpSeries, OpWordTable, max_abs_entry, series_first_difference
 from .models import UmbralModel
 from .reports import VerificationReport, status_of
-from .transforms import expand_in_basis
+from .kernels import EMPTY
+from .transforms import require_top_degree
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +567,9 @@ def metaplectic_sequences(
 ) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
     """Diagonal data of the squared-ladder triple on the even-index
     sub-ladder q_k = p_{2k}: lower2 q_k = a_k q_{k-1},
-    raise2 q_k = b_k q_{k+1}, z q_k = c_k q_k, extracted honestly by
-    expanding the images in the model basis.  The top raising entry
+    raise2 q_k = b_k q_{k+1}, z q_k = c_k q_k, extracted honestly as
+    entries of the product D S B of the dual matrix, each squared
+    ladder S and the even basis columns.  The top raising entry
     cannot be read off a capped space and is stored as 0; the closure
     solver never consults it."""
     return _metaplectic_sequences(m)[:3]
@@ -576,49 +578,52 @@ def metaplectic_sequences(
 def _metaplectic_sequences(
     m: UmbralModel,
 ) -> tuple[list[Fraction], list[Fraction], list[Fraction], bool]:
-    """``metaplectic_sequences`` plus the truncation flag of the images."""
+    """``metaplectic_sequences`` plus the truncation flag of the images
+    S p_2k it reads: the marks of S B on those columns.  Each image
+    must lie in the model's space, at or below the top basis degree,
+    and its expansion D S p_2k must have one nonzero, on the expected
+    index; anything else there leaks."""
     s = metaplectic(m)
     top = m.n_max // 2
+    basis, d = m.basis_op, m.dual_op
+    b_even = LinearOp._sparse(
+        [col if n % 2 == 0 else EMPTY for n, col in enumerate(basis.cols)],
+        basis.den, basis.cap, basis.trunc_cols,
+    )
+    low, diag, high = (op @ b_even for op in (s.lower2, s.z, s.raise2))
+    d_low, d_diag, d_high = d @ low, d @ diag, d @ high
+
+    def in_space(image: LinearOp, k: int) -> None:
+        rows = image.cols[2 * k][0]
+        m.check_degrees_in_space(rows)
+        require_top_degree(m, rows[-1] if rows else -1)
+
+    def entry(expanded: LinearOp, k: int, want: int, what: str) -> Fraction:
+        rows, vals = expanded.cols[2 * k]
+        for n in rows:
+            if n != want:
+                raise ParameterError(
+                    f"{what} is not diagonal on {m.label()}: "
+                    f"index {2 * k} leaks onto {n}"
+                )
+        return Fraction(vals[0], expanded.den) if rows else ZERO
+
     a: list[Fraction] = []
     b: list[Fraction] = []
     c: list[Fraction] = []
-    flags: list[bool] = []
-
-    def expand(op: LinearOp, p) -> list[Fraction]:
-        image = op.apply(p)
-        flags.append(image.truncated)
-        return expand_in_basis(m, image)
-
     for k in range(top + 1):
-        p = m.basis[2 * k]
-        low = expand(s.lower2, p)
-        diag = expand(s.z, p)
-        for n, q in enumerate(low):
-            if q and n != 2 * k - 2:
-                raise ParameterError(
-                    f"squared lowering is not diagonal on {m.label()}: "
-                    f"index {2 * k} leaks onto {n}"
-                )
-        for n, q in enumerate(diag):
-            if q and n != 2 * k:
-                raise ParameterError(
-                    f"z is not diagonal on {m.label()}: "
-                    f"index {2 * k} leaks onto {n}"
-                )
-        a.append(low[2 * k - 2] if k else ZERO)
-        c.append(diag[2 * k])
+        in_space(low, k)
+        in_space(diag, k)
+        a.append(entry(d_low, k, 2 * k - 2, "squared lowering"))
+        c.append(entry(d_diag, k, 2 * k, "z"))
         if k < top:
-            high = expand(s.raise2, p)
-            for n, q in enumerate(high):
-                if q and n != 2 * k + 2:
-                    raise ParameterError(
-                        f"squared raising is not diagonal on {m.label()}: "
-                        f"index {2 * k} leaks onto {n}"
-                    )
-            b.append(high[2 * k + 2])
+            in_space(high, k)
+            b.append(entry(d_high, k, 2 * k + 2, "squared raising"))
         else:
             b.append(ZERO)
-    return a, b, c, any(flags)
+    reads = ((low, top + 1), (diag, top + 1), (high, top))
+    tainted = any(2 * k in image.trunc_cols for image, count in reads for k in range(count))
+    return a, b, c, tainted
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     CapMismatchError,
@@ -103,8 +103,14 @@ class UmbralModel:
         """Raise DomainError if f lies outside the model's graded space
         (odd-degree content for the even-parity models)."""
         if self.parity is Parity.EVEN:
-            for k in range(1, f.cap + 1, 2):
-                if f.coeffs[k]:
+            self.check_degrees_in_space(k for k in range(1, f.cap + 1, 2) if f.coeffs[k])
+
+    def check_degrees_in_space(self, degrees: Iterable[int]) -> None:
+        """``check_in_space`` for a polynomial given by its nonzero
+        degrees in increasing order."""
+        if self.parity is Parity.EVEN:
+            for k in degrees:
+                if k % 2:
                     raise DomainError(
                         f"{self.label()} lives on even polynomials; "
                         f"input has a nonzero t^{k} coefficient"
@@ -129,6 +135,18 @@ class UmbralModel:
         for _ in range(self.n_max):
             out.append(out[-1].after(self.lowering))
         return tuple(out)
+
+    @functools.cached_property
+    def dual_op(self) -> LinearOp:
+        """D, whose row k is the dual l_k, computed once per model.  It
+        carries no truncation marks; ``dual_matrix`` adds them."""
+        return rows_matrix(self.degree_cap, self.duals)
+
+    @functools.cached_property
+    def basis_op(self) -> LinearOp:
+        """B = ``basis_matrix(self, n_max)``, column n being p_n,
+        computed once per model."""
+        return basis_matrix(self, self.n_max)
 
     @functools.cached_property
     def words(self) -> OpWordTable:
@@ -443,15 +461,16 @@ def rows_matrix(cap: int, rows: Sequence[Functional]) -> LinearOp:
 
 
 def dual_matrix(m: UmbralModel) -> LinearOp:
-    """D, whose row k is the dual l_k = l_0 o L^k.  It marks every
-    column that L's sparsity pattern leads to a column L marks: the
-    closure of L's marks, which holds each mark ``@`` gives a power L^k."""
+    """The model's cached D (row k is the dual l_k = l_0 o L^k), marking
+    every column that L's sparsity pattern leads to a column L marks:
+    the closure of L's marks, which holds each mark ``@`` gives a power
+    L^k."""
     marks, grew = set(m.lowering.trunc_cols), True
     while grew:
         reach = {j for j, (rows, _) in enumerate(m.lowering.cols) if not marks.isdisjoint(rows)}
         grew = not reach <= marks
         marks |= reach
-    d = rows_matrix(m.degree_cap, m.duals)
+    d = m.dual_op
     return LinearOp._sparse(d.cols, d.den, d.cap, marks, reduced=True)
 
 
@@ -491,7 +510,7 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
     if m.nu is not None:
         params["nu"] = m.nu
     top, cap = m.n_max, m.degree_cap
-    b = basis_matrix(m, top)
+    b = m.basis_op
     s_up = LinearOp.from_columns(cap, lambda j: {j + 1: j + 1} if j < cap else {})
     comm = op_commutator(m.raising, m.lowering)
     outcomes = {

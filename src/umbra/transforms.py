@@ -8,12 +8,18 @@ the hub for mapping one umbral model onto another: expand in the source
 basis through the dual functionals l_k = l_0 o L^k, reassemble in the
 target basis.
 
-W_0 is linear: W_0 = diag(1/k!) D, row k of D being the dual l_k.  On
-the basis matrix B (column n is p_n) its defining properties are the
-operator identities W_0 B = diag(1/n!), W_0 L B = D_u W_0 B and
-W_0 R B = U W_0 B, with D_u = d/du and U the product by u, and that is
-how ``covariant_check`` tests them.  ``covariant_w0`` applies L to its
-one input again and again, which costs less than building D.
+Both halves of that map are products over the integers with two
+operators each model builds once (``UmbralModel.dual_op`` and
+``basis_op``): the expansion is D f, row k of D being the dual l_k,
+and the reassembly is B c, column n of B being p_n.
+
+W_0 is linear: W_0 = diag(1/k!) D.  On the basis matrix B its defining
+properties are the operator identities W_0 B = diag(1/n!),
+W_0 L B = D_u W_0 B and W_0 R B = U W_0 B, with D_u = d/du and U the
+product by u, and that is how ``covariant_check`` tests them.
+``covariant_w0`` applies L to its one input again and again, on
+integer numerators over one denominator: for one request on a freshly
+built model that costs less than building D.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from .core import (
     DomainError,
     Functional,
     LinearOp,
-    ONE,
     Poly,
     ZERO,
+    integer_vector,
 )
 from .models import Parity, UmbralModel, basis_matrix, dual_matrix, require_order
 from .models import _derivative_op, _mult_by_t_op, lowering_mismatch, pairing_mismatch
@@ -40,24 +46,30 @@ def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
     """Profile of f in the monomial picture: coefficient k of the output
     is <l_0, L^k f>/k!, in a fresh variable u at the same cap.
 
-    A truncation-tainted input taints the output flag as usual.
+    L^k f is kept as integer numerators over one denominator.  A
+    truncation-tainted input taints the output flag as usual.
     """
     m.check_in_space(f)
     if f.cap != m.degree_cap:
         raise CapMismatchError(
             f"input cap {f.cap} differs from model cap {m.degree_cap}"
         )
+    low = m.lowering
+    vac, vden = integer_vector(m.vacuum.row)
+    g, den = integer_vector(f.coeffs)
     coeffs = [ZERO] * (f.cap + 1)
-    g = f
-    kfact = ONE
+    tainted = f.truncated
+    kfact = 1
     for k in range(m.n_max + 1):
         if k:
             kfact *= k
-        coeffs[k] = m.vacuum.pair(g) / kfact
-        g = m.lowering.apply(g)
-        if g.is_zero() and not g.truncated:
+        pair = sum(x * g[i] for i, x in vac.items() if i in g)
+        coeffs[k] = Fraction(pair, vden * den * kfact)
+        tainted = tainted or not low.trunc_cols.isdisjoint(g)
+        g, den = low.times_vector(g), den * low.den
+        if not g and not tainted:
             break
-    return Poly(coeffs, f.cap, f.truncated or g.truncated)
+    return Poly(coeffs, f.cap, tainted)
 
 
 def dual_functionals(m: UmbralModel) -> list[Functional]:
@@ -67,8 +79,18 @@ def dual_functionals(m: UmbralModel) -> list[Functional]:
     return list(m.duals)
 
 
+def require_top_degree(m: UmbralModel, degree: int) -> None:
+    """Refuse a polynomial of degree above the model's top basis degree."""
+    top = m.degree_of_index(m.n_max)
+    if degree > top:
+        raise DomainError(
+            f"degree {degree} exceeds the top basis degree {top}"
+        )
+
+
 def expand_in_basis(m: UmbralModel, f: Poly) -> list[Fraction]:
-    """Coefficients c_k = <l_k, f> of f = sum_k c_k p_k.
+    """Coefficients c_k = <l_k, f> of f = sum_k c_k p_k, as the product
+    D f with the model's dual matrix D.
 
     The expansion is exact for any f inside the model's graded space
     (the basis matrix is triangular with nonzero diagonal there);
@@ -79,28 +101,23 @@ def expand_in_basis(m: UmbralModel, f: Poly) -> list[Fraction]:
         raise CapMismatchError(
             f"input cap {f.cap} differs from model cap {m.degree_cap}"
         )
-    top = m.degree_of_index(m.n_max)
-    if f.degree() > top:
-        raise DomainError(
-            f"degree {f.degree()} exceeds the top basis degree {top}"
-        )
-    return [l.pair(f) for l in dual_functionals(m)]
+    require_top_degree(m, f.degree())
+    return list(m.dual_op.apply(f).coeffs[: m.n_max + 1])
 
 
 def reassemble(m: UmbralModel, coeffs: list[Fraction]) -> Poly:
-    """sum_k coeffs[k] p_k in the model's own space."""
+    """sum_k coeffs[k] p_k in the model's own space, as the product B c
+    with the model's basis matrix B; flagged when a p_k with a nonzero
+    coefficient is."""
     if len(coeffs) > m.n_max + 1:
         raise CapMismatchError("more coefficients than basis elements")
-    acc = Poly.zero(m.degree_cap)
-    for c, p in zip(coeffs, m.basis):
-        if c:
-            acc = acc + p.scale(c)
-    return acc
+    return m.basis_op.apply(Poly(coeffs, m.degree_cap))
 
 
 def umbral_map(src: UmbralModel, dst: UmbralModel, f: Poly) -> Poly:
     """Transmutation between models: expand f in the source basis and
-    reassemble index-wise in the target basis (p_k -> ptilde_k).
+    reassemble index-wise in the target basis (p_k -> ptilde_k).  The
+    image is flagged when f or a target basis element it uses is.
 
     Both models must carry the same number of basis elements.  The map
     is index-wise, so crossing parity is fine (monomial index n lands
@@ -111,7 +128,8 @@ def umbral_map(src: UmbralModel, dst: UmbralModel, f: Poly) -> Poly:
         raise CapMismatchError(
             f"index counts differ: {src.n_max} vs {dst.n_max}"
         )
-    return reassemble(dst, expand_in_basis(src, f)).with_flag(f.truncated)
+    image = reassemble(dst, expand_in_basis(src, f))
+    return image.with_flag(image.truncated or f.truncated)
 
 
 def check_transmutation_intertwining(
@@ -150,8 +168,7 @@ def check_transmutation_intertwining(
 
 def _dense_combination(m: UmbralModel) -> Poly:
     """sum_n (n+1)/(n+2) p_n, a round-trip input touching every p_n."""
-    terms = (p.scale(Fraction(n + 1, n + 2)) for n, p in enumerate(m.basis))
-    return sum(terms, Poly.zero(m.degree_cap))
+    return reassemble(m, [Fraction(n + 1, n + 2) for n in range(m.n_max + 1)])
 
 
 def biorthogonality_check(m: UmbralModel) -> VerificationReport:
@@ -159,7 +176,7 @@ def biorthogonality_check(m: UmbralModel) -> VerificationReport:
     l_k B = e_k on the basis matrix B taken k by k, plus the round trip
     reassemble(expand(f)) = f on a dense combination of the basis.
     D B carries the marks of B and of ``dual_matrix``."""
-    db = dual_matrix(m) @ basis_matrix(m, m.n_max)
+    db = dual_matrix(m) @ m.basis_op
     bad = None
     for k in range(m.n_max + 1):
         n, tainted = pairing_mismatch(db, k, m.n_max)
@@ -193,7 +210,7 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
     inv_fact = LinearOp.from_columns(
         cap, lambda j: {j: Fraction(1, math.factorial(j))} if j <= top else {}
     )
-    w0, b = inv_fact @ dual_matrix(m), basis_matrix(m, top)
+    w0, b = inv_fact @ dual_matrix(m), m.basis_op
     wb = w0 @ b
     lb, rb = m.lowering @ b, m.raising @ b
     bad, tainted = None, False

@@ -81,6 +81,59 @@ MUTANTS = (
         "hit = self._ops[word[-1]] @ self.op(word[:-1])",
         ("tests/test_formal.py::test_word_table_words_are_products",),
     ),
+    Mutant(
+        "the sl2 taint taken from the dual matrix's closure marks",
+        "src/umbra/heisenberg.py",
+        "    tainted = any(2 * k in image.trunc_cols",
+        "    from .models import dual_matrix\n"
+        "    tainted = any(2 * k in dual_matrix(m).trunc_cols",
+        (
+            "tests/test_truncation_rule.py::test_a_marked_raising_never_passes",
+            "tests/test_truncation_rule.py::test_basis_expansion_agrees_with_the_fraction_pairing",
+        ),
+    ),
+    Mutant(
+        "the sl2 taint of the squared-ladder images ignored",
+        "src/umbra/heisenberg.py",
+        "tainted = any(2 * k in image.trunc_cols",
+        "tainted = False and any(2 * k in image.trunc_cols",
+        ("tests/test_truncation_rule.py::test_a_marked_raising_never_passes",),
+    ),
+    Mutant(
+        "reassembly dropping the basis matrix's marks",
+        "src/umbra/transforms.py",
+        "return m.basis_op.apply(Poly(coeffs, m.degree_cap))",
+        "return m.basis_op.apply(Poly(coeffs, m.degree_cap)).with_flag(False)",
+        ("tests/test_truncation_rule.py::test_a_flagged_target_basis_polynomial_taints_the_umbral_map",),
+    ),
+    Mutant(
+        "covariant keeping only the last identity's taint",
+        "src/umbra/transforms.py",
+        "tainted |= marked",
+        "tainted = marked",
+        ("tests/test_truncation_rule.py::test_a_flagged_top_basis_polynomial_leaves_covariant_inconclusive",),
+    ),
+    Mutant(
+        "covariant_w0 ignoring the lowering's marks",
+        "src/umbra/transforms.py",
+        "tainted = tainted or not low.trunc_cols.isdisjoint(g)",
+        "tainted = tainted",
+        ("tests/test_truncation_rule.py::test_w0_flags_an_input_that_reaches_a_marked_lowering_column",),
+    ),
+    Mutant(
+        "binomial taint read from p_n alone",
+        "src/umbra/translations.py",
+        "any(p.truncated for p in m.basis[: n + 1])",
+        "m.basis[n].truncated",
+        ("tests/test_truncation_rule.py::test_a_flagged_binomial_basis_polynomial_taints_every_later_index",),
+    ),
+    Mutant(
+        "binomial's shifted side without its top Taylor term",
+        "src/umbra/translations.py",
+        "for i in range(c[-1][0] + 1 if c else 0)",
+        "for i in range(c[-1][0] if c else 0)",
+        ("tests/test_translations.py::test_binomial_check_passes",),
+    ),
 )
 
 

@@ -400,7 +400,20 @@ def biorthogonality_verdict(d):
 # transform input with odd-degree content is outside its space.
 
 class OutOfSpace(Exception):
-    """A transform input left the model's graded space."""
+    """A transform input left the model's graded space; the message is
+    the package's, with d["label"] the model's label."""
+
+
+def in_space(d, f):
+    """Raise OutOfSpace at the first odd-degree coefficient of f in an
+    even model."""
+    if d.get("even"):
+        for k in range(1, len(f), 2):
+            if f[k]:
+                raise OutOfSpace(
+                    f"{d['label']} lives on even polynomials; "
+                    f"input has a nonzero t^{k} coefficient"
+                )
 
 
 def w0(d, f, marked):
@@ -408,8 +421,7 @@ def w0(d, f, marked):
     top basis index, the L^k f found by applying L again and again.  The
     image is tainted when ``marked`` is or when an L^j f it applies L to
     touches a mark of L."""
-    if d.get("even") and any(f[1::2]):
-        raise OutOfSpace
+    in_space(d, f)
     top = len(d["basis"]) - 1
     out = [Fraction(0)] * len(f)
     g = f
@@ -458,6 +470,88 @@ def covariant_verdict(d):
         if n is not None:
             return _verdict((kind, n), tainted)
     return _verdict(None, tainted)
+
+
+# -- basis expansion by pairing with each dual -------------------------
+#
+# The Fraction loops that the products D f, B c and D S B replaced: each
+# expansion coefficient is a pairing with one dual row vac L^k, and a
+# reassembly sums scaled basis lists.  Refusals carry the package's
+# messages: OutOfSpace where it raises DomainError, Leak where it raises
+# ParameterError.
+
+class Leak(Exception):
+    """A squared-ladder image has a coefficient off its diagonal."""
+
+
+def dual_rows(d):
+    """The rows vac L^k for k = 0..top."""
+    rows = [d["vac"]]
+    for _ in range(len(d["basis"]) - 1):
+        rows.append(v_mat(rows[-1], d["L"]))
+    return rows
+
+
+def expand(d, f):
+    """<vac L^k, f> for k = 0..top, once f is known to lie in the space
+    at or below the top basis degree."""
+    in_space(d, f)
+    top = len(d["basis"]) - 1
+    top_degree = 2 * top if d.get("even") else top
+    degree = max((k for k, c in enumerate(f) if c), default=-1)
+    if degree > top_degree:
+        raise OutOfSpace(f"degree {degree} exceeds the top basis degree {top_degree}")
+    return [sum((x * y for x, y in zip(row, f)), Fraction(0)) for row in dual_rows(d)]
+
+
+def reassemble(d, coeffs):
+    """(sum_k coeffs[k] p_k, flagged): flagged when some p_k with a
+    nonzero coefficient is."""
+    out = [Fraction(0)] * len(d["basis"][0])
+    for k, c in enumerate(coeffs):
+        if c:
+            out = p_add(out, p_scale(d["basis"][k], c))
+    return out, any(c and k in d["b_marks"] for k, c in enumerate(coeffs))
+
+
+def metaplectic_by_expansion(d):
+    """(a, b, c, tainted) of the squared ladders LL, RL + 1/2 and RR on
+    q_k = p_2k, each image S p_2k expanded by pairing: lower2 q_k =
+    a_k q_(k-1), z q_k = c_k q_k, raise2 q_k = b_k q_(k+1) (b_top = 0,
+    not read).  For each k in turn: the lower2 and z images are expanded,
+    then checked for leaks, then the raise2 image.  An image is tainted
+    when p_2k is flagged or touches a word mark of S."""
+    low, high = d["L"], d["R"]
+    size = len(low)
+    half = [[Fraction(int(i == j), 2) for j in range(size)] for i in range(size)]
+    ladders = (
+        (m_mul(low, low), word_marks([low, low], [d["l_marks"]] * 2, size)),
+        (m_add(m_mul(high, low), half), word_marks([high, low], [d["r_marks"], d["l_marks"]], size)),
+        (m_mul(high, high), word_marks([high, high], [d["r_marks"]] * 2, size)),
+    )
+    tainted = False
+
+    def image(which, n):
+        nonlocal tainted
+        mat, marks = ladders[which]
+        p = d["basis"][n]
+        tainted = tainted or n in d["b_marks"] or _touches(p, marks)
+        return expand(d, m_vec(mat, p))
+
+    def entry(coeffs, n, want, what):
+        for i, q in enumerate(coeffs):
+            if q and i != want:
+                raise Leak(f"{what} is not diagonal on {d['label']}: index {n} leaks onto {i}")
+        return coeffs[want] if want >= 0 else Fraction(0)
+
+    top = (len(d["basis"]) - 1) // 2
+    a, b, c = [], [], []
+    for k in range(top + 1):
+        lowered, diagonal = image(0, 2 * k), image(1, 2 * k)
+        a.append(entry(lowered, 2 * k, 2 * k - 2, "squared lowering"))
+        c.append(entry(diagonal, 2 * k, 2 * k, "z"))
+        b.append(entry(image(2, 2 * k), 2 * k, 2 * k + 2, "squared raising") if k < top else Fraction(0))
+    return a, b, c, tainted
 
 
 # -- two-variable identities on Fraction tables in (t, y) ---------------

@@ -118,7 +118,8 @@ def test_each_word_takes_one_product_and_none_with_the_identity(monkeypatch):
 def test_a_catalog_run_makes_few_products(monkeypatch):
     """One word table per model serves every formal check and the
     squared-ladder triple: ``verify --all`` on lower-factorial at degree
-    32 makes 90 operator products (323 with a table per check)."""
+    32 makes 96 operator products, 6 of them the squared-ladder
+    diagonals D S B (323 with a table per check)."""
     calls = _counting_calls(monkeypatch, "imat_mul")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--all", "--degree", "32", "--model", "lower-factorial"]) == 0

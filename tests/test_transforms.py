@@ -1,12 +1,18 @@
 """Dual expansion, covariant transform, model-to-model maps."""
 
+import contextlib
 import dataclasses
+import functools
+import io
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from umbra.core import Poly
-from umbra.models import build_model
+from umbra.cli import main
+from umbra.core import Functional, Poly
+from umbra.models import MODEL_NAMES, Parity, build_model
 from umbra.reports import PASS
 from umbra.transforms import (
     biorthogonality_check,
@@ -207,3 +213,78 @@ def test_generating_table_heat_is_even_exponential():
     for k, row in enumerate(g.table):
         nonzero = {j: c for j, c in enumerate(row) if c}
         assert nonzero == {2 * k: Fraction(1, ref.factorial(2 * k))}
+
+
+# -- round trips over the integers -------------------------------------
+
+VALUES = st.sampled_from([Fraction(0)] * 3 + [Fraction(p, q) for p in (-5, -1, 1, 3) for q in (1, 2, 9)])
+SAME_PARITY = (("monomial", "lower-factorial", "upper-factorial", "hermite"), ("heat", "bessel"))
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_model(name, degree):
+    return build_model(name, degree, NU if name == "bessel" else None)
+
+
+def _in_space(m, values):
+    """The polynomial with coefficient values[n] at the degree of index n."""
+    cs = [Fraction(0)] * (m.degree_cap + 1)
+    for n, v in enumerate(values):
+        cs[m.degree_of_index(n)] = v
+    return Poly(cs, m.degree_cap)
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+@pytest.mark.parametrize(
+    "src,dst", [pair for group in SAME_PARITY for pair in itertools.permutations(group, 2)]
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_umbral_map_there_and_back_is_the_identity(src, dst, degree, data):
+    a, b = _catalog_model(src, degree), _catalog_model(dst, degree)
+    f = _in_space(a, data.draw(st.lists(VALUES, min_size=degree + 1, max_size=degree + 1)))
+    back = umbral_map(b, a, umbral_map(a, b, f))
+    assert back == f and not back.truncated
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+@pytest.mark.parametrize("name", [name for group in SAME_PARITY for name in group])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_expansion_recovers_the_reassembled_coefficients(name, degree, data):
+    m = _catalog_model(name, degree)
+    c = data.draw(st.lists(VALUES, min_size=degree + 1, max_size=degree + 1))
+    assert expand_in_basis(m, reassemble(m, c)) == c
+
+
+def test_parity_groups_cover_the_catalog():
+    assert sorted(n for group in SAME_PARITY for n in group) == sorted(MODEL_NAMES)
+    groups = [{_catalog_model(n, 8).parity for n in group} for group in SAME_PARITY]
+    assert groups == [{Parity.ALL}, {Parity.EVEN}]
+
+
+def _counting_calls(monkeypatch, cls, name):
+    """A list that grows by one entry per call of ``cls.<name>``."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_a_catalog_run_pairs_no_functional_and_builds_few_polys(monkeypatch):
+    """Expansion, reassembly, covariant_w0 and the squared-ladder
+    diagonals run on integer operators: ``verify --all`` on
+    lower-factorial at degree 32 makes no ``Functional.pair`` call and
+    70 ``Poly`` constructions, 33 of them the basis (1,716 and 347 when
+    each expansion paired every dual)."""
+    pairs = _counting_calls(monkeypatch, Functional, "pair")
+    polys = _counting_calls(monkeypatch, Poly, "__init__")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--all", "--degree", "32", "--model", "lower-factorial"]) == 0
+    assert len(pairs) == 0
+    assert len(polys) <= 100

@@ -2,7 +2,10 @@
 check agrees with a plain-list oracle on perturbed models, and a
 truncation mark inside the compared columns never lets a check pass.
 The covariant, binomial and character oracles are the Fraction loops
-the operator and integer-table forms of those checks replaced."""
+the operator and integer-table forms of those checks replaced; so are
+the oracles of the basis expansion, the reassembly, ``covariant_w0``
+and the squared-ladder diagonals, which are compared value, flag and
+refusal alike."""
 
 import dataclasses
 from fractions import Fraction
@@ -12,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from umbra.core import DomainError, Functional, LinearOp, ParameterError, Poly
 from umbra.heisenberg import (
+    _metaplectic_sequences,
     composition_check_formal,
     group_law_check,
     metaplectic_check,
@@ -20,13 +24,23 @@ from umbra.heisenberg import (
 )
 from umbra.models import Parity, build_model, verify_model
 from umbra.reports import PASS
-from umbra.transforms import biorthogonality_check, covariant_check, generating_function
+from umbra.transforms import (
+    biorthogonality_check,
+    check_transmutation_intertwining,
+    covariant_check,
+    covariant_w0,
+    expand_in_basis,
+    generating_function,
+    reassemble,
+    umbral_map,
+)
 from umbra.translations import binomial_check, character_check, delsarte_eigen_check
 
 import reference as ref
 
 KINDS = ("none", "L", "R", "vac", "basis", "mark-L", "mark-R", "mark-basis")
 DELTAS = st.sampled_from([Fraction(p, q) for p in (-2, -1, 1, 3) for q in (1, 2, 5)])
+VALUES = st.sampled_from([Fraction(0)] * 4 + [Fraction(p, q) for p in (-3, -1, 1, 2) for q in (1, 2, 7)])
 
 
 def _dense(op: LinearOp) -> list[list[Fraction]]:
@@ -44,6 +58,7 @@ def _plain(m) -> dict:
         "b_marks": {n for n, p in enumerate(m.basis) if p.truncated},
         "iota": m.iota,
         "even": m.parity is Parity.EVEN,
+        "label": m.label(),
     }
 
 
@@ -59,12 +74,16 @@ def _rebuilt(m, d: dict):
 
 
 @st.composite
-def perturbed_models(draw):
+def perturbed_models(draw, spare=st.just(0)):
     """A catalog model at degree <= 8 with one entry of L, R, the vacuum
     row or a basis coefficient changed, or one truncation mark added.
-    Basis changes stay on even degrees for heat, inside its space."""
+    Basis changes stay on even degrees for heat, inside its space.  The
+    degree cap exceeds the top basis degree by a draw from ``spare``,
+    except on lower-factorial, whose cap is its top index."""
     name = draw(st.sampled_from(["monomial", "lower-factorial", "hermite", "heat"]))
-    m = build_model(name, draw(st.integers(1, 8)))
+    n_max = draw(st.integers(1, 8))
+    extra = 0 if name == "lower-factorial" else draw(spare)
+    m = build_model(name, n_max, cap=(2 * n_max if name == "heat" else n_max) + extra)
     d = _plain(m)
     cap, top = m.degree_cap, m.n_max
     index = st.integers(0, cap)
@@ -190,3 +209,92 @@ def test_a_flagged_basis_polynomial_never_passes_binomial():
     reports = [binomial_check(m, 3), covariant_check(m), character_check(m, 3)]
     assert [r.status for r in reports] == ["inconclusive"] * 3
     assert binomial_check(m, 2).status == PASS
+
+
+def _flagged(model, n):
+    """The model with p_n carrying the truncated flag."""
+    basis = list(model.basis)
+    basis[n] = basis[n].with_flag(True)
+    return dataclasses.replace(model, basis=tuple(basis))
+
+
+def test_a_flagged_binomial_basis_polynomial_taints_every_later_index():
+    """binomial at n reads p_0..p_n: with p_3 flagged, n = 5 is
+    inconclusive as well as n = 3."""
+    m = _flagged(build_model("monomial", 8), 3)
+    assert binomial_check(m, 5).status == "inconclusive"
+
+
+def test_a_flagged_top_basis_polynomial_leaves_covariant_inconclusive():
+    """With p_8 flagged on the monomial model at degree 8, only the image
+    and exchange-lowering identities read column 8; the taint gathered
+    there holds through the exchange-raising identity on 0..7."""
+    assert covariant_check(_flagged(build_model("monomial", 8), 8)).status == "inconclusive"
+
+
+def test_a_flagged_target_basis_polynomial_taints_the_umbral_map():
+    """A hermite target at degree 8 whose p_3 carries the truncated
+    flag: an image that uses p_3 is flagged, one that does not is not,
+    and the transmutation check onto it is inconclusive, like covariant
+    and biorthogonality on the same target."""
+    src, dst = build_model("monomial", 8), _flagged(build_model("hermite", 8), 3)
+    assert umbral_map(src, dst, src.basis[3]).truncated
+    assert not umbral_map(src, dst, src.basis[2]).truncated
+    reports = [check_transmutation_intertwining(src, dst), covariant_check(dst), biorthogonality_check(dst)]
+    assert [r.status for r in reports] == ["inconclusive"] * 3
+
+
+def test_w0_flags_an_input_that_reaches_a_marked_lowering_column():
+    """covariant_w0 on a monomial model whose lowering marks column 5:
+    L^k t^3 never touches column 5, L^k t^6 does."""
+    m = build_model("monomial", 8)
+    low = m.lowering
+    m = dataclasses.replace(m, lowering=LinearOp(low.num, low.den, low.cap, frozenset({5})))
+    assert not covariant_w0(m, Poly.monomial(3, 8)).truncated
+    assert covariant_w0(m, Poly.monomial(6, 8)).truncated
+
+
+def _outcome(call):
+    """("ok", value) or (name of the error raised, its message)."""
+    try:
+        return "ok", call()
+    except (DomainError, ParameterError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _ref_outcome(call):
+    try:
+        return "ok", call()
+    except ref.OutOfSpace as exc:
+        return "DomainError", str(exc)
+    except ref.Leak as exc:
+        return "ParameterError", str(exc)
+
+
+def _poly_outcome(call):
+    """``_outcome`` of a call that returns a Poly, as (coefficients, flag)."""
+    def values():
+        p = call()
+        return list(p.coeffs), p.truncated
+
+    return _outcome(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)), st.data())
+def test_basis_expansion_agrees_with_the_fraction_pairing(case, data):
+    """expand_in_basis (D f), reassemble (B c), covariant_w0 and the
+    squared-ladder diagonals (D S B) against the Fraction loops they
+    replaced, on perturbed models whose cap may exceed the top basis
+    degree, with inputs inside or outside the space."""
+    m, d, _ = case
+    cs = data.draw(st.lists(VALUES, min_size=m.degree_cap + 1, max_size=m.degree_cap + 1))
+    flagged = data.draw(st.booleans())
+    f = Poly(cs, m.degree_cap, flagged)
+    assert _outcome(lambda: expand_in_basis(m, f)) == _ref_outcome(lambda: ref.expand(d, cs))
+    assert _poly_outcome(lambda: covariant_w0(m, f)) == _ref_outcome(lambda: ref.w0(d, cs, flagged))
+    weights = data.draw(st.lists(VALUES, max_size=m.n_max + 1))
+    assert _poly_outcome(lambda: reassemble(m, weights)) == ("ok", ref.reassemble(d, weights))
+    assert _outcome(lambda: _metaplectic_sequences(m)) == _ref_outcome(
+        lambda: ref.metaplectic_by_expansion(d)
+    )
