@@ -128,19 +128,10 @@ class UmbralModel:
         return self.vacuum == Functional.eval_at_zero(self.degree_cap)
 
     @functools.cached_property
-    def duals(self) -> tuple[Functional, ...]:
-        """l_k = l_0 o L^k for k = 0..n_max, computed once per model;
-        bi-orthogonal to the basis: <l_k, p_n> = delta_{kn}."""
-        out = [self.vacuum]
-        for _ in range(self.n_max):
-            out.append(out[-1].after(self.lowering))
-        return tuple(out)
-
-    @functools.cached_property
     def dual_op(self) -> LinearOp:
         """D, whose row k is the dual l_k, computed once per model.  It
         carries no truncation marks; ``dual_matrix`` adds them."""
-        return rows_matrix(self.degree_cap, self.duals)
+        return rows_matrix(self.degree_cap, dual_functionals(self))
 
     @functools.cached_property
     def basis_op(self) -> LinearOp:
@@ -458,6 +449,16 @@ def rows_matrix(cap: int, rows: Sequence[Functional]) -> LinearOp:
     """The operator whose row k is the functional rows[k]."""
     tables = [dict(row.terms) for row in rows]
     return LinearOp.from_columns(cap, lambda j: {k: t[j] for k, t in enumerate(tables) if j in t})
+
+
+def dual_functionals(m: UmbralModel) -> list[Functional]:
+    """l_k = l_0 o L^k for k = 0..n_max; bi-orthogonal to the basis:
+    <l_k, p_n> = delta_{kn}.  Each model keeps them only as the rows of
+    its cached ``dual_op``."""
+    out = [m.vacuum]
+    for _ in range(m.n_max):
+        out.append(out[-1].after(m.lowering))
+    return out
 
 
 def dual_matrix(m: UmbralModel) -> LinearOp:

@@ -10,8 +10,9 @@ target basis.
 
 Both halves of that map are products over the integers with two
 operators each model builds once (``UmbralModel.dual_op`` and
-``basis_op``): the expansion is D f, row k of D being the dual l_k,
-and the reassembly is B c, column n of B being p_n.
+``basis_op``): the expansion is D f, row k of D being the dual l_k
+that ``dual_functionals`` computes, and the reassembly is B c, column n
+of B being p_n.
 
 W_0 is linear: W_0 = diag(1/k!) D.  On the basis matrix B its defining
 properties are the operator identities W_0 B = diag(1/n!),
@@ -31,13 +32,13 @@ from fractions import Fraction
 from .core import (
     CapMismatchError,
     DomainError,
-    Functional,
     LinearOp,
     Poly,
     ZERO,
     integer_vector,
 )
 from .models import Parity, UmbralModel, basis_matrix, dual_matrix, require_order
+from .models import dual_functionals  # noqa: F401  (public here: the duals l_k)
 from .models import _derivative_op, _mult_by_t_op, lowering_mismatch, pairing_mismatch
 from .reports import VerificationReport, status_of
 
@@ -70,13 +71,6 @@ def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
         if not g and not tainted:
             break
     return Poly(coeffs, f.cap, tainted)
-
-
-def dual_functionals(m: UmbralModel) -> list[Functional]:
-    """l_k = l_0 o L^k for k = 0..n_max; bi-orthogonal to the basis:
-    <l_k, p_n> = delta_{kn}.  A fresh list over the model's cached
-    ``duals``."""
-    return list(m.duals)
 
 
 def require_top_degree(m: UmbralModel, degree: int) -> None:

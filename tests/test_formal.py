@@ -36,20 +36,6 @@ def _dense(op):
     return [[Fraction(x, op.den) for x in row] for row in op.num]
 
 
-def _counting_calls(monkeypatch, name):
-    """A list that grows by the arguments of each call of the kernel
-    ``kernels.<name>``."""
-    calls = []
-    kernel = getattr(kernels, name)
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(kernels, name, counted)
-    return calls
-
-
 # -- operator word table -----------------------------------------------
 
 def test_word_table_words_are_products():
@@ -102,10 +88,10 @@ def test_word_operators_are_the_letter_products_with_path_closed_marks(pair, wor
         assert table.op(word) is op
 
 
-def test_each_word_takes_one_product_and_none_with_the_identity(monkeypatch):
+def test_each_word_takes_one_product_and_none_with_the_identity(count_calls):
     cap = 5
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
-    calls = _counting_calls(monkeypatch, "imat_mul")
+    calls = count_calls(kernels, "imat_mul")
     words = ["".join(w) for n in range(5) for w in itertools.product("LR", repeat=n)]
     for word in words:
         table.op(word)
@@ -115,24 +101,24 @@ def test_each_word_takes_one_product_and_none_with_the_identity(monkeypatch):
     assert len(calls) == sum(1 for w in words if len(w) >= 2)
 
 
-def test_a_catalog_run_makes_few_products(monkeypatch):
+def test_a_catalog_run_makes_few_products(count_calls):
     """One word table per model serves every formal check and the
     squared-ladder triple: ``verify --all`` on lower-factorial at degree
     32 makes 96 operator products, 6 of them the squared-ladder
     diagonals D S B (323 with a table per check)."""
-    calls = _counting_calls(monkeypatch, "imat_mul")
+    calls = count_calls(kernels, "imat_mul")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--all", "--degree", "32", "--model", "lower-factorial"]) == 0
     assert len(calls) <= 110
 
 
-def test_a_catalog_run_makes_few_combinations(monkeypatch):
+def test_a_catalog_run_makes_few_combinations(count_calls):
     """Each formal comparison sums the word-merged difference of its two
     sides on the certified columns only, with no kernel call where the
     words cancel: ``verify --all`` on lower-factorial at degree 32 makes
     101 ``kernels.imat_comb`` calls (899 when each side is summed in
     full)."""
-    calls = _counting_calls(monkeypatch, "imat_comb")
+    calls = count_calls(kernels, "imat_comb")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--all", "--degree", "32", "--model", "lower-factorial"]) == 0
     assert len(calls) <= 150
@@ -226,7 +212,7 @@ def test_a_restricted_coefficient_is_the_full_one_on_its_columns():
     assert s.materialize((1,), [4, 1]).trunc_cols == s.materialize((1,)).trunc_cols == {cap}
 
 
-def test_the_difference_sums_only_compared_columns_of_uncancelled_words(monkeypatch):
+def test_the_difference_sums_only_compared_columns_of_uncancelled_words(count_calls):
     cap = 5
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
     a = FormalOpSeries(("x",), 2, table)
@@ -236,7 +222,7 @@ def test_the_difference_sums_only_compared_columns_of_uncancelled_words(monkeypa
         s.add_term((1,), Fraction(1), "LR")
     a.add_term((1,), Fraction(1), "R")
     b.add_term((1,), Fraction(2), "R")
-    calls = _counting_calls(monkeypatch, "imat_comb")
+    calls = count_calls(kernels, "imat_comb")
     assert series_first_difference(a, b, [0, 2, 3]) == ((1,), False, 1)
     # index (0,) cancels word by word; at (1,) only "R" is left, and
     # only the three compared columns are summed

@@ -263,27 +263,14 @@ def test_parity_groups_cover_the_catalog():
     assert groups == [{Parity.ALL}, {Parity.EVEN}]
 
 
-def _counting_calls(monkeypatch, cls, name):
-    """A list that grows by one entry per call of ``cls.<name>``."""
-    calls = []
-    method = getattr(cls, name)
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return method(*args, **kwargs)
-
-    monkeypatch.setattr(cls, name, counted)
-    return calls
-
-
-def test_a_catalog_run_pairs_no_functional_and_builds_few_polys(monkeypatch):
+def test_a_catalog_run_pairs_no_functional_and_builds_few_polys(count_calls):
     """Expansion, reassembly, covariant_w0 and the squared-ladder
     diagonals run on integer operators: ``verify --all`` on
     lower-factorial at degree 32 makes no ``Functional.pair`` call and
     70 ``Poly`` constructions, 33 of them the basis (1,716 and 347 when
     each expansion paired every dual)."""
-    pairs = _counting_calls(monkeypatch, Functional, "pair")
-    polys = _counting_calls(monkeypatch, Poly, "__init__")
+    pairs = count_calls(Functional, "pair")
+    polys = count_calls(Poly, "__init__")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--all", "--degree", "32", "--model", "lower-factorial"]) == 0
     assert len(pairs) == 0
