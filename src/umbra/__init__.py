@@ -18,13 +18,10 @@ from .core import (
     DomainError,
     Functional,
     LinearOp,
-    NilpotencyError,
     ParameterError,
     Poly,
     QuadratureError,
     UmbraError,
-    exp_lowering,
-    exp_raising_matrix,
     format_rational,
     op_commutator,
     parse_rational,

@@ -8,7 +8,9 @@ monomial basis t^k.  Three data types live here:
   sticky ``truncated`` flag.  Any operation that would drop a nonzero
   coefficient above the cap sets the flag instead of failing silently;
   verification code downstream treats a set flag as "inconclusive",
-  never as success.
+  never as success.  Polynomials enter and leave the commands in this
+  form; a model's basis is not stored as ``Poly``s but as one
+  ``LinearOp``, its basis matrix, of which ``Poly``s are a view.
 
 * ``LinearOp`` -- a (cap+1) x (cap+1) rational matrix, column j holding
   the image of t^j.  Internally the matrix is sparse and fraction-free:
@@ -55,10 +57,6 @@ class UmbraError(Exception):
 
 class CapMismatchError(UmbraError):
     """Operands live at different degree caps."""
-
-
-class NilpotencyError(UmbraError):
-    """Operator exponential requested for a non-nilpotent operator."""
 
 
 class DomainError(UmbraError):
@@ -512,18 +510,6 @@ class LinearOp:
             cs[i] = Fraction(v, d)
         return Poly(cs, f.cap, f.truncated or not self.trunc_cols.isdisjoint(vec))
 
-    def is_nilpotent(self) -> bool:
-        """True iff the matrix is nilpotent (checked by repeated squaring;
-        on a (cap+1)-dimensional space nilpotency forces A^(cap+1) = 0)."""
-        cols = self.cols
-        e = 1
-        while e <= self.cap:
-            cols = kernels.imat_mul(cols, cols)
-            e *= 2
-            if not any(rows for rows, _ in cols):
-                return True
-        return not any(rows for rows, _ in cols)
-
     def compare_on_columns(
         self, other: "LinearOp", cols: Iterable[int]
     ) -> tuple[int | None, bool]:
@@ -619,74 +605,3 @@ class Functional:
 def op_commutator(a: LinearOp, b: LinearOp) -> LinearOp:
     """[a, b] = a @ b - b @ a."""
     return (a @ b) - (b @ a)
-
-
-def exp_lowering(a: LinearOp, y: Fraction | int, f: Poly) -> Poly:
-    """exp(y*a) applied to f, for nilpotent a: the finite sum
-    sum_k y^k/k! a^k f.  Refuses non-nilpotent operators outright
-    rather than truncating a divergent series."""
-    if not a.is_nilpotent():
-        raise NilpotencyError(
-            "exp_lowering requires a nilpotent operator; "
-            "got one with a nonzero power at every order up to the cap"
-        )
-    y = as_fraction(y)
-    acc = f
-    g = f
-    yk = ONE
-    for k in range(1, a.cap + 2):
-        g = a.apply(g)
-        if g.is_zero() and not g.truncated:
-            break
-        yk *= Fraction(y, k)
-        acc = acc + g.scale(yk)
-    return acc
-
-
-def _exp_series(a: LinearOp, y: Fraction) -> LinearOp:
-    """sum_k y^k a^k / k! for a nilpotent matrix a, up to its first
-    vanishing power."""
-    acc = term = LinearOp.identity(a.cap)
-    yk = ONE
-    for k in range(1, a.cap + 2):
-        term = a @ term
-        if term.is_zero():
-            break
-        yk *= Fraction(y, k)
-        acc = acc + term.scale(yk)
-    return acc
-
-
-def exp_nilpotent_matrix(a: LinearOp, y: Fraction | int) -> LinearOp:
-    """exp(y*a) as a matrix, for genuinely nilpotent a (a lowering
-    operator, typically).  The sum terminates on its own and nothing is
-    lost, so only a's own truncation marks carry over."""
-    if not a.is_nilpotent():
-        raise NilpotencyError(
-            "exp_nilpotent_matrix requires a nilpotent operator"
-        )
-    y = as_fraction(y)
-    if y == 0:
-        return LinearOp.identity(a.cap)
-    return _exp_series(a, y)
-
-
-def exp_raising_matrix(a: LinearOp, x: Fraction | int) -> LinearOp:
-    """exp(x*a) as a matrix on the truncated space.
-
-    For a raising-type operator the true exponential is an infinite
-    series; on the capped space the stored matrix is nilpotent, so the
-    sum below is finite but every column silently lost its above-cap
-    part.  The result therefore marks *all* columns truncated whenever
-    x != 0 (and inherits a.trunc_cols regardless).
-    """
-    x = as_fraction(x)
-    if x == 0:
-        return LinearOp.identity(a.cap)
-    if not a.is_nilpotent():
-        raise NilpotencyError(
-            "exp_raising_matrix needs the capped matrix to be nilpotent"
-        )
-    acc = _exp_series(a, x)
-    all_cols = frozenset(range(a.cap + 1))
-    return LinearOp._sparse(acc.cols, acc.den, acc.cap, all_cols, reduced=True)

@@ -17,22 +17,18 @@ atoms pass each other is exp(-x1*y2).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
-    CapMismatchError,
     CapShortfallError,
     LinearOp,
     ONE,
     ParameterError,
     ZERO,
     as_fraction,
-    exp_nilpotent_matrix,
-    exp_raising_matrix,
     format_rational,
     op_commutator,
 )
@@ -120,15 +116,6 @@ def _pi_series(
         return _exp_ladder_series(table, letter, params, order, (slot,), -1)
 
     return exp("", s_slot).mul(exp("L", y_slot)).mul(exp("R", x_slot))
-
-
-def heisenberg_rep_formal(m: UmbralModel, order: int) -> FormalOpSeries:
-    """The group representation exp(-s) exp(-yL) exp(-xR) as a formal
-    series in (s, x, y) with operator coefficients on the model's
-    capped space.  Coefficient columns for basis indices up to
-    n_max - order are truncation-exact."""
-    _require_cap(m, order, 0)
-    return _pi_series(m.words, ("s", "x", "y"), order, 0, 1, 2)
 
 
 def _safe_columns(m: UmbralModel, output_degree: int) -> list[int]:
@@ -324,50 +311,8 @@ class DiscreteKernel:
         )
         return f"DiscreteKernel[{inner}]"
 
-    def scale(self, q: Fraction | int) -> "DiscreteKernel":
-        q = as_fraction(q)
-        return DiscreteKernel(
-            KernelAtom(a.coef * q, a.log_weight, a.x, a.y) for a in self.atoms
-        )
-
     def __add__(self, other: "DiscreteKernel") -> "DiscreteKernel":
         return DiscreteKernel(list(self.atoms) + list(other.atoms))
-
-    def to_obj(self) -> list[dict[str, str]]:
-        return [
-            {
-                "coef": format_rational(a.coef),
-                "log_weight": format_rational(a.log_weight),
-                "x": format_rational(a.x),
-                "y": format_rational(a.y),
-            }
-            for a in self.atoms
-        ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True)
-
-    @classmethod
-    def from_obj(cls, rows: Iterable[dict]) -> "DiscreteKernel":
-        atoms = []
-        for row in rows:
-            try:
-                atoms.append(KernelAtom(
-                    as_fraction(row["coef"]),
-                    as_fraction(row.get("log_weight", 0)),
-                    as_fraction(row.get("x", 0)),
-                    as_fraction(row.get("y", 0)),
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParameterError(f"bad kernel atom {row!r}: {exc}") from exc
-        return cls(atoms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteKernel":
-        rows = json.loads(text)
-        if not isinstance(rows, list):
-            raise ParameterError("kernel JSON must be an array of atoms")
-        return cls.from_obj(rows)
 
 
 def twisted_convolve(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
@@ -415,74 +360,6 @@ def twisted_convolve_check() -> VerificationReport:
         max_residual=ZERO if ff is None else None,
         first_failure=ff,
     )
-
-
-@dataclass(frozen=True)
-class KernelRep:
-    """Operator of a discrete kernel, grouped by exponent: the sum of
-    exp(log_weight) * op over the stored terms.  Kept in this split
-    form because exp of a nonzero rational is irrational; the float
-    view is taken only at report time."""
-
-    terms: tuple[tuple[Fraction, LinearOp], ...]
-    cap: int
-
-    def linear_op(self) -> LinearOp:
-        """Collapse to a single exact operator; only possible when no
-        irrational weight is present."""
-        if not self.terms:
-            return LinearOp.zero(self.cap)
-        if len(self.terms) == 1 and self.terms[0][0] == 0:
-            return self.terms[0][1]
-        raise ParameterError(
-            "kernel carries irrational weights exp(p/q); "
-            "use float_matrix() for a numeric view"
-        )
-
-    def float_matrix(self) -> list[list[float]]:
-        n = self.cap + 1
-        out = [[0.0] * n for _ in range(n)]
-        for lw, op in self.terms:
-            w = math.exp(lw)
-            for j, (rows, vals) in enumerate(op.cols):
-                for i, x in zip(rows, vals):
-                    out[i][j] += w * x / op.den
-        return out
-
-    @property
-    def trunc_cols(self) -> frozenset[int]:
-        cols: set[int] = set()
-        for _, op in self.terms:
-            cols |= op.trunc_cols
-        return frozenset(cols)
-
-    @property
-    def truncated(self) -> bool:
-        return bool(self.trunc_cols)
-
-
-def rep_of_kernel(
-    m: UmbralModel, k: DiscreteKernel, n_work: int | None = None
-) -> KernelRep:
-    """Sum of coef * exp(log_weight) * exp(yL) exp(xR) over atoms, on
-    the model's capped space.  Any atom with x != 0 leaves every column
-    truncation-marked (the raising exponential loses above-cap mass);
-    lowering-only kernels are exact."""
-    if n_work is not None and n_work != m.n_max:
-        raise CapMismatchError(
-            f"kernel representation requested at working cap {n_work} "
-            f"but model {m.label()} is built at n_max = {m.n_max}"
-        )
-    groups: dict[Fraction, LinearOp] = {}
-    for a in k:
-        op = exp_nilpotent_matrix(m.lowering, a.y) @ exp_raising_matrix(m.raising, a.x)
-        op = op.scale(a.coef)
-        if a.log_weight in groups:
-            groups[a.log_weight] = groups[a.log_weight] + op
-        else:
-            groups[a.log_weight] = op
-    terms = tuple((lw, groups[lw]) for lw in sorted(groups))
-    return KernelRep(terms=terms, cap=m.degree_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,16 @@ Catalog entries:
                       L = B_nu = d^2/dt^2 + (nu/t) d/dt on even
                       polynomials, R : t^{2n} -> t^{2n+2}/(2(2n+nu+1))
 
-The factorial raising operators are the closed form R = t f'(D)^{-1}
-of the delta operator L = f(D) (finite operator calculus); they and
-the factorial and Hermite bases are built over the integers.  On the
-capped space the factorial raising loses (n_max+1) p_{n_max+1} from its
-top column, which is marked truncated.
+A model stores its basis once, as the integer basis matrix B
+(``basis_op``): column n is p_n, as integer numerators over one
+denominator, for n <= n_max; the columns above are zero, and B's
+truncation marks are the flagged p_n.  Every builder emits B straight
+from integer columns; ``UmbralModel.basis``, the p_n as ``Poly``s, is a
+view made on demand.  The factorial raising operators are the closed
+form R = t f'(D)^{-1} of the delta operator L = f(D) (finite operator
+calculus), also built over the integers.  On the capped space the
+factorial raising loses (n_max+1) p_{n_max+1} from its top column,
+which is marked truncated.
 
 The two even-parity models grade by basis index n <-> degree 2n and
 live on the even subspace only; applying their operators to a
@@ -36,6 +41,7 @@ lowering this is forced: B_nu t = nu/t is not a polynomial).
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
@@ -52,7 +58,6 @@ from .core import (
     ParameterError,
     Poly,
     ZERO,
-    _common_denominator,
     as_fraction,
     format_rational,
     op_commutator,
@@ -83,7 +88,7 @@ class UmbralModel:
     n_max: int                    # top basis index
     degree_cap: int               # cap of the ambient polynomial space
     parity: Parity
-    basis: tuple[Poly, ...]       # p_0 .. p_{n_max}
+    basis_op: LinearOp            # B: column n is p_n, marked when p_n is flagged
     lowering: LinearOp
     raising: LinearOp
     vacuum: Functional
@@ -128,16 +133,24 @@ class UmbralModel:
         return self.vacuum == Functional.eval_at_zero(self.degree_cap)
 
     @functools.cached_property
+    def basis(self) -> tuple[Poly, ...]:
+        """p_0 .. p_{n_max} as ``Poly``s, each flagged when B marks its
+        column: a view of ``basis_op`` for the callers that work on
+        polynomials."""
+        b, cap = self.basis_op, self.degree_cap
+        out = []
+        for n, (rows, vals) in enumerate(b.cols[: self.n_max + 1]):
+            cs = [ZERO] * (cap + 1)
+            for i, x in zip(rows, vals):
+                cs[i] = Fraction(x, b.den)
+            out.append(Poly(cs, cap, n in b.trunc_cols))
+        return tuple(out)
+
+    @functools.cached_property
     def dual_op(self) -> LinearOp:
         """D, whose row k is the dual l_k, computed once per model.  It
         carries no truncation marks; ``dual_matrix`` adds them."""
         return rows_matrix(self.degree_cap, dual_functionals(self))
-
-    @functools.cached_property
-    def basis_op(self) -> LinearOp:
-        """B = ``basis_matrix(self, n_max)``, column n being p_n,
-        computed once per model."""
-        return basis_matrix(self, self.n_max)
 
     @functools.cached_property
     def words(self) -> OpWordTable:
@@ -145,37 +158,17 @@ class UmbralModel:
         checks and the squared-ladder triple share."""
         return OpWordTable(self.lowering, self.raising)
 
-    @functools.cached_property
-    def basis_numerators(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
-        """``integer_form`` of each p_n, computed once per model."""
-        return tuple(integer_form(p) for p in self.basis)
 
-
-def integer_form(p: Poly) -> tuple[tuple[tuple[int, int], ...], int]:
-    """p as its nonzero (degree, integer numerator) pairs over one
-    positive denominator."""
-    nums, den = _common_denominator(p.coeffs)
-    return tuple((i, x) for i, x in enumerate(nums) if x), den
-
-
-def bessel_ladder_constants(nu: Fraction, count: int) -> list[Fraction]:
-    """c_0 = 1, c_n = c_{n-1} * 2n(2n + nu - 1).
-
-    These normalizations make B_nu t^{2n}/c_n = t^{2n-2}/c_{n-1}; they
-    are the ground truth for both the exact Bessel model and the float
-    Bessel-function series.
-    """
-    cs = [ONE]
-    for n in range(1, count + 1):
-        cs.append(cs[-1] * 2 * n * (2 * n + nu - 1))
-    return cs
-
-
-def _monomial_basis(n_max: int, cap: int) -> tuple[Poly, ...]:
-    return tuple(
-        Poly.monomial(n, cap, Fraction(1, math.factorial(n)))
-        for n in range(n_max + 1)
-    )
+def _basis_op(cap: int, polys: Sequence[tuple[Sequence[int], int]]) -> LinearOp:
+    """B from p_n = sum_i c[i] t^i / d over the pairs (c, d) of
+    ``polys``, c an integer coefficient list and d > 0, for
+    n = 0..len(polys)-1; the columns above are zero."""
+    den = math.lcm(*(d for _, d in polys))
+    cols = []
+    for cs, d in polys:
+        rows = tuple(i for i, c in enumerate(cs) if c)
+        cols.append((rows, tuple(den // d * cs[i] for i in rows)))
+    return LinearOp._sparse(cols + [EMPTY] * (cap + 1 - len(cols)), den, cap)
 
 
 def _derivative_op(cap: int) -> LinearOp:
@@ -203,35 +196,19 @@ def _shift_op(cap: int, y: int) -> LinearOp:
     )
 
 
-def _integer_basis(polys: Sequence[Sequence[int]], cap: int) -> tuple[Poly, ...]:
-    """p_n = c_n/n! from the integer coefficient lists c_n."""
-    basis = []
-    for n, cs in enumerate(polys):
-        nf = math.factorial(n)
-        basis.append(Poly([Fraction(c, nf) for c in cs], cap))
-    return tuple(basis)
-
-
-def _dual_row0(basis: Sequence[Poly], cap: int, parity: Parity) -> Functional:
-    """Row x with <x, p_n> = delta_{0n}, by triangular back-substitution
-    along the model's grading."""
-    degrees = [
-        (2 * n if parity is Parity.EVEN else n) for n in range(len(basis))
-    ]
-    x = [ZERO] * (cap + 1)
-    for n, p in enumerate(basis):
-        d = degrees[n]
-        lead = p.coeffs[d]
+def _dual_row0(b: LinearOp, n_max: int) -> Functional:
+    """Row x with <x, p_n> = delta_{0n} for the columns p_n of B,
+    n <= n_max, by triangular back-substitution, p_n having degree n."""
+    x = [ZERO] * (b.cap + 1)
+    for n, (rows, vals) in enumerate(b.cols[: n_max + 1]):
+        lead = dict(zip(rows, vals)).get(n)
         if not lead:
             raise ParameterError(
                 f"basis element {n} has zero leading coefficient"
             )
-        acc = sum(
-            (x[i] * c for i, c in enumerate(p.coeffs) if c and x[i]), ZERO
-        )
-        target = ONE if n == 0 else ZERO
-        x[d] = (target - acc) / lead
-    return Functional(x, cap)
+        acc = sum((x[i] * v for i, v in zip(rows, vals) if x[i]), ZERO)
+        x[n] = ((b.den if n == 0 else 0) - acc) / lead
+    return Functional(x, b.cap)
 
 
 def build_monomials(n_max: int, cap: int | None = None) -> UmbralModel:
@@ -246,7 +223,7 @@ def build_monomials(n_max: int, cap: int | None = None) -> UmbralModel:
         n_max=n_max,
         degree_cap=cap,
         parity=Parity.ALL,
-        basis=_monomial_basis(n_max, cap),
+        basis_op=_basis_op(cap, [([0] * n + [1], math.factorial(n)) for n in range(n_max + 1)]),
         lowering=_derivative_op(cap),
         raising=_mult_by_t_op(cap),
         vacuum=Functional.eval_at_zero(cap),
@@ -283,7 +260,7 @@ def _build_factorial(name: str, n_max: int, cap: int | None, step: int) -> Umbra
         n_max=n_max,
         degree_cap=cap,
         parity=Parity.ALL,
-        basis=_integer_basis(cs[: n_max + 1], cap),
+        basis_op=_basis_op(cap, [(c, math.factorial(n)) for n, c in enumerate(cs[: n_max + 1])]),
         lowering=lowering,
         raising=LinearOp._sparse(cols, 1, cap, {cap}, reduced=True),
         vacuum=Functional.eval_at_zero(cap),
@@ -321,7 +298,7 @@ def build_hermite(n_max: int, cap: int | None = None) -> UmbralModel:
     he = [[1], [0, 1]]
     for n in range(1, n_max):  # He_{n+1} = t He_n - n He_{n-1}
         he.append([y - n * x for x, y in zip(he[-2] + [0, 0], [0] + he[-1])])
-    basis = _integer_basis(he, cap)
+    basis_op = _basis_op(cap, [(c, math.factorial(n)) for n, c in enumerate(he)])
     lowering = _derivative_op(cap)
     raising = _mult_by_t_op(cap) - lowering
     return UmbralModel(
@@ -329,10 +306,10 @@ def build_hermite(n_max: int, cap: int | None = None) -> UmbralModel:
         n_max=n_max,
         degree_cap=cap,
         parity=Parity.ALL,
-        basis=basis,
+        basis_op=basis_op,
         lowering=lowering,
         raising=raising,
-        vacuum=_dual_row0(basis, cap, Parity.ALL),
+        vacuum=_dual_row0(basis_op, n_max),
         shift_invariant=True,
     )
 
@@ -347,9 +324,8 @@ def build_heat(n_max: int, cap: int | None = None) -> UmbralModel:
     cap = 2 * n_max if cap is None else cap
     if cap < 2 * n_max:
         raise CapMismatchError("degree cap below top basis degree")
-    basis = tuple(
-        Poly.monomial(2 * n, cap, Fraction(1, math.factorial(2 * n)))
-        for n in range(n_max + 1)
+    basis_op = _basis_op(
+        cap, [([0] * (2 * n) + [1], math.factorial(2 * n)) for n in range(n_max + 1)]
     )
     lowering = LinearOp.from_columns(
         cap,
@@ -369,7 +345,7 @@ def build_heat(n_max: int, cap: int | None = None) -> UmbralModel:
         n_max=n_max,
         degree_cap=cap,
         parity=Parity.EVEN,
-        basis=basis,
+        basis_op=basis_op,
         lowering=lowering,
         raising=raising,
         vacuum=Functional.eval_at_zero(cap),
@@ -391,9 +367,14 @@ def build_bessel(
     cap = 2 * n_max if cap is None else cap
     if cap < 2 * n_max:
         raise CapMismatchError("degree cap below top basis degree")
-    cs = bessel_ladder_constants(nu, n_max)
-    basis = tuple(
-        Poly.monomial(2 * n, cap, 1 / cs[n]) for n in range(n_max + 1)
+    # 1/c_n = q^n / a_n over the integers, with nu = p/q and
+    # a_n = prod_{k<=n} 2k(2kq + p - q) > 0
+    p, q = nu.numerator, nu.denominator
+    a = [1]
+    for k in range(1, n_max + 1):
+        a.append(a[-1] * 2 * k * (2 * k * q + p - q))
+    basis_op = _basis_op(
+        cap, [([0] * (2 * n) + [q**n], a[n]) for n in range(n_max + 1)]
     )
     lowering = LinearOp.from_columns(
         cap,
@@ -415,7 +396,7 @@ def build_bessel(
         n_max=n_max,
         degree_cap=cap,
         parity=Parity.EVEN,
-        basis=basis,
+        basis_op=basis_op,
         lowering=lowering,
         raising=raising,
         vacuum=Functional.eval_at_zero(cap),
@@ -425,16 +406,16 @@ def build_bessel(
 
 
 def basis_matrix(m: UmbralModel, top: int) -> LinearOp:
-    """The basis map B at the model's cap: column n is p_n, marked
-    truncated when p_n carries the flag, for n <= top; every other
-    column is zero.  The ladder axioms are operator identities on B."""
-    for p in m.basis[: top + 1]:
-        m.check_in_space(p)
-    return LinearOp._from_fraction_columns(
-        m.degree_cap,
-        [list(enumerate(p.coeffs)) for p in m.basis[: top + 1]]
-        + [[]] * (m.degree_cap - top),
-        [n for n, p in enumerate(m.basis[: top + 1]) if p.truncated],
+    """B cut to p_0..p_top: its columns and marks for n <= top, each
+    column checked to lie in the model's space; every other column is
+    zero and unmarked.  The ladder axioms are operator identities on
+    it."""
+    b = m.basis_op
+    for rows, _ in b.cols[: top + 1]:
+        m.check_degrees_in_space(rows)
+    return LinearOp._sparse(
+        b.cols[: top + 1] + (EMPTY,) * (b.cap - top), b.den, b.cap,
+        [n for n in b.trunc_cols if n <= top],
     )
 
 
@@ -485,11 +466,16 @@ def require_order(m: UmbralModel, order: int) -> None:
 
 def pairing_mismatch(db: LinearOp, k: int, top: int) -> tuple[int | None, bool]:
     """l_k B = e_k on columns 0..top, given D B with l_k as row k of D:
-    the first n with <l_k, p_n> != delta_kn, and the taint.  e_k, the
-    one entry 1 at (0, k), also picks row k of D B out to row 0."""
-    cols = [EMPTY] * k + [((0,), (1,))] + [EMPTY] * (db.cap - k)
-    e_k = LinearOp._sparse(cols, 1, db.cap, reduced=True)
-    return (e_k @ db).compare_on_columns(e_k, range(top + 1))
+    the first n with <l_k, p_n> != delta_kn, read off row k of D B, and
+    the taint: whether D B marks a column scanned up to there."""
+    tainted = False
+    for n, (rows, vals) in enumerate(db.cols[: top + 1]):
+        tainted = tainted or n in db.trunc_cols
+        i = bisect.bisect_left(rows, k)
+        x = vals[i] if i < len(rows) and rows[i] == k else 0
+        if x != (db.den if n == k else 0):
+            return n, tainted
+    return None, tainted
 
 
 def verify_model(m: UmbralModel) -> list["VerificationReport"]:

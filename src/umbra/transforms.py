@@ -9,10 +9,11 @@ basis through the dual functionals l_k = l_0 o L^k, reassemble in the
 target basis.
 
 Both halves of that map are products over the integers with two
-operators each model builds once (``UmbralModel.dual_op`` and
-``basis_op``): the expansion is D f, row k of D being the dual l_k
-that ``dual_functionals`` computes, and the reassembly is B c, column n
-of B being p_n.
+operators of the model: the expansion is D f, D being built once per
+model (``UmbralModel.dual_op``) with row k the dual l_k that
+``dual_functionals`` computes, and the reassembly is B c, B being the
+model's stored basis matrix (``basis_op``) with column n the basis
+element p_n.
 
 W_0 is linear: W_0 = diag(1/k!) D.  On the basis matrix B its defining
 properties are the operator identities W_0 B = diag(1/n!),

@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from .core import (
     CapMismatchError,
+    LinearOp,
     ParameterError,
     Poly,
     as_fraction,
 )
-from .models import UmbralModel, basis_matrix, integer_form, require_order
+from .models import UmbralModel, basis_matrix, require_order
 from .models import lowering_mismatch, pairing_mismatch, rows_matrix
 from .reports import VerificationReport, status_of
 
@@ -38,8 +40,8 @@ from .reports import VerificationReport, status_of
 def first_difference(lhs: list, rhs: list) -> tuple[int, int] | None:
     """Smallest (t-degree, y-degree) at which the tables sum a(t) b(y)
     over the (a, b) pairs of ``lhs`` and of ``rhs`` differ, each
-    polynomial given in ``integer_form``; both are summed over the
-    integers at one common denominator."""
+    polynomial given by ``_form``; both are summed over the integers at
+    one common denominator."""
     d = math.lcm(*(da * db for (_, da), (_, db) in lhs + rhs))
     size = 1 + max((b[-1][0] for _, (b, _) in lhs + rhs if b), default=0)
     tables = []
@@ -62,6 +64,30 @@ def first_difference(lhs: list, rhs: list) -> tuple[int, int] | None:
     return None
 
 
+def _form(
+    rows: Sequence[int], vals: Sequence[int], den: int
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The polynomial sum_i vals[i] t^rows[i] / den as its nonzero
+    (degree, integer numerator) pairs over its own reduced denominator:
+    the smaller the integers, the cheaper ``first_difference``."""
+    g = math.gcd(den, *vals)
+    return tuple(zip(rows, [x // g for x in vals])), den // g
+
+
+#: The basis matrix ``_column_forms`` read last, with its forms: the
+#: binomial sweep reads one B once per index n, and reducing every
+#: column again on each call would cost a fifth of the sweep.
+_last_forms: tuple[LinearOp | None, list] = (None, [])
+
+
+def _column_forms(b: LinearOp) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """``_form`` of each column of b, kept for the last b asked for."""
+    global _last_forms
+    if _last_forms[0] is not b:
+        _last_forms = (b, [_form(rows, vals, b.den) for rows, vals in b.cols])
+    return _last_forms[1]
+
+
 def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
     """Exact two-variable check of p_n(t+y) = sum_k p_{n-k}(y) p_k(t).
 
@@ -70,11 +96,11 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
     fails either gets a ParameterError naming the failed hypothesis --
     the Hermite model is shift-invariant but has the wrong vacuum.
 
-    With p_k = c_k/d_k over integers, both sides are integer tables at
-    one common denominator d (``first_difference``); for the catalog
-    models d = n! and the right side is sum_k C(n,k) c_k(t) c_{n-k}(y).
-    The check reads p_0..p_n, so a truncation flag on any of them
-    taints it.
+    With p_k = c_k/d_k over integers, read off column k of the basis
+    matrix B, both sides are integer tables at one common denominator d
+    (``first_difference``); for the catalog models d = n! and the right
+    side is sum_k C(n,k) c_k(t) c_{n-k}(y).  The check reads p_0..p_n,
+    so a mark of B on any of them taints it.
     """
     if not 0 <= n <= m.n_max:
         raise CapMismatchError(f"basis index {n} outside 0..{m.n_max}")
@@ -88,7 +114,8 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
             f"not binomial type: {m.label()} vacuum is not evaluation at 0"
         )
     # Taylor: p_n(t + y) = sum_i t^i (d/dy)^i p_n(y) / i!, as pairs of integer forms
-    forms = m.basis_numerators
+    b = m.basis_op
+    forms = _column_forms(b)
     c, den = forms[n]
     shifted = [
         ((((i, 1),), 1), (tuple((j - i, x * math.comb(j, i)) for j, x in c if j >= i), den))
@@ -99,7 +126,7 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
         check="binomial",
         model=m.label(),
         params={"n": n},
-        status=status_of(bad, any(p.truncated for p in m.basis[: n + 1])),
+        status=status_of(bad, any(k in b.trunc_cols for k in range(n + 1))),
         first_failure=bad,
     )
 
@@ -142,20 +169,25 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
     At lambda-order a the left side is sum_{k<=a} p_k(y) (L^k p_a)(t)
     with y kept symbolic, the right side sum_{i+j=a} p_i(y) p_j(t);
     both are exact tables in (t, y) and no cross-order cancellation is
-    possible."""
+    possible.  L^k p_a is formed on integers with ``times_vector``; it
+    is tainted when B marks p_a or L marks a column that L^j p_a,
+    j < k, reaches."""
     require_order(m, order)
+    b, low = m.basis_op, m.lowering
+    forms = _column_forms(b)
     bad = None
     tainted = False
     for a in range(order + 1):
         pairs = []
-        g = m.basis[a]
+        g, den = dict(zip(*b.cols[a])), b.den
+        marked = a in b.trunc_cols
         for k in range(a + 1):
-            pairs.append((integer_form(g), m.basis_numerators[k]))
-            tainted |= g.truncated
-            g = m.lowering.apply(g)
-        diff = first_difference(
-            pairs, [(m.basis_numerators[a - i], m.basis_numerators[i]) for i in range(a + 1)]
-        )
+            rows = sorted(g)
+            pairs.append((_form(rows, [g[i] for i in rows], den), forms[k]))
+            tainted |= marked
+            marked = marked or not low.trunc_cols.isdisjoint(g)
+            g, den = low.times_vector(g), den * low.den
+        diff = first_difference(pairs, [(forms[a - i], forms[i]) for i in range(a + 1)])
         if diff is not None:
             bad = (a, diff)
             break

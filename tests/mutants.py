@@ -123,8 +123,8 @@ MUTANTS = (
     Mutant(
         "binomial taint read from p_n alone",
         "src/umbra/translations.py",
-        "any(p.truncated for p in m.basis[: n + 1])",
-        "m.basis[n].truncated",
+        "any(k in b.trunc_cols for k in range(n + 1))",
+        "n in b.trunc_cols",
         ("tests/test_truncation_rule.py::test_a_flagged_binomial_basis_polynomial_taints_every_later_index",),
     ),
     Mutant(
@@ -133,6 +133,33 @@ MUTANTS = (
         "for i in range(c[-1][0] + 1 if c else 0)",
         "for i in range(c[-1][0] if c else 0)",
         ("tests/test_translations.py::test_binomial_check_passes",),
+    ),
+    Mutant(
+        "the basis view dropping B's marks",
+        "src/umbra/models.py",
+        "out.append(Poly(cs, cap, n in b.trunc_cols))",
+        "out.append(Poly(cs, cap))",
+        ("tests/test_truncation_rule.py::test_the_basis_view_carries_the_marks_of_b",),
+    ),
+    Mutant(
+        "basis_matrix keeping B's columns and marks above top",
+        "src/umbra/models.py",
+        "    return LinearOp._sparse(\n"
+        "        b.cols[: top + 1] + (EMPTY,) * (b.cap - top), b.den, b.cap,\n"
+        "        [n for n in b.trunc_cols if n <= top],\n"
+        "    )",
+        "    return b",
+        ("tests/test_truncation_rule.py::test_basis_matrix_keeps_only_the_columns_and_marks_up_to_top",),
+    ),
+    Mutant(
+        "the pairing row read ignoring the marks of D B",
+        "src/umbra/models.py",
+        "tainted = tainted or n in db.trunc_cols",
+        "tainted = tainted",
+        (
+            "tests/test_truncation_rule.py::test_a_marked_lowering_never_passes",
+            "tests/test_truncation_rule.py::test_a_flagged_p0_leaves_the_vacuum_axiom_inconclusive",
+        ),
     ),
 )
 

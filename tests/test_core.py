@@ -14,12 +14,8 @@ from umbra.core import (
     CapMismatchError,
     Functional,
     LinearOp,
-    NilpotencyError,
     ParameterError,
     Poly,
-    exp_lowering,
-    exp_nilpotent_matrix,
-    exp_raising_matrix,
     format_rational,
     op_commutator,
     parse_rational,
@@ -196,84 +192,15 @@ def test_trunc_cols_propagate_through_matmul():
     assert not t.apply(mono(0, cap)).truncated
 
 
-# -- nilpotent exponentials --------------------------------------------
-
-def test_exp_lowering_shift_on_monomial_basis():
-    # derivative exponentiates to the shift: e^D (t^2/2) = (t+1)^2/2
-    cap = 6
-    f = mono(2, cap, Fraction(1, 2))
-    out = exp_lowering(deriv_op(cap), 1, f)
-    assert out == Poly([Fraction(1, 2), 1, Fraction(1, 2)], cap)
-
-
-def test_exp_lowering_second_derivative():
-    # sum_k (1/k!) (d^2)^k t^4 = t^4 + 12 t^2 + 24/2!
-    cap = 6
-    d2 = deriv_op(cap) @ deriv_op(cap)
-    out = exp_lowering(d2, 1, mono(4, cap))
-    acc = ref.p_deriv(ref.p_deriv([0, 0, 0, 0, 1]))
-    expect = ref.p_add([0, 0, 0, 0, Fraction(1)], acc)
-    expect = ref.p_add(expect, ref.p_scale(ref.p_deriv(ref.p_deriv(acc)), Fraction(1, 2)))
-    assert list(out.coeffs)[:5] == ref.p_add(expect, [0] * 5)[:5]
-    assert out == Poly([12, 0, 12, 0, 1], cap)
-
-
-def test_exp_lowering_zero_step():
-    f = Poly([1, Fraction(2, 3), 0, 5], 5)
-    assert exp_lowering(deriv_op(5), 0, f) == f
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.fractions(), st.fractions(), polys(7))
-def test_exp_lowering_group_law(y1, y2, f):
-    d = deriv_op(7)
-    two_step = exp_lowering(d, y1, exp_lowering(d, y2, f))
-    assert two_step == exp_lowering(d, y1 + y2, f)
-
-
-def test_exp_nilpotent_matrix_matches_series():
-    cap = 5
-    d = deriv_op(cap)
-    m = exp_nilpotent_matrix(d, Fraction(1, 3))
-    acc = LinearOp.identity(cap)
-    term = LinearOp.identity(cap)
-    for k in range(1, cap + 1):
-        term = d @ term
-        acc = acc + term.scale(Fraction(1, 3) ** k * Fraction(
-            1, __import__("math").factorial(k)
-        ))
-    assert m == acc
-    with pytest.raises(NilpotencyError):
-        exp_nilpotent_matrix(LinearOp.identity(cap), 1)
-
-
-def test_exp_raising_matrix_truncates_honestly():
-    cap = 4
-    e = exp_raising_matrix(mult_t_op(cap), 1)
-    # column j holds sum_k t^(j+k)/k! up to the cap
-    assert e.entry(3, 1) == Fraction(1, 2)
-    assert e.truncated if hasattr(e, "truncated") else e.trunc_cols
-    assert len(e.trunc_cols) == cap + 1  # every column loses its tail
-
-
-def test_exp_matrices_zero_step_and_nilpotency_order():
-    ident = LinearOp.identity(3)
-    # the nilpotency check comes first for the lowering exponential ...
-    with pytest.raises(NilpotencyError):
-        exp_nilpotent_matrix(ident, 0)
-    # ... and after the zero-step shortcut for the raising one
-    e = exp_raising_matrix(ident, 0)
-    assert e == ident and not e.trunc_cols
-    with pytest.raises(NilpotencyError):
-        exp_raising_matrix(ident, 1)
-
-
 # -- Functional --------------------------------------------------------
 
 def test_eval_at_zero_functional():
     l0 = Functional.eval_at_zero(5)
     assert l0.pair(mono(0, 5)) == 1
     assert l0.pair(mono(3, 5)) == 0
-    shifted = l0.after(exp_nilpotent_matrix(deriv_op(5), 2))
+    shift = LinearOp.from_columns(
+        5, lambda j: {i: c for i, c in enumerate(ref.p_shift([0] * j + [1], 2)) if c}
+    )
+    shifted = l0.after(shift)
     f = mono(2, 5)
     assert shifted.pair(f) == f.eval(2)

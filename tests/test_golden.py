@@ -7,7 +7,9 @@ before the check registry replaced the hand-written check lists, so a
 refactor that changes any default report shows up here.  The two
 degree-32 lower-factorial cases were written from the Fraction-loop
 covariant and binomial checks, before those became operator and
-integer-table identities.
+integer-table identities.  The ``all-<model>-degree<d>.json`` cases, at
+degrees 1 to 5, pin ``--all`` where the sweep's formal orders are capped
+at the top basis index.
 
 Regenerate (only for an intended output change, noted in CHANGES.md):
 
@@ -44,6 +46,11 @@ def _cases() -> dict[str, list[str]]:
             cases[f"all-{model}.{fmt}"] = [
                 "verify", "--all", "--model", model, *nu,
                 "--degree", "8", "--format", fmt,
+            ]
+        for degree in range(1, 6):
+            cases[f"all-{model}-degree{degree}.json"] = [
+                "verify", "--all", "--model", model, *nu,
+                "--degree", str(degree), "--format", "json",
             ]
     for fmt in FORMATS:
         cases[f"all-monomial-order3.{fmt}"] = [

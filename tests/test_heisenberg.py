@@ -1,30 +1,28 @@
 """Formal group-law layer, twisted kernels, squared-ladder sl(2)."""
 
 import dataclasses
-import math
 from fractions import Fraction
 
 import pytest
 
-from umbra.core import CapMismatchError, CapShortfallError, ParameterError
+from umbra.core import CapShortfallError, ParameterError
 from umbra.formal import FormalOpSeries
 from umbra.heisenberg import (
     DiscreteKernel,
     _formal_report,
+    _pi_series,
     composition_check_formal,
     generic_sl2_ladder,
     group_law_check,
-    heisenberg_rep_formal,
     metaplectic,
     metaplectic_check,
     metaplectic_sequences,
-    rep_of_kernel,
     sl2_closure_check,
     twisted_convolve,
     twisted_convolve_check,
     weyl_relation_check,
 )
-from umbra.core import LinearOp, exp_nilpotent_matrix, exp_raising_matrix, op_commutator
+from umbra.core import LinearOp, op_commutator
 from umbra.models import build_model
 from umbra.reports import PASS
 
@@ -35,7 +33,7 @@ NU = Fraction(5, 2)
 
 def test_rep_series_low_order_coefficients():
     m = build_model("monomial", 8)
-    pi = heisenberg_rep_formal(m, 3)
+    pi = _pi_series(m.words, ("s", "x", "y"), 3, 0, 1, 2)
     ident = LinearOp.identity(m.degree_cap)
     assert pi.materialize((0, 0, 0)) == ident
     # s, x, y slots in that order
@@ -50,7 +48,7 @@ def test_rep_series_low_order_coefficients():
 
 def test_rep_series_needs_headroom():
     with pytest.raises(CapShortfallError):
-        heisenberg_rep_formal(build_model("monomial", 3), 4)
+        group_law_check(build_model("monomial", 3), 4, 0)
 
 
 # -- group law ---------------------------------------------------------
@@ -148,84 +146,6 @@ def test_twisted_associative_three_atoms():
 
 def test_twisted_convolve_check_report():
     assert twisted_convolve_check().status == PASS
-
-
-def test_kernel_json_round_trip():
-    k = DiscreteKernel.atom(1, 0, 1, 2) + DiscreteKernel.atom(
-        Fraction(-2, 3), Fraction(1, 7), Fraction(5, 2), 0
-    )
-    assert DiscreteKernel.from_json(k.to_json()) == k
-
-
-def test_kernel_json_lenient_defaults_and_rejections():
-    assert DiscreteKernel.from_obj([{"coef": "1"}]) == DiscreteKernel.delta()
-    with pytest.raises(ParameterError):
-        DiscreteKernel.from_obj([{"x": "1"}])  # no coefficient
-    with pytest.raises(ParameterError):
-        DiscreteKernel.from_obj([{"coef": "one"}])
-    with pytest.raises(ParameterError):
-        DiscreteKernel.from_json('{"coef": "1"}')  # not an array
-
-
-# -- operator representation of kernels --------------------------------
-
-def test_rep_lowering_only_kernel_is_exact():
-    m = build_model("monomial", 8)
-    rep = rep_of_kernel(m, DiscreteKernel.atom(1, 0, x=0, y=Fraction(1, 2)))
-    assert not rep.truncated
-    op = rep.linear_op()
-    assert op == exp_nilpotent_matrix(m.lowering, Fraction(1, 2))
-
-
-def test_rep_delta_is_identity():
-    m = build_model("monomial", 6)
-    rep = rep_of_kernel(m, DiscreteKernel.delta())
-    assert rep.linear_op() == LinearOp.identity(m.degree_cap)
-
-
-def test_rep_raising_kernel_sets_flag():
-    m = build_model("monomial", 6)
-    rep = rep_of_kernel(m, DiscreteKernel.atom(1, 0, x=1, y=0))
-    assert rep.truncated
-    assert rep.linear_op() == exp_raising_matrix(m.raising, 1)
-
-
-def test_rep_rejects_mismatched_working_cap():
-    m = build_model("monomial", 6)
-    with pytest.raises(CapMismatchError):
-        rep_of_kernel(m, DiscreteKernel.delta(), n_work=8)
-
-
-def test_rep_irrational_weight_refuses_collapse():
-    m = build_model("monomial", 6)
-    rep = rep_of_kernel(m, DiscreteKernel.atom(1, Fraction(1, 2), x=0, y=1))
-    with pytest.raises(ParameterError):
-        rep.linear_op()
-    mat = rep.float_matrix()
-    assert mat[0][0] == pytest.approx(math.exp(0.5))
-
-
-def test_rep_is_homomorphism_exactly_when_no_reorder_needed():
-    m = build_model("monomial", 8)
-    k1 = DiscreteKernel.atom(1, 0, x=0, y=Fraction(1, 3))
-    k2 = DiscreteKernel.atom(1, 0, x=Fraction(1, 4), y=0)
-    lhs = rep_of_kernel(m, k1).linear_op() @ rep_of_kernel(m, k2).linear_op()
-    rhs = rep_of_kernel(m, twisted_convolve(k1, k2)).linear_op()
-    assert lhs == rhs
-
-
-def test_rep_is_homomorphism_numerically_with_reorder():
-    m = build_model("monomial", 16)
-    k1 = DiscreteKernel.atom(1, 0, x=Fraction(1, 8), y=Fraction(1, 9))
-    k2 = DiscreteKernel.atom(1, 0, x=Fraction(1, 7), y=Fraction(1, 10))
-    a = rep_of_kernel(m, k1).float_matrix()
-    b = rep_of_kernel(m, k2).float_matrix()
-    c = rep_of_kernel(m, twisted_convolve(k1, k2)).float_matrix()
-    n = len(a)
-    for i in range(n):
-        for j in range(5):  # columns far from the cap
-            ab = sum(a[i][r] * b[r][j] for r in range(n))
-            assert ab == pytest.approx(c[i][j], abs=1e-12)
 
 
 # -- squared ladders ---------------------------------------------------

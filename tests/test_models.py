@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from umbra.core import CapMismatchError, DomainError, ParameterError, Poly
+from umbra.core import CapMismatchError, DomainError, LinearOp, ParameterError, Poly
 from umbra.models import (
     MODEL_NAMES,
-    bessel_ladder_constants,
     build_model,
     verify_model,
 )
@@ -109,12 +108,39 @@ def test_heat_basis():
 
 
 def test_bessel_constants_and_basis():
-    assert bessel_ladder_constants(NU, 2) == [1, 7, ref.bessel_c(NU, 2)]
     m = build_model("bessel", 4, nu=NU)
     for n in range(5):
         assert m.basis[n] == Poly.monomial(
             2 * n, m.degree_cap, 1 / ref.bessel_c(NU, n)
         )
+
+
+REFERENCE_BASES = {
+    "monomial": lambda n: [0] * n + [Fraction(1, ref.factorial(n))],
+    "lower-factorial": lambda n: scaled_family(ref.falling_factorial, n),
+    "upper-factorial": lambda n: scaled_family(ref.rising_factorial, n),
+    "hermite": lambda n: scaled_family(ref.hermite_he, n),
+    "heat": lambda n: [0] * (2 * n) + [Fraction(1, ref.factorial(2 * n))],
+    "bessel": lambda n: [0] * (2 * n) + [1 / ref.bessel_c(NU, n)],
+}
+
+
+@pytest.mark.parametrize("degree", range(1, 41))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_basis_matrix_columns_match_the_reference_bases(name, degree):
+    """Each builder's B: column n is the classical p_n for n <= n_max
+    and zero above, with no marks; the ``Poly`` view reads the same."""
+    m = build_model(name, degree, nu=NU if name == "bessel" else None)
+    size = m.degree_cap + 1
+    grid = dense(m.basis_op)
+    for n in range(size):
+        want = REFERENCE_BASES[name](n) if n <= degree else []
+        want = want + [0] * (size - len(want))
+        assert [row[n] for row in grid] == want, n
+        if n <= degree:
+            assert list(m.basis[n].coeffs) == want and not m.basis[n].truncated, n
+    assert m.basis_op.trunc_cols == frozenset()
+    assert len(m.basis) == degree + 1
 
 
 # -- lowering in raw polynomial terms ----------------------------------
@@ -174,7 +200,9 @@ def test_corrupted_basis_detected_at_its_index():
     m = build_model("monomial", 6)
     basis = list(m.basis)
     basis[2] = basis[2].scale(2)
-    bad = dataclasses.replace(m, basis=tuple(basis))
+    bad = dataclasses.replace(m, basis_op=LinearOp.from_columns(
+        m.degree_cap, {n: dict(enumerate(p.coeffs)) for n, p in enumerate(basis)}
+    ))
     reports = {r.check: r for r in verify_model(bad)}
     assert reports["ladder-lowering"].status != PASS
     assert reports["ladder-lowering"].first_failure == 2

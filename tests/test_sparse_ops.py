@@ -134,19 +134,6 @@ def test_compare_on_columns_across_denominators():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_is_nilpotent_matches_dense_powers(data):
-    cap, ga, _ = data.draw(grid_pairs())
-    if data.draw(st.booleans()):  # strictly upper triangular: nilpotent
-        ga = [[x if i < j else ZERO for j, x in enumerate(row)] for i, row in enumerate(ga)]
-    power = ga
-    for _ in range(cap):
-        power = ref.m_mul(power, ga)
-    want = all(x == 0 for row in power for x in row)
-    assert LinearOp.from_entries(ga).is_nilpotent() == want
-
-
-@settings(max_examples=80, deadline=None)
 @given(grid_pairs())
 def test_equal_matrices_built_two_ways_are_equal_and_hash_alike(pair):
     cap, ga, _ = pair

@@ -22,7 +22,8 @@ from umbra.heisenberg import (
     sl2_closure_check,
     weyl_relation_check,
 )
-from umbra.models import Parity, build_model, verify_model
+from umbra.kernels import EMPTY
+from umbra.models import Parity, basis_matrix, build_model, dual_matrix, pairing_mismatch, verify_model
 from umbra.reports import PASS
 from umbra.transforms import (
     biorthogonality_check,
@@ -69,7 +70,9 @@ def _rebuilt(m, d: dict):
         lowering=LinearOp.from_entries(d["L"], frozenset(d["l_marks"])),
         raising=LinearOp.from_entries(d["R"], frozenset(d["r_marks"])),
         vacuum=Functional(d["vac"], cap),
-        basis=tuple(Poly(c, cap, n in d["b_marks"]) for n, c in enumerate(d["basis"])),
+        basis_op=LinearOp.from_columns(
+            cap, {n: dict(enumerate(c)) for n, c in enumerate(d["basis"])}, frozenset(d["b_marks"])
+        ),
     )
 
 
@@ -202,20 +205,16 @@ def test_a_flagged_basis_polynomial_never_passes_binomial():
     """A library-built monomial model whose p_3 carries the truncated
     flag: the binomial identity at n = 3 reads p_0..p_3, so it is
     inconclusive like covariant and character; at n = 2 it passes."""
-    m = build_model("monomial", 8)
-    basis = list(m.basis)
-    basis[3] = basis[3].with_flag(True)
-    m = dataclasses.replace(m, basis=tuple(basis))
+    m = _flagged(build_model("monomial", 8), 3)
     reports = [binomial_check(m, 3), covariant_check(m), character_check(m, 3)]
     assert [r.status for r in reports] == ["inconclusive"] * 3
     assert binomial_check(m, 2).status == PASS
 
 
 def _flagged(model, n):
-    """The model with p_n carrying the truncated flag."""
-    basis = list(model.basis)
-    basis[n] = basis[n].with_flag(True)
-    return dataclasses.replace(model, basis=tuple(basis))
+    """The model with p_n carrying the truncated flag: B marks column n."""
+    b = model.basis_op
+    return dataclasses.replace(model, basis_op=LinearOp(b.num, b.den, b.cap, b.trunc_cols | {n}))
 
 
 def test_a_flagged_binomial_basis_polynomial_taints_every_later_index():
@@ -230,6 +229,49 @@ def test_a_flagged_top_basis_polynomial_leaves_covariant_inconclusive():
     and exchange-lowering identities read column 8; the taint gathered
     there holds through the exchange-raising identity on 0..7."""
     assert covariant_check(_flagged(build_model("monomial", 8), 8)).status == "inconclusive"
+
+
+def test_the_basis_view_carries_the_marks_of_b():
+    """``m.basis`` is read off B: p_n is flagged exactly when B marks
+    column n, so the transmutation check, which maps the source p_n,
+    is inconclusive from a flagged source p_3."""
+    m = _flagged(build_model("hermite", 8), 3)
+    assert [p.truncated for p in m.basis] == [n == 3 for n in range(9)]
+    report = check_transmutation_intertwining(m, build_model("monomial", 8))
+    assert report.status == "inconclusive"
+
+
+def test_basis_matrix_keeps_only_the_columns_and_marks_up_to_top():
+    """basis_matrix(m, 4) is B on columns 0..4 and zero above; of B's
+    marks on columns 2 and 6 it keeps only column 2."""
+    m = _flagged(_flagged(build_model("hermite", 8), 2), 6)
+    b, cut = m.basis_op, basis_matrix(m, 4)
+    assert cut.trunc_cols == {2}
+    for j in range(m.degree_cap + 1):
+        want = [b.entry(i, j) if j <= 4 else 0 for i in range(m.degree_cap + 1)]
+        assert [cut.entry(i, j) for i in range(m.degree_cap + 1)] == want, j
+
+
+def test_a_flagged_p0_leaves_the_vacuum_axiom_inconclusive():
+    """The vacuum axiom <l_0, p_n> = delta_0n reads row 0 of l_0 B, and
+    with p_0 flagged the column it scans first is marked."""
+    reports = {r.check: r.status for r in verify_model(_flagged(build_model("monomial", 8), 0))}
+    assert reports["vacuum"] == "inconclusive"
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_models())
+def test_pairing_rows_read_like_the_unit_row_product(case):
+    """Row k of D B read off its columns gives the first mismatch and the
+    taint of the product e_k D B compared with e_k, e_k the one entry 1
+    at (0, k)."""
+    m, _, _ = case
+    db = dual_matrix(m) @ m.basis_op
+    for k in range(m.n_max + 1):
+        cols = [EMPTY] * k + [((0,), (1,))] + [EMPTY] * (db.cap - k)
+        e_k = LinearOp._sparse(cols, 1, db.cap, reduced=True)
+        for top in (k, m.n_max):
+            assert pairing_mismatch(db, k, top) == (e_k @ db).compare_on_columns(e_k, range(top + 1))
 
 
 def test_a_flagged_target_basis_polynomial_taints_the_umbral_map():
