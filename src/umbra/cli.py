@@ -327,7 +327,7 @@ class Check(NamedTuple):
     whether ``--all`` runs it on that model.  ``order`` and
     ``all_order`` are its formal order by default under ``--check`` and
     under ``--all``: None for a check that takes no order, an int that
-    ``--order`` replaces (under ``--all``, capped at the model's top
+    ``--order`` replaces (left alone, it is capped at the model's top
     basis index), or ``TOP``, the model's top basis index, which
     ``--order`` replaces under ``--check`` only.
     """
@@ -367,7 +367,8 @@ CHECKS: dict[str, Check] = {
                          _always, 4, 4),
     "twisted": Check(lambda t, _: [heisenberg.twisted_convolve_check()], _always),
     "sl2": Check(lambda t, _: [heisenberg.sl2_closure_check(t.model)], lambda m: m.n_max >= 2),
-    "metaplectic": Check(lambda t, _: heisenberg.metaplectic_check(t.model), _always),
+    "metaplectic": Check(lambda t, _: heisenberg.metaplectic_check(t.model),
+                         lambda m: m.n_max >= 2),
     "poisson-intertwining": Check(lambda t, _: [_poisson_intertwining(t.args)]),
     "hankel-intertwining": Check(lambda t, _: [_hankel_intertwining(t.args)]),
 }
@@ -383,7 +384,7 @@ def _check_order(check: Check, target: _Target, sweep: bool) -> int | None:
         if sweep or given is None:
             return target.model.n_max
     elif given is None:
-        return min(default, target.model.n_max) if sweep else default
+        return min(default, target.model.n_max)
     return given
 
 

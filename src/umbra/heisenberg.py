@@ -46,7 +46,7 @@ from .transforms import require_top_degree
 def _require_cap(m: UmbralModel, order: int, output_degree: int) -> None:
     if order < 0:
         raise ParameterError("order must be >= 0")
-    need = output_degree + order
+    need = order + max(output_degree, 0)
     if output_degree < 0 or m.n_max < need:
         raise CapShortfallError(
             f"formal order {order} with output index {output_degree} needs "
@@ -408,14 +408,21 @@ def metaplectic_check(
 ) -> list[VerificationReport]:
     """Verify all three brackets of the squared-ladder triple on every
     basis column of degree <= max_degree (default: everything the cap
-    can certify, i.e. indices up to n_max - 2)."""
-    s = metaplectic(m)
+    can certify, i.e. indices up to n_max - 2).  A check that would
+    compare no column (n_max < 2) raises ParameterError."""
     cols = []
     for j in range(m.n_max - 1):
         d = m.degree_of_index(j)
         if max_degree is not None and d > max_degree:
             break
         cols.append(d)
+    if not cols:
+        raise ParameterError(
+            f"metaplectic check has no basis column to compare on {m.label()} "
+            f"(n_max = {m.n_max}, max_degree = {max_degree}); it needs n_max >= 2 "
+            f"and max_degree >= 0"
+        )
+    s = metaplectic(m)
     checks = [
         ("sl2-commutator", op_commutator(s.lower2, s.raise2), s.z.scale(s.lam)),
         ("sl2-z-lowering", op_commutator(s.z, s.lower2), s.lower2.scale(s.lam_minus)),
@@ -423,7 +430,7 @@ def metaplectic_check(
     ]
     params = {
         "constants": [format_rational(q) for q in s.constants],
-        "max_degree": max_degree if max_degree is not None else cols[-1] if cols else None,
+        "max_degree": max_degree if max_degree is not None else cols[-1],
     }
     out = []
     for name, lhs, rhs in checks:

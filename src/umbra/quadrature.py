@@ -7,6 +7,12 @@ adaptive composite rule that bisects left to right until each panel's
 refinement residual is inside its share of the tolerance budget.
 Everything is evaluated in a fixed order, so results are reproducible
 bit for bit for a given spec.
+
+numpy is imported in one place, ``_gauss_nodes``, for its Gauss-Legendre
+nodes and weights.  That function is cached, so a float command loads
+numpy once, at its first panel, and the exact half of umbra (which
+imports this module through the CLI but integrates nothing) never
+loads it.
 """
 
 from __future__ import annotations
@@ -14,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
-
-import numpy as np
 
 from .core import ParameterError, QuadratureError
 
@@ -86,7 +90,9 @@ class ScalarFn:
 
 @lru_cache(maxsize=None)
 def _gauss_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(n)
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(n)
     return tuple(float(v) for v in x), tuple(float(v) for v in w)
 
 

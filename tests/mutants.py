@@ -161,6 +161,13 @@ MUTANTS = (
             "tests/test_truncation_rule.py::test_a_flagged_p0_leaves_the_vacuum_axiom_inconclusive",
         ),
     ),
+    Mutant(
+        "metaplectic reporting on an empty column list",
+        "src/umbra/heisenberg.py",
+        "    if not cols:\n        raise ParameterError(",
+        "    if False:\n        raise ParameterError(",
+        ("tests/test_heisenberg.py::test_metaplectic_check_refuses_to_compare_no_column",),
+    ),
 )
 
 

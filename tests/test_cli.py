@@ -347,3 +347,62 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_metaplectic_refuses_a_model_with_no_column_to_compare(capsys):
+    rc, out, err = run(capsys, "verify", "--check", "metaplectic", "--model", "monomial",
+                       "--degree", "1")
+    assert (rc, out) == (2, "")
+    assert "no basis column to compare" in err
+
+
+@pytest.mark.parametrize("check", ("character", "group-law", "weyl", "composition"))
+def test_check_default_order_is_capped_at_the_top_basis_index(capsys, check):
+    rc, out, err = run(capsys, "verify", "--check", check, "--model", "monomial",
+                       "--degree", "3", "--format", "json")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["status"] == "pass"
+    assert doc["params"]["order"] == 3
+
+
+def test_a_given_order_is_kept_under_check(capsys):
+    rc, out, err = run(capsys, "verify", "--check", "group-law", "--model", "monomial",
+                       "--degree", "3", "--order", "5")
+    assert (rc, out) == (2, "")
+    assert ("formal order 5 with output index -2 needs a working cap of n_max = 5; "
+            "model monomial has n_max = 3") in err
+
+
+_EXACT_HALF = """
+import contextlib, io, json, sys
+from umbra import cli
+
+def call(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+codes = []
+for model in ("monomial", "lower-factorial", "upper-factorial", "hermite", "heat", "bessel"):
+    nu = ["--nu", "5/2"] if model == "bessel" else []
+    codes.append(call("verify", "--all", "--degree", "8", "--model", model, *nu))
+codes.append(call("transmute", "--from", "hermite", "--to", "monomial", "--poly", "1,2,3"))
+exact = ("numpy" in sys.modules, "umbra.numeric" in sys.modules,
+         "umbra.quadrature" in sys.modules)
+codes.append(call("bessel", "hankel", "--nu", "2", "--fn", "gauss", "--lambda", "1"))
+print(json.dumps([codes, exact, "numpy" in sys.modules]))
+"""
+
+
+def test_the_exact_half_never_loads_numpy():
+    # A fresh interpreter: the test session itself may have numpy loaded.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _EXACT_HALF], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, exact, after = json.loads(proc.stdout)
+    assert codes == [0] * 8
+    # the perfbench tracer reads sys.modules["umbra.numeric"], so the CLI
+    # still imports the float modules; only numpy waits for a panel
+    assert exact == [False, True, True]
+    assert after is True

@@ -79,6 +79,13 @@ def test_group_law_cap_shortfall():
         group_law_check(build_model("monomial", 5), 4, output_degree=4)
 
 
+def test_cap_shortfall_names_the_cap_a_negative_output_index_needs():
+    # order 5 at n_max = 3 leaves output index -2; the need is the order
+    with pytest.raises(CapShortfallError, match=r"needs a working cap of n_max = 5; "
+                       r"model monomial has n_max = 3"):
+        group_law_check(build_model("monomial", 3), 5)
+
+
 # -- Weyl reordering ---------------------------------------------------
 
 def test_weyl_relation_monomials():
@@ -184,6 +191,16 @@ def test_metaplectic_constants_fixed():
 def test_metaplectic_check_catalog(name, nu, n):
     for r in metaplectic_check(build_model(name, n, nu=nu)):
         assert r.status == PASS, (name, r.check)
+
+
+@pytest.mark.parametrize("name, nu", [("monomial", None), ("heat", None), ("bessel", NU)])
+def test_metaplectic_check_refuses_to_compare_no_column(name, nu):
+    # at n_max = 1 the column list range(n_max - 1) is empty: three
+    # passes would certify nothing
+    with pytest.raises(ParameterError, match="no basis column to compare"):
+        metaplectic_check(build_model(name, 1, nu=nu))
+    with pytest.raises(ParameterError, match="no basis column to compare"):
+        metaplectic_check(build_model(name, 4, nu=nu), max_degree=-1)
 
 
 def test_failed_checks_report_the_largest_entry_difference():
