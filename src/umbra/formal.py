@@ -16,7 +16,10 @@ restricted to the exact columns.  Two series are compared through
 their difference, merged word by word, and its coefficients are summed
 on those certified columns only: a word whose coefficients agree on
 both sides cancels to 0 and costs no arithmetic, though its truncation
-marks still count.
+marks still count.  A coefficient of the difference that is a nonzero
+multiple of one already compared, over the same words, is not summed
+again: the central parameter s only scales a coefficient, so most
+multi-indices of the group law repeat an earlier one.
 
 Each coefficient is a linear combination of ladder words.  A word is a
 string over "L" (the lowering operator) and "R" (the raising one), read
@@ -181,6 +184,16 @@ def max_abs_entry(op: LinearOp, cols: Iterable[int]) -> Fraction:
     )
 
 
+def _ray(coef: dict[str, Fraction]) -> tuple[tuple[str, Fraction], ...]:
+    """The words of ``coef`` in sorted order, each with its coefficient
+    divided by the first nonzero one (by nothing when all are 0): equal
+    for two combinations exactly when one is a nonzero multiple of the
+    other over the same words."""
+    words = sorted(coef.items())
+    lead = next((q for _, q in words if q), 1)
+    return tuple((word, q / lead) for word, q in words)
+
+
 def series_first_difference(
     a: FormalOpSeries, b: FormalOpSeries, columns: Iterable[int]
 ) -> tuple[Index | None, bool, Fraction]:
@@ -194,12 +207,22 @@ def series_first_difference(
     Each coefficient of the word-merged difference a - b is summed on
     ``columns`` only and compared with zero.  A word on both sides
     keeps its marks in the difference even where its coefficients
-    agree, so the taint is that of comparing the two sides."""
+    agree, so the taint is that of comparing the two sides.
+
+    A coefficient whose {word: rational} is a nonzero multiple of one
+    already compared, over the same words, zero coefficients included,
+    is skipped: it sums to that multiple of a zero on ``columns`` and
+    carries the same marks, so its comparison cannot fail or add taint."""
     cols = list(columns)
     diff = a + b.scale(-1)
     zero = LinearOp.zero(a.table.cap)
     tainted = False
+    seen = set()
     for idx in diff.indices():
+        key = _ray(diff.terms[idx])
+        if key in seen:
+            continue
+        seen.add(key)
         coef = diff.materialize(idx, cols)
         bad, marked = coef.compare_on_columns(zero, cols)
         tainted = tainted or marked

@@ -611,7 +611,14 @@ def generic_sl2_ladder(
 
 def sl2_closure_check(m: UmbralModel) -> VerificationReport:
     """Extract the even-index diagonal sequences from a model's squared
-    ladders and confirm they close with the metaplectic constants."""
+    ladders and confirm they close with the metaplectic constants.  A
+    model with n_max < 2 holds too few to solve for the constants and
+    raises ParameterError."""
+    if m.n_max < 2:
+        raise ParameterError(
+            f"sl2 closure check needs n_max >= 2 to solve for its constants; "
+            f"{m.label()} has n_max = {m.n_max}"
+        )
     a, b, c, tainted = _metaplectic_sequences(m)
     res = generic_sl2_ladder(a, b, c)
     ff = None

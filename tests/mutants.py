@@ -51,6 +51,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the proportional-class key leaving out zero-coefficient words",
+        "src/umbra/formal.py",
+        "return tuple((word, q / lead) for word, q in words)",
+        "return tuple((word, q / lead) for word, q in words if q)",
+        (
+            "tests/test_formal.py::test_a_cancelled_word_makes_an_otherwise_proportional_coefficient_compared",
+            "tests/test_formal.py::test_the_difference_comparison_matches_the_two_sided_oracle",
+        ),
+    ),
+    Mutant(
+        "the proportional-class key keeping only the words",
+        "src/umbra/formal.py",
+        "return tuple((word, q / lead) for word, q in words)",
+        "return tuple(word for word, _ in words)",
+        (
+            "tests/test_formal.py::test_the_same_words_in_another_ratio_are_compared",
+            "tests/test_formal.py::test_the_difference_comparison_matches_the_two_sided_oracle",
+        ),
+    ),
+    Mutant(
         "the last certified column left out of the restricted combination",
         "src/umbra/formal.py",
         "else sorted(set(columns))",

@@ -148,6 +148,30 @@ def v_mat(v, a):
     ]
 
 
+# -- sparse integer columns summed in dicts ----------------------------
+
+def _dict_column(parts):
+    """sum c * column over the (c, (rows, values)) pairs in ``parts``,
+    accumulated in a {row: value} dict, as canonical (rows, values)."""
+    acc = {}
+    for c, (rows, vals) in parts:
+        for i, x in zip(rows, vals):
+            acc[i] = acc.get(i, 0) + c * x
+    rows = tuple(sorted(i for i, v in acc.items() if v))
+    return rows, tuple(acc[i] for i in rows)
+
+
+def sparse_mul(a, b):
+    """a @ b on lists of (rows, values) columns."""
+    return [_dict_column([(x, a[k]) for k, x in zip(rows, vals)]) for rows, vals in b]
+
+
+def sparse_comb(terms):
+    """sum c * M over the (c, M) pairs in ``terms``, M lists of
+    (rows, values) columns of one length."""
+    return [_dict_column([(c, m[j]) for c, m in terms]) for j in range(len(terms[0][1]))]
+
+
 # -- classical polynomial families -------------------------------------
 
 def falling_factorial(n):

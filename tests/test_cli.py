@@ -356,6 +356,13 @@ def test_metaplectic_refuses_a_model_with_no_column_to_compare(capsys):
     assert "no basis column to compare" in err
 
 
+def test_sl2_refuses_a_model_too_small_naming_it_and_its_cap(capsys):
+    rc, out, err = run(capsys, "verify", "--check", "sl2", "--model", "monomial",
+                       "--degree", "1")
+    assert (rc, out) == (2, "")
+    assert "monomial has n_max = 1" in err
+
+
 @pytest.mark.parametrize("check", ("character", "group-law", "weyl", "composition"))
 def test_check_default_order_is_capped_at_the_top_basis_index(capsys, check):
     rc, out, err = run(capsys, "verify", "--check", check, "--model", "monomial",

@@ -117,13 +117,14 @@ def test_a_catalog_run_makes_few_products(count_calls):
 def test_a_catalog_run_makes_few_combinations(count_calls):
     """Each formal comparison sums the word-merged difference of its two
     sides on the certified columns only, with no kernel call where the
-    words cancel: ``verify --all`` on lower-factorial at degree 32 makes
-    101 ``kernels.imat_comb`` calls (899 when each side is summed in
-    full)."""
+    words cancel, and once per class of proportional coefficients:
+    ``verify --all`` on lower-factorial at degree 32 makes 43
+    ``kernels.imat_comb`` calls (101 when every multi-index is summed,
+    899 when each side is summed in full)."""
     calls = count_calls(kernels, "imat_comb")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--all", "--degree", "32", "--model", "lower-factorial"]) == 0
-    assert len(calls) <= 150
+    assert len(calls) <= 60
 
 
 # -- series arithmetic -------------------------------------------------
@@ -250,7 +251,55 @@ def test_a_word_cancelled_in_the_difference_still_taints():
     assert report.status == INCONCLUSIVE
 
 
+def test_a_proportional_coefficient_is_compared_once(count_calls):
+    """LR - RL - 1 is zero below the cap.  Every index holds a nonzero
+    multiple of it, so only the first is summed."""
+    cap = 5
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    a = FormalOpSeries(("x",), 3, table)
+    b = FormalOpSeries(("x",), 3, table)
+    for n, q in enumerate((1, Fraction(-2, 3), 5)):
+        a.add_term((n + 1,), q, "LR")
+        b.add_term((n + 1,), q, "RL")
+        b.add_term((n + 1,), q, "")
+    calls = count_calls(kernels, "imat_comb")
+    assert series_first_difference(a, b, range(cap)) == (None, False, 0)
+    assert len(calls) == 1
+
+
+def test_the_same_words_in_another_ratio_are_compared():
+    """LR - RL - 1 is zero below the cap, LR - RL + 1 is twice the
+    identity: the same words, so only their coefficients tell the two
+    indices apart."""
+    cap = 5
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    a = FormalOpSeries(("x",), 2, table)
+    b = FormalOpSeries(("x",), 2, table)
+    for n, unit in ((1, 1), (2, -1)):
+        a.add_term((n,), Fraction(1), "LR")
+        b.add_term((n,), Fraction(1), "RL")
+        b.add_term((n,), Fraction(unit), "")
+    assert series_first_difference(a, b, range(cap)) == ((2,), False, 2)
+
+
+def test_a_cancelled_word_makes_an_otherwise_proportional_coefficient_compared():
+    """At both indices "L" cancels between the sides; at the second a
+    cancelled "R" joins it, and R marks column 5.  Were the two taken
+    as proportional, that mark would be lost and the result a pass."""
+    cap = 5
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    a = FormalOpSeries(("x",), 2, table)
+    b = FormalOpSeries(("x",), 2, table)
+    for n in (1, 2):
+        a.add_term((n,), Fraction(n), "L")
+        b.add_term((n,), Fraction(n), "L")
+    a.add_term((2,), Fraction(1), "R")
+    a.add_term((2,), Fraction(-1), "R")
+    assert series_first_difference(a, b, range(cap + 1)) == (None, True, 0)
+
+
 INDICES = [(i, j) for i in range(3) for j in range(3 - i)]
+ORDER = sorted(INDICES, key=lambda idx: (sum(idx), idx))
 NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
 
@@ -260,36 +309,47 @@ def series_pairs(draw):
     order 2 over random sparse rational ladder letters with random
     marks, and the same series as plain {index: {word: rational}} dicts.
     The sides share words with equal and with unequal coefficients, and
-    a side may hold a word whose coefficients cancel to 0."""
+    a side may hold a word whose coefficients cancel to 0.  A later
+    index may hold both sides' terms of an earlier one times a nonzero
+    rational, and then one of the two may gain a cancelled word."""
     cap, low, high, low_marks, high_marks = draw(ladder_pairs())
     table = OpWordTable(
         LinearOp.from_entries(low, frozenset(low_marks)),
         LinearOp.from_entries(high, frozenset(high_marks)),
     )
     letters = {"L": (low, low_marks), "R": (high, high_marks)}
-    sides = (FormalOpSeries(("x", "y"), 2, table), FormalOpSeries(("x", "y"), 2, table))
-    plain = ({}, {})
+    terms = []  # (side, index, word, rational), added in this order
 
-    def add(side, idx, word, q):
-        sides[side].add_term(idx, q, word)
-        coef = plain[side].setdefault(idx, {})
-        coef[word] = coef.get(word, 0) + q
+    def cancelled(side, idx, word, q):
+        terms.extend([(side, idx, word, q), (side, idx, word, -q)])
 
     kinds = st.sampled_from(("equal", "unequal", "a only", "b only", "cancelled"))
-    terms = st.tuples(st.sampled_from(INDICES), st.text(alphabet="LR", max_size=4), kinds, NONZERO, NONZERO)
-    for idx, word, kind, qa, qb in draw(st.lists(terms, max_size=8)):
+    entries = st.tuples(st.sampled_from(INDICES), st.text(alphabet="LR", max_size=4), kinds, NONZERO, NONZERO)
+    for idx, w, kind, qa, qb in draw(st.lists(entries, max_size=8)):
         if kind == "equal":
-            add(0, idx, word, qa)
-            add(1, idx, word, qa)
+            terms.extend([(0, idx, w, qa), (1, idx, w, qa)])
         elif kind == "unequal":
-            add(0, idx, word, qa)
-            add(1, idx, word, qb)
+            terms.extend([(0, idx, w, qa), (1, idx, w, qb)])
         elif kind == "cancelled":
-            side = int(qb > 0)
-            add(side, idx, word, qa)
-            add(side, idx, word, -qa)
+            cancelled(int(qb > 0), idx, w, qa)
         else:
-            add(kind == "b only", idx, word, qa)
+            terms.append((kind == "b only", idx, w, qa))
+    copies = st.tuples(st.integers(0, len(ORDER) - 2), st.integers(1, len(ORDER) - 1), NONZERO,
+                       st.sampled_from((None, "earlier", "later", "later")),
+                       st.text(alphabet="LR", min_size=1, max_size=4), NONZERO)
+    for at, step, c, extra, w, q in draw(st.lists(copies, max_size=2)):
+        src, dst = ORDER[at], ORDER[min(at + step, len(ORDER) - 1)]
+        terms = [t for t in terms if t[1] != dst]
+        terms.extend([(side, dst, w2, c * q2) for side, idx, w2, q2 in terms if idx == src])
+        if extra:
+            cancelled(int(q > 0), src if extra == "earlier" else dst, w, q)
+
+    sides = (FormalOpSeries(("x", "y"), 2, table), FormalOpSeries(("x", "y"), 2, table))
+    plain = ({}, {})
+    for side, idx, w, q in terms:
+        sides[side].add_term(idx, q, w)
+        coef = plain[side].setdefault(idx, {})
+        coef[w] = coef.get(w, 0) + q
     return cap, letters, sides, plain
 
 

@@ -1,6 +1,7 @@
 """Formal group-law layer, twisted kernels, squared-ladder sl(2)."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,13 @@ def test_metaplectic_check_refuses_to_compare_no_column(name, nu):
         metaplectic_check(build_model(name, 1, nu=nu))
     with pytest.raises(ParameterError, match="no basis column to compare"):
         metaplectic_check(build_model(name, 4, nu=nu), max_degree=-1)
+
+
+@pytest.mark.parametrize("name, nu", [("monomial", None), ("heat", None), ("bessel", NU)])
+def test_sl2_closure_check_refuses_a_model_too_small_to_solve_for_constants(name, nu):
+    m = build_model(name, 1, nu=nu)
+    with pytest.raises(ParameterError, match=rf"{re.escape(m.label())} has n_max = 1"):
+        sl2_closure_check(m)
 
 
 def test_failed_checks_report_the_largest_entry_difference():

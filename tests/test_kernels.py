@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbra import kernels
+
+import reference as ref
 
 
 def naive_mul(a, b):
@@ -86,6 +89,56 @@ def test_comb_matches_dense():
     a = to_cols(mats[0])
     assert kernels.imat_comb([(1, a), (-1, a)]) == [kernels.EMPTY] * 6
     assert kernels.imat_comb([(1, a)]) == a
+
+
+BIG = st.integers(-(1 << 200), 1 << 200).filter(bool)
+SIZE = st.integers(1, 8)
+
+
+@st.composite
+def sparse_cols(draw, nrows, ncols):
+    """``ncols`` canonical columns over rows 0..nrows-1 with mixed-sign
+    entries of up to 200 bits; a column may be empty or hold a single
+    nonzero."""
+    cols = []
+    for _ in range(ncols):
+        rows = tuple(sorted(draw(st.sets(st.integers(0, nrows - 1), max_size=nrows))))
+        cols.append((rows, tuple(draw(st.lists(BIG, min_size=len(rows), max_size=len(rows))))))
+    return cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_imat_mul_matches_the_dict_accumulator(data):
+    nrows, inner, ncols = data.draw(SIZE), data.draw(SIZE), data.draw(SIZE)
+    a = data.draw(sparse_cols(nrows, inner))
+    b = data.draw(sparse_cols(inner, ncols))
+    if data.draw(st.booleans()):
+        # a's column 0 again, and a column of b taking the difference
+        # of the two: that product column cancels to empty
+        x = data.draw(BIG)
+        a, b = a + [a[0]], b + [((0, inner), (x, -x))]
+    out = kernels.imat_mul(a, b)
+    assert_canonical(out)
+    assert out == ref.sparse_mul(a, b)
+    if len(b) > ncols:
+        assert out[-1] == kernels.EMPTY
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_imat_comb_matches_the_dict_accumulator(data):
+    ncols = data.draw(SIZE)
+    mats = [data.draw(sparse_cols(data.draw(SIZE), ncols)) for _ in range(data.draw(st.integers(1, 4)))]
+    coefs = [data.draw(BIG | st.just(0)) for _ in mats]
+    terms = list(zip(coefs, mats))
+    if data.draw(st.booleans()):
+        terms.append((-coefs[0], mats[0]))
+    out = kernels.imat_comb(terms)
+    assert_canonical(out)
+    assert out == ref.sparse_comb(terms)
+    c = data.draw(BIG)
+    assert kernels.imat_comb([(c, mats[0]), (-c, mats[0])]) == [kernels.EMPTY] * ncols
 
 
 def test_gcd_reads_nonzeros():
