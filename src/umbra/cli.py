@@ -504,16 +504,22 @@ def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
     return QuadratureSpec(abs_tol=tol, rel_tol=tol)
 
 
+def _points(args: argparse.Namespace, flag: str, value: str | None, missing: str) -> list[float]:
+    """The --grid values, or else the one point ``value`` of ``flag``;
+    ``missing`` is the refusal when neither is given."""
+    if args.grid:
+        return _parse_grid(args.grid, "--grid")
+    if value is None:
+        raise ParameterError(missing)
+    return [_float_flag(flag, value)]
+
+
 def _cmd_bessel(args: argparse.Namespace) -> int:
     q = _quad_spec(args)
     if args.mode == "j":
         nu = _float_flag("--nu", args.nu) if args.nu else 2.0
         lam = _float_flag("--lambda", args.lam) if args.lam else 1.0
-        ts = _parse_grid(args.grid, "--grid") if args.grid else None
-        if ts is None:
-            if args.x is None:
-                raise ParameterError("bessel j needs --x T or --grid")
-            ts = [_float_flag("--x", args.x)]
+        ts = _points(args, "--x", args.x, "bessel j needs --x T or --grid")
         _value_output(args, [
             ("t", t, numeric.little_bessel_j(nu, lam, t)) for t in ts
         ])
@@ -521,11 +527,7 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
     if args.mode == "poisson":
         nu = _float_flag("--nu", args.nu) if args.nu else 2.0
         f = _scalar_fn(args)
-        xs = _parse_grid(args.grid, "--grid") if args.grid else None
-        if xs is None:
-            if args.x is None:
-                raise ParameterError("bessel poisson needs --x F or --grid")
-            xs = [_float_flag("--x", args.x)]
+        xs = _points(args, "--x", args.x, "bessel poisson needs --x F or --grid")
         _value_output(args, [
             ("x", x, numeric.poisson_transform(nu, f, x, q)) for x in xs
         ])
@@ -533,11 +535,7 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
     if args.mode == "hankel":
         nu = _float_flag("--nu", args.nu) if args.nu else 2.0
         f = _scalar_fn(args)
-        lams = _parse_grid(args.grid, "--grid") if args.grid else None
-        if lams is None:
-            if args.lam is None:
-                raise ParameterError("bessel hankel needs --lambda F or --grid")
-            lams = [_float_flag("--lambda", args.lam)]
+        lams = _points(args, "--lambda", args.lam, "bessel hankel needs --lambda F or --grid")
         _value_output(args, [
             ("lambda", lam, numeric.hankel_transform(nu, f, lam, q)) for lam in lams
         ])
@@ -550,11 +548,7 @@ def _cmd_heat(args: argparse.Namespace) -> int:
         raise ParameterError(f"unknown heat mode {args.mode!r}")
     q = _quad_spec(args)
     f = _scalar_fn(args)
-    us = _parse_grid(args.grid, "--grid") if args.grid else None
-    if us is None:
-        if args.u is None:
-            raise ParameterError("heat covariant needs --u F or --grid")
-        us = [_float_flag("--u", args.u)]
+    us = _points(args, "--u", args.u, "heat covariant needs --u F or --grid")
     _value_output(args, [
         ("u", u, numeric.heat_covariant(f, u, q)) for u in us
     ])
@@ -564,11 +558,7 @@ def _cmd_heat(args: argparse.Namespace) -> int:
 def _cmd_cosine(args: argparse.Namespace) -> int:
     q = _quad_spec(args)
     f = _scalar_fn(args)
-    vs = _parse_grid(args.grid, "--grid") if args.grid else None
-    if vs is None:
-        if args.v is None:
-            raise ParameterError("cosine needs --v F or --grid")
-        vs = [_float_flag("--v", args.v)]
+    vs = _points(args, "--v", args.v, "cosine needs --v F or --grid")
     _value_output(args, [
         ("v", v, numeric.cosine_transform(f, v, q)) for v in vs
     ])

@@ -519,7 +519,6 @@ class Sl2LadderResult:
     lam_minus: Fraction
     lam_plus: Fraction
     first_violation: tuple[str, int] | None
-    structure: Sl2Structure | None
 
     @property
     def constants(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -586,26 +585,10 @@ def generic_sl2_ladder(
                 violation = ("z-raising", k)
                 break
 
-    structure = None
-    if violation is None:
-        lower = LinearOp.from_columns(
-            top, lambda j: {j - 1: fa[j]} if j else {}
-        )
-        raiser = LinearOp.from_columns(
-            top,
-            lambda j: {j + 1: fb[j]} if j < top else {},
-            trunc_cols=frozenset({top}),
-        )
-        diag = LinearOp.from_columns(top, lambda j: {j: fc[j]})
-        structure = Sl2Structure(
-            lower2=lower, raise2=raiser, z=diag,
-            lam=lam, lam_minus=lam_minus, lam_plus=lam_plus,
-        )
     return Sl2LadderResult(
         ok=violation is None,
         lam=lam, lam_minus=lam_minus, lam_plus=lam_plus,
         first_violation=violation,
-        structure=structure,
     )
 
 

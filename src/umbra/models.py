@@ -3,24 +3,28 @@
 A model packages a graded polynomial basis p_0..p_N together with the
 ladder pair: a lowering operator with L p_n = p_{n-1}, L p_0 = 0, a
 raising operator with R p_n = (n+1) p_{n+1}, the vacuum functional
-l_0 with <l_0, p_n> = delta_{0n}, and the structure constant iota = 1
-fixed once for the whole package, so that [R, L] = -I on the safe zone.
+l_0 with <l_0, p_n> = delta_{0n}, and the structure constant
+iota = 1 (``IOTA``) fixed once for the whole package, so that
+[R, L] = -I on the safe zone.
 
-Catalog entries:
+The catalog is three one-parameter families, and each catalog name is
+one family at one parameter:
 
-``monomial``          p_n = t^n/n!,            L = d/dt,      R = t*
-``lower-factorial``   p_n = t(t-1)...(t-n+1)/n!, L = forward difference,
-                      R f(t) = t f(t-1)
-``upper-factorial``   p_n = t(t+1)...(t+n-1)/n!, L = backward difference,
-                      R f(t) = t f(t+1)
-``hermite``           p_n = He_n/n! (probabilists'), L = d/dt,
-                      R = t* - d/dt; the vacuum is the dual row of the
-                      basis matrix, *not* evaluation at 0
-``heat``              p_n = t^{2n}/(2n)!,      L = d^2/dt^2,
-                      R : t^{2n} -> t^{2n+2}/(2(2n+1))
-``bessel`` (nu > 0)   q_n = t^{2n}/c_n with c_n = prod 2k(2k+nu-1),
+Appell (variance s)   p_n = He_n/n!, He_{n+1} = t He_n - s n He_{n-1},
+                      L = d/dt, R = t* - s d/dt; the vacuum is the
+                      expectation under the centred Gaussian of variance s
+  ``monomial``        s = 0: p_n = t^n/n!, R = t*, vacuum f(0)
+  ``hermite``         s = 1: probabilists' He_n/n!; the vacuum is the
+                      Gaussian expectation, *not* evaluation at 0
+factorial (step h)    p_n = t(t-h)...(t-h(n-1))/n!,
+                      L f = h (f(t+h) - f(t)), R f(t) = t f(t-h)
+  ``lower-factorial`` h = 1: L = forward difference
+  ``upper-factorial`` h = -1: L = backward difference
+even (nu >= 0)        q_n = t^{2n}/c_n with c_n = prod 2k(2k+nu-1),
                       L = B_nu = d^2/dt^2 + (nu/t) d/dt on even
                       polynomials, R : t^{2n} -> t^{2n+2}/(2(2n+nu+1))
+  ``heat``            nu = 0: p_n = t^{2n}/(2n)!, L = d^2/dt^2
+  ``bessel``          nu > 0, given with the name
 
 A model stores its basis once, as the integer basis matrix B
 (``basis_op``): column n is p_n, as integer numerators over one
@@ -33,10 +37,10 @@ calculus), also built over the integers.  On the capped space the
 factorial raising loses (n_max+1) p_{n_max+1} from its top column,
 which is marked truncated.
 
-The two even-parity models grade by basis index n <-> degree 2n and
-live on the even subspace only; applying their operators to a
-polynomial with odd-degree content raises DomainError (for the Bessel
-lowering this is forced: B_nu t = nu/t is not a polynomial).
+The even models grade by basis index n <-> degree 2n and live on the
+even subspace only; applying their operators to a polynomial with
+odd-degree content raises DomainError (for the Bessel lowering this is
+forced: B_nu t = nu/t is not a polynomial).
 """
 
 from __future__ import annotations
@@ -94,7 +98,6 @@ class UmbralModel:
     vacuum: Functional
     shift_invariant: bool
     nu: Fraction | None = None    # Bessel parameter, if any
-    iota: Fraction = IOTA
 
     def label(self) -> str:
         if self.nu is not None:
@@ -196,37 +199,43 @@ def _shift_op(cap: int, y: int) -> LinearOp:
     )
 
 
-def _dual_row0(b: LinearOp, n_max: int) -> Functional:
-    """Row x with <x, p_n> = delta_{0n} for the columns p_n of B,
-    n <= n_max, by triangular back-substitution, p_n having degree n."""
-    x = [ZERO] * (b.cap + 1)
-    for n, (rows, vals) in enumerate(b.cols[: n_max + 1]):
-        lead = dict(zip(rows, vals)).get(n)
-        if not lead:
-            raise ParameterError(
-                f"basis element {n} has zero leading coefficient"
-            )
-        acc = sum((x[i] * v for i, v in zip(rows, vals) if x[i]), ZERO)
-        x[n] = ((b.den if n == 0 else 0) - acc) / lead
-    return Functional(x, b.cap)
-
-
-def build_monomials(n_max: int, cap: int | None = None) -> UmbralModel:
-    """p_n = t^n/n!; L = d/dt, R = multiplication by t, vacuum = f(0)."""
+def _checked_cap(n_max: int, cap: int | None, parity: Parity) -> int:
+    """The degree cap, by default the degree of p_{n_max}; refuses
+    n_max < 1 and a cap below that degree."""
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
-    cap = n_max if cap is None else cap
-    if cap < n_max:
-        raise CapMismatchError("degree cap below top basis index")
+    even = parity is Parity.EVEN
+    top = 2 * n_max if even else n_max
+    cap = top if cap is None else cap
+    if cap < top:
+        raise CapMismatchError(f"degree cap below top basis {'degree' if even else 'index'}")
+    return cap
+
+
+def _build_appell(name: str, n_max: int, cap: int | None, s: int) -> UmbralModel:
+    """Appell model p_n = He_n/n! for the Hermite polynomials of
+    variance s, He_{n+1} = t He_n - s n He_{n-1}: L = d/dt and
+    R = t* - s d/dt.  The vacuum is the expectation under the centred
+    Gaussian of variance s, which kills every He_n with n >= 1:
+    <l_0, t^k> = s^{k/2} (k-1)!! for even k <= n_max, else 0.  It is
+    evaluation at 0 only when s = 0 (He_2(0) = -s)."""
+    cap = _checked_cap(n_max, cap, Parity.ALL)
+    he = [[1], [0, 1]]
+    for n in range(1, n_max):
+        he.append([y - s * n * x for x, y in zip(he[-2] + [0, 0], [0] + he[-1])])
+    moments = [
+        0 if k % 2 else s ** (k // 2) * math.prod(range(k - 1, 0, -2)) for k in range(n_max + 1)
+    ]
+    lowering = _derivative_op(cap)
     return UmbralModel(
-        name="monomial",
+        name=name,
         n_max=n_max,
         degree_cap=cap,
         parity=Parity.ALL,
-        basis_op=_basis_op(cap, [([0] * n + [1], math.factorial(n)) for n in range(n_max + 1)]),
-        lowering=_derivative_op(cap),
-        raising=_mult_by_t_op(cap),
-        vacuum=Functional.eval_at_zero(cap),
+        basis_op=_basis_op(cap, [(c, math.factorial(n)) for n, c in enumerate(he)]),
+        lowering=lowering,
+        raising=_mult_by_t_op(cap) - lowering.scale(s),
+        vacuum=Functional(moments, cap),
         shift_invariant=True,
     )
 
@@ -268,131 +277,32 @@ def _build_factorial(name: str, n_max: int, cap: int | None, step: int) -> Umbra
     )
 
 
-def build_lower_factorial(n_max: int, cap: int | None = None) -> UmbralModel:
-    """Falling-factorial basis t(t-1)...(t-n+1)/n!; the lowering
-    operator is the forward difference f(t+1) - f(t), the raising
-    operator f(t) -> t f(t-1)."""
-    return _build_factorial("lower-factorial", n_max, cap, step=+1)
-
-
-def build_upper_factorial(n_max: int, cap: int | None = None) -> UmbralModel:
-    """Rising-factorial basis t(t+1)...(t+n-1)/n!; the lowering
-    operator is the backward difference f(t) - f(t-1), the raising
-    operator f(t) -> t f(t+1)."""
-    return _build_factorial("upper-factorial", n_max, cap, step=-1)
-
-
-def build_hermite(n_max: int, cap: int | None = None) -> UmbralModel:
-    """Probabilists' Hermite basis He_n/n!.
-
-    This is an Appell family: the lowering operator is plain d/dt, the
-    raising operator t* - d/dt.  Evaluation at 0 does *not* kill the
-    higher basis elements (He_2(0) = -1), so the vacuum is the genuine
-    dual row of the basis matrix.
-    """
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
-    cap = n_max if cap is None else cap
-    if cap < n_max:
-        raise CapMismatchError("degree cap below top basis index")
-    he = [[1], [0, 1]]
-    for n in range(1, n_max):  # He_{n+1} = t He_n - n He_{n-1}
-        he.append([y - n * x for x, y in zip(he[-2] + [0, 0], [0] + he[-1])])
-    basis_op = _basis_op(cap, [(c, math.factorial(n)) for n, c in enumerate(he)])
-    lowering = _derivative_op(cap)
-    raising = _mult_by_t_op(cap) - lowering
-    return UmbralModel(
-        name="hermite",
-        n_max=n_max,
-        degree_cap=cap,
-        parity=Parity.ALL,
-        basis_op=basis_op,
-        lowering=lowering,
-        raising=raising,
-        vacuum=_dual_row0(basis_op, n_max),
-        shift_invariant=True,
-    )
-
-
-def build_heat(n_max: int, cap: int | None = None) -> UmbralModel:
-    """Even model p_n = t^{2n}/(2n)! with L = d^2/dt^2 and the raising
-    operator t^{2n} -> t^{2n+2}/(2(2n+1)) (half the t-antiderivative of
-    the multiplication t^{2n} -> t^{2n+1}).  Operators are stored on
-    the even columns only; the odd columns are zero and unreachable."""
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
-    cap = 2 * n_max if cap is None else cap
-    if cap < 2 * n_max:
-        raise CapMismatchError("degree cap below top basis degree")
-    basis_op = _basis_op(
-        cap, [([0] * (2 * n) + [1], math.factorial(2 * n)) for n in range(n_max + 1)]
-    )
-    lowering = LinearOp.from_columns(
-        cap,
-        lambda j: {j - 2: Fraction(j * (j - 1))} if j % 2 == 0 and j >= 2 else {},
-    )
-    raising = LinearOp.from_columns(
-        cap,
-        lambda j: (
-            {j + 2: Fraction(1, 2 * (j + 1))}
-            if j % 2 == 0 and j + 2 <= cap
-            else {}
-        ),
-        trunc_cols=frozenset(j for j in range(0, cap + 1, 2) if j + 2 > cap),
-    )
-    return UmbralModel(
-        name="heat",
-        n_max=n_max,
-        degree_cap=cap,
-        parity=Parity.EVEN,
-        basis_op=basis_op,
-        lowering=lowering,
-        raising=raising,
-        vacuum=Functional.eval_at_zero(cap),
-        shift_invariant=False,
-    )
-
-
-def build_bessel(
-    n_max: int, nu: Fraction | int | str, cap: int | None = None
-) -> UmbralModel:
+def _build_even(name: str, n_max: int, cap: int | None, nu: Fraction) -> UmbralModel:
     """Even model q_n = t^{2n}/c_n, c_n = prod_{k<=n} 2k(2k+nu-1),
     lowered by the Bessel operator B_nu = d^2/dt^2 + (nu/t) d/dt and
-    raised by t^{2n} -> t^{2n+2}/(2(2n+nu+1)).  Requires nu > 0."""
-    nu = as_fraction(nu)
-    if nu <= 0:
-        raise ParameterError(f"bessel model needs nu > 0, got {format_rational(nu)}")
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
-    cap = 2 * n_max if cap is None else cap
-    if cap < 2 * n_max:
-        raise CapMismatchError("degree cap below top basis degree")
+    raised by t^{2n} -> t^{2n+2}/(2(2n+nu+1)), for nu >= 0.  At nu = 0
+    (heat) c_n = (2n)! and B_0 = d^2/dt^2, and the model carries no nu.
+    Operators are stored on the even columns only; the odd columns are
+    zero and unreachable."""
+    cap = _checked_cap(n_max, cap, Parity.EVEN)
     # 1/c_n = q^n / a_n over the integers, with nu = p/q and
     # a_n = prod_{k<=n} 2k(2kq + p - q) > 0
     p, q = nu.numerator, nu.denominator
     a = [1]
     for k in range(1, n_max + 1):
         a.append(a[-1] * 2 * k * (2 * k * q + p - q))
-    basis_op = _basis_op(
-        cap, [([0] * (2 * n) + [q**n], a[n]) for n in range(n_max + 1)]
-    )
+    basis_op = _basis_op(cap, [([0] * (2 * n) + [q**n], a[n]) for n in range(n_max + 1)])
+    # B_nu t^j = j (j + nu - 1) t^{j-2};  R t^j = t^{j+2} / (2 (j + nu + 1))
     lowering = LinearOp.from_columns(
-        cap,
-        lambda j: (
-            {j - 2: j * (j + nu - 1)} if j % 2 == 0 and j >= 2 else {}
-        ),
+        cap, lambda j: {j - 2: Fraction(j * (j * q + p - q), q)} if j % 2 == 0 and j >= 2 else {}
     )
     raising = LinearOp.from_columns(
         cap,
-        lambda j: (
-            {j + 2: 1 / (2 * (j + nu + 1))}
-            if j % 2 == 0 and j + 2 <= cap
-            else {}
-        ),
+        lambda j: {j + 2: Fraction(q, 2 * (j * q + p + q))} if j % 2 == 0 and j + 2 <= cap else {},
         trunc_cols=frozenset(j for j in range(0, cap + 1, 2) if j + 2 > cap),
     )
     return UmbralModel(
-        name="bessel",
+        name=name,
         n_max=n_max,
         degree_cap=cap,
         parity=Parity.EVEN,
@@ -401,7 +311,7 @@ def build_bessel(
         raising=raising,
         vacuum=Functional.eval_at_zero(cap),
         shift_invariant=False,
-        nu=nu,
+        nu=nu if nu else None,
     )
 
 
@@ -504,12 +414,24 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
         "ladder-lowering": lowering_mismatch(m, b, top),
         "ladder-raising": (m.raising @ b).compare_on_columns(b @ s_up, range(top)),
         "vacuum": pairing_mismatch(rows_matrix(cap, [m.vacuum]) @ b, 0, top),
-        "commutator": (comm @ b).compare_on_columns(b.scale(-m.iota), range(top)),
+        "commutator": (comm @ b).compare_on_columns(b.scale(-IOTA), range(top)),
     }
     return [
         VerificationReport(check, m.label(), dict(params), status_of(bad, tainted), first_failure=bad)
         for check, (bad, tainted) in outcomes.items()
     ]
+
+
+# each catalog name as (family builder, parameter); bessel's nu comes
+# from the caller
+_CATALOG: dict[str, tuple[Callable[..., UmbralModel], Fraction | int | None]] = {
+    "monomial": (_build_appell, 0),
+    "lower-factorial": (_build_factorial, 1),
+    "upper-factorial": (_build_factorial, -1),
+    "hermite": (_build_appell, 1),
+    "heat": (_build_even, ZERO),
+    "bessel": (_build_even, None),
+}
 
 
 def build_model(
@@ -519,22 +441,18 @@ def build_model(
     cap: int | None = None,
 ) -> UmbralModel:
     """Catalog dispatch by name; ``nu`` is required for (and only for)
-    the bessel model."""
+    the bessel model, and must be > 0."""
     if name == "bessel":
         if nu is None:
             raise ParameterError("bessel model requires --nu")
-        return build_bessel(n_max, nu, cap)
-    if nu is not None:
+        nu = as_fraction(nu)
+        if nu <= 0:
+            raise ParameterError(f"bessel model needs nu > 0, got {format_rational(nu)}")
+    elif nu is not None:
         raise ParameterError(f"model {name!r} takes no nu parameter")
-    builders: dict[str, Callable[[int, int | None], UmbralModel]] = {
-        "monomial": build_monomials,
-        "lower-factorial": build_lower_factorial,
-        "upper-factorial": build_upper_factorial,
-        "hermite": build_hermite,
-        "heat": build_heat,
-    }
-    if name not in builders:
+    if name not in _CATALOG:
         raise ParameterError(
             f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}"
         )
-    return builders[name](n_max, cap)
+    build, param = _CATALOG[name]
+    return build(name, n_max, cap, nu if param is None else param)

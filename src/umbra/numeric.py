@@ -385,8 +385,6 @@ def poisson_intertwining_check(
 
 
 def _hankel_cutoff(nu: float, f: ScalarFn, q: QuadratureSpec) -> float:
-    if q.tail_cutoff is not None:
-        return q.tail_cutoff
     r = f.rate
     t = max(20.0 / r, 20.0)
     # the t^nu factor can push the nominal e^{-20} tail above tolerance;
@@ -468,8 +466,6 @@ def hankel_intertwining_check(
 
 
 def _gaussian_cutoff(f: ScalarFn, u: float, q: QuadratureSpec) -> float:
-    if q.tail_cutoff is not None:
-        return q.tail_cutoff
     g = f.growth_degree if f.decay == "none" else 0
     t = max(1.0, 4.0 * math.sqrt(u), math.sqrt(16.0 * g * u))
     # for s >= t (and t^2 >= 16gu) the integrand is below
@@ -520,7 +516,7 @@ def cosine_transform(
     if f.decay == "compact":
         lo, hi = f.a, f.b
     elif f.decay == "exponential":
-        t = q.tail_cutoff if q.tail_cutoff is not None else max(20.0 / f.rate, 20.0)
+        t = max(20.0 / f.rate, 20.0)
         lo, hi = -t, t
     else:
         raise ParameterError(

@@ -31,15 +31,13 @@ FIXED = "fixed"
 class QuadratureSpec:
     """Integration policy.  ``nodes`` is the Gauss-Legendre order per
     panel; ``max_subdivisions`` bounds the bisection depth of the
-    adaptive rule; ``tail_cutoff`` optionally overrides the automatic
-    truncation point of half-line and whole-line integrals."""
+    adaptive rule."""
 
     rule: str = ADAPTIVE
     nodes: int = 24
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 32
-    tail_cutoff: float | None = None
 
     def __post_init__(self) -> None:
         if self.rule not in (ADAPTIVE, FIXED):
@@ -50,8 +48,6 @@ class QuadratureSpec:
             raise ParameterError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ParameterError("max_subdivisions must be >= 1")
-        if self.tail_cutoff is not None and self.tail_cutoff <= 0:
-            raise ParameterError("tail_cutoff must be positive")
 
 
 @dataclass(frozen=True)

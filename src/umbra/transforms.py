@@ -217,7 +217,7 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
         n, marked = lhs.compare_on_columns(rhs, cols)
         if m.parity is Parity.EVEN:
             for j in cols if n is None else range(cols.start, n + 1):
-                m.check_in_space(image.apply(Poly.monomial(j, cap)))
+                m.check_degrees_in_space(image.cols[j][0])
         tainted |= marked
         if n is not None:
             bad = (kind, n)

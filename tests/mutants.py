@@ -182,6 +182,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "heat built as the even family at nu = 1",
+        "src/umbra/models.py",
+        '"heat": (_build_even, ZERO),',
+        '"heat": (_build_even, ONE),',
+        (
+            "tests/test_models.py::test_heat_basis",
+            "tests/test_models.py::test_heat_lowering_is_second_derivative",
+        ),
+    ),
+    Mutant(
+        "monomial built as the Appell family at variance 1",
+        "src/umbra/models.py",
+        '"monomial": (_build_appell, 0),',
+        '"monomial": (_build_appell, 1),',
+        (
+            "tests/test_models.py::test_monomial_basis",
+            "tests/test_models.py::test_eval0_vacuums",
+        ),
+    ),
+    Mutant(
         "metaplectic reporting on an empty column list",
         "src/umbra/heisenberg.py",
         "    if not cols:\n        raise ParameterError(",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from umbra.core import CapMismatchError, DomainError, LinearOp, ParameterError, Poly
+from umbra.core import CapMismatchError, DomainError, LinearOp, ParameterError, Poly, UmbraError
 from umbra.models import (
     MODEL_NAMES,
     build_model,
@@ -270,3 +270,54 @@ def test_factorial_models_pin_cap_to_top_index():
 def test_unknown_model_name():
     with pytest.raises(ParameterError):
         build_model("legendre", 4)
+
+
+FACTORIAL_CAP = (
+    "factorial models need the degree cap equal to the top basis index "
+    "(the top raising column is defined relative to cap = n_max)"
+)
+
+
+def _refusals():
+    """(name, n_max, nu, cap, error type, message) for each refusal of
+    build_model on every catalog name, plus an unknown name.  A bessel
+    nu is checked before the size, and a nu given to any other name
+    before the name itself."""
+    cases = []
+    for name in MODEL_NAMES:
+        nu = NU if name == "bessel" else None
+        cases.append((name, 0, nu, None, ParameterError, "n_max must be >= 1"))
+        if name in FACTORIAL_FAMILIES:
+            cases += [(name, 4, None, cap, CapMismatchError, FACTORIAL_CAP) for cap in (3, 5)]
+        elif name in ("heat", "bessel"):
+            cases.append((name, 4, nu, 7, CapMismatchError, "degree cap below top basis degree"))
+        else:
+            cases.append((name, 4, nu, 3, CapMismatchError, "degree cap below top basis index"))
+        if name == "bessel":
+            cases += [
+                (name, 4, None, None, ParameterError, "bessel model requires --nu"),
+                (name, 0, None, 1, ParameterError, "bessel model requires --nu"),
+                (name, 4, 0, None, ParameterError, "bessel model needs nu > 0, got 0"),
+                (name, 0, "-1/2", 1, ParameterError, "bessel model needs nu > 0, got -1/2"),
+            ]
+        else:
+            message = f"model {name!r} takes no nu parameter"
+            cases += [
+                (name, 4, NU, None, ParameterError, message),
+                (name, 0, 0, 1, ParameterError, message),
+            ]
+    names = ", ".join(MODEL_NAMES)
+    cases += [
+        ("legendre", 4, None, None, ParameterError,
+         f"unknown model 'legendre'; choose from {names}"),
+        ("legendre", 4, 1, None, ParameterError, "model 'legendre' takes no nu parameter"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("name,n_max,nu,cap,error,message", _refusals())
+def test_build_model_refusals(name, n_max, nu, cap, error, message):
+    with pytest.raises(UmbraError) as caught:
+        build_model(name, n_max, nu=nu, cap=cap)
+    assert type(caught.value) is error
+    assert str(caught.value) == message

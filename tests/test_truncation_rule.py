@@ -23,7 +23,7 @@ from umbra.heisenberg import (
     weyl_relation_check,
 )
 from umbra.kernels import EMPTY
-from umbra.models import Parity, basis_matrix, build_model, dual_matrix, pairing_mismatch, verify_model
+from umbra.models import IOTA, Parity, basis_matrix, build_model, dual_matrix, pairing_mismatch, verify_model
 from umbra.reports import PASS
 from umbra.transforms import (
     biorthogonality_check,
@@ -57,7 +57,7 @@ def _plain(m) -> dict:
         "vac": list(m.vacuum.row),
         "basis": [list(p.coeffs) for p in m.basis],
         "b_marks": {n for n, p in enumerate(m.basis) if p.truncated},
-        "iota": m.iota,
+        "iota": IOTA,
         "even": m.parity is Parity.EVEN,
         "label": m.label(),
     }
