@@ -19,7 +19,10 @@ monomial basis t^k.  Three data types live here:
   single positive denominator whose common factor with the nonzeros is
   reduced away once per operation.  That keeps the
   hot paths (operator products in the verification checks) on plain
-  integer arithmetic over the nonzeros; see ``umbra.kernels``.
+  integer arithmetic over the nonzeros; see ``umbra.kernels``.  Its one
+  constructor, ``LinearOp(cols, den, cap, trunc_cols)``, takes integer
+  columns over any nonzero denominator and canonicalizes them;
+  ``from_columns`` and ``from_entries`` build it from rationals.
   Operators remember which input columns are unreliable because the
   construction already truncated them (``trunc_cols``); applying an
   operator to a polynomial that touches such a column sets the
@@ -297,8 +300,10 @@ class LinearOp:
     Stored fraction-free and sparse: ``cols[j]`` is the pair (rows,
     numerators) of column j's nonzero entries, rows increasing, over
     one positive denominator ``den``, with the content of the nonzeros
-    reduced away (the column layout of ``umbra.kernels``).  ``num`` is
-    a dense tuple-of-rows view computed on demand.  ``trunc_cols``
+    reduced away (the column layout of ``umbra.kernels``).  The
+    constructor takes columns in that layout over any nonzero
+    denominator and reduces them to this form.  ``num`` is a dense
+    tuple-of-rows view computed on demand.  ``trunc_cols``
     marks input degrees whose columns were already truncated when the
     operator was constructed (for a raising operator, the top basis
     degree); applying the operator to a polynomial with mass on such a
@@ -311,55 +316,37 @@ class LinearOp:
     __slots__ = ("cols", "den", "cap", "trunc_cols")
 
     def __init__(
-        self,
-        num: Sequence[Sequence[int]],
-        den: int,
-        cap: int,
-        trunc_cols: frozenset[int] = frozenset(),
-        _reduced_already: bool = False,
+        self, cols, den: int, cap: int, trunc_cols: Iterable[int] = frozenset()
     ):
-        n = cap + 1
-        if len(num) != n or any(len(row) != n for row in num):
-            raise CapMismatchError(f"matrix shape does not match cap {cap}")
-        cols = []
-        for j in range(n):
-            rows = tuple(i for i, row in enumerate(num) if row[j])
-            cols.append((rows, tuple(num[i][j] for i in rows)))
-        self._init(cols, den, cap, trunc_cols, _reduced_already)
-
-    def _init(self, cols, den: int, cap: int, trunc_cols: Iterable[int], reduced: bool) -> None:
-        if reduced:
-            self.cols, self.den = tuple(cols), den
-        else:
-            self.cols, self.den = _reduced(cols, den)
+        self.cols, self.den = _reduced(cols, den)
+        if len(self.cols) != cap + 1:
+            raise CapMismatchError(f"{len(self.cols)} columns do not match cap {cap}")
         self.cap = cap
         self.trunc_cols = frozenset(trunc_cols)
-
-    @classmethod
-    def _sparse(
-        cls, cols, den: int, cap: int,
-        trunc_cols: Iterable[int] = frozenset(), reduced: bool = False,
-    ) -> "LinearOp":
-        """From canonical sparse columns, skipping the dense view."""
-        op = cls.__new__(cls)
-        op._init(cols, den, cap, trunc_cols, reduced)
-        return op
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _from_fraction_columns(
+    def from_columns(
         cls,
         cap: int,
-        columns: Sequence[Sequence[tuple[int, Fraction]]],
-        trunc_cols: Iterable[int],
+        columns: Mapping[int, Mapping[int, Fraction]] | Callable[[int], Mapping[int, Fraction]],
+        trunc_cols: frozenset[int] = frozenset(),
     ) -> "LinearOp":
-        """From columns of (row, rational) pairs sorted by row."""
-        cols = [[(i, q) for i, q in col if q] for col in columns]
-        nums, den = _common_denominator([q for col in cols for _, q in col])
+        """Build from the action on monomials: columns[j] maps output
+        degree -> rational coefficient of the image of t^j."""
+        out = []
+        for j in range(cap + 1):
+            col = columns(j) if callable(columns) else columns.get(j, {})
+            for i in col:
+                if not 0 <= i <= cap:
+                    raise CapMismatchError(f"output degree {i} outside cap {cap}")
+            fracs = sorted((i, as_fraction(v)) for i, v in col.items())
+            out.append([(i, q) for i, q in fracs if q])
+        nums, den = _common_denominator([q for col in out for _, q in col])
         nums = iter(nums)
-        return cls._sparse(
-            [(tuple(i for i, _ in col), tuple(next(nums) for _ in col)) for col in cols],
+        return cls(
+            [(tuple(i for i, _ in col), tuple(next(nums) for _ in col)) for col in out],
             den, cap, trunc_cols,
         )
 
@@ -373,39 +360,17 @@ class LinearOp:
         cap = len(entries) - 1
         if any(len(row) != cap + 1 for row in entries):
             raise CapMismatchError(f"matrix shape does not match cap {cap}")
-        columns = [
-            [(i, as_fraction(row[j])) for i, row in enumerate(entries)]
-            for j in range(cap + 1)
-        ]
-        return cls._from_fraction_columns(cap, columns, trunc_cols)
-
-    @classmethod
-    def from_columns(
-        cls,
-        cap: int,
-        columns: Mapping[int, Mapping[int, Fraction]] | Callable[[int], Mapping[int, Fraction]],
-        trunc_cols: frozenset[int] = frozenset(),
-    ) -> "LinearOp":
-        """Build from the action on monomials: columns[j] maps output
-        degree -> coefficient of the image of t^j."""
-        out = []
-        for j in range(cap + 1):
-            col = columns(j) if callable(columns) else columns.get(j, {})
-            for i in col:
-                if not 0 <= i <= cap:
-                    raise CapMismatchError(
-                        f"output degree {i} outside cap {cap}"
-                    )
-            out.append(sorted((i, as_fraction(v)) for i, v in col.items()))
-        return cls._from_fraction_columns(cap, out, trunc_cols)
+        return cls.from_columns(
+            cap, lambda j: {i: row[j] for i, row in enumerate(entries)}, trunc_cols
+        )
 
     @classmethod
     def identity(cls, cap: int) -> "LinearOp":
-        return cls._sparse([((j,), (1,)) for j in range(cap + 1)], 1, cap, reduced=True)
+        return cls([((j,), (1,)) for j in range(cap + 1)], 1, cap)
 
     @classmethod
     def zero(cls, cap: int) -> "LinearOp":
-        return cls._sparse([kernels.EMPTY] * (cap + 1), 1, cap, reduced=True)
+        return cls([kernels.EMPTY] * (cap + 1), 1, cap)
 
     # -- inspection ---------------------------------------------------
 
@@ -463,7 +428,7 @@ class LinearOp:
                 j for j, (rows, _) in enumerate(other.cols)
                 if not bad_rows.isdisjoint(rows)
             )
-        return LinearOp._sparse(cols, self.den * other.den, self.cap, tcols)
+        return LinearOp(cols, self.den * other.den, self.cap, tcols)
 
     def __add__(self, other: "LinearOp") -> "LinearOp":
         self._check_cap(other)
@@ -471,9 +436,7 @@ class LinearOp:
         ca = other.den // g
         cb = self.den // g
         cols = kernels.imat_comb(((ca, self.cols), (cb, other.cols)))
-        return LinearOp._sparse(
-            cols, self.den * ca, self.cap, self.trunc_cols | other.trunc_cols
-        )
+        return LinearOp(cols, self.den * ca, self.cap, self.trunc_cols | other.trunc_cols)
 
     def __sub__(self, other: "LinearOp") -> "LinearOp":
         return self + other.scale(-1)
@@ -484,7 +447,7 @@ class LinearOp:
             return LinearOp.zero(self.cap)
         p = q.numerator
         cols = [(rows, tuple(p * x for x in vals)) for rows, vals in self.cols]
-        return LinearOp._sparse(cols, self.den * q.denominator, self.cap, self.trunc_cols)
+        return LinearOp(cols, self.den * q.denominator, self.cap, self.trunc_cols)
 
     def times_vector(self, vec: Mapping[int, int]) -> dict[int, int]:
         """This matrix times the column whose nonzero integer entries

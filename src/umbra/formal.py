@@ -154,7 +154,7 @@ class FormalOpSeries:
         tcols = frozenset().union(*(op.trunc_cols for _, op in words))
         ops = [(q, op) for q, op in words if q]
         if not ops:
-            return LinearOp._sparse([kernels.EMPTY] * (cap + 1), 1, cap, tcols, reduced=True)
+            return LinearOp([kernels.EMPTY] * (cap + 1), 1, cap, tcols)
         den = math.lcm(*(q.denominator * op.den for q, op in ops))
         terms = [((den // (q.denominator * op.den)) * q.numerator, op.cols) for q, op in ops]
         js = range(cap + 1) if columns is None else sorted(set(columns))
@@ -162,7 +162,7 @@ class FormalOpSeries:
         cols = [kernels.EMPTY] * (cap + 1)
         for j, col in zip(js, part):
             cols[j] = col
-        return LinearOp._sparse(cols, den, cap, tcols)
+        return LinearOp(cols, den, cap, tcols)
 
     def indices(self) -> list[Index]:
         return sorted(self.terms, key=lambda idx: (sum(idx), idx))

@@ -470,7 +470,7 @@ def _metaplectic_sequences(
     s = metaplectic(m)
     top = m.n_max // 2
     basis, d = m.basis_op, m.dual_op
-    b_even = LinearOp._sparse(
+    b_even = LinearOp(
         [col if n % 2 == 0 else EMPTY for n, col in enumerate(basis.cols)],
         basis.den, basis.cap, basis.trunc_cols,
     )

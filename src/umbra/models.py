@@ -171,32 +171,22 @@ def _basis_op(cap: int, polys: Sequence[tuple[Sequence[int], int]]) -> LinearOp:
     for cs, d in polys:
         rows = tuple(i for i, c in enumerate(cs) if c)
         cols.append((rows, tuple(den // d * cs[i] for i in rows)))
-    return LinearOp._sparse(cols + [EMPTY] * (cap + 1 - len(cols)), den, cap)
+    return LinearOp(cols + [EMPTY] * (cap + 1 - len(cols)), den, cap)
 
 
 def _derivative_op(cap: int) -> LinearOp:
-    return LinearOp.from_columns(
-        cap, lambda j: {j - 1: Fraction(j)} if j >= 1 else {}
-    )
+    return LinearOp([EMPTY] + [((j - 1,), (j,)) for j in range(1, cap + 1)], 1, cap)
 
 
 def _mult_by_t_op(cap: int) -> LinearOp:
-    return LinearOp.from_columns(
-        cap,
-        lambda j: {j + 1: ONE} if j < cap else {},
-        trunc_cols=frozenset({cap}),
-    )
+    return LinearOp([((j + 1,), (1,)) for j in range(cap)] + [EMPTY], 1, cap, {cap})
 
 
 def _shift_op(cap: int, y: int) -> LinearOp:
     """f(t) -> f(t+y) for y = +-1; exact, degree never grows."""
-    return LinearOp._sparse(
-        [
-            (tuple(range(j + 1)), tuple(math.comb(j, i) * y ** (j - i) for i in range(j + 1)))
-            for j in range(cap + 1)
-        ],
-        1, cap, reduced=True,
-    )
+    cols = [(tuple(range(j + 1)), tuple(math.comb(j, i) * y ** (j - i) for i in range(j + 1)))
+            for j in range(cap + 1)]
+    return LinearOp(cols, 1, cap)
 
 
 def _checked_cap(n_max: int, cap: int | None, parity: Parity) -> int:
@@ -271,7 +261,7 @@ def _build_factorial(name: str, n_max: int, cap: int | None, step: int) -> Umbra
         parity=Parity.ALL,
         basis_op=_basis_op(cap, [(c, math.factorial(n)) for n, c in enumerate(cs[: n_max + 1])]),
         lowering=lowering,
-        raising=LinearOp._sparse(cols, 1, cap, {cap}, reduced=True),
+        raising=LinearOp(cols, 1, cap, {cap}),
         vacuum=Functional.eval_at_zero(cap),
         shift_invariant=True,
     )
@@ -293,9 +283,8 @@ def _build_even(name: str, n_max: int, cap: int | None, nu: Fraction) -> UmbralM
         a.append(a[-1] * 2 * k * (2 * k * q + p - q))
     basis_op = _basis_op(cap, [([0] * (2 * n) + [q**n], a[n]) for n in range(n_max + 1)])
     # B_nu t^j = j (j + nu - 1) t^{j-2};  R t^j = t^{j+2} / (2 (j + nu + 1))
-    lowering = LinearOp.from_columns(
-        cap, lambda j: {j - 2: Fraction(j * (j * q + p - q), q)} if j % 2 == 0 and j >= 2 else {}
-    )
+    low = [((j - 2,), (j * (j * q + p - q),)) if j % 2 == 0 else EMPTY for j in range(2, cap + 1)]
+    lowering = LinearOp([EMPTY, EMPTY] + low, q, cap)
     raising = LinearOp.from_columns(
         cap,
         lambda j: {j + 2: Fraction(q, 2 * (j * q + p + q))} if j % 2 == 0 and j + 2 <= cap else {},
@@ -323,7 +312,7 @@ def basis_matrix(m: UmbralModel, top: int) -> LinearOp:
     b = m.basis_op
     for rows, _ in b.cols[: top + 1]:
         m.check_degrees_in_space(rows)
-    return LinearOp._sparse(
+    return LinearOp(
         b.cols[: top + 1] + (EMPTY,) * (b.cap - top), b.den, b.cap,
         [n for n in b.trunc_cols if n <= top],
     )
@@ -332,7 +321,8 @@ def basis_matrix(m: UmbralModel, top: int) -> LinearOp:
 def lowering_mismatch(m: UmbralModel, b: LinearOp, top: int) -> tuple[int | None, bool]:
     """L B = B S_down on columns 0..top, with S_down e_n = e_{n-1}:
     the first n with L p_n != p_{n-1} (p_{-1} = 0), and the taint."""
-    s_down = LinearOp.from_columns(m.degree_cap, lambda j: {j - 1: ONE} if j else {})
+    cap = m.degree_cap
+    s_down = LinearOp([EMPTY] + [((j - 1,), (1,)) for j in range(1, cap + 1)], 1, cap)
     return (m.lowering @ b).compare_on_columns(b @ s_down, range(top + 1))
 
 
@@ -363,7 +353,7 @@ def dual_matrix(m: UmbralModel) -> LinearOp:
         grew = not reach <= marks
         marks |= reach
     d = m.dual_op
-    return LinearOp._sparse(d.cols, d.den, d.cap, marks, reduced=True)
+    return LinearOp(d.cols, d.den, d.cap, marks)
 
 
 def require_order(m: UmbralModel, order: int) -> None:
@@ -408,7 +398,7 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
         params["nu"] = m.nu
     top, cap = m.n_max, m.degree_cap
     b = m.basis_op
-    s_up = LinearOp.from_columns(cap, lambda j: {j + 1: j + 1} if j < cap else {})
+    s_up = LinearOp([((j + 1,), (j + 1,)) for j in range(cap)] + [EMPTY], 1, cap)
     comm = op_commutator(m.raising, m.lowering)
     outcomes = {
         "ladder-lowering": lowering_mismatch(m, b, top),
@@ -441,7 +431,12 @@ def build_model(
     cap: int | None = None,
 ) -> UmbralModel:
     """Catalog dispatch by name; ``nu`` is required for (and only for)
-    the bessel model, and must be > 0."""
+    the bessel model, and must be > 0.  An unknown name is refused
+    before its ``nu`` is looked at."""
+    if name not in _CATALOG:
+        raise ParameterError(
+            f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}"
+        )
     if name == "bessel":
         if nu is None:
             raise ParameterError("bessel model requires --nu")
@@ -450,9 +445,5 @@ def build_model(
             raise ParameterError(f"bessel model needs nu > 0, got {format_rational(nu)}")
     elif nu is not None:
         raise ParameterError(f"model {name!r} takes no nu parameter")
-    if name not in _CATALOG:
-        raise ParameterError(
-            f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}"
-        )
     build, param = _CATALOG[name]
     return build(name, n_max, cap, nu if param is None else param)

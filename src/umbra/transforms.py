@@ -38,6 +38,7 @@ from .core import (
     ZERO,
     integer_vector,
 )
+from .kernels import EMPTY
 from .models import Parity, UmbralModel, basis_matrix, dual_matrix, require_order
 from .models import dual_functionals  # noqa: F401  (public here: the duals l_k)
 from .models import _derivative_op, _mult_by_t_op, lowering_mismatch, pairing_mismatch
@@ -202,9 +203,9 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
     Last, ``covariant_w0`` of sum_n (n+1)/(n+2) p_n must be
     sum_n (n+1)/(n+2) u^n/n!."""
     cap, top = m.degree_cap, m.n_max
-    inv_fact = LinearOp.from_columns(
-        cap, lambda j: {j: Fraction(1, math.factorial(j))} if j <= top else {}
-    )
+    f = math.factorial(top)
+    cols = [((j,), (f // math.factorial(j),)) for j in range(top + 1)]
+    inv_fact = LinearOp(cols + [EMPTY] * (cap - top), f, cap)
     w0, b = inv_fact @ dual_matrix(m), m.basis_op
     wb = w0 @ b
     lb, rb = m.lowering @ b, m.raising @ b

@@ -164,7 +164,7 @@ MUTANTS = (
     Mutant(
         "basis_matrix keeping B's columns and marks above top",
         "src/umbra/models.py",
-        "    return LinearOp._sparse(\n"
+        "    return LinearOp(\n"
         "        b.cols[: top + 1] + (EMPTY,) * (b.cap - top), b.den, b.cap,\n"
         "        [n for n in b.trunc_cols if n <= top],\n"
         "    )",
@@ -200,6 +200,75 @@ MUTANTS = (
             "tests/test_models.py::test_monomial_basis",
             "tests/test_models.py::test_eval0_vacuums",
         ),
+    ),
+    Mutant(
+        "the product's taint without the right operand's marks",
+        "src/umbra/core.py",
+        "tcols = set(other.trunc_cols)",
+        "tcols = set()",
+        (
+            "tests/test_core.py::test_trunc_cols_propagate_through_matmul",
+            "tests/test_sparse_ops.py::test_trunc_cols_through_matmul_follow_the_dense_rule",
+        ),
+    ),
+    Mutant(
+        "compare_on_columns reading only the numerators, not their rows",
+        "src/umbra/core.py",
+        "if ra != rb or (",
+        "if (",
+        ("tests/test_sparse_ops.py::test_compare_on_columns_reads_rows_and_values_on_both_branches",),
+    ),
+    Mutant(
+        "compare_on_columns over one denominator ignoring the numerators",
+        "src/umbra/core.py",
+        "va != vb if da == db",
+        "False if da == db",
+        ("tests/test_sparse_ops.py::test_compare_on_columns_reads_rows_and_values_on_both_branches",),
+    ),
+    Mutant(
+        "compare_on_columns over two denominators crossing them the wrong way",
+        "src/umbra/core.py",
+        "any(x * db != y * da for",
+        "any(x * da != y * db for",
+        (
+            "tests/test_sparse_ops.py::test_compare_on_columns_reads_rows_and_values_on_both_branches",
+            "tests/test_sparse_ops.py::test_compare_on_columns_across_denominators",
+        ),
+    ),
+    Mutant(
+        "apply ignoring the operator's marks",
+        "src/umbra/core.py",
+        "return Poly(cs, f.cap, f.truncated or not self.trunc_cols.isdisjoint(vec))",
+        "return Poly(cs, f.cap, f.truncated)",
+        ("tests/test_core.py::test_trunc_cols_propagate_through_matmul",),
+    ),
+    Mutant(
+        "the canonical form without the content division",
+        "src/umbra/core.py",
+        "    if g > 1:\n        den //= g",
+        "    if False:\n        den //= g",
+        ("tests/test_sparse_ops.py::test_the_constructor_reduces_sign_and_content",),
+    ),
+    Mutant(
+        "delsarte reporting the lowering first at equal index",
+        "src/umbra/translations.py",
+        "(low is None or at0 <= low)",
+        "(low is None or at0 < low)",
+        ("tests/test_truncation_rule.py::test_delsarte_reports_the_value_at_0_first_at_equal_index",),
+    ),
+    Mutant(
+        "ladder-raising compared on the top column too",
+        "src/umbra/models.py",
+        "compare_on_columns(b @ s_up, range(top))",
+        "compare_on_columns(b @ s_up, range(top + 1))",
+        ("tests/test_models.py::test_catalog_verifies",),
+    ),
+    Mutant(
+        "the j_nu stop test without the term's error bound",
+        "src/umbra/numeric.py",
+        "if a + e < below:",
+        "if a < below:",
+        ("tests/test_numeric.py::test_fixed_point_stop_test_allows_for_the_truncation_error",),
     ),
     Mutant(
         "metaplectic reporting on an empty column list",

@@ -57,7 +57,7 @@ def _perturbed(seed: int):
         op = LinearOp.from_entries(rows, op.trunc_cols)
         what = f"{which}[{i}][{j}] += {delta}"
     else:
-        op = LinearOp(op.num, op.den, op.cap, op.trunc_cols | {j})
+        op = LinearOp(op.cols, op.den, op.cap, op.trunc_cols | {j})
         what = f"{which} marks column {j}"
     order = rng.randint(1, min(4, m.n_max))
     return replace(m, **{which: op}), f"{m.label()} n_max={m.n_max}: {what}", order

@@ -4,10 +4,11 @@ against dense Fraction matrices from ``reference``."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra.core import Functional, LinearOp, Poly
+from umbra.core import CapMismatchError, Functional, LinearOp, Poly
 
 import reference as ref
 
@@ -133,14 +134,41 @@ def test_compare_on_columns_across_denominators():
     assert x.compare_on_columns(y, [1, 0]) == (0, True)
 
 
+def test_compare_on_columns_reads_rows_and_values_on_both_branches():
+    one = LinearOp.identity(1)
+    swap = LinearOp.from_entries([[0, 1], [1, 0]])
+    twice = LinearOp.from_entries([[1, 0], [0, 2]])
+    half = LinearOp.from_entries([[Fraction(1, 2), 0], [0, 1]])
+    assert half.den == 2
+    # same numerators on other rows
+    assert one.compare_on_columns(swap, [0, 1]) == (0, False)
+    # one denominator, another numerator
+    assert one.compare_on_columns(twice, [0, 1]) == (1, False)
+    # two denominators: 1/1 == 2/2 on column 1, 1/1 != 1/2 on column 0
+    assert one.compare_on_columns(half, [1, 0]) == (0, False)
+
+
+def test_the_constructor_reduces_sign_and_content():
+    op = LinearOp([((0,), (-4,)), ((1,), (6,))], -8, 1, {1})
+    assert (op.cols, op.den, op.trunc_cols) == ((((0,), (2,)), ((1,), (-3,))), 4, {1})
+    assert op == LinearOp.from_entries([[Fraction(1, 2), 0], [0, Fraction(-3, 4)]])
+    with pytest.raises(CapMismatchError):
+        LinearOp(op.cols, op.den, 2)
+
+
 @settings(max_examples=80, deadline=None)
 @given(grid_pairs())
 def test_equal_matrices_built_two_ways_are_equal_and_hash_alike(pair):
     cap, ga, _ = pair
     x, y = two_ways(ga)
     assert x == y and hash(x) == hash(y)
-    den = 6 * math.lcm(*(q.denominator for row in ga for q in row))
-    z = LinearOp([[q.numerator * (den // q.denominator) for q in row] for row in ga], den, cap)
+    # integer columns over a negative denominator with content 6
+    den = -6 * math.lcm(*(q.denominator for row in ga for q in row))
+    cols = []
+    for j in range(cap + 1):
+        rows = tuple(i for i in range(cap + 1) if ga[i][j])
+        cols.append((rows, tuple(ga[i][j].numerator * (den // ga[i][j].denominator) for i in rows)))
+    z = LinearOp(cols, den, cap)
     assert z == x and hash(z) == hash(x)
     assert dense(x) == ga
     l1 = Functional(ga[0], cap)

@@ -174,7 +174,7 @@ def test_a_marked_raising_never_passes():
     m = build_model("monomial", 8)
     r = m.raising
     m = dataclasses.replace(
-        m, raising=LinearOp(r.num, r.den, r.cap, frozenset(range(r.cap + 1)))
+        m, raising=LinearOp(r.cols, r.den, r.cap, frozenset(range(r.cap + 1)))
     )
     reports = (
         [r for r in verify_model(m) if r.check in ("ladder-raising", "commutator")]
@@ -195,7 +195,7 @@ def test_a_marked_lowering_never_passes():
     m = build_model("monomial", 8)
     low = m.lowering
     m = dataclasses.replace(
-        m, lowering=LinearOp(low.num, low.den, low.cap, frozenset(range(low.cap + 1)))
+        m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset(range(low.cap + 1)))
     )
     reports = [biorthogonality_check(m), covariant_check(m), character_check(m, 4)]
     assert [r.status for r in reports] == ["inconclusive"] * 3
@@ -214,7 +214,7 @@ def test_a_flagged_basis_polynomial_never_passes_binomial():
 def _flagged(model, n):
     """The model with p_n carrying the truncated flag: B marks column n."""
     b = model.basis_op
-    return dataclasses.replace(model, basis_op=LinearOp(b.num, b.den, b.cap, b.trunc_cols | {n}))
+    return dataclasses.replace(model, basis_op=LinearOp(b.cols, b.den, b.cap, b.trunc_cols | {n}))
 
 
 def test_a_flagged_binomial_basis_polynomial_taints_every_later_index():
@@ -269,7 +269,7 @@ def test_pairing_rows_read_like_the_unit_row_product(case):
     db = dual_matrix(m) @ m.basis_op
     for k in range(m.n_max + 1):
         cols = [EMPTY] * k + [((0,), (1,))] + [EMPTY] * (db.cap - k)
-        e_k = LinearOp._sparse(cols, 1, db.cap, reduced=True)
+        e_k = LinearOp(cols, 1, db.cap)
         for top in (k, m.n_max):
             assert pairing_mismatch(db, k, top) == (e_k @ db).compare_on_columns(e_k, range(top + 1))
 
@@ -291,7 +291,7 @@ def test_w0_flags_an_input_that_reaches_a_marked_lowering_column():
     L^k t^3 never touches column 5, L^k t^6 does."""
     m = build_model("monomial", 8)
     low = m.lowering
-    m = dataclasses.replace(m, lowering=LinearOp(low.num, low.den, low.cap, frozenset({5})))
+    m = dataclasses.replace(m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset({5})))
     assert not covariant_w0(m, Poly.monomial(3, 8)).truncated
     assert covariant_w0(m, Poly.monomial(6, 8)).truncated
 
