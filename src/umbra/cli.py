@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -578,6 +578,7 @@ def _add_common(p: argparse.ArgumentParser, *, model: bool = False) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="umbra",
@@ -674,6 +675,9 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code.  The parser is built
+    on the first call and reused by every later one in the process; it
+    holds no per-call state, as each parse starts a fresh namespace."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

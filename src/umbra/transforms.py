@@ -22,6 +22,13 @@ product by u, and that is how ``covariant_check`` tests them.
 ``covariant_w0`` applies L to its one input again and again, on
 integer numerators over one denominator: for one request on a freshly
 built model that costs less than building D.
+
+The transmutation V = B_dst D_src maps one model onto another.
+``umbral_map`` applies it to a ``Poly``, as the ``transmute`` command
+does; ``check_transmutation_intertwining`` tests V L_src = L_dst V and
+V R_src = R_dst V on integer vectors, each basis column of the source
+carried through the ladders, D_src and B_dst over a running
+denominator, the way ``covariant_w0`` carries its input through L.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .core import (
     CapMismatchError,
@@ -43,6 +51,16 @@ from .models import Parity, UmbralModel, basis_matrix, dual_matrix, require_orde
 from .models import dual_functionals  # noqa: F401  (public here: the duals l_k)
 from .models import _derivative_op, _mult_by_t_op, lowering_mismatch, pairing_mismatch
 from .reports import VerificationReport, status_of
+
+
+def _step(
+    op: LinearOp, vec: dict[int, int], den: int, tainted: bool
+) -> tuple[dict[int, int], int, bool]:
+    """One product op vec on integer numerators over a running
+    denominator: (op vec, den * op.den, taint), the taint raised exactly
+    when ``LinearOp.apply`` would flag the image, i.e. when vec touches
+    a column that op marks."""
+    return op.times_vector(vec), den * op.den, tainted or not op.trunc_cols.isdisjoint(vec)
 
 
 def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
@@ -68,8 +86,7 @@ def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
             kfact *= k
         pair = sum(x * g[i] for i, x in vac.items() if i in g)
         coeffs[k] = Fraction(pair, vden * den * kfact)
-        tainted = tainted or not low.trunc_cols.isdisjoint(g)
-        g, den = low.times_vector(g), den * low.den
+        g, den, tainted = _step(low, g, den, tainted)
         if not g and not tainted:
             break
     return Poly(coeffs, f.cap, tainted)
@@ -128,27 +145,62 @@ def umbral_map(src: UmbralModel, dst: UmbralModel, f: Poly) -> Poly:
     return image.with_flag(image.truncated or f.truncated)
 
 
+def _check_in_space(m: UmbralModel, degrees: Iterable[int]) -> None:
+    """``UmbralModel.check_in_space`` on a polynomial given by its
+    nonzero degrees in any order."""
+    if m.parity is Parity.EVEN:
+        m.check_degrees_in_space(sorted(degrees))
+
+
 def check_transmutation_intertwining(
     src: UmbralModel, dst: UmbralModel
 ) -> VerificationReport:
-    """Exact check that the umbral map V intertwines both ladders:
-    V L_src = L_dst V on p_1..p_N and V R_src = R_dst V on p_0..p_{N-1}
-    (the top raising index is outside the truncation-safe zone).
+    """Exact check that the umbral map V = B_dst D_src intertwines both
+    ladders: V L_src = L_dst V on p_1..p_N and V R_src = R_dst V on
+    p_0..p_{N-1} (the top raising index is outside the truncation-safe
+    zone).
 
     The identities hold by construction; the check guards the
-    implementation by computing each side through the matrices.
+    implementation by computing each side through the matrices, on
+    integer numerators over a running denominator: column n of B_src
+    goes through the source ladder, D_src and B_dst on one side, and
+    through D_src, B_dst and the target ladder on the other, and the two
+    images are compared by cross-multiplying.  A side is tainted when
+    B_src marks column n or when one of its products reads a column its
+    operator marks, as ``umbral_map`` and the ladders' ``apply`` flag
+    it; each vector that D_src expands and each image the target ladder
+    acts on must lie in its model's space, as there.  Both models must
+    carry the same number of basis elements; parity may differ.
     """
+    if src.n_max != dst.n_max:
+        raise CapMismatchError(
+            f"index counts differ: {src.n_max} vs {dst.n_max}"
+        )
     params = {"src": src.label(), "dst": dst.label()}
+    b_src, d_src, b_dst = src.basis_op, src.dual_op, dst.basis_op
+
+    def mapped(vec: dict[int, int], den: int, tainted: bool) -> tuple[dict[int, int], int, bool]:
+        """V vec = B_dst D_src vec, for vec in the source space."""
+        _check_in_space(src, vec)
+        require_top_degree(src, max(vec, default=-1))
+        vec, den, tainted = _step(d_src, vec, den, tainted)
+        return _step(b_dst, vec, den, tainted)
+
     bad, tainted = None, False
     for kind, on_src, on_dst, indices in (
-        ("lowering", src.apply_lowering, dst.apply_lowering, range(1, src.n_max + 1)),
-        ("raising", src.apply_raising, dst.apply_raising, range(src.n_max)),
+        ("lowering", src.lowering, dst.lowering, range(1, src.n_max + 1)),
+        ("raising", src.raising, dst.raising, range(src.n_max)),
     ):
         for n in indices:
-            lhs = umbral_map(src, dst, on_src(src.basis[n]))
-            rhs = on_dst(umbral_map(src, dst, src.basis[n]))
-            tainted |= lhs.truncated or rhs.truncated
-            if lhs != rhs:
+            rows, vals = b_src.cols[n]
+            src.check_degrees_in_space(rows)
+            p = dict(zip(rows, vals)), b_src.den, n in b_src.trunc_cols
+            l, dl, lt = mapped(*_step(on_src, *p))
+            r, dr, rt = mapped(*p)
+            _check_in_space(dst, r)
+            r, dr, rt = _step(on_dst, r, dr, rt)
+            tainted |= lt or rt
+            if l.keys() != r.keys() or any(l[i] * dr != r[i] * dl for i in l):
                 bad = (kind, n)
                 break
         if bad is not None:

@@ -136,9 +136,29 @@ MUTANTS = (
     Mutant(
         "covariant_w0 ignoring the lowering's marks",
         "src/umbra/transforms.py",
-        "tainted = tainted or not low.trunc_cols.isdisjoint(g)",
-        "tainted = tainted",
+        "g, den, tainted = _step(low, g, den, tainted)",
+        "g, den, _ = _step(low, g, den, tainted)",
         ("tests/test_truncation_rule.py::test_w0_flags_an_input_that_reaches_a_marked_lowering_column",),
+    ),
+    Mutant(
+        "the transmutation check's target-side ladder step dropping its taint",
+        "src/umbra/transforms.py",
+        "r, dr, rt = _step(on_dst, r, dr, rt)",
+        "r, dr, _ = _step(on_dst, r, dr, rt)",
+        (
+            "tests/test_truncation_rule.py::test_a_marked_target_ladder_leaves_the_transmutation_check_inconclusive",
+            "tests/test_truncation_rule.py::test_the_transmutation_check_agrees_with_the_poly_oracle_on_perturbed_models",
+        ),
+    ),
+    Mutant(
+        "the transmutation check comparing numerators over different denominators",
+        "src/umbra/transforms.py",
+        "any(l[i] * dr != r[i] * dl for i in l)",
+        "any(l[i] != r[i] for i in l)",
+        (
+            "tests/test_transforms.py::test_the_transmutation_check_matches_the_poly_oracle",
+            "tests/test_golden.py::test_default_output_unchanged[check-transmute.json]",
+        ),
     ),
     Mutant(
         "binomial taint read from p_n alone",

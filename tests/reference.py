@@ -2,13 +2,20 @@
 
 Everything here is built from first principles on plain Fraction
 coefficient lists (index = monomial degree) or delegated to mpmath,
-deliberately sharing no code with the package under test.
+deliberately sharing no code with the package under test.  The one
+exception is ``transmutation_by_poly``, the earlier ``Poly`` form of the
+transmutation check: it runs the package's ``umbral_map`` and ladder
+``apply``, the path the ``transmute`` command takes, so that the
+integer form of the check is held to the maps that command prints.
 """
 
 from fractions import Fraction
 from math import factorial, isqrt
 
 import mpmath
+
+from umbra.reports import VerificationReport, status_of
+from umbra.transforms import umbral_map
 
 mpmath.mp.dps = 40
 
@@ -628,3 +635,34 @@ def character_verdict(d, order):
         if cell is not None:
             return _verdict((a, cell), tainted)
     return _verdict(None, tainted)
+
+
+# -- the transmutation check through Poly images -----------------------
+
+def transmutation_by_poly(src, dst):
+    """The transmutation-intertwining report as the ``Poly`` loop gave
+    it: V L_src p_n = L_dst V p_n for n = 1..N, then V R_src p_n =
+    R_dst V p_n for n = 0..N-1, with V = ``umbral_map`` and each image's
+    flag the taint."""
+    params = {"src": src.label(), "dst": dst.label()}
+    bad, tainted = None, False
+    for kind, on_src, on_dst, indices in (
+        ("lowering", src.apply_lowering, dst.apply_lowering, range(1, src.n_max + 1)),
+        ("raising", src.apply_raising, dst.apply_raising, range(src.n_max)),
+    ):
+        for n in indices:
+            lhs = umbral_map(src, dst, on_src(src.basis[n]))
+            rhs = on_dst(umbral_map(src, dst, src.basis[n]))
+            tainted |= lhs.truncated or rhs.truncated
+            if lhs != rhs:
+                bad = (kind, n)
+                break
+        if bad is not None:
+            break
+    return VerificationReport(
+        check="transmutation-intertwining",
+        model=f"{src.label()} -> {dst.label()}",
+        params=params,
+        status=status_of(bad, tainted),
+        first_failure=bad,
+    )

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from umbra import cli
 from umbra.cli import main
 
 import reference as ref
+from test_golden import CASES as GOLDEN_CASES
 
 
 def run(capsys, *argv):
@@ -413,3 +416,66 @@ def test_the_exact_half_never_loads_numpy():
     # still imports the float modules; only numpy waits for a panel
     assert exact == [False, True, True]
     assert after is True
+
+
+# every subcommand, the refusals of this module (exit 2), an argparse
+# usage error and a help page; the verify cases come from the golden
+# set, whose exit codes are all 0
+_REUSE_CASES = [
+    ("models",),
+    ("models", "--format", "json"),
+    ("w0", "--model", "hermite", "--degree", "6", "--poly", "1,2/3,0,-1"),
+    ("transmute", "--from", "monomial", "--to", "heat", "--degree", "6", "--poly", "0,1,1/2"),
+    ("translate", "--model", "lower-factorial", "--degree", "5", "--y", "2/3", "--poly", "1,0,1"),
+    ("genfun", "--model", "bessel", "--nu", "5/2", "--degree", "4", "--format", "csv"),
+    ("bessel", "j", "--nu", "2", "--lambda", "1", "--grid", "0.5,1,2", "--format", "json"),
+    ("bessel", "poisson", "--nu", "3", "--poly", "0,0,1", "--x", "1/2"),
+    ("bessel", "hankel", "--nu", "2", "--fn", "gauss", "--lambda", "1"),
+    ("heat", "covariant", "--fn", "one", "--u", "2.0"),
+    ("cosine", "--fn", "gauss", "--v", "1", "--format", "csv"),
+    ("verify", "--check", "binomial", "--model", "hermite"),
+    ("verify", "--model", "monomial"),
+    ("verify", "--check", "transmute", "--to", "heat"),
+    ("verify", "--check", "vacuum", "--model", "bessel"),
+    ("verify", "--check", "ladder", "--model", "monomial", "--degree", "0"),
+    ("verify", "--check", "group-law", "--model", "monomial", "--degree", "3", "--order", "5"),
+    ("verify", "--check", "metaplectic", "--model", "monomial", "--degree", "1"),
+    ("verify", "--check", "hankel-intertwining", "--tol", "0"),
+    ("w0", "--model", "monomial", "--poly", "1,half"),
+    ("genfun", "--model", "monomial", "--degree", "8", "--order", "-2"),
+    ("transmute", "--from", "heat", "--to", "monomial", "--poly", "1", "--nu", "2"),
+    ("bessel", "j", "--nu", "2", "--lambda=-1", "--x", "800"),
+    ("bessel", "j", "--x=nan"),
+    ("verify", "--model", "legendre", "--all"),
+    ("verify", "--help"),
+    *(tuple(argv) for _, argv in sorted(GOLDEN_CASES.items())),
+]
+
+
+def _outcomes(capsys, argvs):
+    """(exit code, stdout, stderr) of ``main`` on each argv in turn, an
+    argparse exit counted by its code."""
+    out = []
+    for argv in argvs:
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+        got = capsys.readouterr()
+        out.append((rc, got.out, got.err))
+    return out
+
+
+def test_the_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    """One parser serves every ``main`` call in a process.  A shuffled
+    mix of commands, refusals and argparse exits, run twice through it,
+    gives each call the exit code, stdout and stderr of a freshly built
+    parser."""
+    assert cli._build_parser() is cli._build_parser()
+    argvs = list(_REUSE_CASES)
+    random.Random(16).shuffle(argvs)
+    reused = _outcomes(capsys, argvs + argvs)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _outcomes(capsys, argvs)
+    assert reused == fresh + fresh
+    assert {rc for rc, _, _ in fresh} == {0, 2}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbra.cli import main
-from umbra.core import Functional, Poly
+from umbra.core import CapMismatchError, Functional, Poly
 from umbra.models import MODEL_NAMES, Parity, build_model
 from umbra.reports import PASS
 from umbra.transforms import (
@@ -186,6 +186,29 @@ def test_intertwining_catches_corrupted_raise():
     assert r.status != PASS
     kind, idx = r.first_failure
     assert kind == "raising" and isinstance(idx, int)
+
+
+EXACT_MAPS_MODELS = (
+    ("monomial", None), ("lower-factorial", None), ("upper-factorial", None),
+    ("hermite", None), ("heat", None), ("bessel", Fraction(2)), ("bessel", NU),
+)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+def test_the_transmutation_check_matches_the_poly_oracle(degree):
+    """The check on integer vectors gives the report of the ``Poly``
+    loop it replaced, on every ordered pair of the seven models,
+    crossing parity and with src = dst."""
+    models = [build_model(name, degree, nu) for name, nu in EXACT_MAPS_MODELS]
+    for src, dst in itertools.product(models, repeat=2):
+        assert check_transmutation_intertwining(src, dst) == ref.transmutation_by_poly(src, dst)
+
+
+def test_the_transmutation_check_refuses_index_counts_that_differ():
+    src, dst = build_model("monomial", 4), build_model("heat", 5)
+    for check in (check_transmutation_intertwining, ref.transmutation_by_poly):
+        with pytest.raises(CapMismatchError, match="^index counts differ: 4 vs 5$"):
+            check(src, dst)
 
 
 # -- generating tables -------------------------------------------------

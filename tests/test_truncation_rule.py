@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbra.core import DomainError, Functional, LinearOp, ParameterError, Poly
+from umbra.core import DomainError, Functional, LinearOp, ParameterError, Poly, UmbraError
 from umbra.heisenberg import (
     _metaplectic_sequences,
     composition_check_formal,
@@ -239,6 +239,7 @@ def test_the_basis_view_carries_the_marks_of_b():
     assert [p.truncated for p in m.basis] == [n == 3 for n in range(9)]
     report = check_transmutation_intertwining(m, build_model("monomial", 8))
     assert report.status == "inconclusive"
+    assert report == ref.transmutation_by_poly(m, build_model("monomial", 8))
 
 
 def test_basis_matrix_keeps_only_the_columns_and_marks_up_to_top():
@@ -284,6 +285,74 @@ def test_a_flagged_target_basis_polynomial_taints_the_umbral_map():
     assert not umbral_map(src, dst, src.basis[2]).truncated
     reports = [check_transmutation_intertwining(src, dst), covariant_check(dst), biorthogonality_check(dst)]
     assert [r.status for r in reports] == ["inconclusive"] * 3
+    assert reports[0] == ref.transmutation_by_poly(src, dst)
+
+
+@pytest.mark.parametrize("ladder", ["lowering", "raising"])
+def test_a_marked_target_ladder_leaves_the_transmutation_check_inconclusive(ladder):
+    """A monomial target whose lowering or raising marks every column:
+    the target side of each identity applies that ladder to V p_n, so
+    the check from hermite is inconclusive, as the ``Poly`` oracle says,
+    though nothing on the source side is marked."""
+    src, dst = build_model("hermite", 8), build_model("monomial", 8)
+    op = getattr(dst, ladder)
+    dst = dataclasses.replace(dst, **{ladder: LinearOp(op.cols, op.den, op.cap, range(op.cap + 1))})
+    report = check_transmutation_intertwining(src, dst)
+    assert report.status == "inconclusive"
+    assert report == ref.transmutation_by_poly(src, dst)
+
+
+def _any_outcome(call):
+    """("ok", value) or (name of the package error raised, its message)."""
+    try:
+        return "ok", call()
+    except UmbraError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _odd_lowering_image(d):
+    d["L"][1][2] += 1  # L t^2 gains a t term
+
+
+def _lowering_above_top(d):
+    d["L"][5][1] += 1  # L t gains a t^5 term, above the top degree 4
+
+
+def _odd_basis_content(d):
+    d["basis"][1][1] += 1  # p_1 gains a t term
+
+
+@pytest.mark.parametrize("name,cap,edit,side,message", [
+    ("heat", None, _odd_lowering_image, "src", "heat lives on even polynomials; input has a nonzero t^1 coefficient"),
+    ("monomial", 6, _lowering_above_top, "src", "degree 5 exceeds the top basis degree 4"),
+    ("heat", None, _odd_basis_content, "src", "heat lives on even polynomials; input has a nonzero t^1 coefficient"),
+    ("heat", None, _odd_basis_content, "dst", "heat lives on even polynomials; input has a nonzero t^1 coefficient"),
+])
+def test_the_transmutation_check_refuses_what_the_poly_oracle_refuses(name, cap, edit, side, message):
+    """A source ladder image or source basis element outside the source
+    space, or a target image outside the target space, raises the
+    DomainError of the ``Poly`` loop, against a monomial model of the
+    same index count."""
+    m = build_model(name, 4, cap=cap)
+    d = _plain(m)
+    edit(d)
+    src, dst = (_rebuilt(m, d), build_model("monomial", 4))[:: 1 if side == "src" else -1]
+    want = ("DomainError", message)
+    assert _any_outcome(lambda: check_transmutation_intertwining(src, dst)) == want
+    assert _any_outcome(lambda: ref.transmutation_by_poly(src, dst)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)), st.sampled_from(["monomial", "upper-factorial", "heat", "bessel"]))
+def test_the_transmutation_check_agrees_with_the_poly_oracle_on_perturbed_models(case, other):
+    """Report or refusal alike, to, from and onto a perturbed model whose
+    cap may exceed its top basis degree, against a catalog model of the
+    same index count, crossing parity or not."""
+    m, _, _ = case
+    o = build_model(other, m.n_max, Fraction(3, 2) if other == "bessel" else None)
+    for src, dst in ((m, o), (o, m), (m, m)):
+        got = _any_outcome(lambda: check_transmutation_intertwining(src, dst))
+        assert got == _any_outcome(lambda: ref.transmutation_by_poly(src, dst))
 
 
 def test_w0_flags_an_input_that_reaches_a_marked_lowering_column():
