@@ -27,11 +27,21 @@ in written order, so "LR" is L o R and the product of two words is
 their concatenation.  One ``OpWordTable`` per model makes each word's
 operator once, letter by letter; the coefficient operators are summed
 from those on demand.
+
+A series keeps its coefficients as integer numerators over one series
+denominator: building, adding, scaling and multiplying series is plain
+integer arithmetic, sums work over the lcm of the two denominators,
+and products multiply them.  The proportional-class key is the
+primitive integer vector of a coefficient's numerators, and
+``materialize`` reduces each numerator against the denominator before
+it sums the word operators, so the kernels see the multipliers a
+Fraction coefficient would give them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable
 
@@ -79,41 +89,62 @@ class OpWordTable:
 
 class FormalOpSeries:
     """Truncated formal series sum_idx (coefficient operator) * prod
-    params^idx.  Each coefficient is a {word: rational} combination of
-    the words of ``table``, materialized on demand."""
+    params^idx.  Each coefficient is a {word: numerator} combination of
+    the words of ``table``, on integer numerators over one series
+    denominator ``den`` > 0; the coefficient of a word is its numerator
+    over ``den``.  Coefficient operators are materialized on demand."""
 
-    __slots__ = ("params", "order", "table", "terms")
+    __slots__ = ("params", "order", "table", "terms", "den")
 
-    def __init__(self, params: tuple[str, ...], order: int, table: OpWordTable):
+    def __init__(
+        self, params: tuple[str, ...], order: int, table: OpWordTable, den: int = 1
+    ):
         self.params = params
         self.order = order
         self.table = table
-        self.terms: dict[Index, dict[str, Fraction]] = {}
+        self.den = den
+        self.terms: dict[Index, dict[str, int]] = {}
 
-    def add_term(self, idx: Index, q: Fraction, word: str) -> None:
+    def add_term(self, idx: Index, q: Fraction | int, word: str) -> None:
+        """Add the rational ``q`` times ``word`` at ``idx``; the
+        denominator grows to lcm(den, q.denominator) when it must."""
+        qd = q.denominator
+        if self.den % qd:
+            k = qd // math.gcd(self.den, qd)
+            self.den *= k
+            for coef in self.terms.values():
+                for w, n in coef.items():
+                    coef[w] = k * n
+        self.add_numerator(idx, q.numerator * (self.den // qd), word)
+
+    def add_numerator(self, idx: Index, n: int, word: str) -> None:
+        """Add ``n`` / den times ``word`` at ``idx``."""
         if len(idx) != len(self.params):
             raise CapMismatchError("multi-index arity mismatch")
-        if sum(idx) > self.order or not q:
+        if sum(idx) > self.order or not n:
             return
         coef = self.terms.setdefault(idx, {})
-        coef[word] = coef.get(word, ZERO) + q
+        coef[word] = coef.get(word, 0) + n
 
     def __add__(self, other: "FormalOpSeries") -> "FormalOpSeries":
         self._check(other)
-        out = FormalOpSeries(self.params, self.order, self.table)
+        den = math.lcm(self.den, other.den)
+        out = FormalOpSeries(self.params, self.order, self.table, den)
+        ka, kb = den // self.den, den // other.den
         for idx, coef in self.terms.items():
-            out.terms[idx] = dict(coef)
+            out.terms[idx] = {word: ka * n for word, n in coef.items()}
         for idx, coef in other.terms.items():
             bucket = out.terms.setdefault(idx, {})
-            for word, q in coef.items():
-                bucket[word] = bucket.get(word, ZERO) + q
+            for word, n in coef.items():
+                bucket[word] = bucket.get(word, 0) + kb * n
         return out
 
     def scale(self, q: Fraction | int) -> "FormalOpSeries":
-        out = FormalOpSeries(self.params, self.order, self.table)
+        out = FormalOpSeries(self.params, self.order, self.table, self.den * q.denominator)
         if q:
+            c = q.numerator
             for idx, coef in self.terms.items():
-                out.terms[idx] = {word: q * a for word, a in coef.items()}
+                out.terms[idx] = {word: c * n for word, n in coef.items()}
         return out
 
     def mul(self, other: "FormalOpSeries") -> "FormalOpSeries":
@@ -121,20 +152,25 @@ class FormalOpSeries:
         followed by a word of ``other``.  Each product word's operator
         is made here, where its cost belongs."""
         self._check(other)
-        out = FormalOpSeries(self.params, self.order, self.table)
-        items_b = list(other.terms.items())
+        out = FormalOpSeries(self.params, self.order, self.table, self.den * other.den)
+        op = self.table.op
+        items_b = [(ib, sum(ib), coef_b) for ib, coef_b in other.terms.items()]
         for ia, coef_a in self.terms.items():
-            ta = sum(ia)
-            for ib, coef_b in items_b:
-                if ta + sum(ib) > self.order:
+            room = self.order - sum(ia)
+            for ib, tb, coef_b in items_b:
+                if tb > room:
                     continue
-                idx = tuple(x + y for x, y in zip(ia, ib))
+                idx = tuple(map(operator.add, ia, ib))
                 bucket = out.terms.setdefault(idx, {})
-                for wa, qa in coef_a.items():
-                    for wb, qb in coef_b.items():
+                for wa, na in coef_a.items():
+                    for wb, nb in coef_b.items():
                         word = wa + wb
-                        self.table.op(word)
-                        bucket[word] = bucket.get(word, ZERO) + qa * qb
+                        n = bucket.get(word)
+                        if n is None:
+                            op(word)
+                            bucket[word] = na * nb
+                        else:
+                            bucket[word] = n + na * nb
         return out
 
     def materialize(
@@ -150,13 +186,18 @@ class FormalOpSeries:
         it is meant only for comparison on ``columns``."""
         cap = self.table.cap
         coef = self.terms.get(idx, {})
-        words = [(q, self.table.op(word)) for word, q in coef.items()]
+        words = [(n, self.table.op(word)) for word, n in coef.items()]
         tcols = frozenset().union(*(op.trunc_cols for _, op in words))
-        ops = [(q, op) for q, op in words if q]
+        # each coefficient n / den in lowest terms, as a Fraction has it
+        ops = []
+        for n, op in words:
+            if n:
+                g = math.gcd(n, self.den)
+                ops.append((n // g, self.den // g * op.den, op))
         if not ops:
             return LinearOp([kernels.EMPTY] * (cap + 1), 1, cap, tcols)
-        den = math.lcm(*(q.denominator * op.den for q, op in ops))
-        terms = [((den // (q.denominator * op.den)) * q.numerator, op.cols) for q, op in ops]
+        den = math.lcm(*(d for _, d, _ in ops))
+        terms = [((den // d) * n, op.cols) for n, d, op in ops]
         js = range(cap + 1) if columns is None else sorted(set(columns))
         part = kernels.imat_comb([(c, [m[j] for j in js]) for c, m in terms])
         cols = [kernels.EMPTY] * (cap + 1)
@@ -184,14 +225,17 @@ def max_abs_entry(op: LinearOp, cols: Iterable[int]) -> Fraction:
     )
 
 
-def _ray(coef: dict[str, Fraction]) -> tuple[tuple[str, Fraction], ...]:
-    """The words of ``coef`` in sorted order, each with its coefficient
-    divided by the first nonzero one (by nothing when all are 0): equal
-    for two combinations exactly when one is a nonzero multiple of the
-    other over the same words."""
+def _ray(coef: dict[str, int]) -> tuple[tuple[str, int], ...]:
+    """The words of ``coef`` in sorted order with the primitive integer
+    vector of their numerators: divided by their gcd, the first nonzero
+    one made positive (all 0 when all are 0).  Equal for two
+    combinations exactly when one is a nonzero multiple of the other
+    over the same words."""
     words = sorted(coef.items())
-    lead = next((q for _, q in words if q), 1)
-    return tuple((word, q / lead) for word, q in words)
+    g = math.gcd(*coef.values()) or 1
+    if next((n for _, n in words if n), 0) < 0:
+        g = -g
+    return tuple((word, n // g) for word, n in words)
 
 
 def series_first_difference(

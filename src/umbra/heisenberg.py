@@ -65,8 +65,11 @@ def _exp_ladder_series(
 ) -> FormalOpSeries:
     """exp(sign * (sum of the slot parameters) * A), A the operator of
     ``letter``; the letter "" is the identity, for a scalar
-    exponential.  One or two parameter slots."""
-    out = FormalOpSeries(params, order, table)
+    exponential.  One or two parameter slots.  The numerators are over
+    order!: the one at parameter powers r (total t) is
+    sign^t order! / prod r!."""
+    f = math.factorial(order)
+    out = FormalOpSeries(params, order, table, f)
     for total in range(order + 1):
         if len(slots) == 1:
             splits: Iterable[tuple[int, ...]] = [(total,)]
@@ -74,11 +77,11 @@ def _exp_ladder_series(
             splits = [(r, total - r) for r in range(total + 1)]
         for split in splits:
             idx = [0] * len(params)
-            q = Fraction(sign ** total)
+            n = sign ** total * f
             for slot, r in zip(slots, split):
                 idx[slot] = r
-                q /= math.factorial(r)
-            out.add_term(tuple(idx), q, letter * total)
+                n //= math.factorial(r)
+            out.add_numerator(tuple(idx), n, letter * total)
     return out
 
 
@@ -90,14 +93,16 @@ def _phase_series(
     y_slot: int,
     sign: int,
 ) -> FormalOpSeries:
-    """exp(sign * x * y) as a scalar series carried on the identity."""
-    out = FormalOpSeries(params, order, table)
-    for k in range(order // 2 + 1):
+    """exp(sign * x * y) as a scalar series carried on the identity,
+    its numerators over (order // 2)!."""
+    top = order // 2
+    f = math.factorial(top)
+    out = FormalOpSeries(params, order, table, f)
+    for k in range(top + 1):
         idx = [0] * len(params)
         idx[x_slot] = k
         idx[y_slot] = k
-        q = Fraction(sign ** (k & 1), math.factorial(k))
-        out.add_term(tuple(idx), q, "")
+        out.add_numerator(tuple(idx), sign ** (k & 1) * f // math.factorial(k), "")
     return out
 
 

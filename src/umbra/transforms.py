@@ -165,12 +165,14 @@ def check_transmutation_intertwining(
     integer numerators over a running denominator: column n of B_src
     goes through the source ladder, D_src and B_dst on one side, and
     through D_src, B_dst and the target ladder on the other, and the two
-    images are compared by cross-multiplying.  A side is tainted when
-    B_src marks column n or when one of its products reads a column its
-    operator marks, as ``umbral_map`` and the ladders' ``apply`` flag
-    it; each vector that D_src expands and each image the target ladder
-    acts on must lie in its model's space, as there.  Both models must
-    carry the same number of basis elements; parity may differ.
+    images are compared by cross-multiplying.  V p_n is formed once per
+    index, and the raising pass reuses what the lowering pass made.  A
+    side is tainted when B_src marks column n or when one of its
+    products reads a column its operator marks, as ``umbral_map`` and
+    the ladders' ``apply`` flag it; each vector that D_src expands and
+    each image the target ladder acts on must lie in its model's space,
+    as there.  Both models must carry the same number of basis
+    elements; parity may differ.
     """
     if src.n_max != dst.n_max:
         raise CapMismatchError(
@@ -187,6 +189,7 @@ def check_transmutation_intertwining(
         return _step(b_dst, vec, den, tainted)
 
     bad, tainted = None, False
+    images = {}  # n -> V p_n
     for kind, on_src, on_dst, indices in (
         ("lowering", src.lowering, dst.lowering, range(1, src.n_max + 1)),
         ("raising", src.raising, dst.raising, range(src.n_max)),
@@ -196,8 +199,11 @@ def check_transmutation_intertwining(
             src.check_degrees_in_space(rows)
             p = dict(zip(rows, vals)), b_src.den, n in b_src.trunc_cols
             l, dl, lt = mapped(*_step(on_src, *p))
-            r, dr, rt = mapped(*p)
-            _check_in_space(dst, r)
+            if n in images:
+                r, dr, rt = images[n]
+            else:
+                r, dr, rt = images[n] = mapped(*p)
+                _check_in_space(dst, r)
             r, dr, rt = _step(on_dst, r, dr, rt)
             tainted |= lt or rt
             if l.keys() != r.keys() or any(l[i] * dr != r[i] * dl for i in l):

@@ -53,8 +53,8 @@ MUTANTS = (
     Mutant(
         "the proportional-class key leaving out zero-coefficient words",
         "src/umbra/formal.py",
-        "return tuple((word, q / lead) for word, q in words)",
-        "return tuple((word, q / lead) for word, q in words if q)",
+        "return tuple((word, n // g) for word, n in words)",
+        "return tuple((word, n // g) for word, n in words if n)",
         (
             "tests/test_formal.py::test_a_cancelled_word_makes_an_otherwise_proportional_coefficient_compared",
             "tests/test_formal.py::test_the_difference_comparison_matches_the_two_sided_oracle",
@@ -63,11 +63,33 @@ MUTANTS = (
     Mutant(
         "the proportional-class key keeping only the words",
         "src/umbra/formal.py",
-        "return tuple((word, q / lead) for word, q in words)",
+        "return tuple((word, n // g) for word, n in words)",
         "return tuple(word for word, _ in words)",
         (
             "tests/test_formal.py::test_the_same_words_in_another_ratio_are_compared",
             "tests/test_formal.py::test_the_difference_comparison_matches_the_two_sided_oracle",
+        ),
+    ),
+    Mutant(
+        "the proportional-class key dropping the sign of each entry instead of normalising the lead",
+        "src/umbra/formal.py",
+        "    if next((n for _, n in words if n), 0) < 0:\n"
+        "        g = -g\n"
+        "    return tuple((word, n // g) for word, n in words)",
+        "    return tuple((word, abs(n) // g) for word, n in words)",
+        (
+            "tests/test_formal.py::test_the_same_words_in_another_ratio_are_compared",
+            "tests/test_formal.py::test_integer_series_match_the_fraction_oracle",
+        ),
+    ),
+    Mutant(
+        "a series sum not rescaling its second operand to the common denominator",
+        "src/umbra/formal.py",
+        "bucket[word] = bucket.get(word, 0) + kb * n",
+        "bucket[word] = bucket.get(word, 0) + n",
+        (
+            "tests/test_formal.py::test_a_sum_works_over_the_lcm_of_the_denominators",
+            "tests/test_formal.py::test_integer_series_match_the_fraction_oracle",
         ),
     ),
     Mutant(

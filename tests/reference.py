@@ -142,6 +142,58 @@ def two_sided_first_difference(a, b, letters, cols):
     return None, tainted, Fraction(0)
 
 
+# -- formal series on Fraction coefficients ----------------------------
+# A series is {multi-index: {word: Fraction}}, truncated at a total
+# order; the product of two words is their concatenation.  A word whose
+# coefficient cancels to 0 stays with coefficient 0.
+
+def s_add_term(s, idx, q, word, order):
+    """Add q * word at idx unless q is 0 or idx is past the order."""
+    if sum(idx) > order or not q:
+        return
+    coef = s.setdefault(idx, {})
+    coef[word] = coef.get(word, Fraction(0)) + Fraction(q)
+
+
+def s_add(a, b):
+    out = {idx: dict(coef) for idx, coef in a.items()}
+    for idx, coef in b.items():
+        bucket = out.setdefault(idx, {})
+        for word, q in coef.items():
+            bucket[word] = bucket.get(word, Fraction(0)) + q
+    return out
+
+
+def s_scale(a, c):
+    c = Fraction(c)
+    if not c:
+        return {}
+    return {idx: {word: c * q for word, q in coef.items()} for idx, coef in a.items()}
+
+
+def s_mul(a, b, order):
+    """a b in written order, truncated at ``order``."""
+    out = {}
+    for ia, ca in a.items():
+        for ib, cb in b.items():
+            if sum(ia) + sum(ib) > order:
+                continue
+            bucket = out.setdefault(tuple(x + y for x, y in zip(ia, ib)), {})
+            for wa, qa in ca.items():
+                for wb, qb in cb.items():
+                    bucket[wa + wb] = bucket.get(wa + wb, Fraction(0)) + qa * qb
+    return out
+
+
+def s_ray(coef):
+    """The words of ``coef`` in sorted order, each coefficient divided
+    by the first nonzero one: equal for two coefficients exactly when
+    one is a nonzero multiple of the other over the same words."""
+    words = sorted(coef.items())
+    lead = next((q for _, q in words if q), 1)
+    return tuple((word, q / lead) for word, q in words)
+
+
 def m_vec(a, v):
     """Matrix times column vector."""
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]

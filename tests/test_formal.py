@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from umbra import kernels
 from umbra.cli import main
 from umbra.core import LinearOp
-from umbra.formal import FormalOpSeries, OpWordTable, series_first_difference
+from umbra.formal import FormalOpSeries, OpWordTable, _ray, series_first_difference
 from umbra.heisenberg import _formal_report
 from umbra.models import build_model
 from umbra.reports import INCONCLUSIVE, status_of
@@ -34,6 +34,11 @@ def mult_t_op(cap):
 
 def _dense(op):
     return [[Fraction(x, op.den) for x in row] for row in op.num]
+
+
+def rational(s):
+    """The coefficients of a series as {index: {word: Fraction}}."""
+    return {idx: {w: Fraction(n, s.den) for w, n in coef.items()} for idx, coef in s.terms.items()}
 
 
 # -- operator word table -----------------------------------------------
@@ -127,6 +132,16 @@ def test_a_catalog_run_makes_few_combinations(count_calls):
     assert len(calls) <= 60
 
 
+def test_a_group_law_check_makes_few_fraction_operations(count_calls):
+    """The series algebra runs on integer numerators: ``verify --check
+    group-law --degree 32 --model hermite`` makes no Fraction product or
+    sum (1,631 with Fraction coefficients)."""
+    calls = count_calls(Fraction, "__mul__"), count_calls(Fraction, "__add__")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--check", "group-law", "--degree", "32", "--model", "hermite"]) == 0
+    assert sum(map(len, calls)) <= 20
+
+
 # -- series arithmetic -------------------------------------------------
 
 def test_series_mul_convolves_indices():
@@ -150,9 +165,34 @@ def test_series_linear_combination_materializes_exactly():
     s.add_term((1,), Fraction(1, 3), "L")
     s.add_term((1,), Fraction(1, 6), "L")
     s.add_term((1,), Fraction(1), "LR")
-    assert s.terms == {(1,): {"L": Fraction(1, 2), "LR": 1}}
+    assert rational(s) == {(1,): {"L": Fraction(1, 2), "LR": 1}}
     assert s.materialize((1,)) == deriv_op(cap).scale(Fraction(1, 2)) + table.op("LR")
     assert s.materialize((2,)) == LinearOp.zero(cap)
+
+
+def test_a_term_rescales_the_series_to_the_lcm_of_the_denominators():
+    table = OpWordTable(deriv_op(3), mult_t_op(3))
+    s = FormalOpSeries(("x",), 2, table)
+    s.add_term((0,), Fraction(1, 4), "")
+    s.add_term((1,), Fraction(1, 6), "L")
+    assert (s.den, s.terms) == (12, {(0,): {"": 3}, (1,): {"L": 2}})
+    s.add_term((1,), 2, "L")
+    assert (s.den, s.terms) == (12, {(0,): {"": 3}, (1,): {"L": 26}})
+
+
+def test_a_sum_works_over_the_lcm_of_the_denominators():
+    table = OpWordTable(deriv_op(3), mult_t_op(3))
+    a = FormalOpSeries(("x",), 2, table)
+    b = FormalOpSeries(("x",), 2, table)
+    a.add_term((1,), Fraction(1, 2), "L")
+    b.add_term((1,), Fraction(1, 3), "L")
+    b.add_term((0,), Fraction(-1, 3), "")
+    want = {(0,): {"": Fraction(-1, 3)}, (1,): {"L": Fraction(5, 6)}}
+    assert (a + b).den == (b + a).den == 6
+    assert rational(a + b) == rational(b + a) == want
+    assert rational(a.scale(Fraction(-2, 5)).mul(b)) == {
+        (1,): {"L": Fraction(1, 15)}, (2,): {"LL": Fraction(-1, 15)}
+    }
 
 
 def test_a_cancelled_word_keeps_its_marks():
@@ -372,3 +412,61 @@ def test_the_difference_comparison_matches_the_two_sided_oracle(pair, data):
     report = _formal_report("weyl-relation", m, 2, output_degree, a, b)
     assert report.max_residual == residual
     assert report.status == status_of(idx, tainted)
+
+
+SERIES_TERMS = st.lists(
+    st.tuples(
+        st.sampled_from(INDICES),
+        st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+        st.text(alphabet="LR", max_size=2),
+    ),
+    max_size=6,
+)
+SERIES_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("add", "mul")), st.integers(0, 9), st.integers(0, 9)),
+        st.tuples(st.just("scale"), st.integers(0, 9),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ladder_pairs(), st.lists(SERIES_TERMS, min_size=2, max_size=3), SERIES_OPS, st.data())
+def test_integer_series_match_the_fraction_oracle(pair, drawn, ops, data):
+    """Series built term by term and combined by +, scale and mul hold
+    the rational coefficients of the Fraction oracle, their coefficients
+    fall into the same proportional classes, and comparing the last two
+    gives the two-sided oracle's (index, taint, residual)."""
+    cap, low, high, low_marks, high_marks = pair
+    table = OpWordTable(
+        LinearOp.from_entries(low, frozenset(low_marks)),
+        LinearOp.from_entries(high, frozenset(high_marks)),
+    )
+    letters = {"L": (low, low_marks), "R": (high, high_marks)}
+    series, plain = [], []
+    for terms in drawn:
+        s, p = FormalOpSeries(("x", "y"), 2, table), {}
+        for idx, q, word in terms:
+            s.add_term(idx, q, word)
+            ref.s_add_term(p, idx, q, word, 2)
+        series.append(s)
+        plain.append(p)
+    for op, i, j in ops:
+        a, pa = series[i % len(series)], plain[i % len(series)]
+        if op == "scale":
+            series.append(a.scale(j))
+            plain.append(ref.s_scale(pa, j))
+        else:
+            b, pb = series[j % len(series)], plain[j % len(series)]
+            series.append(a + b if op == "add" else a.mul(b))
+            plain.append(ref.s_add(pa, pb) if op == "add" else ref.s_mul(pa, pb, 2))
+    for s, p in zip(series, plain):
+        assert rational(s) == p
+        for ia, ib in itertools.product(s.terms, repeat=2):
+            same = _ray(s.terms[ia]) == _ray(s.terms[ib])
+            assert same == (ref.s_ray(p[ia]) == ref.s_ray(p[ib])), (ia, ib)
+    cols = data.draw(st.lists(st.integers(0, cap), unique=True))
+    want = ref.two_sided_first_difference(plain[-2], plain[-1], letters, cols)
+    assert series_first_difference(series[-2], series[-1], cols) == want
