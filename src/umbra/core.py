@@ -13,13 +13,12 @@ monomial basis t^k.  Three data types live here:
   ``LinearOp``, its basis matrix, of which ``Poly``s are a view.
 
 * ``LinearOp`` -- a (cap+1) x (cap+1) rational matrix, column j holding
-  the image of t^j.  Internally the matrix is sparse and fraction-free:
-  each column keeps only its nonzero entries, as a tuple of rows in
-  increasing order and a tuple of their integer numerators, over a
-  single positive denominator whose common factor with the nonzeros is
-  reduced away once per operation.  That keeps the
-  hot paths (operator products in the verification checks) on plain
-  integer arithmetic over the nonzeros; see ``umbra.kernels``.  Its one
+  the image of t^j.  Internally it is sparse and fraction-free: a tuple
+  of ``umbra.kernels`` columns of integer numerators over one positive
+  denominator, their common factor reduced away once per operation.
+  An exact vector is one such column over its own denominator
+  (``integer_vector``), so operator products and the products of an
+  operator with a vector all run in the kernels' one loop.  Its one
   constructor, ``LinearOp(cols, den, cap, trunc_cols)``, takes integer
   columns over any nonzero denominator and canonicalizes them;
   ``from_columns`` and ``from_entries`` build it from rationals.
@@ -120,11 +119,11 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def integer_vector(values: Sequence[Fraction]) -> tuple[dict[int, int], int]:
-    """A rational vector as its nonzero {index: integer numerator} over
+def integer_vector(values: Sequence[Fraction]) -> tuple[kernels.Column, int]:
+    """A rational vector as a kernel column of integer numerators over
     one positive denominator."""
     nums, den = _common_denominator(values)
-    return {i: x for i, x in enumerate(nums) if x}, den
+    return kernels.icol(nums), den
 
 
 class Poly:
@@ -297,12 +296,11 @@ def _reduced(cols, den: int):
 class LinearOp:
     """Rational matrix acting on Poly coefficient vectors.
 
-    Stored fraction-free and sparse: ``cols[j]`` is the pair (rows,
-    numerators) of column j's nonzero entries, rows increasing, over
-    one positive denominator ``den``, with the content of the nonzeros
-    reduced away (the column layout of ``umbra.kernels``).  The
-    constructor takes columns in that layout over any nonzero
-    denominator and reduces them to this form.  ``num`` is a dense
+    Stored fraction-free and sparse: ``cols[j]`` is the kernel column
+    (``umbra.kernels``) of column j's numerators over one positive
+    denominator ``den``, with the content of the nonzeros reduced away.
+    The constructor takes such columns over any nonzero denominator and
+    reduces them to this form.  ``num`` is a dense
     tuple-of-rows view computed on demand.  ``trunc_cols``
     marks input degrees whose columns were already truncated when the
     operator was constructed (for a raising operator, the top basis
@@ -449,18 +447,6 @@ class LinearOp:
         cols = [(rows, tuple(p * x for x in vals)) for rows, vals in self.cols]
         return LinearOp(cols, self.den * q.denominator, self.cap, self.trunc_cols)
 
-    def times_vector(self, vec: Mapping[int, int]) -> dict[int, int]:
-        """This matrix times the column whose nonzero integer entries
-        are ``vec`` (index -> numerator), as {row: nonzero numerator}
-        over ``den`` times the column's own denominator."""
-        acc: dict[int, int] = {}
-        cols = self.cols
-        for j, y in vec.items():
-            rows, vals = cols[j]
-            for i, x in zip(rows, vals):
-                acc[i] = acc.get(i, 0) + x * y
-        return {i: v for i, v in acc.items() if v}
-
     def apply(self, f: Poly) -> Poly:
         if f.cap != self.cap:
             raise CapMismatchError(
@@ -469,9 +455,9 @@ class LinearOp:
         vec, fden = integer_vector(f.coeffs)
         d = self.den * fden
         cs = [ZERO] * (f.cap + 1)
-        for i, v in self.times_vector(vec).items():
+        for i, v in zip(*kernels.icol_mul(self.cols, vec)):
             cs[i] = Fraction(v, d)
-        return Poly(cs, f.cap, f.truncated or not self.trunc_cols.isdisjoint(vec))
+        return Poly(cs, f.cap, f.truncated or not self.trunc_cols.isdisjoint(vec[0]))
 
     def compare_on_columns(
         self, other: "LinearOp", cols: Iterable[int]
@@ -480,16 +466,11 @@ class LinearOp:
         None; tainted): whether either side marks a column scanned up to
         there as truncated.  ``reports.status_of`` turns it into a status."""
         self._check_cap(other)
-        da, db = self.den, other.den
         marks = self.trunc_cols | other.trunc_cols
         tainted = False
         for j in cols:
             tainted = tainted or j in marks
-            (ra, va), (rb, vb) = self.cols[j], other.cols[j]
-            if ra != rb or (
-                va != vb if da == db
-                else any(x * db != y * da for x, y in zip(va, vb))
-            ):
+            if not kernels.icol_eq(self.cols[j], self.den, other.cols[j], other.den):
                 return j, tainted
         return None, tainted
 

@@ -3,15 +3,18 @@
 A matrix is a sequence of columns.  Each column is a pair of tuples
 (rows, values): the rows holding a nonzero entry, in increasing order,
 and those entries as arbitrary-precision ints.  ``EMPTY`` is a zero
-column.  Two flat tuples cost two pointers per nonzero, against one per
-entry of a dense matrix and about eight for a tuple per (row, value)
-pair, so even the nearly dense ladder words of the factorial models
-take little more memory than dense rows.  Every function returns
+column, and an exact vector is one column over a denominator kept
+beside it.  Two flat tuples cost two pointers per nonzero, against one
+per entry of a dense matrix and about eight for a tuple per (row,
+value) pair, so even the nearly dense ladder words of the factorial
+models take little more memory than dense rows.  Every function returns
 fresh columns in that form, sharing immutable tuples where it can, and
-never mutates its arguments.  A product or combination column with
-more than one contribution is summed in a dense list as tall as its
-operands, whose nonzeros are then read off in row order: one list
-index per multiply-add, and no sort.
+never mutates its arguments.  The one product loop is ``icol_mul``, a
+matrix times one column: ``imat_mul`` runs it on each column of its
+right operand, and a vector product calls it directly.  A product or
+combination column with more than one contribution is summed in a dense
+list, whose nonzeros ``icol`` reads off in row order: one list index
+per multiply-add, and no sort.  ``icol_eq`` is the one equality rule.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd
 
-EMPTY: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+#: A column: its nonzero rows, increasing, and their entries.
+Column = tuple[tuple[int, ...], tuple[int, ...]]
+
+EMPTY: Column = ((), ())
 
 
 def _height(mats) -> int:
@@ -27,26 +33,44 @@ def _height(mats) -> int:
     return max((rows[-1] + 1 for m in mats for rows, _ in m if rows), default=0)
 
 
+def icol(acc) -> Column:
+    """The column of a dense list of ints: its nonzeros in row order."""
+    return tuple(compress(range(len(acc)), acc)), tuple(filter(None, acc))
+
+
+def icol_mul(a, col: Column, height: int | None = None) -> Column:
+    """Product a @ col for one column: the combination of a's columns
+    that ``col`` names, summed in a dense list ``height`` rows tall, or
+    by default as tall as the columns it names."""
+    rows, vals = col
+    if len(rows) == 1:
+        (arows, avals), x = a[rows[0]], vals[0]
+        return arows, tuple(y * x for y in avals)
+    if height is None:
+        height = max((a[k][0][-1] + 1 for k in rows if a[k][0]), default=0)
+    acc = [0] * height
+    for k, x in zip(rows, vals):
+        arows, avals = a[k]
+        for i, y in zip(arows, avals):
+            acc[i] += y * x
+    return icol(acc)
+
+
+def icol_eq(a: Column, da: int, b: Column, db: int) -> bool:
+    """Whether column a over the denominator da and column b over db are
+    the same rational vector.  Both columns hold only nonzeros, so equal
+    vectors have equal rows; over different denominators the numerators
+    are compared cross-multiplied."""
+    (ra, va), (rb, vb) = a, b
+    return ra == rb and (va == vb if da == db
+                         else all(x * db == y * da for x, y in zip(va, vb)))
+
+
 def imat_mul(a, b):
-    """Product a @ b, column by column (Gustavson 1978): column j of
-    the product is the combination of a's columns that b's column j
-    names, summed in a dense list as tall as a."""
+    """Product a @ b, column by column (Gustavson 1978): ``icol_mul``
+    of each column of b, every one summed in a list as tall as a."""
     n = _height([a])
-    at = range(n)
-    out = []
-    for rows, vals in b:
-        if len(rows) == 1:
-            arows, avals = a[rows[0]]
-            x = vals[0]
-            out.append((arows, tuple(y * x for y in avals)))
-            continue
-        acc = [0] * n
-        for k, x in zip(rows, vals):
-            arows, avals = a[k]
-            for i, y in zip(arows, avals):
-                acc[i] += y * x
-        out.append((tuple(compress(at, acc)), tuple(filter(None, acc))))
-    return out
+    return [icol_mul(a, col, n) for col in b]
 
 
 def imat_comb(terms):
@@ -54,7 +78,6 @@ def imat_comb(terms):
     all matrices with the same number of columns, each column summed in
     a dense list as tall as the tallest of them."""
     n = _height([m for _, m in terms])
-    at = range(n)
     out = []
     for j in range(len(terms[0][1])):
         parts = [(c, m[j]) for c, m in terms if c and m[j][0]]
@@ -66,7 +89,7 @@ def imat_comb(terms):
         for c, (rows, vals) in parts:
             for i, x in zip(rows, vals):
                 acc[i] += c * x
-        out.append((tuple(compress(at, acc)), tuple(filter(None, acc))))
+        out.append(icol(acc))
     return out
 
 

@@ -507,7 +507,9 @@ def cosine_transform(
     f: ScalarFn, v: float, q: QuadratureSpec | None = None
 ) -> float:
     """integral f(t) cos(sqrt(v) t) dt over the whole line.  Nothing
-    here damps the integrand, so undeclared decay is refused."""
+    here damps the integrand, so undeclared decay is refused, and so is
+    an exponential declaration that f breaks at a cut point +-T:
+    |f(+-T)| must not exceed e^(-rate T)."""
     _require_finite(v=v)
     if v < 0:
         raise ParameterError(f"need v >= 0, got {v:g}")
@@ -518,6 +520,12 @@ def cosine_transform(
     elif f.decay == "exponential":
         t = max(20.0 / f.rate, 20.0)
         lo, hi = -t, t
+        bound = math.exp(-f.rate * t)
+        for side, at in (("left", lo), ("right", hi)):
+            if not abs(f(at)) <= bound:
+                raise ParameterError(
+                    f"cosine_transform: |f({at:g})| = {abs(f(at)):.6g} breaks the declared "
+                    f"decay e^(-{f.rate:g}*{t:g}) = {bound:.6g} on the {side}")
     else:
         raise ParameterError(
             "cosine_transform needs declared decay (compact or exponential)"

@@ -57,7 +57,7 @@ class ScalarFn:
     analytic derivatives where a check needs them; ``growth_degree``
     bounds |f| by a constant times (1+|t|)^growth_degree when there is
     no decay (the heat kernel still wins against any polynomial).
-    The declaration is a caller contract; nothing verifies it."""
+    The declaration is a caller contract; only ``cosine_transform`` checks it."""
 
     fn: Callable[[float], float]
     decay: str = "none"              # "compact" | "exponential" | "none"

@@ -19,16 +19,17 @@ W_0 is linear: W_0 = diag(1/k!) D.  On the basis matrix B its defining
 properties are the operator identities W_0 B = diag(1/n!),
 W_0 L B = D_u W_0 B and W_0 R B = U W_0 B, with D_u = d/du and U the
 product by u, and that is how ``covariant_check`` tests them.
-``covariant_w0`` applies L to its one input again and again, on
-integer numerators over one denominator: for one request on a freshly
-built model that costs less than building D.
+``covariant_w0`` applies L to its one input again and again, as an
+integer kernel column over one denominator: for one request on a
+freshly built model that costs less than building D.
 
 The transmutation V = B_dst D_src maps one model onto another.
 ``umbral_map`` applies it to a ``Poly``, as the ``transmute`` command
 does; ``check_transmutation_intertwining`` tests V L_src = L_dst V and
-V R_src = R_dst V on integer vectors, each basis column of the source
+V R_src = R_dst V on kernel columns, each basis column of the source
 carried through the ladders, D_src and B_dst over a running
-denominator, the way ``covariant_w0`` carries its input through L.
+denominator by ``_step``, the way ``covariant_w0`` carries its input
+through L, and the two sides compared by ``kernels.icol_eq``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .core import (
     CapMismatchError,
@@ -46,48 +46,51 @@ from .core import (
     ZERO,
     integer_vector,
 )
-from .kernels import EMPTY
+from .kernels import EMPTY, Column, icol_eq, icol_mul
 from .models import Parity, UmbralModel, basis_matrix, dual_matrix, require_order
 from .models import dual_functionals  # noqa: F401  (public here: the duals l_k)
 from .models import _derivative_op, _mult_by_t_op, lowering_mismatch, pairing_mismatch
 from .reports import VerificationReport, status_of
 
 
-def _step(
-    op: LinearOp, vec: dict[int, int], den: int, tainted: bool
-) -> tuple[dict[int, int], int, bool]:
-    """One product op vec on integer numerators over a running
-    denominator: (op vec, den * op.den, taint), the taint raised exactly
-    when ``LinearOp.apply`` would flag the image, i.e. when vec touches
-    a column that op marks."""
-    return op.times_vector(vec), den * op.den, tainted or not op.trunc_cols.isdisjoint(vec)
+def _step(op: LinearOp, vec: Column, den: int, tainted: bool) -> tuple[Column, int, bool]:
+    """One product op vec of a kernel column of integer numerators over
+    a running denominator: (op vec, den * op.den, taint), the taint
+    raised exactly when ``LinearOp.apply`` would flag the image, i.e.
+    when vec touches a column that op marks."""
+    return icol_mul(op.cols, vec), den * op.den, tainted or not op.trunc_cols.isdisjoint(vec[0])
+
+
+def require_model_input(m: UmbralModel, f: Poly) -> None:
+    """Refuse a polynomial outside the model's space or at another cap."""
+    m.check_in_space(f)
+    if f.cap != m.degree_cap:
+        raise CapMismatchError(f"input cap {f.cap} differs from model cap {m.degree_cap}")
 
 
 def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
     """Profile of f in the monomial picture: coefficient k of the output
     is <l_0, L^k f>/k!, in a fresh variable u at the same cap.
 
-    L^k f is kept as integer numerators over one denominator.  A
+    L^k f is a kernel column of integer numerators over one denominator,
+    and l_0 pairs with it as a one-row integer matrix.  A
     truncation-tainted input taints the output flag as usual.
     """
-    m.check_in_space(f)
-    if f.cap != m.degree_cap:
-        raise CapMismatchError(
-            f"input cap {f.cap} differs from model cap {m.degree_cap}"
-        )
-    low = m.lowering
-    vac, vden = integer_vector(m.vacuum.row)
+    require_model_input(m, f)
+    (rows, vals), vden = integer_vector(m.vacuum.row)
+    vac = [EMPTY] * (f.cap + 1)
+    for i, x in zip(rows, vals):
+        vac[i] = ((0,), (x,))
     g, den = integer_vector(f.coeffs)
     coeffs = [ZERO] * (f.cap + 1)
     tainted = f.truncated
     kfact = 1
     for k in range(m.n_max + 1):
-        if k:
-            kfact *= k
-        pair = sum(x * g[i] for i, x in vac.items() if i in g)
-        coeffs[k] = Fraction(pair, vden * den * kfact)
-        g, den, tainted = _step(low, g, den, tainted)
-        if not g and not tainted:
+        kfact *= k or 1
+        _, pair = icol_mul(vac, g)  # (<l_0, g>,), or () when it is 0
+        coeffs[k] = Fraction(sum(pair), vden * den * kfact)
+        g, den, tainted = _step(m.lowering, g, den, tainted)
+        if not g[0] and not tainted:
             break
     return Poly(coeffs, f.cap, tainted)
 
@@ -109,11 +112,7 @@ def expand_in_basis(m: UmbralModel, f: Poly) -> list[Fraction]:
     (the basis matrix is triangular with nonzero diagonal there);
     odd-degree content in an even-parity model raises DomainError.
     """
-    m.check_in_space(f)
-    if f.cap != m.degree_cap:
-        raise CapMismatchError(
-            f"input cap {f.cap} differs from model cap {m.degree_cap}"
-        )
+    require_model_input(m, f)
     require_top_degree(m, f.degree())
     return list(m.dual_op.apply(f).coeffs[: m.n_max + 1])
 
@@ -145,13 +144,6 @@ def umbral_map(src: UmbralModel, dst: UmbralModel, f: Poly) -> Poly:
     return image.with_flag(image.truncated or f.truncated)
 
 
-def _check_in_space(m: UmbralModel, degrees: Iterable[int]) -> None:
-    """``UmbralModel.check_in_space`` on a polynomial given by its
-    nonzero degrees in any order."""
-    if m.parity is Parity.EVEN:
-        m.check_degrees_in_space(sorted(degrees))
-
-
 def check_transmutation_intertwining(
     src: UmbralModel, dst: UmbralModel
 ) -> VerificationReport:
@@ -162,17 +154,17 @@ def check_transmutation_intertwining(
 
     The identities hold by construction; the check guards the
     implementation by computing each side through the matrices, on
-    integer numerators over a running denominator: column n of B_src
+    integer kernel columns over a running denominator: column n of B_src
     goes through the source ladder, D_src and B_dst on one side, and
-    through D_src, B_dst and the target ladder on the other, and the two
-    images are compared by cross-multiplying.  V p_n is formed once per
-    index, and the raising pass reuses what the lowering pass made.  A
-    side is tainted when B_src marks column n or when one of its
-    products reads a column its operator marks, as ``umbral_map`` and
-    the ladders' ``apply`` flag it; each vector that D_src expands and
-    each image the target ladder acts on must lie in its model's space,
-    as there.  Both models must carry the same number of basis
-    elements; parity may differ.
+    through D_src, B_dst and the target ladder on the other, and
+    ``kernels.icol_eq`` compares the two images over their denominators.
+    V p_n is formed once per index, and the raising pass reuses what the
+    lowering pass made.  A side is tainted when B_src marks column n or
+    when one of its products reads a column its operator marks, as
+    ``umbral_map`` and the ladders' ``apply`` flag it; each vector that
+    D_src expands and each image the target ladder acts on must lie in
+    its model's space, as there.  Both models must carry the same number
+    of basis elements; parity may differ.
     """
     if src.n_max != dst.n_max:
         raise CapMismatchError(
@@ -181,10 +173,11 @@ def check_transmutation_intertwining(
     params = {"src": src.label(), "dst": dst.label()}
     b_src, d_src, b_dst = src.basis_op, src.dual_op, dst.basis_op
 
-    def mapped(vec: dict[int, int], den: int, tainted: bool) -> tuple[dict[int, int], int, bool]:
+    def mapped(vec: Column, den: int, tainted: bool) -> tuple[Column, int, bool]:
         """V vec = B_dst D_src vec, for vec in the source space."""
-        _check_in_space(src, vec)
-        require_top_degree(src, max(vec, default=-1))
+        rows = vec[0]
+        src.check_degrees_in_space(rows)
+        require_top_degree(src, rows[-1] if rows else -1)
         vec, den, tainted = _step(d_src, vec, den, tainted)
         return _step(b_dst, vec, den, tainted)
 
@@ -195,18 +188,18 @@ def check_transmutation_intertwining(
         ("raising", src.raising, dst.raising, range(src.n_max)),
     ):
         for n in indices:
-            rows, vals = b_src.cols[n]
-            src.check_degrees_in_space(rows)
-            p = dict(zip(rows, vals)), b_src.den, n in b_src.trunc_cols
+            col = b_src.cols[n]
+            src.check_degrees_in_space(col[0])
+            p = col, b_src.den, n in b_src.trunc_cols
             l, dl, lt = mapped(*_step(on_src, *p))
             if n in images:
                 r, dr, rt = images[n]
             else:
                 r, dr, rt = images[n] = mapped(*p)
-                _check_in_space(dst, r)
+                dst.check_degrees_in_space(r[0])
             r, dr, rt = _step(on_dst, r, dr, rt)
             tainted |= lt or rt
-            if l.keys() != r.keys() or any(l[i] * dr != r[i] * dl for i in l):
+            if not icol_eq(l, dl, r, dr):
                 bad = (kind, n)
                 break
         if bad is not None:

@@ -35,6 +35,7 @@ from .core import (
 from .models import UmbralModel, basis_matrix, require_order
 from .models import lowering_mismatch, pairing_mismatch, rows_matrix
 from .reports import VerificationReport, status_of
+from .transforms import _step, require_model_input
 
 
 def first_difference(lhs: list, rhs: list) -> tuple[int, int] | None:
@@ -137,11 +138,7 @@ def generalized_translate(m: UmbralModel, y: Fraction | int, f: Poly) -> Poly:
     The sum is finite: L^k f dies once k exceeds the index content of
     f.  Truncation flags on intermediate applications propagate."""
     y = as_fraction(y)
-    m.check_in_space(f)
-    if f.cap != m.degree_cap:
-        raise CapMismatchError(
-            f"input cap {f.cap} differs from model cap {m.degree_cap}"
-        )
+    require_model_input(m, f)
     acc = Poly.zero(m.degree_cap).with_flag(f.truncated)
     g = f
     for k in range(m.n_max + 1):
@@ -169,9 +166,9 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
     At lambda-order a the left side is sum_{k<=a} p_k(y) (L^k p_a)(t)
     with y kept symbolic, the right side sum_{i+j=a} p_i(y) p_j(t);
     both are exact tables in (t, y) and no cross-order cancellation is
-    possible.  L^k p_a is formed on integers with ``times_vector``; it
-    is tainted when B marks p_a or L marks a column that L^j p_a,
-    j < k, reaches."""
+    possible.  L^k p_a is formed as a kernel column by ``_step``, the
+    transforms' one vector product; it is tainted when B marks p_a or L
+    marks a column that L^j p_a, j < k, reaches."""
     require_order(m, order)
     b, low = m.basis_op, m.lowering
     forms = _column_forms(b)
@@ -179,14 +176,11 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
     tainted = False
     for a in range(order + 1):
         pairs = []
-        g, den = dict(zip(*b.cols[a])), b.den
-        marked = a in b.trunc_cols
+        g, den, marked = b.cols[a], b.den, a in b.trunc_cols
         for k in range(a + 1):
-            rows = sorted(g)
-            pairs.append((_form(rows, [g[i] for i in rows], den), forms[k]))
+            pairs.append((_form(*g, den), forms[k]))
             tainted |= marked
-            marked = marked or not low.trunc_cols.isdisjoint(g)
-            g, den = low.times_vector(g), den * low.den
+            g, den, marked = _step(low, g, den, marked)
         diff = first_difference(pairs, [(forms[a - i], forms[i]) for i in range(a + 1)])
         if diff is not None:
             bad = (a, diff)

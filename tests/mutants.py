@@ -158,9 +158,16 @@ MUTANTS = (
     Mutant(
         "covariant_w0 ignoring the lowering's marks",
         "src/umbra/transforms.py",
-        "g, den, tainted = _step(low, g, den, tainted)",
-        "g, den, _ = _step(low, g, den, tainted)",
+        "g, den, tainted = _step(m.lowering, g, den, tainted)",
+        "g, den, _ = _step(m.lowering, g, den, tainted)",
         ("tests/test_truncation_rule.py::test_w0_flags_an_input_that_reaches_a_marked_lowering_column",),
+    ),
+    Mutant(
+        "a vector step raising the taint from the rows it writes, not the rows it reads",
+        "src/umbra/transforms.py",
+        "isdisjoint(vec[0])",
+        "isdisjoint(icol_mul(op.cols, vec)[0])",
+        ("tests/test_truncation_rule.py::test_w0_flags_an_input_that_reads_a_marked_lowering_column_with_no_image",),
     ),
     Mutant(
         "the transmutation check's target-side ladder step dropping its taint",
@@ -175,8 +182,8 @@ MUTANTS = (
     Mutant(
         "the transmutation check comparing numerators over different denominators",
         "src/umbra/transforms.py",
-        "any(l[i] * dr != r[i] * dl for i in l)",
-        "any(l[i] != r[i] for i in l)",
+        "if not icol_eq(l, dl, r, dr):",
+        "if l != r:",
         (
             "tests/test_transforms.py::test_the_transmutation_check_matches_the_poly_oracle",
             "tests/test_golden.py::test_default_output_unchanged[check-transmute.json]",
@@ -254,24 +261,40 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "compare_on_columns reading only the numerators, not their rows",
-        "src/umbra/core.py",
-        "if ra != rb or (",
-        "if (",
-        ("tests/test_sparse_ops.py::test_compare_on_columns_reads_rows_and_values_on_both_branches",),
+        "the column equality reading only the numerators, not their rows",
+        "src/umbra/kernels.py",
+        "return ra == rb and (",
+        "return (",
+        (
+            "tests/test_kernels.py::test_icol_eq_cross_multiplies_over_two_denominators",
+            "tests/test_sparse_ops.py::test_compare_on_columns_reads_rows_and_values_on_both_branches",
+        ),
     ),
     Mutant(
-        "compare_on_columns over one denominator ignoring the numerators",
-        "src/umbra/core.py",
-        "va != vb if da == db",
-        "False if da == db",
-        ("tests/test_sparse_ops.py::test_compare_on_columns_reads_rows_and_values_on_both_branches",),
+        "the column equality over one denominator ignoring the numerators",
+        "src/umbra/kernels.py",
+        "va == vb if da == db",
+        "True if da == db",
+        (
+            "tests/test_kernels.py::test_icol_eq_cross_multiplies_over_two_denominators",
+            "tests/test_sparse_ops.py::test_compare_on_columns_reads_rows_and_values_on_both_branches",
+        ),
     ),
     Mutant(
-        "compare_on_columns over two denominators crossing them the wrong way",
-        "src/umbra/core.py",
-        "any(x * db != y * da for",
-        "any(x * da != y * db for",
+        "the column equality taking its one-denominator shortcut when the denominators differ",
+        "src/umbra/kernels.py",
+        "va == vb if da == db",
+        "va == vb if True",
+        (
+            "tests/test_kernels.py::test_icol_eq_cross_multiplies_over_two_denominators",
+            "tests/test_kernels.py::test_icol_eq_is_equality_of_the_rational_vectors",
+        ),
+    ),
+    Mutant(
+        "the column equality over two denominators crossing them the wrong way",
+        "src/umbra/kernels.py",
+        "all(x * db == y * da for",
+        "all(x * da == y * db for",
         (
             "tests/test_sparse_ops.py::test_compare_on_columns_reads_rows_and_values_on_both_branches",
             "tests/test_sparse_ops.py::test_compare_on_columns_across_denominators",
@@ -280,7 +303,7 @@ MUTANTS = (
     Mutant(
         "apply ignoring the operator's marks",
         "src/umbra/core.py",
-        "return Poly(cs, f.cap, f.truncated or not self.trunc_cols.isdisjoint(vec))",
+        "return Poly(cs, f.cap, f.truncated or not self.trunc_cols.isdisjoint(vec[0]))",
         "return Poly(cs, f.cap, f.truncated)",
         ("tests/test_core.py::test_trunc_cols_propagate_through_matmul",),
     ),

@@ -185,6 +185,15 @@ def test_cosine_value(capsys):
     assert float(out.strip()) == pytest.approx(want, abs=1e-8)
 
 
+def test_cosine_refuses_a_function_that_breaks_its_declared_decay(capsys):
+    # e^(-t) is declared to decay like e^(-|t|) but grows as t -> -inf,
+    # where the integral of e^(-t) cos t diverges
+    rc, out, err = run(capsys, "cosine", "--fn", "exp", "--v", "1")
+    assert rc == 2
+    assert out == ""
+    assert "|f(-20)|" in err and "on the left" in err
+
+
 def test_poisson_of_polynomial_flag(capsys):
     # --poly routes through the same rational parser as the exact side
     rc, out, _ = run(

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +140,73 @@ def test_imat_comb_matches_the_dict_accumulator(data):
     assert out == ref.sparse_comb(terms)
     c = data.draw(BIG)
     assert kernels.imat_comb([(c, mats[0]), (-c, mats[0])]) == [kernels.EMPTY] * ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_icol_mul_matches_the_dict_accumulator(data):
+    """One column through the one-column product, sized from the columns
+    it names or at a given height, on a rectangular a; the column holds
+    one row, names only empty columns of a, cancels to empty, or is
+    drawn at random."""
+    inner = data.draw(SIZE)
+    nrows = data.draw(SIZE.filter(lambda n: n != inner))
+    a = data.draw(sparse_cols(nrows, inner))
+    col = data.draw(sparse_cols(inner, 1))[0]
+    case = data.draw(st.sampled_from(("random", "one row", "empty columns", "cancels")))
+    if case == "one row":
+        col = ((data.draw(st.integers(0, inner - 1)),), (data.draw(BIG),))
+    elif case == "empty columns":
+        a = [kernels.EMPTY if k in col[0] else c for k, c in enumerate(a)]
+    elif case == "cancels":
+        # a's column 0 again, and the column taking the difference of the two
+        x = data.draw(BIG)
+        a, col = a + [a[0]], ((0, inner), (x, -x))
+    want = ref.sparse_mul(a, [col])[0]
+    assert kernels.icol_mul(a, col) == want
+    assert kernels.icol_mul(a, col, nrows) == want
+    assert_canonical([want])
+    if case in ("empty columns", "cancels"):
+        assert want == kernels.EMPTY
+
+
+def test_icol_reads_the_nonzeros_of_a_dense_list():
+    assert kernels.icol([0, 3, 0, -1, 0]) == ((1, 3), (3, -1))
+    assert kernels.icol([0, 0]) == kernels.EMPTY
+    assert kernels.icol([]) == kernels.EMPTY
+
+
+def _rational(col, den):
+    rows, vals = col
+    return {i: Fraction(x, den) for i, x in zip(rows, vals)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_icol_eq_is_equality_of_the_rational_vectors(data):
+    """b is a scaled by k/k (k = 1: the same denominator), then maybe
+    given another value or row, or drawn afresh."""
+    n = data.draw(SIZE)
+    a = data.draw(sparse_cols(n, 1))[0]
+    da, k = data.draw(st.integers(1, 1 << 70)), data.draw(st.integers(1, 4))
+    b, db = (a[0], tuple(k * x for x in a[1])), k * da
+    how = data.draw(st.sampled_from(("same", "value", "row", "fresh")))
+    if how == "value" and b[0]:
+        b = (b[0], (b[1][0] + (1 if b[1][0] != -1 else 2),) + b[1][1:])
+    elif how == "row" and b[0]:
+        b = (b[0][:-1] + (b[0][-1] + 1,), b[1])
+    elif how == "fresh":
+        b, db = data.draw(sparse_cols(n, 1))[0], data.draw(st.sampled_from((da, 2 * da, 3)))
+    assert kernels.icol_eq(a, da, b, db) == (_rational(a, da) == _rational(b, db))
+
+
+def test_icol_eq_cross_multiplies_over_two_denominators():
+    half = ((0, 2), (1, 3))
+    assert kernels.icol_eq(half, 2, ((0, 2), (2, 6)), 4)
+    assert not kernels.icol_eq(half, 2, half, 3)
+    assert not kernels.icol_eq(half, 2, ((0, 1), (1, 3)), 2)
+    assert not kernels.icol_eq(half, 2, ((0, 2), (1, 4)), 2)
+    assert kernels.icol_eq(kernels.EMPTY, 2, kernels.EMPTY, 5)
 
 
 def test_gcd_reads_nonzeros():

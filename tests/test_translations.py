@@ -119,6 +119,31 @@ def test_heat_double_translation_averages_four_shifts():
         assert flipped == two_step, k
 
 
+RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["monomial", "lower-factorial", "upper-factorial"]), st.integers(1, 16), st.data())
+def test_translations_on_binomial_models_compose_as_a_group(name, degree, data):
+    """T^y T^z f = T^(y+z) f, exactly and unflagged, at rational y, z."""
+    m = build_model(name, degree)
+    f = Poly(data.draw(st.lists(RATIONAL, max_size=degree + 1)), degree)
+    y, z = data.draw(RATIONAL), data.draw(RATIONAL)
+    two_step = generalized_translate(m, y, generalized_translate(m, z, f))
+    one_step = generalized_translate(m, y + z, f)
+    assert two_step == one_step
+    assert not two_step.truncated and not one_step.truncated
+
+
+def test_hermite_translations_do_not_compose():
+    """Hermite is shift-invariant, but Appell with s = 1 is not of
+    binomial type: T^y = e^(-D^2/2) e^(yD), so T^1 T^1 = e^(-D^2/2) T^2."""
+    m = build_model("hermite", 12)
+    f = Poly.monomial(2, 12)
+    assert generalized_translate(m, 1, generalized_translate(m, 1, f)) == Poly([2, 4, 1], 12)
+    assert generalized_translate(m, 2, f) == Poly([3, 4, 1], 12)
+
+
 def test_bessel_translation_of_basis_element():
     # T^y q_n = sum_k q_k(y) q_{n-k}(t) evaluated through the package,
     # cross-checked against the reference constants

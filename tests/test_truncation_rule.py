@@ -365,6 +365,16 @@ def test_w0_flags_an_input_that_reaches_a_marked_lowering_column():
     assert covariant_w0(m, Poly.monomial(6, 8)).truncated
 
 
+def test_w0_flags_an_input_that_reads_a_marked_lowering_column_with_no_image():
+    """covariant_w0 on a monomial model whose lowering marks column 0:
+    L 1 = 0 has no nonzero row, yet reading the marked column taints."""
+    m = build_model("monomial", 8)
+    low = m.lowering
+    m = dataclasses.replace(m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset({0})))
+    assert covariant_w0(m, Poly.monomial(0, 8)).truncated
+    assert not covariant_w0(m, Poly.monomial(0, 8).scale(0)).truncated
+
+
 def _outcome(call):
     """("ok", value) or (name of the error raised, its message)."""
     try:
