@@ -17,8 +17,9 @@ monomial basis t^k.  Three data types live here:
   of ``umbra.kernels`` columns of integer numerators over one positive
   denominator, their common factor reduced away once per operation.
   An exact vector is one such column over its own denominator
-  (``integer_vector``), so operator products and the products of an
-  operator with a vector all run in the kernels' one loop.  Its one
+  (``integer_vector``; ``column_poly`` turns it back into a ``Poly``),
+  so operator products and the products of an operator with a vector
+  all run in the kernels' one loop.  Its one
   constructor, ``LinearOp(cols, den, cap, trunc_cols)``, takes integer
   columns over any nonzero denominator and canonicalizes them;
   ``from_columns`` and ``from_entries`` build it from rationals.
@@ -113,9 +114,9 @@ def format_rational(q: Fraction) -> str:
 
 def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Rewrite fractions over one positive denominator: (numerators, den)."""
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
+    den = math.lcm(*{v.denominator for v in values})
+    if den == 1:
+        return [v.numerator for v in values], 1
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
@@ -124,6 +125,16 @@ def integer_vector(values: Sequence[Fraction]) -> tuple[kernels.Column, int]:
     one positive denominator."""
     nums, den = _common_denominator(values)
     return kernels.icol(nums), den
+
+
+def column_poly(col: kernels.Column, den: int, cap: int, truncated: bool = False) -> "Poly":
+    """The ``Poly`` of a kernel column of integer numerators over the
+    positive denominator ``den``: the one way back from integers to a
+    polynomial at the edge of a command."""
+    cs = [ZERO] * (cap + 1)
+    for i, x in zip(*col):
+        cs[i] = Fraction(x, den)
+    return Poly(cs, cap, truncated)
 
 
 class Poly:
@@ -453,11 +464,10 @@ class LinearOp:
                 f"degree caps differ: {self.cap} vs {f.cap}"
             )
         vec, fden = integer_vector(f.coeffs)
-        d = self.den * fden
-        cs = [ZERO] * (f.cap + 1)
-        for i, v in zip(*kernels.icol_mul(self.cols, vec)):
-            cs[i] = Fraction(v, d)
-        return Poly(cs, f.cap, f.truncated or not self.trunc_cols.isdisjoint(vec[0]))
+        return column_poly(
+            kernels.icol_mul(self.cols, vec), self.den * fden, f.cap,
+            f.truncated or not self.trunc_cols.isdisjoint(vec[0]),
+        )
 
     def compare_on_columns(
         self, other: "LinearOp", cols: Iterable[int]

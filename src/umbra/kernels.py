@@ -15,6 +15,8 @@ right operand, and a vector product calls it directly.  A product or
 combination column with more than one contribution is summed in a dense
 list, whose nonzeros ``icol`` reads off in row order: one list index
 per multiply-add, and no sort.  ``icol_eq`` is the one equality rule.
+A row vector is a column of the transpose (``imat_transpose``), so a
+row times a matrix is ``icol_mul`` of the transposed matrix too.
 """
 
 from __future__ import annotations
@@ -71,6 +73,18 @@ def imat_mul(a, b):
     of each column of b, every one summed in a list as tall as a."""
     n = _height([a])
     return [icol_mul(a, col, n) for col in b]
+
+
+def imat_transpose(a, height: int):
+    """The transpose of a, whose rows all lie below ``height``: its
+    ``height`` columns, column i holding row i of a."""
+    rows: list[list[int]] = [[] for _ in range(height)]
+    vals: list[list[int]] = [[] for _ in range(height)]
+    for j, (arows, avals) in enumerate(a):
+        for i, x in zip(arows, avals):
+            rows[i].append(j)
+            vals[i].append(x)
+    return [(tuple(r), tuple(v)) for r, v in zip(rows, vals)]
 
 
 def imat_comb(terms):

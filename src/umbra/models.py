@@ -29,13 +29,14 @@ even (nu >= 0)        q_n = t^{2n}/c_n with c_n = prod 2k(2k+nu-1),
 A model stores its basis once, as the integer basis matrix B
 (``basis_op``): column n is p_n, as integer numerators over one
 denominator, for n <= n_max; the columns above are zero, and B's
-truncation marks are the flagged p_n.  Every builder emits B straight
-from integer columns; ``UmbralModel.basis``, the p_n as ``Poly``s, is a
-view made on demand.  The factorial raising operators are the closed
-form R = t f'(D)^{-1} of the delta operator L = f(D) (finite operator
-calculus), also built over the integers.  On the capped space the
-factorial raising loses (n_max+1) p_{n_max+1} from its top column,
-which is marked truncated.
+truncation marks are the flagged p_n.  Every builder emits B and the
+factorial and even ladders straight from integer columns;
+``UmbralModel.basis``, the p_n as ``Poly``s, is a view made on demand.
+The factorial raising operators are the closed form R = t f'(D)^{-1}
+of the delta operator L = f(D) (finite operator calculus), also built
+over the integers.  On the capped space the factorial raising loses
+(n_max+1) p_{n_max+1} from its top column, which is marked truncated.
+The duals l_k = l_0 L^k are integer rows too (``dual_functionals``).
 
 The even models grade by basis index n <-> degree 2n and live on the
 even subspace only; applying their operators to a polynomial with
@@ -63,11 +64,13 @@ from .core import (
     Poly,
     ZERO,
     as_fraction,
+    column_poly,
     format_rational,
+    integer_vector,
     op_commutator,
 )
 from .formal import OpWordTable
-from .kernels import EMPTY
+from .kernels import EMPTY, Column, icol, icol_mul, imat_transpose
 
 IOTA = ONE  # structure constant of the Heisenberg relation, fixed package-wide
 
@@ -140,20 +143,28 @@ class UmbralModel:
         """p_0 .. p_{n_max} as ``Poly``s, each flagged when B marks its
         column: a view of ``basis_op`` for the callers that work on
         polynomials."""
-        b, cap = self.basis_op, self.degree_cap
-        out = []
-        for n, (rows, vals) in enumerate(b.cols[: self.n_max + 1]):
-            cs = [ZERO] * (cap + 1)
-            for i, x in zip(rows, vals):
-                cs[i] = Fraction(x, b.den)
-            out.append(Poly(cs, cap, n in b.trunc_cols))
-        return tuple(out)
+        b = self.basis_op
+        return tuple(
+            column_poly(col, b.den, self.degree_cap, n in b.trunc_cols)
+            for n, col in enumerate(b.cols[: self.n_max + 1])
+        )
+
+    @functools.cached_property
+    def vacuum_row(self) -> tuple[Column, int]:
+        """l_0 as an integer row (a kernel column of its numerators) over
+        one positive denominator, read once from ``vacuum``."""
+        return integer_vector(self.vacuum.row)
 
     @functools.cached_property
     def dual_op(self) -> LinearOp:
-        """D, whose row k is the dual l_k, computed once per model.  It
-        carries no truncation marks; ``dual_matrix`` adds them."""
-        return rows_matrix(self.degree_cap, dual_functionals(self))
+        """D, whose row k is the dual l_k, computed once per model: each
+        row of ``dual_functionals`` put over the last one's denominator
+        vden * L.den^n_max.  It carries no truncation marks;
+        ``dual_matrix`` adds them."""
+        duals = dual_functionals(self)
+        den = duals[-1][1]
+        rows = [(r, tuple(x * (den // d) for x in v)) for (r, v), d in duals]
+        return rows_op(self.degree_cap, rows, den)
 
     @functools.cached_property
     def words(self) -> OpWordTable:
@@ -169,8 +180,8 @@ def _basis_op(cap: int, polys: Sequence[tuple[Sequence[int], int]]) -> LinearOp:
     den = math.lcm(*(d for _, d in polys))
     cols = []
     for cs, d in polys:
-        rows = tuple(i for i, c in enumerate(cs) if c)
-        cols.append((rows, tuple(den // d * cs[i] for i in rows)))
+        rows, vals = icol(cs)
+        cols.append((rows, tuple(den // d * x for x in vals)))
     return LinearOp(cols + [EMPTY] * (cap + 1 - len(cols)), den, cap)
 
 
@@ -182,11 +193,15 @@ def _mult_by_t_op(cap: int) -> LinearOp:
     return LinearOp([((j + 1,), (1,)) for j in range(cap)] + [EMPTY], 1, cap, {cap})
 
 
-def _shift_op(cap: int, y: int) -> LinearOp:
-    """f(t) -> f(t+y) for y = +-1; exact, degree never grows."""
-    cols = [(tuple(range(j + 1)), tuple(math.comb(j, i) * y ** (j - i) for i in range(j + 1)))
-            for j in range(cap + 1)]
-    return LinearOp(cols, 1, cap)
+def _shift_cols(cap: int, y: int) -> list[Column]:
+    """The columns of f(t) -> f(t+y) for an integer y != 0: column j is
+    (t+y)^j, all j+1 entries nonzero, by Pascal's rule
+    C(j+1, i) y^(j+1-i) = y C(j, i) y^(j-i) + C(j, i-1) y^(j-i+1)."""
+    col, cols = [1], []
+    for j in range(cap + 1):
+        cols.append((tuple(range(j + 1)), tuple(col)))
+        col = [y * a + b for a, b in zip(col + [0], [0] + col)]
+    return cols
 
 
 def _checked_cap(n_max: int, cap: int | None, parity: Parity) -> int:
@@ -248,11 +263,11 @@ def _build_factorial(name: str, n_max: int, cap: int | None, step: int) -> Umbra
     cs = [[1]]
     for n in range(cap + 1):
         cs.append([y - step * n * x for x, y in zip(cs[-1] + [0], [0] + cs[-1])])
-    ahead, back = _shift_op(cap, step), _shift_op(cap, -step)
-    ident = LinearOp.identity(cap)
-    lowering = ahead - ident if step > 0 else ident - ahead
-    cols = [(tuple(i + 1 for i in rows), vals) for rows, vals in back.cols[:cap]]
-    top = [x - y for x, y in zip(back.cols[cap][1], cs[cap + 1][1:])]
+    # L = step * (ahead - 1): the shift's columns without their diagonal
+    ahead, back = _shift_cols(cap, step), _shift_cols(cap, -step)
+    lowering = [(rows[:-1], tuple(step * x for x in vals[:-1])) for rows, vals in ahead]
+    cols = [(tuple(i + 1 for i in rows), vals) for rows, vals in back[:cap]]
+    top = [x - y for x, y in zip(back[cap][1], cs[cap + 1][1:])]
     cols.append((tuple(i + 1 for i, x in enumerate(top) if x), tuple(x for x in top if x)))
     return UmbralModel(
         name=name,
@@ -260,7 +275,7 @@ def _build_factorial(name: str, n_max: int, cap: int | None, step: int) -> Umbra
         degree_cap=cap,
         parity=Parity.ALL,
         basis_op=_basis_op(cap, [(c, math.factorial(n)) for n, c in enumerate(cs[: n_max + 1])]),
-        lowering=lowering,
+        lowering=LinearOp(lowering, 1, cap),
         raising=LinearOp(cols, 1, cap, {cap}),
         vacuum=Functional.eval_at_zero(cap),
         shift_invariant=True,
@@ -282,13 +297,15 @@ def _build_even(name: str, n_max: int, cap: int | None, nu: Fraction) -> UmbralM
     for k in range(1, n_max + 1):
         a.append(a[-1] * 2 * k * (2 * k * q + p - q))
     basis_op = _basis_op(cap, [([0] * (2 * n) + [q**n], a[n]) for n in range(n_max + 1)])
-    # B_nu t^j = j (j + nu - 1) t^{j-2};  R t^j = t^{j+2} / (2 (j + nu + 1))
+    # B_nu t^j = j (j + nu - 1) t^{j-2};  R t^j = t^{j+2} / (2 (j + nu + 1)),
+    # the raising over the lcm of its denominators 2 (jq + p + q) / q
     low = [((j - 2,), (j * (j * q + p - q),)) if j % 2 == 0 else EMPTY for j in range(2, cap + 1)]
     lowering = LinearOp([EMPTY, EMPTY] + low, q, cap)
-    raising = LinearOp.from_columns(
-        cap,
-        lambda j: {j + 2: Fraction(q, 2 * (j * q + p + q))} if j % 2 == 0 and j + 2 <= cap else {},
-        trunc_cols=frozenset(j for j in range(0, cap + 1, 2) if j + 2 > cap),
+    dens = {j: 2 * (j * q + p + q) for j in range(0, cap - 1, 2)}
+    den = math.lcm(*dens.values())
+    raising = LinearOp(
+        [((j + 2,), (q * (den // dens[j]),)) if j in dens else EMPTY for j in range(cap + 1)],
+        den, cap, frozenset(j for j in range(0, cap + 1, 2) if j + 2 > cap),
     )
     return UmbralModel(
         name=name,
@@ -326,19 +343,31 @@ def lowering_mismatch(m: UmbralModel, b: LinearOp, top: int) -> tuple[int | None
     return (m.lowering @ b).compare_on_columns(b @ s_down, range(top + 1))
 
 
-def rows_matrix(cap: int, rows: Sequence[Functional]) -> LinearOp:
-    """The operator whose row k is the functional rows[k]."""
-    tables = [dict(row.terms) for row in rows]
-    return LinearOp.from_columns(cap, lambda j: {k: t[j] for k, t in enumerate(tables) if j in t})
+def rows_op(cap: int, rows: Sequence[Column], den: int) -> LinearOp:
+    """The operator whose row k is the integer row rows[k] over den."""
+    return LinearOp(imat_transpose(rows, cap + 1), den, cap)
 
 
-def dual_functionals(m: UmbralModel) -> list[Functional]:
-    """l_k = l_0 o L^k for k = 0..n_max; bi-orthogonal to the basis:
-    <l_k, p_n> = delta_{kn}.  Each model keeps them only as the rows of
-    its cached ``dual_op``."""
-    out = [m.vacuum]
+def vacuum_op(m: UmbralModel) -> LinearOp:
+    """The operator whose row 0 is l_0 and whose other rows are zero."""
+    row, den = m.vacuum_row
+    return rows_op(m.degree_cap, [row], den)
+
+
+def dual_functionals(m: UmbralModel) -> list[tuple[Column, int]]:
+    """l_k = l_0 o L^k for k = 0..n_max, each an integer row over its own
+    denominator vden * L.den^k, vden being l_0's (``vacuum_row``);
+    bi-orthogonal to the basis: <l_k, p_n> = delta_{kn}.  A row times L
+    is L^T times a column, so each step is one ``icol_mul`` with the
+    transpose of L.  Each model keeps the duals only as the rows of its
+    cached ``dual_op``."""
+    low = m.lowering
+    lt = imat_transpose(low.cols, m.degree_cap + 1)
+    row, den = m.vacuum_row
+    out = [(row, den)]
     for _ in range(m.n_max):
-        out.append(out[-1].after(m.lowering))
+        row, den = icol_mul(lt, row), den * low.den
+        out.append((row, den))
     return out
 
 
@@ -403,7 +432,7 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
     outcomes = {
         "ladder-lowering": lowering_mismatch(m, b, top),
         "ladder-raising": (m.raising @ b).compare_on_columns(b @ s_up, range(top)),
-        "vacuum": pairing_mismatch(rows_matrix(cap, [m.vacuum]) @ b, 0, top),
+        "vacuum": pairing_mismatch(vacuum_op(m) @ b, 0, top),
         "commutator": (comm @ b).compare_on_columns(b.scale(-IOTA), range(top)),
     }
     return [

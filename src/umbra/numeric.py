@@ -465,12 +465,29 @@ def hankel_intertwining_check(
     )
 
 
+def _edge_size(f: ScalarFn, t: float, u: float) -> float:
+    """max(1, |f(+-t)|) under exponential decay, where f need not be
+    bounded by 1 (e^(-t) grows on the left); refuses an f that
+    overflows or is not finite at +-t."""
+    if f.decay != "exponential":
+        return 1.0
+    try:
+        sizes = [abs(f(-t)), abs(f(t))]
+    except OverflowError:
+        sizes = [math.inf]
+    if not all(x < math.inf for x in sizes):  # also refuses NaN
+        raise QuadratureError(f"heat_covariant: f overflows at the cut +-{t:g} for u={u:g}")
+    return max(1.0, *sizes)
+
+
 def _gaussian_cutoff(f: ScalarFn, u: float, q: QuadratureSpec) -> float:
     g = f.growth_degree if f.decay == "none" else 0
     t = max(1.0, 4.0 * math.sqrt(u), math.sqrt(16.0 * g * u))
     # for s >= t (and t^2 >= 16gu) the integrand is below
-    # t^g e^{-s^2/8u} e^{-t^2/8u}, so the tail loses to this bound
-    while t ** g * math.exp(-t * t / (8.0 * u)) * math.sqrt(8.0 * math.pi * u) > q.abs_tol:
+    # t^g e^{-s^2/8u} e^{-t^2/8u}, times f's size at the cut, so the
+    # tail loses to this bound
+    while (_edge_size(f, t, u) * t ** g * math.exp(-t * t / (8.0 * u))
+           * math.sqrt(8.0 * math.pi * u) > q.abs_tol):
         t *= 1.5
         if t > 1e6:
             raise QuadratureError(
@@ -484,7 +501,11 @@ def heat_covariant(
 ) -> float:
     """(1/(2 sqrt(pi u))) integral f(s) exp(-s^2/4u) ds: smoothing by
     the heat kernel at time u.  Polynomially growing f is fine; the
-    kernel picks the truncation point."""
+    kernel picks the truncation point, scaled under exponential decay by
+    |f| at the cut, since e^(-s) grows on the left.  Where f overflows
+    at the cut before the tail bound is met (``--fn exp`` at u = 100,
+    whose integrand peaks near e^u at s = -2u) it raises
+    QuadratureError."""
     _require_finite(u=u)
     if u <= 0:
         raise ParameterError(f"need u > 0, got {u:g}")

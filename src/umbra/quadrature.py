@@ -57,7 +57,9 @@ class ScalarFn:
     analytic derivatives where a check needs them; ``growth_degree``
     bounds |f| by a constant times (1+|t|)^growth_degree when there is
     no decay (the heat kernel still wins against any polynomial).
-    The declaration is a caller contract; only ``cosine_transform`` checks it."""
+    The declaration is a caller contract; only ``cosine_transform`` checks it.
+    ``heat_covariant`` does not trust |f| <= 1 under exponential decay:
+    its cut point grows with |f| there."""
 
     fn: Callable[[float], float]
     decay: str = "none"              # "compact" | "exponential" | "none"

@@ -11,9 +11,11 @@ target basis.
 Both halves of that map are products over the integers with two
 operators of the model: the expansion is D f, D being built once per
 model (``UmbralModel.dual_op``) with row k the dual l_k that
-``dual_functionals`` computes, and the reassembly is B c, B being the
-model's stored basis matrix (``basis_op``) with column n the basis
-element p_n.
+``dual_functionals`` computes as an integer row, and the reassembly is
+B c, B being the model's stored basis matrix (``basis_op``) with
+column n the basis element p_n.  A ``Poly`` appears only at the edges:
+the input is read into a kernel column once (``core.integer_vector``)
+and the output made once (``core.column_poly``).
 
 W_0 is linear: W_0 = diag(1/k!) D.  On the basis matrix B its defining
 properties are the operator identities W_0 B = diag(1/n!),
@@ -21,7 +23,8 @@ W_0 L B = D_u W_0 B and W_0 R B = U W_0 B, with D_u = d/du and U the
 product by u, and that is how ``covariant_check`` tests them.
 ``covariant_w0`` applies L to its one input again and again, as an
 integer kernel column over one denominator: for one request on a
-freshly built model that costs less than building D.
+freshly built model that still costs less than building D from its
+integer rows.
 
 The transmutation V = B_dst D_src maps one model onto another.
 ``umbral_map`` applies it to a ``Poly``, as the ``transmute`` command
@@ -44,6 +47,7 @@ from .core import (
     LinearOp,
     Poly,
     ZERO,
+    column_poly,
     integer_vector,
 )
 from .kernels import EMPTY, Column, icol_eq, icol_mul
@@ -77,7 +81,7 @@ def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
     truncation-tainted input taints the output flag as usual.
     """
     require_model_input(m, f)
-    (rows, vals), vden = integer_vector(m.vacuum.row)
+    (rows, vals), vden = m.vacuum_row
     vac = [EMPTY] * (f.cap + 1)
     for i, x in zip(rows, vals):
         vac[i] = ((0,), (x,))
@@ -300,9 +304,11 @@ def generating_function(m: UmbralModel, order: int) -> GeneratingTable:
     """Coefficient table of F(s, t) to s-order ``order``, plus an exact
     verification that L_t F = s F order by order: the s^{k+1} row of
     L F must equal row k, and L applied to row 0 must vanish.  That is
-    L B = B S_down on the basis matrix B built up to ``order``."""
+    L B = B S_down on the basis matrix B built up to ``order``.  The
+    rows are B's columns 0..order, read straight off its integers."""
     require_order(m, order)
-    rows = tuple(m.basis[k].coeffs for k in range(order + 1))
+    b = m.basis_op
+    rows = tuple(column_poly(col, b.den, m.degree_cap).coeffs for col in b.cols[: order + 1])
     bad, tainted = lowering_mismatch(m, basis_matrix(m, order), order)
     report = VerificationReport(
         check="generating-function",

@@ -16,7 +16,10 @@ property for the generating function F(lambda, t) = sum_k lambda^k p_k:
 T_t^y F = F(lambda, y) F(lambda, t), order by order in lambda.
 
 The two-variable identities here are checked on exact integer tables
-in (t, y) at one common denominator; no float ever enters.
+in (t, y) at one common denominator; no float ever enters.  The
+translation itself runs on kernel columns too: p_k(y) from column k of
+the basis matrix, L^k f by the transforms' vector step, and one
+``Poly`` at the end.
 """
 
 from __future__ import annotations
@@ -31,9 +34,12 @@ from .core import (
     ParameterError,
     Poly,
     as_fraction,
+    column_poly,
+    integer_vector,
 )
+from .kernels import imat_comb
 from .models import UmbralModel, basis_matrix, require_order
-from .models import lowering_mismatch, pairing_mismatch, rows_matrix
+from .models import lowering_mismatch, pairing_mismatch, vacuum_op
 from .reports import VerificationReport, status_of
 from .transforms import _step, require_model_input
 
@@ -136,25 +142,37 @@ def generalized_translate(m: UmbralModel, y: Fraction | int, f: Poly) -> Poly:
     """T^y f = sum_k p_k(y) L^k f with exact rational y.
 
     The sum is finite: L^k f dies once k exceeds the index content of
-    f.  Truncation flags on intermediate applications propagate."""
+    f.  It runs on integers from input to output.  With y = a/c,
+    p_k(y) is column k of the basis matrix B summed against the powers
+    a^i c^(cap-i), over B.den c^cap; L^k f is a kernel column over
+    fden L.den^k, carried by ``_step``; and ``kernels.imat_comb`` sums
+    the terms over the last one's denominator.  A term with
+    p_k(y) != 0 passes on the flag of its L^k f, which a read of a
+    column that L marks raises."""
     y = as_fraction(y)
     require_model_input(m, f)
-    acc = Poly.zero(m.degree_cap).with_flag(f.truncated)
-    g = f
+    cap, b, low = m.degree_cap, m.basis_op, m.lowering
+    a, c = y.numerator, y.denominator
+    powers = [a**i * c ** (cap - i) for i in range(cap + 1)]
+    g, fden = integer_vector(f.coeffs)
+    den, tainted, flagged = fden, f.truncated, f.truncated
+    terms = []  # (p_k(y) over B.den c^cap, L^k f over fden L.den^k)
     for k in range(m.n_max + 1):
-        w = m.basis[k].eval(y)
-        if w:
-            acc = acc + g.scale(w)
-        g = m.lowering.apply(g)
-        if g.is_zero() and not g.truncated:
+        rows, vals = b.cols[k]
+        w = sum(x * powers[i] for i, x in zip(rows, vals))
+        terms.append((w, g))
+        flagged = flagged or (tainted and w != 0)
+        g, den, tainted = _step(low, g, den, tainted)
+        if not g[0] and not tainted:
             break
     else:
-        if not (g.is_zero() and not g.truncated):
-            # content survived past the basis range: cap too small
-            raise CapMismatchError(
-                "translation series did not terminate within the basis range"
-            )
-    return acc
+        # content survived past the basis range: cap too small
+        raise CapMismatchError(
+            "translation series did not terminate within the basis range"
+        )
+    top = len(terms) - 1
+    (out,) = imat_comb([(w * low.den ** (top - k), [g]) for k, (w, g) in enumerate(terms)])
+    return column_poly(out, b.den * c**cap * fden * low.den**top, cap, flagged)
 
 
 def character_check(m: UmbralModel, order: int) -> VerificationReport:
@@ -208,7 +226,7 @@ def delsarte_eigen_check(m: UmbralModel, order: int) -> VerificationReport:
             "normalization p_n(0) = delta_0n does not apply"
         )
     b = basis_matrix(m, order)
-    at0, tainted0 = pairing_mismatch(rows_matrix(m.degree_cap, [m.vacuum]) @ b, 0, order)
+    at0, tainted0 = pairing_mismatch(vacuum_op(m) @ b, 0, order)
     low, tainted = lowering_mismatch(m, b, order)
     bad = None
     if at0 is not None and (low is None or at0 <= low):

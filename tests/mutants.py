@@ -206,8 +206,8 @@ MUTANTS = (
     Mutant(
         "the basis view dropping B's marks",
         "src/umbra/models.py",
-        "out.append(Poly(cs, cap, n in b.trunc_cols))",
-        "out.append(Poly(cs, cap))",
+        "column_poly(col, b.den, self.degree_cap, n in b.trunc_cols)",
+        "column_poly(col, b.den, self.degree_cap)",
         ("tests/test_truncation_rule.py::test_the_basis_view_carries_the_marks_of_b",),
     ),
     Mutant(
@@ -303,8 +303,8 @@ MUTANTS = (
     Mutant(
         "apply ignoring the operator's marks",
         "src/umbra/core.py",
-        "return Poly(cs, f.cap, f.truncated or not self.trunc_cols.isdisjoint(vec[0]))",
-        "return Poly(cs, f.cap, f.truncated)",
+        "f.truncated or not self.trunc_cols.isdisjoint(vec[0]),",
+        "f.truncated,",
         ("tests/test_core.py::test_trunc_cols_propagate_through_matmul",),
     ),
     Mutant(
@@ -341,6 +341,41 @@ MUTANTS = (
         "    if not cols:\n        raise ParameterError(",
         "    if False:\n        raise ParameterError(",
         ("tests/test_heisenberg.py::test_metaplectic_check_refuses_to_compare_no_column",),
+    ),
+    Mutant(
+        "the dual rows put over one denominator without the L.den^(n_max-k) rescale",
+        "src/umbra/models.py",
+        "rows = [(r, tuple(x * (den // d) for x in v)) for (r, v), d in duals]",
+        "rows = [(r, v) for (r, v), d in duals]",
+        ("tests/test_transforms.py::test_duals_from_integer_rows_are_the_functional_chain",),
+    ),
+    Mutant(
+        "the translation ending its series on a tainted zero power",
+        "src/umbra/translations.py",
+        "        if not g[0] and not tainted:\n            break\n    else:",
+        "        if not g[0]:\n            break\n    else:",
+        ("tests/test_truncation_rule.py::test_a_translation_whose_powers_read_a_marked_lowering_column_is_refused",),
+    ),
+    Mutant(
+        "the translation summing its terms without the L.den^(top-k) rescale",
+        "src/umbra/translations.py",
+        "imat_comb([(w * low.den ** (top - k), [g])",
+        "imat_comb([(w, [g])",
+        ("tests/test_translations.py::test_catalog_translations_agree_with_the_poly_loop",),
+    ),
+    Mutant(
+        "the factorial lowering keeping the shift's diagonal",
+        "src/umbra/models.py",
+        "lowering = [(rows[:-1], tuple(step * x for x in vals[:-1])) for rows, vals in ahead]",
+        "lowering = [(rows, tuple(step * x for x in vals)) for rows, vals in ahead]",
+        ("tests/test_models.py::test_factorial_lowering_is_the_unit_difference",),
+    ),
+    Mutant(
+        "the heat cut point trusting |f| <= 1 under exponential decay",
+        "src/umbra/numeric.py",
+        "return max(1.0, *sizes)",
+        "return 1.0",
+        ("tests/test_numeric.py::test_heat_covariant_of_a_growing_exponential_is_e_to_the_u",),
     ),
 )
 

@@ -2,11 +2,16 @@
 
 Everything here is built from first principles on plain Fraction
 coefficient lists (index = monomial degree) or delegated to mpmath,
-deliberately sharing no code with the package under test.  The one
-exception is ``transmutation_by_poly``, the earlier ``Poly`` form of the
-transmutation check: it runs the package's ``umbral_map`` and ladder
-``apply``, the path the ``transmute`` command takes, so that the
-integer form of the check is held to the maps that command prints.
+deliberately sharing no code with the package under test.  Three
+exceptions keep an earlier Fraction form of a package path as the
+oracle of its integer form, and call the package's own types:
+``transmutation_by_poly``, the ``Poly`` form of the transmutation check,
+runs the package's ``umbral_map`` and ladder ``apply``, the path the
+``transmute`` command takes, so that the integer form of the check is
+held to the maps that command prints; ``dual_op_by_functionals`` is D
+as the chain of ``Functional.after`` built it; and
+``translate_by_poly`` is the ``Poly`` loop of the generalized
+translation.
 """
 
 from fractions import Fraction
@@ -14,8 +19,9 @@ from math import factorial, isqrt
 
 import mpmath
 
+from umbra.core import CapMismatchError, LinearOp, Poly
 from umbra.reports import VerificationReport, status_of
-from umbra.transforms import umbral_map
+from umbra.transforms import require_model_input, umbral_map
 
 mpmath.mp.dps = 40
 
@@ -718,3 +724,36 @@ def transmutation_by_poly(src, dst):
         status=status_of(bad, tainted),
         first_failure=bad,
     )
+
+
+# -- the duals and the translation through Functional and Poly ---------
+
+def dual_op_by_functionals(m):
+    """D, row k the dual l_0 o L^k, with each row pulled back from the
+    last by ``Functional.after`` and the rows put together from their
+    Fraction entries."""
+    rows = [m.vacuum]
+    for _ in range(m.n_max):
+        rows.append(rows[-1].after(m.lowering))
+    tables = [dict(row.terms) for row in rows]
+    return LinearOp.from_columns(m.degree_cap, lambda j: {k: t[j] for k, t in enumerate(tables) if j in t})
+
+
+def translate_by_poly(m, y, f):
+    """T^y f = sum_k p_k(y) L^k f as the ``Poly`` loop summed it: each
+    L^k f by ``apply``, scaled by p_k(y) (``Poly.eval`` of the basis
+    view) and added when that is nonzero, so that the sum takes the flag
+    of each L^k f it adds; the loop stops at the first L^k f that is
+    zero and unflagged, and refuses a series that outlives the basis."""
+    y = Fraction(y)
+    require_model_input(m, f)
+    acc = Poly.zero(m.degree_cap).with_flag(f.truncated)
+    g = f
+    for k in range(m.n_max + 1):
+        w = m.basis[k].eval(y)
+        if w:
+            acc = acc + g.scale(w)
+        g = m.lowering.apply(g)
+        if g.is_zero() and not g.truncated:
+            return acc
+    raise CapMismatchError("translation series did not terminate within the basis range")

@@ -178,6 +178,19 @@ def test_heat_covariant_value(capsys):
     assert float(out.strip()) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("u", ["1", "10", "40"])
+def test_heat_covariant_of_exp_prints_e_to_the_u(capsys, u):
+    rc, out, _ = run(capsys, "heat", "covariant", "--fn", "exp", "--u", u)
+    assert rc == 0
+    assert float(out.strip()) == pytest.approx(math.exp(float(u)), rel=1e-12)
+
+
+def test_heat_covariant_of_exp_at_u_100_exits_3(capsys):
+    rc, out, err = run(capsys, "heat", "covariant", "--fn", "exp", "--u", "100")
+    assert (rc, out) == (3, "")
+    assert err == "umbra: heat_covariant: f overflows at the cut +-1025.16 for u=100\n"
+
+
 def test_cosine_value(capsys):
     rc, out, _ = run(capsys, "cosine", "--fn", "gauss", "--v", "1")
     assert rc == 0

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from umbra import numeric
-from umbra.core import ParameterError
+from umbra.core import ParameterError, QuadratureError
 from umbra.models import build_model
 from umbra.numeric import (
     canned_fn,
@@ -512,6 +512,29 @@ def test_heat_covariant_matches_symbolic_transform():
         for u in (0.5, 1.0, 2.0):
             want = float(exact.eval(Fraction(u)))
             assert heat_covariant(sf, u) == pytest.approx(want, abs=1e-8), (n, u)
+
+
+@pytest.mark.parametrize("u", [1.0, 10.0, 40.0])
+def test_heat_covariant_of_a_growing_exponential_is_e_to_the_u(u):
+    """The heat smoothing of e^(-s) at time u is e^u.  Its integrand
+    peaks at s = -2u, where |f| = e^(2u) > 1, so the cut must grow with
+    |f| there (at u = 40 a cut that assumed |f| <= 1 gave a relative
+    error of 3.8e-8)."""
+    assert heat_covariant(canned_fn("exp"), u) == pytest.approx(math.exp(u), rel=1e-12)
+
+
+def test_heat_covariant_refuses_an_exponential_that_overflows_at_its_cut():
+    """At u = 100 the tail bound for e^(-s) is met only where e^(-s)
+    overflows a float; that is a QuadratureError, not an OverflowError
+    (and not the 1.53e43 printed for e^100 = 2.69e43 before)."""
+    with pytest.raises(QuadratureError, match="overflows at the cut"):
+        heat_covariant(canned_fn("exp"), 100.0)
+
+
+def test_heat_covariant_refuses_a_function_that_is_not_finite_at_its_cut():
+    nan_edge = ScalarFn(fn=lambda t: math.nan if abs(t) > 30 else 0.0, decay="exponential", rate=1.0)
+    with pytest.raises(QuadratureError, match="overflows at the cut"):
+        heat_covariant(nan_edge, 100.0)
 
 
 def test_heat_covariant_needs_positive_time():

@@ -280,6 +280,20 @@ def test_expansion_recovers_the_reassembled_coefficients(name, degree, data):
     assert expand_in_basis(m, reassemble(m, c)) == c
 
 
+@pytest.mark.parametrize("degree", [1, 2, 5, 16, 32])
+@pytest.mark.parametrize("name,nu", [
+    ("monomial", None), ("lower-factorial", None), ("upper-factorial", None), ("hermite", None),
+    ("heat", None), ("bessel", Fraction(5, 2)), ("bessel", Fraction(1, 3)), ("bessel", Fraction(3, 4)),
+])
+def test_duals_from_integer_rows_are_the_functional_chain(name, nu, degree):
+    """D, its rows l_0 L^k computed as integer rows and put over
+    vden L.den^n_max, is the operator the chain of ``Functional.after``
+    gave, on every catalog setting; at nu = 1/3 and 3/4 the Bessel
+    lowering keeps a denominator, so the rows must be rescaled."""
+    m = build_model(name, degree, nu)
+    assert m.dual_op == ref.dual_op_by_functionals(m)
+
+
 def test_parity_groups_cover_the_catalog():
     assert sorted(n for group in SAME_PARITY for n in group) == sorted(MODEL_NAMES)
     groups = [{_catalog_model(n, 8).parity for n in group} for group in SAME_PARITY]
@@ -300,3 +314,23 @@ def test_a_catalog_run_pairs_no_functional_and_builds_few_polys(count_calls):
         assert main(["verify", "--all", "--degree", "32", "--model", "lower-factorial"]) == 0
     assert len(pairs) == 0
     assert len(polys) <= 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--model", "lower-factorial", "--degree", "32", "--y=-3/2", "--poly=1,-2,3/4,0,5"],
+    ["transmute", "--from", "lower-factorial", "--to", "hermite", "--degree", "32", "--poly=1,-2,3/4,0,5"],
+    ["transmute", "--from", "hermite", "--to", "lower-factorial", "--degree", "32", "--poly=1,-2,3/4,0,5"],
+    ["genfun", "--model", "lower-factorial", "--degree", "32", "--order", "12"],
+])
+def test_exact_commands_make_no_functional_pullback_and_few_fraction_operations(count_calls, argv):
+    """translate, transmute and genfun run on integer columns from the
+    parsed input to the printed output: no ``Functional.after`` call (32
+    per model when D was chained from the vacuum) and at most 5
+    Fraction products and sums, none today (330 of each when
+    translate summed ``Poly``s)."""
+    pullbacks = count_calls(Functional, "after")
+    ops = count_calls(Fraction, "__mul__"), count_calls(Fraction, "__add__")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(pullbacks) == 0
+    assert sum(map(len, ops)) <= 5

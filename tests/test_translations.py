@@ -135,6 +135,38 @@ def test_translations_on_binomial_models_compose_as_a_group(name, degree, data):
     assert not two_step.truncated and not one_step.truncated
 
 
+#: Catalog settings, with two Bessel parameters whose lowering keeps a
+#: denominator (L.den = 3 at nu = 1/3, 2 at nu = 3/4; 1 at nu = 5/2).
+DEN_MODELS = (
+    ("monomial", None), ("lower-factorial", None), ("upper-factorial", None), ("hermite", None),
+    ("heat", None), ("bessel", Fraction(5, 2)), ("bessel", Fraction(1, 3)), ("bessel", Fraction(3, 4)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(DEN_MODELS), st.integers(1, 12), st.data())
+def test_catalog_translations_agree_with_the_poly_loop(model, degree, data):
+    """generalized_translate on integer columns gives the coefficients
+    and flag of the ``Poly`` loop it replaced, inside each model's space
+    and at rational y."""
+    m = build_model(model[0], degree, model[1])
+    step = 2 if m.degree_of_index(1) == 2 else 1
+    values = data.draw(st.lists(RATIONAL, max_size=degree + 1))
+    cs = [Fraction(0)] * (m.degree_cap + 1)
+    for n, c in enumerate(values):
+        cs[step * n] = c
+    f, y = Poly(cs, m.degree_cap), data.draw(RATIONAL)
+    got, want = generalized_translate(m, y, f), ref.translate_by_poly(m, y, f)
+    assert (got.coeffs, got.truncated) == (want.coeffs, want.truncated)
+
+
+def test_the_bessel_lowering_keeps_a_denominator_at_nu_one_third():
+    """The catalog settings above reach L.den > 1 (so the duals' rescale
+    and the translation's common denominator are exercised)."""
+    dens = {nu: build_model("bessel", 6, nu).lowering.den for nu in (Fraction(5, 2), Fraction(1, 3), Fraction(3, 4))}
+    assert dens == {Fraction(5, 2): 1, Fraction(1, 3): 3, Fraction(3, 4): 2}
+
+
 def test_hermite_translations_do_not_compose():
     """Hermite is shift-invariant, but Appell with s = 1 is not of
     binomial type: T^y = e^(-D^2/2) e^(yD), so T^1 T^1 = e^(-D^2/2) T^2."""

@@ -3,9 +3,9 @@ check agrees with a plain-list oracle on perturbed models, and a
 truncation mark inside the compared columns never lets a check pass.
 The covariant, binomial and character oracles are the Fraction loops
 the operator and integer-table forms of those checks replaced; so are
-the oracles of the basis expansion, the reassembly, ``covariant_w0``
-and the squared-ladder diagonals, which are compared value, flag and
-refusal alike."""
+the oracles of the basis expansion, the reassembly, ``covariant_w0``,
+the squared-ladder diagonals, the duals and the generalized
+translation, which are compared value, flag and refusal alike."""
 
 import dataclasses
 from fractions import Fraction
@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbra.core import DomainError, Functional, LinearOp, ParameterError, Poly, UmbraError
+from umbra.core import CapMismatchError, DomainError, Functional, LinearOp, ParameterError, Poly, UmbraError
 from umbra.heisenberg import (
     _metaplectic_sequences,
     composition_check_formal,
@@ -35,7 +35,7 @@ from umbra.transforms import (
     reassemble,
     umbral_map,
 )
-from umbra.translations import binomial_check, character_check, delsarte_eigen_check
+from umbra.translations import binomial_check, character_check, delsarte_eigen_check, generalized_translate
 
 import reference as ref
 
@@ -419,3 +419,43 @@ def test_basis_expansion_agrees_with_the_fraction_pairing(case, data):
     assert _outcome(lambda: _metaplectic_sequences(m)) == _ref_outcome(
         lambda: ref.metaplectic_by_expansion(d)
     )
+
+
+STEPS = st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-3, 5), Fraction(7, 3)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)), st.data())
+def test_duals_and_translations_agree_with_the_functional_and_poly_forms(case, data):
+    """D from integer rows is the chain of ``Functional.after``, and
+    generalized_translate gives the ``Poly`` loop's values, flag or
+    refusal, on perturbed models: an entry of L that gains a fraction
+    makes L.den > 1, a mark on L taints the powers L^k f, and an edit
+    can keep L^k f from dying inside the basis range."""
+    m, _, _ = case
+    assert m.dual_op == ref.dual_op_by_functionals(m)
+    cs = data.draw(st.lists(VALUES, min_size=m.degree_cap + 1, max_size=m.degree_cap + 1))
+    f = Poly(cs, m.degree_cap, data.draw(st.booleans()))
+    y = data.draw(STEPS)
+    got = _any_outcome(lambda: _values(generalized_translate(m, y, f)))
+    assert got == _any_outcome(lambda: _values(ref.translate_by_poly(m, y, f)))
+
+
+def _values(p):
+    return list(p.coeffs), p.truncated
+
+
+def test_a_translation_whose_powers_read_a_marked_lowering_column_is_refused():
+    """monomial(8) with L marking column 5: L^k t^3 never reads it, so
+    T^1 t^3 = (t+1)^3, unflagged; L^2 t^6 reads it, and a tainted L^k f
+    never ends the series, which therefore runs past the basis range and
+    is refused, as by the ``Poly`` loop."""
+    m = build_model("monomial", 8)
+    low = m.lowering
+    m = dataclasses.replace(m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset({5})))
+    assert _values(generalized_translate(m, 1, Poly.monomial(3, 8))) == ([1, 3, 3, 1] + [0] * 5, False)
+    for f in (Poly.monomial(6, 8), Poly.monomial(3, 8).with_flag(True)):
+        with pytest.raises(CapMismatchError, match="did not terminate"):
+            generalized_translate(m, 1, f)
+        with pytest.raises(CapMismatchError, match="did not terminate"):
+            ref.translate_by_poly(m, 1, f)
