@@ -42,7 +42,6 @@ from .reports import (
     VerificationReport,
     reports_to_json,
     rows_to_csv,
-    status_of,
 )
 from . import heisenberg, numeric, transforms, translations
 from .quadrature import QuadratureSpec
@@ -272,17 +271,6 @@ def _cmd_models(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _binomial_reports(m: UmbralModel, top: int) -> list[VerificationReport]:
-    for n in range(top + 1):
-        r = translations.binomial_check(m, n)
-        if not r.passed:
-            return [r]
-    return [VerificationReport(
-        check="binomial", model=m.label(),
-        params={"n_max": top}, status=status_of(None),
-    )]
-
-
 def _poisson_intertwining(args: argparse.Namespace) -> ResidualReport:
     nu = _float_flag("--nu", args.nu) if args.nu else 2.0
     f = numeric.canned_fn(args.fn or "cos")
@@ -354,7 +342,7 @@ CHECKS: dict[str, Check] = {
     "covariant": Check(lambda t, _: [transforms.covariant_check(t.model)], _always),
     "genfun": Check(lambda t, k: [transforms.generating_function(t.model, k).report],
                     _always, TOP, TOP),
-    "binomial": Check(lambda t, k: _binomial_reports(t.model, k),
+    "binomial": Check(lambda t, k: translations.binomial_sweep(t.model, k),
                       lambda m: m.shift_invariant and m.vacuum_is_eval0(), TOP, TOP),
     "character": Check(lambda t, k: [translations.character_check(t.model, k)], _always, 8, 6),
     "delsarte": Check(lambda t, k: [translations.delsarte_eigen_check(t.model, k)],

@@ -24,10 +24,12 @@ monomial basis t^k.  Three data types live here:
   columns over any nonzero denominator and canonicalizes them;
   ``from_columns`` and ``from_entries`` build it from rationals.
   Operators remember which input columns are unreliable because the
-  construction already truncated them (``trunc_cols``); applying an
-  operator to a polynomial that touches such a column sets the
-  polynomial's flag; ``compare_on_columns``, the comparison behind the
-  exact checks, reports a compared column marked on either side.
+  construction already truncated them (``trunc_cols``).  ``step``, the
+  one product of an operator with an exact vector, holds the one rule
+  that a vector reading a marked column is tainted; ``powers`` walks
+  op^k v by it, and ``apply`` is ``step`` between ``integer_vector``
+  and ``column_poly``.  ``compare_on_columns``, the comparison behind
+  the exact checks, reports a compared column marked on either side.
 
 * ``Functional`` -- a row vector pairing against coefficient vectors,
   kept as its nonzero entries.
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import kernels
 
@@ -458,16 +460,35 @@ class LinearOp:
         cols = [(rows, tuple(p * x for x in vals)) for rows, vals in self.cols]
         return LinearOp(cols, self.den * q.denominator, self.cap, self.trunc_cols)
 
+    def step(
+        self, vec: kernels.Column, den: int, tainted: bool
+    ) -> tuple[kernels.Column, int, bool]:
+        """(self vec, den * self.den, taint) for vec a kernel column over
+        den: the taint is raised when vec reads a column self marks,
+        even one with no image."""
+        return (
+            kernels.icol_mul(self.cols, vec), den * self.den,
+            tainted or not self.trunc_cols.isdisjoint(vec[0]),
+        )
+
+    def powers(
+        self, vec: kernels.Column, den: int, tainted: bool
+    ) -> Iterator[tuple[kernels.Column, int, bool]]:
+        """(self^k vec, its denominator, its taint) for k = 0, 1, ...,
+        each one ``step`` from the last, ending after the first zero."""
+        while True:
+            yield vec, den, tainted
+            if not vec[0]:
+                return
+            vec, den, tainted = self.step(vec, den, tainted)
+
     def apply(self, f: Poly) -> Poly:
         if f.cap != self.cap:
             raise CapMismatchError(
                 f"degree caps differ: {self.cap} vs {f.cap}"
             )
-        vec, fden = integer_vector(f.coeffs)
-        return column_poly(
-            kernels.icol_mul(self.cols, vec), self.den * fden, f.cap,
-            f.truncated or not self.trunc_cols.isdisjoint(vec[0]),
-        )
+        col, den, tainted = self.step(*integer_vector(f.coeffs), f.truncated)
+        return column_poly(col, den, f.cap, tainted)
 
     def compare_on_columns(
         self, other: "LinearOp", cols: Iterable[int]

@@ -36,7 +36,7 @@ from .formal import FormalOpSeries, OpWordTable, max_abs_entry, series_first_dif
 from .models import UmbralModel
 from .reports import VerificationReport, status_of
 from .kernels import EMPTY
-from .transforms import require_top_degree
+from .transforms import require_column_input
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +482,6 @@ def _metaplectic_sequences(
     low, diag, high = (op @ b_even for op in (s.lower2, s.z, s.raise2))
     d_low, d_diag, d_high = d @ low, d @ diag, d @ high
 
-    def in_space(image: LinearOp, k: int) -> None:
-        rows = image.cols[2 * k][0]
-        m.check_degrees_in_space(rows)
-        require_top_degree(m, rows[-1] if rows else -1)
-
     def entry(expanded: LinearOp, k: int, want: int, what: str) -> Fraction:
         rows, vals = expanded.cols[2 * k]
         for n in rows:
@@ -501,12 +496,12 @@ def _metaplectic_sequences(
     b: list[Fraction] = []
     c: list[Fraction] = []
     for k in range(top + 1):
-        in_space(low, k)
-        in_space(diag, k)
+        require_column_input(m, low.cols[2 * k][0])
+        require_column_input(m, diag.cols[2 * k][0])
         a.append(entry(d_low, k, 2 * k - 2, "squared lowering"))
         c.append(entry(d_diag, k, 2 * k, "z"))
         if k < top:
-            in_space(high, k)
+            require_column_input(m, high.cols[2 * k][0])
             b.append(entry(d_high, k, 2 * k + 2, "squared raising"))
         else:
             b.append(ZERO)

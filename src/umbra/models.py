@@ -36,7 +36,10 @@ The factorial raising operators are the closed form R = t f'(D)^{-1}
 of the delta operator L = f(D) (finite operator calculus), also built
 over the integers.  On the capped space the factorial raising loses
 (n_max+1) p_{n_max+1} from its top column, which is marked truncated.
-The duals l_k = l_0 L^k are integer rows too (``dual_functionals``).
+The duals l_k = l_0 L^k are integer rows too (``dual_functionals``),
+stacked once per model into the dual matrix D (``dual_op``), which
+carries from the start the closure of L's marks: every column from
+which a power of L reads a marked column.
 
 The even models grade by basis index n <-> degree 2n and live on the
 even subspace only; applying their operators to a polynomial with
@@ -67,7 +70,6 @@ from .core import (
     column_poly,
     format_rational,
     integer_vector,
-    op_commutator,
 )
 from .formal import OpWordTable
 from .kernels import EMPTY, Column, icol, icol_mul, imat_transpose
@@ -157,20 +159,43 @@ class UmbralModel:
 
     @functools.cached_property
     def dual_op(self) -> LinearOp:
-        """D, whose row k is the dual l_k, computed once per model: each
-        row of ``dual_functionals`` put over the last one's denominator
-        vden * L.den^n_max.  It carries no truncation marks;
-        ``dual_matrix`` adds them."""
+        """D, whose row k is the dual l_k = l_0 o L^k, computed once per
+        model: each row of ``dual_functionals`` put over the last one's
+        denominator vden * L.den^n_max.  D marks every column from which
+        L's sparsity pattern leads to a column L marks: the closure of
+        L's marks, which holds each mark ``@`` gives a power L^k."""
+        low = self.lowering
+        marks = set(low.trunc_cols)
+        while new := {j for j, (r, _) in enumerate(low.cols) if not marks.isdisjoint(r)} - marks:
+            marks |= new
         duals = dual_functionals(self)
         den = duals[-1][1]
         rows = [(r, tuple(x * (den // d) for x in v)) for (r, v), d in duals]
-        return rows_op(self.degree_cap, rows, den)
+        return LinearOp(imat_transpose(rows, self.degree_cap + 1), den, self.degree_cap, marks)
+
+    @functools.cached_property
+    def basis_forms(self) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+        """``_form`` of each column of B, made once per model for the
+        two-variable tables of the binomial and character checks."""
+        b = self.basis_op
+        return [_form(rows, vals, b.den) for rows, vals in b.cols]
 
     @functools.cached_property
     def words(self) -> OpWordTable:
         """The one table of ladder-word operators that the formal
         checks and the squared-ladder triple share."""
         return OpWordTable(self.lowering, self.raising)
+
+
+def _form(
+    rows: Sequence[int], vals: Sequence[int], den: int
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The polynomial sum_i vals[i] t^rows[i] / den as its nonzero
+    (degree, integer numerator) pairs over its own reduced denominator:
+    the smaller the integers, the cheaper the two-variable tables of
+    ``translations.first_difference``."""
+    g = math.gcd(den, *vals)
+    return tuple(zip(rows, [x // g for x in vals])), den // g
 
 
 def _basis_op(cap: int, polys: Sequence[tuple[Sequence[int], int]]) -> LinearOp:
@@ -343,15 +368,13 @@ def lowering_mismatch(m: UmbralModel, b: LinearOp, top: int) -> tuple[int | None
     return (m.lowering @ b).compare_on_columns(b @ s_down, range(top + 1))
 
 
-def rows_op(cap: int, rows: Sequence[Column], den: int) -> LinearOp:
-    """The operator whose row k is the integer row rows[k] over den."""
-    return LinearOp(imat_transpose(rows, cap + 1), den, cap)
-
-
 def vacuum_op(m: UmbralModel) -> LinearOp:
     """The operator whose row 0 is l_0 and whose other rows are zero."""
-    row, den = m.vacuum_row
-    return rows_op(m.degree_cap, [row], den)
+    (rows, vals), den = m.vacuum_row
+    cols = [EMPTY] * (m.degree_cap + 1)
+    for i, x in zip(rows, vals):
+        cols[i] = ((0,), (x,))
+    return LinearOp(cols, den, m.degree_cap)
 
 
 def dual_functionals(m: UmbralModel) -> list[tuple[Column, int]]:
@@ -369,20 +392,6 @@ def dual_functionals(m: UmbralModel) -> list[tuple[Column, int]]:
         row, den = icol_mul(lt, row), den * low.den
         out.append((row, den))
     return out
-
-
-def dual_matrix(m: UmbralModel) -> LinearOp:
-    """The model's cached D (row k is the dual l_k = l_0 o L^k), marking
-    every column that L's sparsity pattern leads to a column L marks:
-    the closure of L's marks, which holds each mark ``@`` gives a power
-    L^k."""
-    marks, grew = set(m.lowering.trunc_cols), True
-    while grew:
-        reach = {j for j, (rows, _) in enumerate(m.lowering.cols) if not marks.isdisjoint(rows)}
-        grew = not reach <= marks
-        marks |= reach
-    d = m.dual_op
-    return LinearOp(d.cols, d.den, d.cap, marks)
 
 
 def require_order(m: UmbralModel, order: int) -> None:
@@ -415,7 +424,9 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
     * ``ladder-raising``:  R B = B S_up on columns n < n_max
     * ``vacuum``:          l_0 B = e_0, i.e. <l_0, p_n> = delta_{0n}
     * ``commutator``:      [R, L] B = -iota B on columns n < n_max
-      (the top index is excluded: there the raising already truncated)
+      (the top index is excluded: there the raising already truncated),
+      with R L and L R taken from the model's word table, where the
+      formal checks find them again
 
     ``LinearOp.compare_on_columns`` decides each: a differing column
     fails, else a compared column marked truncated is "inconclusive".
@@ -428,7 +439,7 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
     top, cap = m.n_max, m.degree_cap
     b = m.basis_op
     s_up = LinearOp([((j + 1,), (j + 1,)) for j in range(cap)] + [EMPTY], 1, cap)
-    comm = op_commutator(m.raising, m.lowering)
+    comm = m.words.op("RL") - m.words.op("LR")
     outcomes = {
         "ladder-lowering": lowering_mismatch(m, b, top),
         "ladder-raising": (m.raising @ b).compare_on_columns(b @ s_up, range(top)),

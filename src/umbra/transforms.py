@@ -10,29 +10,32 @@ target basis.
 
 Both halves of that map are products over the integers with two
 operators of the model: the expansion is D f, D being built once per
-model (``UmbralModel.dual_op``) with row k the dual l_k that
-``dual_functionals`` computes as an integer row, and the reassembly is
-B c, B being the model's stored basis matrix (``basis_op``) with
-column n the basis element p_n.  A ``Poly`` appears only at the edges:
-the input is read into a kernel column once (``core.integer_vector``)
-and the output made once (``core.column_poly``).
+model (``UmbralModel.dual_op``, marked where a power of L reads a
+marked column) with row k the dual l_k that ``dual_functionals``
+computes as an integer row, and the reassembly is B c, B being the
+model's stored basis matrix (``basis_op``) with column n the basis
+element p_n.  Every product of an operator with a vector is one
+``LinearOp.step`` on a kernel column over a running denominator, and
+every walk through L^k f is ``LinearOp.powers``.  A ``Poly`` appears
+only at the edges: the input is read into a kernel column once
+(``core.integer_vector``) and the output made once
+(``core.column_poly``).
 
 W_0 is linear: W_0 = diag(1/k!) D.  On the basis matrix B its defining
 properties are the operator identities W_0 B = diag(1/n!),
 W_0 L B = D_u W_0 B and W_0 R B = U W_0 B, with D_u = d/du and U the
 product by u, and that is how ``covariant_check`` tests them.
-``covariant_w0`` applies L to its one input again and again, as an
-integer kernel column over one denominator: for one request on a
-freshly built model that still costs less than building D from its
-integer rows.
+``covariant_w0`` walks L^k f for its one input and pairs each power
+with l_0: for one request on a freshly built model that costs less
+than building D from its integer rows.
 
-The transmutation V = B_dst D_src maps one model onto another.
-``umbral_map`` applies it to a ``Poly``, as the ``transmute`` command
-does; ``check_transmutation_intertwining`` tests V L_src = L_dst V and
-V R_src = R_dst V on kernel columns, each basis column of the source
-carried through the ladders, D_src and B_dst over a running
-denominator by ``_step``, the way ``covariant_w0`` carries its input
-through L, and the two sides compared by ``kernels.icol_eq``.
+The transmutation V = B_dst D_src maps one model onto another, and
+``transmute_vector`` is its one implementation.  ``umbral_map`` applies
+it to a ``Poly``, as the ``transmute`` command does;
+``check_transmutation_intertwining`` tests V L_src = L_dst V and
+V R_src = R_dst V with it on kernel columns, each basis column of the
+source carried through the ladders and V, and the two sides compared
+by ``kernels.icol_eq``.
 """
 
 from __future__ import annotations
@@ -46,23 +49,14 @@ from .core import (
     DomainError,
     LinearOp,
     Poly,
-    ZERO,
     column_poly,
     integer_vector,
 )
-from .kernels import EMPTY, Column, icol_eq, icol_mul
-from .models import Parity, UmbralModel, basis_matrix, dual_matrix, require_order
+from .kernels import EMPTY, Column, icol_eq
+from .models import Parity, UmbralModel, basis_matrix, require_order, vacuum_op
 from .models import dual_functionals  # noqa: F401  (public here: the duals l_k)
 from .models import _derivative_op, _mult_by_t_op, lowering_mismatch, pairing_mismatch
 from .reports import VerificationReport, status_of
-
-
-def _step(op: LinearOp, vec: Column, den: int, tainted: bool) -> tuple[Column, int, bool]:
-    """One product op vec of a kernel column of integer numerators over
-    a running denominator: (op vec, den * op.den, taint), the taint
-    raised exactly when ``LinearOp.apply`` would flag the image, i.e.
-    when vec touches a column that op marks."""
-    return icol_mul(op.cols, vec), den * op.den, tainted or not op.trunc_cols.isdisjoint(vec[0])
 
 
 def require_model_input(m: UmbralModel, f: Poly) -> None:
@@ -76,27 +70,20 @@ def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
     """Profile of f in the monomial picture: coefficient k of the output
     is <l_0, L^k f>/k!, in a fresh variable u at the same cap.
 
-    L^k f is a kernel column of integer numerators over one denominator,
-    and l_0 pairs with it as a one-row integer matrix.  A
-    truncation-tainted input taints the output flag as usual.
+    L^k f comes from ``LinearOp.powers`` as a kernel column of integer
+    numerators over one denominator, and l_0 pairs with it as the
+    one-row operator ``vacuum_op``.  The output is flagged when f is or
+    when forming L^k f reads a column L marks, for k up to n_max + 1:
+    the power past the top index is what shows that the series ends.
     """
     require_model_input(m, f)
-    (rows, vals), vden = m.vacuum_row
-    vac = [EMPTY] * (f.cap + 1)
-    for i, x in zip(rows, vals):
-        vac[i] = ((0,), (x,))
-    g, den = integer_vector(f.coeffs)
-    coeffs = [ZERO] * (f.cap + 1)
-    tainted = f.truncated
-    kfact = 1
-    for k in range(m.n_max + 1):
+    vac, coeffs, kfact = vacuum_op(m), [], 1
+    powers = m.lowering.powers(*integer_vector(f.coeffs), f.truncated)
+    for k, (g, den, tainted) in zip(range(m.n_max + 2), powers):
         kfact *= k or 1
-        _, pair = icol_mul(vac, g)  # (<l_0, g>,), or () when it is 0
-        coeffs[k] = Fraction(sum(pair), vden * den * kfact)
-        g, den, tainted = _step(m.lowering, g, den, tainted)
-        if not g[0] and not tainted:
-            break
-    return Poly(coeffs, f.cap, tainted)
+        (_, pair), pden, _ = vac.step(g, den, False)  # (<l_0, g>,), or () when it is 0
+        coeffs.append(Fraction(sum(pair), pden * kfact))
+    return Poly(coeffs[: m.n_max + 1], f.cap, tainted)
 
 
 def require_top_degree(m: UmbralModel, degree: int) -> None:
@@ -106,6 +93,13 @@ def require_top_degree(m: UmbralModel, degree: int) -> None:
         raise DomainError(
             f"degree {degree} exceeds the top basis degree {top}"
         )
+
+
+def require_column_input(m: UmbralModel, rows: tuple[int, ...]) -> None:
+    """Refuse a kernel column, given by its nonzero rows, outside the
+    model's space or above its top basis degree, in that order."""
+    m.check_degrees_in_space(rows)
+    require_top_degree(m, rows[-1] if rows else -1)
 
 
 def expand_in_basis(m: UmbralModel, f: Poly) -> list[Fraction]:
@@ -130,22 +124,36 @@ def reassemble(m: UmbralModel, coeffs: list[Fraction]) -> Poly:
     return m.basis_op.apply(Poly(coeffs, m.degree_cap))
 
 
+def transmute_vector(
+    src: UmbralModel, dst: UmbralModel, vec: Column, den: int, tainted: bool
+) -> tuple[Column, int, bool]:
+    """V vec = B_dst (D_src vec) for vec, a kernel column over den: the
+    one transmutation of the package, two ``LinearOp.step``s that take
+    the marks of D_src and B_dst.  vec must lie in the source space, at
+    or below its top basis degree (``require_column_input``)."""
+    require_column_input(src, vec[0])
+    return dst.basis_op.step(*src.dual_op.step(vec, den, tainted))
+
+
 def umbral_map(src: UmbralModel, dst: UmbralModel, f: Poly) -> Poly:
     """Transmutation between models: expand f in the source basis and
-    reassemble index-wise in the target basis (p_k -> ptilde_k).  The
-    image is flagged when f or a target basis element it uses is.
+    reassemble index-wise in the target basis (p_k -> ptilde_k), as
+    ``transmute_vector`` on f's integer column.  The image is flagged
+    when f is, when f reads a column D_src marks, or when it uses a
+    flagged target basis element.
 
     Both models must carry the same number of basis elements.  The map
     is index-wise, so crossing parity is fine (monomial index n lands
     on degree 2n in an even model); what cannot work is odd-degree
-    content in an even *source* model, which expand_in_basis rejects.
+    content in an even *source* model, which is refused.
     """
     if src.n_max != dst.n_max:
         raise CapMismatchError(
             f"index counts differ: {src.n_max} vs {dst.n_max}"
         )
-    image = reassemble(dst, expand_in_basis(src, f))
-    return image.with_flag(image.truncated or f.truncated)
+    require_model_input(src, f)
+    col, den, tainted = transmute_vector(src, dst, *integer_vector(f.coeffs), f.truncated)
+    return column_poly(col, den, dst.degree_cap, tainted)
 
 
 def check_transmutation_intertwining(
@@ -159,32 +167,23 @@ def check_transmutation_intertwining(
     The identities hold by construction; the check guards the
     implementation by computing each side through the matrices, on
     integer kernel columns over a running denominator: column n of B_src
-    goes through the source ladder, D_src and B_dst on one side, and
-    through D_src, B_dst and the target ladder on the other, and
-    ``kernels.icol_eq`` compares the two images over their denominators.
-    V p_n is formed once per index, and the raising pass reuses what the
-    lowering pass made.  A side is tainted when B_src marks column n or
-    when one of its products reads a column its operator marks, as
-    ``umbral_map`` and the ladders' ``apply`` flag it; each vector that
-    D_src expands and each image the target ladder acts on must lie in
-    its model's space, as there.  Both models must carry the same number
-    of basis elements; parity may differ.
+    goes through the source ladder and ``transmute_vector`` on one side,
+    and through ``transmute_vector`` and the target ladder on the other,
+    every product a ``LinearOp.step``, and ``kernels.icol_eq`` compares
+    the two images over their denominators.  V p_n is formed once per
+    index, and the raising pass reuses what the lowering pass made.  A
+    side is tainted when B_src marks column n or when one of its
+    products reads a column its operator marks, as ``umbral_map`` and
+    the ladders' ``apply`` flag it; each vector that D_src expands and
+    each image the target ladder acts on must lie in its model's space,
+    as there.  Both models must carry the same number of basis
+    elements; parity may differ.
     """
     if src.n_max != dst.n_max:
         raise CapMismatchError(
             f"index counts differ: {src.n_max} vs {dst.n_max}"
         )
-    params = {"src": src.label(), "dst": dst.label()}
-    b_src, d_src, b_dst = src.basis_op, src.dual_op, dst.basis_op
-
-    def mapped(vec: Column, den: int, tainted: bool) -> tuple[Column, int, bool]:
-        """V vec = B_dst D_src vec, for vec in the source space."""
-        rows = vec[0]
-        src.check_degrees_in_space(rows)
-        require_top_degree(src, rows[-1] if rows else -1)
-        vec, den, tainted = _step(d_src, vec, den, tainted)
-        return _step(b_dst, vec, den, tainted)
-
+    b_src = src.basis_op
     bad, tainted = None, False
     images = {}  # n -> V p_n
     for kind, on_src, on_dst, indices in (
@@ -195,13 +194,13 @@ def check_transmutation_intertwining(
             col = b_src.cols[n]
             src.check_degrees_in_space(col[0])
             p = col, b_src.den, n in b_src.trunc_cols
-            l, dl, lt = mapped(*_step(on_src, *p))
+            l, dl, lt = transmute_vector(src, dst, *on_src.step(*p))
             if n in images:
                 r, dr, rt = images[n]
             else:
-                r, dr, rt = images[n] = mapped(*p)
+                r, dr, rt = images[n] = transmute_vector(src, dst, *p)
                 dst.check_degrees_in_space(r[0])
-            r, dr, rt = _step(on_dst, r, dr, rt)
+            r, dr, rt = on_dst.step(r, dr, rt)
             tainted |= lt or rt
             if not icol_eq(l, dl, r, dr):
                 bad = (kind, n)
@@ -211,7 +210,7 @@ def check_transmutation_intertwining(
     return VerificationReport(
         check="transmutation-intertwining",
         model=f"{src.label()} -> {dst.label()}",
-        params=params,
+        params={"src": src.label(), "dst": dst.label()},
         status=status_of(bad, tainted),
         first_failure=bad,
     )
@@ -226,8 +225,8 @@ def biorthogonality_check(m: UmbralModel) -> VerificationReport:
     """<l_k, p_n> = delta_kn for all k, n, as the identities
     l_k B = e_k on the basis matrix B taken k by k, plus the round trip
     reassemble(expand(f)) = f on a dense combination of the basis.
-    D B carries the marks of B and of ``dual_matrix``."""
-    db = dual_matrix(m) @ m.basis_op
+    D B carries the marks of B and of D."""
+    db = m.dual_op @ m.basis_op
     bad = None
     for k in range(m.n_max + 1):
         n, tainted = pairing_mismatch(db, k, m.n_max)
@@ -261,7 +260,7 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
     f = math.factorial(top)
     cols = [((j,), (f // math.factorial(j),)) for j in range(top + 1)]
     inv_fact = LinearOp(cols + [EMPTY] * (cap - top), f, cap)
-    w0, b = inv_fact @ dual_matrix(m), m.basis_op
+    w0, b = inv_fact @ m.dual_op, m.basis_op
     wb = w0 @ b
     lb, rb = m.lowering @ b, m.raising @ b
     bad, tainted = None, False

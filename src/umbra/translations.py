@@ -16,21 +16,24 @@ property for the generating function F(lambda, t) = sum_k lambda^k p_k:
 T_t^y F = F(lambda, y) F(lambda, t), order by order in lambda.
 
 The two-variable identities here are checked on exact integer tables
-in (t, y) at one common denominator; no float ever enters.  The
-translation itself runs on kernel columns too: p_k(y) from column k of
-the basis matrix, L^k f by the transforms' vector step, and one
-``Poly`` at the end.
+in (t, y) at one common denominator, each basis column reduced once per
+model (``UmbralModel.basis_forms``); no float ever enters.  The
+translation and the character check walk L^k by ``LinearOp.powers``,
+the package's one power loop, which ends after the first zero power.
+The translation runs on kernel columns from input to output: p_k(y)
+from column k of the basis matrix, and one ``Poly`` at the end.
+``binomial_sweep`` is the binomial check over a range of n, as
+``verify`` runs it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
 
 from .core import (
     CapMismatchError,
-    LinearOp,
     ParameterError,
     Poly,
     as_fraction,
@@ -39,16 +42,16 @@ from .core import (
 )
 from .kernels import imat_comb
 from .models import UmbralModel, basis_matrix, require_order
-from .models import lowering_mismatch, pairing_mismatch, vacuum_op
+from .models import _form, lowering_mismatch, pairing_mismatch, vacuum_op
 from .reports import VerificationReport, status_of
-from .transforms import _step, require_model_input
+from .transforms import require_model_input
 
 
 def first_difference(lhs: list, rhs: list) -> tuple[int, int] | None:
     """Smallest (t-degree, y-degree) at which the tables sum a(t) b(y)
     over the (a, b) pairs of ``lhs`` and of ``rhs`` differ, each
-    polynomial given by ``_form``; both are summed over the integers at
-    one common denominator."""
+    polynomial given by ``models._form``; both are summed over the
+    integers at one common denominator."""
     d = math.lcm(*(da * db for (_, da), (_, db) in lhs + rhs))
     size = 1 + max((b[-1][0] for _, (b, _) in lhs + rhs if b), default=0)
     tables = []
@@ -69,30 +72,6 @@ def first_difference(lhs: list, rhs: list) -> tuple[int, int] | None:
         if ra != rb:
             return i, next(j for j, (x, y) in enumerate(zip(ra, rb)) if x != y)
     return None
-
-
-def _form(
-    rows: Sequence[int], vals: Sequence[int], den: int
-) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The polynomial sum_i vals[i] t^rows[i] / den as its nonzero
-    (degree, integer numerator) pairs over its own reduced denominator:
-    the smaller the integers, the cheaper ``first_difference``."""
-    g = math.gcd(den, *vals)
-    return tuple(zip(rows, [x // g for x in vals])), den // g
-
-
-#: The basis matrix ``_column_forms`` read last, with its forms: the
-#: binomial sweep reads one B once per index n, and reducing every
-#: column again on each call would cost a fifth of the sweep.
-_last_forms: tuple[LinearOp | None, list] = (None, [])
-
-
-def _column_forms(b: LinearOp) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """``_form`` of each column of b, kept for the last b asked for."""
-    global _last_forms
-    if _last_forms[0] is not b:
-        _last_forms = (b, [_form(rows, vals, b.den) for rows, vals in b.cols])
-    return _last_forms[1]
 
 
 def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
@@ -121,8 +100,7 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
             f"not binomial type: {m.label()} vacuum is not evaluation at 0"
         )
     # Taylor: p_n(t + y) = sum_i t^i (d/dy)^i p_n(y) / i!, as pairs of integer forms
-    b = m.basis_op
-    forms = _column_forms(b)
+    b, forms = m.basis_op, m.basis_forms
     c, den = forms[n]
     shifted = [
         ((((i, 1),), 1), (tuple((j - i, x * math.comb(j, i)) for j, x in c if j >= i), den))
@@ -138,41 +116,48 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
     )
 
 
+def binomial_sweep(m: UmbralModel, top: int) -> list[VerificationReport]:
+    """``binomial_check`` at n = 0..top in turn, as ``verify`` runs it:
+    the first report that does not pass, or one pass report for the
+    whole range."""
+    for n in range(top + 1):
+        r = binomial_check(m, n)
+        if not r.passed:
+            return [r]
+    return [VerificationReport("binomial", m.label(), {"n_max": top}, status_of(None))]
+
+
 def generalized_translate(m: UmbralModel, y: Fraction | int, f: Poly) -> Poly:
     """T^y f = sum_k p_k(y) L^k f with exact rational y.
 
-    The sum is finite: L^k f dies once k exceeds the index content of
-    f.  It runs on integers from input to output.  With y = a/c,
-    p_k(y) is column k of the basis matrix B summed against the powers
-    a^i c^(cap-i), over B.den c^cap; L^k f is a kernel column over
-    fden L.den^k, carried by ``_step``; and ``kernels.imat_comb`` sums
-    the terms over the last one's denominator.  A term with
-    p_k(y) != 0 passes on the flag of its L^k f, which a read of a
-    column that L marks raises."""
+    The sum is finite: it ends at the first L^s f that is zero, which
+    must come by s = n_max + 1, or the translation is refused.  It runs
+    on integers from input to output.  With y = a/c, p_k(y) is column k
+    of the basis matrix B summed against the powers a^i c^(cap-i), over
+    B.den c^cap; L^k f is a kernel column over fden L.den^k from
+    ``LinearOp.powers``; and ``kernels.imat_comb`` sums the terms over
+    the denominator of L^s f.  The result carries the flag of L^s f: it
+    is flagged when f is or when some L^k f read a column L marks, for
+    then the true L^s f may not be zero."""
     y = as_fraction(y)
     require_model_input(m, f)
     cap, b, low = m.degree_cap, m.basis_op, m.lowering
     a, c = y.numerator, y.denominator
-    powers = [a**i * c ** (cap - i) for i in range(cap + 1)]
-    g, fden = integer_vector(f.coeffs)
-    den, tainted, flagged = fden, f.truncated, f.truncated
-    terms = []  # (p_k(y) over B.den c^cap, L^k f over fden L.den^k)
-    for k in range(m.n_max + 1):
-        rows, vals = b.cols[k]
-        w = sum(x * powers[i] for i, x in zip(rows, vals))
-        terms.append((w, g))
-        flagged = flagged or (tainted and w != 0)
-        g, den, tainted = _step(low, g, den, tainted)
-        if not g[0] and not tainted:
-            break
-    else:
+    ypow = [a**i * c ** (cap - i) for i in range(cap + 1)]
+    powers = low.powers(*integer_vector(f.coeffs), f.truncated)
+    *nonzero, (last, den, tainted) = islice(powers, m.n_max + 2)
+    if last[0]:
         # content survived past the basis range: cap too small
         raise CapMismatchError(
             "translation series did not terminate within the basis range"
         )
-    top = len(terms) - 1
-    (out,) = imat_comb([(w * low.den ** (top - k), [g]) for k, (w, g) in enumerate(terms)])
-    return column_poly(out, b.den * c**cap * fden * low.den**top, cap, flagged)
+    s = len(nonzero)
+    terms = [  # p_k(y) L^k f over B.den c^cap den
+        (sum(x * ypow[i] for i, x in zip(*b.cols[k])) * low.den ** (s - k), [g])
+        for k, (g, _, _) in enumerate(nonzero)
+    ]
+    (out,) = imat_comb(terms or [(1, [last])])  # f = 0 has no term; its sum is f
+    return column_poly(out, b.den * c**cap * den, cap, tainted)
 
 
 def character_check(m: UmbralModel, order: int) -> VerificationReport:
@@ -184,21 +169,20 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
     At lambda-order a the left side is sum_{k<=a} p_k(y) (L^k p_a)(t)
     with y kept symbolic, the right side sum_{i+j=a} p_i(y) p_j(t);
     both are exact tables in (t, y) and no cross-order cancellation is
-    possible.  L^k p_a is formed as a kernel column by ``_step``, the
-    transforms' one vector product; it is tainted when B marks p_a or L
-    marks a column that L^j p_a, j < k, reaches."""
+    possible.  L^k p_a comes from ``LinearOp.powers`` as a kernel
+    column; it is tainted when B marks p_a or L marks a column that
+    L^j p_a, j < k, reaches.  A zero L^k p_a adds nothing to the table,
+    so the powers end at the first one."""
     require_order(m, order)
-    b, low = m.basis_op, m.lowering
-    forms = _column_forms(b)
+    b, low, forms = m.basis_op, m.lowering, m.basis_forms
     bad = None
     tainted = False
     for a in range(order + 1):
         pairs = []
-        g, den, marked = b.cols[a], b.den, a in b.trunc_cols
-        for k in range(a + 1):
-            pairs.append((_form(*g, den), forms[k]))
-            tainted |= marked
-            g, den, marked = _step(low, g, den, marked)
+        powers = low.powers(b.cols[a], b.den, a in b.trunc_cols)
+        for form, (g, den, marked) in zip(forms[: a + 1], powers):
+            pairs.append((_form(*g, den), form))
+        tainted |= marked
         diff = first_difference(pairs, [(forms[a - i], forms[i]) for i in range(a + 1)])
         if diff is not None:
             bad = (a, diff)

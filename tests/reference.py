@@ -744,7 +744,9 @@ def translate_by_poly(m, y, f):
     L^k f by ``apply``, scaled by p_k(y) (``Poly.eval`` of the basis
     view) and added when that is nonzero, so that the sum takes the flag
     of each L^k f it adds; the loop stops at the first L^k f that is
-    zero and unflagged, and refuses a series that outlives the basis."""
+    zero, whose flag the sum takes too (a flagged zero may stand for a
+    power that is not zero), and refuses a series that outlives the
+    basis."""
     y = Fraction(y)
     require_model_input(m, f)
     acc = Poly.zero(m.degree_cap).with_flag(f.truncated)
@@ -754,6 +756,6 @@ def translate_by_poly(m, y, f):
         if w:
             acc = acc + g.scale(w)
         g = m.lowering.apply(g)
-        if g.is_zero() and not g.truncated:
-            return acc
+        if g.is_zero():
+            return acc.with_flag(acc.truncated or g.truncated)
     raise CapMismatchError("translation series did not terminate within the basis range")

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbra.core import CapMismatchError, DomainError, Functional, LinearOp, ParameterError, Poly, UmbraError
+from umbra.core import DomainError, Functional, LinearOp, ParameterError, Poly, UmbraError
 from umbra.heisenberg import (
     _metaplectic_sequences,
     composition_check_formal,
@@ -23,7 +23,7 @@ from umbra.heisenberg import (
     weyl_relation_check,
 )
 from umbra.kernels import EMPTY
-from umbra.models import IOTA, Parity, basis_matrix, build_model, dual_matrix, pairing_mismatch, verify_model
+from umbra.models import IOTA, Parity, basis_matrix, build_model, pairing_mismatch, verify_model
 from umbra.reports import PASS
 from umbra.transforms import (
     biorthogonality_check,
@@ -267,7 +267,7 @@ def test_pairing_rows_read_like_the_unit_row_product(case):
     taint of the product e_k D B compared with e_k, e_k the one entry 1
     at (0, k)."""
     m, _, _ = case
-    db = dual_matrix(m) @ m.basis_op
+    db = m.dual_op @ m.basis_op
     for k in range(m.n_max + 1):
         cols = [EMPTY] * k + [((0,), (1,))] + [EMPTY] * (db.cap - k)
         e_k = LinearOp(cols, 1, db.cap)
@@ -279,10 +279,13 @@ def test_a_flagged_target_basis_polynomial_taints_the_umbral_map():
     """A hermite target at degree 8 whose p_3 carries the truncated
     flag: an image that uses p_3 is flagged, one that does not is not,
     and the transmutation check onto it is inconclusive, like covariant
-    and biorthogonality on the same target."""
+    and biorthogonality on the same target.  Reassembling the basis
+    coefficients on that target is flagged in the same way."""
     src, dst = build_model("monomial", 8), _flagged(build_model("hermite", 8), 3)
     assert umbral_map(src, dst, src.basis[3]).truncated
     assert not umbral_map(src, dst, src.basis[2]).truncated
+    assert reassemble(dst, [0, 0, 0, 1]).truncated
+    assert not reassemble(dst, [0, 0, 1]).truncated
     reports = [check_transmutation_intertwining(src, dst), covariant_check(dst), biorthogonality_check(dst)]
     assert [r.status for r in reports] == ["inconclusive"] * 3
     assert reports[0] == ref.transmutation_by_poly(src, dst)
@@ -445,17 +448,42 @@ def _values(p):
     return list(p.coeffs), p.truncated
 
 
-def test_a_translation_whose_powers_read_a_marked_lowering_column_is_refused():
-    """monomial(8) with L marking column 5: L^k t^3 never reads it, so
-    T^1 t^3 = (t+1)^3, unflagged; L^2 t^6 reads it, and a tainted L^k f
-    never ends the series, which therefore runs past the basis range and
-    is refused, as by the ``Poly`` loop."""
-    m = build_model("monomial", 8)
+def _marked_lowering(name, cols):
+    """The catalog model at degree 8 with L marking ``cols``."""
+    m = build_model(name, 8)
     low = m.lowering
-    m = dataclasses.replace(m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset({5})))
+    return dataclasses.replace(m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset(cols)))
+
+
+def test_a_translation_whose_powers_read_a_marked_lowering_column_is_flagged():
+    """monomial(8) with L marking column 5: L^k t^3 never reads it, so
+    T^1 t^3 = (t+1)^3, unflagged; L^2 t^6 reads it, so T^1 t^6 =
+    (t+1)^6 is flagged, and so is T^1 of a flagged t^3: the series ends
+    at the first zero power, and a tainted one flags the sum, as in the
+    ``Poly`` loop."""
+    m = _marked_lowering("monomial", {5})
     assert _values(generalized_translate(m, 1, Poly.monomial(3, 8))) == ([1, 3, 3, 1] + [0] * 5, False)
-    for f in (Poly.monomial(6, 8), Poly.monomial(3, 8).with_flag(True)):
-        with pytest.raises(CapMismatchError, match="did not terminate"):
-            generalized_translate(m, 1, f)
-        with pytest.raises(CapMismatchError, match="did not terminate"):
-            ref.translate_by_poly(m, 1, f)
+    for f, want in (
+        (Poly.monomial(6, 8), [1, 6, 15, 20, 15, 6, 1, 0, 0]),
+        (Poly.monomial(3, 8).with_flag(True), [1, 3, 3, 1] + [0] * 5),
+    ):
+        assert _values(generalized_translate(m, 1, f)) == (want, True)
+        assert _values(ref.translate_by_poly(m, 1, f)) == (want, True)
+
+
+@pytest.mark.parametrize("name", ["monomial", "lower-factorial"])
+def test_the_marks_of_d_reach_the_transmutation_and_its_check(name):
+    """With L marking column 0, every column of D is marked (L's pattern
+    leads each t^j down to t^0), so the transmutation check to
+    hermite(8) is inconclusive and the image of t^2 is flagged, as
+    biorthogonality, covariant and ``covariant_w0`` say on the same
+    duals, and the ``Poly`` oracle agrees."""
+    m, dst = _marked_lowering(name, {0}), build_model("hermite", 8)
+    report = check_transmutation_intertwining(m, dst)
+    assert report.status == "inconclusive"
+    assert report == ref.transmutation_by_poly(m, dst)
+    assert umbral_map(m, dst, Poly.monomial(2, 8)).truncated
+    assert m.dual_op.trunc_cols == set(range(9))
+    others = [biorthogonality_check(m), covariant_check(m)]
+    assert [r.status for r in others] == ["inconclusive"] * 2
+    assert covariant_w0(m, Poly.monomial(2, 8)).truncated
