@@ -3,15 +3,19 @@
 Grammar: umbra <models|verify|w0|transmute|translate|bessel|heat|cosine|genfun>
 
 Exact commands exchange rationals as "p/q" strings and polynomials as
-comma-separated coefficient lists; numeric commands take decimal
-floats.  Exit codes: 0 success/pass, 1 verification failure (or an
-inconclusive result: a truncation-tainted check certifies nothing),
-2 usage or parameter error, 3 numeric non-convergence, 141 (128 +
-SIGPIPE) when the reader of stdout went away before the output was
-written, as in ``umbra ... | head -1``; that case prints nothing more.
+comma-separated coefficient lists; the float commands (bessel, heat,
+cosine) take decimal floats or "p/q".  Exit codes: 0 success/pass,
+1 verification failure (or an inconclusive result: a truncation-tainted
+check certifies nothing), 2 usage or parameter error, 3 numeric
+non-convergence, 141 (128 + SIGPIPE) when the reader of stdout went away
+before the output was written, as in ``umbra ... | head -1``; that case
+prints nothing more.
 
 ``verify`` runs the checks listed in ``CHECKS``: one by name with
 ``--check``, or every one that applies to the model with ``--all``.
+Beside it, ``FLOAT_COMMANDS`` holds one row per float command and mode,
+and ``_cmd_float`` serves them all: a row names the point flag and
+builds the function of one point from the other flags.
 
 UMBRA_DEFAULT_DEGREE overrides the default working degree of 32.
 """
@@ -24,7 +28,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -156,6 +160,11 @@ def _order(args: argparse.Namespace, default: int | None) -> int | None:
     return args.order
 
 
+def _nu(args: argparse.Namespace) -> float:
+    """--nu of a float command or residual check, 2 if it is not given."""
+    return _float_flag("--nu", args.nu) if args.nu else 2.0
+
+
 def _tol(args: argparse.Namespace, default: float | None) -> float | None:
     """--tol if it was given, else ``default``."""
     tol = getattr(args, "tol", None)
@@ -189,6 +198,18 @@ def _coeff_output(args: argparse.Namespace, poly: Poly, var: str) -> str:
         )
     top = max((k for k, c in enumerate(poly.coeffs) if c), default=0)
     return ", ".join(coeffs[: top + 1])
+
+
+def _rows_output(
+    args: argparse.Namespace, header: Sequence[str], rows: list[tuple], plain: str | None = None
+) -> str:
+    """A table as a JSON list of objects, as CSV, or under --format plain
+    as one ``plain.format(*row)`` line per row (CSV if ``plain`` is None)."""
+    if args.format == "json":
+        return json.dumps([dict(zip(header, r)) for r in rows], sort_keys=True)
+    if args.format == "plain" and plain:
+        return "\n".join(plain.format(*r) for r in rows)
+    return rows_to_csv(header, rows)
 
 
 def _report_exit(reports: Sequence[VerificationReport | ResidualReport]) -> int:
@@ -241,51 +262,14 @@ def _cmd_models(args: argparse.Namespace) -> int:
     for name in MODEL_NAMES:
         nu = Fraction(5, 2) if name == "bessel" else None
         m = build_model(name, 4, nu=nu)
-        rows.append((
-            name,
-            m.parity.value,
-            "yes" if m.shift_invariant else "no",
-            "yes" if m.vacuum_is_eval0() else "no",
-            "--nu p/q required" if name == "bessel" else "",
-        ))
-    if args.format == "json":
-        _emit(args, json.dumps(
-            [
-                {"model": r[0], "parity": r[1], "shift_invariant": r[2],
-                 "vacuum_is_eval0": r[3], "notes": r[4]}
-                for r in rows
-            ],
-            sort_keys=True,
-        ))
-    elif args.format == "csv":
-        _emit(args, rows_to_csv(
-            ("model", "parity", "shift_invariant", "vacuum_is_eval0", "notes"),
-            rows,
-        ))
-    else:
-        _emit(args, "\n".join(
-            f"{r[0]:16s} parity={r[1]:5s} shift_invariant={r[2]:3s} "
-            f"vacuum_is_eval0={r[3]:3s} {r[4]}"
-            for r in rows
-        ))
+        rows.append((name, m.parity.value, "yes" if m.shift_invariant else "no",
+                     "yes" if m.vacuum_is_eval0() else "no",
+                     "--nu p/q required" if name == "bessel" else ""))
+    _emit(args, _rows_output(
+        args, ("model", "parity", "shift_invariant", "vacuum_is_eval0", "notes"), rows,
+        "{:16s} parity={:5s} shift_invariant={:3s} vacuum_is_eval0={:3s} {}",
+    ))
     return _EXIT_OK
-
-
-def _poisson_intertwining(args: argparse.Namespace) -> ResidualReport:
-    nu = _float_flag("--nu", args.nu) if args.nu else 2.0
-    f = numeric.canned_fn(args.fn or "cos")
-    if args.grid:
-        grid = _parse_grid(args.grid, "--grid")
-    else:
-        grid = [0.5 + k * 4.5 / 19 for k in range(20)]
-    return numeric.poisson_intertwining_check(nu, f, grid, tol=_tol(args, 1e-6))
-
-
-def _hankel_intertwining(args: argparse.Namespace) -> ResidualReport:
-    nu = _float_flag("--nu", args.nu) if args.nu else 2.0
-    f = numeric.canned_fn(args.fn or "bump")
-    grid = _parse_grid(args.grid, "--grid") if args.grid else [0.25, 1.0, 4.0]
-    return numeric.hankel_intertwining_check(nu, f, grid, tol=_tol(args, 1e-6))
 
 
 class _Target:
@@ -330,6 +314,19 @@ def _model_check(name: str) -> Callable[[_Target, int | None], list]:
     return lambda t, _: [r for r in verify_model(t.model) if r.check == name]
 
 
+def _residual_check(check: str, fn: str, grid: list[float]) -> Check:
+    """The verify check that runs ``numeric.<check>`` with --nu (2 by
+    default), --fn (``fn`` by default), --grid (``grid`` by default) and
+    --tol (1e-6 by default), read in that order."""
+
+    def run(t: _Target, _: int | None) -> list[ResidualReport]:
+        nu, f = _nu(t.args), numeric.canned_fn(t.args.fn or fn)
+        points = _parse_grid(t.args.grid, "--grid") if t.args.grid else grid
+        return [getattr(numeric, check)(nu, f, points, tol=_tol(t.args, 1e-6))]
+
+    return Check(run)
+
+
 # Checks call through their module attributes so that anything wrapping
 # a module function (a profiler, a tracer) sees the call.
 CHECKS: dict[str, Check] = {
@@ -357,8 +354,9 @@ CHECKS: dict[str, Check] = {
     "sl2": Check(lambda t, _: [heisenberg.sl2_closure_check(t.model)], lambda m: m.n_max >= 2),
     "metaplectic": Check(lambda t, _: heisenberg.metaplectic_check(t.model),
                          lambda m: m.n_max >= 2),
-    "poisson-intertwining": Check(lambda t, _: [_poisson_intertwining(t.args)]),
-    "hankel-intertwining": Check(lambda t, _: [_hankel_intertwining(t.args)]),
+    "poisson-intertwining": _residual_check(
+        "poisson_intertwining_check", "cos", [0.5 + k * 4.5 / 19 for k in range(20)]),
+    "hankel-intertwining": _residual_check("hankel_intertwining_check", "bump", [0.25, 1.0, 4.0]),
 }
 
 
@@ -451,10 +449,13 @@ def _cmd_genfun(args: argparse.Namespace) -> int:
 
 
 def _scalar_fn(args: argparse.Namespace) -> numeric.ScalarFn:
-    if getattr(args, "poly", None):
+    if args.poly:
         cap = _default_degree() if args.degree is None else args.degree
         p = _parse_poly(args.poly, cap)
-        fs = [float(c) for c in p.coeffs]
+        try:
+            fs = [float(c) for c in p.coeffs]
+        except OverflowError:
+            raise ParameterError("--poly coefficients must lie within the double range") from None
         deg = max((k for k, c in enumerate(p.coeffs) if c), default=0)
 
         def fn(t: float) -> float:
@@ -467,89 +468,66 @@ def _scalar_fn(args: argparse.Namespace) -> numeric.ScalarFn:
     return numeric.canned_fn(args.fn or "one")
 
 
-def _value_output(args: argparse.Namespace, pairs: list[tuple[str, float, float]]) -> None:
-    """pairs: (column name, argument, value)."""
-    if len(pairs) == 1 and args.format != "csv":
-        _, _, v = pairs[0]
-        if args.format == "json":
-            _emit(args, json.dumps({"value": v}))
-        else:
-            _emit(args, f"{v!r}")
-        return
-    name = pairs[0][0]
-    if args.format == "json":
-        _emit(args, json.dumps(
-            [{name: a, "value": v} for _, a, v in pairs], sort_keys=True,
-        ))
-    else:
-        _emit(args, rows_to_csv((name, "value"), [(a, v) for _, a, v in pairs]))
-
-
 def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
     tol = _tol(args, None)
-    if tol is None:
-        return QuadratureSpec()
-    return QuadratureSpec(abs_tol=tol, rel_tol=tol)
+    return QuadratureSpec() if tol is None else QuadratureSpec(abs_tol=tol, rel_tol=tol)
 
 
-def _points(args: argparse.Namespace, flag: str, value: str | None, missing: str) -> list[float]:
-    """The --grid values, or else the one point ``value`` of ``flag``;
-    ``missing`` is the refusal when neither is given."""
+class FloatCommand(NamedTuple):
+    """One float command, or one mode of it.  ``flag`` names its point,
+    which the parser stores under ``attr``; ``column`` heads the points
+    in a table, and ``missing`` is the refusal when neither the point nor
+    --grid is given.  ``at(args, q)`` reads the other flags and returns
+    the function of one point.  It looks its ``numeric`` function up as
+    the command runs, so anything wrapping that function (a profiler, a
+    tracer) sees every call."""
+
+    flag: str
+    attr: str
+    column: str
+    missing: str
+    at: Callable[[argparse.Namespace, QuadratureSpec], Callable[[float], float]]
+
+
+FLOAT_COMMANDS: dict[tuple[str, str | None], FloatCommand] = {
+    ("bessel", "j"): FloatCommand(
+        "--x", "x", "t", "bessel j needs --x T or --grid",
+        lambda a, q: partial(numeric.little_bessel_j, _nu(a),
+                             _float_flag("--lambda", a.lam) if a.lam else 1.0)),
+    ("bessel", "poisson"): FloatCommand(
+        "--x", "x", "x", "bessel poisson needs --x F or --grid",
+        lambda a, q: partial(numeric.poisson_transform, _nu(a), _scalar_fn(a), q=q)),
+    ("bessel", "hankel"): FloatCommand(
+        "--lambda", "lam", "lambda", "bessel hankel needs --lambda F or --grid",
+        lambda a, q: partial(numeric.hankel_transform, _nu(a), _scalar_fn(a), q=q)),
+    ("heat", "covariant"): FloatCommand(
+        "--u", "u", "u", "heat covariant needs --u F or --grid",
+        lambda a, q: partial(numeric.heat_covariant, _scalar_fn(a), q=q)),
+    ("cosine", None): FloatCommand(
+        "--v", "v", "v", "cosine needs --v F or --grid",
+        lambda a, q: partial(numeric.cosine_transform, _scalar_fn(a), q=q)),
+}
+
+
+def _cmd_float(args: argparse.Namespace) -> int:
+    """Every float command: its function at each --grid point, or else
+    at its one point.  The flags are read in the order --tol, --nu,
+    --lambda or --fn/--poly, then the points."""
+    row = FLOAT_COMMANDS[args.command, getattr(args, "mode", None)]
+    at = row.at(args, _quad_spec(args))
     if args.grid:
-        return _parse_grid(args.grid, "--grid")
-    if value is None:
-        raise ParameterError(missing)
-    return [_float_flag(flag, value)]
-
-
-def _cmd_bessel(args: argparse.Namespace) -> int:
-    q = _quad_spec(args)
-    if args.mode == "j":
-        nu = _float_flag("--nu", args.nu) if args.nu else 2.0
-        lam = _float_flag("--lambda", args.lam) if args.lam else 1.0
-        ts = _points(args, "--x", args.x, "bessel j needs --x T or --grid")
-        _value_output(args, [
-            ("t", t, numeric.little_bessel_j(nu, lam, t)) for t in ts
-        ])
-        return _EXIT_OK
-    if args.mode == "poisson":
-        nu = _float_flag("--nu", args.nu) if args.nu else 2.0
-        f = _scalar_fn(args)
-        xs = _points(args, "--x", args.x, "bessel poisson needs --x F or --grid")
-        _value_output(args, [
-            ("x", x, numeric.poisson_transform(nu, f, x, q)) for x in xs
-        ])
-        return _EXIT_OK
-    if args.mode == "hankel":
-        nu = _float_flag("--nu", args.nu) if args.nu else 2.0
-        f = _scalar_fn(args)
-        lams = _points(args, "--lambda", args.lam, "bessel hankel needs --lambda F or --grid")
-        _value_output(args, [
-            ("lambda", lam, numeric.hankel_transform(nu, f, lam, q)) for lam in lams
-        ])
-        return _EXIT_OK
-    raise ParameterError(f"unknown bessel mode {args.mode!r}")
-
-
-def _cmd_heat(args: argparse.Namespace) -> int:
-    if args.mode != "covariant":
-        raise ParameterError(f"unknown heat mode {args.mode!r}")
-    q = _quad_spec(args)
-    f = _scalar_fn(args)
-    us = _points(args, "--u", args.u, "heat covariant needs --u F or --grid")
-    _value_output(args, [
-        ("u", u, numeric.heat_covariant(f, u, q)) for u in us
-    ])
-    return _EXIT_OK
-
-
-def _cmd_cosine(args: argparse.Namespace) -> int:
-    q = _quad_spec(args)
-    f = _scalar_fn(args)
-    vs = _points(args, "--v", args.v, "cosine needs --v F or --grid")
-    _value_output(args, [
-        ("v", v, numeric.cosine_transform(f, v, q)) for v in vs
-    ])
+        points = _parse_grid(args.grid, "--grid")
+    elif getattr(args, row.attr) is None:
+        raise ParameterError(row.missing)
+    else:
+        points = [_float_flag(row.flag, getattr(args, row.attr))]
+    rows = [(x, at(x)) for x in points]
+    if len(rows) > 1 or args.format == "csv":
+        _emit(args, _rows_output(args, (row.column, "value"), rows))
+    elif args.format == "json":
+        _emit(args, json.dumps({"value": rows[0][1]}))
+    else:
+        _emit(args, repr(rows[0][1]))
     return _EXIT_OK
 
 
@@ -576,6 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("models", help="list the model catalog")
     _add_common(p)
+    p.set_defaults(handler=_cmd_models)
 
     p = sub.add_parser("verify", help="run verification checks")
     _add_common(p, model=True)
@@ -591,10 +570,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-nu", dest="to_nu", help='target --nu as "p/q"')
     p.add_argument("--fn", help="canned function for numeric checks")
     p.add_argument("--grid", help="comma-separated evaluation points")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("w0", help="covariant transform of a polynomial")
     _add_common(p, model=True)
     p.add_argument("--poly", help='coefficients "c0,c1,..." as rationals')
+    p.set_defaults(handler=_cmd_w0)
 
     p = sub.add_parser("transmute", help="map a polynomial between models")
     _add_common(p)
@@ -605,61 +586,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-nu", dest="to_nu")
     p.add_argument("--degree", type=int)
     p.add_argument("--poly", help='coefficients "c0,c1,..." as rationals')
+    p.set_defaults(handler=_cmd_transmute)
 
     p = sub.add_parser("translate", help="generalized translation of a polynomial")
     _add_common(p, model=True)
     p.add_argument("--y", help='translation step as "p/q"')
     p.add_argument("--poly", help='coefficients "c0,c1,..." as rationals')
+    p.set_defaults(handler=_cmd_translate)
 
     p = sub.add_parser("genfun", help="generating-function coefficient table")
     _add_common(p, model=True)
     p.add_argument("--order", type=int, help="series order in s")
+    p.set_defaults(handler=_cmd_genfun)
 
-    p = sub.add_parser("bessel", help="Bessel-type numeric transforms")
-    p.add_argument("mode", choices=("j", "poisson", "hankel"))
-    _add_common(p)
-    p.add_argument("--nu", help="parameter (float or p/q)")
-    p.add_argument("--lambda", dest="lam", help="spectral parameter")
-    p.add_argument("--x", help="evaluation point")
-    p.add_argument("--grid", help="comma-separated evaluation points")
-    p.add_argument("--fn", help="canned function name")
-    p.add_argument("--poly", help="polynomial input (rational coefficients)")
-    p.add_argument("--degree", type=int)
-    p.add_argument("--tol", type=float)
-
-    p = sub.add_parser("heat", help="heat-kernel covariant transform")
-    p.add_argument("mode", choices=("covariant",))
-    _add_common(p)
-    p.add_argument("--u", help="diffusion time")
-    p.add_argument("--grid", help="comma-separated u values")
-    p.add_argument("--fn", help="canned function name")
-    p.add_argument("--poly", help="polynomial input (rational coefficients)")
-    p.add_argument("--degree", type=int)
-    p.add_argument("--tol", type=float)
-
-    p = sub.add_parser("cosine", help="cosine transform")
-    _add_common(p)
-    p.add_argument("--v", help="frequency-squared parameter")
-    p.add_argument("--grid", help="comma-separated v values")
-    p.add_argument("--fn", help="canned function name")
-    p.add_argument("--poly", help="polynomial input (rational coefficients)")
-    p.add_argument("--degree", type=int)
-    p.add_argument("--tol", type=float)
+    for name, text, modes, points, grid in (
+        ("bessel", "Bessel-type numeric transforms", ("j", "poisson", "hankel"),
+         (("--nu", "nu", "parameter (float or p/q)"), ("--lambda", "lam", "spectral parameter"),
+          ("--x", "x", "evaluation point")), "evaluation points"),
+        ("heat", "heat-kernel covariant transform", ("covariant",),
+         (("--u", "u", "diffusion time"),), "u values"),
+        ("cosine", "cosine transform", (), (("--v", "v", "frequency-squared parameter"),),
+         "v values"),
+    ):
+        p = sub.add_parser(name, help=text)
+        if modes:
+            p.add_argument("mode", choices=modes)
+        _add_common(p)
+        for flag, dest, help_ in points:
+            p.add_argument(flag, dest=dest, help=help_)
+        p.add_argument("--grid", help=f"comma-separated {grid}")
+        p.add_argument("--fn", help="canned function name")
+        p.add_argument("--poly", help="polynomial input (rational coefficients)")
+        p.add_argument("--degree", type=int)
+        p.add_argument("--tol", type=float)
+        p.set_defaults(handler=_cmd_float)
 
     return top
-
-
-_DISPATCH = {
-    "models": _cmd_models,
-    "verify": _cmd_verify,
-    "w0": _cmd_w0,
-    "transmute": _cmd_transmute,
-    "translate": _cmd_translate,
-    "genfun": _cmd_genfun,
-    "bessel": _cmd_bessel,
-    "heat": _cmd_heat,
-    "cosine": _cmd_cosine,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -669,7 +631,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _DISPATCH[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except QuadratureError as exc:

@@ -529,7 +529,6 @@ def generic_sl2_ladder(
     a: Sequence[Fraction | int | str],
     b: Sequence[Fraction | int | str],
     c: Sequence[Fraction | int | str],
-    n: int | None = None,
 ) -> Sl2LadderResult:
     """Given diagonal ladder data (lower p_n = a_n p_{n-1},
     raise p_n = b_n p_{n+1}, z p_n = c_n p_n), solve for the bracket
@@ -545,11 +544,6 @@ def generic_sl2_ladder(
     if len(fa) < 2:
         raise ParameterError("need sequences up to index 1 to solve for constants")
     top = len(fa) - 1
-    if n is not None:
-        if not 1 <= n <= top:
-            raise ParameterError(f"index bound {n} outside 1..{top}")
-        top = n
-        fa, fb, fc = fa[: top + 1], fb[: top + 1], fc[: top + 1]
 
     def comm_diag(k: int) -> Fraction:
         # [lower2, raise2]-style diagonal at index k

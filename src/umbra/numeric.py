@@ -34,6 +34,7 @@ _GUARD_BITS = 64                 # first guard beyond 53 bits; doubled on each r
 _GUARD_RETRIES = 6
 _STOP_INV = 10 ** 25             # the series stops at an n > peak with |term_n| < 1e-25
 _LOG2_E = 1.4426950408889634
+_POISSON_MAX_NU = 1e6            # see poisson_transform
 
 
 def _require_finite(**values: float) -> None:
@@ -252,16 +253,25 @@ def _hankel_expansion(nu: float | Fraction, lam: float, t: float) -> float:
     r = float(Fraction(nu) / 4 % 2) * math.pi
     cx, sx = math.cos(x), math.sin(x)
     cd, sd = math.cos(dx - r), math.sin(dx - r)
-    envelope = math.exp(
-        math.lgamma(a + 1.0) + a * math.log(2.0 / x) + 0.5 * math.log(2.0 / (math.pi * x))
-    )
+    px = math.pi * x   # past the double range from x = 5.7e307 on
+    log_px = math.log(2.0 / px) if px < math.inf else math.log(2.0 / math.pi) - math.log(x)
+    envelope = math.exp(math.lgamma(a + 1.0) + a * math.log(2.0 / x) + 0.5 * log_px)
     return envelope * (pq[0] * (cx * cd - sx * sd) - pq[1] * (sx * cd + cx * sd))
 
 
 def poisson_constant(nu: float) -> float:
     """C(nu) = 2 Gamma((nu+1)/2) / (sqrt(pi) Gamma(nu/2)); normalizes
-    the transform so constants map to themselves."""
-    return 2.0 * math.gamma((nu + 1) / 2) / (math.sqrt(math.pi) * math.gamma(nu / 2))
+    the transform so constants map to themselves.  Where the Gammas
+    overflow (nu > 341.97) it is 2 sqrt(x/pi) exp(-1/(8x) + 1/(192x^3) -
+    1/(640x^5)), x = nu/2, from the log-Gamma series, exact to 1e-18."""
+    try:
+        c = 2.0 * math.gamma((nu + 1) / 2) / (math.sqrt(math.pi) * math.gamma(nu / 2))
+    except OverflowError:
+        c = math.inf
+    if c < math.inf:
+        return c
+    u = 2.0 / nu
+    return 2.0 * math.sqrt(1.0 / (u * math.pi)) * math.exp(-u / 8 + u ** 3 / 192 - u ** 5 / 640)
 
 
 def poisson_transform(
@@ -270,11 +280,17 @@ def poisson_transform(
     """C(nu) * integral_0^(pi/2) (cos theta)^(nu-1) f(x sin theta)
     dtheta.  The sine substitution has already absorbed the endpoint
     singularity of the (x^2-t^2) kernel, but only for nu >= 1; smaller
-    nu is refused rather than mis-integrated."""
+    nu is refused rather than mis-integrated.  So is nu > 1e6, where
+    (cos theta)^(nu-1) has a rounding error of about nu 2^-53 and a peak
+    at 0 of width nu^(-1/2), soon narrower than the rule can see."""
     _require_finite(nu=nu, x=x)
     if nu < 1:
         raise ParameterError(
             f"poisson_transform supports nu >= 1 only, got {nu:g}"
+        )
+    if nu > _POISSON_MAX_NU:
+        raise ParameterError(
+            f"poisson_transform supports nu <= {_POISSON_MAX_NU:g} only, got {nu:g}"
         )
     if x <= 0:
         raise ParameterError(f"need x > 0, got {x:g}")
@@ -413,14 +429,16 @@ def hankel_transform(
         raise ParameterError(f"need lam > 0, got {lam:g}")
     if q is None:
         q = QuadratureSpec()
-    if f.decay == "compact":
-        lo, hi = max(0.0, f.a), f.b
-    elif f.decay == "exponential":
-        lo, hi = 0.0, _hankel_cutoff(nu, f, q)
-    else:
+    if f.decay not in ("compact", "exponential"):
         raise ParameterError(
             "hankel_transform needs declared decay (compact or exponential)"
         )
+    try:   # the weight t^nu is largest at hi, where it must stay a double
+        lo, hi = (max(0.0, f.a), f.b) if f.decay == "compact" else (0.0, _hankel_cutoff(nu, f, q))
+        hi ** nu
+    except OverflowError:
+        raise ParameterError(
+            f"hankel_transform: t^nu leaves the double range for nu = {nu:g}") from None
 
     def integrand(t: float) -> float:
         return f(t) * little_bessel_j(nu, lam, t) * t ** nu

@@ -377,7 +377,10 @@ MUTANTS = (
         "src/umbra/translations.py",
         " * low.den ** (s - k), [g])",
         ", [g])",
-        ("tests/test_translations.py::test_catalog_translations_agree_with_the_poly_loop",),
+        (
+            "tests/test_translations.py::test_catalog_translations_agree_with_the_poly_loop",
+            "tests/test_translations.py::test_a_translation_over_a_lowering_denominator_matches_the_poly_loop",
+        ),
     ),
     Mutant(
         "the factorial lowering keeping the shift's diagonal",
@@ -392,6 +395,14 @@ MUTANTS = (
         "return max(1.0, *sizes)",
         "return 1.0",
         ("tests/test_numeric.py::test_heat_covariant_of_a_growing_exponential_is_e_to_the_u",),
+    ),
+    Mutant(
+        "a float command's registry row holding its numeric function, bound at import",
+        "src/umbra/cli.py",
+        "lambda a, q: partial(numeric.poisson_transform, _nu(a), _scalar_fn(a), q=q)",
+        "lambda a, q, _bound=numeric.poisson_transform: partial(_bound, _nu(a), _scalar_fn(a), q=q)",
+        ("tests/test_float_commands.py::"
+         "test_each_float_command_calls_its_numeric_function_once_per_point[poisson_transform]",),
     ),
 )
 

@@ -160,6 +160,18 @@ def test_catalog_translations_agree_with_the_poly_loop(model, degree, data):
     assert (got.coeffs, got.truncated) == (want.coeffs, want.truncated)
 
 
+def test_a_translation_over_a_lowering_denominator_matches_the_poly_loop():
+    """At nu = 1/3 the Bessel lowering has L.den = 3, so the terms of the
+    translation need their L.den^(s-k) rescale.  The property test above
+    reaches such a model only on some of its draws; this case always
+    does."""
+    m = build_model("bessel", 6, Fraction(1, 3))
+    f = Poly([Fraction(c) for c in (1, 0, -2, 0, Fraction(3, 4), 0, 5)], m.degree_cap)
+    y = Fraction(-3, 2)
+    got, want = generalized_translate(m, y, f), ref.translate_by_poly(m, y, f)
+    assert (got.coeffs, got.truncated) == (want.coeffs, want.truncated)
+
+
 def test_the_bessel_lowering_keeps_a_denominator_at_nu_one_third():
     """The catalog settings above reach L.den > 1 (so the duals' rescale
     and the translation's common denominator are exercised)."""
