@@ -16,8 +16,6 @@ prints nothing more.
 Beside it, ``FLOAT_COMMANDS`` holds one row per float command and mode,
 and ``_cmd_float`` serves them all: a row names the point flag and
 builds the function of one point from the other flags.
-
-UMBRA_DEFAULT_DEGREE overrides the default working degree of 32.
 """
 
 from __future__ import annotations
@@ -55,21 +53,6 @@ _EXIT_FAIL = 1
 _EXIT_USAGE = 2
 _EXIT_NUMERIC = 3
 _EXIT_PIPE = 141
-
-
-def _default_degree() -> int:
-    raw = os.environ.get("UMBRA_DEFAULT_DEGREE")
-    if raw is None:
-        return DEFAULT_DEGREE_CAP
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(
-            f"UMBRA_DEFAULT_DEGREE must be an integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise ParameterError("UMBRA_DEFAULT_DEGREE must be >= 1")
-    return n
 
 
 def _rational_flag(name: str, text: str) -> Fraction:
@@ -136,8 +119,7 @@ def _load_model(args: argparse.Namespace, attr: str = "model") -> UmbralModel:
             raw_nu = args.nu
     if raw_nu is not None:
         nu = _rational_flag("--nu", raw_nu)
-    degree = _default_degree() if args.degree is None else args.degree
-    return build_model(name, degree, nu=nu)
+    return build_model(name, args.degree, nu=nu)
 
 
 def _load_pair(args: argparse.Namespace) -> tuple[UmbralModel, UmbralModel]:
@@ -178,8 +160,11 @@ def _tol(args: argparse.Namespace, default: float | None) -> float | None:
 def _emit(args: argparse.Namespace, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ParameterError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         print(text)
 
@@ -450,8 +435,7 @@ def _cmd_genfun(args: argparse.Namespace) -> int:
 
 def _scalar_fn(args: argparse.Namespace) -> numeric.ScalarFn:
     if args.poly:
-        cap = _default_degree() if args.degree is None else args.degree
-        p = _parse_poly(args.poly, cap)
+        p = _parse_poly(args.poly, args.degree)
         try:
             fs = [float(c) for c in p.coeffs]
         except OverflowError:
@@ -539,7 +523,8 @@ def _add_common(p: argparse.ArgumentParser, *, model: bool = False) -> None:
     if model:
         p.add_argument("--model", choices=MODEL_NAMES)
         p.add_argument("--nu", help='Bessel parameter as "p/q"')
-        p.add_argument("--degree", type=int, help="working basis-index cap")
+        p.add_argument("--degree", type=int, default=DEFAULT_DEGREE_CAP,
+                       help="working basis-index cap")
     p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
     p.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -584,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", help='Bessel parameter for either side, as "p/q"')
     p.add_argument("--from-nu", dest="src_nu")
     p.add_argument("--to-nu", dest="to_nu")
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE_CAP)
     p.add_argument("--poly", help='coefficients "c0,c1,..." as rationals')
     p.set_defaults(handler=_cmd_transmute)
 
@@ -617,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help=f"comma-separated {grid}")
         p.add_argument("--fn", help="canned function name")
         p.add_argument("--poly", help="polynomial input (rational coefficients)")
-        p.add_argument("--degree", type=int)
+        p.add_argument("--degree", type=int, default=DEFAULT_DEGREE_CAP)
         p.add_argument("--tol", type=float)
         p.set_defaults(handler=_cmd_float)
 

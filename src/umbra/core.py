@@ -32,7 +32,9 @@ monomial basis t^k.  Three data types live here:
   the exact checks, reports a compared column marked on either side.
 
 * ``Functional`` -- a row vector pairing against coefficient vectors,
-  kept as its nonzero entries.
+  kept as its nonzero entries.  No code in the package calls it (a
+  model's vacuum is an integer row); it stays because the benchmark's
+  tracer wraps ``pair`` and ``after``, and the tests' oracles use it.
 
 Scalars are ``fractions.Fraction`` throughout; the wire format for
 rationals is the literal string "p/q" handled by ``parse_rational`` /

@@ -10,13 +10,12 @@ coefficient operators are compared multi-index by multi-index.
 Exactness bookkeeping: a coefficient operator built from words of
 length <= M (the series order) moves basis degrees by at most M, so on
 a space capped at n_max every column with basis index <= n_max - M is
-computed exactly, truncation notwithstanding.  Callers pick the output
-degree D and working cap n_max = D + M accordingly; comparisons are
-restricted to the exact columns.  Two series are compared through
-their difference, merged word by word, and its coefficients are summed
-on those certified columns only: a word whose coefficients agree on
-both sides cancels to 0 and costs no arithmetic, though its truncation
-marks still count.  A coefficient of the difference that is a nonzero
+computed exactly, truncation notwithstanding.  The checks compare on
+the output indices up to D = n_max - M, the exact columns.  Two series
+are compared through their difference, merged word by word, and its
+coefficients are summed on those certified columns only: a word whose
+coefficients agree on both sides cancels to 0 and costs no arithmetic,
+though its truncation marks still count.  A coefficient of the difference that is a nonzero
 multiple of one already compared, over the same words, is not summed
 again: the central parameter s only scales a coefficient, so most
 multi-indices of the group law repeat an earlier one.
@@ -173,17 +172,14 @@ class FormalOpSeries:
                             bucket[word] = n + na * nb
         return out
 
-    def materialize(
-        self, idx: Index, columns: Iterable[int] | None = None
-    ) -> LinearOp:
-        """Exact sum of the combination at one multi-index.  Its marks
+    def materialize(self, idx: Index, columns: Iterable[int]) -> LinearOp:
+        """Exact sum of the combination at one multi-index on
+        ``columns``, over the words with a nonzero coefficient.  Every
+        other column of the result is zero whatever the true sum holds
+        there, so it is meant only for comparison on ``columns``; pass
+        every column, ``range(cap + 1)``, for the whole sum.  Its marks
         are those of every word there, a word whose coefficients
-        cancelled to 0 included.
-
-        With ``columns``, only those columns are summed, and only over
-        the words with a nonzero coefficient.  Every other column of a
-        restricted result is zero whatever the true sum holds there, so
-        it is meant only for comparison on ``columns``."""
+        cancelled to 0 included."""
         cap = self.table.cap
         coef = self.terms.get(idx, {})
         words = [(n, self.table.op(word)) for word, n in coef.items()]
@@ -198,7 +194,7 @@ class FormalOpSeries:
             return LinearOp([kernels.EMPTY] * (cap + 1), 1, cap, tcols)
         den = math.lcm(*(d for _, d, _ in ops))
         terms = [((den // d) * n, op.cols) for n, d, op in ops]
-        js = range(cap + 1) if columns is None else sorted(set(columns))
+        js = sorted(set(columns))
         part = kernels.imat_comb([(c, [m[j] for j in js]) for c, m in terms])
         cols = [kernels.EMPTY] * (cap + 1)
         for j, col in zip(js, part):

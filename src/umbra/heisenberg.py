@@ -43,16 +43,19 @@ from .transforms import require_column_input
 # formal representation and its identities
 # ---------------------------------------------------------------------------
 
-def _require_cap(m: UmbralModel, order: int, output_degree: int) -> None:
+def _require_cap(m: UmbralModel, order: int) -> int:
+    """n_max - order, the top basis index on which a series of this
+    order is exact; refuses an order it leaves negative."""
     if order < 0:
         raise ParameterError("order must be >= 0")
-    need = order + max(output_degree, 0)
-    if output_degree < 0 or m.n_max < need:
+    out = m.n_max - order
+    if out < 0:
         raise CapShortfallError(
-            f"formal order {order} with output index {output_degree} needs "
-            f"a working cap of n_max = {need}; model {m.label()} has "
+            f"formal order {order} with output index {out} needs "
+            f"a working cap of n_max = {order}; model {m.label()} has "
             f"n_max = {m.n_max}"
         )
+    return out
 
 
 def _exp_ladder_series(
@@ -151,16 +154,12 @@ def _formal_report(
     )
 
 
-def group_law_check(
-    m: UmbralModel, order: int, output_degree: int | None = None
-) -> VerificationReport:
+def group_law_check(m: UmbralModel, order: int) -> VerificationReport:
     """Compare pi(s1,x1,y1) pi(s2,x2,y2) against
     pi(s1+s2+x1*y2, x1+x2, y1+y2) coefficient by coefficient up to the
     given total order.  Both sides are exact on basis indices up to
-    ``output_degree`` provided n_max >= output_degree + order."""
-    if output_degree is None:
-        output_degree = m.n_max - order
-    _require_cap(m, order, output_degree)
+    n_max - order."""
+    output_degree = _require_cap(m, order)
     params = ("s1", "x1", "y1", "s2", "x2", "y2")
     table = m.words
     lhs = _pi_series(table, params, order, 0, 1, 2).mul(
@@ -177,15 +176,11 @@ def group_law_check(
     return _formal_report("group-law", m, order, output_degree, lhs, rhs)
 
 
-def weyl_relation_check(
-    m: UmbralModel, order: int, output_degree: int | None = None
-) -> VerificationReport:
+def weyl_relation_check(m: UmbralModel, order: int) -> VerificationReport:
     """exp(yL) exp(xR) = exp(xy) exp(xR) exp(yL), order by order.  At
     total order 2 this is exactly the commutation relation
     [L, R] = I."""
-    if output_degree is None:
-        output_degree = m.n_max - order
-    _require_cap(m, order, output_degree)
+    output_degree = _require_cap(m, order)
     params = ("x", "y")
     table = m.words
     exp_r = _exp_ladder_series(table, "R", params, order, (0,), +1)
@@ -196,17 +191,13 @@ def weyl_relation_check(
     return _formal_report("weyl-relation", m, order, output_degree, lhs, rhs)
 
 
-def composition_check_formal(
-    m: UmbralModel, order: int, output_degree: int | None = None
-) -> VerificationReport:
+def composition_check_formal(m: UmbralModel, order: int) -> VerificationReport:
     """Twisted-convolution composition with every atom position made a
     formal parameter: rep(k1) rep(k2) against rep(k1 twisted k2) for a
     pair of two-atom kernels with fixed rational coefficients.  The
     phase exp(-x_i y_j) appears on the right as a formal scalar
     series, so the comparison is exact order by order."""
-    if output_degree is None:
-        output_degree = m.n_max - order
-    _require_cap(m, order, output_degree)
+    output_degree = _require_cap(m, order)
     params = ("x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4")
     table = m.words
 
@@ -371,71 +362,45 @@ def twisted_convolve_check() -> VerificationReport:
 # squared-ladder sl(2) structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sl2Structure:
-    """Triple (lower2, raise2, z) with the bracket constants
-    [lower2, raise2] = lam * z, [z, lower2] = lam_minus * lower2,
-    [z, raise2] = lam_plus * raise2."""
-
-    lower2: LinearOp
-    raise2: LinearOp
-    z: LinearOp
-    lam: Fraction
-    lam_minus: Fraction
-    lam_plus: Fraction
-
-    @property
-    def constants(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.lam, self.lam_minus, self.lam_plus)
-
-
+#: The bracket constants (lam, lam_minus, lam_plus) of the squared-ladder
+#: triple: [lower2, raise2] = lam z, [z, lower2] = lam_minus lower2 and
+#: [z, raise2] = lam_plus raise2.
 METAPLECTIC_CONSTANTS = (Fraction(4), Fraction(-2), Fraction(2))
 
 
-def metaplectic(m: UmbralModel) -> Sl2Structure:
-    """Squared ladders with z = raise lower + 1/2: the normalization
-    makes [lower2, raise2] close onto 4z with no identity term, and the
-    constants (4, -2, 2) are the same for every model with
-    [lower, raise] = I."""
+def metaplectic(m: UmbralModel) -> tuple[LinearOp, LinearOp, LinearOp]:
+    """The squared-ladder triple (lower2, raise2, z) with
+    z = raise lower + 1/2: the normalization makes [lower2, raise2]
+    close onto 4z with no identity term, and the constants (4, -2, 2)
+    are the same for every model with [lower, raise] = I."""
     words = m.words
     l2 = words.op("LL")
     r2 = words.op("RR")
     z = words.op("RL") + words.op("").scale(Fraction(1, 2))
-    lam, lam_minus, lam_plus = METAPLECTIC_CONSTANTS
-    return Sl2Structure(
-        lower2=l2, raise2=r2, z=z,
-        lam=lam, lam_minus=lam_minus, lam_plus=lam_plus,
-    )
+    return l2, r2, z
 
 
-def metaplectic_check(
-    m: UmbralModel, max_degree: int | None = None
-) -> list[VerificationReport]:
+def metaplectic_check(m: UmbralModel) -> list[VerificationReport]:
     """Verify all three brackets of the squared-ladder triple on every
-    basis column of degree <= max_degree (default: everything the cap
-    can certify, i.e. indices up to n_max - 2).  A check that would
-    compare no column (n_max < 2) raises ParameterError."""
-    cols = []
-    for j in range(m.n_max - 1):
-        d = m.degree_of_index(j)
-        if max_degree is not None and d > max_degree:
-            break
-        cols.append(d)
+    basis column the cap can certify, i.e. indices up to n_max - 2.  A
+    check that would compare no column (n_max < 2) raises
+    ParameterError."""
+    cols = [m.degree_of_index(j) for j in range(m.n_max - 1)]
     if not cols:
         raise ParameterError(
             f"metaplectic check has no basis column to compare on {m.label()} "
-            f"(n_max = {m.n_max}, max_degree = {max_degree}); it needs n_max >= 2 "
-            f"and max_degree >= 0"
+            f"(n_max = {m.n_max}); it needs n_max >= 2"
         )
-    s = metaplectic(m)
+    l2, r2, z = metaplectic(m)
+    lam, lam_minus, lam_plus = METAPLECTIC_CONSTANTS
     checks = [
-        ("sl2-commutator", op_commutator(s.lower2, s.raise2), s.z.scale(s.lam)),
-        ("sl2-z-lowering", op_commutator(s.z, s.lower2), s.lower2.scale(s.lam_minus)),
-        ("sl2-z-raising", op_commutator(s.z, s.raise2), s.raise2.scale(s.lam_plus)),
+        ("sl2-commutator", op_commutator(l2, r2), z.scale(lam)),
+        ("sl2-z-lowering", op_commutator(z, l2), l2.scale(lam_minus)),
+        ("sl2-z-raising", op_commutator(z, r2), r2.scale(lam_plus)),
     ]
     params = {
-        "constants": [format_rational(q) for q in s.constants],
-        "max_degree": max_degree if max_degree is not None else cols[-1],
+        "constants": [format_rational(q) for q in METAPLECTIC_CONSTANTS],
+        "max_degree": cols[-1],
     }
     out = []
     for name, lhs, rhs in checks:
@@ -453,33 +418,26 @@ def metaplectic_check(
 
 def metaplectic_sequences(
     m: UmbralModel,
-) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Diagonal data of the squared-ladder triple on the even-index
-    sub-ladder q_k = p_{2k}: lower2 q_k = a_k q_{k-1},
+) -> tuple[list[Fraction], list[Fraction], list[Fraction], bool]:
+    """Diagonal data (a, b, c) of the squared-ladder triple on the
+    even-index sub-ladder q_k = p_{2k}: lower2 q_k = a_k q_{k-1},
     raise2 q_k = b_k q_{k+1}, z q_k = c_k q_k, extracted honestly as
     entries of the product D S B of the dual matrix, each squared
-    ladder S and the even basis columns.  The top raising entry
-    cannot be read off a capped space and is stored as 0; the closure
-    solver never consults it."""
-    return _metaplectic_sequences(m)[:3]
-
-
-def _metaplectic_sequences(
-    m: UmbralModel,
-) -> tuple[list[Fraction], list[Fraction], list[Fraction], bool]:
-    """``metaplectic_sequences`` plus the truncation flag of the images
-    S p_2k it reads: the marks of S B on those columns.  Each image
+    ladder S and the even basis columns, and the truncation flag of
+    the images S p_2k it reads: the marks of S B on those columns.
+    The top raising entry cannot be read off a capped space and is
+    stored as 0; the closure solver never consults it.  Each image
     must lie in the model's space, at or below the top basis degree,
     and its expansion D S p_2k must have one nonzero, on the expected
     index; anything else there leaks."""
-    s = metaplectic(m)
     top = m.n_max // 2
     basis, d = m.basis_op, m.dual_op
     b_even = LinearOp(
         [col if n % 2 == 0 else EMPTY for n, col in enumerate(basis.cols)],
         basis.den, basis.cap, basis.trunc_cols,
     )
-    low, diag, high = (op @ b_even for op in (s.lower2, s.z, s.raise2))
+    l2, r2, z = metaplectic(m)
+    low, diag, high = (op @ b_even for op in (l2, z, r2))
     d_low, d_diag, d_high = d @ low, d @ diag, d @ high
 
     def entry(expanded: LinearOp, k: int, want: int, what: str) -> Fraction:
@@ -596,7 +554,7 @@ def sl2_closure_check(m: UmbralModel) -> VerificationReport:
             f"sl2 closure check needs n_max >= 2 to solve for its constants; "
             f"{m.label()} has n_max = {m.n_max}"
         )
-    a, b, c, tainted = _metaplectic_sequences(m)
+    a, b, c, tainted = metaplectic_sequences(m)
     res = generic_sl2_ladder(a, b, c)
     ff = None
     if not res.ok:

@@ -3,7 +3,8 @@
 A model packages a graded polynomial basis p_0..p_N together with the
 ladder pair: a lowering operator with L p_n = p_{n-1}, L p_0 = 0, a
 raising operator with R p_n = (n+1) p_{n+1}, the vacuum functional
-l_0 with <l_0, p_n> = delta_{0n}, and the structure constant
+l_0 with <l_0, p_n> = delta_{0n}, stored as an integer row over one
+denominator, and the structure constant
 iota = 1 (``IOTA``) fixed once for the whole package, so that
 [R, L] = -I on the safe zone.
 
@@ -60,7 +61,6 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     CapMismatchError,
     DomainError,
-    Functional,
     LinearOp,
     ONE,
     ParameterError,
@@ -69,10 +69,9 @@ from .core import (
     as_fraction,
     column_poly,
     format_rational,
-    integer_vector,
 )
 from .formal import OpWordTable
-from .kernels import EMPTY, Column, icol, icol_mul, imat_transpose
+from .kernels import EMPTY, Column, icol, icol_eq, icol_mul, imat_transpose
 
 IOTA = ONE  # structure constant of the Heisenberg relation, fixed package-wide
 
@@ -84,6 +83,10 @@ MODEL_NAMES = (
     "heat",
     "bessel",
 )
+
+
+#: e_0 over the denominator 1: the row of evaluation at 0
+EVAL0: tuple[Column, int] = (((0,), (1,)), 1)
 
 
 class Parity(enum.Enum):
@@ -100,7 +103,7 @@ class UmbralModel:
     basis_op: LinearOp            # B: column n is p_n, marked when p_n is flagged
     lowering: LinearOp
     raising: LinearOp
-    vacuum: Functional
+    vacuum: tuple[Column, int]    # l_0: integer row over one positive denominator
     shift_invariant: bool
     nu: Fraction | None = None    # Bessel parameter, if any
 
@@ -112,15 +115,10 @@ class UmbralModel:
     def degree_of_index(self, n: int) -> int:
         return 2 * n if self.parity is Parity.EVEN else n
 
-    def check_in_space(self, f: Poly) -> None:
-        """Raise DomainError if f lies outside the model's graded space
-        (odd-degree content for the even-parity models)."""
-        if self.parity is Parity.EVEN:
-            self.check_degrees_in_space(k for k in range(1, f.cap + 1, 2) if f.coeffs[k])
-
     def check_degrees_in_space(self, degrees: Iterable[int]) -> None:
-        """``check_in_space`` for a polynomial given by its nonzero
-        degrees in increasing order."""
+        """Raise DomainError if the polynomial with these nonzero
+        degrees, in increasing order, lies outside the model's graded
+        space (odd-degree content for the even-parity models)."""
         if self.parity is Parity.EVEN:
             for k in degrees:
                 if k % 2:
@@ -129,16 +127,8 @@ class UmbralModel:
                         f"input has a nonzero t^{k} coefficient"
                     )
 
-    def apply_lowering(self, f: Poly) -> Poly:
-        self.check_in_space(f)
-        return self.lowering.apply(f)
-
-    def apply_raising(self, f: Poly) -> Poly:
-        self.check_in_space(f)
-        return self.raising.apply(f)
-
     def vacuum_is_eval0(self) -> bool:
-        return self.vacuum == Functional.eval_at_zero(self.degree_cap)
+        return icol_eq(*self.vacuum, *EVAL0)
 
     @functools.cached_property
     def basis(self) -> tuple[Poly, ...]:
@@ -150,12 +140,6 @@ class UmbralModel:
             column_poly(col, b.den, self.degree_cap, n in b.trunc_cols)
             for n, col in enumerate(b.cols[: self.n_max + 1])
         )
-
-    @functools.cached_property
-    def vacuum_row(self) -> tuple[Column, int]:
-        """l_0 as an integer row (a kernel column of its numerators) over
-        one positive denominator, read once from ``vacuum``."""
-        return integer_vector(self.vacuum.row)
 
     @functools.cached_property
     def dual_op(self) -> LinearOp:
@@ -265,7 +249,7 @@ def _build_appell(name: str, n_max: int, cap: int | None, s: int) -> UmbralModel
         basis_op=_basis_op(cap, [(c, math.factorial(n)) for n, c in enumerate(he)]),
         lowering=lowering,
         raising=_mult_by_t_op(cap) - lowering.scale(s),
-        vacuum=Functional(moments, cap),
+        vacuum=(icol(moments), 1),
         shift_invariant=True,
     )
 
@@ -302,7 +286,7 @@ def _build_factorial(name: str, n_max: int, cap: int | None, step: int) -> Umbra
         basis_op=_basis_op(cap, [(c, math.factorial(n)) for n, c in enumerate(cs[: n_max + 1])]),
         lowering=LinearOp(lowering, 1, cap),
         raising=LinearOp(cols, 1, cap, {cap}),
-        vacuum=Functional.eval_at_zero(cap),
+        vacuum=EVAL0,
         shift_invariant=True,
     )
 
@@ -340,7 +324,7 @@ def _build_even(name: str, n_max: int, cap: int | None, nu: Fraction) -> UmbralM
         basis_op=basis_op,
         lowering=lowering,
         raising=raising,
-        vacuum=Functional.eval_at_zero(cap),
+        vacuum=EVAL0,
         shift_invariant=False,
         nu=nu if nu else None,
     )
@@ -370,7 +354,7 @@ def lowering_mismatch(m: UmbralModel, b: LinearOp, top: int) -> tuple[int | None
 
 def vacuum_op(m: UmbralModel) -> LinearOp:
     """The operator whose row 0 is l_0 and whose other rows are zero."""
-    (rows, vals), den = m.vacuum_row
+    (rows, vals), den = m.vacuum
     cols = [EMPTY] * (m.degree_cap + 1)
     for i, x in zip(rows, vals):
         cols[i] = ((0,), (x,))
@@ -379,14 +363,14 @@ def vacuum_op(m: UmbralModel) -> LinearOp:
 
 def dual_functionals(m: UmbralModel) -> list[tuple[Column, int]]:
     """l_k = l_0 o L^k for k = 0..n_max, each an integer row over its own
-    denominator vden * L.den^k, vden being l_0's (``vacuum_row``);
+    denominator vden * L.den^k, vden being l_0's (``vacuum``);
     bi-orthogonal to the basis: <l_k, p_n> = delta_{kn}.  A row times L
     is L^T times a column, so each step is one ``icol_mul`` with the
     transpose of L.  Each model keeps the duals only as the rows of its
     cached ``dual_op``."""
     low = m.lowering
     lt = imat_transpose(low.cols, m.degree_cap + 1)
-    row, den = m.vacuum_row
+    row, den = m.vacuum
     out = [(row, den)]
     for _ in range(m.n_max):
         row, den = icol_mul(lt, row), den * low.den

@@ -341,8 +341,6 @@ def poisson_intertwining_check(
     nu: float,
     f: ScalarFn,
     grid: Sequence[float],
-    q: QuadratureSpec | None = None,
-    h: float = 1e-3,
     tol: float = 1e-6,
 ) -> ResidualReport:
     """Measure both candidate transmutation relations on a grid:
@@ -351,10 +349,10 @@ def poisson_intertwining_check(
         r2(x) = B[P f](x) - P(f'')(x)
 
     and record which of them holds to the tolerance.  Derivatives in x
-    are Richardson-extrapolated central differences over a fixed-rule
-    P, so the quadrature error cancels in the quotients."""
-    if q is None or q.rule != FIXED:
-        q = QuadratureSpec(rule=FIXED, nodes=max(64, q.nodes if q else 0))
+    are Richardson-extrapolated central differences, step h = 1e-3,
+    over P on one 64-node fixed panel, so the quadrature error cancels
+    in the quotients."""
+    q, h = QuadratureSpec(rule=FIXED, nodes=64), 1e-3
     if f.dfn is None or f.d2fn is None:
         raise ParameterError("intertwining check needs analytic dfn and d2fn")
     bf = singular_second_order(nu, f)
@@ -450,7 +448,6 @@ def hankel_intertwining_check(
     nu: float,
     f: ScalarFn,
     lam_grid: Sequence[float],
-    q: QuadratureSpec | None = None,
     tol: float = 1e-6,
 ) -> ResidualReport:
     """|H(B f)(lam) + lam H f(lam)| over the grid, for f smooth and
@@ -461,15 +458,13 @@ def hankel_intertwining_check(
         raise ParameterError(
             "hankel intertwining needs compact support inside (0, inf)"
         )
-    if q is None:
-        q = QuadratureSpec()
     bf = singular_second_order(nu, f)
     residuals: dict[str, float] = {}
     worst = 0.0
     for lam in lam_grid:
         r = abs(
-            hankel_transform(nu, bf, lam, q)
-            + lam * hankel_transform(nu, f, lam, q)
+            hankel_transform(nu, bf, lam)
+            + lam * hankel_transform(nu, f, lam)
         )
         residuals[f"{lam:g}"] = r
         worst = max(worst, r)

@@ -25,19 +25,19 @@ from .core import ParameterError, QuadratureError
 
 ADAPTIVE = "adaptive"
 FIXED = "fixed"
+#: The bisection depth at which the adaptive rule gives up.
+MAX_SUBDIVISIONS = 32
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Integration policy.  ``nodes`` is the Gauss-Legendre order per
-    panel; ``max_subdivisions`` bounds the bisection depth of the
-    adaptive rule."""
+    panel; the adaptive rule bisects at most ``MAX_SUBDIVISIONS`` deep."""
 
     rule: str = ADAPTIVE
     nodes: int = 24
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_subdivisions: int = 32
 
     def __post_init__(self) -> None:
         if self.rule not in (ADAPTIVE, FIXED):
@@ -46,8 +46,6 @@ class QuadratureSpec:
             raise ParameterError("need at least 2 nodes per panel")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ParameterError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -137,10 +135,10 @@ def integrate_adaptive(
         budget = max(spec.abs_tol * (b - a) / width, spec.rel_tol * abs(fine))
         if err <= budget:
             return fine
-        if depth >= spec.max_subdivisions:
+        if depth >= MAX_SUBDIVISIONS:
             raise QuadratureError(
                 f"no convergence on [{a:g}, {b:g}] after "
-                f"{spec.max_subdivisions} subdivisions; achieved residual "
+                f"{MAX_SUBDIVISIONS} subdivisions; achieved residual "
                 f"{err:.3e} against budget {budget:.3e}"
             )
         return (

@@ -58,7 +58,6 @@ class VerificationReport:
     status: str = PASS
     max_residual: float | None = None
     first_failure: Any = None
-    direction_holding: str | None = None
 
     def __post_init__(self) -> None:
         if self.status not in (PASS, FAIL, INCONCLUSIVE):
@@ -78,7 +77,7 @@ class VerificationReport:
             "status": self.status,
             "max_residual": _plain(self.max_residual),
             "first_failure": _plain(self.first_failure),
-            "direction_holding": self.direction_holding,
+            "direction_holding": None,  # exact checks probe no direction
         }
 
     def to_json(self) -> str:

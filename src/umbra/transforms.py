@@ -61,7 +61,7 @@ from .reports import VerificationReport, status_of
 
 def require_model_input(m: UmbralModel, f: Poly) -> None:
     """Refuse a polynomial outside the model's space or at another cap."""
-    m.check_in_space(f)
+    m.check_degrees_in_space(k for k, c in enumerate(f.coeffs) if c)
     if f.cap != m.degree_cap:
         raise CapMismatchError(f"input cap {f.cap} differs from model cap {m.degree_cap}")
 

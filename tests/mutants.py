@@ -95,8 +95,8 @@ MUTANTS = (
     Mutant(
         "the last certified column left out of the restricted combination",
         "src/umbra/formal.py",
-        "else sorted(set(columns))",
-        "else sorted(set(columns))[:-1]",
+        "js = sorted(set(columns))",
+        "js = sorted(set(columns))[:-1]",
         (
             "tests/test_formal.py::test_a_restricted_coefficient_is_the_full_one_on_its_columns",
             "tests/test_formal.py::test_the_difference_comparison_matches_the_two_sided_oracle",
@@ -395,6 +395,13 @@ MUTANTS = (
         "return max(1.0, *sizes)",
         "return 1.0",
         ("tests/test_numeric.py::test_heat_covariant_of_a_growing_exponential_is_e_to_the_u",),
+    ),
+    Mutant(
+        "the vacuum row compared with e_0 by its numerators instead of by value",
+        "src/umbra/models.py",
+        "return icol_eq(*self.vacuum, *EVAL0)",
+        "return self.vacuum == EVAL0",
+        ("tests/test_models.py::test_eval0_is_read_over_any_denominator",),
     ),
     Mutant(
         "a float command's registry row holding its numeric function, bound at import",

@@ -19,7 +19,7 @@ from math import factorial, isqrt
 
 import mpmath
 
-from umbra.core import CapMismatchError, LinearOp, Poly
+from umbra.core import CapMismatchError, Functional, LinearOp, Poly, column_poly
 from umbra.reports import VerificationReport, status_of
 from umbra.transforms import require_model_input, umbral_map
 
@@ -697,6 +697,12 @@ def character_verdict(d, order):
 
 # -- the transmutation check through Poly images -----------------------
 
+def _in_space(m, op, f):
+    """op f, refused as the model refuses an input outside its space."""
+    require_model_input(m, f)
+    return op.apply(f)
+
+
 def transmutation_by_poly(src, dst):
     """The transmutation-intertwining report as the ``Poly`` loop gave
     it: V L_src p_n = L_dst V p_n for n = 1..N, then V R_src p_n =
@@ -705,12 +711,12 @@ def transmutation_by_poly(src, dst):
     params = {"src": src.label(), "dst": dst.label()}
     bad, tainted = None, False
     for kind, on_src, on_dst, indices in (
-        ("lowering", src.apply_lowering, dst.apply_lowering, range(1, src.n_max + 1)),
-        ("raising", src.apply_raising, dst.apply_raising, range(src.n_max)),
+        ("lowering", src.lowering, dst.lowering, range(1, src.n_max + 1)),
+        ("raising", src.raising, dst.raising, range(src.n_max)),
     ):
         for n in indices:
-            lhs = umbral_map(src, dst, on_src(src.basis[n]))
-            rhs = on_dst(umbral_map(src, dst, src.basis[n]))
+            lhs = umbral_map(src, dst, _in_space(src, on_src, src.basis[n]))
+            rhs = _in_space(dst, on_dst, umbral_map(src, dst, src.basis[n]))
             tainted |= lhs.truncated or rhs.truncated
             if lhs != rhs:
                 bad = (kind, n)
@@ -732,7 +738,7 @@ def dual_op_by_functionals(m):
     """D, row k the dual l_0 o L^k, with each row pulled back from the
     last by ``Functional.after`` and the rows put together from their
     Fraction entries."""
-    rows = [m.vacuum]
+    rows = [Functional(column_poly(*m.vacuum, m.degree_cap).coeffs, m.degree_cap)]
     for _ in range(m.n_max):
         rows.append(rows[-1].after(m.lowering))
     tables = [dict(row.terms) for row in rows]

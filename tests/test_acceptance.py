@@ -92,11 +92,11 @@ def test_criterion_03_covariant_transform():
             ok &= covariant_w0(m, m.basis[n]) == want
         # intertwining on the safe zone, exactly
         for n in range(1, N + 1):
-            lhs = covariant_w0(m, m.apply_lowering(m.basis[n]))
+            lhs = covariant_w0(m, m.lowering.apply(m.basis[n]))
             ok &= lhs == covariant_w0(m, m.basis[n]).derivative()
         u = Poly.monomial(1, cap)
         for n in range(N):
-            lhs = covariant_w0(m, m.apply_raising(m.basis[n]))
+            lhs = covariant_w0(m, m.raising.apply(m.basis[n]))
             ok &= lhs == u * covariant_w0(m, m.basis[n])
     tally("criterion 3: W0 images u^n/n! and both intertwinings, exact", ok)
 
@@ -236,9 +236,9 @@ def test_criterion_11_heat_and_cosine():
 def test_criterion_12_heisenberg_formal_checks():
     ok = True
     for name in ("monomial", "heat"):
-        m = build_model(name, 12)  # working indices = output degree 4 + order 8
+        m = build_model(name, 12)  # working indices = output index 4 + order 8
         for check in (group_law_check, weyl_relation_check, composition_check_formal):
-            r = check(m, 8, output_degree=4)
+            r = check(m, 8)
             ok &= r.status == PASS and r.max_residual == 0
     tally("criterion 12: group law, Weyl, composition at order 8, exact", ok)
 
@@ -247,18 +247,18 @@ def test_criterion_13_metaplectic():
     ok = True
     for name in ("monomial", "lower-factorial", "upper-factorial", "hermite"):
         m = build_model(name, 32)
-        for r in metaplectic_check(m, max_degree=24):
+        for r in metaplectic_check(m):
             ok &= r.status == PASS
         ok &= sl2_closure_check(m).status == PASS
     for name in ("heat", "bessel"):
         m = build_model(name, 16, nu=Fraction(5, 2) if name == "bessel" else None)
-        for r in metaplectic_check(m, max_degree=24):
+        for r in metaplectic_check(m):
             ok &= r.status == PASS
-        res = generic_sl2_ladder(*metaplectic_sequences(m))
+        res = generic_sl2_ladder(*metaplectic_sequences(m)[:3])
         ok &= res.ok and res.constants == (4, -2, 2)
-    seqs = [list(s) for s in metaplectic_sequences(build_model("heat", 8))]
+    seqs = [list(s) for s in metaplectic_sequences(build_model("heat", 8))[:3]]
     seqs[2][3] += 1
     bad = generic_sl2_ladder(*seqs)
     ok &= (not bad.ok) and bad.first_violation is not None
-    tally("criterion 13: metaplectic constants (4,-2,2) to degree 24, "
+    tally("criterion 13: metaplectic constants (4,-2,2) on every certifiable column, "
           "perturbation rejected", ok)

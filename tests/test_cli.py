@@ -244,25 +244,29 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["status"] == "pass"
 
 
-def test_default_degree_env(capsys, monkeypatch):
-    monkeypatch.setenv("UMBRA_DEFAULT_DEGREE", "6")
-    rc, _, err = run(
-        capsys, "w0", "--model", "monomial", "--poly", "0,0,0,0,0,0,0,1",
-    )
-    assert rc == 2  # eight coefficients exceed the degree-6 space
-    assert "degree" in err
-    monkeypatch.setenv("UMBRA_DEFAULT_DEGREE", "zero")
-    rc, _, err = run(capsys, "models")
-    assert rc == 0  # models command never loads a model
-
-
-def test_bad_default_degree_env(capsys, monkeypatch):
-    monkeypatch.setenv("UMBRA_DEFAULT_DEGREE", "zero")
-    rc, _, err = run(
-        capsys, "w0", "--model", "monomial", "--poly", "1",
-    )
+@pytest.mark.parametrize("head", [
+    ("w0", "--model", "monomial"),
+    ("heat", "covariant", "--u", "1"),
+])
+def test_the_default_degree_is_32_and_degree_changes_it(capsys, head):
+    # degree 32 holds 33 coefficients; --degree is the one way to change it
+    rc, _, err = run(capsys, *head, "--poly", ",".join(["1"] * 34))
     assert rc == 2
-    assert "UMBRA_DEFAULT_DEGREE" in err
+    assert err == "umbra: polynomial has 34 coefficients but the working degree is 32; raise --degree\n"
+    assert run(capsys, *head, "--poly", ",".join(["1"] * 33))[0] == 0
+    assert run(capsys, *head, "--degree", "33", "--poly", ",".join(["1"] * 34))[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("models",),
+    ("bessel", "j", "--x", "1"),
+])
+def test_an_unwritable_out_path_exits_2_after_the_work(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.json"
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"umbra: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

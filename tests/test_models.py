@@ -7,14 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from umbra.cli import main
+from umbra.cli import CHECKS, main
 from umbra.core import CapMismatchError, DomainError, LinearOp, ParameterError, Poly, UmbraError
 from umbra.models import (
     MODEL_NAMES,
     build_model,
+    vacuum_op,
     verify_model,
 )
 from umbra.reports import PASS
+from umbra.transforms import require_model_input
+from umbra.translations import binomial_sweep
 
 import reference as ref
 
@@ -153,28 +156,28 @@ def test_forward_difference_lowers_falling_factorials():
     p3, p2 = m.basis[3], m.basis[2]
     shifted = p3.shift(1)
     assert shifted - p3 == p2
-    assert m.apply_lowering(p3) == p2
+    assert m.lowering.apply(p3) == p2
 
 
 def test_backward_difference_lowers_rising_factorials():
     m = build_model("upper-factorial", 5)
     p2, p1 = m.basis[2], m.basis[1]
     assert p2 - p2.shift(-1) == p1
-    assert m.apply_lowering(p2) == p1
+    assert m.lowering.apply(p2) == p1
 
 
 def test_heat_lowering_is_second_derivative():
     m = build_model("heat", 4)
     f = m.basis[2]  # t^4/24
-    assert m.apply_lowering(f) == f.derivative().derivative()
-    assert m.apply_lowering(f) == m.basis[1]
+    assert m.lowering.apply(f) == f.derivative().derivative()
+    assert m.lowering.apply(f) == m.basis[1]
 
 
 def test_bessel_operator_lowers_for_several_nu():
     for nu in (1, 2, Fraction(5, 2), 3, Fraction(1, 3)):
         m = build_model("bessel", 6, nu=nu)
         for n in range(1, 7):
-            assert m.apply_lowering(m.basis[n]) == m.basis[n - 1]
+            assert m.lowering.apply(m.basis[n]) == m.basis[n - 1]
 
 
 # -- the full axiom check over the catalog -----------------------------
@@ -228,7 +231,7 @@ def test_corrupted_basis_detected_at_its_index():
 def test_vacuum_rows():
     for m in catalog(6, 3):
         for n, p in enumerate(m.basis):
-            assert m.vacuum.pair(p) == (1 if n == 0 else 0), m.name
+            assert vacuum_op(m).apply(p).coeffs[0] == (1 if n == 0 else 0), m.name
 
 
 def test_hermite_vacuum_is_gaussian_expectation():
@@ -236,13 +239,24 @@ def test_hermite_vacuum_is_gaussian_expectation():
     assert not m.vacuum_is_eval0()
     for k in range(9):
         f = Poly.monomial(k, 8)
-        assert m.vacuum.pair(f) == ref.normal_moment(k)
+        assert vacuum_op(m).apply(f).coeffs[0] == ref.normal_moment(k)
 
 
 def test_eval0_vacuums():
     for m in catalog(4, 2):
         if m.name != "hermite":
             assert m.vacuum_is_eval0()
+
+
+def test_eval0_is_read_over_any_denominator():
+    """e_0 written over the denominator 2 is still evaluation at 0: the
+    vacuum row is compared by value (``kernels.icol_eq``), not by its
+    numerators, so binomial still applies and passes."""
+    m = build_model("monomial", 6)
+    halves = dataclasses.replace(m, vacuum=(((0,), (2,)), 2))
+    assert halves.vacuum_is_eval0()
+    assert CHECKS["binomial"].applies(halves)
+    assert all(r.status == PASS for r in binomial_sweep(halves, 6))
 
 
 # -- parity / degree bookkeeping ---------------------------------------
@@ -252,9 +266,7 @@ def test_even_models_reject_odd_content():
         m = build_model(name, 3, nu=NU if name == "bessel" else None)
         odd = Poly.monomial(3, m.degree_cap)
         with pytest.raises(DomainError):
-            m.check_in_space(odd)
-        with pytest.raises(DomainError):
-            m.apply_lowering(odd)
+            require_model_input(m, odd)
 
 
 def test_degree_of_index_grading():

@@ -13,12 +13,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbra.core import DomainError, Functional, LinearOp, ParameterError, Poly, UmbraError
+from umbra.core import (
+    DomainError, LinearOp, ParameterError, Poly, UmbraError, column_poly, integer_vector,
+)
 from umbra.heisenberg import (
-    _metaplectic_sequences,
     composition_check_formal,
     group_law_check,
     metaplectic_check,
+    metaplectic_sequences,
     sl2_closure_check,
     weyl_relation_check,
 )
@@ -54,7 +56,7 @@ def _plain(m) -> dict:
         "l_marks": set(m.lowering.trunc_cols),
         "R": _dense(m.raising),
         "r_marks": set(m.raising.trunc_cols),
-        "vac": list(m.vacuum.row),
+        "vac": list(column_poly(*m.vacuum, m.degree_cap).coeffs),
         "basis": [list(p.coeffs) for p in m.basis],
         "b_marks": {n for n, p in enumerate(m.basis) if p.truncated},
         "iota": IOTA,
@@ -69,7 +71,7 @@ def _rebuilt(m, d: dict):
         m,
         lowering=LinearOp.from_entries(d["L"], frozenset(d["l_marks"])),
         raising=LinearOp.from_entries(d["R"], frozenset(d["r_marks"])),
-        vacuum=Functional(d["vac"], cap),
+        vacuum=integer_vector(d["vac"]),
         basis_op=LinearOp.from_columns(
             cap, {n: dict(enumerate(c)) for n, c in enumerate(d["basis"])}, frozenset(d["b_marks"])
         ),
@@ -419,7 +421,7 @@ def test_basis_expansion_agrees_with_the_fraction_pairing(case, data):
     assert _poly_outcome(lambda: covariant_w0(m, f)) == _ref_outcome(lambda: ref.w0(d, cs, flagged))
     weights = data.draw(st.lists(VALUES, max_size=m.n_max + 1))
     assert _poly_outcome(lambda: reassemble(m, weights)) == ("ok", ref.reassemble(d, weights))
-    assert _outcome(lambda: _metaplectic_sequences(m)) == _ref_outcome(
+    assert _outcome(lambda: metaplectic_sequences(m)) == _ref_outcome(
         lambda: ref.metaplectic_by_expansion(d)
     )
 
