@@ -9,7 +9,7 @@ the evaluation point and cancels in the difference quotients.  An
 adaptive rule there would amplify its panel-boundary noise by 1/h^2.
 
 The kernel j_nu has three evaluation paths, chosen from the argument
-(see _bessel_series): its power series in floats for small arguments,
+(see little_bessel_j): its power series in floats for small arguments,
 the same series in fixed point with a certified rounding check, and
 Hankel's asymptotic expansion for large arguments.  Every evaluation
 either returns within about a second or raises ParameterError, as does
@@ -19,14 +19,16 @@ a non-finite input to any transform.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .core import ParameterError, QuadratureError
 from .quadrature import FIXED, QuadratureSpec, ScalarFn, integrate
 from .reports import ResidualReport
 
-_EXACT_SERIES_THRESHOLD = 25.0   # on |lam| t^2; see _bessel_series
+_EXACT_SERIES_THRESHOLD = 25.0   # on |lam| t^2; see little_bessel_j
 _ASYMPTOTIC_X = 2000.0           # x = sqrt(lam) |t| from which Hankel's expansion may run;
                                  # the series costs about 30 ms a call there, 12 ms at x = 1200
 _SERIES_MAX_X = 4000.0           # work budget of the fixed-point series, on x
@@ -35,6 +37,7 @@ _GUARD_RETRIES = 6
 _STOP_INV = 10 ** 25             # the series stops at an n > peak with |term_n| < 1e-25
 _LOG2_E = 1.4426950408889634
 _POISSON_MAX_NU = 1e6            # see poisson_transform
+_POISSON_CHECK_MAX_NU = 8000.0   # see poisson_intertwining_check
 
 
 def _require_finite(**values: float) -> None:
@@ -48,31 +51,13 @@ def little_bessel_j(nu: float | Fraction, lam: float, t: float) -> float:
     sum_n (-lam)^n t^(2n) / c_n with c_n = prod_{k<=n} 2k(2k+nu-1),
     i.e. the solution of B_nu j = -lam j with j(0) = 1, j'(0) = 0.
     For nu = 2 this telescopes to sin(sqrt(lam) t)/(sqrt(lam) t).
-    See _bessel_series for the three evaluation paths."""
-    return _bessel_series(nu, lam, t, 0)
-
-
-def little_bessel_j_with_derivatives(
-    nu: float | Fraction, lam: float, t: float
-) -> tuple[float, float, float]:
-    """(j, j', j''); used to measure the defining ODE's residual without
-    finite differences."""
-    return (
-        _bessel_series(nu, lam, t, 0),
-        _bessel_series(nu, lam, t, 1),
-        _bessel_series(nu, lam, t, 2),
-    )
-
-
-def _bessel_series(nu: float | Fraction, lam: float, t: float, deriv: int) -> float:
-    """The deriv-th t-derivative of j_nu(lam, t) by one of three paths,
-    with z = lam t^2 and x = sqrt(|z|):
+    It takes one of three paths, with z = lam t^2 and x = sqrt(|z|):
 
     - |z| <= 25: the float series (_bessel_series_float), whose terms
       stay below e^5, so it loses at most a few bits to cancellation;
-    - lam > 0, x >= 2000 and x >= 16 (|nu-1|/2 + 2)^2: Hankel's
-      expansion (_bessel_large), within a few hundred ulps of the
-      envelope Gamma(a+1) (2/x)^a sqrt(2/(pi x)), a = (nu-1)/2;
+    - where _hankel_applies: Hankel's expansion (_hankel_expansion),
+      within a few hundred ulps of the envelope
+      Gamma(a+1) (2/x)^a sqrt(2/(pi x)), a = (nu-1)/2;
     - otherwise, up to x = 4000: the series in fixed point
       (_bessel_series_exact), correctly rounded.
 
@@ -82,18 +67,11 @@ def _bessel_series(nu: float | Fraction, lam: float, t: float, deriv: int) -> fl
     _require_finite(nu=nu, lam=lam, t=t)
     if nu <= 0:
         raise ParameterError(f"need nu > 0, got {nu}")
-    if t == 0.0:
-        # j = 1 - lam t^2/c_1 + ..., c_1 = 2(nu+1)
-        return (1.0, 0.0, -lam / (float(nu) + 1.0))[deriv]
-    z = lam * t * t
-    if abs(z) <= _EXACT_SERIES_THRESHOLD:
-        return _bessel_series_float(float(nu), lam, t, deriv)
+    if abs(lam * t * t) <= _EXACT_SERIES_THRESHOLD:
+        return _bessel_series_float(float(nu), lam, t)
     x = math.sqrt(abs(lam)) * abs(t)
-    # _hankel_expansion needs 16 (|a| + 1)^2 <= x, a = (nu-1)/2; the + 2
-    # here covers the j_{nu+2} call (a + 1) that _bessel_large makes for
-    # the derivatives
-    if lam > 0 and _ASYMPTOTIC_X <= x < math.inf and 16 * (abs(nu - 1) / 2 + 2) ** 2 <= x:
-        return _bessel_large(nu, lam, t, deriv)
+    if _hankel_applies(nu, lam, x):
+        return _hankel_expansion(nu, lam, t)
     if x > _SERIES_MAX_X:
         raise ParameterError(
             f"j_nu(nu={nu}, lambda={lam!r}, t={t!r}) is beyond the work budget: "
@@ -101,29 +79,50 @@ def _bessel_series(nu: float | Fraction, lam: float, t: float, deriv: int) -> fl
             "series, and Hankel's expansion needs lambda > 0 and "
             "x >= 16 (|nu-1|/2 + 2)^2"
         )
-    return _bessel_series_exact(Fraction(nu), lam, t, deriv)
+    return _bessel_series_exact(Fraction(nu), lam, t)
 
 
-def _bessel_series_float(nu: float, lam: float, t: float, deriv: int) -> float:
-    # term_n = (-lam)^n t^(2n) / c_n, with the derivative factor bolted on
-    term = 1.0
-    acc = 1.0 if deriv == 0 else 0.0
+def little_bessel_j_with_derivatives(
+    nu: float | Fraction, lam: float, t: float
+) -> tuple[float, float, float]:
+    """(j, j', j'') with j' = -lam t/(nu+1) j_{nu+2} (DLMF 10.6.2) and
+    the ODE j'' = -lam j - (nu/t) j', whose limit at t = 0 is
+    -lam/(nu+1); used to measure the defining ODE's residual without
+    finite differences.  j_{nu+2} comes from Hankel's expansion where
+    j_nu does, which the + 2 in _hankel_applies allows for, and from
+    little_bessel_j elsewhere."""
+    j = little_bessel_j(nu, lam, t)
+    if t == 0.0:
+        return j, 0.0, -lam / (float(nu) + 1.0)
+    x = math.sqrt(abs(lam)) * abs(t)
+    up = _hankel_expansion if _hankel_applies(nu, lam, x) else little_bessel_j
+    d1 = -lam * t / (nu + 1) * up(nu + 2, lam, t)
+    d2 = -lam * j - nu * d1 / t
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        raise ParameterError(f"the derivatives of j_nu(nu={nu}, lambda={lam!r}, t={t!r}) overflow")
+    return j, d1, d2
+
+
+def _hankel_applies(nu: float | Fraction, lam: float, x: float) -> bool:
+    """Whether Hankel's expansion serves j_nu at x = sqrt(lam) |t|: for
+    lam > 0 from x = 2000 on, where it needs 16 (|a| + 1)^2 <= x with
+    a = (nu-1)/2; the + 2 here lets j_{nu+2} (a + 1) use it as well."""
+    return lam > 0 and _ASYMPTOTIC_X <= x < math.inf and 16 * (abs(nu - 1) / 2 + 2) ** 2 <= x
+
+
+def _bessel_series_float(nu: float, lam: float, t: float) -> float:
+    # term_n = (-lam)^n t^(2n) / c_n
+    term = acc = 1.0
     n = 0
     while True:
         n += 1
         term *= -lam * t * t / (2 * n * (2 * n + nu - 1))
-        if deriv == 0:
-            piece = term
-        elif deriv == 1:
-            piece = term * (2 * n) / t
-        else:
-            piece = term * (2 * n) * (2 * n - 1) / (t * t)
-        acc += piece
+        acc += term
         if abs(term) <= 1e-18 * (1.0 + abs(acc)) and n > 2:
             return acc
 
 
-def _bessel_series_exact(nu: Fraction, lam: float, t: float, deriv: int) -> float:
+def _bessel_series_exact(nu: Fraction, lam: float, t: float) -> float:
     """The series for |lam| t^2 > 25, where floats would lose most of
     their digits to cancellation: the terms peak near e^x, x =
     sqrt(|lam|) |t|, while the sum is O(x^(-nu/2)) for lam > 0.
@@ -139,20 +138,16 @@ def _bessel_series_exact(nu: Fraction, lam: float, t: float, deriv: int) -> floa
     double; otherwise the guard bits double, at most _GUARD_RETRIES
     times (Ziv, ACM TOMS 17(3), 1991).  The cost is O(x^2) bit
     operations per try."""
-    tn, td = Fraction(t).as_integer_ratio()
-    z = Fraction(lam) * Fraction(tn, td) ** 2
-    if tn < 0 and deriv % 2:
-        tn, td = -tn, -td
+    z = Fraction(lam) * Fraction(t) ** 2
     peak = math.isqrt(abs(z.numerator) // z.denominator) + 2
     top = int(math.sqrt(abs(z)) * _LOG2_E) + 2   # every term is below e^x
     guard = _GUARD_BITS
     for _ in range(_GUARD_RETRIES):
         prec = top + 53 + guard
-        s, err = _fixed_point_series(z, nu, deriv, peak, prec)
-        # the value is s / (2^prec t^deriv) to within err / (2^prec |t|^deriv)
-        den = tn ** deriv << prec
-        lo = _ratio_to_float((s - err) * td ** deriv, den)
-        hi = _ratio_to_float((s + err) * td ** deriv, den)
+        s, err = _fixed_point_series(z, nu, peak, prec)
+        # the value is s / 2^prec to within err / 2^prec
+        lo = _ratio_to_float(s - err, 1 << prec)
+        hi = _ratio_to_float(s + err, 1 << prec)
         if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
             if math.isinf(lo):
                 raise ParameterError(
@@ -167,11 +162,9 @@ def _bessel_series_exact(nu: Fraction, lam: float, t: float, deriv: int) -> floa
     )
 
 
-def _fixed_point_series(
-    z: Fraction, nu: Fraction, deriv: int, peak: int, prec: int
-) -> tuple[int, int]:
-    """(s, err): 2^prec times the partial sum of _bessel_series_exact,
-    times t^deriv, is within err of s."""
+def _fixed_point_series(z: Fraction, nu: Fraction, peak: int, prec: int) -> tuple[int, int]:
+    """(s, err): 2^prec times the partial sum of _bessel_series_exact is
+    within err of s."""
     # term_n = term_{n-1} * (-z) / (2n (2n + nu - 1)) = term_{n-1} * mul / (zd d_n)
     mul = -z.numerator * nu.denominator
     amul = abs(mul)
@@ -181,8 +174,7 @@ def _fixed_point_series(
     below = one // _STOP_INV           # |T| + e < below: surely |term_n| < 1e-25
     above = -(-one // _STOP_INV)       # |T| - e >= above: surely not
     term, e = one, 0                   # the scaled term and its error bound
-    s = one if deriv == 0 else 0
-    err = 0
+    s, err = one, 0
     widen = -1                         # < 0 until the stop test is first in doubt
     n = 0
     while True:
@@ -190,11 +182,10 @@ def _fixed_point_series(
         d = zd * 2 * n * (2 * n * q + p - q)
         term = term * mul // d
         e = -(-e * amul // d) + 1
-        w = 1 if deriv == 0 else 2 * n if deriv == 1 else 2 * n * (2 * n - 1)
-        s += w * term
-        err += w * e
+        s += term
+        err += e
         if widen >= 0:
-            widen += w * (abs(term) + e)
+            widen += abs(term) + e
         if n > peak:
             a = abs(term)
             if a + e < below:
@@ -210,19 +201,6 @@ def _ratio_to_float(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
-
-
-def _bessel_large(nu: float | Fraction, lam: float, t: float, deriv: int) -> float:
-    """The deriv-th t-derivative of j_nu from Hankel's expansion, with
-    j' = -lam t/(nu+1) j_{nu+2} and the ODE j'' = -lam j - (nu/t) j'.
-    Valid where 16 (|nu-1|/2 + 2)^2 <= x: the j_{nu+2} call has
-    a = (nu+1)/2, one more than j_nu's."""
-    if deriv == 0:
-        return _hankel_expansion(nu, lam, t)
-    d1 = -lam * t / (nu + 1) * _hankel_expansion(nu + 2, lam, t)
-    if deriv == 1:
-        return d1
-    return -lam * _hankel_expansion(nu, lam, t) - nu * d1 / t
 
 
 def _hankel_expansion(nu: float | Fraction, lam: float, t: float) -> float:
@@ -331,10 +309,7 @@ def singular_second_order(nu: float, f: ScalarFn) -> ScalarFn:
             return (1.0 + nu) * f.d2fn(0.0)
         return f.d2fn(t) + nu * f.dfn(t) / t
 
-    return ScalarFn(
-        fn=bf, decay=f.decay, a=f.a, b=f.b, rate=f.rate,
-        growth_degree=f.growth_degree,
-    )
+    return replace(f, fn=bf, dfn=None, d2fn=None)
 
 
 def poisson_intertwining_check(
@@ -351,22 +326,23 @@ def poisson_intertwining_check(
     and record which of them holds to the tolerance.  Derivatives in x
     are Richardson-extrapolated central differences, step h = 1e-3,
     over P on one 64-node fixed panel, so the quadrature error cancels
-    in the quotients."""
+    in the quotients.  The rule resolves the nu^(-1/2)-wide peak of
+    (cos theta)^(nu-1) up to nu = 8000: past it, r2 on the cos grid
+    reaches 1e-6 at nu = 8250 and 1.7e-3 at nu = 1e5, so larger nu is
+    refused rather than reported as failing."""
     q, h = QuadratureSpec(rule=FIXED, nodes=64), 1e-3
     if f.dfn is None or f.d2fn is None:
         raise ParameterError("intertwining check needs analytic dfn and d2fn")
+    if nu > _POISSON_CHECK_MAX_NU:
+        raise ParameterError(
+            f"poisson-intertwining supports nu <= {_POISSON_CHECK_MAX_NU:g} only, got {nu:g}: its "
+            f"{q.nodes}-node fixed rule cannot resolve the nu^(-1/2)-wide peak of (cos theta)^(nu-1)")
     bf = singular_second_order(nu, f)
-    f2 = ScalarFn(fn=f.d2fn, decay=f.decay, a=f.a, b=f.b, rate=f.rate,
-                  growth_degree=f.growth_degree)
+    f2 = replace(f, fn=f.d2fn, dfn=None, d2fn=None)
 
-    cache: dict[float, float] = {}
-
+    @cache
     def pf(x: float) -> float:
-        v = cache.get(x)
-        if v is None:
-            v = poisson_transform(nu, f, x, q)
-            cache[x] = v
-        return v
+        return poisson_transform(nu, f, x, q)
 
     r1s: list[float] = []
     r2s: list[float] = []

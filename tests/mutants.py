@@ -352,6 +352,20 @@ MUTANTS = (
         ("tests/test_numeric.py::test_fixed_point_stop_test_allows_for_the_truncation_error",),
     ),
     Mutant(
+        "j_{nu+2} for the derivatives always read through little_bessel_j",
+        "src/umbra/numeric.py",
+        "up = _hankel_expansion if _hankel_applies(nu, lam, x) else little_bessel_j",
+        "up = little_bessel_j",
+        ("tests/test_numeric.py::test_derivatives_match_mpmath_on_every_path",),
+    ),
+    Mutant(
+        "j' read from j_{nu+1} instead of j_{nu+2}",
+        "src/umbra/numeric.py",
+        "up(nu + 2, lam, t)",
+        "up(nu + 1, lam, t)",
+        ("tests/test_numeric.py::test_derivatives_match_mpmath_on_every_path",),
+    ),
+    Mutant(
         "metaplectic reporting on an empty column list",
         "src/umbra/heisenberg.py",
         "    if not cols:\n        raise ParameterError(",

@@ -329,27 +329,19 @@ def mp_integral(f, a, b):
     return float(mpmath.quad(f, [a, b]))
 
 
-def bessel_series_fraction(nu, lam, t, deriv):
-    """The deriv-th t-derivative of sum_n (-lam t^2)^n / c_n, summed
-    term by term in Fractions through the first n > isqrt(|lam t^2|) + 2
-    with |term_n| < 1e-25, as a Fraction; float() of it rounds once."""
-    zl, zt = Fraction(lam), Fraction(t)
-    z = zl * zt * zt
+def bessel_series_fraction(nu, lam, t):
+    """sum_n (-lam t^2)^n / c_n, summed term by term in Fractions
+    through the first n > isqrt(|lam t^2|) + 2 with |term_n| < 1e-25,
+    as a Fraction; float() of it rounds once."""
+    z = Fraction(lam) * Fraction(t) ** 2
     nu = Fraction(nu)
-    term = Fraction(1)
-    acc = Fraction(1) if deriv == 0 else Fraction(0)
+    term = acc = Fraction(1)
     n = 0
     peak = isqrt(int(abs(z))) + 2
     while True:
         n += 1
         term *= -z / (2 * n * (2 * n + nu - 1))
-        if deriv == 0:
-            piece = term
-        elif deriv == 1:
-            piece = term * (2 * n) / zt
-        else:
-            piece = term * (2 * n) * (2 * n - 1) / (zt * zt)
-        acc += piece
+        acc += term
         if n > peak and abs(term) < Fraction(1, 10**25):
             return acc
 

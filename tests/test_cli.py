@@ -226,6 +226,13 @@ def test_bad_rational_is_usage_error(capsys):
     assert "--poly" in err
 
 
+def test_poisson_intertwining_past_its_rule_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "verify", "--check", "poisson-intertwining", "--nu", "1e5")
+    assert (rc, out) == (2, "")
+    assert err.startswith("umbra: poisson-intertwining supports nu <= 8000 only, got 100000")
+    assert "64-node fixed rule" in err and err.count("\n") == 1
+
+
 def test_missing_nu_for_bessel_model(capsys):
     rc, _, err = run(capsys, "verify", "--check", "vacuum", "--model", "bessel")
     assert rc == 2

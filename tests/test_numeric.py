@@ -139,10 +139,8 @@ def exact_series_args(draw):
 @given(exact_series_args())
 def test_exact_series_matches_fraction_loop_bit_for_bit(args):
     nu, lam, t = args
-    for deriv in (0, 1, 2):
-        want = float(ref.bessel_series_fraction(nu, lam, t, deriv))
-        got = numeric._bessel_series_exact(nu, lam, t, deriv)
-        assert got.hex() == want.hex(), (nu, lam, t, deriv)
+    want = float(ref.bessel_series_fraction(nu, lam, t))
+    assert numeric._bessel_series_exact(nu, lam, t).hex() == want.hex()
 
 
 @pytest.mark.parametrize("nu, lam, t", [
@@ -152,9 +150,8 @@ def test_exact_series_matches_fraction_loop_bit_for_bit(args):
     (Fraction(8), 0.1, 123.456789),
 ])
 def test_exact_series_matches_fraction_loop_at_full_precision(nu, lam, t):
-    for deriv in (0, 1, 2):
-        want = float(ref.bessel_series_fraction(nu, lam, t, deriv))
-        assert numeric._bessel_series_exact(nu, lam, t, deriv).hex() == want.hex()
+    want = float(ref.bessel_series_fraction(nu, lam, t))
+    assert numeric._bessel_series_exact(nu, lam, t).hex() == want.hex()
 
 
 @settings(max_examples=40, deadline=None)
@@ -165,10 +162,9 @@ def test_fixed_point_enclosure_holds_at_low_precision(args, prec):
     nu, lam, t = args
     z = Fraction(lam) * Fraction(t) ** 2
     peak = math.isqrt(abs(z.numerator) // z.denominator) + 2
-    for deriv in (0, 1, 2):
-        s, err = numeric._fixed_point_series(z, nu, deriv, peak, prec)
-        exact = ref.bessel_series_fraction(nu, lam, t, deriv) * Fraction(t) ** deriv * 2**prec
-        assert s - err <= exact <= s + err, (nu, lam, t, deriv, prec)
+    s, err = numeric._fixed_point_series(z, nu, peak, prec)
+    exact = ref.bessel_series_fraction(nu, lam, t) * 2**prec
+    assert s - err <= exact <= s + err, (nu, lam, t, prec)
 
 
 @pytest.mark.parametrize("sign", [-1, 1])
@@ -192,10 +188,9 @@ def test_fixed_point_enclosure_holds_when_the_stop_is_in_doubt(side, sign):
     z = sign * Fraction(root + (side > 0), 2**k)
     assert (abs(z) ** 3 / c3 < Fraction(1, 10**25)) == (side < 0)
     for prec in range(100, 260, 10):
-        for deriv in (0, 1, 2):
-            s, err = numeric._fixed_point_series(z, nu, deriv, 2, prec)
-            exact = ref.bessel_series_fraction(nu, z, 1, deriv) * 2**prec
-            assert s - err <= exact <= s + err, (prec, deriv)
+        s, err = numeric._fixed_point_series(z, nu, 2, prec)
+        exact = ref.bessel_series_fraction(nu, z, 1) * 2**prec
+        assert s - err <= exact <= s + err, prec
 
 
 def test_fixed_point_stop_test_allows_for_the_truncation_error():
@@ -220,10 +215,9 @@ def test_fixed_point_stop_test_allows_for_the_truncation_error():
     z = -Fraction(hi, 2**k)
     peak = math.isqrt(abs(z.numerator) // z.denominator) + 2
     assert peak < n and abs(z) ** n / c >= Fraction(1, 10**25)
-    for deriv in (0, 1, 2):
-        s, err = numeric._fixed_point_series(z, nu, deriv, peak, prec)
-        exact = ref.bessel_series_fraction(nu, z, 1, deriv) * 2**prec
-        assert s - err <= exact <= s + err, deriv
+    s, err = numeric._fixed_point_series(z, nu, peak, prec)
+    exact = ref.bessel_series_fraction(nu, z, 1) * 2**prec
+    assert s - err <= exact <= s + err
 
 
 # -- Hankel's expansion for large arguments -----------------------------
@@ -235,6 +229,16 @@ def envelope(nu, lam, t):
     return float(mpmath.gamma(a + 1) * (2 / x) ** a * mpmath.sqrt(2 / (mpmath.pi * x)))
 
 
+def mp_j(nu, lam, t, n):
+    """The n-th t-derivative of j_nu(lam, t) = 0F1(; (nu+1)/2; -lam t^2/4)
+    from mpmath's hypergeometric function, differentiated by mpmath at
+    40 digits; independent of the contiguous relation under test."""
+    with mpmath.workdps(40):
+        b = (mpmath.mpf(Fraction(nu).numerator) / Fraction(nu).denominator + 1) / 2
+        lam = mpmath.mpf(lam)
+        return float(mpmath.diff(lambda s: mpmath.hyp0f1(b, -lam * s * s / 4), mpmath.mpf(t), n))
+
+
 LARGE_NUS = [1, 2, Fraction(5, 2), 3, Fraction(7, 2)]
 
 
@@ -244,7 +248,7 @@ LARGE_NUS = [1, 2, Fraction(5, 2), 3, Fraction(7, 2)]
 def test_large_argument_path_matches_mpmath(nu, x, lam):
     t = x / math.sqrt(lam)
     got = little_bessel_j(nu, lam, t)
-    assert got == numeric._bessel_large(nu, lam, t, 0)
+    assert got == numeric._hankel_expansion(nu, lam, t)
     want = ref.normalized_bessel(float(nu), lam, t)
     assert got == pytest.approx(want, abs=1e-12)
     assert abs(got - want) <= 1e-13 * envelope(nu, lam, t)
@@ -253,15 +257,18 @@ def test_large_argument_path_matches_mpmath(nu, x, lam):
 @pytest.mark.parametrize("nu", LARGE_NUS + [7])
 def test_large_argument_path_continuous_at_the_switch(nu):
     x = numeric._ASYMPTOTIC_X
-    series = [numeric._bessel_series_exact(Fraction(nu), 1.0, x, d) for d in range(3)]
+    series = numeric._bessel_series_exact(Fraction(nu), 1.0, x)
     large = little_bessel_j_with_derivatives(nu, 1.0, x)
     t_below = math.nextafter(x, 0.0)
-    below = little_bessel_j(nu, 1.0, t_below)
+    below = little_bessel_j_with_derivatives(nu, 1.0, t_below)
     env = envelope(nu, 1.0, x)
-    assert large[0] == numeric._bessel_large(nu, 1.0, x, 0)
-    for d in range(3):
-        assert abs(large[d] - series[d]) <= 1e-13 * env, d
-    assert abs(large[0] - below) <= (x - t_below) * abs(large[1]) + 1e-13 * env
+    assert large[0] == numeric._hankel_expansion(nu, 1.0, x)
+    assert abs(large[0] - series) <= 1e-13 * env
+    # the derivatives on either side of the switch against mpmath's
+    for t, got in ((x, large), (t_below, below)):
+        for d in (1, 2):
+            assert abs(got[d] - mp_j(nu, 1.0, t, d)) <= 1e-13 * env, (t, d)
+    assert abs(large[0] - below[0]) <= (x - t_below) * abs(large[1]) + 1e-13 * env
 
 
 @pytest.mark.parametrize("nu", [1.0, 2.0, 3.5])
@@ -272,13 +279,26 @@ def test_large_argument_path_derivatives(nu, lam, x):
     j, dj, d2j = little_bessel_j_with_derivatives(nu, lam, t)
     env = envelope(nu, lam, t)
     assert abs(d2j + (nu / t) * dj + lam * j) <= 1e-12 * lam * env
-    a = (mpmath.mpf(float(nu)) - 1) / 2
-    sl = mpmath.sqrt(lam)
-    want = mpmath.diff(
-        lambda s: mpmath.gamma(a + 1) * (2 / (sl * s)) ** a * mpmath.besselj(a, sl * s),
-        mpmath.mpf(t),
-    )
-    assert abs(dj - float(want)) <= 1e-12 * math.sqrt(lam) * env
+    assert abs(dj - mp_j(nu, lam, t, 1)) <= 1e-12 * math.sqrt(lam) * env
+
+
+@pytest.mark.parametrize("nu, lam, t", [
+    (2, 1.0, 1.5), (Fraction(5, 2), -3.0, 2.0),            # float series
+    (3, 2.0, 0.0), (Fraction(1, 3), -2.0, 0.0),            # t = 0
+    (Fraction(5, 2), 1.0, 30.0), (3, -4.0, -20.0),         # fixed-point series
+    (7, 0.25, 600.0), (Fraction(1, 3), -1.0, 700.0),
+    (2, 1.0, 2500.0), (Fraction(7, 2), 250.0, -200.0),     # Hankel's expansion
+    (31, 1.0, 5000.0), (28, 1.0, 4100.0),                  # j_{nu+2} beyond the series' budget
+])
+def test_derivatives_match_mpmath_on_every_path(nu, lam, t):
+    # j' = -lam t/(nu+1) j_{nu+2} and j'' = -lam j - (nu/t) j', with
+    # j_{nu+2} from the path j_nu took, against mpmath's derivatives;
+    # the scale is j's local amplitude max(|j|, |j'|/sqrt|lam|)
+    got = little_bessel_j_with_derivatives(nu, lam, t)
+    want = [mp_j(nu, lam, t, n) for n in range(3)]
+    size = max(abs(want[0]), abs(want[1]) / math.sqrt(abs(lam)))
+    for n in range(3):
+        assert abs(got[n] - want[n]) <= 1e-13 * size * abs(lam) ** (n / 2), (n, got, want)
 
 
 @pytest.mark.parametrize("nu, lam, t", [
@@ -410,6 +430,18 @@ def test_poisson_intertwining_quadratic_records_direction():
     rep = poisson_intertwining_check(3.0, f, [1.0, 2.0])
     assert rep.direction_holding is not None
     assert rep.max_residual <= 1e-6  # residual of the direction that holds
+
+
+def test_poisson_intertwining_refuses_nu_past_what_its_rule_resolves():
+    # the 64-node rule still resolves the peak of (cos theta)^(nu-1) at
+    # the bound; past it r2 crosses the default tolerance (1.0e-6 at
+    # nu = 8250), so the check refuses instead of reporting "neither"
+    grid = [0.5 + 4.5 * k / 19 for k in range(20)]
+    rep = poisson_intertwining_check(numeric._POISSON_CHECK_MAX_NU, canned_fn("cos"), grid)
+    assert rep.direction_holding == "r2"
+    for nu in (math.nextafter(numeric._POISSON_CHECK_MAX_NU, math.inf), 1e5):
+        with pytest.raises(ParameterError, match="64-node fixed rule"):
+            poisson_intertwining_check(nu, canned_fn("cos"), grid)
 
 
 # -- Hankel transform --------------------------------------------------
