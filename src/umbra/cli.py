@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache, cached_property, partial
@@ -529,9 +530,21 @@ def _add_common(p: argparse.ArgumentParser, *, model: bool = False) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a word starting with "-" and a
+    digit, or "-." and a digit, as a value, never as a flag, so that
+    ``--poly -1,2`` and ``--y -1/2`` parse as ``--poly=-1,2`` and
+    ``--y=-1/2`` do, as ``--x -1`` always did.  No umbra flag looks like
+    that.  ``add_subparsers`` makes the subparsers of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="umbra",
         description="Exact ladder-operator calculus and its numeric transforms.",
     )

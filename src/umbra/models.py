@@ -170,6 +170,53 @@ class UmbralModel:
         checks and the squared-ladder triple share."""
         return OpWordTable(self.lowering, self.raising)
 
+    @functools.cached_property
+    def lowering_image(self) -> tuple[LinearOp, tuple[int | None, bool]]:
+        """L B and the outcome of L B = B S_down on columns 0..n_max,
+        made once per model for every check that reads them."""
+        return _ladder_image(self.lowering, self.basis_op, _s_down(self.degree_cap), self.n_max + 1)
+
+    @functools.cached_property
+    def raising_image(self) -> tuple[LinearOp, tuple[int | None, bool]]:
+        """R B and the outcome of R B = B S_up on columns 0..n_max-1 (at
+        the top the raising already truncated)."""
+        return _ladder_image(self.raising, self.basis_op, _s_up(self.degree_cap), self.n_max)
+
+    @functools.cached_property
+    def vacuum_outcome(self) -> tuple[int | None, bool]:
+        """The outcome of l_0 B = e_0 on columns 0..n_max."""
+        return pairing_mismatch(vacuum_op(self) @ self.basis_op, 0, self.n_max)
+
+    @functools.cached_property
+    def fock_twin(self) -> UmbralModel | None:
+        """monomial(n_max), on whose Fock pair (d/dt, t*) the ladder-word
+        checks decide this model (the argument is in ``heisenberg``), or
+        None when the premise fails.  The premise, d = degree_of_index:
+        the ladder and vacuum axioms find no failure and no taint; no
+        mark of L lies at or below d(n_max), none of R at or below
+        d(n_max-1), none of B on p_0..p_n_max; and B is graded
+        triangular: p_n lies in the model's space, with its top nonzero
+        coefficient at t^d(n)."""
+        top, d, b = self.n_max, self.degree_of_index, self.basis_op
+        outcomes = (self.lowering_image[1], self.raising_image[1], self.vacuum_outcome)
+        if any(bad is not None for bad, _ in outcomes):
+            return None
+        marked = (
+            any(j <= d(top) for j in self.lowering.trunc_cols)
+            or any(j <= d(top - 1) for j in self.raising.trunc_cols)
+            or any(n <= top for n in b.trunc_cols)
+        )
+        if marked or any(tainted for _, tainted in outcomes):
+            return None
+        even = self.parity is Parity.EVEN
+        graded = all(
+            rows and rows[-1] == d(n) and not (even and any(i % 2 for i in rows))
+            for n, (rows, _) in enumerate(b.cols[: top + 1])
+        )
+        if not graded:
+            return None
+        return build_model("monomial", top)
+
 
 def _form(
     rows: Sequence[int], vals: Sequence[int], den: int
@@ -330,26 +377,58 @@ def _build_even(name: str, n_max: int, cap: int | None, nu: Fraction) -> UmbralM
     )
 
 
+def require_basis_in_space(m: UmbralModel, top: int) -> None:
+    """Refuse a model whose p_n, for some n <= top, lies outside its
+    space (DomainError)."""
+    for rows, _ in m.basis_op.cols[: top + 1]:
+        m.check_degrees_in_space(rows)
+
+
 def basis_matrix(m: UmbralModel, top: int) -> LinearOp:
     """B cut to p_0..p_top: its columns and marks for n <= top, each
     column checked to lie in the model's space; every other column is
     zero and unmarked.  The ladder axioms are operator identities on
     it."""
+    require_basis_in_space(m, top)
     b = m.basis_op
-    for rows, _ in b.cols[: top + 1]:
-        m.check_degrees_in_space(rows)
     return LinearOp(
         b.cols[: top + 1] + (EMPTY,) * (b.cap - top), b.den, b.cap,
         [n for n in b.trunc_cols if n <= top],
     )
 
 
+def _s_down(cap: int) -> LinearOp:
+    """S_down e_n = e_{n-1}, S_down e_0 = 0."""
+    return LinearOp([EMPTY] + [((j - 1,), (1,)) for j in range(1, cap + 1)], 1, cap)
+
+
+def _s_up(cap: int) -> LinearOp:
+    """S_up e_n = (n+1) e_{n+1}; its top column is zero."""
+    return LinearOp([((j + 1,), (j + 1,)) for j in range(cap)] + [EMPTY], 1, cap)
+
+
+def _ladder_image(
+    op: LinearOp, b: LinearOp, shift: LinearOp, count: int
+) -> tuple[LinearOp, tuple[int | None, bool]]:
+    """(op B, the outcome of op B = B shift on columns 0..count-1)."""
+    image = op @ b
+    return image, image.compare_on_columns(b @ shift, range(count))
+
+
 def lowering_mismatch(m: UmbralModel, b: LinearOp, top: int) -> tuple[int | None, bool]:
     """L B = B S_down on columns 0..top, with S_down e_n = e_{n-1}:
     the first n with L p_n != p_{n-1} (p_{-1} = 0), and the taint."""
-    cap = m.degree_cap
-    s_down = LinearOp([EMPTY] + [((j - 1,), (1,)) for j in range(1, cap + 1)], 1, cap)
-    return (m.lowering @ b).compare_on_columns(b @ s_down, range(top + 1))
+    return _ladder_image(m.lowering, b, _s_down(m.degree_cap), top + 1)[1]
+
+
+def lowering_outcome(m: UmbralModel, top: int) -> tuple[int | None, bool]:
+    """``lowering_mismatch`` on p_0..p_top, each checked to lie in the
+    model's space: the cached one at top = n_max, below it the cheaper
+    product with ``basis_matrix(m, top)``."""
+    if top == m.n_max:
+        require_basis_in_space(m, top)
+        return m.lowering_image[1]
+    return lowering_mismatch(m, basis_matrix(m, top), top)
 
 
 def vacuum_op(m: UmbralModel) -> LinearOp:
@@ -408,32 +487,42 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
     * ``ladder-raising``:  R B = B S_up on columns n < n_max
     * ``vacuum``:          l_0 B = e_0, i.e. <l_0, p_n> = delta_{0n}
     * ``commutator``:      [R, L] B = -iota B on columns n < n_max
-      (the top index is excluded: there the raising already truncated),
-      with R L and L R taken from the model's word table, where the
-      formal checks find them again
+      (the top index is excluded: there the raising already truncated)
 
     ``LinearOp.compare_on_columns`` decides each: a differing column
     fails, else a compared column marked truncated is "inconclusive".
+    The first three are the model's cached outcomes.  The commutator, a
+    combination of the words R L and L R, is decided on the model's Fock
+    twin (``fock_twin``) when it has one, as ``heisenberg`` transports
+    every ladder word; when it has none, or the twin's identity does not
+    pass, on the model's own word table (``_commutator_mismatch``, the
+    direct path).
     """
     from .reports import VerificationReport, status_of
 
     params: dict[str, object] = {"degree": m.n_max}
     if m.nu is not None:
         params["nu"] = m.nu
-    top, cap = m.n_max, m.degree_cap
-    b = m.basis_op
-    s_up = LinearOp([((j + 1,), (j + 1,)) for j in range(cap)] + [EMPTY], 1, cap)
-    comm = m.words.op("RL") - m.words.op("LR")
+    twin = m.fock_twin
+    comm = None if twin is None else _commutator_mismatch(twin)
     outcomes = {
-        "ladder-lowering": lowering_mismatch(m, b, top),
-        "ladder-raising": (m.raising @ b).compare_on_columns(b @ s_up, range(top)),
-        "vacuum": pairing_mismatch(vacuum_op(m) @ b, 0, top),
-        "commutator": (comm @ b).compare_on_columns(b.scale(-IOTA), range(top)),
+        "ladder-lowering": m.lowering_image[1],
+        "ladder-raising": m.raising_image[1],
+        "vacuum": m.vacuum_outcome,
+        "commutator": comm if comm == (None, False) else _commutator_mismatch(m),
     }
     return [
         VerificationReport(check, m.label(), dict(params), status_of(bad, tainted), first_failure=bad)
         for check, (bad, tainted) in outcomes.items()
     ]
+
+
+def _commutator_mismatch(m: UmbralModel) -> tuple[int | None, bool]:
+    """[R, L] B = -iota B on columns n < n_max, with R L and L R taken
+    from the model's word table."""
+    comm = m.words.op("RL") - m.words.op("LR")
+    b = m.basis_op
+    return (comm @ b).compare_on_columns(b.scale(-IOTA), range(m.n_max))
 
 
 # each catalog name as (family builder, parameter); bessel's nu comes

@@ -260,7 +260,12 @@ def poisson_transform(
     singularity of the (x^2-t^2) kernel, but only for nu >= 1; smaller
     nu is refused rather than mis-integrated.  So is nu > 1e6, where
     (cos theta)^(nu-1) has a rounding error of about nu 2^-53 and a peak
-    at 0 of width nu^(-1/2), soon narrower than the rule can see."""
+    at 0 of width nu^(-1/2), soon narrower than the rule can see.  The
+    absolute tolerance of ``q`` bounds the value, C(nu) times the
+    integral, to within a factor of 2: the integral gets it divided by
+    the integer part of C(nu), at least 1.  Below nu = 6.28, where
+    C(nu) < 2, that is 1 and no value moves; C(nu) grows like
+    sqrt(2 nu / pi), 252 at nu = 1e5."""
     _require_finite(nu=nu, x=x)
     if nu < 1:
         raise ParameterError(
@@ -279,7 +284,9 @@ def poisson_transform(
         c = math.cos(theta)
         return (c ** (nu - 1.0) if nu != 1 else 1.0) * f(x * math.sin(theta))
 
-    return poisson_constant(nu) * integrate(integrand, 0.0, math.pi / 2, q)
+    c = poisson_constant(nu)
+    q = replace(q, abs_tol=q.abs_tol / max(math.floor(c), 1))
+    return c * integrate(integrand, 0.0, math.pi / 2, q)
 
 
 def _richardson_d1(g: Callable[[float], float], x: float, h: float) -> float:

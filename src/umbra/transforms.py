@@ -53,9 +53,9 @@ from .core import (
     integer_vector,
 )
 from .kernels import EMPTY, Column, icol_eq
-from .models import Parity, UmbralModel, basis_matrix, require_order, vacuum_op
+from .models import Parity, UmbralModel, lowering_outcome, require_order, vacuum_op
 from .models import dual_functionals  # noqa: F401  (public here: the duals l_k)
-from .models import _derivative_op, _mult_by_t_op, lowering_mismatch, pairing_mismatch
+from .models import _derivative_op, _mult_by_t_op, pairing_mismatch
 from .reports import VerificationReport, status_of
 
 
@@ -252,7 +252,9 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
     image being outside the safe zone), tested in that order as
     W0 B = diag(1/n!), W0 (L B) = D_u (W0 B) and W0 (R B) = U (W0 B),
     with W0 = diag(1/k!) D and the taint gathered across them; U marks
-    its top column, as u * flags a coefficient pushed past the cap.  An
+    its top column, as u * flags a coefficient pushed past the cap.
+    L B and R B are the model's cached images (``lowering_image``,
+    ``raising_image``).  An
     image L p_n or R p_n outside the model's space raises DomainError.
     Last, ``covariant_w0`` of sum_n (n+1)/(n+2) p_n must be
     sum_n (n+1)/(n+2) u^n/n!."""
@@ -262,7 +264,7 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
     inv_fact = LinearOp(cols + [EMPTY] * (cap - top), f, cap)
     w0, b = inv_fact @ m.dual_op, m.basis_op
     wb = w0 @ b
-    lb, rb = m.lowering @ b, m.raising @ b
+    lb, rb = m.lowering_image[0], m.raising_image[0]
     bad, tainted = None, False
     for kind, image, lhs, rhs, cols in (
         ("image", b, wb, inv_fact, range(top + 1)),
@@ -303,12 +305,14 @@ def generating_function(m: UmbralModel, order: int) -> GeneratingTable:
     """Coefficient table of F(s, t) to s-order ``order``, plus an exact
     verification that L_t F = s F order by order: the s^{k+1} row of
     L F must equal row k, and L applied to row 0 must vanish.  That is
-    L B = B S_down on the basis matrix B built up to ``order``.  The
-    rows are B's columns 0..order, read straight off its integers."""
+    L B = B S_down on columns 0..order (``models.lowering_outcome``:
+    the model's cached outcome at order n_max, the product with B cut
+    to p_0..p_order below it).  The rows are B's columns 0..order, read
+    straight off its integers."""
     require_order(m, order)
     b = m.basis_op
     rows = tuple(column_poly(col, b.den, m.degree_cap).coeffs for col in b.cols[: order + 1])
-    bad, tainted = lowering_mismatch(m, basis_matrix(m, order), order)
+    bad, tainted = lowering_outcome(m, order)
     report = VerificationReport(
         check="generating-function",
         model=m.label(),

@@ -23,7 +23,19 @@ the package's one power loop, which ends after the first zero power.
 The translation runs on kernel columns from input to output: p_k(y)
 from column k of the basis matrix, and one ``Poly`` at the end.
 ``binomial_sweep`` is the binomial check over a range of n, as
-``verify`` runs it.
+``verify`` runs it.  It builds no table where the expansion theorem of
+finite operator calculus decides the identity (Rota, Kahaner and
+Odlyzko 1973; Roman, *The Umbral Calculus*, 1984, ch. 2): the basic
+sequence of a delta operator is of binomial type.  On the capped space,
+if L commutes with d/dt and L t is a nonzero constant, then L = f(d/dt)
+with f(0) = 0 != f'(0) (what commutes with the nilpotent d/dt is a
+polynomial in it), a delta operator, whose kernel is the constants, and
+L commutes with the shift E^y = sum_i y^i (d/dt)^i / i!.  With
+q_n(t) = p_n(t+y) - sum_{k<=n} p_{n-k}(y) p_k(t), the ladder axiom
+gives L q_n = q_{n-1}, q_{-1} = 0, and the vacuum p_k(0) = delta_k0
+gives q_n(0) = 0, so by induction every q_n is 0.  Without the delta
+test the premise would be too weak: L = (d/dt)^2 with p_0 = 1,
+p_1 = t^2/2 meets the rest, and p_1(t+y) != p_1(t) + p_1(y).
 """
 
 from __future__ import annotations
@@ -41,8 +53,8 @@ from .core import (
     integer_vector,
 )
 from .kernels import imat_comb
-from .models import UmbralModel, basis_matrix, require_order
-from .models import _form, lowering_mismatch, pairing_mismatch, vacuum_op
+from .models import UmbralModel, basis_matrix, require_basis_in_space, require_order
+from .models import _derivative_op, _form, lowering_mismatch, pairing_mismatch, vacuum_op
 from .reports import VerificationReport, status_of
 from .transforms import require_model_input
 
@@ -90,15 +102,7 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
     """
     if not 0 <= n <= m.n_max:
         raise CapMismatchError(f"basis index {n} outside 0..{m.n_max}")
-    if not m.shift_invariant:
-        raise ParameterError(
-            f"not binomial type: {m.label()} has no shift-invariant "
-            "lowering operator"
-        )
-    if not m.vacuum_is_eval0():
-        raise ParameterError(
-            f"not binomial type: {m.label()} vacuum is not evaluation at 0"
-        )
+    _require_binomial_type(m)
     # Taylor: p_n(t + y) = sum_i t^i (d/dy)^i p_n(y) / i!, as pairs of integer forms
     b, forms = m.basis_op, m.basis_forms
     c, den = forms[n]
@@ -116,15 +120,61 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
     )
 
 
+def _require_binomial_type(m: UmbralModel) -> None:
+    """Refuse a model outside the binomial-type hypotheses: a lowering
+    operator that is not shift-invariant, or a vacuum that is not
+    evaluation at 0 (ParameterError naming the failed one)."""
+    if not m.shift_invariant:
+        raise ParameterError(
+            f"not binomial type: {m.label()} has no shift-invariant "
+            "lowering operator"
+        )
+    if not m.vacuum_is_eval0():
+        raise ParameterError(
+            f"not binomial type: {m.label()} vacuum is not evaluation at 0"
+        )
+
+
 def binomial_sweep(m: UmbralModel, top: int) -> list[VerificationReport]:
     """``binomial_check`` at n = 0..top in turn, as ``verify`` runs it:
     the first report that does not pass, or one pass report for the
-    whole range."""
+    whole range.  For 0 <= top <= n_max the refusals come first; then,
+    where ``_expansion_theorem_applies``, the pass report comes with no
+    table built.  Otherwise the tables decide
+    (``_binomial_sweep_by_tables``, the direct path)."""
+    if 0 <= top <= m.n_max:
+        _require_binomial_type(m)
+        if _expansion_theorem_applies(m, top):
+            return [VerificationReport("binomial", m.label(), {"n_max": top}, status_of(None))]
+    return _binomial_sweep_by_tables(m, top)
+
+
+def _binomial_sweep_by_tables(m: UmbralModel, top: int) -> list[VerificationReport]:
+    """The sweep on the two-variable tables of ``binomial_check``, n by
+    n: the direct path."""
     for n in range(top + 1):
         r = binomial_check(m, n)
         if not r.passed:
             return [r]
     return [VerificationReport("binomial", m.label(), {"n_max": top}, status_of(None))]
+
+
+def _expansion_theorem_applies(m: UmbralModel, top: int) -> bool:
+    """Whether the expansion theorem (see the module docstring) decides
+    the binomial identity for n <= top, the vacuum being evaluation at
+    0: the cached ladder and vacuum outcomes find no failure and no
+    taint, L has no marks and B none on p_0..p_top, L t is a nonzero
+    constant and L d/dt = d/dt L on the capped space."""
+    low, cap = m.lowering, m.degree_cap
+    dt = _derivative_op(cap)
+    return (
+        m.lowering_image[1] == (None, False)
+        and m.vacuum_outcome == (None, False)
+        and not low.trunc_cols
+        and not any(n <= top for n in m.basis_op.trunc_cols)
+        and low.cols[1][0] == (0,)
+        and low @ dt == dt @ low
+    )
 
 
 def generalized_translate(m: UmbralModel, y: Fraction | int, f: Poly) -> Poly:
@@ -202,16 +252,23 @@ def delsarte_eigen_check(m: UmbralModel, order: int) -> VerificationReport:
     L B = B S_down and l_0 B = e_0 on the basis matrix B; at equal n,
     value-at-0 fails first.  Requires a vacuum equal to evaluation at 0
     (otherwise the second condition is not the model's own
-    normalization and the check refuses to run)."""
+    normalization and the check refuses to run).  At order n_max both
+    outcomes are the model's cached ones (``vacuum_outcome``,
+    ``lowering_image``); below it they come from B cut to
+    p_0..p_order, whose products cost less."""
     require_order(m, order)
     if not m.vacuum_is_eval0():
         raise ParameterError(
             f"{m.label()} vacuum is not evaluation at 0; the eigenfunction "
             "normalization p_n(0) = delta_0n does not apply"
         )
-    b = basis_matrix(m, order)
-    at0, tainted0 = pairing_mismatch(vacuum_op(m) @ b, 0, order)
-    low, tainted = lowering_mismatch(m, b, order)
+    if order == m.n_max:
+        require_basis_in_space(m, order)
+        (at0, tainted0), (low, tainted) = m.vacuum_outcome, m.lowering_image[1]
+    else:
+        b = basis_matrix(m, order)
+        at0, tainted0 = pairing_mismatch(vacuum_op(m) @ b, 0, order)
+        low, tainted = lowering_mismatch(m, b, order)
     bad = None
     if at0 is not None and (low is None or at0 <= low):
         bad = ("value-at-0", at0)

@@ -340,8 +340,8 @@ MUTANTS = (
     Mutant(
         "ladder-raising compared on the top column too",
         "src/umbra/models.py",
-        "compare_on_columns(b @ s_up, range(top))",
-        "compare_on_columns(b @ s_up, range(top + 1))",
+        "_s_up(self.degree_cap), self.n_max)",
+        "_s_up(self.degree_cap), self.n_max + 1)",
         ("tests/test_models.py::test_catalog_verifies",),
     ),
     Mutant(
@@ -416,6 +416,44 @@ MUTANTS = (
         "return icol_eq(*self.vacuum, *EVAL0)",
         "return self.vacuum == EVAL0",
         ("tests/test_models.py::test_eval0_is_read_over_any_denominator",),
+    ),
+    Mutant(
+        "the Fock premise skipping the raising comparison",
+        "src/umbra/models.py",
+        "outcomes = (self.lowering_image[1], self.raising_image[1], self.vacuum_outcome)",
+        "outcomes = (self.lowering_image[1], self.vacuum_outcome)",
+        (
+            "tests/test_truncation_rule.py::test_a_raising_that_fails_its_ladder_leaves_no_fock_twin",
+            "tests/test_truncation_rule.py::test_the_premise_paths_report_what_the_direct_paths_report",
+        ),
+    ),
+    Mutant(
+        "the Fock premise ignoring the marks",
+        "src/umbra/models.py",
+        "if marked or any(tainted for _, tainted in outcomes):",
+        "if False:",
+        ("tests/test_truncation_rule.py::test_a_marked_raising_never_passes",),
+    ),
+    Mutant(
+        "the Fock premise without the triangularity test",
+        "src/umbra/models.py",
+        "if not graded:",
+        "if False:",
+        ("tests/test_truncation_rule.py::test_a_basis_that_is_not_graded_leaves_no_fock_twin",),
+    ),
+    Mutant(
+        "the expansion theorem without L d/dt = d/dt L",
+        "src/umbra/translations.py",
+        "\n        and low @ dt == dt @ low",
+        "",
+        ("tests/test_truncation_rule.py::test_a_lowering_that_does_not_commute_with_d_dt_is_swept_by_tables",),
+    ),
+    Mutant(
+        "the expansion theorem without the delta-operator test",
+        "src/umbra/translations.py",
+        "\n        and low.cols[1][0] == (0,)",
+        "",
+        ("tests/test_truncation_rule.py::test_a_lowering_that_is_no_delta_operator_is_swept_by_tables",),
     ),
     Mutant(
         "a float command's registry row holding its numeric function, bound at import",

@@ -512,3 +512,27 @@ def test_the_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     fresh = _outcomes(capsys, argvs)
     assert reused == fresh + fresh
     assert {rc for rc, _, _ in fresh} == {0, 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ("translate", "--model", "monomial", "--degree", "4", "--poly", "-1,2", "--y", "-1/2"),
+    ("translate", "--model", "monomial", "--degree", "4", "--poly=-1,2", "--y=-1/2"),
+])
+def test_a_value_flag_takes_a_value_that_starts_with_a_minus_sign(capsys, argv):
+    """``--poly -1,2`` and ``--y -1/2`` are values, as ``--poly=-1,2``
+    (the form perfbench writes) and ``--y=-1/2`` are: T^(-1/2) of
+    -1 + 2t is -2 + 2t."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (0, "-2, 2\n", "")
+
+
+def test_a_float_command_reads_a_spaced_negative_value_as_the_joined_one(capsys):
+    """``--poly -1,2`` and ``--grid -.5,-1/2`` give what ``--poly=-1,2``
+    and ``--grid=-.5,-1/2`` give."""
+    outputs = []
+    for poly, grid in ((["--poly", "-1,2"], ["--grid", "-.5,-1/2"]), (["--poly=-1,2"], ["--grid=-.5,-1/2"])):
+        outputs.append(run(capsys, "bessel", "poisson", "--nu", "2", *poly, "--x", "0.5"))
+        outputs.append(run(capsys, "bessel", "j", "--nu", "2", *grid, "--format", "json"))
+    assert outputs[:2] == outputs[2:]
+    assert [rc for rc, _, _ in outputs] == [0] * 4
+    assert [row["t"] for row in json.loads(outputs[1][1])] == [-0.5, -0.5]

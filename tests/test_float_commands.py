@@ -227,6 +227,17 @@ def test_a_float_input_ends_in_a_finite_value_or_a_typed_error(argv):
         assert got["stderr"].count("\n") == 1
 
 
+def test_a_given_poisson_tolerance_bounds_the_value_not_the_integral():
+    """At nu = 1e5 the constant C(nu) in front of the Poisson integral
+    is 252, so a tolerance of 1e-3 on the integral alone left the value
+    4.3e-2 off j_nu; the value is now within 1e-3 of it."""
+    point = ["--nu", "1e5", "--x", "0.5"]
+    poisson = _run(["bessel", "poisson", *point, "--fn", "cos", "--tol", "1e-3"])
+    j = _run(["bessel", "j", *point])
+    assert poisson["exit"] == j["exit"] == 0
+    assert abs(float(poisson["stdout"]) - float(j["stdout"])) < 1e-3
+
+
 def _write() -> None:
     GOLDEN.write_text(json.dumps({name: _run(argv) for name, argv in sorted(CASES.items())},
                                  indent=1, sort_keys=True) + "\n")

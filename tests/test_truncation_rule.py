@@ -5,14 +5,18 @@ The covariant, binomial and character oracles are the Fraction loops
 the operator and integer-table forms of those checks replaced; so are
 the oracles of the basis expansion, the reassembly, ``covariant_w0``,
 the squared-ladder diagonals, the duals and the generalized
-translation, which are compared value, flag and refusal alike."""
+translation, which are compared value, flag and refusal alike.  The
+checks that a premise may decide, on the Fock twin or by the expansion
+theorem, report what their direct paths report."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umbra import heisenberg, models, translations
 from umbra.core import (
     DomainError, LinearOp, ParameterError, Poly, UmbraError, column_poly, integer_vector,
 )
@@ -25,8 +29,10 @@ from umbra.heisenberg import (
     weyl_relation_check,
 )
 from umbra.kernels import EMPTY
-from umbra.models import IOTA, Parity, basis_matrix, build_model, pairing_mismatch, verify_model
-from umbra.reports import PASS
+from umbra.models import (
+    IOTA, MODEL_NAMES, Parity, basis_matrix, build_model, pairing_mismatch, verify_model,
+)
+from umbra.reports import PASS, VerificationReport, status_of
 from umbra.transforms import (
     biorthogonality_check,
     check_transmutation_intertwining,
@@ -37,7 +43,9 @@ from umbra.transforms import (
     reassemble,
     umbral_map,
 )
-from umbra.translations import binomial_check, character_check, delsarte_eigen_check, generalized_translate
+from umbra.translations import (
+    binomial_check, binomial_sweep, character_check, delsarte_eigen_check, generalized_translate,
+)
 
 import reference as ref
 
@@ -489,3 +497,131 @@ def test_the_marks_of_d_reach_the_transmutation_and_its_check(name):
     others = [biorthogonality_check(m), covariant_check(m)]
     assert [r.status for r in others] == ["inconclusive"] * 2
     assert covariant_w0(m, Poly.monomial(2, 8)).truncated
+
+
+# -- the Fock twin and the expansion theorem decide as the direct path --
+
+def _decided_and_direct(m, order, top):
+    """For each check that ``UmbralModel.fock_twin`` or the expansion
+    theorem may decide: (the call as ``verify`` makes it, the direct
+    path on m's own operators)."""
+    def commutator_direct():
+        bad, tainted = models._commutator_mismatch(m)
+        params = {"degree": m.n_max} | ({} if m.nu is None else {"nu": m.nu})
+        return [VerificationReport("commutator", m.label(), params, status_of(bad, tainted), first_failure=bad)]
+
+    return {
+        "group-law": (lambda: [group_law_check(m, order)], lambda: heisenberg._group_law(m, order)),
+        "weyl": (lambda: [weyl_relation_check(m, order)], lambda: heisenberg._weyl(m, order)),
+        "composition": (lambda: [composition_check_formal(m, order)],
+                        lambda: heisenberg._composition(m, order)),
+        "metaplectic": (lambda: metaplectic_check(m), lambda: heisenberg._metaplectic(m)),
+        "sl2": (lambda: [sl2_closure_check(m)], lambda: heisenberg._sl2_closure(m)),
+        "commutator": (lambda: [r for r in verify_model(m) if r.check == "commutator"],
+                       commutator_direct),
+        "binomial": (lambda: binomial_sweep(m, top),
+                     lambda: translations._binomial_sweep_by_tables(m, top)),
+    }
+
+
+def _assert_decided_as_directly(m, order, top):
+    for name, (decided, direct) in _decided_and_direct(m, order, top).items():
+        assert _any_outcome(decided) == _any_outcome(direct), name
+
+
+@settings(max_examples=120, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)), st.booleans())
+def test_the_premise_paths_report_what_the_direct_paths_report(case, at_top):
+    """Report for report, field for field, refusals alike: the checks
+    decided on the Fock twin and the binomial sweep decided by the
+    expansion theorem, against the same checks on the model's own
+    operators, on perturbed models whose cap may exceed the top basis
+    degree, with the sweep to n_max or to the drawn order."""
+    m, _, order = case
+    _assert_decided_as_directly(m, order, m.n_max if at_top else order)
+
+
+def test_the_catalog_models_are_decided_on_their_fock_twin():
+    """Every catalog model meets the premise of the transport, and the
+    binomial-type ones that of the expansion theorem; heat and Bessel
+    lower by a second-order operator, L t = 0, so no delta operator."""
+    for name in MODEL_NAMES:
+        m = build_model(name, 8, Fraction(5, 2) if name == "bessel" else None)
+        twin = m.fock_twin
+        assert (twin.name, twin.n_max) == ("monomial", 8), name
+        if name != "hermite":
+            want = name in ("monomial", "lower-factorial", "upper-factorial")
+            assert translations._expansion_theorem_applies(m, 8) == want, name
+        _assert_decided_as_directly(m, 4, 8)
+
+
+def test_a_raising_that_fails_its_ladder_leaves_no_fock_twin():
+    """monomial(6) with R t^2 = 2 t^3: R p_2 = t^3 != 3 p_3, so the
+    formal checks run on the model, and fail there."""
+    m = build_model("monomial", 6)
+    d = _plain(m)
+    d["R"][3][2] += 1
+    m = _rebuilt(m, d)
+    assert m.fock_twin is None
+    report = group_law_check(m, 2)
+    assert report.status == "fail"
+    assert [report] == heisenberg._group_law(m, 2)
+
+
+def test_a_basis_that_is_not_graded_leaves_no_fock_twin():
+    """monomial(2) at cap 4 with p_0 = 1 + t^4, L t = 1 + t^4,
+    L t^4 = 0 and R unmarked: every ladder axiom holds, untainted, but
+    p_0..p_2 do not span 1, t, t^2.  On the safe column 1 the Weyl
+    relation's L R - R L - 1 gives t^4, so the check fails, where the
+    twin would pass."""
+    m = build_model("monomial", 2, cap=4)
+    d = _plain(m)
+    d["L"][4][1] += 1
+    d["L"][3][4] = 0
+    d["r_marks"].clear()
+    d["basis"][0][4] = Fraction(1)
+    m = _rebuilt(m, d)
+    assert [r.status for r in verify_model(m)] == [PASS] * 4
+    assert m.fock_twin is None
+    report = weyl_relation_check(m, 2)
+    assert report.status == "fail"
+    assert [report] == heisenberg._weyl(m, 2)
+
+
+def _binomial_like(name, n_max, cap, low, basis):
+    """The catalog model with L t^j = low(j) t^(j - k), k = 1 or 2 as
+    low returns it, and p_n = basis(n); shift-invariant, vacuum
+    evaluation at 0, no marks."""
+    m = build_model(name, n_max, cap=cap)
+    d = _plain(m)
+    d["L"] = [[Fraction(0)] * (cap + 1) for _ in range(cap + 1)]
+    for j in range(cap + 1):
+        k, x = low(j)
+        if x:
+            d["L"][j - k][j] = Fraction(x)
+    d["basis"] = [basis(n) + [Fraction(0)] * (cap + 1 - len(basis(n))) for n in range(n_max + 1)]
+    return _rebuilt(m, d)
+
+
+def test_a_lowering_that_does_not_commute_with_d_dt_is_swept_by_tables():
+    """L = d/dt t d/dt, L t^j = j^2 t^(j-1), with p_n = t^n/(n!)^2: a
+    lowering with L t = 1 and the ladder and vacuum axioms met, but not
+    shift-invariant, so p_2(t+y) != p_2(t) + p_1(t) p_1(y) + p_2(y)."""
+    m = _binomial_like("monomial", 4, 4, lambda j: (1, j * j),
+                       lambda n: [Fraction(0)] * n + [Fraction(1, math.factorial(n) ** 2)])
+    assert not translations._expansion_theorem_applies(m, 4)
+    got = binomial_sweep(m, 4)
+    assert [(r.status, r.first_failure is not None) for r in got] == [("fail", True)]
+    assert got == translations._binomial_sweep_by_tables(m, 4)
+
+
+def test_a_lowering_that_is_no_delta_operator_is_swept_by_tables():
+    """L = (d/dt)^2 commutes with d/dt, and p_0 = 1, p_1 = t^2/2,
+    p_2 = t^4/24 meet the ladder and vacuum axioms at cap 4, but L t = 0:
+    p_1(t+y) != p_1(t) + p_1(y)."""
+    m = _binomial_like("monomial", 2, 4, lambda j: (2, j * (j - 1)),
+                       lambda n: [Fraction(0)] * (2 * n) + [Fraction(1, math.factorial(2 * n))])
+    assert not translations._expansion_theorem_applies(m, 2)
+    got = binomial_sweep(m, 2)
+    assert [(r.status, r.first_failure is not None) for r in got] == [("fail", True)]
+    assert got == translations._binomial_sweep_by_tables(m, 2)
