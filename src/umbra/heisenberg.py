@@ -29,20 +29,20 @@ t^d(0)..t^d(n_max-M) that the checks compare, and each letter keeps
 that span, where no mark lies: a pass on the twin is an untainted pass
 on the model.  The sl2 closure reads its diagonals through the duals
 l_k = l_0 L^k, so the premise holds the vacuum axiom too.  Each check
-refuses on the model first, so its messages name the model.  With no
-twin, or a twin report that does not pass, the check runs on the model
-(``_group_law``, ``_weyl``, ``_composition``, ``_metaplectic``,
-``_sl2_closure``: the direct path), so only the direct path ever
-reports "fail" or "inconclusive".
+is one function: it refuses on the model first, so its messages name
+the model, then runs itself on the twin (``models.on_fock_twin``), and
+with no twin, or a twin report that does not pass, runs its body on
+the model (the direct path).  So only the direct path ever reports
+"fail" or "inconclusive".  Monomial is the Fock pair itself and has no
+twin, so the twin's own call takes the direct path.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     CapShortfallError,
@@ -55,7 +55,7 @@ from .core import (
     op_commutator,
 )
 from .formal import FormalOpSeries, OpWordTable, max_abs_entry, series_first_difference
-from .models import UmbralModel
+from .models import UmbralModel, on_fock_twin
 from .reports import VerificationReport, status_of
 from .kernels import EMPTY
 from .transforms import require_column_input
@@ -148,28 +148,6 @@ def _pi_series(
     return exp("", s_slot).mul(exp("L", y_slot)).mul(exp("R", x_slot))
 
 
-def _transported(
-    m: UmbralModel, check: Callable[..., list[VerificationReport]], *args, **params
-) -> list[VerificationReport]:
-    """``check(twin, *args)`` when m has a Fock twin and every report
-    there passes, relabelled for m and with ``params`` over the twin's
-    params (otherwise m's own: the twin has m's n_max); else
-    ``check(m, *args)``."""
-    twin = m.fock_twin
-    if twin is not None:
-        reports = check(twin, *args)
-        if all(r.passed for r in reports):
-            return [
-                dataclasses.replace(r, model=m.label(), params={**r.params, **params})
-                for r in reports
-            ]
-    return check(m, *args)
-
-
-def _safe_columns(m: UmbralModel, output_degree: int) -> list[int]:
-    return [m.degree_of_index(j) for j in range(output_degree + 1)]
-
-
 def _formal_report(
     check: str,
     m: UmbralModel,
@@ -178,7 +156,7 @@ def _formal_report(
     lhs: FormalOpSeries,
     rhs: FormalOpSeries,
 ) -> VerificationReport:
-    cols = _safe_columns(m, output_degree)
+    cols = [m.degree_of_index(j) for j in range(output_degree + 1)]
     idx, tainted, worst = series_first_difference(lhs, rhs, cols)
     params = {
         "order": order,
@@ -199,12 +177,9 @@ def group_law_check(m: UmbralModel, order: int) -> VerificationReport:
     pi(s1+s2+x1*y2, x1+x2, y1+y2) coefficient by coefficient up to the
     given total order.  Both sides are exact on basis indices up to
     n_max - order.  Decided on the Fock twin where the model has one."""
-    _require_cap(m, order)
-    return _transported(m, _group_law, order)[0]
-
-
-def _group_law(m: UmbralModel, order: int) -> list[VerificationReport]:
     output_degree = _require_cap(m, order)
+    if (moved := on_fock_twin(m, group_law_check, order)) is not None:
+        return moved
     params = ("s1", "x1", "y1", "s2", "x2", "y2")
     table = m.words
     lhs = _pi_series(table, params, order, 0, 1, 2).mul(
@@ -218,19 +193,16 @@ def _group_law(m: UmbralModel, order: int) -> list[VerificationReport]:
     # (index, word) pair receives one product term
     phase = _phase_series(table, params, order, 1, 5, -1)
     rhs = exp("", (0, 3)).mul(phase).mul(exp("L", (2, 5))).mul(exp("R", (1, 4)))
-    return [_formal_report("group-law", m, order, output_degree, lhs, rhs)]
+    return _formal_report("group-law", m, order, output_degree, lhs, rhs)
 
 
 def weyl_relation_check(m: UmbralModel, order: int) -> VerificationReport:
     """exp(yL) exp(xR) = exp(xy) exp(xR) exp(yL), order by order.  At
     total order 2 this is exactly the commutation relation
     [L, R] = I.  Decided on the Fock twin where the model has one."""
-    _require_cap(m, order)
-    return _transported(m, _weyl, order)[0]
-
-
-def _weyl(m: UmbralModel, order: int) -> list[VerificationReport]:
     output_degree = _require_cap(m, order)
+    if (moved := on_fock_twin(m, weyl_relation_check, order)) is not None:
+        return moved
     params = ("x", "y")
     table = m.words
     exp_r = _exp_ladder_series(table, "R", params, order, (0,), +1)
@@ -238,7 +210,7 @@ def _weyl(m: UmbralModel, order: int) -> list[VerificationReport]:
     lhs = exp_l.mul(exp_r)
     phase = _phase_series(table, params, order, 0, 1, +1)
     rhs = phase.mul(exp_r.mul(exp_l))
-    return [_formal_report("weyl-relation", m, order, output_degree, lhs, rhs)]
+    return _formal_report("weyl-relation", m, order, output_degree, lhs, rhs)
 
 
 def composition_check_formal(m: UmbralModel, order: int) -> VerificationReport:
@@ -248,12 +220,9 @@ def composition_check_formal(m: UmbralModel, order: int) -> VerificationReport:
     phase exp(-x_i y_j) appears on the right as a formal scalar
     series, so the comparison is exact order by order.  Decided on the
     Fock twin where the model has one."""
-    _require_cap(m, order)
-    return _transported(m, _composition, order)[0]
-
-
-def _composition(m: UmbralModel, order: int) -> list[VerificationReport]:
     output_degree = _require_cap(m, order)
+    if (moved := on_fock_twin(m, composition_check_formal, order)) is not None:
+        return moved
     params = ("x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4")
     table = m.words
 
@@ -280,7 +249,7 @@ def _composition(m: UmbralModel, order: int) -> list[VerificationReport]:
             pair = phase.mul(exp("L", (yi, yj)).mul(exp("R", (xi, xj))))
             rhs = rhs + pair.scale(coefs[i] * coefs[j])
 
-    return [_formal_report("twisted-composition", m, order, output_degree, lhs, rhs)]
+    return _formal_report("twisted-composition", m, order, output_degree, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -440,24 +409,14 @@ def metaplectic_check(m: UmbralModel) -> list[VerificationReport]:
     check that would compare no column (n_max < 2) raises
     ParameterError.  Decided on the Fock twin where the model has one;
     ``max_degree``, the last degree compared, is then the model's."""
-    cols = _metaplectic_columns(m)
-    return _transported(m, _metaplectic, max_degree=cols[-1])
-
-
-def _metaplectic_columns(m: UmbralModel) -> list[int]:
-    """The degrees of the basis indices 0..n_max-2; refuses an empty
-    list."""
     cols = [m.degree_of_index(j) for j in range(m.n_max - 1)]
     if not cols:
         raise ParameterError(
             f"metaplectic check has no basis column to compare on {m.label()} "
             f"(n_max = {m.n_max}); it needs n_max >= 2"
         )
-    return cols
-
-
-def _metaplectic(m: UmbralModel) -> list[VerificationReport]:
-    cols = _metaplectic_columns(m)
+    if (moved := on_fock_twin(m, metaplectic_check, max_degree=cols[-1])) is not None:
+        return moved
     l2, r2, z = metaplectic(m)
     lam, lam_minus, lam_plus = METAPLECTIC_CONSTANTS
     checks = [
@@ -617,20 +576,13 @@ def sl2_closure_check(m: UmbralModel) -> VerificationReport:
     model with n_max < 2 holds too few to solve for the constants and
     raises ParameterError.  Decided on the Fock twin where the model has
     one."""
-    _require_sl2_size(m)
-    return _transported(m, _sl2_closure)[0]
-
-
-def _require_sl2_size(m: UmbralModel) -> None:
     if m.n_max < 2:
         raise ParameterError(
             f"sl2 closure check needs n_max >= 2 to solve for its constants; "
             f"{m.label()} has n_max = {m.n_max}"
         )
-
-
-def _sl2_closure(m: UmbralModel) -> list[VerificationReport]:
-    _require_sl2_size(m)
+    if (moved := on_fock_twin(m, sl2_closure_check)) is not None:
+        return moved
     a, b, c, tainted = metaplectic_sequences(m)
     res = generic_sl2_ladder(a, b, c)
     ff = None
@@ -638,7 +590,7 @@ def _sl2_closure(m: UmbralModel) -> list[VerificationReport]:
         ff = {"bracket": res.first_violation[0], "index": res.first_violation[1]}
     elif res.constants != METAPLECTIC_CONSTANTS:
         ff = {"constants": [format_rational(q) for q in res.constants]}
-    return [VerificationReport(
+    return VerificationReport(
         check="sl2-closure",
         model=m.label(),
         params={
@@ -648,4 +600,4 @@ def _sl2_closure(m: UmbralModel) -> list[VerificationReport]:
         status=status_of(ff, tainted),
         max_residual=ZERO if ff is None else None,
         first_failure=ff,
-    )]
+    )

@@ -45,6 +45,8 @@ def icol_mul(a, col: Column, height: int | None = None) -> Column:
     that ``col`` names, summed in a dense list ``height`` rows tall, or
     by default as tall as the columns it names."""
     rows, vals = col
+    if not rows:
+        return EMPTY
     if len(rows) == 1:
         (arows, avals), x = a[rows[0]], vals[0]
         return arows, tuple(y * x for y in avals)

@@ -54,9 +54,9 @@ import bisect
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .core import (
     CapMismatchError,
@@ -72,6 +72,8 @@ from .core import (
 )
 from .formal import OpWordTable
 from .kernels import EMPTY, Column, icol, icol_eq, icol_mul, imat_transpose
+
+_R = TypeVar("_R")
 
 IOTA = ONE  # structure constant of the Heisenberg relation, fixed package-wide
 
@@ -190,10 +192,11 @@ class UmbralModel:
     @functools.cached_property
     def fock_twin(self) -> UmbralModel | None:
         """monomial(n_max), on whose Fock pair (d/dt, t*) the ladder-word
-        checks decide this model (the argument is in ``heisenberg``), or
-        None when the premise fails.  The premise, d = degree_of_index:
-        the ladder and vacuum axioms find no failure and no taint; no
-        mark of L lies at or below d(n_max), none of R at or below
+        checks decide this model (``on_fock_twin``; the argument is in
+        ``heisenberg``), or None when the premise fails or the model is
+        that Fock pair itself.  The premise, d = degree_of_index: the
+        ladder and vacuum axioms find no failure and no taint; no mark
+        of L lies at or below d(n_max), none of R at or below
         d(n_max-1), none of B on p_0..p_n_max; and B is graded
         triangular: p_n lies in the model's space, with its top nonzero
         coefficient at t^d(n)."""
@@ -215,7 +218,8 @@ class UmbralModel:
         )
         if not graded:
             return None
-        return build_model("monomial", top)
+        twin = build_model("monomial", top)
+        return None if twin == self else twin
 
 
 def _form(
@@ -415,22 +419,6 @@ def _ladder_image(
     return image, image.compare_on_columns(b @ shift, range(count))
 
 
-def lowering_mismatch(m: UmbralModel, b: LinearOp, top: int) -> tuple[int | None, bool]:
-    """L B = B S_down on columns 0..top, with S_down e_n = e_{n-1}:
-    the first n with L p_n != p_{n-1} (p_{-1} = 0), and the taint."""
-    return _ladder_image(m.lowering, b, _s_down(m.degree_cap), top + 1)[1]
-
-
-def lowering_outcome(m: UmbralModel, top: int) -> tuple[int | None, bool]:
-    """``lowering_mismatch`` on p_0..p_top, each checked to lie in the
-    model's space: the cached one at top = n_max, below it the cheaper
-    product with ``basis_matrix(m, top)``."""
-    if top == m.n_max:
-        require_basis_in_space(m, top)
-        return m.lowering_image[1]
-    return lowering_mismatch(m, basis_matrix(m, top), top)
-
-
 def vacuum_op(m: UmbralModel) -> LinearOp:
     """The operator whose row 0 is l_0 and whose other rows are zero."""
     (rows, vals), den = m.vacuum
@@ -479,6 +467,38 @@ def pairing_mismatch(db: LinearOp, k: int, top: int) -> tuple[int | None, bool]:
     return None, tainted
 
 
+def axiom_outcomes(
+    m: UmbralModel, top: int
+) -> tuple[tuple[int | None, bool], tuple[int | None, bool]]:
+    """The outcomes of the ladder-lowering axiom L B = B S_down and the
+    vacuum axiom l_0 B = e_0 on p_0..p_top, each p_n checked to lie in
+    the model's space: the cached ones at top = n_max, below it the
+    cheaper products with ``basis_matrix(m, top)``."""
+    if top == m.n_max:
+        require_basis_in_space(m, top)
+        return m.lowering_image[1], m.vacuum_outcome
+    b = basis_matrix(m, top)
+    lowering = _ladder_image(m.lowering, b, _s_down(m.degree_cap), top + 1)[1]
+    return lowering, pairing_mismatch(vacuum_op(m) @ b, 0, top)
+
+
+def on_fock_twin(m: UmbralModel, check: Callable[..., _R], *args, **params) -> _R | None:
+    """``check(twin, *args)`` relabelled for m, with ``params`` over
+    each report's params (otherwise the twin's: it has m's n_max), when
+    m has a Fock twin (``fock_twin``) and every report there passes;
+    else None, and the check runs on m itself.  Each check refuses on m
+    before it calls this, so its messages name m."""
+    twin = m.fock_twin
+    if twin is None:
+        return None
+    got = check(twin, *args)
+    reports = got if isinstance(got, list) else [got]
+    if not all(r.passed for r in reports):
+        return None
+    moved = [replace(r, model=m.label(), params={**r.params, **params}) for r in reports]
+    return moved if isinstance(got, list) else moved[0]
+
+
 def verify_model(m: UmbralModel) -> list["VerificationReport"]:
     """The model axioms as identities on the basis matrix B, one report
     each, with S_up e_n = (n+1) e_{n+1}:
@@ -491,38 +511,30 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
 
     ``LinearOp.compare_on_columns`` decides each: a differing column
     fails, else a compared column marked truncated is "inconclusive".
-    The first three are the model's cached outcomes.  The commutator, a
-    combination of the words R L and L R, is decided on the model's Fock
-    twin (``fock_twin``) when it has one, as ``heisenberg`` transports
-    every ladder word; when it has none, or the twin's identity does not
-    pass, on the model's own word table (``_commutator_mismatch``, the
-    direct path).
+    The first three are the model's cached outcomes; the commutator
+    takes R L and L R from the model's word table.  A model with a Fock
+    twin meets the first three by the premise, so all four are read off
+    the twin, whose commutator decides the model's as ``heisenberg``
+    transports every ladder word.
     """
     from .reports import VerificationReport, status_of
 
     params: dict[str, object] = {"degree": m.n_max}
     if m.nu is not None:
         params["nu"] = m.nu
-    twin = m.fock_twin
-    comm = None if twin is None else _commutator_mismatch(twin)
+    if (moved := on_fock_twin(m, verify_model, **params)) is not None:
+        return moved
+    comm, b = m.words.op("RL") - m.words.op("LR"), m.basis_op
     outcomes = {
         "ladder-lowering": m.lowering_image[1],
         "ladder-raising": m.raising_image[1],
         "vacuum": m.vacuum_outcome,
-        "commutator": comm if comm == (None, False) else _commutator_mismatch(m),
+        "commutator": (comm @ b).compare_on_columns(b.scale(-IOTA), range(m.n_max)),
     }
     return [
         VerificationReport(check, m.label(), dict(params), status_of(bad, tainted), first_failure=bad)
         for check, (bad, tainted) in outcomes.items()
     ]
-
-
-def _commutator_mismatch(m: UmbralModel) -> tuple[int | None, bool]:
-    """[R, L] B = -iota B on columns n < n_max, with R L and L R taken
-    from the model's word table."""
-    comm = m.words.op("RL") - m.words.op("LR")
-    b = m.basis_op
-    return (comm @ b).compare_on_columns(b.scale(-IOTA), range(m.n_max))
 
 
 # each catalog name as (family builder, parameter); bessel's nu comes

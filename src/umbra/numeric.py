@@ -34,7 +34,7 @@ _ASYMPTOTIC_X = 2000.0           # x = sqrt(lam) |t| from which Hankel's expansi
 _SERIES_MAX_X = 4000.0           # work budget of the fixed-point series, on x
 _GUARD_BITS = 64                 # first guard beyond 53 bits; doubled on each retry
 _GUARD_RETRIES = 6
-_STOP_INV = 10 ** 25             # the series stops at an n > peak with |term_n| < 1e-25
+_STOP_INV = 10 ** 25             # the series stops at an n > peak with |term_n| < 1e-25 / 2^k
 _LOG2_E = 1.4426950408889634
 _POISSON_MAX_NU = 1e6            # see poisson_transform
 _POISSON_CHECK_MAX_NU = 8000.0   # see poisson_intertwining_check
@@ -128,23 +128,26 @@ def _bessel_series_exact(nu: Fraction, lam: float, t: float) -> float:
     sqrt(|lam|) |t|, while the sum is O(x^(-nu/2)) for lam > 0.
 
     The value is the correctly rounded double of the partial sum through
-    the first n > isqrt(|lam t^2|) + 2 with |term_n| < 1e-25, which is
-    what summing the same terms in Fractions and rounding once gives.
-    The terms are summed in fixed point over integers scaled by 2^P,
-    P = bits(e^x) + 53 + guard bits, and every truncating division adds
-    one unit to an integer bound on the error.  Where the stop test is
-    in doubt, the terms after the first doubtful n widen the bound.  A
-    value returns only when both ends of the enclosure round to the same
-    double; otherwise the guard bits double, at most _GUARD_RETRIES
-    times (Ziv, ACM TOMS 17(3), 1991).  The cost is O(x^2) bit
-    operations per try."""
+    the first n > isqrt(|lam t^2|) + 2 with |term_n| < 1e-25 / 2^k,
+    which is what summing the same terms in Fractions and rounding once
+    gives.  k = _stop_halvings(z, nu) is 0 unless lam > 0 and j_nu's
+    envelope is below about 1.15e-7; then the stop follows the envelope
+    down, so that a small j_nu keeps its own digits.  The terms are
+    summed in fixed point over integers scaled by 2^P,
+    P = bits(e^x) + k + 53 + guard bits, and every truncating division
+    adds one unit to an integer bound on the error.  Where the stop test
+    is in doubt, the terms after the first doubtful n widen the bound.
+    A value returns only when both ends of the enclosure round to the
+    same double; otherwise the guard bits double, at most
+    _GUARD_RETRIES times (Ziv, ACM TOMS 17(3), 1991).  The cost is
+    O(x^2) bit operations per try."""
     z = Fraction(lam) * Fraction(t) ** 2
-    peak = math.isqrt(abs(z.numerator) // z.denominator) + 2
+    k = _stop_halvings(z, nu)
     top = int(math.sqrt(abs(z)) * _LOG2_E) + 2   # every term is below e^x
     guard = _GUARD_BITS
     for _ in range(_GUARD_RETRIES):
-        prec = top + 53 + guard
-        s, err = _fixed_point_series(z, nu, peak, prec)
+        prec = top + k + 53 + guard
+        s, err = _fixed_point_series(z, nu, k, prec)
         # the value is s / 2^prec to within err / 2^prec
         lo = _ratio_to_float(s - err, 1 << prec)
         hi = _ratio_to_float(s + err, 1 << prec)
@@ -162,17 +165,33 @@ def _bessel_series_exact(nu: Fraction, lam: float, t: float) -> float:
     )
 
 
-def _fixed_point_series(z: Fraction, nu: Fraction, peak: int, prec: int) -> tuple[int, int]:
-    """(s, err): 2^prec times the partial sum of _bessel_series_exact is
-    within err of s."""
+def _stop_halvings(z: Fraction, nu: Fraction) -> int:
+    """k >= 0, the fewest halvings that bring the stop level 1e-25 of
+    _bessel_series_exact to 2^-60 of the envelope
+    Gamma(a+1) (2/x)^a sqrt(2/(pi x)) of j_nu, a = (nu-1)/2,
+    x = sqrt(z), for z > 0; for z < 0, where j_nu grows, 0.  So the
+    stop 1e-25 / 2^k is min(1e-25, 2^-60 envelope) to within a factor
+    2, and k = 0 wherever the envelope is at least about 1.15e-7."""
+    if z.numerator < 0:
+        return 0
+    a = (nu.numerator / nu.denominator - 1.0) / 2.0
+    x = math.sqrt(z.numerator / z.denominator)
+    log_env = math.lgamma(a + 1.0) + a * math.log(2.0 / x) + 0.5 * math.log(2.0 / (math.pi * x))
+    return max(0, math.ceil(60 - log_env * _LOG2_E - math.log2(_STOP_INV)))
+
+
+def _fixed_point_series(z: Fraction, nu: Fraction, k: int, prec: int) -> tuple[int, int]:
+    """(s, err): 2^prec times the partial sum of _bessel_series_exact,
+    with the stop 1e-25 / 2^k, is within err of s."""
     # term_n = term_{n-1} * (-z) / (2n (2n + nu - 1)) = term_{n-1} * mul / (zd d_n)
     mul = -z.numerator * nu.denominator
     amul = abs(mul)
     zd = z.denominator
     p, q = nu.numerator, nu.denominator
-    one = 1 << prec
-    below = one // _STOP_INV           # |T| + e < below: surely |term_n| < 1e-25
-    above = -(-one // _STOP_INV)       # |T| - e >= above: surely not
+    peak = math.isqrt(abs(z.numerator) // z.denominator) + 2
+    one, stop = 1 << prec, _STOP_INV << k
+    below = one // stop                # |T| + e < below: surely |term_n| < 1e-25 / 2^k
+    above = -(-one // stop)            # |T| - e >= above: surely not
     term, e = one, 0                   # the scaled term and its error bound
     s, err = one, 0
     widen = -1                         # < 0 until the stop test is first in doubt

@@ -53,7 +53,7 @@ from .core import (
     integer_vector,
 )
 from .kernels import EMPTY, Column, icol_eq
-from .models import Parity, UmbralModel, lowering_outcome, require_order, vacuum_op
+from .models import Parity, UmbralModel, axiom_outcomes, require_order, vacuum_op
 from .models import dual_functionals  # noqa: F401  (public here: the duals l_k)
 from .models import _derivative_op, _mult_by_t_op, pairing_mismatch
 from .reports import VerificationReport, status_of
@@ -305,14 +305,14 @@ def generating_function(m: UmbralModel, order: int) -> GeneratingTable:
     """Coefficient table of F(s, t) to s-order ``order``, plus an exact
     verification that L_t F = s F order by order: the s^{k+1} row of
     L F must equal row k, and L applied to row 0 must vanish.  That is
-    L B = B S_down on columns 0..order (``models.lowering_outcome``:
+    L B = B S_down on columns 0..order (``models.axiom_outcomes``:
     the model's cached outcome at order n_max, the product with B cut
     to p_0..p_order below it).  The rows are B's columns 0..order, read
     straight off its integers."""
     require_order(m, order)
     b = m.basis_op
     rows = tuple(column_poly(col, b.den, m.degree_cap).coeffs for col in b.cols[: order + 1])
-    bad, tainted = lowering_outcome(m, order)
+    (bad, tainted), _ = axiom_outcomes(m, order)
     report = VerificationReport(
         check="generating-function",
         model=m.label(),

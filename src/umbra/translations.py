@@ -53,8 +53,7 @@ from .core import (
     integer_vector,
 )
 from .kernels import imat_comb
-from .models import UmbralModel, basis_matrix, require_basis_in_space, require_order
-from .models import _derivative_op, _form, lowering_mismatch, pairing_mismatch, vacuum_op
+from .models import UmbralModel, _derivative_op, _form, axiom_outcomes, require_order
 from .reports import VerificationReport, status_of
 from .transforms import require_model_input
 
@@ -138,24 +137,16 @@ def _require_binomial_type(m: UmbralModel) -> None:
 def binomial_sweep(m: UmbralModel, top: int) -> list[VerificationReport]:
     """``binomial_check`` at n = 0..top in turn, as ``verify`` runs it:
     the first report that does not pass, or one pass report for the
-    whole range.  For 0 <= top <= n_max the refusals come first; then,
-    where ``_expansion_theorem_applies``, the pass report comes with no
-    table built.  Otherwise the tables decide
-    (``_binomial_sweep_by_tables``, the direct path)."""
-    if 0 <= top <= m.n_max:
-        _require_binomial_type(m)
-        if _expansion_theorem_applies(m, top):
-            return [VerificationReport("binomial", m.label(), {"n_max": top}, status_of(None))]
-    return _binomial_sweep_by_tables(m, top)
-
-
-def _binomial_sweep_by_tables(m: UmbralModel, top: int) -> list[VerificationReport]:
-    """The sweep on the two-variable tables of ``binomial_check``, n by
-    n: the direct path."""
-    for n in range(top + 1):
-        r = binomial_check(m, n)
-        if not r.passed:
-            return [r]
+    whole range.  The refusals come first; then, where
+    ``_expansion_theorem_applies``, the pass report comes with no table
+    built."""
+    require_order(m, top)
+    _require_binomial_type(m)
+    if not _expansion_theorem_applies(m, top):
+        for n in range(top + 1):
+            r = binomial_check(m, n)
+            if not r.passed:
+                return [r]
     return [VerificationReport("binomial", m.label(), {"n_max": top}, status_of(None))]
 
 
@@ -252,23 +243,15 @@ def delsarte_eigen_check(m: UmbralModel, order: int) -> VerificationReport:
     L B = B S_down and l_0 B = e_0 on the basis matrix B; at equal n,
     value-at-0 fails first.  Requires a vacuum equal to evaluation at 0
     (otherwise the second condition is not the model's own
-    normalization and the check refuses to run).  At order n_max both
-    outcomes are the model's cached ones (``vacuum_outcome``,
-    ``lowering_image``); below it they come from B cut to
-    p_0..p_order, whose products cost less."""
+    normalization and the check refuses to run).  Both outcomes come
+    from ``models.axiom_outcomes``."""
     require_order(m, order)
     if not m.vacuum_is_eval0():
         raise ParameterError(
             f"{m.label()} vacuum is not evaluation at 0; the eigenfunction "
             "normalization p_n(0) = delta_0n does not apply"
         )
-    if order == m.n_max:
-        require_basis_in_space(m, order)
-        (at0, tainted0), (low, tainted) = m.vacuum_outcome, m.lowering_image[1]
-    else:
-        b = basis_matrix(m, order)
-        at0, tainted0 = pairing_mismatch(vacuum_op(m) @ b, 0, order)
-        low, tainted = lowering_mismatch(m, b, order)
+    (low, tainted), (at0, tainted0) = axiom_outcomes(m, order)
     bad = None
     if at0 is not None and (low is None or at0 <= low):
         bad = ("value-at-0", at0)

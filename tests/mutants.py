@@ -456,6 +456,20 @@ MUTANTS = (
         ("tests/test_truncation_rule.py::test_a_lowering_that_is_no_delta_operator_is_swept_by_tables",),
     ),
     Mutant(
+        "the transport never used",
+        "src/umbra/models.py",
+        "    twin = m.fock_twin\n",
+        "    twin = None\n",
+        ("tests/test_truncation_rule.py::test_the_ladder_word_checks_build_no_word_on_a_twinned_model",),
+    ),
+    Mutant(
+        "the expansion theorem never applied",
+        "src/umbra/translations.py",
+        "if not _expansion_theorem_applies(m, top):",
+        "if True:",
+        ("tests/test_truncation_rule.py::test_the_binomial_sweep_of_a_factorial_model_builds_no_table",),
+    ),
+    Mutant(
         "a float command's registry row holding its numeric function, bound at import",
         "src/umbra/cli.py",
         "lambda a, q: partial(numeric.poisson_transform, _nu(a), _scalar_fn(a), q=q)",

@@ -331,10 +331,20 @@ def mp_integral(f, a, b):
 
 def bessel_series_fraction(nu, lam, t):
     """sum_n (-lam t^2)^n / c_n, summed term by term in Fractions
-    through the first n > isqrt(|lam t^2|) + 2 with |term_n| < 1e-25,
-    as a Fraction; float() of it rounds once."""
+    through the first n > isqrt(|lam t^2|) + 2 with
+    |term_n| < 1e-25 / 2^k, as a Fraction; float() of it rounds once.
+    For lam > 0, k >= 0 is the fewest halvings of 1e-25 that reach 2^-60
+    of the envelope Gamma(a+1) (2/x)^a sqrt(2/(pi x)) of j_nu,
+    a = (nu-1)/2, x = sqrt(lam t^2), taken from mpmath; else k = 0."""
     z = Fraction(lam) * Fraction(t) ** 2
     nu = Fraction(nu)
+    k = 0
+    if z > 0:
+        a = (mpmath.mpf(nu.numerator) / nu.denominator - 1) / 2
+        x = mpmath.sqrt(mpmath.mpf(z.numerator) / z.denominator)
+        envelope = mpmath.gamma(a + 1) * (2 / x) ** a * mpmath.sqrt(2 / (mpmath.pi * x))
+        k = max(0, int(mpmath.ceil(mpmath.log(mpmath.mpf(2) ** 60 / (10**25 * envelope), 2))))
+    stop = Fraction(1, 10**25 << k)
     term = acc = Fraction(1)
     n = 0
     peak = isqrt(int(abs(z))) + 2
@@ -342,7 +352,7 @@ def bessel_series_fraction(nu, lam, t):
         n += 1
         term *= -z / (2 * n * (2 * n + nu - 1))
         acc += term
-        if n > peak and abs(term) < Fraction(1, 10**25):
+        if n > peak and abs(term) < stop:
             return acc
 
 

@@ -417,6 +417,17 @@ def test_a_given_order_is_kept_under_check(capsys):
             "model monomial has n_max = 3") in err
 
 
+@pytest.mark.parametrize("model", ["lower-factorial", "hermite"])
+def test_a_binomial_order_past_the_top_index_is_refused_first(capsys, model):
+    """The binomial sweep refuses an order past n_max before anything
+    else, as genfun, delsarte and character do: before the binomial-type
+    test refuses hermite, and before any table is built."""
+    rc, out, err = run(capsys, "verify", "--check", "binomial", "--model", model,
+                       "--degree", "128", "--order", "129")
+    assert (rc, out) == (2, "")
+    assert err == "umbra: order 129 exceeds the top basis index 128\n"
+
+
 _EXACT_HALF = """
 import contextlib, io, json, sys
 from umbra import cli

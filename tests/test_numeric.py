@@ -161,8 +161,7 @@ def test_fixed_point_enclosure_holds_at_low_precision(args, prec):
     # large enough for an unsound bound to miss the Fraction partial sum
     nu, lam, t = args
     z = Fraction(lam) * Fraction(t) ** 2
-    peak = math.isqrt(abs(z.numerator) // z.denominator) + 2
-    s, err = numeric._fixed_point_series(z, nu, peak, prec)
+    s, err = numeric._fixed_point_series(z, nu, numeric._stop_halvings(z, nu), prec)
     exact = ref.bessel_series_fraction(nu, lam, t) * 2**prec
     assert s - err <= exact <= s + err, (nu, lam, t, prec)
 
@@ -188,7 +187,7 @@ def test_fixed_point_enclosure_holds_when_the_stop_is_in_doubt(side, sign):
     z = sign * Fraction(root + (side > 0), 2**k)
     assert (abs(z) ** 3 / c3 < Fraction(1, 10**25)) == (side < 0)
     for prec in range(100, 260, 10):
-        s, err = numeric._fixed_point_series(z, nu, 2, prec)
+        s, err = numeric._fixed_point_series(z, nu, numeric._stop_halvings(z, nu), prec)
         exact = ref.bessel_series_fraction(nu, z, 1) * 2**prec
         assert s - err <= exact <= s + err, prec
 
@@ -215,9 +214,31 @@ def test_fixed_point_stop_test_allows_for_the_truncation_error():
     z = -Fraction(hi, 2**k)
     peak = math.isqrt(abs(z.numerator) // z.denominator) + 2
     assert peak < n and abs(z) ** n / c >= Fraction(1, 10**25)
-    s, err = numeric._fixed_point_series(z, nu, peak, prec)
+    s, err = numeric._fixed_point_series(z, nu, numeric._stop_halvings(z, nu), prec)
     exact = ref.bessel_series_fraction(nu, z, 1) * 2**prec
     assert s - err <= exact <= s + err
+
+
+@pytest.mark.parametrize("nu, x, want", [
+    (60, 1000.0, -4.7198785079864336e-51),
+    (20, 1000.0, -3.4348676789341045e-22),
+    (100, 1500.0, -2.7747155567973447e-81),
+])
+def test_a_small_j_nu_on_the_series_path_keeps_its_digits(nu, x, want):
+    # far below 1e-25 the stop of the fixed-point series follows j_nu's
+    # envelope down, so the value is mpmath's, not the partial sum's noise
+    assert not numeric._hankel_applies(nu, 1.0, x)
+    assert little_bessel_j(nu, 1.0, x) == want == ref.normalized_bessel(nu, 1.0, x)
+
+
+def test_the_series_stop_moves_only_below_the_envelope_threshold():
+    # nu = 3, x = 1000: envelope 5e-5, so the stop stays at 1e-25; it
+    # moves for lam > 0 only, and there by 2^-60 of the envelope
+    assert numeric._stop_halvings(Fraction(10**6), Fraction(3)) == 0
+    assert numeric._stop_halvings(Fraction(-(10**6)), Fraction(60)) == 0
+    k = numeric._stop_halvings(Fraction(10**6), Fraction(60))
+    stop = Fraction(1, 10**25 << k)
+    assert envelope(60, 1.0, 1000.0) / 2**61 < stop <= envelope(60, 1.0, 1000.0) / 2**60
 
 
 # -- Hankel's expansion for large arguments -----------------------------

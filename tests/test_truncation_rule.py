@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbra import heisenberg, models, translations
+from umbra import translations
 from umbra.core import (
     DomainError, LinearOp, ParameterError, Poly, UmbraError, column_poly, integer_vector,
 )
@@ -178,24 +178,26 @@ def test_delsarte_reports_the_value_at_0_first_at_equal_index():
 
 
 def test_a_marked_raising_never_passes():
-    """A library-built monomial model whose raising marks every column
-    truncated: each check that reads the raising operator on the
-    compared columns is inconclusive."""
-    m = build_model("monomial", 8)
-    r = m.raising
-    m = dataclasses.replace(
-        m, raising=LinearOp(r.cols, r.den, r.cap, frozenset(range(r.cap + 1)))
-    )
-    reports = (
-        [r for r in verify_model(m) if r.check in ("ladder-raising", "commutator")]
-        + [group_law_check(m, 2), weyl_relation_check(m, 2), composition_check_formal(m, 2)]
-        + metaplectic_check(m)
-        + [sl2_closure_check(m)]
-    )
-    assert len(reports) == 9
-    assert all(r.status == "inconclusive" for r in reports), [
-        (r.check, r.status) for r in reports
-    ]
+    """A library-built monomial model, and a hermite one, whose raising
+    marks every column truncated: each check that reads the raising
+    operator on the compared columns is inconclusive.  Unmarked, the
+    hermite model would be decided on its Fock twin."""
+    for name in ("monomial", "hermite"):
+        m = build_model(name, 8)
+        r = m.raising
+        m = dataclasses.replace(
+            m, raising=LinearOp(r.cols, r.den, r.cap, frozenset(range(r.cap + 1)))
+        )
+        reports = (
+            [r for r in verify_model(m) if r.check in ("ladder-raising", "commutator")]
+            + [group_law_check(m, 2), weyl_relation_check(m, 2), composition_check_formal(m, 2)]
+            + metaplectic_check(m)
+            + [sl2_closure_check(m)]
+        )
+        assert len(reports) == 9
+        assert all(r.status == "inconclusive" for r in reports), [
+            (name, r.check, r.status) for r in reports
+        ]
 
 
 def test_a_marked_lowering_never_passes():
@@ -501,26 +503,42 @@ def test_the_marks_of_d_reach_the_transmutation_and_its_check(name):
 
 # -- the Fock twin and the expansion theorem decide as the direct path --
 
+def _without_twin(m):
+    """A copy of m whose ``fock_twin`` is None, so that every check on
+    it runs on m's own operators: the direct path."""
+    direct = dataclasses.replace(m)
+    direct.__dict__["fock_twin"] = None
+    return direct
+
+
+def _binomial_by_tables(m, top):
+    """``binomial_sweep`` with every n decided on the two-variable
+    tables of ``binomial_check``: the direct path."""
+    for n in range(top + 1):
+        r = binomial_check(m, n)
+        if not r.passed:
+            return [r]
+    return [VerificationReport("binomial", m.label(), {"n_max": top}, status_of(None))]
+
+
 def _decided_and_direct(m, order, top):
     """For each check that ``UmbralModel.fock_twin`` or the expansion
     theorem may decide: (the call as ``verify`` makes it, the direct
     path on m's own operators)."""
-    def commutator_direct():
-        bad, tainted = models._commutator_mismatch(m)
-        params = {"degree": m.n_max} | ({} if m.nu is None else {"nu": m.nu})
-        return [VerificationReport("commutator", m.label(), params, status_of(bad, tainted), first_failure=bad)]
+    d = _without_twin(m)
+
+    def commutator(model):
+        return lambda: [r for r in verify_model(model) if r.check == "commutator"]
 
     return {
-        "group-law": (lambda: [group_law_check(m, order)], lambda: heisenberg._group_law(m, order)),
-        "weyl": (lambda: [weyl_relation_check(m, order)], lambda: heisenberg._weyl(m, order)),
+        "group-law": (lambda: [group_law_check(m, order)], lambda: [group_law_check(d, order)]),
+        "weyl": (lambda: [weyl_relation_check(m, order)], lambda: [weyl_relation_check(d, order)]),
         "composition": (lambda: [composition_check_formal(m, order)],
-                        lambda: heisenberg._composition(m, order)),
-        "metaplectic": (lambda: metaplectic_check(m), lambda: heisenberg._metaplectic(m)),
-        "sl2": (lambda: [sl2_closure_check(m)], lambda: heisenberg._sl2_closure(m)),
-        "commutator": (lambda: [r for r in verify_model(m) if r.check == "commutator"],
-                       commutator_direct),
-        "binomial": (lambda: binomial_sweep(m, top),
-                     lambda: translations._binomial_sweep_by_tables(m, top)),
+                        lambda: [composition_check_formal(d, order)]),
+        "metaplectic": (lambda: metaplectic_check(m), lambda: metaplectic_check(d)),
+        "sl2": (lambda: [sl2_closure_check(m)], lambda: [sl2_closure_check(d)]),
+        "commutator": (commutator(m), commutator(d)),
+        "binomial": (lambda: binomial_sweep(m, top), lambda: _binomial_by_tables(m, top)),
     }
 
 
@@ -542,17 +560,50 @@ def test_the_premise_paths_report_what_the_direct_paths_report(case, at_top):
 
 
 def test_the_catalog_models_are_decided_on_their_fock_twin():
-    """Every catalog model meets the premise of the transport, and the
-    binomial-type ones that of the expansion theorem; heat and Bessel
-    lower by a second-order operator, L t = 0, so no delta operator."""
+    """Every catalog model but monomial, the Fock pair itself, meets the
+    premise of the transport, and the binomial-type ones that of the
+    expansion theorem; heat and Bessel lower by a second-order operator,
+    L t = 0, so no delta operator."""
     for name in MODEL_NAMES:
         m = build_model(name, 8, Fraction(5, 2) if name == "bessel" else None)
         twin = m.fock_twin
-        assert (twin.name, twin.n_max) == ("monomial", 8), name
+        if name == "monomial":
+            assert twin is None
+        else:
+            assert (twin.name, twin.n_max) == ("monomial", 8), name
+            assert twin.fock_twin is None, name
         if name != "hermite":
             want = name in ("monomial", "lower-factorial", "upper-factorial")
             assert translations._expansion_theorem_applies(m, 8) == want, name
         _assert_decided_as_directly(m, 4, 8)
+
+
+@pytest.mark.parametrize("name", [n for n in MODEL_NAMES if n != "monomial"])
+def test_the_ladder_word_checks_build_no_word_on_a_twinned_model(name):
+    """The ladder-word checks and the commutator axiom of a catalog model
+    other than monomial are decided on its Fock twin: they pass, and
+    build the word table of the twin, never one of the model's own."""
+    m = build_model(name, 8, Fraction(5, 2) if name == "bessel" else None)
+    reports = (
+        verify_model(m)
+        + [group_law_check(m, 2), weyl_relation_check(m, 2), composition_check_formal(m, 2)]
+        + metaplectic_check(m)
+        + [sl2_closure_check(m)]
+    )
+    assert all(r.passed and r.model == m.label() for r in reports)
+    assert "words" not in vars(m)
+    assert "words" in vars(m.fock_twin)
+
+
+@pytest.mark.parametrize("name", ["lower-factorial", "upper-factorial"])
+@pytest.mark.parametrize("top", [3, 16])
+def test_the_binomial_sweep_of_a_factorial_model_builds_no_table(name, top):
+    """The expansion theorem decides the binomial sweep of a factorial
+    model, to n_max or below it: one pass report, and no integer form of
+    the basis made for a table."""
+    m = build_model(name, 16)
+    assert binomial_sweep(m, top) == _binomial_by_tables(build_model(name, 16), top)
+    assert "basis_forms" not in vars(m)
 
 
 def test_a_raising_that_fails_its_ladder_leaves_no_fock_twin():
@@ -565,7 +616,7 @@ def test_a_raising_that_fails_its_ladder_leaves_no_fock_twin():
     assert m.fock_twin is None
     report = group_law_check(m, 2)
     assert report.status == "fail"
-    assert [report] == heisenberg._group_law(m, 2)
+    assert report == group_law_check(_without_twin(m), 2)
 
 
 def test_a_basis_that_is_not_graded_leaves_no_fock_twin():
@@ -585,7 +636,7 @@ def test_a_basis_that_is_not_graded_leaves_no_fock_twin():
     assert m.fock_twin is None
     report = weyl_relation_check(m, 2)
     assert report.status == "fail"
-    assert [report] == heisenberg._weyl(m, 2)
+    assert report == weyl_relation_check(_without_twin(m), 2)
 
 
 def _binomial_like(name, n_max, cap, low, basis):
@@ -612,7 +663,7 @@ def test_a_lowering_that_does_not_commute_with_d_dt_is_swept_by_tables():
     assert not translations._expansion_theorem_applies(m, 4)
     got = binomial_sweep(m, 4)
     assert [(r.status, r.first_failure is not None) for r in got] == [("fail", True)]
-    assert got == translations._binomial_sweep_by_tables(m, 4)
+    assert got == _binomial_by_tables(m, 4)
 
 
 def test_a_lowering_that_is_no_delta_operator_is_swept_by_tables():
@@ -624,4 +675,4 @@ def test_a_lowering_that_is_no_delta_operator_is_swept_by_tables():
     assert not translations._expansion_theorem_applies(m, 2)
     got = binomial_sweep(m, 2)
     assert [(r.status, r.first_failure is not None) for r in got] == [("fail", True)]
-    assert got == translations._binomial_sweep_by_tables(m, 2)
+    assert got == _binomial_by_tables(m, 2)
