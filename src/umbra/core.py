@@ -301,7 +301,9 @@ def _reduced(cols, den: int):
     if den < 0:
         den = -den
         cols = [(rows, tuple(-x for x in vals)) for rows, vals in cols]
-    g = kernels.iseq_gcd(cols, den)
+    # last column first: in a catalog build the gcd usually reaches 1 only
+    # in the top column, and the gcd does not depend on the order
+    g = kernels.iseq_gcd(reversed(cols), den)
     if g > 1:
         den //= g
         cols = [(rows, tuple(x // g for x in vals)) for rows, vals in cols]

@@ -352,10 +352,11 @@ def poisson_intertwining_check(
     and record which of them holds to the tolerance.  Derivatives in x
     are Richardson-extrapolated central differences, step h = 1e-3,
     over P on one 64-node fixed panel, so the quadrature error cancels
-    in the quotients.  The rule resolves the nu^(-1/2)-wide peak of
-    (cos theta)^(nu-1) up to nu = 8000: past it, r2 on the cos grid
-    reaches 1e-6 at nu = 8250 and 1.7e-3 at nu = 1e5, so larger nu is
-    refused rather than reported as failing."""
+    in the quotients; every grid point must exceed h.  The rule
+    resolves the nu^(-1/2)-wide peak of (cos theta)^(nu-1) up to
+    nu = 8000: past it, r2 on the cos grid reaches 1e-6 at nu = 8250
+    and 1.7e-3 at nu = 1e5, so larger nu is refused rather than
+    reported as failing."""
     q, h = QuadratureSpec(rule=FIXED, nodes=64), 1e-3
     if f.dfn is None or f.d2fn is None:
         raise ParameterError("intertwining check needs analytic dfn and d2fn")
@@ -363,6 +364,11 @@ def poisson_intertwining_check(
         raise ParameterError(
             f"poisson-intertwining supports nu <= {_POISSON_CHECK_MAX_NU:g} only, got {nu:g}: its "
             f"{q.nodes}-node fixed rule cannot resolve the nu^(-1/2)-wide peak of (cos theta)^(nu-1)")
+    for x in grid:
+        if x <= h:
+            raise ParameterError(
+                f"poisson-intertwining needs every grid point x > h = {h:g}, the difference "
+                f"step, got {x:g}")
     bf = singular_second_order(nu, f)
     f2 = replace(f, fn=f.d2fn, dfn=None, d2fn=None)
 

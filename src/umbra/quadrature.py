@@ -8,15 +8,13 @@ refinement residual is inside its share of the tolerance budget.
 Everything is evaluated in a fixed order, so results are reproducible
 bit for bit for a given spec.
 
-numpy is imported in one place, ``_gauss_nodes``, for its Gauss-Legendre
-nodes and weights.  That function is cached, so a float command loads
-numpy once, at its first panel, and the exact half of umbra (which
-imports this module through the CLI but integrates nothing) never
-loads it.
+The nodes and weights are computed here, in integers, and each is the
+correctly rounded double of its true value (see ``_gauss_nodes``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -27,6 +25,9 @@ ADAPTIVE = "adaptive"
 FIXED = "fixed"
 #: The bisection depth at which the adaptive rule gives up.
 MAX_SUBDIVISIONS = 32
+_GUARD_BITS = 16       # first guard of the node enclosures; doubled on each retry
+_GUARD_RETRIES = 6
+_NEWTON_STEPS = 40     # cap per node; from the starting guess it takes about 5
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,96 @@ class ScalarFn:
 
 @lru_cache(maxsize=None)
 def _gauss_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    from numpy.polynomial.legendre import leggauss
+    """The n-point Gauss-Legendre nodes, ascending, and their weights,
+    each the correctly rounded double of its true value.  A try at
+    ``guard`` bits (_gauss_rule) returns nothing when some enclosure
+    straddles a rounding boundary; the guard bits then double, at most
+    _GUARD_RETRIES times (Ziv, ACM TOMS 17(3), 1991)."""
+    guard = _GUARD_BITS
+    for _ in range(_GUARD_RETRIES):
+        rule = _gauss_rule(n, guard)
+        if rule is not None:
+            return rule
+        guard *= 2
+    raise QuadratureError(
+        f"the {n}-point Gauss-Legendre rule could not be rounded in {_GUARD_RETRIES} tries"
+    )
 
-    x, w = leggauss(n)
-    return tuple(float(v) for v in x), tuple(float(v) for v in w)
+
+def _gauss_rule(n: int, guard: int) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """Newton's method on the three-term Legendre recurrence, in fixed
+    point at scale 2^prec (Golub & Welsch, Math. Comp. 23, 1969, give
+    the recurrence and the weights).  Each positive node x starts from
+    Tricomi's guess and stops where the Newton step is below d/4; then
+
+    - P_n changes sign on [x - d, x + d]: |P_n(x)| < d min |P_n'| there,
+      with P_n' = n Q / (1 - x^2), Q = P_(n-1) - x P_n;
+    - the weight 2 / ((1 - x^2) P_n'(x)^2) = 2 (1 - x^2) / (n Q)^2 is
+      bounded over the same interval;
+
+    each from one midpoint pass at x and the node-free error bounds of
+    _spread.  A value returns only when both ends of its enclosure
+    round to the same double.  For odd n the middle node is 0, with
+    weight 2 / (n P_(n-1)(0))^2 = 2^(4m+1) / (n binom(2m, m))^2, m = (n-1)/2."""
+    _, e_point = _spread(n, 0)
+    d = (e_point + 1) << guard
+    e_prev, e_n = _spread(n, d)
+    prec = e_n.bit_length() + 64 + guard
+    one = 1 << prec
+    nodes, weights = [], []
+    for i in range(n // 2):
+        theta = math.pi * (4 * i + 3) / (4 * n + 2)
+        x = int(math.ldexp((1 - (n - 1) / (8 * n ** 3)) * math.cos(theta), prec))
+        for _ in range(_NEWTON_STEPS):
+            p, q, s = _legendre(n, x, prec)
+            step = p * s // (n * q)
+            if abs(step) < d >> 2:
+                break
+            x -= step
+        else:
+            return None
+        # error bounds over [x - d, x + d]: Q, and 1 - x^2
+        qr = e_prev + d + e_n + 1
+        sr = 2 * d + 1
+        aq = abs(q)
+        if not (aq > qr and s > sr and (abs(p) + e_point) * (s + sr) < d * n * (aq - qr)):
+            return None
+        lo, hi = (x - d) / one, (x + d) / one
+        w_lo = (2 * (s - sr) << prec) / (n * n * (aq + qr) ** 2)
+        w_hi = (2 * (s + sr) << prec) / (n * n * (aq - qr) ** 2)
+        if lo != hi or w_lo != w_hi:
+            return None
+        nodes.append(lo)
+        weights.append(w_lo)
+    middle, middle_w = [], []
+    if n % 2:
+        m = n // 2
+        middle, middle_w = [0.0], [(2 << 4 * m) / (n * math.comb(2 * m, m)) ** 2]
+    xs = [-x for x in nodes] + middle + nodes[::-1]
+    ws = weights + middle_w + weights[::-1]
+    return tuple(xs), tuple(ws)
+
+
+def _legendre(n: int, x: int, prec: int) -> tuple[int, int, int]:
+    """(P_n, P_(n-1) - x P_n, 1 - x^2) at x / 2^prec, in units of
+    2^-prec, by (k+1) P_(k+1) = (2k+1) x P_k - k P_(k-1) with floor
+    divisions; _spread bounds their errors."""
+    p0, p1 = 1 << prec, x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * (x * p1 >> prec) - k * p0) // (k + 1)
+    return p1, p0 - (x * p1 >> prec), (1 << prec) - (x * x >> prec)
+
+
+def _spread(n: int, d: int) -> tuple[int, int]:
+    """(e_(n-1), e_n): e_k bounds |2^prec P_k(y) - p_k| for every y
+    within d units of x, |y| <= 1, where p_k is _legendre's P_k at x.
+    From |P_k(y)| <= 1 and |x| <= 2^prec, each step's error is at most
+    ((2k+1) (e_k + d + 1) + k e_(k-1)) / (k+1) + 1.  The bounds grow
+    like (1 + sqrt 2)^k and do not depend on x or prec."""
+    e0, e1 = 0, d
+    for k in range(1, n):
+        e0, e1 = e1, -(-((2 * k + 1) * (e1 + d + 1) + k * e0) // (k + 1)) + 1
+    return e0, e1
 
 
 def _panel(fn: Callable[[float], float], lo: float, hi: float, n: int) -> float:

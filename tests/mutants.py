@@ -366,6 +366,22 @@ MUTANTS = (
         ("tests/test_numeric.py::test_derivatives_match_mpmath_on_every_path",),
     ),
     Mutant(
+        "the Gauss-Legendre weight without its (1 - x^2) factor",
+        "src/umbra/quadrature.py",
+        "w_lo = (2 * (s - sr) << prec) / (n * n * (aq + qr) ** 2)\n"
+        "        w_hi = (2 * (s + sr) << prec) / (n * n * (aq - qr) ** 2)",
+        "w_lo = (2 << 2 * prec) / (n * n * (aq + qr) ** 2)\n"
+        "        w_hi = (2 << 2 * prec) / (n * n * (aq - qr) ** 2)",
+        ("tests/test_quadrature.py::test_every_node_and_weight_is_correctly_rounded",),
+    ),
+    Mutant(
+        "the middle weight of an odd Gauss-Legendre rule at half its value",
+        "src/umbra/quadrature.py",
+        "[(2 << 4 * m) / (n * math.comb(2 * m, m)) ** 2]",
+        "[(1 << 4 * m) / (n * math.comb(2 * m, m)) ** 2]",
+        ("tests/test_quadrature.py::test_every_node_and_weight_is_correctly_rounded",),
+    ),
+    Mutant(
         "metaplectic reporting on an empty column list",
         "src/umbra/heisenberg.py",
         "    if not cols:\n        raise ParameterError(",

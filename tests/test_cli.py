@@ -385,6 +385,16 @@ def test_closed_pipe_exits_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize("grid", ["-1", "0", "0.0005", "0.001", "2,0.001"])
+def test_poisson_intertwining_refuses_a_grid_point_within_its_step_naming_it(capsys, grid):
+    # the difference quotients reach x - h; the refusal names the point given
+    rc, out, err = run(capsys, "verify", "--check", "poisson-intertwining", f"--grid={grid}")
+    point = grid.split(",")[-1]
+    assert (rc, out) == (2, "")
+    assert err == (f"umbra: poisson-intertwining needs every grid point x > h = 0.001, "
+                   f"the difference step, got {float(point):g}\n")
+
+
 def test_metaplectic_refuses_a_model_with_no_column_to_compare(capsys):
     rc, out, err = run(capsys, "verify", "--check", "metaplectic", "--model", "monomial",
                        "--degree", "1")
@@ -448,7 +458,7 @@ print(json.dumps([codes, exact, "numpy" in sys.modules]))
 """
 
 
-def test_the_exact_half_never_loads_numpy():
+def test_no_command_loads_numpy():
     # A fresh interpreter: the test session itself may have numpy loaded.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _EXACT_HALF], env=env,
@@ -457,9 +467,9 @@ def test_the_exact_half_never_loads_numpy():
     codes, exact, after = json.loads(proc.stdout)
     assert codes == [0] * 8
     # the perfbench tracer reads sys.modules["umbra.numeric"], so the CLI
-    # still imports the float modules; only numpy waits for a panel
+    # still imports the float modules; a quadrature panel loads nothing more
     assert exact == [False, True, True]
-    assert after is True
+    assert after is False
 
 
 # every subcommand, the refusals of this module (exit 2), an argparse

@@ -2,12 +2,15 @@
 
 import math
 
+import mpmath
 import pytest
 
+from umbra import quadrature
 from umbra.core import ParameterError, QuadratureError
 from umbra.quadrature import (
     QuadratureSpec,
     ScalarFn,
+    _gauss_nodes,
     integrate,
     integrate_adaptive,
     integrate_fixed,
@@ -22,6 +25,41 @@ def test_fixed_rule_exact_on_polynomials():
     for k in range(16):
         got = integrate_fixed(lambda t, k=k: t**k, 0.0, 1.0, spec)
         assert got == pytest.approx(1.0 / (k + 1), rel=1e-14), k
+
+
+def _mp_nonnegative_nodes(n):
+    """(x, w) for each node x >= 0 of the n-point rule, descending, at
+    60 digits: mpmath's root of its own P_n in Bruns' bracket
+    (k - 1/2) pi / (n + 1/2) < theta_k < k pi / (n + 1/2), x_k = cos theta_k,
+    then 0 for odd n, and w = 2 / ((1 - x^2) P_n'(x)^2)."""
+    with mpmath.workdps(60):
+        roots = [
+            mpmath.findroot(lambda z: mpmath.legendre(n, z),
+                            [mpmath.cos(j * mpmath.pi / (n + 0.5)) for j in (k, k - 0.5)],
+                            solver="anderson")
+            for k in range(1, n // 2 + 1)
+        ] + [mpmath.mpf(0)] * (n % 2)
+        out = []
+        for x in roots:
+            dp = n * (mpmath.legendre(n - 1, x) - x * mpmath.legendre(n, x)) / (1 - x * x)
+            out.append((float(x), float(2 / ((1 - x * x) * dp ** 2))))
+        return out
+
+
+def test_every_node_and_weight_is_correctly_rounded():
+    for n in range(2, 65):
+        xs, ws = _gauss_nodes(n)
+        assert list(zip(xs, ws))[n // 2:][::-1] == _mp_nonnegative_nodes(n), n
+        assert xs == tuple(-x for x in reversed(xs)) and ws == ws[::-1], n
+        assert all(a < b for a, b in zip(xs, xs[1:])), n
+
+
+def test_a_rule_whose_enclosures_never_round_is_refused_after_doubling_the_guard(monkeypatch):
+    guards = []
+    monkeypatch.setattr(quadrature, "_gauss_rule", lambda n, guard: guards.append(guard))
+    with pytest.raises(QuadratureError, match="could not be rounded in 6 tries"):
+        _gauss_nodes.__wrapped__(5)  # past the cache
+    assert guards == [16, 32, 64, 128, 256, 512]
 
 
 def test_fixed_rule_is_deterministic():
