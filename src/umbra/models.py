@@ -192,14 +192,17 @@ class UmbralModel:
     @functools.cached_property
     def fock_twin(self) -> UmbralModel | None:
         """monomial(n_max), on whose Fock pair (d/dt, t*) the ladder-word
-        checks decide this model (``on_fock_twin``; the argument is in
-        ``heisenberg``), or None when the premise fails or the model is
-        that Fock pair itself.  The premise, d = degree_of_index: the
-        ladder and vacuum axioms find no failure and no taint; no mark
-        of L lies at or below d(n_max), none of R at or below
-        d(n_max-1), none of B on p_0..p_n_max; and B is graded
-        triangular: p_n lies in the model's space, with its top nonzero
-        coefficient at t^d(n)."""
+        checks, biorthogonality and covariant decide this model
+        (``on_fock_twin``; the arguments are in ``heisenberg`` and
+        ``transforms``), or None when the premise fails or the model is
+        that Fock pair itself.  The pair is one object per process
+        (``_fock_pair``), so every model of one degree shares it, and
+        with it the reports each check gave there.  The premise,
+        d = degree_of_index: the ladder and vacuum axioms find no
+        failure and no taint; no mark of L lies at or below d(n_max),
+        none of R at or below d(n_max-1), none of B on p_0..p_n_max;
+        and B is graded triangular: p_n lies in the model's space, with
+        its top nonzero coefficient at t^d(n)."""
         top, d, b = self.n_max, self.degree_of_index, self.basis_op
         outcomes = (self.lowering_image[1], self.raising_image[1], self.vacuum_outcome)
         if any(bad is not None for bad, _ in outcomes):
@@ -218,8 +221,18 @@ class UmbralModel:
         )
         if not graded:
             return None
-        twin = build_model("monomial", top)
+        twin = _fock_pair(top)
         return None if twin == self else twin
+
+    @functools.cached_property
+    def transported(self) -> dict[tuple[Callable[..., object], tuple], object]:
+        """What each check gave on this model as a Fock twin, keyed by
+        (check, args): ``on_fock_twin`` runs a check on the pair once and
+        reads it here after that.  Exact because the pair is built from
+        n_max alone and is frozen, nothing writes to an operator's
+        columns in place, and a check is a pure function of (model,
+        args)."""
+        return {}
 
 
 def _form(
@@ -487,11 +500,17 @@ def on_fock_twin(m: UmbralModel, check: Callable[..., _R], *args, **params) -> _
     each report's params (otherwise the twin's: it has m's n_max), when
     m has a Fock twin (``fock_twin``) and every report there passes;
     else None, and the check runs on m itself.  Each check refuses on m
-    before it calls this, so its messages name m."""
+    before it calls this, so its messages name m.  The twin runs each
+    (check, args) once and keeps what it gave
+    (``UmbralModel.transported``); m gets relabelled copies of those
+    reports, never the kept ones themselves."""
     twin = m.fock_twin
     if twin is None:
         return None
-    got = check(twin, *args)
+    key = (check, args)
+    got = twin.transported.get(key)
+    if got is None:
+        got = twin.transported[key] = check(twin, *args)
     reports = got if isinstance(got, list) else [got]
     if not all(r.passed for r in reports):
         return None
@@ -547,6 +566,13 @@ _CATALOG: dict[str, tuple[Callable[..., UmbralModel], Fraction | int | None]] = 
     "heat": (_build_even, ZERO),
     "bessel": (_build_even, None),
 }
+
+
+@functools.lru_cache(maxsize=1)
+def _fock_pair(n_max: int) -> UmbralModel:
+    """monomial(n_max), one object per process for every model that
+    has it as its Fock twin; only the latest degree's pair is kept."""
+    return build_model("monomial", n_max)
 
 
 def build_model(

@@ -29,6 +29,19 @@ product by u, and that is how ``covariant_check`` tests them.
 with l_0: for one request on a freshly built model that costs less
 than building D from its integer rows.
 
+``biorthogonality_check`` and ``covariant_check`` are decided on the
+model's Fock twin (``UmbralModel.fock_twin``, through
+``models.on_fock_twin``) where the premise of that transport holds,
+as the ladder-word checks of ``heisenberg`` are.  Why they hold: with
+L B = B S_down and l_0 B = e_0 untainted, B graded triangular and no
+mark where they read, l_k p_n = l_0 L^k p_n = l_0 p_(n-k) = delta_kn,
+so D B = I, which is biorthogonality, and the round trip follows from
+it.  With W_0 = diag(1/k!) D, W_0 B = diag(1/n!) is covariant's image;
+W_0 L B = W_0 B S_down = D_u (W_0 B) and, on n < n_max,
+W_0 R B = W_0 B S_up = U (W_0 B) are its exchange rules.  Each holds
+on the model exactly when it does on the twin, untainted, and only
+the direct path reports "fail" or "inconclusive".
+
 The transmutation V = B_dst D_src maps one model onto another, and
 ``transmute_vector`` is its one implementation.  ``umbral_map`` applies
 it to a ``Poly``, as the ``transmute`` command does;
@@ -53,7 +66,7 @@ from .core import (
     integer_vector,
 )
 from .kernels import EMPTY, Column, icol_eq
-from .models import Parity, UmbralModel, axiom_outcomes, require_order, vacuum_op
+from .models import Parity, UmbralModel, axiom_outcomes, on_fock_twin, require_order, vacuum_op
 from .models import dual_functionals  # noqa: F401  (public here: the duals l_k)
 from .models import _derivative_op, _mult_by_t_op, pairing_mismatch
 from .reports import VerificationReport, status_of
@@ -225,7 +238,10 @@ def biorthogonality_check(m: UmbralModel) -> VerificationReport:
     """<l_k, p_n> = delta_kn for all k, n, as the identities
     l_k B = e_k on the basis matrix B taken k by k, plus the round trip
     reassemble(expand(f)) = f on a dense combination of the basis.
-    D B carries the marks of B and of D."""
+    D B carries the marks of B and of D.  Decided on the Fock twin
+    where the model has one."""
+    if (moved := on_fock_twin(m, biorthogonality_check)) is not None:
+        return moved
     db = m.dual_op @ m.basis_op
     bad = None
     for k in range(m.n_max + 1):
@@ -257,7 +273,10 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
     ``raising_image``).  An
     image L p_n or R p_n outside the model's space raises DomainError.
     Last, ``covariant_w0`` of sum_n (n+1)/(n+2) p_n must be
-    sum_n (n+1)/(n+2) u^n/n!."""
+    sum_n (n+1)/(n+2) u^n/n!.  Decided on the Fock twin where the
+    model has one."""
+    if (moved := on_fock_twin(m, covariant_check)) is not None:
+        return moved
     cap, top = m.degree_cap, m.n_max
     f = math.factorial(top)
     cols = [((j,), (f // math.factorial(j),)) for j in range(top + 1)]

@@ -479,6 +479,34 @@ MUTANTS = (
         ("tests/test_truncation_rule.py::test_the_ladder_word_checks_build_no_word_on_a_twinned_model",),
     ),
     Mutant(
+        "the Fock pair's reports kept by check alone, whatever its order",
+        "src/umbra/models.py",
+        "    key = (check, args)\n",
+        "    key = check\n",
+        ("tests/test_truncation_rule.py::test_the_pair_keeps_each_order_apart",),
+    ),
+    Mutant(
+        "a fresh Fock pair built for each model",
+        "src/umbra/models.py",
+        "twin = _fock_pair(top)",
+        'twin = build_model("monomial", top)',
+        ("tests/test_truncation_rule.py::test_the_models_of_one_degree_share_one_fock_pair_and_its_reports",),
+    ),
+    Mutant(
+        "covariant never decided on the Fock twin",
+        "src/umbra/transforms.py",
+        "    if (moved := on_fock_twin(m, covariant_check)) is not None:\n        return moved\n",
+        "",
+        ("tests/test_truncation_rule.py::test_verify_all_builds_no_dual_matrix_on_a_twinned_model",),
+    ),
+    Mutant(
+        "biorthogonality never decided on the Fock twin",
+        "src/umbra/transforms.py",
+        "    if (moved := on_fock_twin(m, biorthogonality_check)) is not None:\n        return moved\n",
+        "",
+        ("tests/test_truncation_rule.py::test_verify_all_builds_no_dual_matrix_on_a_twinned_model",),
+    ),
+    Mutant(
         "the expansion theorem never applied",
         "src/umbra/translations.py",
         "if not _expansion_theorem_applies(m, top):",

@@ -9,14 +9,16 @@ translation, which are compared value, flag and refusal alike.  The
 checks that a premise may decide, on the Fock twin or by the expansion
 theorem, report what their direct paths report."""
 
+import contextlib
 import dataclasses
+import io
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbra import translations
+from umbra import cli, kernels, translations
 from umbra.core import (
     DomainError, LinearOp, ParameterError, Poly, UmbraError, column_poly, integer_vector,
 )
@@ -538,6 +540,8 @@ def _decided_and_direct(m, order, top):
         "metaplectic": (lambda: metaplectic_check(m), lambda: metaplectic_check(d)),
         "sl2": (lambda: [sl2_closure_check(m)], lambda: [sl2_closure_check(d)]),
         "commutator": (commutator(m), commutator(d)),
+        "biorthogonality": (lambda: [biorthogonality_check(m)], lambda: [biorthogonality_check(d)]),
+        "covariant": (lambda: [covariant_check(m)], lambda: [covariant_check(d)]),
         "binomial": (lambda: binomial_sweep(m, top), lambda: _binomial_by_tables(m, top)),
     }
 
@@ -578,21 +582,71 @@ def test_the_catalog_models_are_decided_on_their_fock_twin():
         _assert_decided_as_directly(m, 4, 8)
 
 
-@pytest.mark.parametrize("name", [n for n in MODEL_NAMES if n != "monomial"])
-def test_the_ladder_word_checks_build_no_word_on_a_twinned_model(name):
-    """The ladder-word checks and the commutator axiom of a catalog model
-    other than monomial are decided on its Fock twin: they pass, and
-    build the word table of the twin, never one of the model's own."""
-    m = build_model(name, 8, Fraction(5, 2) if name == "bessel" else None)
-    reports = (
+def _transported_reports(m):
+    """Every report ``on_fock_twin`` may decide on m's Fock pair."""
+    return (
         verify_model(m)
         + [group_law_check(m, 2), weyl_relation_check(m, 2), composition_check_formal(m, 2)]
         + metaplectic_check(m)
-        + [sl2_closure_check(m)]
+        + [sl2_closure_check(m), biorthogonality_check(m), covariant_check(m)]
     )
-    assert all(r.passed and r.model == m.label() for r in reports)
+
+
+@pytest.mark.parametrize("name", [n for n in MODEL_NAMES if n != "monomial"])
+def test_the_ladder_word_checks_build_no_word_on_a_twinned_model(name):
+    """The ladder-word checks, the commutator axiom, biorthogonality
+    and covariant of a catalog model other than monomial are decided on
+    its Fock twin: they pass, and build the word table of the twin,
+    never one of the model's own."""
+    m = build_model(name, 8, Fraction(5, 2) if name == "bessel" else None)
+    assert all(r.passed and r.model == m.label() for r in _transported_reports(m))
     assert "words" not in vars(m)
     assert "words" in vars(m.fock_twin)
+
+
+def test_the_models_of_one_degree_share_one_fock_pair_and_its_reports(count_calls):
+    """The pair is one object per process for each degree in turn, and
+    each check runs on it once: the second model's transported checks
+    make no operator product and hand out fresh reports under its own
+    label, never the ones the pair keeps."""
+    m1, m2 = build_model("lower-factorial", 8), build_model("hermite", 8)
+    assert m1.fock_twin is m2.fock_twin
+    first = _transported_reports(m1)
+    calls = count_calls(kernels, "imat_mul")
+    second = _transported_reports(m2)
+    assert len(calls) == 0
+    assert [r.check for r in second] == [r.check for r in first]
+    assert all(r.passed and r.model == "hermite" for r in second)
+    kept = m2.fock_twin.transported[biorthogonality_check, ()]
+    assert second[-2] == dataclasses.replace(kept, model="hermite")
+    assert second[-2].params is not kept.params
+    nine = build_model("lower-factorial", 9)
+    assert nine.fock_twin is not m1.fock_twin
+    assert (nine.fock_twin.name, nine.fock_twin.n_max) == ("monomial", 9)
+
+
+def test_the_pair_keeps_each_order_apart():
+    """Two orders of one check on one pair are two reports, each with
+    its own order, as the direct path gives them."""
+    m = build_model("upper-factorial", 8)
+    for order in (2, 4, 2):
+        report = group_law_check(m, order)
+        assert report.params["order"] == order
+        assert report == group_law_check(_without_twin(m), order)
+
+
+@pytest.mark.parametrize("name", [n for n in MODEL_NAMES if n != "monomial"])
+def test_verify_all_builds_no_dual_matrix_on_a_twinned_model(name, monkeypatch):
+    """Biorthogonality and covariant are decided on the Fock twin, so
+    ``verify --all`` on a twinned catalog model never stacks the model's
+    own duals into D."""
+    built, load = [], cli._load_model
+    monkeypatch.setattr(cli, "_load_model", lambda *a: built.append(load(*a)) or built[-1])
+    nu = ["--nu", "5/2"] if name == "bessel" else []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--all", "--degree", "16", "--model", name, *nu]) == 0
+    assert [m.fock_twin is not None for m in built] == [True]
+    assert "dual_op" not in vars(built[0])
 
 
 @pytest.mark.parametrize("name", ["lower-factorial", "upper-factorial"])
