@@ -36,6 +36,7 @@ from .core import (
     Poly,
     QuadratureError,
     UmbraError,
+    column_poly,
     format_rational,
     parse_rational,
 )
@@ -64,21 +65,19 @@ def _rational_flag(name: str, text: str) -> Fraction:
 
 
 def _float_flag(name: str, text: str) -> float:
-    """Numeric commands accept either a decimal float or "p/q"."""
+    """Numeric commands accept a decimal float or "p/q", finite as a double."""
     try:
         value = float(text)
     except ValueError:
-        pass
-    else:
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {text!r}")
-        return value
-    try:
-        return float(parse_rational(text))
-    except (UmbraError, ValueError):
-        raise ParameterError(
-            f"bad numeric value for {name}: {text!r}"
-        ) from None
+        try:
+            value = float(parse_rational(text))
+        except (UmbraError, ValueError):
+            raise ParameterError(f"bad numeric value for {name}: {text!r}") from None
+        except OverflowError:
+            value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {text!r}")
+    return value
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -323,7 +322,7 @@ CHECKS: dict[str, Check] = {
     "commutator": Check(_model_check("commutator")),
     "duals": Check(lambda t, _: [transforms.biorthogonality_check(t.model)], _always),
     "covariant": Check(lambda t, _: [transforms.covariant_check(t.model)], _always),
-    "genfun": Check(lambda t, k: [transforms.generating_function(t.model, k).report],
+    "genfun": Check(lambda t, k: [transforms.generating_function(t.model, k)],
                     _always, TOP, TOP),
     "binomial": Check(lambda t, k: translations.binomial_sweep(t.model, k),
                       lambda m: m.shift_invariant and m.vacuum_is_eval0(), TOP, TOP),
@@ -407,18 +406,21 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 def _cmd_genfun(args: argparse.Namespace) -> int:
     m = _load_model(args)
-    table = transforms.generating_function(m, _order(args, min(8, m.n_max)))
+    order = _order(args, min(8, m.n_max))
+    report = transforms.generating_function(m, order)
+    b = m.basis_op
+    table = [column_poly(col, b.den, m.degree_cap).coeffs for col in b.cols[: order + 1]]
     if args.format == "json":
         _emit(args, json.dumps(
             {
-                "report": table.report.to_dict(),
-                "rows": [[format_rational(c) for c in row] for row in table.table],
+                "report": report.to_dict(),
+                "rows": [[format_rational(c) for c in row] for row in table],
             },
             sort_keys=True, default=str,
         ))
     elif args.format == "plain":
-        lines = [_report_output(args, [table.report])]
-        for k, row in enumerate(table.table):
+        lines = [_report_output(args, [report])]
+        for k, row in enumerate(table):
             top = max((j for j, c in enumerate(row) if c), default=0)
             lines.append(
                 f"s^{k}: " + ", ".join(format_rational(c) for c in row[: top + 1])
@@ -428,10 +430,10 @@ def _cmd_genfun(args: argparse.Namespace) -> int:
         header = ["s_order"] + [f"t^{j}" for j in range(m.degree_cap + 1)]
         rows = [
             [k] + [format_rational(c) for c in row]
-            for k, row in enumerate(table.table)
+            for k, row in enumerate(table)
         ]
         _emit(args, rows_to_csv(header, rows))
-    return _report_exit([table.report])
+    return _report_exit([report])
 
 
 def _scalar_fn(args: argparse.Namespace) -> numeric.ScalarFn:

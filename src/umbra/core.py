@@ -22,7 +22,7 @@ monomial basis t^k.  Three data types live here:
   all run in the kernels' one loop.  Its one
   constructor, ``LinearOp(cols, den, cap, trunc_cols)``, takes integer
   columns over any nonzero denominator and canonicalizes them;
-  ``from_columns`` and ``from_entries`` build it from rationals.
+  ``from_columns`` builds it from rationals.
   Operators remember which input columns are unreliable because the
   construction already truncated them (``trunc_cols``).  ``step``, the
   one product of an operator with an exact vector, holds the one rule
@@ -231,9 +231,6 @@ class Poly:
         cs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
         return Poly(cs, self.cap, self.truncated or other.truncated)
 
-    def __neg__(self) -> "Poly":
-        return self.scale(-1)
-
     def scale(self, q: Fraction | int) -> "Poly":
         q = as_fraction(q)
         return Poly([q * c for c in self.coeffs], self.cap, self.truncated)
@@ -366,20 +363,6 @@ class LinearOp:
         )
 
     @classmethod
-    def from_entries(
-        cls,
-        entries: Sequence[Sequence[Fraction | int]],
-        trunc_cols: frozenset[int] = frozenset(),
-    ) -> "LinearOp":
-        """Build from a square grid of rationals, entries[row][col]."""
-        cap = len(entries) - 1
-        if any(len(row) != cap + 1 for row in entries):
-            raise CapMismatchError(f"matrix shape does not match cap {cap}")
-        return cls.from_columns(
-            cap, lambda j: {i: row[j] for i, row in enumerate(entries)}, trunc_cols
-        )
-
-    @classmethod
     def identity(cls, cap: int) -> "LinearOp":
         return cls([((j,), (1,)) for j in range(cap + 1)], 1, cap)
 
@@ -398,13 +381,6 @@ class LinearOp:
             for i, x in zip(col_rows, vals):
                 rows[i][j] = x
         return tuple(tuple(row) for row in rows)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        rows, vals = self.cols[j]
-        return Fraction(dict(zip(rows, vals)).get(i, 0), self.den)
-
-    def is_zero(self) -> bool:
-        return not any(rows for rows, _ in self.cols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearOp):
@@ -527,19 +503,6 @@ class Functional:
             (i, q) for i, q in enumerate(rs) if q
         )
         self.cap = cap
-
-    @classmethod
-    def eval_at_zero(cls, cap: int) -> "Functional":
-        """f |-> f(0)."""
-        return cls((ONE,), cap)
-
-    @property
-    def row(self) -> tuple[Fraction, ...]:
-        """Dense row vector (a fresh view)."""
-        rs = [ZERO] * (self.cap + 1)
-        for i, q in self.terms:
-            rs[i] = q
-        return tuple(rs)
 
     def pair(self, f: Poly) -> Fraction:
         """<l, f>.  Exact; callers worried about truncated inputs must

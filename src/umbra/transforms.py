@@ -49,12 +49,15 @@ it to a ``Poly``, as the ``transmute`` command does;
 V R_src = R_dst V with it on kernel columns, each basis column of the
 source carried through the ladders and V, and the two sides compared
 by ``kernels.icol_eq``.
+
+``generating_function`` checks L_t F = s F for the generating function
+F(s, t) = sum_k s^k p_k(t) from the model's lowering outcome alone; the
+``genfun`` command prints F's rows, which are B's columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -311,32 +314,19 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
     )
 
 
-@dataclass
-class GeneratingTable:
-    """Rows of the archetypal generating function F(s, t) = sum_k s^k p_k(t):
-    table[k][j] is the t^j coefficient of p_k."""
-
-    table: tuple[tuple[Fraction, ...], ...]
-    report: VerificationReport
-
-
-def generating_function(m: UmbralModel, order: int) -> GeneratingTable:
-    """Coefficient table of F(s, t) to s-order ``order``, plus an exact
-    verification that L_t F = s F order by order: the s^{k+1} row of
+def generating_function(m: UmbralModel, order: int) -> VerificationReport:
+    """Exact verification that L_t F = s F order by order, F being the
+    archetypal generating function sum_k s^k p_k(t): the s^{k+1} row of
     L F must equal row k, and L applied to row 0 must vanish.  That is
-    L B = B S_down on columns 0..order (``models.axiom_outcomes``:
-    the model's cached outcome at order n_max, the product with B cut
-    to p_0..p_order below it).  The rows are B's columns 0..order, read
-    straight off its integers."""
+    L B = B S_down on columns 0..order (``models.axiom_outcomes``: the
+    model's cached outcome at order n_max, the product with B cut to
+    p_0..p_order below it).  No row of F is built."""
     require_order(m, order)
-    b = m.basis_op
-    rows = tuple(column_poly(col, b.den, m.degree_cap).coeffs for col in b.cols[: order + 1])
     (bad, tainted), _ = axiom_outcomes(m, order)
-    report = VerificationReport(
+    return VerificationReport(
         check="generating-function",
         model=m.label(),
         params={"order": order},
         status=status_of(bad, tainted),
         first_failure=bad,
     )
-    return GeneratingTable(table=rows, report=report)

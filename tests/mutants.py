@@ -507,6 +507,15 @@ MUTANTS = (
         ("tests/test_truncation_rule.py::test_verify_all_builds_no_dual_matrix_on_a_twinned_model",),
     ),
     Mutant(
+        "the genfun check builds the table again",
+        "src/umbra/transforms.py",
+        "    require_order(m, order)\n",
+        "    require_order(m, order)\n    b = m.basis_op\n"
+        "    _ = [column_poly(col, b.den, m.degree_cap).coeffs for col in b.cols[: order + 1]]\n",
+        ("tests/test_transforms.py::"
+         "test_the_genfun_check_builds_no_row_and_the_command_its_order_plus_one",),
+    ),
+    Mutant(
         "the expansion theorem never applied",
         "src/umbra/translations.py",
         "if not _expansion_theorem_applies(m, top):",

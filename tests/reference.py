@@ -102,6 +102,14 @@ def word_marks(letters, marks, size):
     return out
 
 
+def op_from_grid(a, marks=frozenset()):
+    """The package's LinearOp of the square matrix a, built column by
+    column through ``LinearOp.from_columns``, with marked columns marks."""
+    return LinearOp.from_columns(
+        len(a) - 1, lambda j: {i: row[j] for i, row in enumerate(a)}, frozenset(marks)
+    )
+
+
 def m_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 

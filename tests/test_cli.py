@@ -359,6 +359,40 @@ def test_non_finite_numeric_flag_is_a_usage_error(capsys, value):
     assert "--x must be finite" in err
 
 
+# A "p/q" past the double range is refused as its decimal form is.
+_HUGE_RATIO = "1" + "0" * 400 + "/3"
+
+_HUGE_RATIO_FLAGS = {
+    "bessel-j-x": (("bessel", "j", "--nu", "2", "--x", _HUGE_RATIO), "--x"),
+    "bessel-j-negative-x": (("bessel", "j", "--x", "-" + _HUGE_RATIO), "--x"),
+    "bessel-j-nu": (("bessel", "j", "--nu", _HUGE_RATIO, "--x", "1"), "--nu"),
+    "bessel-j-lambda": (("bessel", "j", "--lambda", _HUGE_RATIO, "--x", "1"), "--lambda"),
+    "bessel-j-grid": (("bessel", "j", "--grid", f"1,{_HUGE_RATIO}"), "--grid"),
+    "poisson-x": (("bessel", "poisson", "--fn", "cos", "--x", _HUGE_RATIO), "--x"),
+    "poisson-grid": (("bessel", "poisson", "--fn", "cos", "--grid", f"{_HUGE_RATIO},1"), "--grid"),
+    "hankel-lambda": (("bessel", "hankel", "--fn", "gauss", "--lambda", _HUGE_RATIO), "--lambda"),
+    "hankel-grid": (("bessel", "hankel", "--fn", "gauss", "--grid", f"1,{_HUGE_RATIO}"), "--grid"),
+    "heat-u": (("heat", "covariant", "--fn", "gauss", "--u", _HUGE_RATIO), "--u"),
+    "heat-grid": (("heat", "covariant", "--fn", "gauss", "--grid", f"1,{_HUGE_RATIO}"), "--grid"),
+    "cosine-v": (("cosine", "--fn", "gauss", "--v", _HUGE_RATIO), "--v"),
+    "cosine-grid": (("cosine", "--fn", "gauss", "--grid", f"1,{_HUGE_RATIO}"), "--grid"),
+    "poisson-check-nu": (("verify", "--check", "poisson-intertwining", "--nu", _HUGE_RATIO), "--nu"),
+    "poisson-check-grid": (("verify", "--check", "poisson-intertwining",
+                            "--grid", f"1,{_HUGE_RATIO}"), "--grid"),
+    "hankel-check-nu": (("verify", "--check", "hankel-intertwining", "--nu", _HUGE_RATIO), "--nu"),
+    "hankel-check-grid": (("verify", "--check", "hankel-intertwining",
+                           "--grid", f"1,{_HUGE_RATIO}"), "--grid"),
+}
+
+
+@pytest.mark.parametrize("argv, flag", _HUGE_RATIO_FLAGS.values(), ids=_HUGE_RATIO_FLAGS)
+def test_a_ratio_past_the_double_range_is_a_usage_error_naming_its_flag(capsys, argv, flag):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    value = next(v for a in argv for v in a.split(",") if _HUGE_RATIO in v)
+    assert err == f"umbra: {flag} must be finite, got {value!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--check", "hankel-intertwining", "--tol", "0"),
     ("cosine", "--fn", "gauss", "--v", "1", "--tol=-1"),

@@ -195,7 +195,7 @@ def test_trunc_cols_propagate_through_matmul():
 # -- Functional --------------------------------------------------------
 
 def test_eval_at_zero_functional():
-    l0 = Functional.eval_at_zero(5)
+    l0 = Functional((1,), 5)
     assert l0.pair(mono(0, 5)) == 1
     assert l0.pair(mono(3, 5)) == 0
     shift = LinearOp.from_columns(

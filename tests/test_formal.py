@@ -77,8 +77,8 @@ def ladder_pairs(draw):
 def test_word_operators_are_the_letter_products_with_path_closed_marks(pair, words):
     cap, low, high, low_marks, high_marks = pair
     table = OpWordTable(
-        LinearOp.from_entries(low, frozenset(low_marks)),
-        LinearOp.from_entries(high, frozenset(high_marks)),
+        ref.op_from_grid(low, low_marks),
+        ref.op_from_grid(high, high_marks),
     )
     letters = {"L": (low, low_marks), "R": (high, high_marks)}
     for word in words:
@@ -357,8 +357,8 @@ def series_pairs(draw):
     rational, and then one of the two may gain a cancelled word."""
     cap, low, high, low_marks, high_marks = draw(ladder_pairs())
     table = OpWordTable(
-        LinearOp.from_entries(low, frozenset(low_marks)),
-        LinearOp.from_entries(high, frozenset(high_marks)),
+        ref.op_from_grid(low, low_marks),
+        ref.op_from_grid(high, high_marks),
     )
     letters = {"L": (low, low_marks), "R": (high, high_marks)}
     terms = []  # (side, index, word, rational), added in this order
@@ -444,8 +444,8 @@ def test_integer_series_match_the_fraction_oracle(pair, drawn, ops, data):
     gives the two-sided oracle's (index, taint, residual)."""
     cap, low, high, low_marks, high_marks = pair
     table = OpWordTable(
-        LinearOp.from_entries(low, frozenset(low_marks)),
-        LinearOp.from_entries(high, frozenset(high_marks)),
+        ref.op_from_grid(low, low_marks),
+        ref.op_from_grid(high, high_marks),
     )
     letters = {"L": (low, low_marks), "R": (high, high_marks)}
     series, plain = [], []

@@ -32,6 +32,8 @@ from umbra.heisenberg import (
 )
 from umbra.models import build_model
 
+import reference as ref
+
 GOLDEN = Path(__file__).parent / "golden" / "formal-perturbed.json"
 
 MODELS = (
@@ -54,7 +56,7 @@ def _perturbed(seed: int):
         rows = [[Fraction(x, op.den) for x in row] for row in op.num]
         delta = rng.choice(DELTAS)
         rows[i][j] += delta
-        op = LinearOp.from_entries(rows, op.trunc_cols)
+        op = ref.op_from_grid(rows, op.trunc_cols)
         what = f"{which}[{i}][{j}] += {delta}"
     else:
         op = LinearOp(op.cols, op.den, op.cap, op.trunc_cols | {j})

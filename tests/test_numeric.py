@@ -623,12 +623,10 @@ def test_cosine_refuses_undecayed_input():
 
 
 def test_cosine_consistent_with_heat_generating_rows():
-    # rows of the heat model's generating table are t^{2k}/(2k)!, the
-    # series of cos(sqrt(v) t) at v = -s; check d^2/dt^2 row_k = row_{k-1}
-    from umbra.transforms import generating_function
-
-    g = generating_function(build_model("heat", 5), 5)
-    rows = [list(r) for r in g.table]
+    # rows of the heat model's generating table, its basis p_k, are
+    # t^{2k}/(2k)!, the series of cos(sqrt(v) t) at v = -s; check
+    # d^2/dt^2 row_k = row_{k-1}
+    rows = [list(p.coeffs) for p in build_model("heat", 5).basis]
     for k in range(1, 6):
         twice = ref.p_deriv(ref.p_deriv([Fraction(c) for c in rows[k]]))
         assert ref.p_trim(twice) == ref.p_trim(

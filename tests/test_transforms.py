@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umbra import cli, transforms
 from umbra.cli import main
 from umbra.core import CapMismatchError, Functional, Poly
 from umbra.models import MODEL_NAMES, Parity, build_model, vacuum_op
@@ -213,29 +214,52 @@ def test_the_transmutation_check_refuses_index_counts_that_differ():
 
 # -- generating tables -------------------------------------------------
 
+def _genfun_rows(m):
+    """The rows of F(s, t) = sum_k s^k p_k(t), as the genfun command
+    prints them: p_k's coefficients."""
+    return [p.coeffs for p in m.basis]
+
+
 def test_generating_table_monomials_is_exponential():
-    g = generating_function(build_model("monomial", 6), 6)
-    assert g.report.status == PASS
-    for k, row in enumerate(g.table):
+    m = build_model("monomial", 6)
+    assert generating_function(m, 6).status == PASS
+    for k, row in enumerate(_genfun_rows(m)):
         want = [Fraction(0)] * k + [Fraction(1, ref.factorial(k))]
         assert list(row)[: k + 1] == want
         assert not any(row[k + 1 :])
 
 
 def test_generating_table_bessel_rows_are_ladder_reciprocals():
-    g = generating_function(build_model("bessel", 4, nu=2), 4)
-    assert g.report.status == PASS
-    for k, row in enumerate(g.table):
+    m = build_model("bessel", 4, nu=2)
+    assert generating_function(m, 4).status == PASS
+    for k, row in enumerate(_genfun_rows(m)):
         nonzero = {j: c for j, c in enumerate(row) if c}
         assert nonzero == {2 * k: 1 / ref.bessel_c(2, k)}
 
 
 def test_generating_table_heat_is_even_exponential():
-    g = generating_function(build_model("heat", 4), 4)
-    assert g.report.status == PASS
-    for k, row in enumerate(g.table):
+    m = build_model("heat", 4)
+    assert generating_function(m, 4).status == PASS
+    for k, row in enumerate(_genfun_rows(m)):
         nonzero = {j: c for j, c in enumerate(row) if c}
         assert nonzero == {2 * k: Fraction(1, ref.factorial(2 * k))}
+
+
+@pytest.mark.parametrize("m", catalog(), ids=lambda m: m.label())
+def test_the_genfun_check_builds_no_row_and_the_command_its_order_plus_one(m, count_calls):
+    """The check reads the lowering outcome alone and makes no p_k into
+    a row of F; the genfun command makes exactly the rows it prints."""
+    checked = count_calls(transforms, "column_poly")
+    assert generating_function(m, m.n_max).status == PASS
+    assert checked == []
+    made = count_calls(cli, "column_poly")
+    nu = ["--nu", "5/2"] if m.name == "bessel" else []
+    for order, given in ((min(8, m.n_max), []), (2, ["--order", "2"])):
+        made.clear()
+        argv = ["genfun", "--model", m.name, *nu, "--degree", str(m.n_max), *given]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert len(made) == order + 1
 
 
 # -- round trips over the integers -------------------------------------
