@@ -116,6 +116,12 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _require_same_cap(cap: int, other: int) -> None:
+    """Refuse operands at two different degree caps."""
+    if cap != other:
+        raise CapMismatchError(f"degree caps differ: {cap} vs {other}")
+
+
 def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Rewrite fractions over one positive denominator: (numerators, den)."""
     den = math.lcm(*{v.denominator for v in values})
@@ -215,19 +221,13 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check_cap(self, other: "Poly") -> None:
-        if self.cap != other.cap:
-            raise CapMismatchError(
-                f"degree caps differ: {self.cap} vs {other.cap}"
-            )
-
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_cap(other)
+        _require_same_cap(self.cap, other.cap)
         cs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
         return Poly(cs, self.cap, self.truncated or other.truncated)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_cap(other)
+        _require_same_cap(self.cap, other.cap)
         cs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
         return Poly(cs, self.cap, self.truncated or other.truncated)
 
@@ -238,7 +238,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         """Product, truncated at the cap; sets the flag when the
         truncation drops a nonzero coefficient."""
-        self._check_cap(other)
+        _require_same_cap(self.cap, other.cap)
         cap = self.cap
         out = [ZERO] * (cap + 1)
         lost = False
@@ -400,17 +400,11 @@ class LinearOp:
 
     # -- algebra ------------------------------------------------------
 
-    def _check_cap(self, other: "LinearOp") -> None:
-        if self.cap != other.cap:
-            raise CapMismatchError(
-                f"degree caps differ: {self.cap} vs {other.cap}"
-            )
-
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
         """Composition self o other (apply ``other`` first).  Column j
         of the product is tainted when it is tainted in ``other`` or
         when column j of ``other`` reaches a row that ``self`` marks."""
-        self._check_cap(other)
+        _require_same_cap(self.cap, other.cap)
         cols = kernels.imat_mul(self.cols, other.cols)
         tcols = set(other.trunc_cols)
         bad_rows = self.trunc_cols
@@ -422,7 +416,7 @@ class LinearOp:
         return LinearOp(cols, self.den * other.den, self.cap, tcols)
 
     def __add__(self, other: "LinearOp") -> "LinearOp":
-        self._check_cap(other)
+        _require_same_cap(self.cap, other.cap)
         g = math.gcd(self.den, other.den)
         ca = other.den // g
         cb = self.den // g
@@ -463,10 +457,7 @@ class LinearOp:
             vec, den, tainted = self.step(vec, den, tainted)
 
     def apply(self, f: Poly) -> Poly:
-        if f.cap != self.cap:
-            raise CapMismatchError(
-                f"degree caps differ: {self.cap} vs {f.cap}"
-            )
+        _require_same_cap(self.cap, f.cap)
         col, den, tainted = self.step(*integer_vector(f.coeffs), f.truncated)
         return column_poly(col, den, f.cap, tainted)
 
@@ -476,7 +467,7 @@ class LinearOp:
         """(first column in ``cols`` where the two operators differ, or
         None; tainted): whether either side marks a column scanned up to
         there as truncated.  ``reports.status_of`` turns it into a status."""
-        self._check_cap(other)
+        _require_same_cap(self.cap, other.cap)
         marks = self.trunc_cols | other.trunc_cols
         tainted = False
         for j in cols:
@@ -507,19 +498,13 @@ class Functional:
     def pair(self, f: Poly) -> Fraction:
         """<l, f>.  Exact; callers worried about truncated inputs must
         inspect f.truncated themselves."""
-        if f.cap != self.cap:
-            raise CapMismatchError(
-                f"degree caps differ: {self.cap} vs {f.cap}"
-            )
+        _require_same_cap(self.cap, f.cap)
         cs = f.coeffs
         return sum((a * cs[i] for i, a in self.terms if cs[i]), ZERO)
 
     def after(self, op: LinearOp) -> "Functional":
         """The pullback l o op (row vector times matrix)."""
-        if op.cap != self.cap:
-            raise CapMismatchError(
-                f"degree caps differ: {self.cap} vs {op.cap}"
-            )
+        _require_same_cap(self.cap, op.cap)
         nums, rden = _common_denominator([a for _, a in self.terms])
         weights = {i: y for (i, _), y in zip(self.terms, nums)}
         d = rden * op.den

@@ -16,9 +16,10 @@ atoms pass each other is exp(-x1*y2).
 
 Every identity here is a combination of ladder words in L and R, and
 is decided on the model's Fock twin (``UmbralModel.fock_twin``), the
-pair (d/dt, t*) of monomial(n_max), where the premise of that transport
-holds; the reports keep the model's label and params.  The argument:
-take a word of length at most M and j <= n_max - M.  Read from p_j,
+pair (d/dt, t*) of monomial(n_max), where the model meets
+``UmbralModel.premise``; the reports keep the model's label and
+params.  The argument: take a word of length at most M and
+j <= n_max - M.  Read from p_j,
 each L acts on some p_k with k <= n_max and each R on one with
 k < n_max, where the ladder axioms hold, so
 w(L, R) p_j = B w(S_down, S_up) e_j, and the twin obeys the same
@@ -260,38 +261,25 @@ def composition_check_formal(m: UmbralModel, order: int) -> VerificationReport:
 # discrete kernels and twisted convolution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelAtom:
-    """One weighted point mass: value = coef * exp(log_weight) placed
-    at ladder parameters (x, y).  The exponent stays rational so kernel
-    equality is decidable."""
-
-    coef: Fraction
-    log_weight: Fraction
-    x: Fraction
-    y: Fraction
-
-    def _key(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.x, self.y, self.log_weight)
+#: One atom of a kernel, canonical: ((x, y, log_weight), coef).
+Atom = tuple[tuple[Fraction, Fraction, Fraction], Fraction]
 
 
 class DiscreteKernel:
-    """Finite atomic kernel, canonicalized: atoms sharing
-    (x, y, log_weight) are merged, zero coefficients dropped, order
-    fixed by (x, y, log_weight)."""
+    """Finite atomic kernel: point masses coef * exp(log_weight) placed
+    at ladder parameters (x, y), the exponent kept rational so that
+    kernel equality is decidable.  ``atoms`` holds them canonically as
+    ((x, y, log_weight), coef) pairs: atoms sharing (x, y, log_weight)
+    are merged, zero coefficients dropped, order fixed by
+    (x, y, log_weight)."""
 
     __slots__ = ("atoms",)
 
-    def __init__(self, atoms: Iterable[KernelAtom] = ()):
+    def __init__(self, atoms: Iterable[Atom] = ()):
         merged: dict[tuple, Fraction] = {}
-        for a in atoms:
-            k = a._key()
-            merged[k] = merged.get(k, ZERO) + as_fraction(a.coef)
-        self.atoms: tuple[KernelAtom, ...] = tuple(
-            KernelAtom(coef=q, log_weight=k[2], x=k[0], y=k[1])
-            for k, q in sorted(merged.items())
-            if q
-        )
+        for k, q in atoms:
+            merged[k] = merged.get(k, ZERO) + q
+        self.atoms: tuple[Atom, ...] = tuple((k, q) for k, q in sorted(merged.items()) if q)
 
     @classmethod
     def atom(
@@ -301,10 +289,8 @@ class DiscreteKernel:
         x: Fraction | int | str = 0,
         y: Fraction | int | str = 0,
     ) -> "DiscreteKernel":
-        return cls([KernelAtom(
-            as_fraction(coef), as_fraction(log_weight),
-            as_fraction(x), as_fraction(y),
-        )])
+        key = (as_fraction(x), as_fraction(y), as_fraction(log_weight))
+        return cls([(key, as_fraction(coef))])
 
     @classmethod
     def delta(cls) -> "DiscreteKernel":
@@ -314,9 +300,6 @@ class DiscreteKernel:
 
     def __len__(self) -> int:
         return len(self.atoms)
-
-    def __iter__(self):
-        return iter(self.atoms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscreteKernel):
@@ -328,30 +311,25 @@ class DiscreteKernel:
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"({format_rational(a.coef)})e^{format_rational(a.log_weight)}"
-            f"@({format_rational(a.x)},{format_rational(a.y)})"
-            for a in self.atoms
+            f"({format_rational(q)})e^{format_rational(w)}"
+            f"@({format_rational(x)},{format_rational(y)})"
+            for (x, y, w), q in self.atoms
         )
         return f"DiscreteKernel[{inner}]"
 
     def __add__(self, other: "DiscreteKernel") -> "DiscreteKernel":
-        return DiscreteKernel(list(self.atoms) + list(other.atoms))
+        return DiscreteKernel(self.atoms + other.atoms)
 
 
 def twisted_convolve(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
     """Atom-by-atom product law: positions add, coefficients multiply,
     exponents add and pick up the reorder phase -x1*y2 from moving
     exp(x1 R) past exp(y2 L)."""
-    out = []
-    for a in k1:
-        for b in k2:
-            out.append(KernelAtom(
-                coef=a.coef * b.coef,
-                log_weight=a.log_weight + b.log_weight - a.x * b.y,
-                x=a.x + b.x,
-                y=a.y + b.y,
-            ))
-    return DiscreteKernel(out)
+    return DiscreteKernel(
+        ((x1 + x2, y1 + y2, w1 + w2 - x1 * y2), q1 * q2)
+        for (x1, y1, w1), q1 in k1.atoms
+        for (x2, y2, w2), q2 in k2.atoms
+    )
 
 
 def twisted_convolve_check() -> VerificationReport:

@@ -77,16 +77,6 @@ _R = TypeVar("_R")
 
 IOTA = ONE  # structure constant of the Heisenberg relation, fixed package-wide
 
-MODEL_NAMES = (
-    "monomial",
-    "lower-factorial",
-    "upper-factorial",
-    "hermite",
-    "heat",
-    "bessel",
-)
-
-
 #: e_0 over the denominator 1: the row of evaluation at 0
 EVAL0: tuple[Column, int] = (((0,), (1,)), 1)
 
@@ -190,38 +180,38 @@ class UmbralModel:
         return pairing_mismatch(vacuum_op(self) @ self.basis_op, 0, self.n_max)
 
     @functools.cached_property
-    def fock_twin(self) -> UmbralModel | None:
-        """monomial(n_max), on whose Fock pair (d/dt, t*) the ladder-word
-        checks, biorthogonality and covariant decide this model
-        (``on_fock_twin``; the arguments are in ``heisenberg`` and
-        ``transforms``), or None when the premise fails or the model is
-        that Fock pair itself.  The pair is one object per process
-        (``_fock_pair``), so every model of one degree shares it, and
-        with it the reports each check gave there.  The premise,
-        d = degree_of_index: the ladder and vacuum axioms find no
-        failure and no taint; no mark of L lies at or below d(n_max),
-        none of R at or below d(n_max-1), none of B on p_0..p_n_max;
-        and B is graded triangular: p_n lies in the model's space, with
-        its top nonzero coefficient at t^d(n)."""
+    def premise(self) -> bool:
+        """The premise of both transports, the Fock twin (``fock_twin``)
+        and the expansion theorem (``translations``), d being
+        ``degree_of_index``: the ladder and vacuum axioms find no failure
+        and no taint; no mark of L lies at or below d(n_max), none of R at
+        or below d(n_max-1), none of B on p_0..p_n_max; and B is graded
+        triangular: p_n lies in the model's space, with its top nonzero
+        coefficient at t^d(n)."""
         top, d, b = self.n_max, self.degree_of_index, self.basis_op
         outcomes = (self.lowering_image[1], self.raising_image[1], self.vacuum_outcome)
-        if any(bad is not None for bad, _ in outcomes):
-            return None
         marked = (
             any(j <= d(top) for j in self.lowering.trunc_cols)
             or any(j <= d(top - 1) for j in self.raising.trunc_cols)
             or any(n <= top for n in b.trunc_cols)
         )
-        if marked or any(tainted for _, tainted in outcomes):
-            return None
         even = self.parity is Parity.EVEN
         graded = all(
             rows and rows[-1] == d(n) and not (even and any(i % 2 for i in rows))
             for n, (rows, _) in enumerate(b.cols[: top + 1])
         )
-        if not graded:
-            return None
-        twin = _fock_pair(top)
+        return graded and not marked and all(o == (None, False) for o in outcomes)
+
+    @functools.cached_property
+    def fock_twin(self) -> UmbralModel | None:
+        """monomial(n_max), on whose Fock pair (d/dt, t*) the ladder-word
+        checks, biorthogonality and covariant decide this model
+        (``on_fock_twin``; the arguments are in ``heisenberg`` and
+        ``transforms``), or None when the model fails the ``premise`` or
+        is that Fock pair itself.  The pair is one object per process
+        (``_fock_pair``), so every model of one degree shares it, and
+        with it the reports each check gave there."""
+        twin = _fock_pair(self.n_max) if self.premise else None
         return None if twin == self else twin
 
     @functools.cached_property
@@ -566,6 +556,7 @@ _CATALOG: dict[str, tuple[Callable[..., UmbralModel], Fraction | int | None]] = 
     "heat": (_build_even, ZERO),
     "bessel": (_build_even, None),
 }
+MODEL_NAMES = tuple(_CATALOG)
 
 
 @functools.lru_cache(maxsize=1)

@@ -272,7 +272,7 @@ def poisson_constant(nu: float) -> float:
 
 
 def poisson_transform(
-    nu: float, f: ScalarFn, x: float, q: QuadratureSpec | None = None
+    nu: float, f: ScalarFn, x: float, q: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """C(nu) * integral_0^(pi/2) (cos theta)^(nu-1) f(x sin theta)
     dtheta.  The sine substitution has already absorbed the endpoint
@@ -296,8 +296,6 @@ def poisson_transform(
         )
     if x <= 0:
         raise ParameterError(f"need x > 0, got {x:g}")
-    if q is None:
-        q = QuadratureSpec()
 
     def integrand(theta: float) -> float:
         c = math.cos(theta)
@@ -421,7 +419,7 @@ def _hankel_cutoff(nu: float, f: ScalarFn, q: QuadratureSpec) -> float:
 
 
 def hankel_transform(
-    nu: float, f: ScalarFn, lam: float, q: QuadratureSpec | None = None
+    nu: float, f: ScalarFn, lam: float, q: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """integral_0^inf f(t) j_nu(lam, t) t^nu dt, truncated where the
     declared decay makes the tail negligible.  The kernel is this
@@ -433,8 +431,6 @@ def hankel_transform(
         raise ParameterError(f"hankel_transform needs nu > 0, got {nu:g}")
     if lam <= 0:
         raise ParameterError(f"need lam > 0, got {lam:g}")
-    if q is None:
-        q = QuadratureSpec()
     if f.decay not in ("compact", "exponential"):
         raise ParameterError(
             "hankel_transform needs declared decay (compact or exponential)"
@@ -518,7 +514,7 @@ def _gaussian_cutoff(f: ScalarFn, u: float, q: QuadratureSpec) -> float:
 
 
 def heat_covariant(
-    f: ScalarFn, u: float, q: QuadratureSpec | None = None
+    f: ScalarFn, u: float, q: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """(1/(2 sqrt(pi u))) integral f(s) exp(-s^2/4u) ds: smoothing by
     the heat kernel at time u.  Polynomially growing f is fine; the
@@ -530,8 +526,6 @@ def heat_covariant(
     _require_finite(u=u)
     if u <= 0:
         raise ParameterError(f"need u > 0, got {u:g}")
-    if q is None:
-        q = QuadratureSpec()
     if f.decay == "compact":
         lo, hi = f.a, f.b
     else:
@@ -546,7 +540,7 @@ def heat_covariant(
 
 
 def cosine_transform(
-    f: ScalarFn, v: float, q: QuadratureSpec | None = None
+    f: ScalarFn, v: float, q: QuadratureSpec = QuadratureSpec()
 ) -> float:
     """integral f(t) cos(sqrt(v) t) dt over the whole line.  Nothing
     here damps the integrand, so undeclared decay is refused, and so is
@@ -555,8 +549,6 @@ def cosine_transform(
     _require_finite(v=v)
     if v < 0:
         raise ParameterError(f"need v >= 0, got {v:g}")
-    if q is None:
-        q = QuadratureSpec()
     if f.decay == "compact":
         lo, hi = f.a, f.b
     elif f.decay == "exponential":

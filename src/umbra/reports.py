@@ -21,7 +21,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .core import format_rational
 
@@ -45,7 +45,7 @@ def _plain(value: Any) -> Any:
         return format_rational(value)
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     return value
 

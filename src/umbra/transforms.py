@@ -31,12 +31,10 @@ than building D from its integer rows.
 
 ``biorthogonality_check`` and ``covariant_check`` are decided on the
 model's Fock twin (``UmbralModel.fock_twin``, through
-``models.on_fock_twin``) where the premise of that transport holds,
-as the ladder-word checks of ``heisenberg`` are.  Why they hold: with
-L B = B S_down and l_0 B = e_0 untainted, B graded triangular and no
-mark where they read, l_k p_n = l_0 L^k p_n = l_0 p_(n-k) = delta_kn,
-so D B = I, which is biorthogonality, and the round trip follows from
-it.  With W_0 = diag(1/k!) D, W_0 B = diag(1/n!) is covariant's image;
+``models.on_fock_twin``) where the model meets ``UmbralModel.premise``,
+as the ladder-word checks of ``heisenberg`` are.  Why they hold: by the
+premise, l_k p_n = l_0 L^k p_n = l_0 p_(n-k) = delta_kn, so D B = I,
+which is biorthogonality, and the round trip follows from it.  With W_0 = diag(1/k!) D, W_0 B = diag(1/n!) is covariant's image;
 W_0 L B = W_0 B S_down = D_u (W_0 B) and, on n < n_max,
 W_0 R B = W_0 B S_up = U (W_0 B) are its exchange rules.  Each holds
 on the model exactly when it does on the twin, untainted, and only

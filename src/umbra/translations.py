@@ -26,9 +26,10 @@ from column k of the basis matrix, and one ``Poly`` at the end.
 ``verify`` runs it.  It builds no table where the expansion theorem of
 finite operator calculus decides the identity (Rota, Kahaner and
 Odlyzko 1973; Roman, *The Umbral Calculus*, 1984, ch. 2): the basic
-sequence of a delta operator is of binomial type.  On the capped space,
-if L commutes with d/dt and L t is a nonzero constant, then L = f(d/dt)
-with f(0) = 0 != f'(0) (what commutes with the nilpotent d/dt is a
+sequence of a delta operator is of binomial type.  Let the model meet
+``UmbralModel.premise``.  On the capped space, if L commutes with d/dt
+and L t is a nonzero constant, then L = f(d/dt) with
+f(0) = 0 != f'(0) (what commutes with the nilpotent d/dt is a
 polynomial in it), a delta operator, whose kernel is the constants, and
 L commutes with the shift E^y = sum_i y^i (d/dt)^i / i!.  With
 q_n(t) = p_n(t+y) - sum_{k<=n} p_{n-k}(y) p_k(t), the ladder axiom
@@ -142,7 +143,7 @@ def binomial_sweep(m: UmbralModel, top: int) -> list[VerificationReport]:
     built."""
     require_order(m, top)
     _require_binomial_type(m)
-    if not _expansion_theorem_applies(m, top):
+    if not _expansion_theorem_applies(m):
         for n in range(top + 1):
             r = binomial_check(m, n)
             if not r.passed:
@@ -150,19 +151,14 @@ def binomial_sweep(m: UmbralModel, top: int) -> list[VerificationReport]:
     return [VerificationReport("binomial", m.label(), {"n_max": top}, status_of(None))]
 
 
-def _expansion_theorem_applies(m: UmbralModel, top: int) -> bool:
+def _expansion_theorem_applies(m: UmbralModel) -> bool:
     """Whether the expansion theorem (see the module docstring) decides
-    the binomial identity for n <= top, the vacuum being evaluation at
-    0: the cached ladder and vacuum outcomes find no failure and no
-    taint, L has no marks and B none on p_0..p_top, L t is a nonzero
+    the binomial identity for n <= n_max, the vacuum being evaluation at
+    0: the model meets ``UmbralModel.premise``, L t is a nonzero
     constant and L d/dt = d/dt L on the capped space."""
-    low, cap = m.lowering, m.degree_cap
-    dt = _derivative_op(cap)
+    low, dt = m.lowering, _derivative_op(m.degree_cap)
     return (
-        m.lowering_image[1] == (None, False)
-        and m.vacuum_outcome == (None, False)
-        and not low.trunc_cols
-        and not any(n <= top for n in m.basis_op.trunc_cols)
+        m.premise
         and low.cols[1][0] == (0,)
         and low @ dt == dt @ low
     )

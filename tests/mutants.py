@@ -446,15 +446,15 @@ MUTANTS = (
     Mutant(
         "the Fock premise ignoring the marks",
         "src/umbra/models.py",
-        "if marked or any(tainted for _, tainted in outcomes):",
-        "if False:",
+        "not marked and all(o == (None, False) for o in outcomes)",
+        "all(bad is None for bad, _ in outcomes)",
         ("tests/test_truncation_rule.py::test_a_marked_raising_never_passes",),
     ),
     Mutant(
         "the Fock premise without the triangularity test",
         "src/umbra/models.py",
-        "if not graded:",
-        "if False:",
+        "return graded and not marked",
+        "return not marked",
         ("tests/test_truncation_rule.py::test_a_basis_that_is_not_graded_leaves_no_fock_twin",),
     ),
     Mutant(
@@ -470,6 +470,16 @@ MUTANTS = (
         "\n        and low.cols[1][0] == (0,)",
         "",
         ("tests/test_truncation_rule.py::test_a_lowering_that_is_no_delta_operator_is_swept_by_tables",),
+    ),
+    Mutant(
+        "the expansion theorem without the Fock premise",
+        "src/umbra/translations.py",
+        "\n        m.premise\n        and low.cols",
+        "\n        low.cols",
+        (
+            "tests/test_truncation_rule.py::test_a_flagged_basis_polynomial_never_passes_binomial",
+            "tests/test_truncation_rule.py::test_the_premise_paths_report_what_the_direct_paths_report",
+        ),
     ),
     Mutant(
         "the transport never used",
@@ -488,8 +498,8 @@ MUTANTS = (
     Mutant(
         "a fresh Fock pair built for each model",
         "src/umbra/models.py",
-        "twin = _fock_pair(top)",
-        'twin = build_model("monomial", top)',
+        "twin = _fock_pair(self.n_max) if self.premise",
+        'twin = build_model("monomial", self.n_max) if self.premise',
         ("tests/test_truncation_rule.py::test_the_models_of_one_degree_share_one_fock_pair_and_its_reports",),
     ),
     Mutant(
@@ -518,7 +528,7 @@ MUTANTS = (
     Mutant(
         "the expansion theorem never applied",
         "src/umbra/translations.py",
-        "if not _expansion_theorem_applies(m, top):",
+        "if not _expansion_theorem_applies(m):",
         "if True:",
         ("tests/test_truncation_rule.py::test_the_binomial_sweep_of_a_factorial_model_builds_no_table",),
     ),

@@ -2,16 +2,14 @@
 
 Everything here is built from first principles on plain Fraction
 coefficient lists (index = monomial degree) or delegated to mpmath,
-deliberately sharing no code with the package under test.  Three
+deliberately sharing no code with the package under test.  Two
 exceptions keep an earlier Fraction form of a package path as the
 oracle of its integer form, and call the package's own types:
 ``transmutation_by_poly``, the ``Poly`` form of the transmutation check,
 runs the package's ``umbral_map`` and ladder ``apply``, the path the
 ``transmute`` command takes, so that the integer form of the check is
-held to the maps that command prints; ``dual_op_by_functionals`` is D
-as the chain of ``Functional.after`` built it; and
-``translate_by_poly`` is the ``Poly`` loop of the generalized
-translation.
+held to the maps that command prints; and ``translate_by_poly`` is the
+``Poly`` loop of the generalized translation.
 """
 
 from fractions import Fraction
@@ -19,7 +17,7 @@ from math import factorial, isqrt
 
 import mpmath
 
-from umbra.core import CapMismatchError, Functional, LinearOp, Poly, column_poly
+from umbra.core import CapMismatchError, LinearOp, Poly
 from umbra.reports import VerificationReport, status_of
 from umbra.transforms import require_model_input, umbral_map
 
@@ -583,11 +581,12 @@ class Leak(Exception):
     """A squared-ladder image has a coefficient off its diagonal."""
 
 
-def dual_rows(d):
-    """The rows vac L^k for k = 0..top."""
-    rows = [d["vac"]]
-    for _ in range(len(d["basis"]) - 1):
-        rows.append(v_mat(rows[-1], d["L"]))
+def dual_op_by_functionals(vac, low, top):
+    """The duals l_k = vac L^k for k = 0..top as plain Fraction rows,
+    each pulled back from the last through the square grid low of L."""
+    rows = [list(vac)]
+    for _ in range(top):
+        rows.append(v_mat(rows[-1], low))
     return rows
 
 
@@ -600,7 +599,8 @@ def expand(d, f):
     degree = max((k for k, c in enumerate(f) if c), default=-1)
     if degree > top_degree:
         raise OutOfSpace(f"degree {degree} exceeds the top basis degree {top_degree}")
-    return [sum((x * y for x, y in zip(row, f)), Fraction(0)) for row in dual_rows(d)]
+    rows = dual_op_by_functionals(d["vac"], d["L"], top)
+    return [sum((x * y for x, y in zip(row, f)), Fraction(0)) for row in rows]
 
 
 def reassemble(d, coeffs):
@@ -742,18 +742,7 @@ def transmutation_by_poly(src, dst):
     )
 
 
-# -- the duals and the translation through Functional and Poly ---------
-
-def dual_op_by_functionals(m):
-    """D, row k the dual l_0 o L^k, with each row pulled back from the
-    last by ``Functional.after`` and the rows put together from their
-    Fraction entries."""
-    rows = [Functional(column_poly(*m.vacuum, m.degree_cap).coeffs, m.degree_cap)]
-    for _ in range(m.n_max):
-        rows.append(rows[-1].after(m.lowering))
-    tables = [dict(row.terms) for row in rows]
-    return LinearOp.from_columns(m.degree_cap, lambda j: {k: t[j] for k, t in enumerate(tables) if j in t})
-
+# -- the translation through Poly --------------------------------------
 
 def translate_by_poly(m, y, f):
     """T^y f = sum_k p_k(y) L^k f as the ``Poly`` loop summed it: each

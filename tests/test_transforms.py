@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from umbra import cli, transforms
 from umbra.cli import main
-from umbra.core import CapMismatchError, Functional, Poly
+from umbra.core import CapMismatchError, Functional, Poly, column_poly
 from umbra.models import MODEL_NAMES, Parity, build_model, vacuum_op
 from umbra.reports import PASS
 from umbra.transforms import (
@@ -311,11 +311,16 @@ def test_expansion_recovers_the_reassembled_coefficients(name, degree, data):
 ])
 def test_duals_from_integer_rows_are_the_functional_chain(name, nu, degree):
     """D, its rows l_0 L^k computed as integer rows and put over
-    vden L.den^n_max, is the operator the chain of ``Functional.after``
-    gave, on every catalog setting; at nu = 1/3 and 3/4 the Bessel
-    lowering keeps a denominator, so the rows must be rescaled."""
+    vden L.den^n_max, holds entry for entry the plain Fraction rows of
+    the reference, and zero below them, on every catalog setting; at
+    nu = 1/3 and 3/4 the Bessel lowering keeps a denominator, so the
+    rows must be rescaled."""
     m = build_model(name, degree, nu)
-    assert m.dual_op == ref.dual_op_by_functionals(m)
+    low, dual = m.lowering, m.dual_op
+    grid = [[Fraction(x, low.den) for x in row] for row in low.num]
+    rows = ref.dual_op_by_functionals(column_poly(*m.vacuum, m.degree_cap).coeffs, grid, degree)
+    assert [[Fraction(x, dual.den) for x in row] for row in dual.num[: degree + 1]] == rows
+    assert not any(any(row) for row in dual.num[degree + 1 :])
 
 
 def test_parity_groups_cover_the_catalog():

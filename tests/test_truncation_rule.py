@@ -60,6 +60,12 @@ def _dense(op: LinearOp) -> list[list[Fraction]]:
     return [[Fraction(x, op.den) for x in row] for row in op.num]
 
 
+def _padded(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The square grid whose first rows are ``rows`` and whose others
+    are zero."""
+    return rows + [[Fraction(0)] * len(rows[0]) for _ in range(len(rows[0]) - len(rows))]
+
+
 def _plain(m) -> dict:
     return {
         "L": _dense(m.lowering),
@@ -218,10 +224,13 @@ def test_a_marked_lowering_never_passes():
 def test_a_flagged_basis_polynomial_never_passes_binomial():
     """A library-built monomial model whose p_3 carries the truncated
     flag: the binomial identity at n = 3 reads p_0..p_3, so it is
-    inconclusive like covariant and character; at n = 2 it passes."""
+    inconclusive like covariant and character, and so is the sweep,
+    since the mark takes the model off the premise of the expansion
+    theorem; at n = 2 it passes."""
     m = _flagged(build_model("monomial", 8), 3)
     reports = [binomial_check(m, 3), covariant_check(m), character_check(m, 3)]
-    assert [r.status for r in reports] == ["inconclusive"] * 3
+    reports += binomial_sweep(m, 8)
+    assert [r.status for r in reports] == ["inconclusive"] * 4
     assert binomial_check(m, 2).status == PASS
 
 
@@ -444,13 +453,14 @@ STEPS = st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-3, 5), Fraction(7, 
 @settings(max_examples=100, deadline=None)
 @given(perturbed_models(spare=st.integers(0, 2)), st.data())
 def test_duals_and_translations_agree_with_the_functional_and_poly_forms(case, data):
-    """D from integer rows is the chain of ``Functional.after``, and
-    generalized_translate gives the ``Poly`` loop's values, flag or
-    refusal, on perturbed models: an entry of L that gains a fraction
-    makes L.den > 1, a mark on L taints the powers L^k f, and an edit
-    can keep L^k f from dying inside the basis range."""
-    m, _, _ = case
-    assert m.dual_op == ref.dual_op_by_functionals(m)
+    """D from integer rows holds, entry for entry, the plain Fraction
+    rows l_0 L^k, and generalized_translate gives the ``Poly`` loop's
+    values, flag or refusal, on perturbed models: an entry of L that
+    gains a fraction makes L.den > 1, a mark on L taints the powers
+    L^k f, and an edit can keep L^k f from dying inside the basis
+    range."""
+    m, d, _ = case
+    assert _dense(m.dual_op) == _padded(ref.dual_op_by_functionals(d["vac"], d["L"], m.n_max))
     cs = data.draw(st.lists(VALUES, min_size=m.degree_cap + 1, max_size=m.degree_cap + 1))
     f = Poly(cs, m.degree_cap, data.draw(st.booleans()))
     y = data.draw(STEPS)
@@ -564,12 +574,14 @@ def test_the_premise_paths_report_what_the_direct_paths_report(case, at_top):
 
 
 def test_the_catalog_models_are_decided_on_their_fock_twin():
-    """Every catalog model but monomial, the Fock pair itself, meets the
-    premise of the transport, and the binomial-type ones that of the
-    expansion theorem; heat and Bessel lower by a second-order operator,
-    L t = 0, so no delta operator."""
+    """Every catalog model, monomial included, meets the premise of both
+    transports; each but monomial, the Fock pair itself, has the pair as
+    its twin, and the binomial-type ones meet the expansion theorem;
+    heat and Bessel lower by a second-order operator, L t = 0, so no
+    delta operator."""
     for name in MODEL_NAMES:
         m = build_model(name, 8, Fraction(5, 2) if name == "bessel" else None)
+        assert m.premise, name
         twin = m.fock_twin
         if name == "monomial":
             assert twin is None
@@ -578,7 +590,7 @@ def test_the_catalog_models_are_decided_on_their_fock_twin():
             assert twin.fock_twin is None, name
         if name != "hermite":
             want = name in ("monomial", "lower-factorial", "upper-factorial")
-            assert translations._expansion_theorem_applies(m, 8) == want, name
+            assert translations._expansion_theorem_applies(m) == want, name
         _assert_decided_as_directly(m, 4, 8)
 
 
@@ -693,40 +705,45 @@ def test_a_basis_that_is_not_graded_leaves_no_fock_twin():
     assert report == weyl_relation_check(_without_twin(m), 2)
 
 
-def _binomial_like(name, n_max, cap, low, basis):
-    """The catalog model with L t^j = low(j) t^(j - k), k = 1 or 2 as
-    low returns it, and p_n = basis(n); shift-invariant, vacuum
-    evaluation at 0, no marks."""
-    m = build_model(name, n_max, cap=cap)
-    d = _plain(m)
-    d["L"] = [[Fraction(0)] * (cap + 1) for _ in range(cap + 1)]
+def _ladder_grid(cap, image):
+    """The square Fraction grid of the operator t^j -> x t^i, (i, x)
+    being image(j), or no image where that is None."""
+    grid = [[Fraction(0)] * (cap + 1) for _ in range(cap + 1)]
     for j in range(cap + 1):
-        k, x = low(j)
-        if x:
-            d["L"][j - k][j] = Fraction(x)
-    d["basis"] = [basis(n) + [Fraction(0)] * (cap + 1 - len(basis(n))) for n in range(n_max + 1)]
-    return _rebuilt(m, d)
+        if (hit := image(j)) is not None and 0 <= hit[0] <= cap:
+            grid[hit[0]][j] = Fraction(hit[1])
+    return grid
 
 
 def test_a_lowering_that_does_not_commute_with_d_dt_is_swept_by_tables():
-    """L = d/dt t d/dt, L t^j = j^2 t^(j-1), with p_n = t^n/(n!)^2: a
-    lowering with L t = 1 and the ladder and vacuum axioms met, but not
+    """L = d/dt t d/dt, L t^j = j^2 t^(j-1), with p_n = t^n/(n!)^2 and
+    the matching raising R t^j = t^(j+1)/(j+1), its top column marked:
+    the model meets the premise and L t = 1, but L is not
     shift-invariant, so p_2(t+y) != p_2(t) + p_1(t) p_1(y) + p_2(y)."""
-    m = _binomial_like("monomial", 4, 4, lambda j: (1, j * j),
-                       lambda n: [Fraction(0)] * n + [Fraction(1, math.factorial(n) ** 2)])
-    assert not translations._expansion_theorem_applies(m, 4)
+    m = build_model("monomial", 4)
+    d = _plain(m)
+    d["L"] = _ladder_grid(4, lambda j: (j - 1, j * j))
+    d["R"] = _ladder_grid(4, lambda j: (j + 1, Fraction(1, j + 1)))
+    d["basis"] = [[Fraction(int(i == n), math.factorial(n) ** 2) for i in range(5)] for n in range(5)]
+    m = _rebuilt(m, d)
+    assert m.raising.trunc_cols == {4}
+    assert m.premise
+    assert not translations._expansion_theorem_applies(m)
     got = binomial_sweep(m, 4)
     assert [(r.status, r.first_failure is not None) for r in got] == [("fail", True)]
     assert got == _binomial_by_tables(m, 4)
 
 
 def test_a_lowering_that_is_no_delta_operator_is_swept_by_tables():
-    """L = (d/dt)^2 commutes with d/dt, and p_0 = 1, p_1 = t^2/2,
-    p_2 = t^4/24 meet the ladder and vacuum axioms at cap 4, but L t = 0:
-    p_1(t+y) != p_1(t) + p_1(y)."""
-    m = _binomial_like("monomial", 2, 4, lambda j: (2, j * (j - 1)),
-                       lambda n: [Fraction(0)] * (2 * n) + [Fraction(1, math.factorial(2 * n))])
-    assert not translations._expansion_theorem_applies(m, 2)
+    """heat(2) with the full (d/dt)^2, odd columns included, declared
+    shift-invariant: L commutes with d/dt and the model meets the
+    premise, but L t = 0, so p_1(t+y) != p_1(t) + p_1(y)."""
+    m = build_model("heat", 2)
+    d = _plain(m)
+    d["L"] = _ladder_grid(4, lambda j: (j - 2, j * (j - 1)))
+    m = dataclasses.replace(_rebuilt(m, d), shift_invariant=True)
+    assert m.premise
+    assert not translations._expansion_theorem_applies(m)
     got = binomial_sweep(m, 2)
     assert [(r.status, r.first_failure is not None) for r in got] == [("fail", True)]
     assert got == _binomial_by_tables(m, 2)
