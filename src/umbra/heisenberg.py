@@ -34,12 +34,13 @@ is one function: it refuses on the model first, so its messages name
 the model, then runs itself on the twin (``models.on_fock_twin``), and
 with no twin, or a twin report that does not pass, runs its body on
 the model (the direct path).  So only the direct path ever reports
-"fail" or "inconclusive".  Monomial is the Fock pair itself and has no
-twin, so the twin's own call takes the direct path.  The pair is one
-object per process (``models._fock_pair``, the latest degree's) and
-keeps what each (check, args) gave on it, so the models of one degree
-run each check there once.  ``transforms`` transports biorthogonality
-and covariant the same way.
+"fail" or "inconclusive".  Monomial meets the premise and is its
+own twin: while the pair decides a check, its own call takes the direct
+path.  The pair is one object per process (``models._fock_pair``, the
+latest degree's) and keeps what each (check, args) gave on it, so the
+models of one degree, monomial among them, run each check there once.
+``transforms`` transports biorthogonality, covariant and the
+transmutation check the same way.
 """
 
 from __future__ import annotations

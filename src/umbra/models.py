@@ -180,19 +180,16 @@ class UmbralModel:
         return pairing_mismatch(vacuum_op(self) @ self.basis_op, 0, self.n_max)
 
     @functools.cached_property
-    def premise(self) -> bool:
-        """The premise of both transports, the Fock twin (``fock_twin``)
-        and the expansion theorem (``translations``), d being
-        ``degree_of_index``: the ladder and vacuum axioms find no failure
-        and no taint; no mark of L lies at or below d(n_max), none of R at
-        or below d(n_max-1), none of B on p_0..p_n_max; and B is graded
+    def lowering_premise(self) -> bool:
+        """The part of ``premise`` that the expansion theorem reads
+        (``translations``), d being ``degree_of_index``: the lowering and
+        vacuum axioms find no failure and no taint; no mark of L lies at
+        or below d(n_max), none of B on p_0..p_n_max; and B is graded
         triangular: p_n lies in the model's space, with its top nonzero
         coefficient at t^d(n)."""
         top, d, b = self.n_max, self.degree_of_index, self.basis_op
-        outcomes = (self.lowering_image[1], self.raising_image[1], self.vacuum_outcome)
         marked = (
             any(j <= d(top) for j in self.lowering.trunc_cols)
-            or any(j <= d(top - 1) for j in self.raising.trunc_cols)
             or any(n <= top for n in b.trunc_cols)
         )
         even = self.parity is Parity.EVEN
@@ -200,28 +197,40 @@ class UmbralModel:
             rows and rows[-1] == d(n) and not (even and any(i % 2 for i in rows))
             for n, (rows, _) in enumerate(b.cols[: top + 1])
         )
+        outcomes = (self.lowering_image[1], self.vacuum_outcome)
         return graded and not marked and all(o == (None, False) for o in outcomes)
+
+    @functools.cached_property
+    def premise(self) -> bool:
+        """The premise of the Fock twin (``fock_twin``): the
+        ``lowering_premise``, and the raising axiom finds no failure and
+        no taint, with no mark of R at or below d(n_max-1)."""
+        d = self.degree_of_index
+        return (
+            self.lowering_premise
+            and not any(j <= d(self.n_max - 1) for j in self.raising.trunc_cols)
+            and self.raising_image[1] == (None, False)
+        )
 
     @functools.cached_property
     def fock_twin(self) -> UmbralModel | None:
         """monomial(n_max), on whose Fock pair (d/dt, t*) the ladder-word
-        checks, biorthogonality and covariant decide this model
-        (``on_fock_twin``; the arguments are in ``heisenberg`` and
-        ``transforms``), or None when the model fails the ``premise`` or
-        is that Fock pair itself.  The pair is one object per process
-        (``_fock_pair``), so every model of one degree shares it, and
-        with it the reports each check gave there."""
-        twin = _fock_pair(self.n_max) if self.premise else None
-        return None if twin == self else twin
+        checks, biorthogonality, covariant and the transmutation check
+        decide this model (``on_fock_twin``; the arguments are in
+        ``heisenberg`` and ``transforms``), or None when the model fails
+        the ``premise``; the pair is its own twin.  The pair is one
+        object per process (``_fock_pair``), so every model of one degree
+        shares it, and with it the reports each check gave there."""
+        return _fock_pair(self.n_max) if self.premise else None
 
     @functools.cached_property
     def transported(self) -> dict[tuple[Callable[..., object], tuple], object]:
         """What each check gave on this model as a Fock twin, keyed by
-        (check, args): ``on_fock_twin`` runs a check on the pair once and
-        reads it here after that.  Exact because the pair is built from
-        n_max alone and is frozen, nothing writes to an operator's
-        columns in place, and a check is a pure function of (model,
-        args)."""
+        (check, args), None while it is being decided: ``on_fock_twin``
+        runs a check on the pair once and reads it here after that.
+        Exact because the pair is built from n_max alone and is frozen,
+        nothing writes to an operator's columns in place, and a check is
+        a pure function of (models, args)."""
         return {}
 
 
@@ -485,26 +494,40 @@ def axiom_outcomes(
     return lowering, pairing_mismatch(vacuum_op(m) @ b, 0, top)
 
 
-def on_fock_twin(m: UmbralModel, check: Callable[..., _R], *args, **params) -> _R | None:
+def on_fock_twin(
+    m: UmbralModel | tuple[UmbralModel, ...], check: Callable[..., _R], *args, **params
+) -> _R | None:
     """``check(twin, *args)`` relabelled for m, with ``params`` over
     each report's params (otherwise the twin's: it has m's n_max), when
     m has a Fock twin (``fock_twin``) and every report there passes;
-    else None, and the check runs on m itself.  Each check refuses on m
-    before it calls this, so its messages name m.  The twin runs each
-    (check, args) once and keeps what it gave
-    (``UmbralModel.transported``); m gets relabelled copies of those
-    reports, never the kept ones themselves."""
-    twin = m.fock_twin
-    if twin is None:
+    else None, and the check runs on m itself.  m may be a tuple of
+    models of one n_max, (src, dst) for the transmutation check: each
+    needs a twin, the check runs on the pair in every place, and m's
+    label is "src -> dst".  Each check refuses on m before it calls
+    this, so its messages name m.  The twin runs each (check, args) once
+    and keeps what it gave (``UmbralModel.transported``); the pair's own
+    call meanwhile gets None and runs the check's body.  m gets
+    relabelled copies of those reports, never the kept ones."""
+    models = m if isinstance(m, tuple) else (m,)
+    if any(x.fock_twin is None for x in models):
         return None
-    key = (check, args)
-    got = twin.transported.get(key)
+    twin = models[0].fock_twin
+    key, kept = (check, args), twin.transported
+    if key not in kept:
+        kept[key] = None
+        try:
+            kept[key] = check(*[twin] * len(models), *args)
+        except BaseException:
+            del kept[key]
+            raise
+    got = kept[key]
     if got is None:
-        got = twin.transported[key] = check(twin, *args)
+        return None
     reports = got if isinstance(got, list) else [got]
     if not all(r.passed for r in reports):
         return None
-    moved = [replace(r, model=m.label(), params={**r.params, **params}) for r in reports]
+    label = " -> ".join(x.label() for x in models)
+    moved = [replace(r, model=label, params={**r.params, **params}) for r in reports]
     return moved if isinstance(got, list) else moved[0]
 
 

@@ -34,11 +34,14 @@ model's Fock twin (``UmbralModel.fock_twin``, through
 ``models.on_fock_twin``) where the model meets ``UmbralModel.premise``,
 as the ladder-word checks of ``heisenberg`` are.  Why they hold: by the
 premise, l_k p_n = l_0 L^k p_n = l_0 p_(n-k) = delta_kn, so D B = I,
-which is biorthogonality, and the round trip follows from it.  With W_0 = diag(1/k!) D, W_0 B = diag(1/n!) is covariant's image;
+which is biorthogonality, and the round trip follows from it.  With
+W_0 = diag(1/k!) D, W_0 B = diag(1/n!) is covariant's image;
 W_0 L B = W_0 B S_down = D_u (W_0 B) and, on n < n_max,
 W_0 R B = W_0 B S_up = U (W_0 B) are its exchange rules.  Each holds
 on the model exactly when it does on the twin, untainted, and only
-the direct path reports "fail" or "inconclusive".
+the direct path reports "fail" or "inconclusive".  The pair, monomial,
+is its own twin: it decides each check once, directly, and keeps the
+report.
 
 The transmutation V = B_dst D_src maps one model onto another, and
 ``transmute_vector`` is its one implementation.  ``umbral_map`` applies
@@ -46,7 +49,11 @@ it to a ``Poly``, as the ``transmute`` command does;
 ``check_transmutation_intertwining`` tests V L_src = L_dst V and
 V R_src = R_dst V with it on kernel columns, each basis column of the
 source carried through the ladders and V, and the two sides compared
-by ``kernels.icol_eq``.
+by ``kernels.icol_eq``.  Where both models meet the premise it is
+transported too, decided once on (pair, pair): D_src B_src = I gives
+V p_n = p_n^dst, so V L_src p_n = p_(n-1)^dst = L_dst V p_n and, on
+n < n_max, V R_src p_n = (n+1) p_(n+1)^dst = R_dst V p_n, index by
+index, whatever the two parities.
 
 ``generating_function`` checks L_t F = s F for the generating function
 F(s, t) = sum_k s^k p_k(t) from the model's lowering outcome alone; the
@@ -191,12 +198,16 @@ def check_transmutation_intertwining(
     the ladders' ``apply`` flag it; each vector that D_src expands and
     each image the target ladder acts on must lie in its model's space,
     as there.  Both models must carry the same number of basis
-    elements; parity may differ.
+    elements; parity may differ.  Decided on the Fock pair, as
+    (pair, pair), where both models have a Fock twin.
     """
     if src.n_max != dst.n_max:
         raise CapMismatchError(
             f"index counts differ: {src.n_max} vs {dst.n_max}"
         )
+    params = {"src": src.label(), "dst": dst.label()}
+    if (moved := on_fock_twin((src, dst), check_transmutation_intertwining, **params)) is not None:
+        return moved
     b_src = src.basis_op
     bad, tainted = None, False
     images = {}  # n -> V p_n
@@ -224,7 +235,7 @@ def check_transmutation_intertwining(
     return VerificationReport(
         check="transmutation-intertwining",
         model=f"{src.label()} -> {dst.label()}",
-        params={"src": src.label(), "dst": dst.label()},
+        params=params,
         status=status_of(bad, tainted),
         first_failure=bad,
     )

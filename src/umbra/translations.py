@@ -27,7 +27,8 @@ from column k of the basis matrix, and one ``Poly`` at the end.
 finite operator calculus decides the identity (Rota, Kahaner and
 Odlyzko 1973; Roman, *The Umbral Calculus*, 1984, ch. 2): the basic
 sequence of a delta operator is of binomial type.  Let the model meet
-``UmbralModel.premise``.  On the capped space, if L commutes with d/dt
+``UmbralModel.lowering_premise``, the Fock premise without the
+raising axiom.  On the capped space, if L commutes with d/dt
 and L t is a nonzero constant, then L = f(d/dt) with
 f(0) = 0 != f'(0) (what commutes with the nilpotent d/dt is a
 polynomial in it), a delta operator, whose kernel is the constants, and
@@ -154,11 +155,12 @@ def binomial_sweep(m: UmbralModel, top: int) -> list[VerificationReport]:
 def _expansion_theorem_applies(m: UmbralModel) -> bool:
     """Whether the expansion theorem (see the module docstring) decides
     the binomial identity for n <= n_max, the vacuum being evaluation at
-    0: the model meets ``UmbralModel.premise``, L t is a nonzero
-    constant and L d/dt = d/dt L on the capped space."""
+    0: the model meets ``UmbralModel.lowering_premise`` (the raising
+    axiom plays no part, so no R B is formed), L t is a nonzero constant
+    and L d/dt = d/dt L on the capped space."""
     low, dt = m.lowering, _derivative_op(m.degree_cap)
     return (
-        m.premise
+        m.lowering_premise
         and low.cols[1][0] == (0,)
         and low @ dt == dt @ low
     )

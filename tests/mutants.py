@@ -436,8 +436,8 @@ MUTANTS = (
     Mutant(
         "the Fock premise skipping the raising comparison",
         "src/umbra/models.py",
-        "outcomes = (self.lowering_image[1], self.raising_image[1], self.vacuum_outcome)",
-        "outcomes = (self.lowering_image[1], self.vacuum_outcome)",
+        "\n            and self.raising_image[1] == (None, False)",
+        "",
         (
             "tests/test_truncation_rule.py::test_a_raising_that_fails_its_ladder_leaves_no_fock_twin",
             "tests/test_truncation_rule.py::test_the_premise_paths_report_what_the_direct_paths_report",
@@ -448,7 +448,7 @@ MUTANTS = (
         "src/umbra/models.py",
         "not marked and all(o == (None, False) for o in outcomes)",
         "all(bad is None for bad, _ in outcomes)",
-        ("tests/test_truncation_rule.py::test_a_marked_raising_never_passes",),
+        ("tests/test_truncation_rule.py::test_a_marked_lowering_never_passes",),
     ),
     Mutant(
         "the Fock premise without the triangularity test",
@@ -474,7 +474,7 @@ MUTANTS = (
     Mutant(
         "the expansion theorem without the Fock premise",
         "src/umbra/translations.py",
-        "\n        m.premise\n        and low.cols",
+        "\n        m.lowering_premise\n        and low.cols",
         "\n        low.cols",
         (
             "tests/test_truncation_rule.py::test_a_flagged_basis_polynomial_never_passes_binomial",
@@ -484,23 +484,54 @@ MUTANTS = (
     Mutant(
         "the transport never used",
         "src/umbra/models.py",
-        "    twin = m.fock_twin\n",
-        "    twin = None\n",
+        "    if any(x.fock_twin is None for x in models):\n        return None\n",
+        "    return None\n",
         ("tests/test_truncation_rule.py::test_the_ladder_word_checks_build_no_word_on_a_twinned_model",),
     ),
     Mutant(
         "the Fock pair's reports kept by check alone, whatever its order",
         "src/umbra/models.py",
-        "    key = (check, args)\n",
-        "    key = check\n",
+        "    key, kept = (check, args), twin.transported\n",
+        "    key, kept = check, twin.transported\n",
         ("tests/test_truncation_rule.py::test_the_pair_keeps_each_order_apart",),
     ),
     Mutant(
         "a fresh Fock pair built for each model",
         "src/umbra/models.py",
-        "twin = _fock_pair(self.n_max) if self.premise",
-        'twin = build_model("monomial", self.n_max) if self.premise',
+        "return _fock_pair(self.n_max) if self.premise",
+        'return build_model("monomial", self.n_max) if self.premise',
         ("tests/test_truncation_rule.py::test_the_models_of_one_degree_share_one_fock_pair_and_its_reports",),
+    ),
+    Mutant(
+        "the pair's own reports never kept",
+        "src/umbra/models.py",
+        "        return _fock_pair(self.n_max) if self.premise else None\n",
+        "        twin = _fock_pair(self.n_max) if self.premise else None\n"
+        "        return None if twin == self else twin\n",
+        ("tests/test_truncation_rule.py::test_a_second_monomial_request_reads_the_pairs_kept_reports",),
+    ),
+    Mutant(
+        "a check that raised on the pair left as being decided",
+        "src/umbra/models.py",
+        "        except BaseException:\n            del kept[key]\n",
+        "        except BaseException:\n",
+        ("tests/test_truncation_rule.py::test_a_check_that_raises_on_the_pair_keeps_nothing",),
+    ),
+    Mutant(
+        "a pair transport that reads only the source's twin",
+        "src/umbra/models.py",
+        "    if any(x.fock_twin is None for x in models):\n        return None\n"
+        "    twin = models[0].fock_twin\n",
+        "    twin = models[0].fock_twin\n    if twin is None:\n        return None\n",
+        ("tests/test_truncation_rule.py::test_a_pair_with_one_side_off_the_premise_is_decided_directly",),
+    ),
+    Mutant(
+        "a pair transport that reads only the target's twin",
+        "src/umbra/models.py",
+        "    if any(x.fock_twin is None for x in models):\n        return None\n"
+        "    twin = models[0].fock_twin\n",
+        "    twin = models[-1].fock_twin\n    if twin is None:\n        return None\n",
+        ("tests/test_truncation_rule.py::test_a_pair_with_one_side_off_the_premise_is_decided_directly",),
     ),
     Mutant(
         "covariant never decided on the Fock twin",

@@ -195,14 +195,25 @@ EXACT_MAPS_MODELS = (
 )
 
 
+def _direct(m):
+    """A copy of m with no Fock twin, whose checks run on its own
+    operators."""
+    direct = dataclasses.replace(m)
+    direct.__dict__["fock_twin"] = None
+    return direct
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 7, 8, 16])
 def test_the_transmutation_check_matches_the_poly_oracle(degree):
     """The check on integer vectors gives the report of the ``Poly``
     loop it replaced, on every ordered pair of the seven models,
-    crossing parity and with src = dst."""
+    crossing parity and with src = dst: as decided on the Fock pair, and
+    on the direct path with neither side twinned."""
     models = [build_model(name, degree, nu) for name, nu in EXACT_MAPS_MODELS]
     for src, dst in itertools.product(models, repeat=2):
-        assert check_transmutation_intertwining(src, dst) == ref.transmutation_by_poly(src, dst)
+        want = ref.transmutation_by_poly(src, dst)
+        assert check_transmutation_intertwining(src, dst) == want
+        assert check_transmutation_intertwining(_direct(src), _direct(dst)) == want
 
 
 def test_the_transmutation_check_refuses_index_counts_that_differ():

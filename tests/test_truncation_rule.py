@@ -32,7 +32,8 @@ from umbra.heisenberg import (
 )
 from umbra.kernels import EMPTY
 from umbra.models import (
-    IOTA, MODEL_NAMES, Parity, basis_matrix, build_model, pairing_mismatch, verify_model,
+    IOTA, MODEL_NAMES, Parity, basis_matrix, build_model, on_fock_twin, pairing_mismatch,
+    verify_model,
 )
 from umbra.reports import PASS, VerificationReport, status_of
 from umbra.transforms import (
@@ -533,11 +534,17 @@ def _binomial_by_tables(m, top):
     return [VerificationReport("binomial", m.label(), {"n_max": top}, status_of(None))]
 
 
-def _decided_and_direct(m, order, top):
+def _decided_and_direct(m, order, top, other):
     """For each check that ``UmbralModel.fock_twin`` or the expansion
     theorem may decide: (the call as ``verify`` makes it, the direct
-    path on m's own operators)."""
+    path on m's own operators).  The transmutation check runs to, from
+    and onto m against ``other``, a model of m's index count, its
+    direct path with neither side twinned."""
     d = _without_twin(m)
+
+    def transmute(src, dst):
+        return (lambda: [check_transmutation_intertwining(src, dst)],
+                lambda: [check_transmutation_intertwining(_without_twin(src), _without_twin(dst))])
 
     def commutator(model):
         return lambda: [r for r in verify_model(model) if r.check == "commutator"]
@@ -553,45 +560,55 @@ def _decided_and_direct(m, order, top):
         "biorthogonality": (lambda: [biorthogonality_check(m)], lambda: [biorthogonality_check(d)]),
         "covariant": (lambda: [covariant_check(m)], lambda: [covariant_check(d)]),
         "binomial": (lambda: binomial_sweep(m, top), lambda: _binomial_by_tables(m, top)),
+        "transmute-from": transmute(m, other),
+        "transmute-to": transmute(other, m),
+        "transmute-onto": transmute(m, m),
     }
 
 
-def _assert_decided_as_directly(m, order, top):
-    for name, (decided, direct) in _decided_and_direct(m, order, top).items():
+def _assert_decided_as_directly(m, order, top, other):
+    for name, (decided, direct) in _decided_and_direct(m, order, top, other).items():
         assert _any_outcome(decided) == _any_outcome(direct), name
 
 
 @settings(max_examples=120, deadline=None)
-@given(perturbed_models(spare=st.integers(0, 2)), st.booleans())
-def test_the_premise_paths_report_what_the_direct_paths_report(case, at_top):
+@given(
+    perturbed_models(spare=st.integers(0, 2)),
+    st.booleans(),
+    st.sampled_from(["monomial", "upper-factorial", "hermite", "heat", "bessel"]),
+)
+def test_the_premise_paths_report_what_the_direct_paths_report(case, at_top, other):
     """Report for report, field for field, refusals alike: the checks
     decided on the Fock twin and the binomial sweep decided by the
     expansion theorem, against the same checks on the model's own
     operators, on perturbed models whose cap may exceed the top basis
-    degree, with the sweep to n_max or to the drawn order."""
+    degree, with the sweep to n_max or to the drawn order; and the
+    transmutation check between the perturbed model and a catalog
+    model of its index count, parity mixed or not."""
     m, _, order = case
-    _assert_decided_as_directly(m, order, m.n_max if at_top else order)
+    o = build_model(other, m.n_max, Fraction(3, 2) if other == "bessel" else None)
+    _assert_decided_as_directly(m, order, m.n_max if at_top else order, o)
 
 
 def test_the_catalog_models_are_decided_on_their_fock_twin():
     """Every catalog model, monomial included, meets the premise of both
-    transports; each but monomial, the Fock pair itself, has the pair as
-    its twin, and the binomial-type ones meet the expansion theorem;
-    heat and Bessel lower by a second-order operator, L t = 0, so no
-    delta operator."""
-    for name in MODEL_NAMES:
-        m = build_model(name, 8, Fraction(5, 2) if name == "bessel" else None)
-        assert m.premise, name
+    transports, and so has the Fock pair as its twin, the pair being its
+    own; the binomial-type ones meet the expansion theorem; heat and
+    Bessel lower by a second-order operator, L t = 0, so no delta
+    operator.  Each pair of them is decided on the pair as well."""
+    catalog = [build_model(name, 8, Fraction(5, 2) if name == "bessel" else None)
+               for name in MODEL_NAMES]
+    for m, other in zip(catalog, catalog[1:] + catalog[:1]):
+        name = m.name
+        assert m.premise and m.lowering_premise, name
         twin = m.fock_twin
-        if name == "monomial":
-            assert twin is None
-        else:
-            assert (twin.name, twin.n_max) == ("monomial", 8), name
-            assert twin.fock_twin is None, name
+        assert (twin is not None) == m.premise, name
+        assert (twin.name, twin.n_max) == ("monomial", 8), name
+        assert twin.fock_twin is twin, name
         if name != "hermite":
             want = name in ("monomial", "lower-factorial", "upper-factorial")
             assert translations._expansion_theorem_applies(m) == want, name
-        _assert_decided_as_directly(m, 4, 8)
+        _assert_decided_as_directly(m, 4, 8, other)
 
 
 def _transported_reports(m):
@@ -604,10 +621,10 @@ def _transported_reports(m):
     )
 
 
-@pytest.mark.parametrize("name", [n for n in MODEL_NAMES if n != "monomial"])
+@pytest.mark.parametrize("name", MODEL_NAMES)
 def test_the_ladder_word_checks_build_no_word_on_a_twinned_model(name):
     """The ladder-word checks, the commutator axiom, biorthogonality
-    and covariant of a catalog model other than monomial are decided on
+    and covariant of a catalog model, monomial included, are decided on
     its Fock twin: they pass, and build the word table of the twin,
     never one of the model's own."""
     m = build_model(name, 8, Fraction(5, 2) if name == "bessel" else None)
@@ -647,11 +664,11 @@ def test_the_pair_keeps_each_order_apart():
         assert report == group_law_check(_without_twin(m), order)
 
 
-@pytest.mark.parametrize("name", [n for n in MODEL_NAMES if n != "monomial"])
+@pytest.mark.parametrize("name", MODEL_NAMES)
 def test_verify_all_builds_no_dual_matrix_on_a_twinned_model(name, monkeypatch):
     """Biorthogonality and covariant are decided on the Fock twin, so
-    ``verify --all`` on a twinned catalog model never stacks the model's
-    own duals into D."""
+    ``verify --all`` on a twinned catalog model, monomial included,
+    never stacks the model's own duals into D."""
     built, load = [], cli._load_model
     monkeypatch.setattr(cli, "_load_model", lambda *a: built.append(load(*a)) or built[-1])
     nu = ["--nu", "5/2"] if name == "bessel" else []
@@ -661,15 +678,92 @@ def test_verify_all_builds_no_dual_matrix_on_a_twinned_model(name, monkeypatch):
     assert "dual_op" not in vars(built[0])
 
 
+def _verify_all(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_a_second_monomial_request_reads_the_pairs_kept_reports(count_calls):
+    """monomial is its own Fock twin, so a second ``verify --all`` on it
+    in one process prints what the first printed, and its only operator
+    products are those its freshly built model makes for its own
+    premise and for the expansion theorem's delta-operator test: no
+    check runs again on the pair."""
+    argv = ["verify", "--all", "--degree", "8", "--model", "monomial"]
+    first = _verify_all(argv)
+    calls = count_calls(kernels, "imat_mul")
+    assert _verify_all(argv) == first
+    second = len(calls)
+    fresh = build_model("monomial", 8)
+    assert fresh.premise and translations._expansion_theorem_applies(fresh)
+    assert len(calls) == 2 * second
+
+
+def test_a_check_that_raises_on_the_pair_keeps_nothing():
+    """A check whose body raises on the pair leaves no entry being
+    decided behind, so the next call runs it again and raises again."""
+    m = build_model("hermite", 4)
+
+    def refused(model):
+        raise DomainError(f"{model.label()} refused")
+
+    for _ in range(2):
+        with pytest.raises(DomainError, match="monomial refused"):
+            on_fock_twin(m, refused)
+    assert (refused, ()) not in m.fock_twin.transported
+
+
+def _both_ways(m, other):
+    """The transmutation check from m to other and from other to m,
+    each beside its direct path."""
+    return [
+        (check_transmutation_intertwining(src, dst),
+         check_transmutation_intertwining(_without_twin(src), _without_twin(dst)))
+        for src, dst in ((m, other), (other, m))
+    ]
+
+
+def test_a_transported_pair_check_builds_no_dual_matrix():
+    """Two factorial models meet the premise, so their pair check is
+    decided on the Fock pair, labelled for them, and stacks neither
+    model's duals into D; the pair keeps the report."""
+    src, dst = build_model("lower-factorial", 16), build_model("upper-factorial", 16)
+    report = check_transmutation_intertwining(src, dst)
+    assert (report.status, report.model) == (PASS, "lower-factorial -> upper-factorial")
+    assert report.params == {"src": "lower-factorial", "dst": "upper-factorial"}
+    assert "dual_op" not in vars(src) and "dual_op" not in vars(dst)
+    assert src.fock_twin.transported[check_transmutation_intertwining, ()].passed
+    assert _both_ways(src, dst)[0] == (report, report)
+
+
+@pytest.mark.parametrize("other", ["hermite", "heat"])
+def test_a_pair_with_one_side_off_the_premise_is_decided_directly(other):
+    """monomial(6) with R t^2 = 2 t^3 has no twin, so its pair check
+    with a catalog model fails on the direct path, whichever side it
+    is on, although the other side has a twin."""
+    m = build_model("monomial", 6)
+    d = _plain(m)
+    d["R"][3][2] += 1
+    m = _rebuilt(m, d)
+    o = build_model(other, 6)
+    assert (m.fock_twin, o.fock_twin is not None) == (None, True)
+    for got, direct in _both_ways(m, o):
+        assert got.status == "fail"
+        assert got == direct
+
+
 @pytest.mark.parametrize("name", ["lower-factorial", "upper-factorial"])
 @pytest.mark.parametrize("top", [3, 16])
 def test_the_binomial_sweep_of_a_factorial_model_builds_no_table(name, top):
     """The expansion theorem decides the binomial sweep of a factorial
     model, to n_max or below it: one pass report, and no integer form of
-    the basis made for a table."""
+    the basis made for a table, nor R B, which its proof never reads."""
     m = build_model(name, 16)
     assert binomial_sweep(m, top) == _binomial_by_tables(build_model(name, 16), top)
     assert "basis_forms" not in vars(m)
+    assert "raising_image" not in vars(m)
 
 
 def test_a_raising_that_fails_its_ladder_leaves_no_fock_twin():
