@@ -174,21 +174,6 @@ class Poly:
         self.cap = cap
         self.truncated = truncated
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, cap: int) -> "Poly":
-        return cls((), cap)
-
-    @classmethod
-    def monomial(cls, k: int, cap: int, coeff: Fraction | int = 1) -> "Poly":
-        """coeff * t^k."""
-        if not 0 <= k <= cap:
-            raise CapMismatchError(f"monomial degree {k} outside cap {cap}")
-        cs = [ZERO] * (k + 1)
-        cs[k] = as_fraction(coeff)
-        return cls(cs, cap)
-
     # -- inspection ---------------------------------------------------
 
     def degree(self) -> int:
@@ -197,9 +182,6 @@ class Poly:
             if self.coeffs[k]:
                 return k
         return -1
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -285,9 +267,6 @@ class Poly:
             self.coeffs[k] * k for k in range(1, self.cap + 1)
         ]
         return Poly(cs, self.cap, self.truncated)
-
-    def with_flag(self, truncated: bool) -> "Poly":
-        return Poly(self.coeffs, self.cap, truncated)
 
 
 def _reduced(cols, den: int):

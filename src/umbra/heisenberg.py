@@ -21,9 +21,9 @@ pair (d/dt, t*) of monomial(n_max), where the model meets
 params.  The argument: take a word of length at most M and
 j <= n_max - M.  Read from p_j,
 each L acts on some p_k with k <= n_max and each R on one with
-k < n_max, where the ladder axioms hold, so
-w(L, R) p_j = B w(S_down, S_up) e_j, and the twin obeys the same
-identity on its basis.  So a combination of such words vanishes on
+k < n_max, where the ladder axioms hold, so w(L, R) p_j has the
+coefficients on p_0..p_n_max that the twin's word has on its own
+basis.  So a combination of such words vanishes on
 p_0..p_(n_max-M) of the model exactly when it does on the twin's.  B
 being graded triangular, those p_j span the safe columns
 t^d(0)..t^d(n_max-M) that the checks compare, and each letter keeps

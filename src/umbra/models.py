@@ -42,6 +42,9 @@ stacked once per model into the dual matrix D (``dual_op``), which
 carries from the start the closure of L's marks: every column from
 which a power of L reads a marked column.
 
+Each model axiom is an identity on one p_n at a time: one loop over
+B's columns decides them all (``_axiom_outcome``), with no operator product.
+
 The even models grade by basis index n <-> degree 2n and live on the
 even subspace only; applying their operators to a polynomial with
 odd-degree content raises DomainError (for the Bessel lowering this is
@@ -163,41 +166,39 @@ class UmbralModel:
         return OpWordTable(self.lowering, self.raising)
 
     @functools.cached_property
-    def lowering_image(self) -> tuple[LinearOp, tuple[int | None, bool]]:
-        """L B and the outcome of L B = B S_down on columns 0..n_max,
-        made once per model for every check that reads them."""
-        return _ladder_image(self.lowering, self.basis_op, _s_down(self.degree_cap), self.n_max + 1)
+    def lowering_outcome(self) -> tuple[int | None, bool]:
+        """The outcome of L p_n = p_(n-1) on n = 0..n_max (``_axiom_outcome``)."""
+        b = self.basis_op
+        return _axiom_outcome(self, self.lowering, lambda n: _multiple(b, n - 1, 1), self.n_max)
 
     @functools.cached_property
-    def raising_image(self) -> tuple[LinearOp, tuple[int | None, bool]]:
-        """R B and the outcome of R B = B S_up on columns 0..n_max-1 (at
-        the top the raising already truncated)."""
-        return _ladder_image(self.raising, self.basis_op, _s_up(self.degree_cap), self.n_max)
+    def raising_outcome(self) -> tuple[int | None, bool]:
+        """The outcome of R p_n = (n+1) p_(n+1) on n = 0..n_max-1."""
+        b, top = self.basis_op, self.n_max - 1
+        return _axiom_outcome(self, self.raising, lambda n: _multiple(b, n + 1, n + 1), top)
 
     @functools.cached_property
     def vacuum_outcome(self) -> tuple[int | None, bool]:
-        """The outcome of l_0 B = e_0 on columns 0..n_max."""
-        return pairing_mismatch(vacuum_op(self) @ self.basis_op, 0, self.n_max)
+        """The outcome of <l_0, p_n> = delta_0n on n = 0..n_max."""
+        e0, top = EVAL0[0], self.n_max
+        return _axiom_outcome(self, vacuum_op(self), lambda n: (EMPTY if n else e0, 1, False), top)
 
     @functools.cached_property
     def lowering_premise(self) -> bool:
         """The part of ``premise`` that the expansion theorem reads
         (``translations``), d being ``degree_of_index``: the lowering and
-        vacuum axioms find no failure and no taint; no mark of L lies at
-        or below d(n_max), none of B on p_0..p_n_max; and B is graded
-        triangular: p_n lies in the model's space, with its top nonzero
-        coefficient at t^d(n)."""
+        vacuum axioms find no failure and no taint (a mark of B on
+        p_0..p_n_max taints both); no mark of L lies at or below d(n_max);
+        and B is graded triangular: p_n lies in the model's space, with
+        its top nonzero coefficient at t^d(n)."""
         top, d, b = self.n_max, self.degree_of_index, self.basis_op
-        marked = (
-            any(j <= d(top) for j in self.lowering.trunc_cols)
-            or any(n <= top for n in b.trunc_cols)
-        )
+        marked = any(j <= d(top) for j in self.lowering.trunc_cols)
         even = self.parity is Parity.EVEN
         graded = all(
             rows and rows[-1] == d(n) and not (even and any(i % 2 for i in rows))
             for n, (rows, _) in enumerate(b.cols[: top + 1])
         )
-        outcomes = (self.lowering_image[1], self.vacuum_outcome)
+        outcomes = (self.lowering_outcome, self.vacuum_outcome)
         return graded and not marked and all(o == (None, False) for o in outcomes)
 
     @functools.cached_property
@@ -209,7 +210,7 @@ class UmbralModel:
         return (
             self.lowering_premise
             and not any(j <= d(self.n_max - 1) for j in self.raising.trunc_cols)
-            and self.raising_image[1] == (None, False)
+            and self.raising_outcome == (None, False)
         )
 
     @functools.cached_property
@@ -393,44 +394,6 @@ def _build_even(name: str, n_max: int, cap: int | None, nu: Fraction) -> UmbralM
     )
 
 
-def require_basis_in_space(m: UmbralModel, top: int) -> None:
-    """Refuse a model whose p_n, for some n <= top, lies outside its
-    space (DomainError)."""
-    for rows, _ in m.basis_op.cols[: top + 1]:
-        m.check_degrees_in_space(rows)
-
-
-def basis_matrix(m: UmbralModel, top: int) -> LinearOp:
-    """B cut to p_0..p_top: its columns and marks for n <= top, each
-    column checked to lie in the model's space; every other column is
-    zero and unmarked.  The ladder axioms are operator identities on
-    it."""
-    require_basis_in_space(m, top)
-    b = m.basis_op
-    return LinearOp(
-        b.cols[: top + 1] + (EMPTY,) * (b.cap - top), b.den, b.cap,
-        [n for n in b.trunc_cols if n <= top],
-    )
-
-
-def _s_down(cap: int) -> LinearOp:
-    """S_down e_n = e_{n-1}, S_down e_0 = 0."""
-    return LinearOp([EMPTY] + [((j - 1,), (1,)) for j in range(1, cap + 1)], 1, cap)
-
-
-def _s_up(cap: int) -> LinearOp:
-    """S_up e_n = (n+1) e_{n+1}; its top column is zero."""
-    return LinearOp([((j + 1,), (j + 1,)) for j in range(cap)] + [EMPTY], 1, cap)
-
-
-def _ladder_image(
-    op: LinearOp, b: LinearOp, shift: LinearOp, count: int
-) -> tuple[LinearOp, tuple[int | None, bool]]:
-    """(op B, the outcome of op B = B shift on columns 0..count-1)."""
-    image = op @ b
-    return image, image.compare_on_columns(b @ shift, range(count))
-
-
 def vacuum_op(m: UmbralModel) -> LinearOp:
     """The operator whose row 0 is l_0 and whose other rows are zero."""
     (rows, vals), den = m.vacuum
@@ -479,19 +442,42 @@ def pairing_mismatch(db: LinearOp, k: int, top: int) -> tuple[int | None, bool]:
     return None, tainted
 
 
+def _multiple(b: LinearOp, n: int, q: Fraction | int) -> tuple[Column, int, bool]:
+    """q p_n off B as (column, den, marked when B marks p_n); p_n = 0
+    for n < 0."""
+    if n < 0:
+        return EMPTY, 1, False
+    rows, vals = b.cols[n]
+    return (rows, tuple(q.numerator * x for x in vals)), b.den * q.denominator, n in b.trunc_cols
+
+
+def _axiom_outcome(
+    m: UmbralModel, op: LinearOp, target: Callable[[int], tuple[Column, int, bool]], top: int
+) -> tuple[int | None, bool]:
+    """(first n <= top with op p_n != target(n), or None; tainted), the
+    taint gathered before each comparison as in ``compare_on_columns``:
+    op p_n is ``LinearOp.step`` of B's column n, tainted when B marks
+    p_n, and target(n) is the right side as (column, den, marked)."""
+    b, tainted = m.basis_op, False
+    for n in range(top + 1):
+        col, den, marked = op.step(b.cols[n], b.den, n in b.trunc_cols)
+        want, wden, wmarked = target(n)
+        tainted = tainted or marked or wmarked
+        if not icol_eq(col, den, want, wden):
+            return n, tainted
+    return None, tainted
+
+
 def axiom_outcomes(
     m: UmbralModel, top: int
 ) -> tuple[tuple[int | None, bool], tuple[int | None, bool]]:
-    """The outcomes of the ladder-lowering axiom L B = B S_down and the
-    vacuum axiom l_0 B = e_0 on p_0..p_top, each p_n checked to lie in
-    the model's space: the cached ones at top = n_max, below it the
-    cheaper products with ``basis_matrix(m, top)``."""
-    if top == m.n_max:
-        require_basis_in_space(m, top)
-        return m.lowering_image[1], m.vacuum_outcome
-    b = basis_matrix(m, top)
-    lowering = _ladder_image(m.lowering, b, _s_down(m.degree_cap), top + 1)[1]
-    return lowering, pairing_mismatch(vacuum_op(m) @ b, 0, top)
+    """The outcomes of the lowering and vacuum axioms on p_0..p_top, each
+    p_n checked to lie in the model's space: the cached ones at top =
+    n_max, below it the same loops on the model cut to p_0..p_top."""
+    for rows, _ in m.basis_op.cols[: top + 1]:
+        m.check_degrees_in_space(rows)
+    cut = m if top == m.n_max else replace(m, n_max=top)
+    return cut.lowering_outcome, cut.vacuum_outcome
 
 
 def on_fock_twin(
@@ -532,19 +518,18 @@ def on_fock_twin(
 
 
 def verify_model(m: UmbralModel) -> list["VerificationReport"]:
-    """The model axioms as identities on the basis matrix B, one report
-    each, with S_up e_n = (n+1) e_{n+1}:
+    """The model axioms on p_0..p_n_max, one report each:
 
-    * ``ladder-lowering``: L B = B S_down, i.e. L p_n = p_{n-1}, p_{-1} = 0
-    * ``ladder-raising``:  R B = B S_up on columns n < n_max
-    * ``vacuum``:          l_0 B = e_0, i.e. <l_0, p_n> = delta_{0n}
-    * ``commutator``:      [R, L] B = -iota B on columns n < n_max
+    * ``ladder-lowering``: L p_n = p_{n-1}, p_{-1} = 0
+    * ``ladder-raising``:  R p_n = (n+1) p_{n+1} for n < n_max
+    * ``vacuum``:          <l_0, p_n> = delta_{0n}
+    * ``commutator``:      [R, L] p_n = -iota p_n for n < n_max
       (the top index is excluded: there the raising already truncated)
 
-    ``LinearOp.compare_on_columns`` decides each: a differing column
-    fails, else a compared column marked truncated is "inconclusive".
-    The first three are the model's cached outcomes; the commutator
-    takes R L and L R from the model's word table.  A model with a Fock
+    ``_axiom_outcome`` decides each: a differing column fails, else a
+    compared column marked truncated is "inconclusive".  The first three
+    are the model's cached outcomes; the commutator steps R L - L R, from
+    the word table.  A model with a Fock
     twin meets the first three by the premise, so all four are read off
     the twin, whose commutator decides the model's as ``heisenberg``
     transports every ladder word.
@@ -558,10 +543,10 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
         return moved
     comm, b = m.words.op("RL") - m.words.op("LR"), m.basis_op
     outcomes = {
-        "ladder-lowering": m.lowering_image[1],
-        "ladder-raising": m.raising_image[1],
+        "ladder-lowering": m.lowering_outcome,
+        "ladder-raising": m.raising_outcome,
         "vacuum": m.vacuum_outcome,
-        "commutator": (comm @ b).compare_on_columns(b.scale(-IOTA), range(m.n_max)),
+        "commutator": _axiom_outcome(m, comm, lambda n: _multiple(b, n, -IOTA), m.n_max - 1),
     }
     return [
         VerificationReport(check, m.label(), dict(params), status_of(bad, tainted), first_failure=bad)

@@ -36,12 +36,12 @@ as the ladder-word checks of ``heisenberg`` are.  Why they hold: by the
 premise, l_k p_n = l_0 L^k p_n = l_0 p_(n-k) = delta_kn, so D B = I,
 which is biorthogonality, and the round trip follows from it.  With
 W_0 = diag(1/k!) D, W_0 B = diag(1/n!) is covariant's image;
-W_0 L B = W_0 B S_down = D_u (W_0 B) and, on n < n_max,
-W_0 R B = W_0 B S_up = U (W_0 B) are its exchange rules.  Each holds
-on the model exactly when it does on the twin, untainted, and only
-the direct path reports "fail" or "inconclusive".  The pair, monomial,
-is its own twin: it decides each check once, directly, and keeps the
-report.
+W_0 L p_n = W_0 p_(n-1) = D_u W_0 p_n and, on n < n_max,
+W_0 R p_n = (n+1) W_0 p_(n+1) = U W_0 p_n are its exchange rules.
+Each holds on the model exactly when it does on the twin, untainted,
+and only the direct path reports "fail" or "inconclusive".  The pair,
+monomial, is its own twin: it decides each check once, directly, and
+keeps the report.
 
 The transmutation V = B_dst D_src maps one model onto another, and
 ``transmute_vector`` is its one implementation.  ``umbral_map`` applies
@@ -281,11 +281,9 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
     W0 B = diag(1/n!), W0 (L B) = D_u (W0 B) and W0 (R B) = U (W0 B),
     with W0 = diag(1/k!) D and the taint gathered across them; U marks
     its top column, as u * flags a coefficient pushed past the cap.
-    L B and R B are the model's cached images (``lowering_image``,
-    ``raising_image``).  An
-    image L p_n or R p_n outside the model's space raises DomainError.
-    Last, ``covariant_w0`` of sum_n (n+1)/(n+2) p_n must be
-    sum_n (n+1)/(n+2) u^n/n!.  Decided on the Fock twin where the
+    An image L p_n or R p_n outside the model's space raises
+    DomainError.  Last, ``covariant_w0`` of sum_n (n+1)/(n+2) p_n must
+    be sum_n (n+1)/(n+2) u^n/n!.  Decided on the Fock twin where the
     model has one."""
     if (moved := on_fock_twin(m, covariant_check)) is not None:
         return moved
@@ -295,7 +293,7 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
     inv_fact = LinearOp(cols + [EMPTY] * (cap - top), f, cap)
     w0, b = inv_fact @ m.dual_op, m.basis_op
     wb = w0 @ b
-    lb, rb = m.lowering_image[0], m.raising_image[0]
+    lb, rb = m.lowering @ b, m.raising @ b
     bad, tainted = None, False
     for kind, image, lhs, rhs, cols in (
         ("image", b, wb, inv_fact, range(top + 1)),
@@ -327,9 +325,9 @@ def generating_function(m: UmbralModel, order: int) -> VerificationReport:
     """Exact verification that L_t F = s F order by order, F being the
     archetypal generating function sum_k s^k p_k(t): the s^{k+1} row of
     L F must equal row k, and L applied to row 0 must vanish.  That is
-    L B = B S_down on columns 0..order (``models.axiom_outcomes``: the
-    model's cached outcome at order n_max, the product with B cut to
-    p_0..p_order below it).  No row of F is built."""
+    L p_n = p_(n-1) for n = 0..order (``models.axiom_outcomes``: the
+    model's cached outcome at order n_max, the same column loop stopped
+    at the order below it).  No row of F is built."""
     require_order(m, order)
     (bad, tainted), _ = axiom_outcomes(m, order)
     return VerificationReport(

@@ -156,8 +156,8 @@ def _expansion_theorem_applies(m: UmbralModel) -> bool:
     """Whether the expansion theorem (see the module docstring) decides
     the binomial identity for n <= n_max, the vacuum being evaluation at
     0: the model meets ``UmbralModel.lowering_premise`` (the raising
-    axiom plays no part, so no R B is formed), L t is a nonzero constant
-    and L d/dt = d/dt L on the capped space."""
+    axiom plays no part, so its outcome is never decided), L t is a
+    nonzero constant and L d/dt = d/dt L on the capped space."""
     low, dt = m.lowering, _derivative_op(m.degree_cap)
     return (
         m.lowering_premise
@@ -237,12 +237,12 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
 
 def delsarte_eigen_check(m: UmbralModel, order: int) -> VerificationReport:
     """The two conditions tying the basis to its translation structure,
-    L p_n = p_{n-1} and p_n(0) = delta_{0n} for n <= order, checked as
-    L B = B S_down and l_0 B = e_0 on the basis matrix B; at equal n,
+    L p_n = p_{n-1} and p_n(0) = delta_{0n} for n <= order; at equal n,
     value-at-0 fails first.  Requires a vacuum equal to evaluation at 0
     (otherwise the second condition is not the model's own
     normalization and the check refuses to run).  Both outcomes come
-    from ``models.axiom_outcomes``."""
+    from ``models.axiom_outcomes``, which decides the two axioms column
+    by column on p_0..p_order."""
     require_order(m, order)
     if not m.vacuum_is_eval0():
         raise ParameterError(

@@ -144,7 +144,7 @@ MUTANTS = (
         "reassembly dropping the basis matrix's marks",
         "src/umbra/transforms.py",
         "return m.basis_op.apply(Poly(coeffs, m.degree_cap))",
-        "return m.basis_op.apply(Poly(coeffs, m.degree_cap)).with_flag(False)",
+        "f = m.basis_op.apply(Poly(coeffs, m.degree_cap))\n    return Poly(f.coeffs, f.cap)",
         ("tests/test_truncation_rule.py::test_a_flagged_target_basis_polynomial_taints_the_umbral_map",),
     ),
     Mutant(
@@ -227,14 +227,29 @@ MUTANTS = (
         ("tests/test_truncation_rule.py::test_the_basis_view_carries_the_marks_of_b",),
     ),
     Mutant(
-        "basis_matrix keeping B's columns and marks above top",
+        "the lowering and vacuum outcomes below n_max read through n_max",
         "src/umbra/models.py",
-        "    return LinearOp(\n"
-        "        b.cols[: top + 1] + (EMPTY,) * (b.cap - top), b.den, b.cap,\n"
-        "        [n for n in b.trunc_cols if n <= top],\n"
-        "    )",
-        "    return b",
-        ("tests/test_truncation_rule.py::test_basis_matrix_keeps_only_the_columns_and_marks_up_to_top",),
+        "cut = m if top == m.n_max else replace(m, n_max=top)",
+        "cut = m",
+        ("tests/test_truncation_rule.py::test_genfun_and_delsarte_read_the_marks_of_b_only_up_to_their_order",),
+    ),
+    Mutant(
+        "an axiom's target dropping its mark",
+        "src/umbra/models.py",
+        "tainted = tainted or marked or wmarked",
+        "tainted = tainted or marked",
+        ("tests/test_truncation_rule.py::test_an_axiom_that_fails_on_a_marked_column_reports_its_taint",),
+    ),
+    Mutant(
+        "an axiom's taint gathered after the comparison",
+        "src/umbra/models.py",
+        "        tainted = tainted or marked or wmarked\n"
+        "        if not icol_eq(col, den, want, wden):\n"
+        "            return n, tainted\n",
+        "        if not icol_eq(col, den, want, wden):\n"
+        "            return n, tainted\n"
+        "        tainted = tainted or marked or wmarked\n",
+        ("tests/test_truncation_rule.py::test_an_axiom_that_fails_on_a_marked_column_reports_its_taint",),
     ),
     Mutant(
         "the pairing row read ignoring the marks of D B",
@@ -243,7 +258,7 @@ MUTANTS = (
         "tainted = tainted",
         (
             "tests/test_truncation_rule.py::test_a_marked_lowering_never_passes",
-            "tests/test_truncation_rule.py::test_a_flagged_p0_leaves_the_vacuum_axiom_inconclusive",
+            "tests/test_truncation_rule.py::test_a_flagged_target_basis_polynomial_taints_the_umbral_map",
         ),
     ),
     Mutant(
@@ -338,10 +353,10 @@ MUTANTS = (
         ("tests/test_truncation_rule.py::test_delsarte_reports_the_value_at_0_first_at_equal_index",),
     ),
     Mutant(
-        "ladder-raising compared on the top column too",
+        "ladder-raising scanned through n_max",
         "src/umbra/models.py",
-        "_s_up(self.degree_cap), self.n_max)",
-        "_s_up(self.degree_cap), self.n_max + 1)",
+        "b, top = self.basis_op, self.n_max - 1",
+        "b, top = self.basis_op, self.n_max",
         ("tests/test_models.py::test_catalog_verifies",),
     ),
     Mutant(
@@ -436,7 +451,7 @@ MUTANTS = (
     Mutant(
         "the Fock premise skipping the raising comparison",
         "src/umbra/models.py",
-        "\n            and self.raising_image[1] == (None, False)",
+        "\n            and self.raising_outcome == (None, False)",
         "",
         (
             "tests/test_truncation_rule.py::test_a_raising_that_fails_its_ladder_leaves_no_fock_twin",

@@ -754,13 +754,13 @@ def translate_by_poly(m, y, f):
     basis."""
     y = Fraction(y)
     require_model_input(m, f)
-    acc = Poly.zero(m.degree_cap).with_flag(f.truncated)
+    acc = Poly([], m.degree_cap, f.truncated)
     g = f
     for k in range(m.n_max + 1):
         w = m.basis[k].eval(y)
         if w:
             acc = acc + g.scale(w)
         g = m.lowering.apply(g)
-        if g.is_zero():
-            return acc.with_flag(acc.truncated or g.truncated)
+        if g.degree() < 0:
+            return Poly(acc.coeffs, acc.cap, acc.truncated or g.truncated)
     raise CapMismatchError("translation series did not terminate within the basis range")

@@ -25,7 +25,7 @@ import reference as ref
 
 
 def mono(k, cap, c=1):
-    return Poly.monomial(k, cap, c)
+    return Poly([0] * k + [c], cap)
 
 
 def deriv_op(cap):
@@ -70,7 +70,7 @@ def test_shift_substitute_binomial():
 def test_mul_at_cap_sets_flag():
     n = 6
     f = mono(n, n) * mono(1, n)
-    assert f.is_zero()
+    assert f == Poly([], n)
     assert f.truncated
 
 

@@ -46,14 +46,14 @@ def catalog():
 
 def test_expand_monomial_square():
     m = build_model("monomial", 6)
-    c = expand_in_basis(m, Poly.monomial(2, 6))
+    c = expand_in_basis(m, Poly([0, 0, 1], 6))
     assert c[:3] == [0, 0, 2] and not any(c[3:])
 
 
 def test_expand_lower_factorial_square():
     # t^2 = t + 2 * t(t-1)/2, checked against the reference expansion
     m = build_model("lower-factorial", 6)
-    c = expand_in_basis(m, Poly.monomial(2, 6))
+    c = expand_in_basis(m, Poly([0, 0, 1], 6))
     assert c[:3] == [0, 1, 2] and not any(c[3:])
     rebuilt = [Fraction(0)]
     for n, cn in enumerate(c):
@@ -86,18 +86,18 @@ def test_biorthogonality_across_catalog():
 def test_w0_lower_factorial_basis_element():
     m = build_model("lower-factorial", 6)
     out = covariant_w0(m, m.basis[2])
-    assert out == Poly.monomial(2, 6, Fraction(1, 2))
+    assert out == Poly([0, 0, Fraction(1, 2)], 6)
 
 
 def test_w0_constant():
     for m in catalog():
-        assert covariant_w0(m, m.basis[0]) == Poly.monomial(0, m.degree_cap), m.name
+        assert covariant_w0(m, m.basis[0]) == Poly([1], m.degree_cap), m.name
 
 
 def test_w0_heat_term_by_term():
     # <l0, (d^2)^k f> u^k/k! summed by hand for f = t^4/24
     m = build_model("heat", 4)
-    f = Poly.monomial(4, m.degree_cap, Fraction(1, 24))
+    f = Poly([0, 0, 0, 0, Fraction(1, 24)], m.degree_cap)
     rough = [0, 0, 0, 0, Fraction(1, 24)]
     expect = []
     g = rough
@@ -109,7 +109,7 @@ def test_w0_heat_term_by_term():
     expect.append(Fraction(g[0], ref.factorial(k)))
     out = covariant_w0(m, f)
     assert list(out.coeffs)[: len(expect)] == expect
-    assert out == Poly.monomial(2, m.degree_cap, Fraction(1, 2))
+    assert out == Poly([0, 0, Fraction(1, 2)], m.degree_cap)
 
 
 def test_w0_intertwines_both_ladders():
@@ -131,7 +131,7 @@ def test_w0_at_zero_is_vacuum_pairing():
 def test_umbral_map_monomial_to_lower_factorial():
     src = build_model("monomial", 6)
     dst = build_model("lower-factorial", 6)
-    image = umbral_map(src, dst, Poly.monomial(2, 6))
+    image = umbral_map(src, dst, Poly([0, 0, 1], 6))
     want = ref.p_mul([Fraction(0), Fraction(1)], [Fraction(-1), Fraction(1)])
     assert list(image.coeffs)[:3] == want[:3]  # t(t-1)
 
@@ -139,7 +139,7 @@ def test_umbral_map_monomial_to_lower_factorial():
 def test_umbral_map_monomial_to_hermite():
     src = build_model("monomial", 6)
     dst = build_model("hermite", 6)
-    image = umbral_map(src, dst, Poly.monomial(2, 6, Fraction(1, 2)))
+    image = umbral_map(src, dst, Poly([0, 0, Fraction(1, 2)], 6))
     want = ref.p_scale(ref.hermite_he(2), Fraction(1, 2))
     assert list(image.coeffs)[:3] == want[:3]  # (t^2 - 1)/2
 

@@ -32,7 +32,7 @@ from umbra.heisenberg import (
 )
 from umbra.kernels import EMPTY
 from umbra.models import (
-    IOTA, MODEL_NAMES, Parity, basis_matrix, build_model, on_fock_twin, pairing_mismatch,
+    IOTA, MODEL_NAMES, Parity, axiom_outcomes, build_model, on_fock_twin, pairing_mismatch,
     verify_model,
 )
 from umbra.reports import PASS, VerificationReport, status_of
@@ -266,20 +266,72 @@ def test_the_basis_view_carries_the_marks_of_b():
     assert report == ref.transmutation_by_poly(m, build_model("monomial", 8))
 
 
-def test_basis_matrix_keeps_only_the_columns_and_marks_up_to_top():
-    """basis_matrix(m, 4) is B on columns 0..4 and zero above; of B's
-    marks on columns 2 and 6 it keeps only column 2."""
-    m = _flagged(_flagged(build_model("hermite", 8), 2), 6)
-    b, cut = m.basis_op, basis_matrix(m, 4)
-    assert cut.trunc_cols == {2}
-    for j in range(m.degree_cap + 1):
-        want = [Fraction(row[j], b.den) if j <= 4 else 0 for row in b.num]
-        assert [Fraction(row[j], cut.den) for row in cut.num] == want, j
+def test_genfun_and_delsarte_read_the_marks_of_b_only_up_to_their_order():
+    """The genfun and Delsarte checks at an order below n_max scan
+    p_0..p_order alone: with B marked at 2 and 6 both are inconclusive at
+    order 4; with B marked at 6 only they pass at order 4 and are
+    inconclusive at order 6."""
+    m = build_model("lower-factorial", 8)
+    cases = (((2, 6), 4, "inconclusive"), ((6,), 4, PASS), ((6,), 6, "inconclusive"))
+    for marks, order, status in cases:
+        flagged = m
+        for n in marks:
+            flagged = _flagged(flagged, n)
+        reports = [generating_function(flagged, order), delsarte_eigen_check(flagged, order)]
+        assert [r.status for r in reports] == [status] * 2, (marks, order)
+
+
+def test_an_axiom_that_fails_on_a_marked_column_reports_its_taint():
+    """monomial(8) with p_3 doubled and flagged: L p_3 = 2 p_2 fails at
+    3 and R p_2 = 3 p_3 / 2 fails at 2, each tainted by the mark on p_3
+    that it reads on that column, as the oracle gathers the taint before
+    each comparison; the vacuum axiom holds, tainted from p_3 on.  With
+    only p_8 flagged, R p_7 = 8 p_8 holds, inconclusive: only its right
+    side reads the mark."""
+    m = build_model("monomial", 8)
+    d = _plain(m)
+    d["basis"][3] = [2 * c for c in d["basis"][3]]
+    d["b_marks"].add(3)
+    m = _rebuilt(m, d)
+    assert (m.lowering_outcome, m.raising_outcome, m.vacuum_outcome) == ((3, True), (2, True), (None, True))
+    assert m.lowering_outcome == ref.lowering_search(d, 8)
+    assert m.raising_outcome == ref.raising_search(d, 8)
+    assert axiom_outcomes(m, 2) == ((None, False), (None, False))
+    top = _flagged(build_model("monomial", 8), 8)
+    assert top.raising_outcome == (None, True)
+    assert {r.check: r.status for r in verify_model(top)}["ladder-raising"] == "inconclusive"
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)))
+def test_each_axiom_outcome_is_the_oracle_search(case):
+    """The first failure and the taint of each axiom, as the column loop
+    gives them at n_max and below it, are what the plain-list searches
+    give, the taint at a failing column included."""
+    m, d, _ = case
+    assert m.raising_outcome == ref.raising_search(d, m.n_max)
+    for top in range(m.n_max + 1):
+        want = ref.lowering_search(d, top), ref.pairing_search(d, d["vac"], 0, top)
+        assert axiom_outcomes(m, top) == want, top
+
+
+def test_the_premise_and_the_axiom_outcomes_multiply_no_operators(count_calls):
+    """Every model axiom is decided column by column: the premise of the
+    six catalog models at degree 16, and their lowering and vacuum
+    outcomes below n_max, make no operator product."""
+    catalog = [build_model(name, 16, Fraction(5, 2) if name == "bessel" else None)
+               for name in MODEL_NAMES]
+    calls = count_calls(kernels, "imat_mul")
+    assert all(m.premise for m in catalog)
+    for m in catalog:
+        for top in range(m.n_max):
+            assert axiom_outcomes(m, top) == ((None, False), (None, False)), (m.name, top)
+    assert calls == []
 
 
 def test_a_flagged_p0_leaves_the_vacuum_axiom_inconclusive():
-    """The vacuum axiom <l_0, p_n> = delta_0n reads row 0 of l_0 B, and
-    with p_0 flagged the column it scans first is marked."""
+    """The vacuum axiom <l_0, p_n> = delta_0n pairs l_0 with p_0 first,
+    and with p_0 flagged the column it scans first is marked."""
     reports = {r.check: r.status for r in verify_model(_flagged(build_model("monomial", 8), 0))}
     assert reports["vacuum"] == "inconclusive"
 
@@ -388,8 +440,8 @@ def test_w0_flags_an_input_that_reaches_a_marked_lowering_column():
     m = build_model("monomial", 8)
     low = m.lowering
     m = dataclasses.replace(m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset({5})))
-    assert not covariant_w0(m, Poly.monomial(3, 8)).truncated
-    assert covariant_w0(m, Poly.monomial(6, 8)).truncated
+    assert not covariant_w0(m, Poly([0, 0, 0, 1], 8)).truncated
+    assert covariant_w0(m, Poly([0] * 6 + [1], 8)).truncated
 
 
 def test_w0_flags_an_input_that_reads_a_marked_lowering_column_with_no_image():
@@ -398,8 +450,8 @@ def test_w0_flags_an_input_that_reads_a_marked_lowering_column_with_no_image():
     m = build_model("monomial", 8)
     low = m.lowering
     m = dataclasses.replace(m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset({0})))
-    assert covariant_w0(m, Poly.monomial(0, 8)).truncated
-    assert not covariant_w0(m, Poly.monomial(0, 8).scale(0)).truncated
+    assert covariant_w0(m, Poly([1], 8)).truncated
+    assert not covariant_w0(m, Poly([1], 8).scale(0)).truncated
 
 
 def _outcome(call):
@@ -487,10 +539,10 @@ def test_a_translation_whose_powers_read_a_marked_lowering_column_is_flagged():
     at the first zero power, and a tainted one flags the sum, as in the
     ``Poly`` loop."""
     m = _marked_lowering("monomial", {5})
-    assert _values(generalized_translate(m, 1, Poly.monomial(3, 8))) == ([1, 3, 3, 1] + [0] * 5, False)
+    assert _values(generalized_translate(m, 1, Poly([0, 0, 0, 1], 8))) == ([1, 3, 3, 1] + [0] * 5, False)
     for f, want in (
-        (Poly.monomial(6, 8), [1, 6, 15, 20, 15, 6, 1, 0, 0]),
-        (Poly.monomial(3, 8).with_flag(True), [1, 3, 3, 1] + [0] * 5),
+        (Poly([0] * 6 + [1], 8), [1, 6, 15, 20, 15, 6, 1, 0, 0]),
+        (Poly([0, 0, 0, 1], 8, True), [1, 3, 3, 1] + [0] * 5),
     ):
         assert _values(generalized_translate(m, 1, f)) == (want, True)
         assert _values(ref.translate_by_poly(m, 1, f)) == (want, True)
@@ -507,11 +559,11 @@ def test_the_marks_of_d_reach_the_transmutation_and_its_check(name):
     report = check_transmutation_intertwining(m, dst)
     assert report.status == "inconclusive"
     assert report == ref.transmutation_by_poly(m, dst)
-    assert umbral_map(m, dst, Poly.monomial(2, 8)).truncated
+    assert umbral_map(m, dst, Poly([0, 0, 1], 8)).truncated
     assert m.dual_op.trunc_cols == set(range(9))
     others = [biorthogonality_check(m), covariant_check(m)]
     assert [r.status for r in others] == ["inconclusive"] * 2
-    assert covariant_w0(m, Poly.monomial(2, 8)).truncated
+    assert covariant_w0(m, Poly([0, 0, 1], 8)).truncated
 
 
 # -- the Fock twin and the expansion theorem decide as the direct path --
@@ -688,9 +740,9 @@ def _verify_all(argv):
 def test_a_second_monomial_request_reads_the_pairs_kept_reports(count_calls):
     """monomial is its own Fock twin, so a second ``verify --all`` on it
     in one process prints what the first printed, and its only operator
-    products are those its freshly built model makes for its own
-    premise and for the expansion theorem's delta-operator test: no
-    check runs again on the pair."""
+    products are those its freshly built model makes for the expansion
+    theorem's delta-operator test (its premise forms none): no check
+    runs again on the pair."""
     argv = ["verify", "--all", "--degree", "8", "--model", "monomial"]
     first = _verify_all(argv)
     calls = count_calls(kernels, "imat_mul")
@@ -763,7 +815,7 @@ def test_the_binomial_sweep_of_a_factorial_model_builds_no_table(name, top):
     m = build_model(name, 16)
     assert binomial_sweep(m, top) == _binomial_by_tables(build_model(name, 16), top)
     assert "basis_forms" not in vars(m)
-    assert "raising_image" not in vars(m)
+    assert "raising_outcome" not in vars(m)
 
 
 def test_a_raising_that_fails_its_ladder_leaves_no_fock_twin():
