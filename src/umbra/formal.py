@@ -17,8 +17,8 @@ coefficients are summed on those certified columns only: a word whose
 coefficients agree on both sides cancels to 0 and costs no arithmetic,
 though its truncation marks still count.  A coefficient of the difference that is a nonzero
 multiple of one already compared, over the same words, is not summed
-again: the central parameter s only scales a coefficient, so most
-multi-indices of the group law repeat an earlier one.
+again: where an identity holds, every coefficient cancels to 0, so
+those on the same words repeat each other.
 
 Each coefficient is a linear combination of ladder words.  A word is a
 string over "L" (the lowering operator) and "R" (the raising one), read

@@ -227,8 +227,8 @@ class UmbralModel:
     @functools.cached_property
     def transported(self) -> dict[tuple[Callable[..., object], tuple], object]:
         """What each check gave on this model as a Fock twin, keyed by
-        (check, args), None while it is being decided: ``on_fock_twin``
-        runs a check on the pair once and reads it here after that.
+        (check, args): ``on_fock_twin`` runs a check on the pair once and
+        reads it here after that.
         Exact because the pair is built from n_max alone and is frozen,
         nothing writes to an operator's columns in place, and a check is
         a pure function of (models, args)."""
@@ -491,24 +491,18 @@ def on_fock_twin(
     needs a twin, the check runs on the pair in every place, and m's
     label is "src -> dst".  Each check refuses on m before it calls
     this, so its messages name m.  The twin runs each (check, args) once
-    and keeps what it gave (``UmbralModel.transported``); the pair's own
-    call meanwhile gets None and runs the check's body.  m gets
-    relabelled copies of those reports, never the kept ones."""
+    and keeps what it gave (``UmbralModel.transported``); a call on the
+    pair itself gets None and runs the check's body, and a body that
+    raises keeps nothing.  m gets relabelled copies of those reports,
+    never the kept ones."""
     models = m if isinstance(m, tuple) else (m,)
-    if any(x.fock_twin is None for x in models):
-        return None
     twin = models[0].fock_twin
+    if any(x.fock_twin is None or x is twin for x in models):
+        return None
     key, kept = (check, args), twin.transported
     if key not in kept:
-        kept[key] = None
-        try:
-            kept[key] = check(*[twin] * len(models), *args)
-        except BaseException:
-            del kept[key]
-            raise
+        kept[key] = check(*[twin] * len(models), *args)
     got = kept[key]
-    if got is None:
-        return None
     reports = got if isinstance(got, list) else [got]
     if not all(r.passed for r in reports):
         return None

@@ -499,7 +499,7 @@ MUTANTS = (
     Mutant(
         "the transport never used",
         "src/umbra/models.py",
-        "    if any(x.fock_twin is None for x in models):\n        return None\n",
+        "    if any(x.fock_twin is None or x is twin for x in models):\n        return None\n",
         "    return None\n",
         ("tests/test_truncation_rule.py::test_the_ladder_word_checks_build_no_word_on_a_twinned_model",),
     ),
@@ -528,24 +528,44 @@ MUTANTS = (
     Mutant(
         "a check that raised on the pair left as being decided",
         "src/umbra/models.py",
-        "        except BaseException:\n            del kept[key]\n",
-        "        except BaseException:\n",
+        "    if key not in kept:\n",
+        "    if key not in kept:\n        kept[key] = None\n",
         ("tests/test_truncation_rule.py::test_a_check_that_raises_on_the_pair_keeps_nothing",),
+    ),
+    Mutant(
+        "a check on the pair itself transported to the pair again",
+        "src/umbra/models.py",
+        "x.fock_twin is None or x is twin for",
+        "x.fock_twin is None for",
+        ("tests/test_truncation_rule.py::test_the_pair_keeps_each_order_apart",),
+    ),
+    Mutant(
+        "the group-law phase on the wrong slots",
+        "src/umbra/heisenberg.py",
+        "phase = _phase_series(table, params, order, 0, 3, -1)",
+        "phase = _phase_series(table, params, order, 1, 2, -1)",
+        ("tests/test_heisenberg.py::test_group_law_monomials_order_six",),
+    ),
+    Mutant(
+        "one group-law exponential with the wrong sign",
+        "src/umbra/heisenberg.py",
+        'rhs = phase.mul(exp("L", (1, 3))).mul(exp("R", (0, 2)))',
+        'rhs = phase.mul(exp("L", (1, 3))).mul(_exp_ladder_series(table, "R", params, order, (0, 2), +1))',
+        ("tests/test_heisenberg.py::test_group_law_monomials_order_six",),
     ),
     Mutant(
         "a pair transport that reads only the source's twin",
         "src/umbra/models.py",
-        "    if any(x.fock_twin is None for x in models):\n        return None\n"
-        "    twin = models[0].fock_twin\n",
-        "    twin = models[0].fock_twin\n    if twin is None:\n        return None\n",
+        "    if any(x.fock_twin is None or x is twin for x in models):\n",
+        "    if twin is None or any(x is twin for x in models):\n",
         ("tests/test_truncation_rule.py::test_a_pair_with_one_side_off_the_premise_is_decided_directly",),
     ),
     Mutant(
         "a pair transport that reads only the target's twin",
         "src/umbra/models.py",
-        "    if any(x.fock_twin is None for x in models):\n        return None\n"
-        "    twin = models[0].fock_twin\n",
-        "    twin = models[-1].fock_twin\n    if twin is None:\n        return None\n",
+        "    twin = models[0].fock_twin\n"
+        "    if any(x.fock_twin is None or x is twin for x in models):\n",
+        "    twin = models[-1].fock_twin\n    if twin is None or any(x is twin for x in models):\n",
         ("tests/test_truncation_rule.py::test_a_pair_with_one_side_off_the_premise_is_decided_directly",),
     ),
     Mutant(

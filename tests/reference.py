@@ -129,15 +129,19 @@ def two_sided_first_difference(a, b, letters, cols):
     a scanned column was marked on either side, largest |entry| of the
     difference over ``cols`` at that index or 0)."""
     size = len(letters["L"][0])
+    words = {"": [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]}
+
+    def matrix(word):
+        """The dense matrix of ``word``, made once per call."""
+        if word not in words:
+            words[word] = m_mul(matrix(word[:-1]), letters[word[-1]][0])
+        return words[word]
 
     def coefficient(terms):
         total = [[Fraction(0)] * size for _ in range(size)]
         marks = set()
         for word, q in terms.items():
-            mat = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-            for x in word:
-                mat = m_mul(mat, letters[x][0])
-            total = m_add(total, m_scale(mat, q))
+            total = m_add(total, m_scale(matrix(word), q))
             marks |= word_marks(
                 [letters[x][0] for x in word], [letters[x][1] for x in word], size
             )
@@ -204,6 +208,48 @@ def s_ray(coef):
     words = sorted(coef.items())
     lead = next((q for _, q in words if q), 1)
     return tuple((word, q / lead) for word, q in words)
+
+
+def s_exp(x, order):
+    """exp(-x) truncated at ``order``, for a series x with no constant
+    term: the sum over n of (-1)^n x^n / n!, each power by ``s_mul``."""
+    arity = len(next(iter(x)))
+    out, power = {}, {(0,) * arity: {"": Fraction(1)}}
+    for n in range(order + 1):
+        out = s_add(out, s_scale(power, Fraction((-1) ** n, factorial(n))))
+        power = s_mul(power, x, order)
+    return out
+
+
+GROUP_COORDINATES = ("s1", "x1", "y1", "s2", "x2", "y2")
+
+
+def group_law_sides(order):
+    """Both sides of the Heisenberg group law
+    pi(s1,x1,y1) pi(s2,x2,y2) = pi(s1+s2+x1*y2, x1+x2, y1+y2), with
+    pi(s,x,y) = exp(-s) exp(-y L) exp(-x R), as series in all six
+    ``GROUP_COORDINATES``, truncated at ``order``; the central
+    coordinate's exponential carries the empty word."""
+    def exp(word, *monomials):
+        """exp(-(sum of the monomials) word), each monomial a tuple of
+        the coordinates it multiplies."""
+        s = {}
+        for slots in monomials:
+            s_add_term(s, tuple(slots.count(k) for k in range(6)), 1, word, order)
+        return s_exp(s, order)
+
+    def product(*factors):
+        out = factors[0]
+        for f in factors[1:]:
+            out = s_mul(out, f, order)
+        return out
+
+    def pi(s, x, y):
+        return product(exp("", (s,)), exp("L", (y,)), exp("R", (x,)))
+
+    lhs = product(pi(0, 1, 2), pi(3, 4, 5))
+    rhs = product(exp("", (0,), (3,), (1, 5)), exp("L", (2,), (5,)), exp("R", (1,), (4,)))
+    return lhs, rhs
 
 
 def m_vec(a, v):

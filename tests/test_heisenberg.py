@@ -1,6 +1,7 @@
 """Formal group-law layer, twisted kernels, squared-ladder sl(2)."""
 
 import dataclasses
+import math
 import re
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from umbra.formal import FormalOpSeries
 from umbra.heisenberg import (
     METAPLECTIC_CONSTANTS,
     DiscreteKernel,
+    _exp_ladder_series,
     _formal_report,
-    _pi_series,
     composition_check_formal,
     generic_sl2_ladder,
     group_law_check,
@@ -28,25 +29,36 @@ from umbra.core import LinearOp, op_commutator
 from umbra.models import build_model
 from umbra.reports import PASS
 
+import reference as ref
+
 NU = Fraction(5, 2)
 
 
 # -- the formal series itself ------------------------------------------
 
 def test_rep_series_low_order_coefficients():
+    """pi(x, y) = exp(-y L) exp(-x R), the representation on the two
+    coordinates that move a word, as ``group_law_check`` builds it."""
     m = build_model("monomial", 8)
-    pi = _pi_series(m.words, ("s", "x", "y"), 3, 0, 1, 2)
+
+    def exp(letter, slot):
+        return _exp_ladder_series(m.words, letter, ("x", "y"), 3, (slot,), -1)
+
+    pi = exp("L", 1).mul(exp("R", 0))
     ident = LinearOp.identity(m.degree_cap)
     every = range(m.degree_cap + 1)
-    assert pi.materialize((0, 0, 0), every) == ident
-    # s, x, y slots in that order
-    assert pi.materialize((0, 0, 1), every) == m.lowering.scale(-1)
-    assert pi.materialize((0, 1, 0), every) == m.raising.scale(-1)
-    assert pi.materialize((1, 0, 0), every) == ident.scale(-1)
-    assert pi.materialize((0, 1, 1), every) == m.lowering @ m.raising
-    assert pi.materialize((0, 0, 2), every) == (m.lowering @ m.lowering).scale(
+    assert pi.materialize((0, 0), every) == ident
+    # x, y slots in that order
+    assert pi.materialize((0, 1), every) == m.lowering.scale(-1)
+    assert pi.materialize((1, 0), every) == m.raising.scale(-1)
+    assert pi.materialize((1, 1), every) == m.lowering @ m.raising
+    assert pi.materialize((0, 2), every) == (m.lowering @ m.lowering).scale(
         Fraction(1, 2)
     )
+    assert pi.materialize((2, 1), every) == (m.lowering @ m.raising @ m.raising).scale(
+        Fraction(-1, 2)
+    )
+    assert set(pi.terms) == {(c, b) for c in range(4) for b in range(4 - c)}
 
 
 def test_rep_series_needs_headroom():
@@ -65,6 +77,33 @@ def test_group_law_monomials_order_six():
 def test_group_law_heat():
     r = group_law_check(build_model("heat", 8), 4)
     assert r.status == PASS
+
+
+def test_the_central_exponentials_multiply_as_one():
+    """e^(-s1) e^(-s2) = e^(-(s1+s2)), coefficient by coefficient in
+    Fractions: the centre acts by a scalar that composes additively."""
+    order = 8
+
+    def central(*monomials):
+        s = {}
+        for idx in monomials:
+            ref.s_add_term(s, idx, 1, "", order)
+        return ref.s_exp(s, order)
+
+    product = ref.s_mul(central((1, 0)), central((0, 1)), order)
+    assert product == central((1, 0), (0, 1))
+    assert product[(2, 3)] == {"": Fraction(-1, 12)}
+
+
+def test_the_central_coordinates_only_scale_the_group_law():
+    """On both sides of the six-coordinate group law, the coefficient at
+    s1^a s2^d is (-1)^(a+d)/(a! d!) times the one at a = d = 0, over the
+    same words: the coordinates ``group_law_check`` leaves out."""
+    for side in ref.group_law_sides(4):
+        for (a, x1, y1, d, x2, y2), coef in side.items():
+            twin = side[(0, x1, y1, 0, x2, y2)]
+            scale = Fraction((-1) ** (a + d), math.factorial(a) * math.factorial(d))
+            assert coef == {word: scale * q for word, q in twin.items()}
 
 
 def test_group_law_flags_corrupted_commutator():

@@ -11,12 +11,13 @@ theorem, report what their direct paths report."""
 
 import contextlib
 import dataclasses
+import functools
 import io
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from umbra import cli, kernels, translations
 from umbra.core import (
@@ -156,6 +157,54 @@ def test_rewritten_checks_agree_with_the_plain_list_oracle(case):
     else:
         with pytest.raises(ParameterError):
             binomial_check(m, order)
+
+
+@functools.lru_cache(maxsize=None)
+def _group_law_sides(order):
+    return ref.group_law_sides(order)
+
+
+def _assert_group_law_is_the_six_coordinate_oracle(m, d, order):
+    """``group_law_check`` reports the status, first failure and residual
+    that the two-sided oracle gives on the group law in all six
+    coordinates, centre included, and the failure lies at s1 = s2 = 0."""
+    letters = {"L": (d["L"], d["l_marks"]), "R": (d["R"], d["r_marks"])}
+    cols = [m.degree_of_index(j) for j in range(m.n_max - order + 1)]
+    idx, tainted, residual = ref.two_sided_first_difference(*_group_law_sides(order), letters, cols)
+    ff = None
+    if idx is not None:
+        assert idx[0] == idx[3] == 0, idx
+        ff = {"multi_index": {k: n for k, n in zip(ref.GROUP_COORDINATES, idx) if n}}
+    report = group_law_check(m, order)
+    assert (report.status, report.first_failure, report.max_residual) == (
+        status_of(idx, tainted), ff, residual
+    )
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)), st.integers(2, 4))
+def test_the_group_law_on_four_coordinates_is_the_six_coordinate_oracle(case, order):
+    """The check leaves out the central coordinates s1 and s2 and still
+    reports what the whole law gives, on models on and off the premise."""
+    m, d, _ = case
+    assume(order <= m.n_max)
+    _assert_group_law_is_the_six_coordinate_oracle(m, d, order)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_the_group_law_off_the_premise_is_the_six_coordinate_oracle(order):
+    """monomial(6) with R t^2 = 2 t^3 fails on the direct path, and with
+    R marked at t has no twin either and is inconclusive: each as the
+    six-coordinate oracle has it."""
+    m = build_model("monomial", 6)
+    bad, marked = _plain(m), _plain(m)
+    bad["R"][3][2] += 1
+    marked["r_marks"].add(1)
+    for d, status in ((bad, "fail"), (marked, "inconclusive")):
+        model = _rebuilt(m, d)
+        assert model.fock_twin is None
+        assert _assert_group_law_is_the_six_coordinate_oracle(model, d, order).status == status
 
 
 def test_oracle_sees_each_outcome():
