@@ -39,6 +39,9 @@ own twin: a check called on the pair itself takes the direct path.  The
 pair is one object per process (``models._fock_pair``, the
 latest degree's) and keeps what each (check, args) gave on it, so the
 models of one degree, monomial among them, run each check there once.
+The twisted composition is read off the group law's report
+(``composition_check_formal``), so it goes wherever the group law's
+transport takes it and builds no series of its own.
 ``transforms`` transports biorthogonality, covariant and the
 transmutation check the same way.
 """
@@ -46,14 +49,13 @@ transmutation check the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
     CapShortfallError,
     LinearOp,
-    ONE,
     ParameterError,
     ZERO,
     as_fraction,
@@ -206,42 +208,29 @@ def weyl_relation_check(m: UmbralModel, order: int) -> VerificationReport:
 
 
 def composition_check_formal(m: UmbralModel, order: int) -> VerificationReport:
-    """Twisted-convolution composition with every atom position made a
-    formal parameter: rep(k1) rep(k2) against rep(k1 twisted k2) for a
-    pair of two-atom kernels with fixed rational coefficients.  The
-    phase exp(-x_i y_j) appears on the right as a formal scalar
-    series, so the comparison is exact order by order.  Decided on the
-    Fock twin where the model has one."""
-    output_degree = _require_cap(m, order)
-    if (moved := on_fock_twin(m, composition_check_formal, order)) is not None:
-        return moved
-    params = ("x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4")
-    table = m.words
-
-    coefs = {1: ONE, 2: Fraction(2, 3), 3: Fraction(3), 4: Fraction(1, 5)}
-
-    def exp(letter: str, slots: tuple[int, ...]) -> FormalOpSeries:
-        return _exp_ladder_series(table, letter, params, order, slots, +1)
-
-    def atom_series(i: int) -> FormalOpSeries:
-        """coef_i exp(y_i L) exp(x_i R)."""
-        x_slot, y_slot = 2 * (i - 1), 2 * (i - 1) + 1
-        return exp("L", (y_slot,)).mul(exp("R", (x_slot,))).scale(coefs[i])
-
-    k1 = atom_series(1) + atom_series(2)
-    k2 = atom_series(3) + atom_series(4)
-    lhs = k1.mul(k2)
-
-    rhs = FormalOpSeries(params, order, table)
-    for i in (1, 2):
-        for j in (3, 4):
-            xi, yi = 2 * (i - 1), 2 * (i - 1) + 1
-            xj, yj = 2 * (j - 1), 2 * (j - 1) + 1
-            phase = _phase_series(table, params, order, xi, yj, -1)
-            pair = phase.mul(exp("L", (yi, yj)).mul(exp("R", (xi, xj))))
-            rhs = rhs + pair.scale(coefs[i] * coefs[j])
-
-    return _formal_report("twisted-composition", m, order, output_degree, lhs, rhs)
+    """Twisted convolution: rep(k1) rep(k2) against rep(k1 twisted k2),
+    k1 = c1 a_1 + c2 a_2 and k2 = c3 a_3 + c4 a_4, atom i being
+    a(x_i, y_i) = exp(y_i L) exp(x_i R) and (c1, c2, c3, c4) = (1, 2/3,
+    3, 1/5), read off ``group_law_check``'s report, transport included.
+    The difference of the sides is the sum over i in {1, 2}, j in {3, 4}
+    of c_i c_j G(atom i, atom j), G(v) being the group law's difference
+    at -v: its coefficients are +-c_i c_j times the group law's, over the
+    same words, placed on atoms i and j.  A coefficient with no power of
+    atom i, or none of atom j, is one product of exponentials on both
+    sides and cancels word by word.  Of the four placements of one index
+    the first in (total, lex) order is on atoms 2 and 4, and those keep
+    the group law's order: so the first failure is the group law's on
+    atoms 2 and 4, its residual c2 c4 = 2/15 times the group law's, the
+    taint that of the same word sets, the refusals ``_require_cap``'s."""
+    r = group_law_check(m, order)
+    ff = r.first_failure
+    if ff is not None:
+        names = dict(x1="x2", y1="y2", x2="x4", y2="y4")
+        ff = {"multi_index": {names[k]: n for k, n in ff["multi_index"].items()}}
+    return replace(
+        r, check="twisted-composition", first_failure=ff,
+        max_residual=r.max_residual * Fraction(2, 15),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -499,11 +499,11 @@ def _edge_size(f: ScalarFn, t: float, u: float) -> float:
 
 def _gaussian_cutoff(f: ScalarFn, u: float, q: QuadratureSpec) -> float:
     g = f.growth_degree if f.decay == "none" else 0
-    t = max(1.0, 4.0 * math.sqrt(u), math.sqrt(16.0 * g * u))
-    # for s >= t (and t^2 >= 16gu) the integrand is below
-    # t^g e^{-s^2/8u} e^{-t^2/8u}, times f's size at the cut, so the
-    # tail loses to this bound
-    while (_edge_size(f, t, u) * t ** g * math.exp(-t * t / (8.0 * u))
+    t = max(4.0 * math.sqrt(u), math.sqrt(16.0 * g * u))
+    # for s >= t (and t^2 >= 16gu) the integrand is below max(1, t)^g
+    # e^{-s^2/8u} e^{-t^2/8u}, times f's size at the cut, so the tail
+    # loses to this bound; t^g alone falls below |f| once t < 1
+    while (_edge_size(f, t, u) * max(1.0, t) ** g * math.exp(-t * t / (8.0 * u))
            * math.sqrt(8.0 * math.pi * u) > q.abs_tol):
         t *= 1.5
         if t > 1e6:
@@ -526,12 +526,13 @@ def heat_covariant(
     _require_finite(u=u)
     if u <= 0:
         raise ParameterError(f"need u > 0, got {u:g}")
+    norm = 1.0 / (2.0 * math.sqrt(math.pi * u))
+    q = replace(q, abs_tol=q.abs_tol / max(math.floor(norm), 1))
     if f.decay == "compact":
         lo, hi = f.a, f.b
     else:
         t = _gaussian_cutoff(f, u, q)
         lo, hi = -t, t
-    norm = 1.0 / (2.0 * math.sqrt(math.pi * u))
 
     def integrand(s: float) -> float:
         return f(s) * math.exp(-s * s / (4.0 * u))

@@ -442,6 +442,13 @@ MUTANTS = (
         ("tests/test_numeric.py::test_heat_covariant_of_a_growing_exponential_is_e_to_the_u",),
     ),
     Mutant(
+        "the heat cut floored at 1 again",
+        "src/umbra/numeric.py",
+        "t = max(4.0 * math.sqrt(u), math.sqrt(16.0 * g * u))",
+        "t = max(1.0, 4.0 * math.sqrt(u), math.sqrt(16.0 * g * u))",
+        ("tests/test_numeric.py::test_heat_covariant_at_a_small_time_is_the_closed_form",),
+    ),
+    Mutant(
         "the vacuum row compared with e_0 by its numerators instead of by value",
         "src/umbra/models.py",
         "return icol_eq(*self.vacuum, *EVAL0)",
@@ -552,6 +559,28 @@ MUTANTS = (
         'rhs = phase.mul(exp("L", (1, 3))).mul(exp("R", (0, 2)))',
         'rhs = phase.mul(exp("L", (1, 3))).mul(_exp_ladder_series(table, "R", params, order, (0, 2), +1))',
         ("tests/test_heisenberg.py::test_group_law_monomials_order_six",),
+    ),
+    Mutant(
+        "composition's failure moved onto atoms 1 and 3",
+        "src/umbra/heisenberg.py",
+        'names = dict(x1="x2", y1="y2", x2="x4", y2="y4")',
+        'names = dict(x1="x1", y1="y1", x2="x3", y2="y3")',
+        (
+            "tests/test_formal_pinned.py",
+            "tests/test_truncation_rule.py::"
+            "test_the_composition_read_off_the_group_law_is_the_eight_coordinate_oracle",
+        ),
+    ),
+    Mutant(
+        "composition's residual not scaled by c2 c4",
+        "src/umbra/heisenberg.py",
+        "max_residual=r.max_residual * Fraction(2, 15),",
+        "max_residual=r.max_residual,",
+        (
+            "tests/test_formal_pinned.py",
+            "tests/test_truncation_rule.py::"
+            "test_the_composition_read_off_the_group_law_is_the_eight_coordinate_oracle",
+        ),
     ),
     Mutant(
         "a pair transport that reads only the source's twin",

@@ -122,29 +122,40 @@ def two_sided_first_difference(a, b, letters, cols):
     lists.  ``a`` and ``b`` map a multi-index to {word: rational}; a word
     is a string over ``letters``, which maps "L" and "R" to (dense
     matrix, marks), multiplied in written order.  Each coefficient is
-    summed in full on each side and marked with the word_marks of every
-    word there, whatever its coefficient; the two are compared on
-    ``cols`` in the order given, indices taken by total order and then
-    lexicographically.  Returns (first differing index or None, whether
-    a scanned column was marked on either side, largest |entry| of the
-    difference over ``cols`` at that index or 0)."""
+    summed in full on each side, on ``cols``, and marked with the
+    word_marks of every word there, whatever its coefficient; the two
+    are compared on ``cols`` in the order given, indices taken by total
+    order and then lexicographically.  Returns (first differing index
+    or None, whether a scanned column was marked on either side, largest
+    |entry| of the difference over ``cols`` at that index or 0)."""
     size = len(letters["L"][0])
-    words = {"": [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]}
+    cols = list(cols)
+    columns, marks_of = {}, {}
 
-    def matrix(word):
-        """The dense matrix of ``word``, made once per call."""
-        if word not in words:
-            words[word] = m_mul(matrix(word[:-1]), letters[word[-1]][0])
-        return words[word]
+    def column(word, j):
+        """Column j of the matrix of ``word``: its letters applied to
+        e_j, the last first; each made once per call."""
+        if (word, j) not in columns:
+            if word:
+                m, v = letters[word[0]][0], column(word[1:], j)
+                col = [sum((m[i][r] * v[r] for r in range(size) if v[r]), Fraction(0))
+                       for i in range(size)]
+            else:
+                col = [Fraction(int(i == j)) for i in range(size)]
+            columns[word, j] = col
+        return columns[word, j]
 
     def coefficient(terms):
-        total = [[Fraction(0)] * size for _ in range(size)]
+        total = {j: [Fraction(0)] * size for j in cols}
         marks = set()
         for word, q in terms.items():
-            total = m_add(total, m_scale(matrix(word), q))
-            marks |= word_marks(
-                [letters[x][0] for x in word], [letters[x][1] for x in word], size
-            )
+            for j in cols:
+                total[j] = [x + q * y for x, y in zip(total[j], column(word, j))]
+            if word not in marks_of:
+                marks_of[word] = word_marks(
+                    [letters[x][0] for x in word], [letters[x][1] for x in word], size
+                )
+            marks |= marks_of[word]
         return total, marks
 
     tainted = False
@@ -152,8 +163,8 @@ def two_sided_first_difference(a, b, letters, cols):
         (ma, ka), (mb, kb) = coefficient(a.get(idx, {})), coefficient(b.get(idx, {}))
         for j in cols:
             tainted = tainted or j in ka | kb
-            if any(ma[i][j] != mb[i][j] for i in range(size)):
-                residual = max(abs(ma[i][c] - mb[i][c]) for c in cols for i in range(size))
+            if ma[j] != mb[j]:
+                residual = max(abs(x - y) for c in cols for x, y in zip(ma[c], mb[c]))
                 return idx, tainted, residual
     return None, tainted, Fraction(0)
 
@@ -249,6 +260,42 @@ def group_law_sides(order):
 
     lhs = product(pi(0, 1, 2), pi(3, 4, 5))
     rhs = product(exp("", (0,), (3,), (1, 5)), exp("L", (2,), (5,)), exp("R", (1,), (4,)))
+    return lhs, rhs
+
+
+COMPOSITION_COORDINATES = ("x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4")
+COMPOSITION_COEFFICIENTS = (Fraction(1), Fraction(2, 3), Fraction(3), Fraction(1, 5))
+
+
+def composition_sides(order):
+    """Both sides of rep(k1) rep(k2) = rep(k1 twisted k2) for the kernels
+    k1 = c1 a(x1, y1) + c2 a(x2, y2) and k2 = c3 a(x3, y3) + c4 a(x4, y4),
+    a(x, y) = exp(y L) exp(x R) and c the ``COMPOSITION_COEFFICIENTS``,
+    as series in all eight ``COMPOSITION_COORDINATES``, truncated at
+    ``order``: on the right, the pair (i, j) of atoms carries
+    c_i c_j exp(-x_i y_j) exp((y_i + y_j) L) exp((x_i + x_j) R)."""
+    def exp(word, sign, *monomials):
+        """exp(sign (sum of the monomials) word), each monomial a tuple
+        of the coordinates it multiplies."""
+        s = {}
+        for slots in monomials:
+            s_add_term(s, tuple(slots.count(k) for k in range(8)), -sign, word, order)
+        return s_exp(s, order) if s else {(0,) * 8: {"": Fraction(1)}}
+
+    def atom(i):
+        x, y = 2 * i, 2 * i + 1
+        return s_scale(s_mul(exp("L", 1, (y,)), exp("R", 1, (x,)), order),
+                       COMPOSITION_COEFFICIENTS[i])
+
+    lhs = s_mul(s_add(atom(0), atom(1)), s_add(atom(2), atom(3)), order)
+    rhs = {}
+    for i in (0, 1):
+        for j in (2, 3):
+            xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+            pair = s_mul(exp("", -1, (xi, yj)), exp("L", 1, (yi,), (yj,)), order)
+            pair = s_mul(pair, exp("R", 1, (xi,), (xj,)), order)
+            c = COMPOSITION_COEFFICIENTS[i] * COMPOSITION_COEFFICIENTS[j]
+            rhs = s_add(rhs, s_scale(pair, c))
     return lhs, rhs
 
 

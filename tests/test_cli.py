@@ -185,6 +185,12 @@ def test_heat_covariant_of_exp_prints_e_to_the_u(capsys, u):
     assert float(out.strip()) == pytest.approx(math.exp(float(u)), rel=1e-12)
 
 
+def test_heat_covariant_at_a_tiny_time_prints_about_1(capsys):
+    rc, out, _ = run(capsys, "heat", "covariant", "--fn", "cos", "--u", "1e-300")
+    assert rc == 0
+    assert float(out.strip()) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_heat_covariant_of_exp_at_u_100_exits_3(capsys):
     rc, out, err = run(capsys, "heat", "covariant", "--fn", "exp", "--u", "100")
     assert (rc, out) == (3, "")

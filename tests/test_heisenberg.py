@@ -106,6 +106,53 @@ def test_the_central_coordinates_only_scale_the_group_law():
             assert coef == {word: scale * q for word, q in twin.items()}
 
 
+def _words(coef):
+    """A coefficient's nonzero words."""
+    return {word: q for word, q in coef.items() if q}
+
+
+def _difference(lhs, rhs):
+    diff = ref.s_add(lhs, ref.s_scale(rhs, -1))
+    return {idx: _words(coef) for idx, coef in diff.items() if _words(coef)}
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_the_group_laws_one_sided_coefficients_cancel_word_by_word(order):
+    """A coefficient of the group law with no power of x1, y1, or none
+    of x2, y2, is the same product of exponentials on both sides, so
+    each word has one coefficient on both."""
+    lhs, rhs = ref.group_law_sides(order)
+    one_sided = [
+        idx for idx in set(lhs) | set(rhs) if idx[1] == idx[2] == 0 or idx[4] == idx[5] == 0
+    ]
+    assert len(one_sided) > 1
+    for idx in one_sided:
+        assert _words(lhs.get(idx, {})) == _words(rhs.get(idx, {})), idx
+
+
+@pytest.mark.parametrize("order", range(2, 5))
+def test_the_composition_is_the_group_law_on_each_pair_of_atoms(order):
+    """The composition's difference is the sum over the atom pairs (i, j),
+    i in {1, 2} and j in {3, 4}, of c_i c_j times the group law's
+    difference at minus the coordinates, placed on atoms i and j: the
+    argument by which ``composition_check_formal`` reads the group law's
+    report."""
+    c = ref.COMPOSITION_COEFFICIENTS
+    law = _difference(*ref.group_law_sides(order))
+    want = {}
+    for (s1, x1, y1, s2, x2, y2), coef in law.items():
+        if s1 or s2:
+            continue
+        for i in (0, 1):
+            for j in (2, 3):
+                idx = [0] * 8
+                idx[2 * i: 2 * i + 2] = x1, y1
+                idx[2 * j: 2 * j + 2] = x2, y2
+                q = (-1) ** (x1 + y1 + x2 + y2) * c[i] * c[j]
+                want[tuple(idx)] = {word: q * p for word, p in coef.items()}
+    assert want and _difference(*ref.composition_sides(order)) == want
+
+
 def test_group_law_flags_corrupted_commutator():
     m = build_model("monomial", 10)
     bad = dataclasses.replace(m, raising=m.raising.scale(2))
@@ -155,6 +202,27 @@ def test_composition_formal_lower_factorial():
 def test_composition_formal_first_order():
     r = composition_check_formal(build_model("monomial", 6), 1)
     assert r.status == PASS
+
+
+def test_the_composition_builds_no_series_of_its_own(count_calls):
+    """Off the premise the composition makes the group law's series
+    products and no more; on a premise model whose group law the Fock
+    pair already keeps, it makes none."""
+    calls = count_calls(FormalOpSeries, "mul")
+    m = build_model("monomial", 8)
+    off = dataclasses.replace(m, raising=m.raising.scale(2))
+    assert off.fock_twin is None
+    group_law_check(off, 3)
+    law = len(calls)
+    assert law > 0
+    composition_check_formal(off, 3)
+    assert len(calls) == 2 * law
+    h = build_model("hermite", 8)
+    assert group_law_check(h, 3).passed
+    before = len(calls)
+    r = composition_check_formal(h, 3)
+    assert (r.check, r.model, r.status) == ("twisted-composition", "hermite", PASS)
+    assert len(calls) == before
 
 
 # -- discrete kernels and the twisted product --------------------------

@@ -576,6 +576,29 @@ def test_heat_covariant_of_a_growing_exponential_is_e_to_the_u(u):
     assert heat_covariant(canned_fn("exp"), u) == pytest.approx(math.exp(u), rel=1e-12)
 
 
+_HEAT_CLOSED_FORMS = {
+    "cos": (canned_fn("cos"), lambda u: math.exp(-u)),
+    "gauss": (canned_fn("gauss"), lambda u: 1.0 / math.sqrt(1.0 + 4.0 * u)),
+    "one": (canned_fn("one"), lambda u: 1.0),
+    "exp": (canned_fn("exp"), math.exp),
+    "1+2t+3t^2": (
+        ScalarFn(fn=lambda t: 1.0 + 2.0 * t + 3.0 * t * t, decay="none", growth_degree=2),
+        lambda u: 1.0 + 6.0 * u,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HEAT_CLOSED_FORMS))
+def test_heat_covariant_at_a_small_time_is_the_closed_form(name):
+    """At small u the kernel is a peak about 2 sqrt(u) wide, so the cut
+    follows it below 1 and the tail bound holds there (a cut floored at
+    1 let the panels on [-1, 1] miss the peak and gave 0 for u <= 1e-9),
+    with abs_tol divided by the kernel's norm as it grows."""
+    f, want = _HEAT_CLOSED_FORMS[name]
+    for u in [10.0 ** -k for k in (*range(1, 16), 30, 100, 300)]:
+        assert heat_covariant(f, u) == pytest.approx(want(u), rel=1e-9), u
+
+
 def test_heat_covariant_refuses_an_exponential_that_overflows_at_its_cut():
     """At u = 100 the tail bound for e^(-s) is met only where e^(-s)
     overflows a float; that is a QuadratureError, not an OverflowError

@@ -207,6 +207,54 @@ def test_the_group_law_off_the_premise_is_the_six_coordinate_oracle(order):
         assert _assert_group_law_is_the_six_coordinate_oracle(model, d, order).status == status
 
 
+@functools.lru_cache(maxsize=None)
+def _composition_sides(order):
+    return ref.composition_sides(order)
+
+
+def _assert_composition_is_the_eight_coordinate_oracle(m, d, order):
+    """``composition_check_formal`` reports the status, first failure and
+    residual that the two-sided oracle gives on both sides of the
+    composition, built in all eight coordinates."""
+    letters = {"L": (d["L"], d["l_marks"]), "R": (d["R"], d["r_marks"])}
+    cols = [m.degree_of_index(j) for j in range(m.n_max - order + 1)]
+    idx, tainted, residual = ref.two_sided_first_difference(
+        *_composition_sides(order), letters, cols
+    )
+    ff = None
+    if idx is not None:
+        ff = {"multi_index": {k: n for k, n in zip(ref.COMPOSITION_COORDINATES, idx) if n}}
+    report = composition_check_formal(m, order)
+    assert (report.check, report.status, report.first_failure, report.max_residual) == (
+        "twisted-composition", status_of(idx, tainted), ff, residual
+    )
+    return report
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)), st.integers(1, 3))
+def test_the_composition_read_off_the_group_law_is_the_eight_coordinate_oracle(case, order):
+    """The composition, read off the group law's report, is what its own
+    eight-coordinate series gives, on models on and off the premise."""
+    m, d, _ = case
+    assume(order <= m.n_max)
+    _assert_composition_is_the_eight_coordinate_oracle(m, d, order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_the_composition_off_the_premise_is_the_eight_coordinate_oracle(order):
+    """monomial(6) with R t^2 = 2 t^3 fails from order 2 on the direct
+    path, and with R marked at t is inconclusive, both without a twin."""
+    m = build_model("monomial", 6)
+    bad, marked = _plain(m), _plain(m)
+    bad["R"][3][2] += 1
+    marked["r_marks"].add(1)
+    for d, status in ((bad, "fail" if order > 1 else PASS), (marked, "inconclusive")):
+        model = _rebuilt(m, d)
+        assert model.fock_twin is None
+        assert _assert_composition_is_the_eight_coordinate_oracle(model, d, order).status == status
+
+
 def test_oracle_sees_each_outcome():
     """The oracle itself tells pass, fail and inconclusive apart."""
     m = build_model("monomial", 4)
