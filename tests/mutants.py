@@ -367,6 +367,27 @@ MUTANTS = (
         ("tests/test_numeric.py::test_fixed_point_stop_test_allows_for_the_truncation_error",),
     ),
     Mutant(
+        "the j_nu tail error step without its + 2",
+        "src/umbra/numeric.py",
+        "e = e // 4 + 2",
+        "e = e // 4",
+        ("tests/test_numeric.py::test_fixed_point_stop_test_allows_for_the_truncation_error",),
+    ),
+    Mutant(
+        "the j_nu series step without the odd factor of z's denominator",
+        "src/umbra/numeric.py",
+        "o2 = 2 * (zd >> m)",
+        "o2 = 2",
+        ("tests/test_numeric.py::test_exact_series_matches_fraction_loop_at_full_precision",),
+    ),
+    Mutant(
+        "the j_nu error bound's E without its 1/|T_1| factor",
+        "src/umbra/numeric.py",
+        "big_e = max(1, -(-(2 * (p + q) * zd << top) // (abs(zn) * q)))",
+        "big_e = 1 << top",
+        ("tests/test_numeric.py::test_fixed_point_error_bound_does_not_grow_with_x",),
+    ),
+    Mutant(
         "j_{nu+2} for the derivatives always read through little_bessel_j",
         "src/umbra/numeric.py",
         "up = _hankel_expansion if _hankel_applies(nu, lam, x) else little_bessel_j",

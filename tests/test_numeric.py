@@ -143,15 +143,40 @@ def test_exact_series_matches_fraction_loop_bit_for_bit(args):
     assert numeric._bessel_series_exact(nu, lam, t).hex() == want.hex()
 
 
-@pytest.mark.parametrize("nu, lam, t", [
+# Doubles, as the transforms pass them, put a power of 2 under z = lam t^2.
+# Rational lam and t put an odd factor there too.  Large nu makes
+# |T_1| = |z| / (2 (nu + 1)) small: about 6 at x = 40, below 1 at x = 13.
+SERIES_CASES = [
     (Fraction(7, 3), 0.7312345, 64.05194036670956),
     (Fraction(1, 10), 2.718281828459045, -31.41592653589793),
     (Fraction(5, 2), -1.2345678901234567, 11.11111111111111),
     (Fraction(8), 0.1, 123.456789),
-])
+    (Fraction(5, 2), Fraction(7, 3), Fraction(95, 7)),
+    (Fraction(3), Fraction(-11, 9), Fraction(40, 3)),
+    (Fraction(1, 3), Fraction(5, 7), Fraction(301, 3)),
+    (Fraction(120), 1.0, 40.1),
+    (Fraction(401, 3), 1.0, 39.7),
+    (Fraction(120), 1.0, 12.5),
+    (Fraction(401, 3), -1.0, 13.25),
+]
+
+
+@pytest.mark.parametrize("nu, lam, t", SERIES_CASES)
 def test_exact_series_matches_fraction_loop_at_full_precision(nu, lam, t):
     want = float(ref.bessel_series_fraction(nu, lam, t))
     assert numeric._bessel_series_exact(nu, lam, t).hex() == want.hex()
+
+
+@pytest.mark.parametrize("nu, lam, t", SERIES_CASES)
+def test_fixed_point_error_bound_does_not_grow_with_x(nu, lam, t):
+    # through the peak the bound sums n E, E ~ 2^top 2 (nu + 1) / x^2,
+    # over n <= x + 2, and after it shrinks 4-fold a term: about
+    # (nu + 1) 2^top in all, whatever x, so 64 guard bits decide
+    z = Fraction(lam) * Fraction(t) ** 2
+    top = int(math.sqrt(abs(z)) * numeric._LOG2_E) + 2
+    k = numeric._stop_halvings(z, nu)
+    _, err = numeric._fixed_point_series(z, nu, k, top + k + 53 + numeric._GUARD_BITS)
+    assert err <= 3 * (nu + 1) * 2**top
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,6 +189,15 @@ def test_fixed_point_enclosure_holds_at_low_precision(args, prec):
     s, err = numeric._fixed_point_series(z, nu, numeric._stop_halvings(z, nu), prec)
     exact = ref.bessel_series_fraction(nu, lam, t) * 2**prec
     assert s - err <= exact <= s + err, (nu, lam, t, prec)
+
+
+@pytest.mark.parametrize("prec", [90, 131, 200])
+@pytest.mark.parametrize("nu, lam, t", SERIES_CASES)
+def test_fixed_point_enclosure_holds_at_low_precision_on_chosen_inputs(nu, lam, t, prec):
+    z = Fraction(lam) * Fraction(t) ** 2
+    s, err = numeric._fixed_point_series(z, nu, numeric._stop_halvings(z, nu), prec)
+    exact = ref.bessel_series_fraction(nu, lam, t) * 2**prec
+    assert s - err <= exact <= s + err
 
 
 @pytest.mark.parametrize("sign", [-1, 1])
