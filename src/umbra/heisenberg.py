@@ -3,8 +3,11 @@
 Three layers share this module:
 
 * order-by-order verification of the ladder-exponential identities
-  (the representation's composition law and the operator reorder rule)
-  as :class:`~umbra.formal.FormalOpSeries` comparisons;
+  (the representation's composition law and the operator reorder rule):
+  each side's coefficients are written in closed form, the normal-
+  ordering formula (Wilcox, J. Math. Phys. 8, 1967; Folland, Harmonic
+  Analysis in Phase Space, 1989, ch. 1), and the two sides compared as
+  :class:`~umbra.formal.FormalOpSeries`;
 * finite atomic kernels composed by twisted convolution, with the
   reorder phase kept as an exact rational exponent;
 * the squared-ladder sl(2) triple (lower^2, raise^2, raise lower + 1/2)
@@ -48,10 +51,11 @@ transmutation check the same way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     CapShortfallError,
@@ -62,7 +66,7 @@ from .core import (
     format_rational,
     op_commutator,
 )
-from .formal import FormalOpSeries, OpWordTable, max_abs_entry, series_first_difference
+from .formal import FormalOpSeries, Index, max_abs_entry, series_first_difference
 from .models import UmbralModel, on_fock_twin
 from .reports import VerificationReport, status_of
 from .kernels import EMPTY
@@ -88,54 +92,48 @@ def _require_cap(m: UmbralModel, order: int) -> int:
     return out
 
 
-def _exp_ladder_series(
-    table: OpWordTable,
-    letter: str,
-    params: tuple[str, ...],
-    order: int,
-    slots: Sequence[int],
-    sign: int,
-) -> FormalOpSeries:
-    """exp(sign * (sum of the slot parameters) * A), A the operator of
-    ``letter``.  One or two parameter slots.  The numerators are over
-    order!: the one at parameter powers r (total t) is
-    sign^t order! / prod r!."""
-    f = math.factorial(order)
-    out = FormalOpSeries(params, order, table, f)
-    for total in range(order + 1):
-        if len(slots) == 1:
-            splits: Iterable[tuple[int, ...]] = [(total,)]
-        else:
-            splits = [(r, total - r) for r in range(total + 1)]
-        for split in splits:
-            idx = [0] * len(params)
-            n = sign ** total * f
-            for slot, r in zip(slots, split):
-                idx[slot] = r
-                n //= math.factorial(r)
-            out.add_numerator(tuple(idx), n, letter * total)
-    return out
+def _indices(n: int, order: int) -> Iterator[Index]:
+    """Every multi-index of n entries with total at most ``order``: the
+    gaps between n bars placed among order + n slots."""
+    for bars in itertools.combinations(range(order + n), n):
+        yield tuple(j - i - 1 for i, j in zip((-1, *bars), bars))
 
 
-def _phase_series(
-    table: OpWordTable,
-    params: tuple[str, ...],
-    order: int,
-    x_slot: int,
-    y_slot: int,
-    sign: int,
-) -> FormalOpSeries:
-    """exp(sign * x * y) as a scalar series carried on the identity,
-    its numerators over (order // 2)!."""
-    top = order // 2
-    f = math.factorial(top)
-    out = FormalOpSeries(params, order, table, f)
-    for k in range(top + 1):
-        idx = [0] * len(params)
-        idx[x_slot] = k
-        idx[y_slot] = k
-        out.add_numerator(tuple(idx), sign ** (k & 1) * f // math.factorial(k), "")
-    return out
+def _group_law_sides(m: UmbralModel, order: int) -> tuple[FormalOpSeries, FormalOpSeries]:
+    """pi(x1,y1) pi(x2,y2) and exp(-x1*y2) pi(x1+x2, y1+y2), pi(x, y) =
+    exp(-y L) exp(-x R), as series up to total ``order``, their
+    numerators over order!.  At (a, b, c, d), the powers of (x1, y1, x2,
+    y2), the left side is (-1)^(a+b+c+d) / (a! b! c! d!) L^b R^a L^d R^c
+    and the right side the sum over k <= min(a, d) of
+    (-1)^(a+b+c+d-k) / (k! (a-k)! (d-k)! b! c!) L^(b+d-k) R^(a+c-k),
+    k the power of the phase."""
+    f = [math.factorial(k) for k in range(order + 1)]
+    lhs, rhs = (FormalOpSeries(("x1", "y1", "x2", "y2"), order, m.words, f[order]) for _ in range(2))
+    for idx in _indices(4, order):
+        a, b, c, d = idx
+        n = (-1) ** (a + b + c + d) * f[order]
+        word = "L" * b + "R" * a + "L" * d + "R" * c
+        lhs.add_numerator(idx, n // (f[a] * f[b] * f[c] * f[d]), word)
+        for k in range(min(a, d) + 1):
+            n_k = (-1) ** k * n // (f[k] * f[a - k] * f[d - k] * f[b] * f[c])
+            rhs.add_numerator(idx, n_k, "L" * (b + d - k) + "R" * (a + c - k))
+    return lhs, rhs
+
+
+def _weyl_sides(m: UmbralModel, order: int) -> tuple[FormalOpSeries, FormalOpSeries]:
+    """exp(yL) exp(xR) and exp(xy) exp(xR) exp(yL) as series up to total
+    ``order``, their numerators over order!.  At (a, d), the powers
+    of (x, y), the left side is 1 / (a! d!) L^d R^a and the right side
+    the sum over k <= min(a, d) of 1 / (k! (a-k)! (d-k)!) R^(a-k) L^(d-k)."""
+    f = [math.factorial(k) for k in range(order + 1)]
+    lhs, rhs = (FormalOpSeries(("x", "y"), order, m.words, f[order]) for _ in range(2))
+    for idx in _indices(2, order):
+        a, d = idx
+        lhs.add_numerator(idx, f[order] // (f[a] * f[d]), "L" * d + "R" * a)
+        for k in range(min(a, d) + 1):
+            n_k = f[order] // (f[k] * f[a - k] * f[d - k])
+            rhs.add_numerator(idx, n_k, "R" * (a - k) + "L" * (d - k))
+    return lhs, rhs
 
 
 def _formal_report(
@@ -173,21 +171,13 @@ def group_law_check(m: UmbralModel, order: int) -> VerificationReport:
     dropped: it multiplies the identity word, so each coefficient at
     s1^a s2^d is (-1)^(a+d)/(a! d!) times the one at a = d = 0, over
     the same words.  Those lie at a higher total order than their s-free
-    twin and would be skipped as its multiples, so the first failure,
-    the taint and the residual are those of the six coordinates."""
+    twin, so they fail only after it and carry no mark it lacks: the
+    first failure, the taint and the residual are those of the six
+    coordinates."""
     output_degree = _require_cap(m, order)
     if (moved := on_fock_twin(m, group_law_check, order)) is not None:
         return moved
-    params = ("x1", "y1", "x2", "y2")
-    table = m.words
-
-    def exp(letter: str, slots: tuple[int, ...]) -> FormalOpSeries:
-        return _exp_ladder_series(table, letter, params, order, slots, -1)
-
-    lhs = exp("L", (1,)).mul(exp("R", (0,))).mul(exp("L", (3,))).mul(exp("R", (2,)))
-    phase = _phase_series(table, params, order, 0, 3, -1)
-    rhs = phase.mul(exp("L", (1, 3))).mul(exp("R", (0, 2)))
-    return _formal_report("group-law", m, order, output_degree, lhs, rhs)
+    return _formal_report("group-law", m, order, output_degree, *_group_law_sides(m, order))
 
 
 def weyl_relation_check(m: UmbralModel, order: int) -> VerificationReport:
@@ -197,14 +187,7 @@ def weyl_relation_check(m: UmbralModel, order: int) -> VerificationReport:
     output_degree = _require_cap(m, order)
     if (moved := on_fock_twin(m, weyl_relation_check, order)) is not None:
         return moved
-    params = ("x", "y")
-    table = m.words
-    exp_r = _exp_ladder_series(table, "R", params, order, (0,), +1)
-    exp_l = _exp_ladder_series(table, "L", params, order, (1,), +1)
-    lhs = exp_l.mul(exp_r)
-    phase = _phase_series(table, params, order, 0, 1, +1)
-    rhs = phase.mul(exp_r.mul(exp_l))
-    return _formal_report("weyl-relation", m, order, output_degree, lhs, rhs)
+    return _formal_report("weyl-relation", m, order, output_degree, *_weyl_sides(m, order))
 
 
 def composition_check_formal(m: UmbralModel, order: int) -> VerificationReport:

@@ -195,7 +195,12 @@ def _fixed_point_series(z: Fraction, nu: Fraction, k: int, prec: int) -> tuple[i
     premises make that sound: |r_n| falls with n, so log |T_n| is concave
     and the least |T_j| on [1, n] is at one end; and every |T_n| <= e^x <
     2^top.  Past the peak |r_n| < 1/4, and e_n <= floor(e_{n-1} / 4) + 2
-    shrinks by a factor of 4 a term down to 2."""
+    shrinks by a factor of 4 a term down to 2, so the stop test needs
+    2^prec // (1e25 2^k) > 2; a lower precision is refused."""
+    one, stop = 1 << prec, _STOP_INV << k
+    below = one // stop                # |T| + e < below: surely |term_n| < 1e-25 / 2^k
+    if below <= 2:
+        raise ParameterError(f"precision 2^{prec} cannot resolve the stop 1e-25 / 2^{k}")
     # z = zn / (2^m o) with o odd: each step floors by 2^m, then by o d_n
     (zn, zd), (p, q) = z.as_integer_ratio(), nu.as_integer_ratio()
     m = (zd & -zd).bit_length() - 1
@@ -204,13 +209,11 @@ def _fixed_point_series(z: Fraction, nu: Fraction, k: int, prec: int) -> tuple[i
     peak = math.isqrt(abs(zn) // zd) + 2
     top = int(math.sqrt(abs(zn) / zd) * _LOG2_E) + 2
     big_e = max(1, -(-(2 * (p + q) * zd << top) // (abs(zn) * q)))   # 2^top / |T_1|
-    one, stop = 1 << prec, _STOP_INV << k
     term = s = one
     for n in range(1, peak + 1):
         term = (term * mul >> m) // (o2 * n * (q2 * n + c))
         s += term
     e, err = peak * big_e, big_e * peak * (peak + 1) // 2   # the sum of n E over n <= peak
-    below = one // stop                # |T| + e < below: surely |term_n| < 1e-25 / 2^k
     above = -(-one // stop)            # |T| - e >= above: surely not
     widen = -1                         # < 0 until the stop test is first in doubt
     for n in count(peak + 1):

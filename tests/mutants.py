@@ -51,36 +51,11 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the proportional-class key leaving out zero-coefficient words",
+        "an index whose words all cancel skipped",
         "src/umbra/formal.py",
-        "return tuple((word, n // g) for word, n in words)",
-        "return tuple((word, n // g) for word, n in words if n)",
-        (
-            "tests/test_formal.py::test_a_cancelled_word_makes_an_otherwise_proportional_coefficient_compared",
-            "tests/test_formal.py::test_the_difference_comparison_matches_the_two_sided_oracle",
-        ),
-    ),
-    Mutant(
-        "the proportional-class key keeping only the words",
-        "src/umbra/formal.py",
-        "return tuple((word, n // g) for word, n in words)",
-        "return tuple(word for word, _ in words)",
-        (
-            "tests/test_formal.py::test_the_same_words_in_another_ratio_are_compared",
-            "tests/test_formal.py::test_the_difference_comparison_matches_the_two_sided_oracle",
-        ),
-    ),
-    Mutant(
-        "the proportional-class key dropping the sign of each entry instead of normalising the lead",
-        "src/umbra/formal.py",
-        "    if next((n for _, n in words if n), 0) < 0:\n"
-        "        g = -g\n"
-        "    return tuple((word, n // g) for word, n in words)",
-        "    return tuple((word, abs(n) // g) for word, n in words)",
-        (
-            "tests/test_formal.py::test_the_same_words_in_another_ratio_are_compared",
-            "tests/test_formal.py::test_integer_series_match_the_fraction_oracle",
-        ),
+        "    for idx in diff.indices():\n",
+        "    for idx in diff.indices():\n        if not any(diff.terms[idx].values()):\n            continue\n",
+        ("tests/test_formal.py::test_a_word_cancelled_in_the_difference_still_taints",),
     ),
     Mutant(
         "a series sum not rescaling its second operand to the common denominator",
@@ -568,18 +543,58 @@ MUTANTS = (
         ("tests/test_truncation_rule.py::test_the_pair_keeps_each_order_apart",),
     ),
     Mutant(
-        "the group-law phase on the wrong slots",
+        "the group law's k-sum without (-1)^k",
         "src/umbra/heisenberg.py",
-        "phase = _phase_series(table, params, order, 0, 3, -1)",
-        "phase = _phase_series(table, params, order, 1, 2, -1)",
+        "n_k = (-1) ** k * n // (f[k]",
+        "n_k = n // (f[k]",
         ("tests/test_heisenberg.py::test_group_law_monomials_order_six",),
     ),
     Mutant(
-        "one group-law exponential with the wrong sign",
+        "the group law's left word with L^d and R^a swapped",
         "src/umbra/heisenberg.py",
-        'rhs = phase.mul(exp("L", (1, 3))).mul(exp("R", (0, 2)))',
-        'rhs = phase.mul(exp("L", (1, 3))).mul(_exp_ladder_series(table, "R", params, order, (0, 2), +1))',
-        ("tests/test_heisenberg.py::test_group_law_monomials_order_six",),
+        '"L" * b + "R" * a + "L" * d + "R" * c',
+        '"L" * b + "L" * d + "R" * a + "R" * c',
+        (
+            "tests/test_heisenberg.py::test_rep_series_low_order_coefficients",
+            "tests/test_heisenberg.py::test_group_law_monomials_order_six",
+        ),
+    ),
+    Mutant(
+        "the Weyl k-sum stopped one short",
+        "src/umbra/heisenberg.py",
+        "        for k in range(min(a, d) + 1):\n            n_k = f[order]",
+        "        for k in range(min(a, d)):\n            n_k = f[order]",
+        (
+            "tests/test_truncation_rule.py::test_the_weyl_check_is_the_two_sided_oracle",
+            "tests/test_heisenberg.py::test_weyl_relation_monomials",
+        ),
+    ),
+    Mutant(
+        "the Weyl right word in L-then-R order",
+        "src/umbra/heisenberg.py",
+        '"R" * (a - k) + "L" * (d - k)',
+        '"L" * (d - k) + "R" * (a - k)',
+        (
+            "tests/test_truncation_rule.py::test_the_weyl_check_is_the_two_sided_oracle",
+            "tests/test_heisenberg.py::test_weyl_relation_monomials",
+        ),
+    ),
+    Mutant(
+        "a Weyl numerator not over order!",
+        "src/umbra/heisenberg.py",
+        "lhs.add_numerator(idx, f[order] // (f[a] * f[d])",
+        "lhs.add_numerator(idx, f[a + d] // (f[a] * f[d])",
+        ("tests/test_heisenberg.py::test_weyl_relation_monomials",),
+    ),
+    Mutant(
+        "the indices of the top total order left out",
+        "src/umbra/heisenberg.py",
+        "itertools.combinations(range(order + n), n)",
+        "itertools.combinations(range(order + n - 1), n)",
+        (
+            "tests/test_heisenberg.py::test_the_closed_form_sides_are_the_exponential_products",
+            "tests/test_formal_pinned.py",
+        ),
     ),
     Mutant(
         "composition's failure moved onto atoms 1 and 3",

@@ -212,15 +212,6 @@ def s_mul(a, b, order):
     return out
 
 
-def s_ray(coef):
-    """The words of ``coef`` in sorted order, each coefficient divided
-    by the first nonzero one: equal for two coefficients exactly when
-    one is a nonzero multiple of the other over the same words."""
-    words = sorted(coef.items())
-    lead = next((q for _, q in words if q), 1)
-    return tuple((word, q / lead) for word, q in words)
-
-
 def s_exp(x, order):
     """exp(-x) truncated at ``order``, for a series x with no constant
     term: the sum over n of (-1)^n x^n / n!, each power by ``s_mul``."""
@@ -260,6 +251,24 @@ def group_law_sides(order):
 
     lhs = product(pi(0, 1, 2), pi(3, 4, 5))
     rhs = product(exp("", (0,), (3,), (1, 5)), exp("L", (2,), (5,)), exp("R", (1,), (4,)))
+    return lhs, rhs
+
+
+WEYL_COORDINATES = ("x", "y")
+
+
+def weyl_sides(order):
+    """Both sides of the reorder rule e^(yL) e^(xR) = e^(xy) e^(xR) e^(yL)
+    as series in the ``WEYL_COORDINATES``, truncated at ``order``."""
+    def exp(word, idx):
+        """exp(x^idx[0] y^idx[1] word); the identity series where that
+        monomial is past the order."""
+        s = {}
+        s_add_term(s, idx, -1, word, order)
+        return s_exp(s, order) if s else {(0, 0): {"": Fraction(1)}}
+
+    lhs = s_mul(exp("L", (0, 1)), exp("R", (1, 0)), order)
+    rhs = s_mul(exp("", (1, 1)), s_mul(exp("R", (1, 0)), exp("L", (0, 1)), order), order)
     return lhs, rhs
 
 

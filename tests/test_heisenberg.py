@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from umbra import heisenberg
 from umbra.core import CapShortfallError, ParameterError
 from umbra.formal import FormalOpSeries
 from umbra.heisenberg import (
     METAPLECTIC_CONSTANTS,
     DiscreteKernel,
-    _exp_ladder_series,
     _formal_report,
+    _group_law_sides,
+    _weyl_sides,
     composition_check_formal,
     generic_sl2_ladder,
     group_law_check,
@@ -38,27 +40,48 @@ NU = Fraction(5, 2)
 
 def test_rep_series_low_order_coefficients():
     """pi(x, y) = exp(-y L) exp(-x R), the representation on the two
-    coordinates that move a word, as ``group_law_check`` builds it."""
+    coordinates that move a word: the closed-form left side of the
+    group law at x2 = y2 = 0, as ``group_law_check`` builds it."""
     m = build_model("monomial", 8)
-
-    def exp(letter, slot):
-        return _exp_ladder_series(m.words, letter, ("x", "y"), 3, (slot,), -1)
-
-    pi = exp("L", 1).mul(exp("R", 0))
+    lhs, rhs = _group_law_sides(m, 3)
     ident = LinearOp.identity(m.degree_cap)
     every = range(m.degree_cap + 1)
-    assert pi.materialize((0, 0), every) == ident
+
+    def pi(x, y):
+        return lhs.materialize((x, y, 0, 0), every)
+
+    assert pi(0, 0) == ident
     # x, y slots in that order
-    assert pi.materialize((0, 1), every) == m.lowering.scale(-1)
-    assert pi.materialize((1, 0), every) == m.raising.scale(-1)
-    assert pi.materialize((1, 1), every) == m.lowering @ m.raising
-    assert pi.materialize((0, 2), every) == (m.lowering @ m.lowering).scale(
-        Fraction(1, 2)
-    )
-    assert pi.materialize((2, 1), every) == (m.lowering @ m.raising @ m.raising).scale(
-        Fraction(-1, 2)
-    )
-    assert set(pi.terms) == {(c, b) for c in range(4) for b in range(4 - c)}
+    assert pi(0, 1) == m.lowering.scale(-1)
+    assert pi(1, 0) == m.raising.scale(-1)
+    assert pi(1, 1) == m.lowering @ m.raising
+    assert pi(0, 2) == (m.lowering @ m.lowering).scale(Fraction(1, 2))
+    assert pi(2, 1) == (m.lowering @ m.raising @ m.raising).scale(Fraction(-1, 2))
+    assert {idx for idx in lhs.terms if idx[2:] == (0, 0)} == {
+        (c, b, 0, 0) for c in range(4) for b in range(4 - c)
+    }
+    # at x1 y2 the left side is R L and the right one L R - 1, its phase
+    assert lhs.materialize((1, 0, 0, 1), every) == m.raising @ m.lowering
+    assert rhs.materialize((1, 0, 0, 1), every) == m.lowering @ m.raising - ident
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_the_closed_form_sides_are_the_exponential_products(order):
+    """Both sides of the group law and of the Weyl rule, written in
+    closed form, hold at every multi-index the words and rational
+    coefficients that the products of truncated exponential series
+    give; the group law's are the centre-free ones."""
+    m = build_model("monomial", 8)
+
+    def rational(s):
+        return {idx: {w: Fraction(n, s.den) for w, n in coef.items()} for idx, coef in s.terms.items()}
+
+    want = [
+        {(x1, y1, x2, y2): coef for (s1, x1, y1, s2, x2, y2), coef in side.items() if not s1 | s2}
+        for side in ref.group_law_sides(order)
+    ]
+    assert [rational(s) for s in _group_law_sides(m, order)] == want
+    assert [rational(s) for s in _weyl_sides(m, order)] == list(ref.weyl_sides(order))
 
 
 def test_rep_series_needs_headroom():
@@ -206,9 +229,9 @@ def test_composition_formal_first_order():
 
 def test_the_composition_builds_no_series_of_its_own(count_calls):
     """Off the premise the composition makes the group law's series
-    products and no more; on a premise model whose group law the Fock
+    comparison and no more; on a premise model whose group law the Fock
     pair already keeps, it makes none."""
-    calls = count_calls(FormalOpSeries, "mul")
+    calls = count_calls(heisenberg, "series_first_difference")
     m = build_model("monomial", 8)
     off = dataclasses.replace(m, raising=m.raising.scale(2))
     assert off.fock_twin is None

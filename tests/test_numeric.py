@@ -200,6 +200,13 @@ def test_fixed_point_enclosure_holds_at_low_precision_on_chosen_inputs(nu, lam, 
     assert s - err <= exact <= s + err
 
 
+def test_a_precision_too_low_for_the_stop_test_is_refused():
+    # 2^90 // (1e25 2^80) is 0, and the tail bound never falls below 2,
+    # so the stop test could never pass: refused at once, not looped on
+    with pytest.raises(ParameterError, match="cannot resolve"):
+        numeric._fixed_point_series(Fraction(150**2), Fraction(200), 80, 90)
+
+
 @pytest.mark.parametrize("sign", [-1, 1])
 @pytest.mark.parametrize("side", [-1, 1])
 def test_fixed_point_enclosure_holds_when_the_stop_is_in_doubt(side, sign):

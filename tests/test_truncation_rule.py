@@ -208,6 +208,32 @@ def test_the_group_law_off_the_premise_is_the_six_coordinate_oracle(order):
 
 
 @functools.lru_cache(maxsize=None)
+def _weyl_sides(order):
+    return ref.weyl_sides(order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)), st.integers(1, 5))
+def test_the_weyl_check_is_the_two_sided_oracle(case, order):
+    """``weyl_relation_check`` reports the status, first failure and
+    residual that the two-sided oracle gives on both sides of the
+    reorder rule, each a product of exponential series, on models on
+    and off the premise."""
+    m, d, _ = case
+    assume(order <= m.n_max)
+    letters = {"L": (d["L"], d["l_marks"]), "R": (d["R"], d["r_marks"])}
+    cols = [m.degree_of_index(j) for j in range(m.n_max - order + 1)]
+    idx, tainted, residual = ref.two_sided_first_difference(*_weyl_sides(order), letters, cols)
+    ff = None
+    if idx is not None:
+        ff = {"multi_index": {k: n for k, n in zip(ref.WEYL_COORDINATES, idx) if n}}
+    report = weyl_relation_check(m, order)
+    assert (report.status, report.first_failure, report.max_residual) == (
+        status_of(idx, tainted), ff, residual
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def _composition_sides(order):
     return ref.composition_sides(order)
 
