@@ -12,11 +12,11 @@ Exactness bookkeeping: a coefficient operator built from words of
 length <= M (the series order) moves basis degrees by at most M, so on
 a space capped at n_max every column with basis index <= n_max - M is
 computed exactly, truncation notwithstanding.  The checks compare on
-the output indices up to D = n_max - M, the exact columns.  Two series
-are compared through their difference, merged word by word, and its
-coefficients are summed on those certified columns only: a word whose
-coefficients agree on both sides cancels to 0 and costs no arithmetic,
-though its truncation marks still count.
+the output indices up to D = n_max - M, the exact columns.  An
+identity is compared as one series, the difference of its two sides,
+whose coefficients are summed on those certified columns only: a word
+whose coefficients agree on both sides has numerator 0 there and costs
+no arithmetic, though its truncation marks still count.
 
 Each coefficient is a linear combination of ladder words.  A word is a
 string over "L" (the lowering operator) and "R" (the raising one), read
@@ -26,11 +26,10 @@ operator once, letter by letter; the coefficient operators are summed
 from those on demand.
 
 A series keeps its coefficients as integer numerators over one series
-denominator: building, adding and scaling series is plain integer
-arithmetic, and sums work over the lcm of the two denominators.
-``materialize`` reduces each numerator against the denominator before
-it sums the word operators, so the kernels see the multipliers a
-Fraction coefficient would give them.
+denominator, order! for the identities' differences, so building one
+is plain integer arithmetic.  ``materialize`` reduces each numerator
+against the denominator before it sums the word operators, so the
+kernels see the multipliers a Fraction coefficient would give them.
 """
 
 from __future__ import annotations
@@ -100,47 +99,11 @@ class FormalOpSeries:
         self.den = den
         self.terms: dict[Index, dict[str, int]] = {}
 
-    def add_term(self, idx: Index, q: Fraction | int, word: str) -> None:
-        """Add the rational ``q`` times ``word`` at ``idx``; the
-        denominator grows to lcm(den, q.denominator) when it must."""
-        qd = q.denominator
-        if self.den % qd:
-            k = qd // math.gcd(self.den, qd)
-            self.den *= k
-            for coef in self.terms.values():
-                for w, n in coef.items():
-                    coef[w] = k * n
-        self.add_numerator(idx, q.numerator * (self.den // qd), word)
-
     def add_numerator(self, idx: Index, n: int, word: str) -> None:
-        """Add ``n`` / den times ``word`` at ``idx``."""
-        if len(idx) != len(self.params):
-            raise CapMismatchError("multi-index arity mismatch")
-        if sum(idx) > self.order or not n:
-            return
+        """Add ``n`` / den times ``word`` at ``idx``; a word whose
+        numerators sum to 0 stays, with its marks."""
         coef = self.terms.setdefault(idx, {})
         coef[word] = coef.get(word, 0) + n
-
-    def __add__(self, other: "FormalOpSeries") -> "FormalOpSeries":
-        self._check(other)
-        den = math.lcm(self.den, other.den)
-        out = FormalOpSeries(self.params, self.order, self.table, den)
-        ka, kb = den // self.den, den // other.den
-        for idx, coef in self.terms.items():
-            out.terms[idx] = {word: ka * n for word, n in coef.items()}
-        for idx, coef in other.terms.items():
-            bucket = out.terms.setdefault(idx, {})
-            for word, n in coef.items():
-                bucket[word] = bucket.get(word, 0) + kb * n
-        return out
-
-    def scale(self, q: Fraction | int) -> "FormalOpSeries":
-        out = FormalOpSeries(self.params, self.order, self.table, self.den * q.denominator)
-        if q:
-            c = q.numerator
-            for idx, coef in self.terms.items():
-                out.terms[idx] = {word: c * n for word, n in coef.items()}
-        return out
 
     # A boundary that perfbench's tracer names; nothing in the package calls it.
 
@@ -220,23 +183,22 @@ def max_abs_entry(op: LinearOp, cols: Iterable[int]) -> Fraction:
 
 
 def series_first_difference(
-    a: FormalOpSeries, b: FormalOpSeries, columns: Iterable[int]
+    diff: FormalOpSeries, columns: Iterable[int]
 ) -> tuple[Index | None, bool, Fraction]:
     """(first multi-index, ordered by total order and then
-    lexicographically, where the coefficients differ on the given
-    columns, or None; tainted; residual), the taint gathered by
+    lexicographically, where ``diff`` is nonzero on the given columns,
+    or None; tainted; residual), the taint gathered by
     ``LinearOp.compare_on_columns`` over the coefficients compared and
-    the residual the largest |entry| of a - b over ``columns`` at that
-    multi-index, 0 when there is none.
+    the residual the largest |entry| of ``diff`` over ``columns`` at
+    that multi-index, 0 when there is none.
 
-    Every coefficient of the word-merged difference a - b is summed on
-    ``columns`` only and compared with zero.  A word on both sides
-    keeps its marks in the difference even where its coefficients
-    agree, so the taint is that of comparing the two sides; a
-    coefficient whose words all cancel costs no kernel call."""
+    ``diff`` is the difference of an identity's two sides.  Each of its
+    coefficients is summed on ``columns`` only and compared with zero.
+    A word on both sides keeps its marks in the difference even where
+    its coefficients agree, so the taint is that of comparing the two
+    sides; a coefficient whose words all cancel costs no kernel call."""
     cols = list(columns)
-    diff = a + b.scale(-1)
-    zero = LinearOp.zero(a.table.cap)
+    zero = LinearOp.zero(diff.table.cap)
     tainted = False
     for idx in diff.indices():
         coef = diff.materialize(idx, cols)

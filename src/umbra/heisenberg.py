@@ -6,8 +6,8 @@ Three layers share this module:
   (the representation's composition law and the operator reorder rule):
   each side's coefficients are written in closed form, the normal-
   ordering formula (Wilcox, J. Math. Phys. 8, 1967; Folland, Harmonic
-  Analysis in Phase Space, 1989, ch. 1), and the two sides compared as
-  :class:`~umbra.formal.FormalOpSeries`;
+  Analysis in Phase Space, 1989, ch. 1), and the difference of the two
+  sides compared as one :class:`~umbra.formal.FormalOpSeries`;
 * finite atomic kernels composed by twisted convolution, with the
   reorder phase kept as an exact rational exponent;
 * the squared-ladder sl(2) triple (lower^2, raise^2, raise lower + 1/2)
@@ -99,53 +99,48 @@ def _indices(n: int, order: int) -> Iterator[Index]:
         yield tuple(j - i - 1 for i, j in zip((-1, *bars), bars))
 
 
-def _group_law_sides(m: UmbralModel, order: int) -> tuple[FormalOpSeries, FormalOpSeries]:
-    """pi(x1,y1) pi(x2,y2) and exp(-x1*y2) pi(x1+x2, y1+y2), pi(x, y) =
-    exp(-y L) exp(-x R), as series up to total ``order``, their
+def _group_law_difference(m: UmbralModel, order: int) -> FormalOpSeries:
+    """pi(x1,y1) pi(x2,y2) - exp(-x1*y2) pi(x1+x2, y1+y2), pi(x, y) =
+    exp(-y L) exp(-x R), as one series up to total ``order``, its
     numerators over order!.  At (a, b, c, d), the powers of (x1, y1, x2,
     y2), the left side is (-1)^(a+b+c+d) / (a! b! c! d!) L^b R^a L^d R^c
     and the right side the sum over k <= min(a, d) of
     (-1)^(a+b+c+d-k) / (k! (a-k)! (d-k)! b! c!) L^(b+d-k) R^(a+c-k),
     k the power of the phase."""
     f = [math.factorial(k) for k in range(order + 1)]
-    lhs, rhs = (FormalOpSeries(("x1", "y1", "x2", "y2"), order, m.words, f[order]) for _ in range(2))
+    diff = FormalOpSeries(("x1", "y1", "x2", "y2"), order, m.words, f[order])
     for idx in _indices(4, order):
         a, b, c, d = idx
         n = (-1) ** (a + b + c + d) * f[order]
         word = "L" * b + "R" * a + "L" * d + "R" * c
-        lhs.add_numerator(idx, n // (f[a] * f[b] * f[c] * f[d]), word)
+        diff.add_numerator(idx, n // (f[a] * f[b] * f[c] * f[d]), word)
         for k in range(min(a, d) + 1):
             n_k = (-1) ** k * n // (f[k] * f[a - k] * f[d - k] * f[b] * f[c])
-            rhs.add_numerator(idx, n_k, "L" * (b + d - k) + "R" * (a + c - k))
-    return lhs, rhs
+            diff.add_numerator(idx, -n_k, "L" * (b + d - k) + "R" * (a + c - k))
+    return diff
 
 
-def _weyl_sides(m: UmbralModel, order: int) -> tuple[FormalOpSeries, FormalOpSeries]:
-    """exp(yL) exp(xR) and exp(xy) exp(xR) exp(yL) as series up to total
-    ``order``, their numerators over order!.  At (a, d), the powers
+def _weyl_difference(m: UmbralModel, order: int) -> FormalOpSeries:
+    """exp(yL) exp(xR) - exp(xy) exp(xR) exp(yL) as one series up to
+    total ``order``, its numerators over order!.  At (a, d), the powers
     of (x, y), the left side is 1 / (a! d!) L^d R^a and the right side
     the sum over k <= min(a, d) of 1 / (k! (a-k)! (d-k)!) R^(a-k) L^(d-k)."""
     f = [math.factorial(k) for k in range(order + 1)]
-    lhs, rhs = (FormalOpSeries(("x", "y"), order, m.words, f[order]) for _ in range(2))
+    diff = FormalOpSeries(("x", "y"), order, m.words, f[order])
     for idx in _indices(2, order):
         a, d = idx
-        lhs.add_numerator(idx, f[order] // (f[a] * f[d]), "L" * d + "R" * a)
+        diff.add_numerator(idx, f[order] // (f[a] * f[d]), "L" * d + "R" * a)
         for k in range(min(a, d) + 1):
             n_k = f[order] // (f[k] * f[a - k] * f[d - k])
-            rhs.add_numerator(idx, n_k, "R" * (a - k) + "L" * (d - k))
-    return lhs, rhs
+            diff.add_numerator(idx, -n_k, "R" * (a - k) + "L" * (d - k))
+    return diff
 
 
 def _formal_report(
-    check: str,
-    m: UmbralModel,
-    order: int,
-    output_degree: int,
-    lhs: FormalOpSeries,
-    rhs: FormalOpSeries,
+    check: str, m: UmbralModel, order: int, output_degree: int, diff: FormalOpSeries
 ) -> VerificationReport:
     cols = [m.degree_of_index(j) for j in range(output_degree + 1)]
-    idx, tainted, worst = series_first_difference(lhs, rhs, cols)
+    idx, tainted, worst = series_first_difference(diff, cols)
     params = {
         "order": order,
         "output_index": output_degree,
@@ -153,7 +148,7 @@ def _formal_report(
     }
     ff = None
     if idx is not None:
-        ff = {"multi_index": {name: k for name, k in zip(lhs.params, idx) if k}}
+        ff = {"multi_index": {name: k for name, k in zip(diff.params, idx) if k}}
     return VerificationReport(
         check=check, model=m.label(), params=params,
         status=status_of(ff, tainted), max_residual=worst, first_failure=ff,
@@ -177,7 +172,7 @@ def group_law_check(m: UmbralModel, order: int) -> VerificationReport:
     output_degree = _require_cap(m, order)
     if (moved := on_fock_twin(m, group_law_check, order)) is not None:
         return moved
-    return _formal_report("group-law", m, order, output_degree, *_group_law_sides(m, order))
+    return _formal_report("group-law", m, order, output_degree, _group_law_difference(m, order))
 
 
 def weyl_relation_check(m: UmbralModel, order: int) -> VerificationReport:
@@ -187,7 +182,7 @@ def weyl_relation_check(m: UmbralModel, order: int) -> VerificationReport:
     output_degree = _require_cap(m, order)
     if (moved := on_fock_twin(m, weyl_relation_check, order)) is not None:
         return moved
-    return _formal_report("weyl-relation", m, order, output_degree, *_weyl_sides(m, order))
+    return _formal_report("weyl-relation", m, order, output_degree, _weyl_difference(m, order))
 
 
 def composition_check_formal(m: UmbralModel, order: int) -> VerificationReport:

@@ -109,7 +109,10 @@ def _hankel_applies(nu: float | Fraction, lam: float, x: float) -> bool:
     """Whether Hankel's expansion serves j_nu at x = sqrt(lam) |t|: for
     lam > 0 from x = 2000 on, where it needs 16 (|a| + 1)^2 <= x with
     a = (nu-1)/2; the + 2 here lets j_{nu+2} (a + 1) use it as well."""
-    return lam > 0 and _ASYMPTOTIC_X <= x < math.inf and 16 * (abs(nu - 1) / 2 + 2) ** 2 <= x
+    try:
+        return lam > 0 and _ASYMPTOTIC_X <= x < math.inf and 16 * (abs(nu - 1) / 2 + 2) ** 2 <= x
+    except OverflowError:   # a bound past the double range (nu > 2.7e154) is past every x
+        return False
 
 
 def _bessel_series_float(nu: float, lam: float, t: float) -> float:
@@ -180,7 +183,10 @@ def _stop_halvings(z: Fraction, nu: Fraction) -> int:
         return 0
     a = (nu.numerator / nu.denominator - 1.0) / 2.0
     x = math.sqrt(z.numerator / z.denominator)
-    log_env = math.lgamma(a + 1.0) + a * math.log(2.0 / x) + 0.5 * math.log(2.0 / (math.pi * x))
+    try:
+        log_env = math.lgamma(a + 1.0) + a * math.log(2.0 / x) + 0.5 * math.log(2.0 / (math.pi * x))
+    except OverflowError:   # Gamma(a+1) past the double range (nu > 2.5e305): a vast envelope
+        return 0
     return max(0, math.ceil(60 - log_env * _LOG2_E - math.log2(_STOP_INV)))
 
 

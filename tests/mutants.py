@@ -58,16 +58,6 @@ MUTANTS = (
         ("tests/test_formal.py::test_a_word_cancelled_in_the_difference_still_taints",),
     ),
     Mutant(
-        "a series sum not rescaling its second operand to the common denominator",
-        "src/umbra/formal.py",
-        "bucket[word] = bucket.get(word, 0) + kb * n",
-        "bucket[word] = bucket.get(word, 0) + n",
-        (
-            "tests/test_formal.py::test_a_sum_works_over_the_lcm_of_the_denominators",
-            "tests/test_formal.py::test_integer_series_match_the_fraction_oracle",
-        ),
-    ),
-    Mutant(
         "the last certified column left out of the restricted combination",
         "src/umbra/formal.py",
         "js = sorted(set(columns))",
@@ -582,8 +572,22 @@ MUTANTS = (
     Mutant(
         "a Weyl numerator not over order!",
         "src/umbra/heisenberg.py",
-        "lhs.add_numerator(idx, f[order] // (f[a] * f[d])",
-        "lhs.add_numerator(idx, f[a + d] // (f[a] * f[d])",
+        "diff.add_numerator(idx, f[order] // (f[a] * f[d])",
+        "diff.add_numerator(idx, f[a + d] // (f[a] * f[d])",
+        ("tests/test_heisenberg.py::test_weyl_relation_monomials",),
+    ),
+    Mutant(
+        "a group-law right-side numerator added, not subtracted",
+        "src/umbra/heisenberg.py",
+        'diff.add_numerator(idx, -n_k, "L" * (b + d - k)',
+        'diff.add_numerator(idx, n_k, "L" * (b + d - k)',
+        ("tests/test_heisenberg.py::test_group_law_monomials_order_six",),
+    ),
+    Mutant(
+        "a Weyl right-side numerator added, not subtracted",
+        "src/umbra/heisenberg.py",
+        'diff.add_numerator(idx, -n_k, "R" * (a - k)',
+        'diff.add_numerator(idx, n_k, "R" * (a - k)',
         ("tests/test_heisenberg.py::test_weyl_relation_monomials",),
     ),
     Mutant(
@@ -595,6 +599,20 @@ MUTANTS = (
             "tests/test_heisenberg.py::test_the_closed_form_sides_are_the_exponential_products",
             "tests/test_formal_pinned.py",
         ),
+    ),
+    Mutant(
+        "Hankel's bound past the double range raising, not ruling the path out",
+        "src/umbra/numeric.py",
+        "    except OverflowError:   # a bound past the double range",
+        "    except ZeroDivisionError:   # a bound past the double range",
+        ("tests/test_cli.py::test_bessel_j_at_a_huge_nu_answers_or_refuses",),
+    ),
+    Mutant(
+        "an envelope past the double range raising, not read as no halving",
+        "src/umbra/numeric.py",
+        "    except OverflowError:   # Gamma(a+1) past the double range",
+        "    except ZeroDivisionError:   # Gamma(a+1) past the double range",
+        ("tests/test_cli.py::test_bessel_j_at_a_huge_nu_answers_or_refuses",),
     ),
     Mutant(
         "composition's failure moved onto atoms 1 and 3",

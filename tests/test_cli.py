@@ -76,6 +76,19 @@ def test_bessel_j_overflow_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code, out", [
+    # Hankel's bound 16 (|nu-1|/2 + 2)^2 past the double range
+    (("--nu", "1e155", "--x", "2500"), 0, "1.0\n"),
+    # Gamma((nu+1)/2) of the series' stop level past it
+    (("--nu", "1e308", "--x", "100"), 0, "1.0\n"),
+    (("--nu", "1e300", "--x", "1e300"), 2, ""),
+], ids=["hankel-bound", "stop-level", "beyond-both-paths"])
+def test_bessel_j_at_a_huge_nu_answers_or_refuses(capsys, argv, code, out):
+    rc, got, err = run(capsys, "bessel", "j", *argv)
+    assert (rc, got) == (code, out)
+    assert ("beyond the work budget" in err) == (code == 2)
+
+
 def test_bessel_j_large_argument_matches_mpmath(capsys):
     # lambda t^2 = 1e10: Hankel's expansion, in milliseconds
     start = time.perf_counter()

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -143,99 +144,86 @@ def test_a_group_law_check_makes_few_fraction_operations(count_calls):
 
 # -- series arithmetic -------------------------------------------------
 
+def difference(table, order, den, a, b):
+    """a - b as one series in x over ``den``: the (index, rational,
+    word) terms of ``a`` added and then those of ``b`` subtracted, each
+    by ``add_numerator`` in the order given; every rational times den is
+    an integer."""
+    s = FormalOpSeries(("x",), order, table, den)
+    for sign, terms in ((1, a), (-1, b)):
+        for idx, q, word in terms:
+            n = sign * den * Fraction(q)
+            assert n.denominator == 1
+            s.add_numerator(idx, n.numerator, word)
+    return s
+
+
 def test_series_mul_convolves_indices():
     cap = 6
     lo = deriv_op(cap)
     table = OpWordTable(lo, mult_t_op(cap))
     s = FormalOpSeries(("x",), 4, table)
-    s.add_term((0,), Fraction(1), "")
-    s.add_term((1,), Fraction(1), "L")
+    s.add_numerator((0,), 1, "")
+    s.add_numerator((1,), 1, "L")
     prod = s.mul(s)
     assert prod.terms == {(0,): {"": 1}, (1,): {"L": 2}, (2,): {"LL": 1}}
     every = range(cap + 1)
     assert prod.materialize((0,), every) == LinearOp.identity(cap)
     assert prod.materialize((1,), every) == lo.scale(2)
     assert prod.materialize((2,), every) == lo @ lo
+    # a product works over the product of the two denominators
+    a, b = FormalOpSeries(("x",), 2, table, 5), FormalOpSeries(("x",), 2, table, 3)
+    a.add_numerator((1,), -1, "L")
+    b.add_numerator((1,), 1, "L")
+    b.add_numerator((0,), -1, "")
+    assert rational(a.mul(b)) == {(1,): {"L": Fraction(1, 15)}, (2,): {"LL": Fraction(-1, 15)}}
 
 
 def test_series_linear_combination_materializes_exactly():
     cap = 5
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
-    s = FormalOpSeries(("x",), 2, table)
-    s.add_term((1,), Fraction(1, 3), "L")
-    s.add_term((1,), Fraction(1, 6), "L")
-    s.add_term((1,), Fraction(1), "LR")
+    s = FormalOpSeries(("x",), 2, table, 6)
+    s.add_numerator((1,), 2, "L")
+    s.add_numerator((1,), 1, "L")
+    s.add_numerator((1,), 6, "LR")
     assert rational(s) == {(1,): {"L": Fraction(1, 2), "LR": 1}}
     every = range(cap + 1)
     assert s.materialize((1,), every) == deriv_op(cap).scale(Fraction(1, 2)) + table.op("LR")
     assert s.materialize((2,), every) == LinearOp.zero(cap)
 
 
-def test_a_term_rescales_the_series_to_the_lcm_of_the_denominators():
-    table = OpWordTable(deriv_op(3), mult_t_op(3))
-    s = FormalOpSeries(("x",), 2, table)
-    s.add_term((0,), Fraction(1, 4), "")
-    s.add_term((1,), Fraction(1, 6), "L")
-    assert (s.den, s.terms) == (12, {(0,): {"": 3}, (1,): {"L": 2}})
-    s.add_term((1,), 2, "L")
-    assert (s.den, s.terms) == (12, {(0,): {"": 3}, (1,): {"L": 26}})
-
-
-def test_a_sum_works_over_the_lcm_of_the_denominators():
-    table = OpWordTable(deriv_op(3), mult_t_op(3))
-    a = FormalOpSeries(("x",), 2, table)
-    b = FormalOpSeries(("x",), 2, table)
-    a.add_term((1,), Fraction(1, 2), "L")
-    b.add_term((1,), Fraction(1, 3), "L")
-    b.add_term((0,), Fraction(-1, 3), "")
-    want = {(0,): {"": Fraction(-1, 3)}, (1,): {"L": Fraction(5, 6)}}
-    assert (a + b).den == (b + a).den == 6
-    assert rational(a + b) == rational(b + a) == want
-    assert rational(a.scale(Fraction(-2, 5)).mul(b)) == {
-        (1,): {"L": Fraction(1, 15)}, (2,): {"LL": Fraction(-1, 15)}
-    }
-
-
 def test_a_cancelled_word_keeps_its_marks():
     cap = 4
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
-    s = FormalOpSeries(("x",), 2, table)
-    s.add_term((1,), Fraction(1), "R")
-    t = FormalOpSeries(("x",), 2, table)
-    t.add_term((1,), Fraction(-1), "R")
-    coef = (s + t).materialize((1,), range(cap + 1))
+    side = [((1,), 1, "R")]
+    coef = difference(table, 2, 1, side, side).materialize((1,), range(cap + 1))
     assert coef == LinearOp.zero(cap)
     assert coef.trunc_cols == {cap}
 
 
 def test_series_drops_zero_and_overflow_terms():
+    """A product keeps no index past the series order."""
     cap = 4
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
     s = FormalOpSeries(("x", "y"), 2, table)
-    s.add_term((1, 2), Fraction(1), "L")  # total order 3 > 2
-    s.add_term((1, 0), Fraction(0), "L")
-    assert s.indices() == []
+    s.add_numerator((1, 1), 1, "L")
     assert s.mul(s).indices() == []
 
 
 def test_series_first_difference_locates_mismatch():
     cap = 5
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
-    a = FormalOpSeries(("x",), 3, table)
-    b = FormalOpSeries(("x",), 3, table)
-    a.add_term((0,), Fraction(1), "")
-    b.add_term((0,), Fraction(1), "")
-    a.add_term((2,), Fraction(1), "L")
-    b.add_term((2,), Fraction(2), "L")
+    a = [((0,), 1, ""), ((2,), 1, "L")]
+    b = [((0,), 1, ""), ((2,), 2, "L")]
     cols = list(range(cap + 1))
     # a - b is -L = -d/dt there, whose largest entry is 5 on column 5
-    assert series_first_difference(a, b, cols) == ((2,), False, 5)
-    assert series_first_difference(a, a, cols) == (None, False, 0)
+    assert series_first_difference(difference(table, 3, 1, a, b), cols) == ((2,), False, 5)
+    assert series_first_difference(difference(table, 3, 1, a, a), cols) == (None, False, 0)
     # R marks column 5: a compared mark on either side taints
-    a.add_term((1,), Fraction(1), "R")
-    b.add_term((1,), Fraction(1), "R")
-    assert series_first_difference(a, a, cols) == (None, True, 0)
-    assert series_first_difference(a, b, cols[:5]) == ((2,), False, 4)
+    a.append(((1,), 1, "R"))
+    b.append(((1,), 1, "R"))
+    assert series_first_difference(difference(table, 3, 1, a, a), cols) == (None, True, 0)
+    assert series_first_difference(difference(table, 3, 1, a, b), cols[:5]) == ((2,), False, 4)
 
 
 # -- comparison through the word-merged difference ---------------------
@@ -243,12 +231,12 @@ def test_series_first_difference_locates_mismatch():
 def test_a_restricted_coefficient_is_the_full_one_on_its_columns():
     cap = 5
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
-    s = FormalOpSeries(("x",), 2, table)
-    s.add_term((1,), Fraction(1, 3), "L")
-    s.add_term((1,), Fraction(-2), "RL")
+    s = FormalOpSeries(("x",), 2, table, 3)
+    s.add_numerator((1,), 1, "L")
+    s.add_numerator((1,), -6, "RL")
     # "LR" cancels to 0 but keeps the mark R leaves on column 5
-    s.add_term((1,), Fraction(1), "LR")
-    s.add_term((1,), Fraction(-1), "LR")
+    s.add_numerator((1,), 3, "LR")
+    s.add_numerator((1,), -3, "LR")
     every = range(cap + 1)
     full, part = _dense(s.materialize((1,), every)), _dense(s.materialize((1,), [4, 1]))
     for i in range(cap + 1):
@@ -260,15 +248,10 @@ def test_a_restricted_coefficient_is_the_full_one_on_its_columns():
 def test_the_difference_sums_only_compared_columns_of_uncancelled_words(count_calls):
     cap = 5
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
-    a = FormalOpSeries(("x",), 2, table)
-    b = FormalOpSeries(("x",), 2, table)
-    for s in (a, b):
-        s.add_term((0,), Fraction(1), "")
-        s.add_term((1,), Fraction(1), "LR")
-    a.add_term((1,), Fraction(1), "R")
-    b.add_term((1,), Fraction(2), "R")
+    both = [((0,), 1, ""), ((1,), 1, "LR")]
+    diff = difference(table, 2, 1, [*both, ((1,), 1, "R")], [*both, ((1,), 2, "R")])
     calls = count_calls(kernels, "imat_comb")
-    assert series_first_difference(a, b, [0, 2, 3]) == ((1,), False, 1)
+    assert series_first_difference(diff, [0, 2, 3]) == ((1,), False, 1)
     # index (0,) cancels word by word; at (1,) only "R" is left, and
     # only the three compared columns are summed
     assert [(len(terms), len(terms[0][1])) for (terms,) in calls] == [(1, 3)]
@@ -280,16 +263,13 @@ def test_a_word_cancelled_in_the_difference_still_taints():
     column 5 is tainted, and the report is inconclusive, never a pass."""
     cap = 5
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
-    a = FormalOpSeries(("x",), 2, table)
-    b = FormalOpSeries(("x",), 2, table)
-    for s in (a, b):
-        s.add_term((1,), Fraction(2, 3), "R")
-        s.add_term((1,), Fraction(1), "L")
-    idx, tainted, _ = series_first_difference(a, b, range(cap + 1))
+    side = [((1,), Fraction(2, 3), "R"), ((1,), 1, "L")]
+    diff = difference(table, 2, 3, side, side)
+    idx, tainted, _ = series_first_difference(diff, range(cap + 1))
     assert (idx, tainted) == (None, True)
     assert status_of(idx, tainted) == INCONCLUSIVE
-    assert series_first_difference(a, b, range(cap)) == (None, False, 0)
-    report = _formal_report("weyl-relation", build_model("monomial", cap), 1, cap, a, b)
+    assert series_first_difference(diff, range(cap)) == (None, False, 0)
+    report = _formal_report("weyl-relation", build_model("monomial", cap), 1, cap, diff)
     assert report.status == INCONCLUSIVE
 
 
@@ -299,13 +279,11 @@ def test_the_same_words_in_another_ratio_are_compared():
     indices apart."""
     cap = 5
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
-    a = FormalOpSeries(("x",), 2, table)
-    b = FormalOpSeries(("x",), 2, table)
+    a, b = [], []
     for n, unit in ((1, 1), (2, -1)):
-        a.add_term((n,), Fraction(1), "LR")
-        b.add_term((n,), Fraction(1), "RL")
-        b.add_term((n,), Fraction(unit), "")
-    assert series_first_difference(a, b, range(cap)) == ((2,), False, 2)
+        a.append(((n,), 1, "LR"))
+        b.extend([((n,), 1, "RL"), ((n,), unit, "")])
+    assert series_first_difference(difference(table, 2, 1, a, b), range(cap)) == ((2,), False, 2)
 
 
 def test_a_cancelled_word_makes_an_otherwise_proportional_coefficient_compared():
@@ -314,14 +292,9 @@ def test_a_cancelled_word_makes_an_otherwise_proportional_coefficient_compared()
     as proportional, that mark would be lost and the result a pass."""
     cap = 5
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
-    a = FormalOpSeries(("x",), 2, table)
-    b = FormalOpSeries(("x",), 2, table)
-    for n in (1, 2):
-        a.add_term((n,), Fraction(n), "L")
-        b.add_term((n,), Fraction(n), "L")
-    a.add_term((2,), Fraction(1), "R")
-    a.add_term((2,), Fraction(-1), "R")
-    assert series_first_difference(a, b, range(cap + 1)) == (None, True, 0)
+    b = [((n,), n, "L") for n in (1, 2)]
+    a = [*b, ((2,), 1, "R"), ((2,), -1, "R")]
+    assert series_first_difference(difference(table, 2, 1, a, b), range(cap + 1)) == (None, True, 0)
 
 
 INDICES = [(i, j) for i in range(3) for j in range(3 - i)]
@@ -331,9 +304,10 @@ NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool
 
 @st.composite
 def series_pairs(draw):
-    """(cap, letters, (a, b), (plain a, plain b)): two series in x, y to
-    order 2 over random sparse rational ladder letters with random
-    marks, and the same series as plain {index: {word: rational}} dicts.
+    """(cap, letters, a - b, (plain a, plain b)): the difference of two
+    series in x, y to order 2 over random sparse rational ladder letters
+    with random marks, built as one series, and the two series as plain
+    {index: {word: rational}} dicts.
     The sides share words with equal and with unequal coefficients, and
     a side may hold a word whose coefficients cancel to 0.  A later
     index may hold both sides' terms of an earlier one times a nonzero
@@ -370,22 +344,24 @@ def series_pairs(draw):
         if extra:
             cancelled(int(q > 0), src if extra == "earlier" else dst, w, q)
 
-    sides = (FormalOpSeries(("x", "y"), 2, table), FormalOpSeries(("x", "y"), 2, table))
+    # side a's terms added and side b's subtracted, over the lcm of
+    # their denominators
+    diff = FormalOpSeries(("x", "y"), 2, table, math.lcm(*(q.denominator for *_, q in terms)))
     plain = ({}, {})
     for side, idx, w, q in terms:
-        sides[side].add_term(idx, q, w)
+        diff.add_numerator(idx, (-1) ** side * (q * diff.den).numerator, w)
         coef = plain[side].setdefault(idx, {})
         coef[w] = coef.get(w, 0) + q
-    return cap, letters, sides, plain
+    return cap, letters, diff, plain
 
 
 @settings(max_examples=150, deadline=None)
 @given(series_pairs(), st.data())
 def test_the_difference_comparison_matches_the_two_sided_oracle(pair, data):
-    cap, letters, (a, b), (pa, pb) = pair
+    cap, letters, diff, (pa, pb) = pair
     cols = data.draw(st.lists(st.integers(0, cap), unique=True))
     want = ref.two_sided_first_difference(pa, pb, letters, cols)
-    assert series_first_difference(a, b, cols) == want
+    assert series_first_difference(diff, cols) == want
     # the report reads its columns from a catalog model at this cap:
     # every column, or the even ones
     if cap % 2 == 0 and data.draw(st.booleans()):
@@ -395,7 +371,7 @@ def test_the_difference_comparison_matches_the_two_sided_oracle(pair, data):
     output_degree = data.draw(st.integers(0, m.n_max))
     safe = [m.degree_of_index(j) for j in range(output_degree + 1)]
     idx, tainted, residual = ref.two_sided_first_difference(pa, pb, letters, safe)
-    report = _formal_report("weyl-relation", m, 2, output_degree, a, b)
+    report = _formal_report("weyl-relation", m, 2, output_degree, diff)
     assert report.max_residual == residual
     assert report.status == status_of(idx, tainted)
 
@@ -403,27 +379,22 @@ def test_the_difference_comparison_matches_the_two_sided_oracle(pair, data):
 SERIES_TERMS = st.lists(
     st.tuples(
         st.sampled_from(INDICES),
-        st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+        st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+        .filter(bool),
         st.text(alphabet="LR", max_size=2),
     ),
     max_size=6,
 )
-SERIES_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.sampled_from(("add", "mul")), st.integers(0, 9), st.integers(0, 9)),
-        st.tuples(st.just("scale"), st.integers(0, 9),
-                  st.fractions(min_value=-3, max_value=3, max_denominator=5)),
-    ),
-    max_size=4,
-)
+SERIES_PRODUCTS = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=4)
 
 
 @settings(max_examples=100, deadline=None)
-@given(ladder_pairs(), st.lists(SERIES_TERMS, min_size=2, max_size=3), SERIES_OPS, st.data())
-def test_integer_series_match_the_fraction_oracle(pair, drawn, ops, data):
-    """Series built term by term and combined by +, scale and mul hold
-    the rational coefficients of the Fraction oracle, and comparing the
-    last two gives the two-sided oracle's (index, taint, residual)."""
+@given(ladder_pairs(), st.lists(SERIES_TERMS, min_size=2, max_size=3), SERIES_PRODUCTS, st.data())
+def test_integer_series_match_the_fraction_oracle(pair, drawn, products, data):
+    """Series built term by term and multiplied by ``mul`` hold the
+    rational coefficients of the Fraction oracle, and comparing the last
+    two through their difference gives the two-sided oracle's (index,
+    taint, residual)."""
     cap, low, high, low_marks, high_marks = pair
     table = OpWordTable(
         ref.op_from_grid(low, low_marks),
@@ -432,23 +403,26 @@ def test_integer_series_match_the_fraction_oracle(pair, drawn, ops, data):
     letters = {"L": (low, low_marks), "R": (high, high_marks)}
     series, plain = [], []
     for terms in drawn:
-        s, p = FormalOpSeries(("x", "y"), 2, table), {}
+        den = math.lcm(*(Fraction(q).denominator for _, q, _ in terms))
+        s, p = FormalOpSeries(("x", "y"), 2, table, den), {}
         for idx, q, word in terms:
-            s.add_term(idx, q, word)
+            s.add_numerator(idx, (q * s.den).numerator, word)
             ref.s_add_term(p, idx, q, word, 2)
         series.append(s)
         plain.append(p)
-    for op, i, j in ops:
-        a, pa = series[i % len(series)], plain[i % len(series)]
-        if op == "scale":
-            series.append(a.scale(j))
-            plain.append(ref.s_scale(pa, j))
-        else:
-            b, pb = series[j % len(series)], plain[j % len(series)]
-            series.append(a + b if op == "add" else a.mul(b))
-            plain.append(ref.s_add(pa, pb) if op == "add" else ref.s_mul(pa, pb, 2))
+    for i, j in products:
+        a, b = series[i % len(series)], series[j % len(series)]
+        series.append(a.mul(b))
+        plain.append(ref.s_mul(plain[i % len(plain)], plain[j % len(plain)], 2))
     for s, p in zip(series, plain):
         assert rational(s) == p
+    # the last two series' difference, over the lcm of their denominators
+    a, b = series[-2:]
+    diff = FormalOpSeries(("x", "y"), 2, table, math.lcm(a.den, b.den))
+    for sign, s in ((1, a), (-1, b)):
+        for idx, coef in s.terms.items():
+            for word, n in coef.items():
+                diff.add_numerator(idx, sign * n * (diff.den // s.den), word)
     cols = data.draw(st.lists(st.integers(0, cap), unique=True))
     want = ref.two_sided_first_difference(plain[-2], plain[-1], letters, cols)
-    assert series_first_difference(series[-2], series[-1], cols) == want
+    assert series_first_difference(diff, cols) == want

@@ -14,8 +14,8 @@ from umbra.heisenberg import (
     METAPLECTIC_CONSTANTS,
     DiscreteKernel,
     _formal_report,
-    _group_law_sides,
-    _weyl_sides,
+    _group_law_difference,
+    _weyl_difference,
     composition_check_formal,
     generic_sl2_ladder,
     group_law_check,
@@ -40,48 +40,46 @@ NU = Fraction(5, 2)
 
 def test_rep_series_low_order_coefficients():
     """pi(x, y) = exp(-y L) exp(-x R), the representation on the two
-    coordinates that move a word: the closed-form left side of the
-    group law at x2 = y2 = 0, as ``group_law_check`` builds it."""
+    coordinates that move a word, is both sides of the group law at
+    x2 = y2 = 0: its word stays in the closed-form difference there,
+    cancelled to 0, as ``group_law_check`` builds it."""
     m = build_model("monomial", 8)
-    lhs, rhs = _group_law_sides(m, 3)
+    diff = _group_law_difference(m, 3)
     ident = LinearOp.identity(m.degree_cap)
     every = range(m.degree_cap + 1)
-
-    def pi(x, y):
-        return lhs.materialize((x, y, 0, 0), every)
-
-    assert pi(0, 0) == ident
     # x, y slots in that order
-    assert pi(0, 1) == m.lowering.scale(-1)
-    assert pi(1, 0) == m.raising.scale(-1)
-    assert pi(1, 1) == m.lowering @ m.raising
-    assert pi(0, 2) == (m.lowering @ m.lowering).scale(Fraction(1, 2))
-    assert pi(2, 1) == (m.lowering @ m.raising @ m.raising).scale(Fraction(-1, 2))
-    assert {idx for idx in lhs.terms if idx[2:] == (0, 0)} == {
-        (c, b, 0, 0) for c in range(4) for b in range(4 - c)
+    assert {idx: coef for idx, coef in diff.terms.items() if idx[2:] == (0, 0)} == {
+        (c, b, 0, 0): {"L" * b + "R" * c: 0} for c in range(4) for b in range(4 - c)
     }
+    assert diff.materialize((1, 1, 0, 0), every) == LinearOp.zero(m.degree_cap)
     # at x1 y2 the left side is R L and the right one L R - 1, its phase
-    assert lhs.materialize((1, 0, 0, 1), every) == m.raising @ m.lowering
-    assert rhs.materialize((1, 0, 0, 1), every) == m.lowering @ m.raising - ident
+    assert diff.terms[(1, 0, 0, 1)] == {"RL": diff.den, "LR": -diff.den, "": diff.den}
+    want = m.raising @ m.lowering - m.lowering @ m.raising + ident
+    assert diff.materialize((1, 0, 0, 1), every) == want
 
 
 @pytest.mark.parametrize("order", range(1, 6))
 def test_the_closed_form_sides_are_the_exponential_products(order):
-    """Both sides of the group law and of the Weyl rule, written in
-    closed form, hold at every multi-index the words and rational
-    coefficients that the products of truncated exponential series
-    give; the group law's are the centre-free ones."""
+    """The difference of the two sides of the group law and of the Weyl
+    rule, written in closed form, holds at every multi-index the words
+    and rational coefficients that the products of truncated
+    exponential series give for lhs - rhs; the group law's are the
+    centre-free ones."""
     m = build_model("monomial", 8)
 
     def rational(s):
         return {idx: {w: Fraction(n, s.den) for w, n in coef.items()} for idx, coef in s.terms.items()}
 
-    want = [
-        {(x1, y1, x2, y2): coef for (s1, x1, y1, s2, x2, y2), coef in side.items() if not s1 | s2}
-        for side in ref.group_law_sides(order)
-    ]
-    assert [rational(s) for s in _group_law_sides(m, order)] == want
-    assert [rational(s) for s in _weyl_sides(m, order)] == list(ref.weyl_sides(order))
+    def difference(lhs, rhs):
+        return ref.s_add(lhs, ref.s_scale(rhs, -1))
+
+    want = {
+        (x1, y1, x2, y2): coef
+        for (s1, x1, y1, s2, x2, y2), coef in difference(*ref.group_law_sides(order)).items()
+        if not s1 | s2
+    }
+    assert rational(_group_law_difference(m, order)) == want
+    assert rational(_weyl_difference(m, order)) == difference(*ref.weyl_sides(order))
 
 
 def test_rep_series_needs_headroom():
@@ -340,11 +338,10 @@ def test_failed_checks_report_the_largest_entry_difference():
     m = build_model("monomial", 8)
     # formal report: the series differ by L/2 at x^1; on the safe
     # degrees 0..3 the largest entry of L/2 = (d/dt)/2 is 3/2
-    a = FormalOpSeries(("x",), 1, m.words)
-    a.add_term((1,), Fraction(1), "L")
-    b = FormalOpSeries(("x",), 1, m.words)
-    b.add_term((1,), Fraction(1, 2), "L")
-    r = _formal_report("probe", m, 1, 3, a, b)
+    diff = FormalOpSeries(("x",), 1, m.words, 2)
+    diff.add_numerator((1,), 2, "L")
+    diff.add_numerator((1,), -1, "L")
+    r = _formal_report("probe", m, 1, 3, diff)
     assert r.first_failure == {"multi_index": {"x": 1}}
     assert r.max_residual == Fraction(3, 2)
     # metaplectic: a perturbed lowering operator breaks the brackets
