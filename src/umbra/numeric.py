@@ -69,11 +69,23 @@ def little_bessel_j(nu: float | Fraction, lam: float, t: float) -> float:
     _require_finite(nu=nu, lam=lam, t=t)
     if nu <= 0:
         raise ParameterError(f"need nu > 0, got {nu}")
-    if abs(lam * t * t) <= _EXACT_SERIES_THRESHOLD:
+    path = _j_path(nu, lam, t)
+    if path == "float":
         return _bessel_series_float(float(nu), lam, t)
+    if path == "hankel":
+        return _hankel_expansion(nu, lam, t)
+    return _bessel_series_exact(Fraction(nu), lam, t)
+
+
+def _j_path(nu: float | Fraction, lam: float, t: float) -> str:
+    """The path little_bessel_j takes at finite (nu, lam, t), nu > 0:
+    "float", "hankel" or "exact"; beyond the work budget of all three it
+    raises ParameterError.  It costs a few float operations."""
+    if abs(lam * t * t) <= _EXACT_SERIES_THRESHOLD:
+        return "float"
     x = math.sqrt(abs(lam)) * abs(t)
     if _hankel_applies(nu, lam, x):
-        return _hankel_expansion(nu, lam, t)
+        return "hankel"
     if x > _SERIES_MAX_X:
         raise ParameterError(
             f"j_nu(nu={nu}, lambda={lam!r}, t={t!r}) is beyond the work budget: "
@@ -81,7 +93,7 @@ def little_bessel_j(nu: float | Fraction, lam: float, t: float) -> float:
             "series, and Hankel's expansion needs lambda > 0 and "
             "x >= 16 (|nu-1|/2 + 2)^2"
         )
-    return _bessel_series_exact(Fraction(nu), lam, t)
+    return "exact"
 
 
 def little_bessel_j_with_derivatives(
@@ -320,9 +332,11 @@ def poisson_transform(
     if x <= 0:
         raise ParameterError(f"need x > 0, got {x:g}")
 
+    fn, p = f.fn, nu - 1.0
+
     def integrand(theta: float) -> float:
-        c = math.cos(theta)
-        return (c ** (nu - 1.0) if nu != 1 else 1.0) * f(x * math.sin(theta))
+        # (cos theta) ** 0.0 is exactly 1.0, so nu = 1 needs no branch
+        return math.cos(theta) ** p * fn(x * math.sin(theta))
 
     c = poisson_constant(nu)
     q = replace(q, abs_tol=q.abs_tol / max(math.floor(c), 1))
@@ -448,7 +462,11 @@ def hankel_transform(
     declared decay makes the tail negligible.  The kernel is this
     module's little_bessel_j at the same nu, which in classical
     notation is the normalized Bessel function of order (nu-1)/2; at
-    nu = 2 the transform is the sine transform divided by sqrt(lam)."""
+    nu = 2 the transform is the sine transform divided by sqrt(lam).
+    j_nu is evaluated only where f(t) != 0.0; elsewhere the product is
+    +-0.0, which leaves the panel sum (from +0.0) bit for bit as it is,
+    and j_nu's path choice still runs, so the transform refuses
+    wherever j_nu would."""
     _require_finite(nu=nu, lam=lam)
     if nu <= 0:
         raise ParameterError(f"hankel_transform needs nu > 0, got {nu:g}")
@@ -465,8 +483,14 @@ def hankel_transform(
         raise ParameterError(
             f"hankel_transform: t^nu leaves the double range for nu = {nu:g}") from None
 
+    fn = f.fn
+
     def integrand(t: float) -> float:
-        return f(t) * little_bessel_j(nu, lam, t) * t ** nu
+        w = fn(t)
+        if w == 0.0:
+            _j_path(nu, lam, t)   # refuses where j_nu is past its work budget
+            return 0.0
+        return w * little_bessel_j(nu, lam, t) * t ** nu
 
     return integrate(integrand, lo, hi, q)
 
@@ -525,15 +549,22 @@ def _gaussian_cutoff(f: ScalarFn, u: float, q: QuadratureSpec) -> float:
     t = max(4.0 * math.sqrt(u), math.sqrt(16.0 * g * u))
     # for s >= t (and t^2 >= 16gu) the integrand is below max(1, t)^g
     # e^{-s^2/8u} e^{-t^2/8u}, times f's size at the cut, so the tail
-    # loses to this bound; t^g alone falls below |f| once t < 1
-    while (_edge_size(f, t, u) * max(1.0, t) ** g * math.exp(-t * t / (8.0 * u))
-           * math.sqrt(8.0 * math.pi * u) > q.abs_tol):
+    # loses to this bound; t^g alone falls below |f| once t < 1.  A bound
+    # past the double range is not met: inf, or NaN once t t = 16 g u
+    # overflows (from u = 1.1e307 / max(1, g) on), so such a u is refused
+    while True:
+        try:
+            bound = (_edge_size(f, t, u) * max(1.0, t) ** g * math.exp(-t * t / (8.0 * u))
+                     * math.sqrt(8.0 * math.pi * u))
+        except OverflowError:   # t^g past the double range
+            bound = math.inf
+        if bound <= q.abs_tol:
+            return t
         t *= 1.5
         if t > 1e6:
             raise QuadratureError(
                 f"cannot meet Gaussian tail bound {q.abs_tol:g} at u={u:g}"
             )
-    return t
 
 
 def heat_covariant(
@@ -545,11 +576,16 @@ def heat_covariant(
     |f| at the cut, since e^(-s) grows on the left.  Where f overflows
     at the cut before the tail bound is met (``--fn exp`` at u = 100,
     whose integrand peaks near e^u at s = -2u) it raises
-    QuadratureError."""
+    QuadratureError, as it does wherever the tail bound is not met or
+    leaves the double range (with the default tolerances, at every u
+    from about 1e10 on for a non-compact f).  A compact f has a value
+    at every finite u."""
     _require_finite(u=u)
     if u <= 0:
         raise ParameterError(f"need u > 0, got {u:g}")
-    norm = 1.0 / (2.0 * math.sqrt(math.pi * u))
+    # pi u leaves the double range from u = 5.7e307 on
+    root = math.sqrt(math.pi * u) if math.pi * u < math.inf else math.sqrt(math.pi) * math.sqrt(u)
+    norm = 1.0 / (2.0 * root)
     q = replace(q, abs_tol=q.abs_tol / max(math.floor(norm), 1))
     if f.decay == "compact":
         lo, hi = f.a, f.b
@@ -557,8 +593,10 @@ def heat_covariant(
         t = _gaussian_cutoff(f, u, q)
         lo, hi = -t, t
 
+    fn, four_u = f.fn, 4.0 * u
+
     def integrand(s: float) -> float:
-        return f(s) * math.exp(-s * s / (4.0 * u))
+        return fn(s) * math.exp(-s * s / four_u)
 
     return norm * integrate(integrand, lo, hi, q)
 
@@ -588,10 +626,10 @@ def cosine_transform(
         raise ParameterError(
             "cosine_transform needs declared decay (compact or exponential)"
         )
-    sv = math.sqrt(v)
+    fn, sv = f.fn, math.sqrt(v)
 
     def integrand(t: float) -> float:
-        return f(t) * math.cos(sv * t)
+        return fn(t) * math.cos(sv * t)
 
     return integrate(integrand, lo, hi, q)
 

@@ -615,6 +615,34 @@ MUTANTS = (
         ("tests/test_cli.py::test_bessel_j_at_a_huge_nu_answers_or_refuses",),
     ),
     Mutant(
+        "the zero-weight skip without j_nu's budget test",
+        "src/umbra/numeric.py",
+        "            _j_path(nu, lam, t)   # refuses where j_nu is past its work budget\n",
+        "",
+        ("tests/test_cli.py::test_a_hankel_transform_refuses_where_j_nu_would_though_the_weight_is_zero",),
+    ),
+    Mutant(
+        "the huge-u heat guard dropped: a NaN tail bound read as met",
+        "src/umbra/numeric.py",
+        "        if bound <= q.abs_tol:\n            return t\n",
+        "        if not bound > q.abs_tol:\n            return t\n",
+        ("tests/test_cli.py::test_heat_covariant_at_a_huge_time_is_refused",),
+    ),
+    Mutant(
+        "the heat cut's t^g past the double range raising",
+        "src/umbra/numeric.py",
+        "        except OverflowError:   # t^g past the double range",
+        "        except ZeroDivisionError:   # t^g past the double range",
+        ("tests/test_cli.py::test_heat_covariant_at_a_huge_time_is_refused",),
+    ),
+    Mutant(
+        "the heat normalization read as 0 once pi u overflows",
+        "src/umbra/numeric.py",
+        "root = math.sqrt(math.pi * u) if math.pi * u < math.inf else math.sqrt(math.pi) * math.sqrt(u)",
+        "root = math.sqrt(math.pi * u)",
+        ("tests/test_cli.py::test_heat_covariant_of_the_bump_at_a_huge_time_is_its_integral_over_2_sqrt_pi_u",),
+    ),
+    Mutant(
         "composition's failure moved onto atoms 1 and 3",
         "src/umbra/heisenberg.py",
         'names = dict(x1="x2", y1="y2", x2="x4", y2="y4")',

@@ -89,6 +89,19 @@ def test_bessel_j_at_a_huge_nu_answers_or_refuses(capsys, argv, code, out):
     assert ("beyond the work budget" in err) == (code == 2)
 
 
+def test_a_hankel_transform_refuses_where_j_nu_would_though_the_weight_is_zero(capsys):
+    # e^(-t^2) is 0.0 from t = 27.3 on; j_nu at the node t = 29.1 is past
+    # its work budget all the same
+    rc, out, err = run(capsys, "bessel", "hankel", "--nu", "60", "--fn", "gauss",
+                       "--lambda", "21000")
+    assert (rc, out) == (2, "")
+    assert err == (
+        "umbra: j_nu(nu=60.0, lambda=21000.0, t=29.110458098598627) is beyond the work "
+        "budget: x = sqrt(|lambda|) |t| = 4218.51 exceeds 4000 for the series, and "
+        "Hankel's expansion needs lambda > 0 and x >= 16 (|nu-1|/2 + 2)^2\n"
+    )
+
+
 def test_bessel_j_large_argument_matches_mpmath(capsys):
     # lambda t^2 = 1e10: Hankel's expansion, in milliseconds
     start = time.perf_counter()
@@ -208,6 +221,32 @@ def test_heat_covariant_of_exp_at_u_100_exits_3(capsys):
     rc, out, err = run(capsys, "heat", "covariant", "--fn", "exp", "--u", "100")
     assert (rc, out) == (3, "")
     assert err == "umbra: heat_covariant: f overflows at the cut +-1025.16 for u=100\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--fn", "gauss", "--u", "1.5e307"),
+    ("--fn", "gauss", "--u", "1e308"),
+    ("--fn", "cos", "--u", "1e308"),
+    ("--poly=1,2", "--u", "1e308"),
+    # t t = 16 g u past the double range below u = 1.1e307
+    ("--poly=1,2,3", "--u", "1e307"),
+    # t^g past it
+    ("--poly=1,2,3,4", "--u", "1e300"),
+])
+def test_heat_covariant_at_a_huge_time_is_refused(capsys, argv):
+    # the tail bound past the double range is not met: no 0.0, no nan
+    rc, out, err = run(capsys, "heat", "covariant", *argv)
+    assert (rc, out) == (3, "")
+    assert err == f"umbra: cannot meet Gaussian tail bound 1e-12 at u={float(argv[-1]):g}\n"
+
+
+@pytest.mark.parametrize("u", ["5e307", "6e307", "1.7976931348623157e308"])
+def test_heat_covariant_of_the_bump_at_a_huge_time_is_its_integral_over_2_sqrt_pi_u(capsys, u):
+    # the bump integrates to B(4, 4) = 1/140, and the kernel is 1 on [1, 2]
+    rc, out, _ = run(capsys, "heat", "covariant", "--fn", "bump", "--u", u)
+    assert rc == 0
+    want = 1 / (280 * math.sqrt(math.pi) * math.sqrt(float(u)))
+    assert float(out) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_cosine_value(capsys):

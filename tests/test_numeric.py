@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from umbra import numeric
+from umbra import numeric, quadrature
 from umbra.core import ParameterError, QuadratureError
 from umbra.models import build_model
 from umbra.numeric import (
@@ -534,6 +534,22 @@ def test_hankel_matches_reference_quadrature():
         )
     )
     assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("lam", [0.75, 3.25, 100.0])
+@pytest.mark.parametrize("nu", [2.0, 2.5, 3.0])
+@pytest.mark.parametrize("name", ["exp", "gauss", "bump"])
+def test_hankel_skipping_j_nu_at_a_zero_weight_moves_no_bit(name, nu, lam):
+    # the transform evaluates j_nu only where f(t) != 0.0; the same rule
+    # on the same cut, with j_nu at every node, gives the same double
+    f, q = canned_fn(name), QuadratureSpec()
+    lo, hi = (f.a, f.b) if f.decay == "compact" else (0.0, numeric._hankel_cutoff(nu, f, q))
+
+    def every_node(t):
+        return f.fn(t) * little_bessel_j(nu, lam, t) * t ** nu
+
+    want = quadrature.integrate(every_node, lo, hi, q)
+    assert hankel_transform(nu, f, lam, q).hex() == want.hex()
 
 
 def test_hankel_compact_support_uses_the_support():
