@@ -29,7 +29,8 @@ monomial basis t^k.  Three data types live here:
   that a vector reading a marked column is tainted; ``powers`` walks
   op^k v by it, and ``apply`` is ``step`` between ``integer_vector``
   and ``column_poly``.  ``compare_on_columns``, the comparison behind
-  the exact checks, reports a compared column marked on either side.
+  the exact checks, reports a compared column marked on either side
+  through ``outcome``, the one verdict rule of every exact check.
 
 * ``Functional`` -- a row vector pairing against coefficient vectors,
   kept as its nonzero entries.  No code in the package calls it (a
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import kernels
 
@@ -80,6 +81,20 @@ class CapShortfallError(UmbraError):
 
 class QuadratureError(UmbraError):
     """Numerical integration failed to meet its tolerance."""
+
+
+def outcome(checks: Iterable[tuple[Any, bool, bool]]) -> tuple[Any, bool]:
+    """The verdict rule of every exact check, over (key, holds, marked)
+    triples in the order checked: (the key of the first that does not
+    hold, or None; whether one up to and including it is marked).  It
+    reads ``checks`` lazily, so nothing past the first failure is computed."""
+    tainted = False
+    for key, holds, marked in checks:
+        if marked:
+            tainted = True
+        if not holds:
+            return key, tainted
+    return None, tainted
 
 
 def as_fraction(x: Fraction | int | str | float) -> Fraction:
@@ -443,17 +458,14 @@ class LinearOp:
     def compare_on_columns(
         self, other: "LinearOp", cols: Iterable[int]
     ) -> tuple[int | None, bool]:
-        """(first column in ``cols`` where the two operators differ, or
-        None; tainted): whether either side marks a column scanned up to
-        there as truncated.  ``reports.status_of`` turns it into a status."""
+        """``outcome`` of comparing the two operators column by column on
+        ``cols``, each column marked when either side marks it."""
         _require_same_cap(self.cap, other.cap)
         marks = self.trunc_cols | other.trunc_cols
-        tainted = False
-        for j in cols:
-            tainted = tainted or j in marks
-            if not kernels.icol_eq(self.cols[j], self.den, other.cols[j], other.den):
-                return j, tainted
-        return None, tainted
+        return outcome(
+            (j, kernels.icol_eq(self.cols[j], self.den, other.cols[j], other.den), j in marks)
+            for j in cols
+        )
 
 
 class Functional:

@@ -39,7 +39,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable
 
-from .core import CapMismatchError, LinearOp, ZERO
+from .core import CapMismatchError, LinearOp, ZERO, outcome
 from . import kernels
 
 Index = tuple[int, ...]
@@ -185,25 +185,23 @@ def max_abs_entry(op: LinearOp, cols: Iterable[int]) -> Fraction:
 def series_first_difference(
     diff: FormalOpSeries, columns: Iterable[int]
 ) -> tuple[Index | None, bool, Fraction]:
-    """(first multi-index, ordered by total order and then
-    lexicographically, where ``diff`` is nonzero on the given columns,
-    or None; tainted; residual), the taint gathered by
-    ``LinearOp.compare_on_columns`` over the coefficients compared and
-    the residual the largest |entry| of ``diff`` over ``columns`` at
-    that multi-index, 0 when there is none.
+    """``core.outcome`` over the coefficients of ``diff``, in total order
+    and then lexicographically, each summed on ``columns`` only and
+    compared with zero there by ``LinearOp.compare_on_columns``: (first
+    multi-index where ``diff`` is nonzero, or None; tainted; residual,
+    the largest |entry| of that coefficient over ``columns``, else 0).
 
-    ``diff`` is the difference of an identity's two sides.  Each of its
-    coefficients is summed on ``columns`` only and compared with zero.
-    A word on both sides keeps its marks in the difference even where
-    its coefficients agree, so the taint is that of comparing the two
-    sides; a coefficient whose words all cancel costs no kernel call."""
+    ``diff`` is the difference of an identity's two sides.  A word on
+    both sides keeps its marks in the difference even where its
+    coefficients agree, so the taint is that of comparing the two sides;
+    a coefficient whose words all cancel costs no kernel call."""
     cols = list(columns)
     zero = LinearOp.zero(diff.table.cap)
-    tainted = False
-    for idx in diff.indices():
-        coef = diff.materialize(idx, cols)
-        bad, marked = coef.compare_on_columns(zero, cols)
-        tainted = tainted or marked
-        if bad is not None:
-            return idx, tainted, max_abs_entry(coef, cols)
-    return None, tainted, ZERO
+    found, tainted = outcome(
+        ((idx, coef), bad is None, marked)
+        for idx in diff.indices()
+        for coef in (diff.materialize(idx, cols),)
+        for bad, marked in (coef.compare_on_columns(zero, cols),)
+    )
+    idx, coef = found or (None, zero)
+    return idx, tainted, max_abs_entry(coef, cols)

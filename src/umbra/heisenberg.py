@@ -68,7 +68,7 @@ from .core import (
 )
 from .formal import FormalOpSeries, Index, max_abs_entry, series_first_difference
 from .models import UmbralModel, on_fock_twin
-from .reports import VerificationReport, status_of
+from .reports import VerificationReport
 from .kernels import EMPTY
 from .transforms import require_column_input
 
@@ -151,7 +151,7 @@ def _formal_report(
         ff = {"multi_index": {name: k for name, k in zip(diff.params, idx) if k}}
     return VerificationReport(
         check=check, model=m.label(), params=params,
-        status=status_of(ff, tainted), max_residual=worst, first_failure=ff,
+        tainted=tainted, max_residual=worst, first_failure=ff,
     )
 
 
@@ -311,7 +311,6 @@ def twisted_convolve_check() -> VerificationReport:
         check="twisted-convolution",
         model=None,
         params={"atoms": [len(k1), len(k2), len(k3)]},
-        status=status_of(ff),
         max_residual=ZERO if ff is None else None,
         first_failure=ff,
     )
@@ -373,7 +372,7 @@ def metaplectic_check(m: UmbralModel) -> list[VerificationReport]:
             ff = {"degree": bad}
         out.append(VerificationReport(
             check=name, model=m.label(), params=dict(params),
-            status=status_of(ff, tainted), max_residual=worst, first_failure=ff,
+            tainted=tainted, max_residual=worst, first_failure=ff,
         ))
     return out
 
@@ -533,7 +532,7 @@ def sl2_closure_check(m: UmbralModel) -> VerificationReport:
             "indices": len(a) - 1,
             "constants": [format_rational(q) for q in res.constants],
         },
-        status=status_of(ff, tainted),
+        tainted=tainted,
         max_residual=ZERO if ff is None else None,
         first_failure=ff,
     )

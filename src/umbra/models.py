@@ -53,7 +53,6 @@ forced: B_nu t = nu/t is not a polynomial).
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import math
@@ -72,6 +71,7 @@ from .core import (
     as_fraction,
     column_poly,
     format_rational,
+    outcome,
 )
 from .formal import OpWordTable
 from .kernels import EMPTY, Column, icol, icol_eq, icol_mul, imat_transpose
@@ -428,20 +428,6 @@ def require_order(m: UmbralModel, order: int) -> None:
         raise CapMismatchError(f"order {order} exceeds the top basis index {m.n_max}")
 
 
-def pairing_mismatch(db: LinearOp, k: int, top: int) -> tuple[int | None, bool]:
-    """l_k B = e_k on columns 0..top, given D B with l_k as row k of D:
-    the first n with <l_k, p_n> != delta_kn, read off row k of D B, and
-    the taint: whether D B marks a column scanned up to there."""
-    tainted = False
-    for n, (rows, vals) in enumerate(db.cols[: top + 1]):
-        tainted = tainted or n in db.trunc_cols
-        i = bisect.bisect_left(rows, k)
-        x = vals[i] if i < len(rows) and rows[i] == k else 0
-        if x != (db.den if n == k else 0):
-            return n, tainted
-    return None, tainted
-
-
 def _multiple(b: LinearOp, n: int, q: Fraction | int) -> tuple[Column, int, bool]:
     """q p_n off B as (column, den, marked when B marks p_n); p_n = 0
     for n < 0."""
@@ -454,18 +440,17 @@ def _multiple(b: LinearOp, n: int, q: Fraction | int) -> tuple[Column, int, bool
 def _axiom_outcome(
     m: UmbralModel, op: LinearOp, target: Callable[[int], tuple[Column, int, bool]], top: int
 ) -> tuple[int | None, bool]:
-    """(first n <= top with op p_n != target(n), or None; tainted), the
-    taint gathered before each comparison as in ``compare_on_columns``:
-    op p_n is ``LinearOp.step`` of B's column n, tainted when B marks
-    p_n, and target(n) is the right side as (column, den, marked)."""
-    b, tainted = m.basis_op, False
-    for n in range(top + 1):
-        col, den, marked = op.step(b.cols[n], b.den, n in b.trunc_cols)
-        want, wden, wmarked = target(n)
-        tainted = tainted or marked or wmarked
-        if not icol_eq(col, den, want, wden):
-            return n, tainted
-    return None, tainted
+    """``outcome`` of op p_n = target(n) on n = 0..top: op p_n is
+    ``LinearOp.step`` of B's column n, tainted when B marks p_n, and
+    target(n) is the right side as (column, den, marked); check n is
+    marked when either side is."""
+    b = m.basis_op
+    return outcome(
+        (n, icol_eq(col, den, want, wden), marked or wmarked)
+        for n in range(top + 1)
+        for col, den, marked in (op.step(b.cols[n], b.den, n in b.trunc_cols),)
+        for want, wden, wmarked in (target(n),)
+    )
 
 
 def axiom_outcomes(
@@ -528,7 +513,7 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
     the twin, whose commutator decides the model's as ``heisenberg``
     transports every ladder word.
     """
-    from .reports import VerificationReport, status_of
+    from .reports import VerificationReport
 
     params: dict[str, object] = {"degree": m.n_max}
     if m.nu is not None:
@@ -543,7 +528,7 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
         "commutator": _axiom_outcome(m, comm, lambda n: _multiple(b, n, -IOTA), m.n_max - 1),
     }
     return [
-        VerificationReport(check, m.label(), dict(params), status_of(bad, tainted), first_failure=bad)
+        VerificationReport(check, m.label(), dict(params), tainted, first_failure=bad)
         for check, (bad, tainted) in outcomes.items()
     ]
 

@@ -2,9 +2,10 @@
 
 Every check in the package reports through one of two shapes:
 
-* ``VerificationReport`` for exact checks -- status is "pass", "fail"
-  or "inconclusive" (the last when a truncation flag poisoned the
-  computation, which is never counted as success).
+* ``VerificationReport`` for exact checks -- carries the first failure
+  and the taint that ``core.outcome``, the one verdict rule, gives, and
+  derives the status: "fail" at a failure, else "inconclusive" where a
+  truncation mark poisoned a comparison (never a success), else "pass".
 
 * ``ResidualReport`` for float checks -- carries the evaluation grid,
   the per-direction residual maxima and, where the check probes an
@@ -30,15 +31,6 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-def status_of(first_failure: Any, tainted: bool = False) -> str:
-    """The status rule for every exact check: a located failure fails;
-    otherwise a truncation-tainted comparison certifies nothing and is
-    inconclusive; otherwise the check passes."""
-    if first_failure is not None:
-        return FAIL
-    return INCONCLUSIVE if tainted else PASS
-
-
 def _plain(value: Any) -> Any:
     """Render parameter values JSON-safely and deterministically."""
     if isinstance(value, Fraction):
@@ -55,15 +47,17 @@ class VerificationReport:
     check: str
     model: str | None
     params: dict[str, Any] = field(default_factory=dict)
-    status: str = PASS
+    tainted: bool = False
     max_residual: float | None = None
     first_failure: Any = None
 
-    def __post_init__(self) -> None:
-        if self.status not in (PASS, FAIL, INCONCLUSIVE):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == FAIL and self.first_failure is None:
-            raise ValueError("failed report must locate the first failure")
+    @property
+    def status(self) -> str:
+        """A located failure fails; otherwise a tainted comparison
+        certifies nothing and is inconclusive; otherwise a pass."""
+        if self.first_failure is not None:
+            return FAIL
+        return INCONCLUSIVE if self.tainted else PASS
 
     @property
     def passed(self) -> bool:

@@ -72,12 +72,13 @@ from .core import (
     Poly,
     column_poly,
     integer_vector,
+    outcome,
 )
 from .kernels import EMPTY, Column, icol_eq
 from .models import Parity, UmbralModel, axiom_outcomes, on_fock_twin, require_order, vacuum_op
 from .models import dual_functionals  # noqa: F401  (public here: the duals l_k)
-from .models import _derivative_op, _mult_by_t_op, pairing_mismatch
-from .reports import VerificationReport, status_of
+from .models import _derivative_op, _mult_by_t_op
+from .reports import VerificationReport
 
 
 def require_model_input(m: UmbralModel, f: Poly) -> None:
@@ -236,7 +237,7 @@ def check_transmutation_intertwining(
         check="transmutation-intertwining",
         model=f"{src.label()} -> {dst.label()}",
         params=params,
-        status=status_of(bad, tainted),
+        tainted=tainted,
         first_failure=bad,
     )
 
@@ -250,17 +251,16 @@ def biorthogonality_check(m: UmbralModel) -> VerificationReport:
     """<l_k, p_n> = delta_kn for all k, n, as the identities
     l_k B = e_k on the basis matrix B taken k by k, plus the round trip
     reassemble(expand(f)) = f on a dense combination of the basis.
-    D B carries the marks of B and of D.  Decided on the Fock twin
-    where the model has one."""
+    D B carries the marks of B and of D, and check (k, n) those of
+    column n.  Decided on the Fock twin where the model has one."""
     if (moved := on_fock_twin(m, biorthogonality_check)) is not None:
         return moved
-    db = m.dual_op @ m.basis_op
-    bad = None
-    for k in range(m.n_max + 1):
-        n, tainted = pairing_mismatch(db, k, m.n_max)
-        if n is not None:
-            bad = ("pairing", k, n)
-            break
+    db, top = m.dual_op @ m.basis_op, m.n_max
+    bad, tainted = outcome(
+        (("pairing", k, n), x == (db.den if n == k else 0), n in db.trunc_cols)
+        for k, row in enumerate(db.num[: top + 1])
+        for n, x in enumerate(row[: top + 1])
+    )
     if bad is None:
         f = _dense_combination(m)
         if reassemble(m, expand_in_basis(m, f)) != f:
@@ -269,7 +269,7 @@ def biorthogonality_check(m: UmbralModel) -> VerificationReport:
         check="biorthogonality",
         model=m.label(),
         params={"indices": m.n_max},
-        status=status_of(bad, tainted),
+        tainted=tainted,
         first_failure=bad,
     )
 
@@ -316,7 +316,7 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
         check="covariant",
         model=m.label(),
         params={"indices": m.n_max},
-        status=status_of(bad, tainted),
+        tainted=tainted,
         first_failure=bad,
     )
 
@@ -334,6 +334,6 @@ def generating_function(m: UmbralModel, order: int) -> VerificationReport:
         check="generating-function",
         model=m.label(),
         params={"order": order},
-        status=status_of(bad, tainted),
+        tainted=tainted,
         first_failure=bad,
     )

@@ -56,7 +56,7 @@ from .core import (
 )
 from .kernels import imat_comb
 from .models import UmbralModel, _derivative_op, _form, axiom_outcomes, require_order
-from .reports import VerificationReport, status_of
+from .reports import VerificationReport
 from .transforms import require_model_input
 
 
@@ -116,7 +116,7 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
         check="binomial",
         model=m.label(),
         params={"n": n},
-        status=status_of(bad, any(k in b.trunc_cols for k in range(n + 1))),
+        tainted=any(k in b.trunc_cols for k in range(n + 1)),
         first_failure=bad,
     )
 
@@ -149,7 +149,7 @@ def binomial_sweep(m: UmbralModel, top: int) -> list[VerificationReport]:
             r = binomial_check(m, n)
             if not r.passed:
                 return [r]
-    return [VerificationReport("binomial", m.label(), {"n_max": top}, status_of(None))]
+    return [VerificationReport("binomial", m.label(), {"n_max": top})]
 
 
 def _expansion_theorem_applies(m: UmbralModel) -> bool:
@@ -230,7 +230,7 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
         check="character",
         model=m.label(),
         params={"order": order},
-        status=status_of(bad, tainted),
+        tainted=tainted,
         first_failure=bad,
     )
 
@@ -259,6 +259,6 @@ def delsarte_eigen_check(m: UmbralModel, order: int) -> VerificationReport:
         check="delsarte",
         model=m.label(),
         params={"order": order},
-        status=status_of(bad, tainted0 or tainted),
+        tainted=tainted0 or tainted,
         first_failure=bad,
     )

@@ -53,8 +53,8 @@ MUTANTS = (
     Mutant(
         "an index whose words all cancel skipped",
         "src/umbra/formal.py",
-        "    for idx in diff.indices():\n",
-        "    for idx in diff.indices():\n        if not any(diff.terms[idx].values()):\n            continue\n",
+        "        for idx in diff.indices()\n",
+        "        for idx in diff.indices() if any(diff.terms[idx].values())\n",
         ("tests/test_formal.py::test_a_word_cancelled_in_the_difference_still_taints",),
     ),
     Mutant(
@@ -68,11 +68,45 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "only the last compared coefficient's taint kept",
+        "only the last check's taint kept",
+        "src/umbra/core.py",
+        "        if marked:\n            tainted = True\n",
+        "        tainted = marked\n",
+        (
+            "tests/test_reports.py::test_with_no_failure_every_mark_is_gathered",
+            "tests/test_formal.py::test_series_first_difference_locates_mismatch",
+        ),
+    ),
+    Mutant(
+        "the verdict rule gathering the taint after the comparison",
+        "src/umbra/core.py",
+        "        if marked:\n            tainted = True\n        if not holds:\n            return key, tainted\n",
+        "        if not holds:\n            return key, tainted\n        if marked:\n            tainted = True\n",
+        ("tests/test_reports.py::test_the_failing_checks_own_mark_counts",),
+    ),
+    Mutant(
+        "the verdict rule dropping the failing check's mark",
+        "src/umbra/core.py",
+        "            return key, tainted\n",
+        "            return key, tainted and not marked\n",
+        ("tests/test_reports.py::test_the_failing_checks_own_mark_counts",),
+    ),
+    Mutant(
+        "a compared coefficient's taint dropped",
         "src/umbra/formal.py",
-        "tainted = tainted or marked",
-        "tainted = marked",
+        "((idx, coef), bad is None, marked)",
+        "((idx, coef), bad is None, False)",
         ("tests/test_formal.py::test_series_first_difference_locates_mismatch",),
+    ),
+    Mutant(
+        "a tainted pass reported as pass",
+        "src/umbra/reports.py",
+        "return INCONCLUSIVE if self.tainted else PASS",
+        "return PASS",
+        (
+            "tests/test_reports.py::test_the_report_derives_its_status_from_the_failure_and_the_taint",
+            "tests/test_formal.py::test_a_word_cancelled_in_the_difference_still_taints",
+        ),
     ),
     Mutant(
         "compare_on_columns ignoring the other side's marks",
@@ -201,26 +235,22 @@ MUTANTS = (
     Mutant(
         "an axiom's target dropping its mark",
         "src/umbra/models.py",
-        "tainted = tainted or marked or wmarked",
-        "tainted = tainted or marked",
+        "icol_eq(col, den, want, wden), marked or wmarked)",
+        "icol_eq(col, den, want, wden), marked)",
         ("tests/test_truncation_rule.py::test_an_axiom_that_fails_on_a_marked_column_reports_its_taint",),
     ),
     Mutant(
-        "an axiom's taint gathered after the comparison",
+        "an axiom's mark of p_n counted from the next column on",
         "src/umbra/models.py",
-        "        tainted = tainted or marked or wmarked\n"
-        "        if not icol_eq(col, den, want, wden):\n"
-        "            return n, tainted\n",
-        "        if not icol_eq(col, den, want, wden):\n"
-        "            return n, tainted\n"
-        "        tainted = tainted or marked or wmarked\n",
+        "op.step(b.cols[n], b.den, n in b.trunc_cols)",
+        "op.step(b.cols[n], b.den, n - 1 in b.trunc_cols)",
         ("tests/test_truncation_rule.py::test_an_axiom_that_fails_on_a_marked_column_reports_its_taint",),
     ),
     Mutant(
-        "the pairing row read ignoring the marks of D B",
-        "src/umbra/models.py",
-        "tainted = tainted or n in db.trunc_cols",
-        "tainted = tainted",
+        "the pairing entries read ignoring the marks of D B",
+        "src/umbra/transforms.py",
+        "x == (db.den if n == k else 0), n in db.trunc_cols)",
+        "x == (db.den if n == k else 0), False)",
         (
             "tests/test_truncation_rule.py::test_a_marked_lowering_never_passes",
             "tests/test_truncation_rule.py::test_a_flagged_target_basis_polynomial_taints_the_umbral_map",

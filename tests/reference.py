@@ -18,7 +18,7 @@ from math import factorial, isqrt
 import mpmath
 
 from umbra.core import CapMismatchError, LinearOp, Poly
-from umbra.reports import VerificationReport, status_of
+from umbra.reports import VerificationReport
 from umbra.transforms import require_model_input, umbral_map
 
 mpmath.mp.dps = 40
@@ -491,9 +491,14 @@ def _search(cases):
     return None, tainted
 
 
+def status(bad, tainted):
+    """The status of an exact check from its first failure and taint."""
+    return "fail" if bad is not None else "inconclusive" if tainted else "pass"
+
+
 def _verdict(bad, tainted):
     """(status, first failure)."""
-    return ("fail" if bad is not None else "inconclusive" if tainted else "pass"), bad
+    return status(bad, tainted), bad
 
 
 def lowering_search(d, top):
@@ -839,7 +844,7 @@ def transmutation_by_poly(src, dst):
         check="transmutation-intertwining",
         model=f"{src.label()} -> {dst.label()}",
         params=params,
-        status=status_of(bad, tainted),
+        tainted=tainted,
         first_failure=bad,
     )
 

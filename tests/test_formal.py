@@ -14,7 +14,7 @@ from umbra.core import LinearOp
 from umbra.formal import FormalOpSeries, OpWordTable, series_first_difference
 from umbra.heisenberg import _formal_report
 from umbra.models import build_model
-from umbra.reports import INCONCLUSIVE, status_of
+from umbra.reports import INCONCLUSIVE
 
 import reference as ref
 
@@ -267,7 +267,7 @@ def test_a_word_cancelled_in_the_difference_still_taints():
     diff = difference(table, 2, 3, side, side)
     idx, tainted, _ = series_first_difference(diff, range(cap + 1))
     assert (idx, tainted) == (None, True)
-    assert status_of(idx, tainted) == INCONCLUSIVE
+    assert ref.status(idx, tainted) == INCONCLUSIVE
     assert series_first_difference(diff, range(cap)) == (None, False, 0)
     report = _formal_report("weyl-relation", build_model("monomial", cap), 1, cap, diff)
     assert report.status == INCONCLUSIVE
@@ -373,7 +373,7 @@ def test_the_difference_comparison_matches_the_two_sided_oracle(pair, data):
     idx, tainted, residual = ref.two_sided_first_difference(pa, pb, letters, safe)
     report = _formal_report("weyl-relation", m, 2, output_degree, diff)
     assert report.max_residual == residual
-    assert report.status == status_of(idx, tainted)
+    assert report.status == ref.status(idx, tainted)
 
 
 SERIES_TERMS = st.lists(

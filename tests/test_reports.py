@@ -1,14 +1,50 @@
-"""The status rule and report pass/fail."""
+"""The verdict rule, the status a report derives from it, and report pass/fail."""
 
-from umbra.reports import FAIL, INCONCLUSIVE, PASS, ResidualReport, status_of
+import dataclasses
+
+from umbra.core import outcome
+from umbra.reports import FAIL, INCONCLUSIVE, PASS, ResidualReport, VerificationReport
 
 
-def test_status_rule():
-    assert status_of(None) == PASS
-    assert status_of(None, tainted=True) == INCONCLUSIVE
+def test_the_failing_checks_own_mark_counts():
+    assert outcome([(0, True, False), (1, False, True), (2, True, True)]) == (1, True)
+    assert outcome([(0, True, False), (1, False, False), (2, True, True)]) == (1, False)
+
+
+def test_with_no_failure_every_mark_is_gathered():
+    assert outcome([("a", True, False), ("b", True, True), ("c", True, False)]) == (None, True)
+    assert outcome([("a", True, False), ("b", True, False)]) == (None, False)
+
+
+def test_an_empty_stream_passes_untainted():
+    assert outcome([]) == (None, False)
+
+
+def test_nothing_past_the_first_failure_is_read():
+    read = []
+
+    def checks():
+        for n in range(5):
+            read.append(n)
+            yield n, n != 2, False
+
+    assert outcome(checks()) == (2, False)
+    assert read == [0, 1, 2]
+
+
+def test_the_report_derives_its_status_from_the_failure_and_the_taint():
+    assert VerificationReport("c", None).status == PASS
+    assert VerificationReport("c", None, tainted=True).status == INCONCLUSIVE
     # a located failure fails even where truncation also tainted the check
-    assert status_of(0) == FAIL
-    assert status_of(("lowering", 3), tainted=True) == FAIL
+    assert VerificationReport("c", None, first_failure=0).status == FAIL
+    assert VerificationReport("c", None, tainted=True, first_failure=("lowering", 3)).status == FAIL
+    assert VerificationReport("c", None).passed
+    assert not VerificationReport("c", None, tainted=True).passed
+
+
+def test_a_replaced_report_keeps_its_taint():
+    r = dataclasses.replace(VerificationReport("c", "monomial", tainted=True), model="hermite")
+    assert (r.tainted, r.status, r.to_dict()["status"]) == (True, INCONCLUSIVE, INCONCLUSIVE)
 
 
 def test_residual_report_passes_within_its_tolerance():

@@ -31,12 +31,11 @@ from umbra.heisenberg import (
     sl2_closure_check,
     weyl_relation_check,
 )
-from umbra.kernels import EMPTY
 from umbra.models import (
-    IOTA, MODEL_NAMES, Parity, axiom_outcomes, build_model, on_fock_twin, pairing_mismatch,
+    IOTA, MODEL_NAMES, Parity, axiom_outcomes, build_model, on_fock_twin,
     verify_model,
 )
-from umbra.reports import PASS, VerificationReport, status_of
+from umbra.reports import PASS, VerificationReport
 from umbra.transforms import (
     biorthogonality_check,
     check_transmutation_intertwining,
@@ -177,7 +176,7 @@ def _assert_group_law_is_the_six_coordinate_oracle(m, d, order):
         ff = {"multi_index": {k: n for k, n in zip(ref.GROUP_COORDINATES, idx) if n}}
     report = group_law_check(m, order)
     assert (report.status, report.first_failure, report.max_residual) == (
-        status_of(idx, tainted), ff, residual
+        ref.status(idx, tainted), ff, residual
     )
     return report
 
@@ -229,7 +228,7 @@ def test_the_weyl_check_is_the_two_sided_oracle(case, order):
         ff = {"multi_index": {k: n for k, n in zip(ref.WEYL_COORDINATES, idx) if n}}
     report = weyl_relation_check(m, order)
     assert (report.status, report.first_failure, report.max_residual) == (
-        status_of(idx, tainted), ff, residual
+        ref.status(idx, tainted), ff, residual
     )
 
 
@@ -252,7 +251,7 @@ def _assert_composition_is_the_eight_coordinate_oracle(m, d, order):
         ff = {"multi_index": {k: n for k, n in zip(ref.COMPOSITION_COORDINATES, idx) if n}}
     report = composition_check_formal(m, order)
     assert (report.check, report.status, report.first_failure, report.max_residual) == (
-        "twisted-composition", status_of(idx, tainted), ff, residual
+        "twisted-composition", ref.status(idx, tainted), ff, residual
     )
     return report
 
@@ -457,21 +456,6 @@ def test_a_flagged_p0_leaves_the_vacuum_axiom_inconclusive():
     and with p_0 flagged the column it scans first is marked."""
     reports = {r.check: r.status for r in verify_model(_flagged(build_model("monomial", 8), 0))}
     assert reports["vacuum"] == "inconclusive"
-
-
-@settings(max_examples=60, deadline=None)
-@given(perturbed_models())
-def test_pairing_rows_read_like_the_unit_row_product(case):
-    """Row k of D B read off its columns gives the first mismatch and the
-    taint of the product e_k D B compared with e_k, e_k the one entry 1
-    at (0, k)."""
-    m, _, _ = case
-    db = m.dual_op @ m.basis_op
-    for k in range(m.n_max + 1):
-        cols = [EMPTY] * k + [((0,), (1,))] + [EMPTY] * (db.cap - k)
-        e_k = LinearOp(cols, 1, db.cap)
-        for top in (k, m.n_max):
-            assert pairing_mismatch(db, k, top) == (e_k @ db).compare_on_columns(e_k, range(top + 1))
 
 
 def test_a_flagged_target_basis_polynomial_taints_the_umbral_map():
@@ -706,7 +690,7 @@ def _binomial_by_tables(m, top):
         r = binomial_check(m, n)
         if not r.passed:
             return [r]
-    return [VerificationReport("binomial", m.label(), {"n_max": top}, status_of(None))]
+    return [VerificationReport("binomial", m.label(), {"n_max": top})]
 
 
 def _decided_and_direct(m, order, top, other):
