@@ -339,7 +339,8 @@ def poisson_transform(
         return math.cos(theta) ** p * fn(x * math.sin(theta))
 
     c = poisson_constant(nu)
-    q = replace(q, abs_tol=q.abs_tol / max(math.floor(c), 1))
+    mass = tuple(math.asin(t / x) for t in f.mass if 0 < t < x)  # f's mass, in theta
+    q = replace(q, abs_tol=q.abs_tol / max(math.floor(c), 1), mass=mass)
     return c * integrate(integrand, 0.0, math.pi / 2, q)
 
 
@@ -586,7 +587,7 @@ def heat_covariant(
     # pi u leaves the double range from u = 5.7e307 on
     root = math.sqrt(math.pi * u) if math.pi * u < math.inf else math.sqrt(math.pi) * math.sqrt(u)
     norm = 1.0 / (2.0 * root)
-    q = replace(q, abs_tol=q.abs_tol / max(math.floor(norm), 1))
+    q = replace(q, abs_tol=q.abs_tol / max(math.floor(norm), 1), mass=f.mass)
     if f.decay == "compact":
         lo, hi = f.a, f.b
     else:

@@ -33,12 +33,14 @@ _NEWTON_STEPS = 40     # cap per node; from the starting guess it takes about 5
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Integration policy.  ``nodes`` is the Gauss-Legendre order per
-    panel; the adaptive rule bisects at most ``MAX_SUBDIVISIONS`` deep."""
+    panel; the adaptive rule bisects at most ``MAX_SUBDIVISIONS`` deep,
+    from the pieces cut by the ends of the integrand's ``mass``, if any."""
 
     rule: str = ADAPTIVE
     nodes: int = 24
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
+    mass: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.rule not in (ADAPTIVE, FIXED):
@@ -83,6 +85,13 @@ class ScalarFn:
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
+
+    @property
+    def mass(self) -> tuple[float, ...]:
+        """Ends of an interval outside which f is negligible (e^-40 past 40/rate)."""
+        if self.decay == "exponential":
+            return -40.0 / self.rate, 40.0 / self.rate
+        return (self.a, self.b) if self.decay == "compact" else ()
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +217,7 @@ def integrate_adaptive(
     once moves the result by less than its width-proportional share of
     abs_tol (or rel_tol against the running magnitude).  Exceeding the
     depth limit raises QuadratureError carrying the residual that was
-    actually achieved."""
+    actually achieved.  First panels end at ``spec.mass``, lest one step over a narrow mass."""
     if hi <= lo:
         return 0.0
     width = hi - lo
@@ -233,7 +242,9 @@ def integrate_adaptive(
             + recurse(m, b, right, depth + 1)
         )
 
-    return recurse(lo, hi, _panel(fn, lo, hi, spec.nodes), 0)
+    cuts = [lo, *sorted(c for c in spec.mass if lo < c < hi), hi]
+    # from -0.0, a sum of one piece is that piece bit for bit
+    return sum((recurse(a, b, _panel(fn, a, b, spec.nodes), 0) for a, b in zip(cuts, cuts[1:])), -0.0)
 
 
 def integrate(

@@ -451,6 +451,13 @@ MUTANTS = (
         ("tests/test_models.py::test_factorial_lowering_is_the_unit_difference",),
     ),
     Mutant(
+        "the adaptive rule started on the whole interval, not on the pieces f's mass cuts",
+        "src/umbra/quadrature.py",
+        "cuts = [lo, *sorted(c for c in spec.mass if lo < c < hi), hi]",
+        "cuts = [lo, hi]",
+        ("tests/test_cli.py::test_a_mass_narrower_than_the_node_gaps_is_integrated",),
+    ),
+    Mutant(
         "the heat cut point trusting |f| <= 1 under exponential decay",
         "src/umbra/numeric.py",
         "return max(1.0, *sizes)",

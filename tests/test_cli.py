@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from umbra import cli
@@ -247,6 +248,38 @@ def test_heat_covariant_of_the_bump_at_a_huge_time_is_its_integral_over_2_sqrt_p
     assert rc == 0
     want = 1 / (280 * math.sqrt(math.pi) * math.sqrt(float(u)))
     assert float(out) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _poisson_of_exp_at_nu_1(x):
+    """(2/pi) integral_0^(pi/2) e^(-x sin theta) dtheta, by mpmath."""
+    split = [0, 1 / x, 30 / x, mpmath.pi / 2]
+    return float(2 / mpmath.pi * mpmath.quad(lambda th: mpmath.exp(-x * mpmath.sin(th)), split))
+
+
+_NARROW_MASS = [
+    *[(("heat", "covariant", "--fn", "gauss", "--u", u), 1 / math.sqrt(4 * float(u) + 1))
+      for u in ("3e4", "1e5", "1e6", "1e9")],
+    *[(("bessel", "poisson", "--nu", "2", "--fn", "gauss", "--x", x),
+       math.sqrt(math.pi) * math.erf(float(x)) / (2 * float(x)))
+      for x in ("3000", "1e4", "1e9")],
+    # at x = 500 a node of the one-panel start lies on the bump's support
+    *[(("bessel", "poisson", "--nu", "2", "--fn", "bump", "--x", x), 1 / (140 * float(x)))
+      for x in ("500", "1000", "1e9")],
+    *[(("bessel", "poisson", "--nu", "1", "--fn", "exp", "--x", x), _poisson_of_exp_at_nu_1(float(x)))
+      for x in ("1e5", "1e6")],
+]
+
+
+@pytest.mark.parametrize("argv, want", _NARROW_MASS,
+                         ids=["-".join(x for x in a if x[:2] != "--") for a, _ in _NARROW_MASS])
+def test_a_mass_narrower_than_the_node_gaps_is_integrated(capsys, argv, want):
+    """f's mass is a few units wide, and a large u or x spreads the
+    integral over a range where every panel's nodes stepped over it:
+    coarse and fine read about 0 and the rule accepted that, printing
+    8.13e-33 for heat at u = 3e4 and 0.0 for the bump at x = 1000."""
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert float(out) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_cosine_value(capsys):
