@@ -206,16 +206,6 @@ class Poly:
     def __hash__(self) -> int:
         return hash((self.coeffs, self.cap))
 
-    def __repr__(self) -> str:
-        terms = [
-            f"{format_rational(c)}*t^{k}"
-            for k, c in enumerate(self.coeffs)
-            if c
-        ]
-        body = " + ".join(terms) if terms else "0"
-        flag = ", truncated" if self.truncated else ""
-        return f"Poly({body}, cap={self.cap}{flag})"
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -388,10 +378,6 @@ class LinearOp:
     def __hash__(self) -> int:
         return hash((self.cols, self.den, self.cap))
 
-    def __repr__(self) -> str:
-        nz = sum(len(rows) for rows, _ in self.cols)
-        return f"LinearOp(cap={self.cap}, nonzeros={nz}, den={self.den})"
-
     # -- algebra ------------------------------------------------------
 
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
@@ -515,9 +501,6 @@ class Functional:
 
     def __hash__(self) -> int:
         return hash((self.terms, self.cap))
-
-    def __repr__(self) -> str:
-        return f"Functional(cap={self.cap}, nonzeros={len(self.terms)})"
 
 
 def op_commutator(a: LinearOp, b: LinearOp) -> LinearOp:

@@ -260,17 +260,6 @@ class DiscreteKernel:
             return NotImplemented
         return self.atoms == other.atoms
 
-    def __hash__(self) -> int:
-        return hash(self.atoms)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"({format_rational(q)})e^{format_rational(w)}"
-            f"@({format_rational(x)},{format_rational(y)})"
-            for (x, y, w), q in self.atoms
-        )
-        return f"DiscreteKernel[{inner}]"
-
     def __add__(self, other: "DiscreteKernel") -> "DiscreteKernel":
         return DiscreteKernel(self.atoms + other.atoms)
 

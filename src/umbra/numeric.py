@@ -387,8 +387,9 @@ def poisson_intertwining_check(
 
     and record which of them holds to the tolerance.  Derivatives in x
     are Richardson-extrapolated central differences, step h = 1e-3,
-    over P on one 64-node fixed panel, so the quadrature error cancels
-    in the quotients; every grid point must exceed h.  The rule
+    over P on the 64-node fixed rule, one panel per piece that f's mass
+    cuts.  The cuts move smoothly with x, so the quadrature error
+    cancels in the quotients; every grid point must exceed h.  The rule
     resolves the nu^(-1/2)-wide peak of (cos theta)^(nu-1) up to
     nu = 8000: past it, r2 on the cos grid reaches 1e-6 at nu = 8250
     and 1.7e-3 at nu = 1e5, so larger nu is refused rather than

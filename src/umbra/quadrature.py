@@ -1,12 +1,13 @@
 """Deterministic Gauss-Legendre quadrature for the numeric transforms.
 
-Two rules only: a single fixed-node panel (for integrands known to be
-smooth on a short interval, and for difference-quotient work where the
-integration error must vary smoothly with outer parameters) and an
-adaptive composite rule that bisects left to right until each panel's
-refinement residual is inside its share of the tolerance budget.
-Everything is evaluated in a fixed order, so results are reproducible
-bit for bit for a given spec.
+One driver, ``integrate``, with two rules.  Both start from the pieces
+that the ends of the integrand's mass cut.  The fixed rule takes one
+fixed-node panel per piece (for integrands known to be smooth there,
+and for difference-quotient work where the integration error must vary
+smoothly with outer parameters); the adaptive rule bisects each piece
+left to right until each panel's refinement residual is inside its
+share of the tolerance budget.  Everything is evaluated in a fixed
+order, so results are reproducible bit for bit for a given spec.
 
 The nodes and weights are computed here, in integers, and each is the
 correctly rounded double of its true value (see ``_gauss_nodes``).
@@ -33,8 +34,10 @@ _NEWTON_STEPS = 40     # cap per node; from the starting guess it takes about 5
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Integration policy.  ``nodes`` is the Gauss-Legendre order per
-    panel; the adaptive rule bisects at most ``MAX_SUBDIVISIONS`` deep,
-    from the pieces cut by the ends of the integrand's ``mass``, if any."""
+    panel.  Both rules start from the pieces cut by the ends of the
+    integrand's ``mass``, if any: the fixed rule takes one panel per
+    piece, and the adaptive rule bisects each at most
+    ``MAX_SUBDIVISIONS`` deep."""
 
     rule: str = ADAPTIVE
     nodes: int = 24
@@ -198,28 +201,26 @@ def _panel(fn: Callable[[float], float], lo: float, hi: float, n: int) -> float:
     return acc * half
 
 
-def integrate_fixed(
+def integrate(
     fn: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec
 ) -> float:
-    """One Gauss-Legendre panel at spec.nodes.  No error control: the
-    caller asserts smoothness.  This is the rule of choice under
-    difference quotients, where adaptive panel boundaries would make
-    the quadrature error jump between nearby evaluation points."""
+    """The integral over [lo, hi], summed from -0.0 (so one piece is its
+    value bit for bit) over the pieces that the ends of ``spec.mass`` cut,
+    lest a rule step over a narrow mass.  The fixed rule takes one panel
+    per piece, with no error control: the caller asserts smoothness.  It
+    is the rule under difference quotients, where the cuts move smoothly
+    with the outer parameter but bisection would make the error jump.
+    The adaptive rule bisects each piece left to right, and accepts a
+    panel when refining it once moves the result by less than its
+    width-proportional share of abs_tol (or rel_tol against the running
+    magnitude).  Past the depth limit it raises QuadratureError carrying
+    the residual actually achieved."""
     if hi <= lo:
         return 0.0
-    return _panel(fn, lo, hi, spec.nodes)
-
-
-def integrate_adaptive(
-    fn: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec
-) -> float:
-    """Left-to-right bisection: a panel is accepted when refining it
-    once moves the result by less than its width-proportional share of
-    abs_tol (or rel_tol against the running magnitude).  Exceeding the
-    depth limit raises QuadratureError carrying the residual that was
-    actually achieved.  First panels end at ``spec.mass``, lest one step over a narrow mass."""
-    if hi <= lo:
-        return 0.0
+    cuts = [lo, *sorted(c for c in spec.mass if lo < c < hi), hi]
+    pieces = zip(cuts, cuts[1:])
+    if spec.rule == FIXED:
+        return sum((_panel(fn, a, b, spec.nodes) for a, b in pieces), -0.0)
     width = hi - lo
 
     def recurse(a: float, b: float, coarse: float, depth: int) -> float:
@@ -242,14 +243,4 @@ def integrate_adaptive(
             + recurse(m, b, right, depth + 1)
         )
 
-    cuts = [lo, *sorted(c for c in spec.mass if lo < c < hi), hi]
-    # from -0.0, a sum of one piece is that piece bit for bit
-    return sum((recurse(a, b, _panel(fn, a, b, spec.nodes), 0) for a, b in zip(cuts, cuts[1:])), -0.0)
-
-
-def integrate(
-    fn: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec
-) -> float:
-    if spec.rule == FIXED:
-        return integrate_fixed(fn, lo, hi, spec)
-    return integrate_adaptive(fn, lo, hi, spec)
+    return sum((recurse(a, b, _panel(fn, a, b, spec.nodes), 0) for a, b in pieces), -0.0)

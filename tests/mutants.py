@@ -453,9 +453,16 @@ MUTANTS = (
     Mutant(
         "the adaptive rule started on the whole interval, not on the pieces f's mass cuts",
         "src/umbra/quadrature.py",
-        "cuts = [lo, *sorted(c for c in spec.mass if lo < c < hi), hi]",
-        "cuts = [lo, hi]",
+        "return sum((recurse(a, b, _panel(fn, a, b, spec.nodes), 0) for a, b in pieces), -0.0)",
+        "return recurse(lo, hi, _panel(fn, lo, hi, spec.nodes), 0)",
         ("tests/test_cli.py::test_a_mass_narrower_than_the_node_gaps_is_integrated",),
+    ),
+    Mutant(
+        "the fixed rule summing one panel over the whole interval, ignoring f's mass",
+        "src/umbra/quadrature.py",
+        "return sum((_panel(fn, a, b, spec.nodes) for a, b in pieces), -0.0)",
+        "return _panel(fn, lo, hi, spec.nodes)",
+        ("tests/test_numeric.py::test_the_intertwining_checks_fixed_rule_splits_at_the_bumps_mass",),
     ),
     Mutant(
         "the heat cut point trusting |f| <= 1 under exponential decay",

@@ -324,6 +324,12 @@ def test_poisson_intertwining_past_its_rule_is_a_usage_error(capsys):
     assert "64-node fixed rule" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("nu", ["1", "2", "5/2", "3"])
+def test_poisson_intertwining_of_the_bump_holds_as_r2(capsys, nu):
+    rc, out, _ = run(capsys, "verify", "--check", "poisson-intertwining", "--fn", "bump", "--nu", nu)
+    assert rc == 0 and out.endswith(" direction=r2\n")
+
+
 def test_missing_nu_for_bessel_model(capsys):
     rc, _, err = run(capsys, "verify", "--check", "vacuum", "--model", "bessel")
     assert rc == 2

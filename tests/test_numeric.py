@@ -506,6 +506,24 @@ def test_poisson_intertwining_refuses_nu_past_what_its_rule_resolves():
             poisson_intertwining_check(nu, canned_fn("cos"), grid)
 
 
+def test_the_intertwining_checks_fixed_rule_splits_at_the_bumps_mass():
+    # one 64-node panel over [0, pi/2] straddles asin(1/x), where the
+    # bump's third derivative jumps, and is off by 1.1e-5 relative
+    nu, x = 2.5, 1.5
+    got = poisson_transform(nu, canned_fn("bump"), x, QuadratureSpec(rule="fixed", nodes=64))
+    with mpmath.workdps(40):
+        n, xm = mpmath.mpf(nu), mpmath.mpf(x)
+
+        def g(th):
+            t = xm * mpmath.sin(th)
+            return mpmath.cos(th) ** (n - 1) * ((t - 1) ** 3 * (2 - t) ** 3 if 1 < t < 2 else 0)
+
+        cuts = [mpmath.asin(t / xm) for t in (1, 2) if t < xm]
+        c = 2 * mpmath.gamma((n + 1) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(n / 2))
+        want = float(c * mpmath.quad(g, [0, *cuts, mpmath.pi / 2]))
+    assert got == pytest.approx(want, rel=1e-8)
+
+
 # -- Hankel transform --------------------------------------------------
 
 def test_hankel_exponential_table_values():

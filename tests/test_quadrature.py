@@ -1,4 +1,4 @@
-"""Gauss-Legendre drivers: exactness, adaptivity, failure reporting."""
+"""The Gauss-Legendre driver: exactness, adaptivity, failure reporting."""
 
 import math
 
@@ -12,8 +12,6 @@ from umbra.quadrature import (
     ScalarFn,
     _gauss_nodes,
     integrate,
-    integrate_adaptive,
-    integrate_fixed,
 )
 
 import reference as ref
@@ -23,7 +21,7 @@ def test_fixed_rule_exact_on_polynomials():
     # an n-point rule integrates degree 2n-1 exactly
     spec = QuadratureSpec(rule="fixed", nodes=8)
     for k in range(16):
-        got = integrate_fixed(lambda t, k=k: t**k, 0.0, 1.0, spec)
+        got = integrate(lambda t, k=k: t**k, 0.0, 1.0, spec)
         assert got == pytest.approx(1.0 / (k + 1), rel=1e-14), k
 
 
@@ -64,14 +62,14 @@ def test_a_rule_whose_enclosures_never_round_is_refused_after_doubling_the_guard
 
 def test_fixed_rule_is_deterministic():
     spec = QuadratureSpec(rule="fixed", nodes=24)
-    a = integrate_fixed(math.cos, 0.25, 1.75, spec)
-    b = integrate_fixed(math.cos, 0.25, 1.75, spec)
+    a = integrate(math.cos, 0.25, 1.75, spec)
+    b = integrate(math.cos, 0.25, 1.75, spec)
     assert a == b  # bitwise
 
 
 def test_adaptive_matches_reference_on_smooth_integrand():
     spec = QuadratureSpec()
-    got = integrate_adaptive(lambda t: math.exp(-t) * math.sin(3 * t), 0.0, 10.0, spec)
+    got = integrate(lambda t: math.exp(-t) * math.sin(3 * t), 0.0, 10.0, spec)
     want = ref.mp_integral(
         lambda t: __import__("mpmath").exp(-t) * __import__("mpmath").sin(3 * t),
         0,
@@ -82,14 +80,14 @@ def test_adaptive_matches_reference_on_smooth_integrand():
 
 def test_adaptive_sin_over_period():
     spec = QuadratureSpec()
-    assert integrate_adaptive(math.sin, 0.0, math.pi, spec) == pytest.approx(
+    assert integrate(math.sin, 0.0, math.pi, spec) == pytest.approx(
         2.0, abs=1e-12
     )
 
 
 def test_adaptive_handles_moderate_oscillation():
     spec = QuadratureSpec()
-    got = integrate_adaptive(lambda t: math.cos(40 * t), 0.0, 1.0, spec)
+    got = integrate(lambda t: math.cos(40 * t), 0.0, 1.0, spec)
     assert got == pytest.approx(math.sin(40.0) / 40.0, abs=1e-11)
 
 
@@ -104,8 +102,8 @@ def test_nodes_scale_with_request():
     fine = QuadratureSpec(rule="fixed", nodes=16)
     f = lambda t: math.exp(t)  # noqa: E731
     want = math.e - 1.0
-    err_c = abs(integrate_fixed(f, 0.0, 1.0, coarse) - want)
-    err_f = abs(integrate_fixed(f, 0.0, 1.0, fine) - want)
+    err_c = abs(integrate(f, 0.0, 1.0, coarse) - want)
+    err_f = abs(integrate(f, 0.0, 1.0, fine) - want)
     assert err_f <= err_c
 
 
@@ -113,7 +111,7 @@ def test_depth_exhaustion_reports_residual():
     # no panel holding the jump converges, so bisection reaches its depth limit
     step = lambda t: 1.0 if t > 1 / 3 else 0.0  # noqa: E731
     with pytest.raises(QuadratureError) as err:
-        integrate_adaptive(step, 0.0, 1.0, QuadratureSpec())
+        integrate(step, 0.0, 1.0, QuadratureSpec())
     assert "after 32 subdivisions" in str(err.value) and "residual" in str(err.value)
 
 
