@@ -83,6 +83,26 @@ class QuadratureError(UmbraError):
     """Numerical integration failed to meet its tolerance."""
 
 
+class Record:
+    """A value of the fields ``_fields``, which its ``__init__`` checks
+    and sets once: equal and hashed by class and fields, and copied with
+    some changed by ``_replace``, through ``__init__`` and its refusals."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _replace(self, **changes: Any) -> Any:
+        return type(self)(**{**{k: getattr(self, k) for k in self._fields}, **changes})
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, k) == getattr(other, k) for k in self._fields
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, k) for k in self._fields))
+
+
 def outcome(checks: Iterable[tuple[Any, bool, bool]]) -> tuple[Any, bool]:
     """The verdict rule of every exact check, over (key, holds, marked)
     triples in the order checked: (the key of the first that does not

@@ -53,9 +53,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     CapShortfallError,
@@ -205,8 +204,8 @@ def composition_check_formal(m: UmbralModel, order: int) -> VerificationReport:
     if ff is not None:
         names = dict(x1="x2", y1="y2", x2="x4", y2="y4")
         ff = {"multi_index": {names[k]: n for k, n in ff["multi_index"].items()}}
-    return replace(
-        r, check="twisted-composition", first_failure=ff,
+    return r._replace(
+        check="twisted-composition", first_failure=ff,
         max_residual=r.max_residual * Fraction(2, 15),
     )
 
@@ -418,8 +417,7 @@ def metaplectic_sequences(
     return a, b, c, tainted
 
 
-@dataclass(frozen=True)
-class Sl2LadderResult:
+class Sl2LadderResult(NamedTuple):
     """Outcome of the diagonal closure check for ladder sequences."""
 
     ok: bool

@@ -56,7 +56,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -67,6 +66,7 @@ from .core import (
     ONE,
     ParameterError,
     Poly,
+    Record,
     ZERO,
     as_fraction,
     column_poly,
@@ -89,18 +89,24 @@ class Parity(enum.Enum):
     EVEN = "even"
 
 
-@dataclass(frozen=True)
-class UmbralModel:
-    name: str
-    n_max: int                    # top basis index
-    degree_cap: int               # cap of the ambient polynomial space
-    parity: Parity
-    basis_op: LinearOp            # B: column n is p_n, marked when p_n is flagged
-    lowering: LinearOp
-    raising: LinearOp
-    vacuum: tuple[Column, int]    # l_0: integer row over one positive denominator
-    shift_invariant: bool
-    nu: Fraction | None = None    # Bessel parameter, if any
+class UmbralModel(Record):
+    """A ladder model: ``n_max`` is the top basis index, ``degree_cap``
+    the cap of the ambient polynomial space, ``basis_op`` B (column n is
+    p_n, marked when p_n is flagged), ``vacuum`` l_0 (an integer row over
+    one positive denominator) and ``nu`` the Bessel parameter, if any.
+    What is derived from it is cached in its ``__dict__``."""
+
+    _fields = ("name", "n_max", "degree_cap", "parity", "basis_op", "lowering", "raising",
+               "vacuum", "shift_invariant", "nu")
+
+    def __init__(
+        self, name: str, n_max: int, degree_cap: int, parity: Parity, basis_op: LinearOp,
+        lowering: LinearOp, raising: LinearOp, vacuum: tuple[Column, int],
+        shift_invariant: bool, nu: Fraction | None = None,
+    ) -> None:
+        self.name, self.n_max, self.degree_cap, self.parity = name, n_max, degree_cap, parity
+        self.basis_op, self.lowering, self.raising = basis_op, lowering, raising
+        self.vacuum, self.shift_invariant, self.nu = vacuum, shift_invariant, nu
 
     def label(self) -> str:
         if self.nu is not None:
@@ -461,7 +467,7 @@ def axiom_outcomes(
     n_max, below it the same loops on the model cut to p_0..p_top."""
     for rows, _ in m.basis_op.cols[: top + 1]:
         m.check_degrees_in_space(rows)
-    cut = m if top == m.n_max else replace(m, n_max=top)
+    cut = m if top == m.n_max else m._replace(n_max=top)
     return cut.lowering_outcome, cut.vacuum_outcome
 
 
@@ -492,7 +498,7 @@ def on_fock_twin(
     if not all(r.passed for r in reports):
         return None
     label = " -> ".join(x.label() for x in models)
-    moved = [replace(r, model=label, params={**r.params, **params}) for r in reports]
+    moved = [r._replace(model=label, params={**r.params, **params}) for r in reports]
     return moved if isinstance(got, list) else moved[0]
 
 

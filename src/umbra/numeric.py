@@ -19,7 +19,6 @@ a non-finite input to any transform.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import count
@@ -340,7 +339,7 @@ def poisson_transform(
 
     c = poisson_constant(nu)
     mass = tuple(math.asin(t / x) for t in f.mass if 0 < t < x)  # f's mass, in theta
-    q = replace(q, abs_tol=q.abs_tol / max(math.floor(c), 1), mass=mass)
+    q = q._replace(abs_tol=q.abs_tol / max(math.floor(c), 1), mass=mass)
     return c * integrate(integrand, 0.0, math.pi / 2, q)
 
 
@@ -371,7 +370,7 @@ def singular_second_order(nu: float, f: ScalarFn) -> ScalarFn:
             return (1.0 + nu) * f.d2fn(0.0)
         return f.d2fn(t) + nu * f.dfn(t) / t
 
-    return replace(f, fn=bf, dfn=None, d2fn=None)
+    return f._replace(fn=bf, dfn=None, d2fn=None)
 
 
 def poisson_intertwining_check(
@@ -407,7 +406,7 @@ def poisson_intertwining_check(
                 f"poisson-intertwining needs every grid point x > h = {h:g}, the difference "
                 f"step, got {x:g}")
     bf = singular_second_order(nu, f)
-    f2 = replace(f, fn=f.d2fn, dfn=None, d2fn=None)
+    f2 = f._replace(fn=f.d2fn, dfn=None, d2fn=None)
 
     @cache
     def pf(x: float) -> float:
@@ -588,7 +587,7 @@ def heat_covariant(
     # pi u leaves the double range from u = 5.7e307 on
     root = math.sqrt(math.pi * u) if math.pi * u < math.inf else math.sqrt(math.pi) * math.sqrt(u)
     norm = 1.0 / (2.0 * root)
-    q = replace(q, abs_tol=q.abs_tol / max(math.floor(norm), 1), mass=f.mass)
+    q = q._replace(abs_tol=q.abs_tol / max(math.floor(norm), 1), mass=f.mass)
     if f.decay == "compact":
         lo, hi = f.a, f.b
     else:

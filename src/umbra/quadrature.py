@@ -16,11 +16,10 @@ correctly rounded double of its true value (see ``_gauss_nodes``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .core import ParameterError, QuadratureError
+from .core import ParameterError, QuadratureError, Record
 
 ADAPTIVE = "adaptive"
 FIXED = "fixed"
@@ -31,60 +30,61 @@ _GUARD_RETRIES = 6
 _NEWTON_STEPS = 40     # cap per node; from the starting guess it takes about 5
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Integration policy.  ``nodes`` is the Gauss-Legendre order per
     panel.  Both rules start from the pieces cut by the ends of the
     integrand's ``mass``, if any: the fixed rule takes one panel per
     piece, and the adaptive rule bisects each at most
     ``MAX_SUBDIVISIONS`` deep."""
 
-    rule: str = ADAPTIVE
-    nodes: int = 24
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    mass: tuple[float, ...] = ()
+    __slots__ = _fields = ("rule", "nodes", "rel_tol", "abs_tol", "mass")
 
-    def __post_init__(self) -> None:
-        if self.rule not in (ADAPTIVE, FIXED):
-            raise ParameterError(f"unknown quadrature rule {self.rule!r}")
-        if self.nodes < 2:
+    def __init__(
+        self, rule: str = ADAPTIVE, nodes: int = 24, rel_tol: float = 1e-10,
+        abs_tol: float = 1e-12, mass: tuple[float, ...] = (),
+    ) -> None:
+        if rule not in (ADAPTIVE, FIXED):
+            raise ParameterError(f"unknown quadrature rule {rule!r}")
+        if nodes < 2:
             raise ParameterError("need at least 2 nodes per panel")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if rel_tol <= 0 or abs_tol <= 0:
             raise ParameterError("tolerances must be positive")
+        self.rule, self.nodes, self.rel_tol, self.abs_tol, self.mass = (
+            rule, nodes, rel_tol, abs_tol, mass)
 
 
-@dataclass(frozen=True)
-class ScalarFn:
+class ScalarFn(Record):
     """Real function with a declared decay class, which the transforms
-    use to truncate unbounded integrals.  ``dfn``/``d2fn`` carry
-    analytic derivatives where a check needs them; ``growth_degree``
-    bounds |f| by a constant times (1+|t|)^growth_degree when there is
-    no decay (the heat kernel still wins against any polynomial).
+    use to truncate unbounded integrals: "compact" on its support
+    [a, b], "exponential" (|f| <~ e^{-rate*|t|}) or "none".
+    ``dfn``/``d2fn`` carry analytic derivatives where a check needs
+    them; ``growth_degree`` bounds |f| by a constant times
+    (1+|t|)^growth_degree when there is no decay (the heat kernel still
+    wins against any polynomial).
     The declaration is a caller contract; only ``cosine_transform`` checks it.
     ``heat_covariant`` does not trust |f| <= 1 under exponential decay:
     its cut point grows with |f| there."""
 
-    fn: Callable[[float], float]
-    decay: str = "none"              # "compact" | "exponential" | "none"
-    a: float | None = None           # compact support [a, b]
-    b: float | None = None
-    rate: float | None = None        # exponential: |f| <~ e^{-rate*|t|}
-    dfn: Callable[[float], float] | None = None
-    d2fn: Callable[[float], float] | None = None
-    growth_degree: int = 0
+    __slots__ = _fields = ("fn", "decay", "a", "b", "rate", "dfn", "d2fn", "growth_degree")
 
-    def __post_init__(self) -> None:
-        if self.decay not in ("compact", "exponential", "none"):
-            raise ParameterError(f"unknown decay class {self.decay!r}")
-        if self.decay == "compact":
-            if self.a is None or self.b is None or not self.a < self.b:
+    def __init__(
+        self, fn: Callable[[float], float], decay: str = "none", a: float | None = None,
+        b: float | None = None, rate: float | None = None,
+        dfn: Callable[[float], float] | None = None, d2fn: Callable[[float], float] | None = None,
+        growth_degree: int = 0,
+    ) -> None:
+        if decay not in ("compact", "exponential", "none"):
+            raise ParameterError(f"unknown decay class {decay!r}")
+        if decay == "compact":
+            if a is None or b is None or not a < b:
                 raise ParameterError("compact support needs a < b")
-        if self.decay == "exponential":
-            if self.rate is None or self.rate <= 0:
+        if decay == "exponential":
+            if rate is None or rate <= 0:
                 raise ParameterError("exponential decay needs a positive rate")
-        if self.growth_degree < 0:
+        if growth_degree < 0:
             raise ParameterError("growth_degree must be >= 0")
+        self.fn, self.decay, self.a, self.b, self.rate = fn, decay, a, b, rate
+        self.dfn, self.d2fn, self.growth_degree = dfn, d2fn, growth_degree
 
     def __call__(self, t: float) -> float:
         return self.fn(t)

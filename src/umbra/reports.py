@@ -20,11 +20,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .core import format_rational
+from .core import Record, format_rational
 
 PASS = "pass"
 FAIL = "fail"
@@ -42,14 +41,15 @@ def _plain(value: Any) -> Any:
     return value
 
 
-@dataclass
-class VerificationReport:
-    check: str
-    model: str | None
-    params: dict[str, Any] = field(default_factory=dict)
-    tainted: bool = False
-    max_residual: float | None = None
-    first_failure: Any = None
+class VerificationReport(Record):
+    __slots__ = _fields = ("check", "model", "params", "tainted", "max_residual", "first_failure")
+
+    def __init__(
+        self, check: str, model: str | None, params: dict[str, Any] | None = None,
+        tainted: bool = False, max_residual: float | None = None, first_failure: Any = None,
+    ) -> None:
+        self.check, self.model, self.params = check, model, {} if params is None else params
+        self.tainted, self.max_residual, self.first_failure = tainted, max_residual, first_failure
 
     @property
     def status(self) -> str:
@@ -78,14 +78,18 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-@dataclass
-class ResidualReport:
-    check: str
-    params: dict[str, Any] = field(default_factory=dict)
-    grid: tuple[float, ...] = ()
-    residuals: dict[str, float] = field(default_factory=dict)
-    max_residual: float = 0.0
-    direction_holding: str | None = None
+class ResidualReport(Record):
+    __slots__ = _fields = (
+        "check", "params", "grid", "residuals", "max_residual", "direction_holding")
+
+    def __init__(
+        self, check: str, params: dict[str, Any] | None = None, grid: Sequence[float] = (),
+        residuals: dict[str, float] | None = None, max_residual: float = 0.0,
+        direction_holding: str | None = None,
+    ) -> None:
+        self.check, self.params, self.grid = check, {} if params is None else params, grid
+        self.residuals = {} if residuals is None else residuals
+        self.max_residual, self.direction_holding = max_residual, direction_holding
 
     @property
     def passed(self) -> bool:

@@ -228,7 +228,7 @@ MUTANTS = (
     Mutant(
         "the lowering and vacuum outcomes below n_max read through n_max",
         "src/umbra/models.py",
-        "cut = m if top == m.n_max else replace(m, n_max=top)",
+        "cut = m if top == m.n_max else m._replace(n_max=top)",
         "cut = m",
         ("tests/test_truncation_rule.py::test_genfun_and_delsarte_read_the_marks_of_b_only_up_to_their_order",),
     ),
@@ -760,6 +760,36 @@ MUTANTS = (
         "lambda a, q, _bound=numeric.poisson_transform: partial(_bound, _nu(a), _scalar_fn(a), q=q)",
         ("tests/test_float_commands.py::"
          "test_each_float_command_calls_its_numeric_function_once_per_point[poisson_transform]",),
+    ),
+    Mutant(
+        "a quadrature spec with fewer than 2 nodes per panel let through",
+        "src/umbra/quadrature.py",
+        '        if nodes < 2:\n            raise ParameterError("need at least 2 nodes per panel")\n',
+        "",
+        ("tests/test_value_types.py::"
+         "test_a_quadrature_spec_refuses_a_bad_value_when_built_and_when_replaced",),
+    ),
+    Mutant(
+        "a replaced record copied past its constructor's refusals",
+        "src/umbra/core.py",
+        "        return type(self)(**{**{k: getattr(self, k) for k in self._fields}, **changes})\n",
+        "        new = object.__new__(type(self))\n"
+        "        for k in self._fields:\n"
+        "            object.__setattr__(new, k, changes.get(k, getattr(self, k)))\n"
+        "        return new\n",
+        ("tests/test_value_types.py::"
+         "test_a_quadrature_spec_refuses_a_bad_value_when_built_and_when_replaced",
+         "tests/test_value_types.py::"
+         "test_a_scalar_fn_refuses_a_bad_value_when_built_and_when_replaced",
+         "tests/test_value_types.py::"
+         "test_the_transforms_refuse_a_tolerance_their_scaling_sends_to_zero"),
+    ),
+    Mutant(
+        "reports built without params sharing one dict",
+        "src/umbra/reports.py",
+        "self, check: str, model: str | None, params: dict[str, Any] | None = None,",
+        "self, check: str, model: str | None, params: dict[str, Any] | None = {},",
+        ("tests/test_value_types.py::test_reports_built_without_dicts_each_get_their_own",),
     ),
 )
 

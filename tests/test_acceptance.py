@@ -6,7 +6,6 @@ Exact-arithmetic criteria use zero tolerance; numeric criteria pin the
 tolerances promised in the package documentation.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 

@@ -16,7 +16,6 @@ Regenerate (only for an intended output change, noted in CHANGES.md):
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,7 +61,7 @@ def _perturbed(seed: int):
         op = LinearOp(op.cols, op.den, op.cap, op.trunc_cols | {j})
         what = f"{which} marks column {j}"
     order = rng.randint(1, min(4, m.n_max))
-    return replace(m, **{which: op}), f"{m.label()} n_max={m.n_max}: {what}", order
+    return m._replace(**{which: op}), f"{m.label()} n_max={m.n_max}: {what}", order
 
 
 def _pinned(call) -> list:

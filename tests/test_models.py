@@ -1,7 +1,6 @@
 """Model catalog: ladder axioms, basis identities, parity bookkeeping."""
 
 import contextlib
-import dataclasses
 import io
 from fractions import Fraction
 
@@ -214,7 +213,7 @@ def test_corrupted_basis_detected_at_its_index():
     m = build_model("monomial", 6)
     basis = list(m.basis)
     basis[2] = basis[2].scale(2)
-    bad = dataclasses.replace(m, basis_op=LinearOp.from_columns(
+    bad = m._replace(basis_op=LinearOp.from_columns(
         m.degree_cap, {n: dict(enumerate(p.coeffs)) for n, p in enumerate(basis)}
     ))
     reports = {r.check: r for r in verify_model(bad)}
@@ -249,7 +248,7 @@ def test_eval0_is_read_over_any_denominator():
     vacuum row is compared by value (``kernels.icol_eq``), not by its
     numerators, so binomial still applies and passes."""
     m = build_model("monomial", 6)
-    halves = dataclasses.replace(m, vacuum=(((0,), (2,)), 2))
+    halves = m._replace(vacuum=(((0,), (2,)), 2))
     assert halves.vacuum_is_eval0()
     assert CHECKS["binomial"].applies(halves)
     assert all(r.status == PASS for r in binomial_sweep(halves, 6))

@@ -1,7 +1,5 @@
 """The verdict rule, the status a report derives from it, and report pass/fail."""
 
-import dataclasses
-
 from umbra.core import outcome
 from umbra.reports import FAIL, INCONCLUSIVE, PASS, ResidualReport, VerificationReport
 
@@ -43,7 +41,7 @@ def test_the_report_derives_its_status_from_the_failure_and_the_taint():
 
 
 def test_a_replaced_report_keeps_its_taint():
-    r = dataclasses.replace(VerificationReport("c", "monomial", tainted=True), model="hermite")
+    r = VerificationReport("c", "monomial", tainted=True)._replace(model="hermite")
     assert (r.tainted, r.status, r.to_dict()["status"]) == (True, INCONCLUSIVE, INCONCLUSIVE)
 
 

@@ -1,7 +1,6 @@
 """Dual expansion, covariant transform, model-to-model maps."""
 
 import contextlib
-import dataclasses
 import functools
 import io
 import itertools
@@ -182,7 +181,7 @@ def test_intertwining_monomial_to_heat():
 def test_intertwining_catches_corrupted_raise():
     src = build_model("monomial", 6)
     dst = build_model("lower-factorial", 6)
-    bad = dataclasses.replace(dst, raising=dst.raising.scale(2))
+    bad = dst._replace(raising=dst.raising.scale(2))
     r = check_transmutation_intertwining(src, bad)
     assert r.status != PASS
     kind, idx = r.first_failure
@@ -198,7 +197,7 @@ EXACT_MAPS_MODELS = (
 def _direct(m):
     """A copy of m with no Fock twin, whose checks run on its own
     operators."""
-    direct = dataclasses.replace(m)
+    direct = m._replace()
     direct.__dict__["fock_twin"] = None
     return direct
 

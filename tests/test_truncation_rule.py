@@ -10,7 +10,6 @@ checks that a premise may decide, on the Fock twin or by the expansion
 theorem, report what their direct paths report."""
 
 import contextlib
-import dataclasses
 import functools
 import io
 import math
@@ -84,8 +83,7 @@ def _plain(m) -> dict:
 
 def _rebuilt(m, d: dict):
     cap = m.degree_cap
-    return dataclasses.replace(
-        m,
+    return m._replace(
         lowering=ref.op_from_grid(d["L"], d["l_marks"]),
         raising=ref.op_from_grid(d["R"], d["r_marks"]),
         vacuum=integer_vector(d["vac"]),
@@ -316,9 +314,7 @@ def test_a_marked_raising_never_passes():
     for name in ("monomial", "hermite"):
         m = build_model(name, 8)
         r = m.raising
-        m = dataclasses.replace(
-            m, raising=LinearOp(r.cols, r.den, r.cap, frozenset(range(r.cap + 1)))
-        )
+        m = m._replace(raising=LinearOp(r.cols, r.den, r.cap, frozenset(range(r.cap + 1))))
         reports = (
             [r for r in verify_model(m) if r.check in ("ladder-raising", "commutator")]
             + [group_law_check(m, 2), weyl_relation_check(m, 2), composition_check_formal(m, 2)]
@@ -337,9 +333,7 @@ def test_a_marked_lowering_never_passes():
     inconclusive along with covariant and character."""
     m = build_model("monomial", 8)
     low = m.lowering
-    m = dataclasses.replace(
-        m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset(range(low.cap + 1)))
-    )
+    m = m._replace(lowering=LinearOp(low.cols, low.den, low.cap, frozenset(range(low.cap + 1))))
     reports = [biorthogonality_check(m), covariant_check(m), character_check(m, 4)]
     assert [r.status for r in reports] == ["inconclusive"] * 3
 
@@ -360,7 +354,7 @@ def test_a_flagged_basis_polynomial_never_passes_binomial():
 def _flagged(model, n):
     """The model with p_n carrying the truncated flag: B marks column n."""
     b = model.basis_op
-    return dataclasses.replace(model, basis_op=LinearOp(b.cols, b.den, b.cap, b.trunc_cols | {n}))
+    return model._replace(basis_op=LinearOp(b.cols, b.den, b.cap, b.trunc_cols | {n}))
 
 
 def test_a_flagged_binomial_basis_polynomial_taints_every_later_index():
@@ -482,7 +476,7 @@ def test_a_marked_target_ladder_leaves_the_transmutation_check_inconclusive(ladd
     though nothing on the source side is marked."""
     src, dst = build_model("hermite", 8), build_model("monomial", 8)
     op = getattr(dst, ladder)
-    dst = dataclasses.replace(dst, **{ladder: LinearOp(op.cols, op.den, op.cap, range(op.cap + 1))})
+    dst = dst._replace(**{ladder: LinearOp(op.cols, op.den, op.cap, range(op.cap + 1))})
     report = check_transmutation_intertwining(src, dst)
     assert report.status == "inconclusive"
     assert report == ref.transmutation_by_poly(src, dst)
@@ -546,7 +540,7 @@ def test_w0_flags_an_input_that_reaches_a_marked_lowering_column():
     L^k t^3 never touches column 5, L^k t^6 does."""
     m = build_model("monomial", 8)
     low = m.lowering
-    m = dataclasses.replace(m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset({5})))
+    m = m._replace(lowering=LinearOp(low.cols, low.den, low.cap, frozenset({5})))
     assert not covariant_w0(m, Poly([0, 0, 0, 1], 8)).truncated
     assert covariant_w0(m, Poly([0] * 6 + [1], 8)).truncated
 
@@ -556,7 +550,7 @@ def test_w0_flags_an_input_that_reads_a_marked_lowering_column_with_no_image():
     L 1 = 0 has no nonzero row, yet reading the marked column taints."""
     m = build_model("monomial", 8)
     low = m.lowering
-    m = dataclasses.replace(m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset({0})))
+    m = m._replace(lowering=LinearOp(low.cols, low.den, low.cap, frozenset({0})))
     assert covariant_w0(m, Poly([1], 8)).truncated
     assert not covariant_w0(m, Poly([1], 8).scale(0)).truncated
 
@@ -636,7 +630,7 @@ def _marked_lowering(name, cols):
     """The catalog model at degree 8 with L marking ``cols``."""
     m = build_model(name, 8)
     low = m.lowering
-    return dataclasses.replace(m, lowering=LinearOp(low.cols, low.den, low.cap, frozenset(cols)))
+    return m._replace(lowering=LinearOp(low.cols, low.den, low.cap, frozenset(cols)))
 
 
 def test_a_translation_whose_powers_read_a_marked_lowering_column_is_flagged():
@@ -678,7 +672,7 @@ def test_the_marks_of_d_reach_the_transmutation_and_its_check(name):
 def _without_twin(m):
     """A copy of m whose ``fock_twin`` is None, so that every check on
     it runs on m's own operators: the direct path."""
-    direct = dataclasses.replace(m)
+    direct = m._replace()
     direct.__dict__["fock_twin"] = None
     return direct
 
@@ -806,7 +800,7 @@ def test_the_models_of_one_degree_share_one_fock_pair_and_its_reports(count_call
     assert [r.check for r in second] == [r.check for r in first]
     assert all(r.passed and r.model == "hermite" for r in second)
     kept = m2.fock_twin.transported[biorthogonality_check, ()]
-    assert second[-2] == dataclasses.replace(kept, model="hermite")
+    assert second[-2] == kept._replace(model="hermite")
     assert second[-2].params is not kept.params
     nine = build_model("lower-factorial", 9)
     assert nine.fock_twin is not m1.fock_twin
@@ -994,7 +988,7 @@ def test_a_lowering_that_is_no_delta_operator_is_swept_by_tables():
     m = build_model("heat", 2)
     d = _plain(m)
     d["L"] = _ladder_grid(4, lambda j: (j - 2, j * (j - 1)))
-    m = dataclasses.replace(_rebuilt(m, d), shift_invariant=True)
+    m = _rebuilt(m, d)._replace(shift_invariant=True)
     assert m.premise
     assert not translations._expansion_theorem_applies(m)
     got = binomial_sweep(m, 2)
