@@ -21,11 +21,13 @@ builds the function of one point from the other flags.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
 import re
 import sys
+import types
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple, Sequence
@@ -47,8 +49,24 @@ from .reports import (
     reports_to_json,
     rows_to_csv,
 )
-from . import heisenberg, numeric, transforms, translations
-from .quadrature import QuadratureSpec
+from . import heisenberg, transforms, translations
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """``umbra.<name>`` as imported before, else registered in sys.modules
+    and on the package but run only when one of its attributes is first
+    read (``importlib.util.LazyLoader``): exact commands never compile it."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+numeric, quadrature = _lazy("numeric"), _lazy("quadrature")
 
 _EXIT_OK = 0
 _EXIT_FAIL = 1
@@ -455,9 +473,10 @@ def _scalar_fn(args: argparse.Namespace) -> numeric.ScalarFn:
     return numeric.canned_fn(args.fn or "one")
 
 
-def _quad_spec(args: argparse.Namespace) -> QuadratureSpec:
+def _quad_spec(args: argparse.Namespace) -> quadrature.QuadratureSpec:
     tol = _tol(args, None)
-    return QuadratureSpec() if tol is None else QuadratureSpec(abs_tol=tol, rel_tol=tol)
+    spec = quadrature.QuadratureSpec
+    return spec() if tol is None else spec(abs_tol=tol, rel_tol=tol)
 
 
 class FloatCommand(NamedTuple):
@@ -473,7 +492,7 @@ class FloatCommand(NamedTuple):
     attr: str
     column: str
     missing: str
-    at: Callable[[argparse.Namespace, QuadratureSpec], Callable[[float], float]]
+    at: Callable[[argparse.Namespace, quadrature.QuadratureSpec], Callable[[float], float]]
 
 
 FLOAT_COMMANDS: dict[tuple[str, str | None], FloatCommand] = {

@@ -31,8 +31,7 @@ A model stores its basis once, as the integer basis matrix B
 (``basis_op``): column n is p_n, as integer numerators over one
 denominator, for n <= n_max; the columns above are zero, and B's
 truncation marks are the flagged p_n.  Every builder emits B and the
-factorial and even ladders straight from integer columns;
-``UmbralModel.basis``, the p_n as ``Poly``s, is a view made on demand.
+factorial and even ladders straight from integer columns.
 The factorial raising operators are the closed form R = t f'(D)^{-1}
 of the delta operator L = f(D) (finite operator calculus), also built
 over the integers.  On the capped space the factorial raising loses
@@ -65,11 +64,9 @@ from .core import (
     LinearOp,
     ONE,
     ParameterError,
-    Poly,
     Record,
     ZERO,
     as_fraction,
-    column_poly,
     format_rational,
     outcome,
 )
@@ -130,17 +127,6 @@ class UmbralModel(Record):
 
     def vacuum_is_eval0(self) -> bool:
         return icol_eq(*self.vacuum, *EVAL0)
-
-    @functools.cached_property
-    def basis(self) -> tuple[Poly, ...]:
-        """p_0 .. p_{n_max} as ``Poly``s, each flagged when B marks its
-        column: a view of ``basis_op`` for the callers that work on
-        polynomials."""
-        b = self.basis_op
-        return tuple(
-            column_poly(col, b.den, self.degree_cap, n in b.trunc_cols)
-            for n, col in enumerate(b.cols[: self.n_max + 1])
-        )
 
     @functools.cached_property
     def dual_op(self) -> LinearOp:

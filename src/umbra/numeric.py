@@ -47,6 +47,16 @@ def _require_finite(**values: float) -> None:
             raise ParameterError(f"{name} must be finite, got {v!r}")
 
 
+def _scaled(q: QuadratureSpec, c: float, mass: tuple[float, ...]) -> QuadratureSpec:
+    """``q`` on f's ``mass``, abs_tol divided by the integer part of the
+    transform's constant ``c`` (at least 1), refused where that is 0."""
+    abs_tol = q.abs_tol / max(math.floor(c), 1)
+    if not abs_tol:
+        raise ParameterError(
+            f"tolerance {q.abs_tol!r} divided by the transform's constant {c:g} underflows to 0")
+    return q._replace(abs_tol=abs_tol, mass=mass)
+
+
 def little_bessel_j(nu: float | Fraction, lam: float, t: float) -> float:
     """Normalized Bessel-type oscillation: the entire series
     sum_n (-lam)^n t^(2n) / c_n with c_n = prod_{k<=n} 2k(2k+nu-1),
@@ -339,7 +349,7 @@ def poisson_transform(
 
     c = poisson_constant(nu)
     mass = tuple(math.asin(t / x) for t in f.mass if 0 < t < x)  # f's mass, in theta
-    q = q._replace(abs_tol=q.abs_tol / max(math.floor(c), 1), mass=mass)
+    q = _scaled(q, c, mass)
     return c * integrate(integrand, 0.0, math.pi / 2, q)
 
 
@@ -587,7 +597,7 @@ def heat_covariant(
     # pi u leaves the double range from u = 5.7e307 on
     root = math.sqrt(math.pi * u) if math.pi * u < math.inf else math.sqrt(math.pi) * math.sqrt(u)
     norm = 1.0 / (2.0 * root)
-    q = q._replace(abs_tol=q.abs_tol / max(math.floor(norm), 1), mass=f.mass)
+    q = _scaled(q, norm, f.mass)
     if f.decay == "compact":
         lo, hi = f.a, f.b
     else:

@@ -17,7 +17,6 @@ Rationals are rendered with the "p/q" literal format.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
@@ -116,6 +115,8 @@ def reports_to_json(reports: Sequence[VerificationReport]) -> str:
 
 def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     """RFC-4180 CSV with a header row and CRLF line endings."""
+    import csv  # here, not at the top: only the csv format pays its import
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)

@@ -219,10 +219,10 @@ MUTANTS = (
         ("tests/test_translations.py::test_binomial_check_passes",),
     ),
     Mutant(
-        "the basis view dropping B's marks",
-        "src/umbra/models.py",
-        "column_poly(col, b.den, self.degree_cap, n in b.trunc_cols)",
-        "column_poly(col, b.den, self.degree_cap)",
+        "the transmutation check dropping B's marks on the source p_n",
+        "src/umbra/transforms.py",
+        "            p = col, b_src.den, n in b_src.trunc_cols\n",
+        "            p = col, b_src.den, False\n",
         ("tests/test_truncation_rule.py::test_the_basis_view_carries_the_marks_of_b",),
     ),
     Mutant(
@@ -760,6 +760,27 @@ MUTANTS = (
         "lambda a, q, _bound=numeric.poisson_transform: partial(_bound, _nu(a), _scalar_fn(a), q=q)",
         ("tests/test_float_commands.py::"
          "test_each_float_command_calls_its_numeric_function_once_per_point[poisson_transform]",),
+    ),
+    Mutant(
+        "the float half imported eagerly by the CLI",
+        "src/umbra/cli.py",
+        "from . import heisenberg, transforms, translations\n",
+        "from . import heisenberg, numeric, transforms, translations\n",
+        ("tests/test_cli.py::test_the_import_and_the_exact_commands_leave_the_float_half_unrun",),
+    ),
+    Mutant(
+        "a lazy float module registered over one imported before the CLI",
+        "src/umbra/cli.py",
+        "    if full not in sys.modules:\n",
+        "    if True:\n",
+        ("tests/test_cli.py::test_a_float_half_imported_before_the_cli_is_the_one_it_uses",),
+    ),
+    Mutant(
+        "a lazy float module left off the package",
+        "src/umbra/cli.py",
+        "        setattr(sys.modules[__package__], name, module)\n",
+        "",
+        ("tests/test_cli.py::test_the_import_and_the_exact_commands_leave_the_float_half_unrun",),
     ),
     Mutant(
         "a quadrature spec with fewer than 2 nodes per panel let through",

@@ -9,7 +9,8 @@ oracle of its integer form, and call the package's own types:
 runs the package's ``umbral_map`` and ladder ``apply``, the path the
 ``transmute`` command takes, so that the integer form of the check is
 held to the maps that command prints; and ``translate_by_poly`` is the
-``Poly`` loop of the generalized translation.
+``Poly`` loop of the generalized translation.  ``basis`` reads a
+model's p_n off its basis matrix as the package's ``Poly``s.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from math import factorial, isqrt
 
 import mpmath
 
-from umbra.core import CapMismatchError, LinearOp, Poly
+from umbra.core import CapMismatchError, LinearOp, Poly, column_poly
 from umbra.reports import VerificationReport
 from umbra.transforms import require_model_input, umbral_map
 
@@ -814,6 +815,17 @@ def character_verdict(d, order):
 
 # -- the transmutation check through Poly images -----------------------
 
+def basis(m):
+    """p_0 .. p_{n_max} as ``Poly``s, each flagged when B marks its
+    column: a view of ``m.basis_op`` for the tests that work on
+    polynomials."""
+    b = m.basis_op
+    return tuple(
+        column_poly(col, b.den, m.degree_cap, n in b.trunc_cols)
+        for n, col in enumerate(b.cols[: m.n_max + 1])
+    )
+
+
 def _in_space(m, op, f):
     """op f, refused as the model refuses an input outside its space."""
     require_model_input(m, f)
@@ -826,14 +838,15 @@ def transmutation_by_poly(src, dst):
     R_dst V p_n for n = 0..N-1, with V = ``umbral_map`` and each image's
     flag the taint."""
     params = {"src": src.label(), "dst": dst.label()}
+    ps = basis(src)
     bad, tainted = None, False
     for kind, on_src, on_dst, indices in (
         ("lowering", src.lowering, dst.lowering, range(1, src.n_max + 1)),
         ("raising", src.raising, dst.raising, range(src.n_max)),
     ):
         for n in indices:
-            lhs = umbral_map(src, dst, _in_space(src, on_src, src.basis[n]))
-            rhs = _in_space(dst, on_dst, umbral_map(src, dst, src.basis[n]))
+            lhs = umbral_map(src, dst, _in_space(src, on_src, ps[n]))
+            rhs = _in_space(dst, on_dst, umbral_map(src, dst, ps[n]))
             tainted |= lhs.truncated or rhs.truncated
             if lhs != rhs:
                 bad = (kind, n)
@@ -863,8 +876,9 @@ def translate_by_poly(m, y, f):
     require_model_input(m, f)
     acc = Poly([], m.degree_cap, f.truncated)
     g = f
+    ps = basis(m)
     for k in range(m.n_max + 1):
-        w = m.basis[k].eval(y)
+        w = ps[k].eval(y)
         if w:
             acc = acc + g.scale(w)
         g = m.lowering.apply(g)

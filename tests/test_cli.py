@@ -598,9 +598,83 @@ def test_no_command_loads_numpy():
     codes, exact, after = json.loads(proc.stdout)
     assert codes == [0] * 8
     # the perfbench tracer reads sys.modules["umbra.numeric"], so the CLI
-    # still imports the float modules; a quadrature panel loads nothing more
+    # still registers the float modules; a quadrature panel loads nothing more
     assert exact == [False, True, True]
     assert after is False
+
+
+# A child that imports the CLI, runs each argv given on its command line
+# (a JSON list) through ``main`` and prints, after the import and after
+# each argv, the exit code (None after the import) and which of the float
+# modules have run: a registered module that has not run is still of
+# LazyLoader's module type, not ``types.ModuleType``.  Each time it also
+# asserts that the CLI, sys.modules and the package hold the same module
+# object, and that it is the one imported before the CLI, if one was.
+_FLOAT_HALF = """
+import contextlib, io, json, sys, types
+first = sys.modules.get("umbra.numeric")
+import umbra
+from umbra import cli
+
+FLOAT = ("umbra.numeric", "umbra.quadrature")
+
+def ran(code):
+    assert cli.numeric is sys.modules["umbra.numeric"] is umbra.numeric
+    assert first is None or cli.numeric is first
+    assert cli.quadrature is sys.modules["umbra.quadrature"] is umbra.quadrature
+    return [code, [n for n in FLOAT if type(sys.modules[n]) is types.ModuleType]]
+
+steps = [ran(None)]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        steps.append(ran(cli.main(argv)))
+print(json.dumps(steps))
+"""
+
+_EXACT_COMMANDS = [
+    *(["verify", "--all", "--degree", "8", "--model", model]
+      for model in ("monomial", "lower-factorial", "upper-factorial", "hermite", "heat")),
+    ["verify", "--all", "--degree", "8", "--model", "bessel", "--nu", "5/2"],
+    ["w0", "--model", "hermite", "--degree", "6", "--poly", "1,2/3,0,-1"],
+    ["transmute", "--from", "monomial", "--to", "heat", "--degree", "6", "--poly", "0,1,1/2"],
+    ["translate", "--model", "lower-factorial", "--degree", "5", "--y", "2/3", "--poly", "1,0,1"],
+    ["genfun", "--model", "bessel", "--nu", "5/2", "--degree", "4", "--format", "csv"],
+    ["models", "--format", "json"],
+]
+
+
+def _float_half_steps(argvs, prelude=""):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", prelude + _FLOAT_HALF, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_the_import_and_the_exact_commands_leave_the_float_half_unrun():
+    """``import umbra.cli`` registers umbra.numeric and umbra.quadrature
+    in sys.modules and on the package without running them, and no exact
+    command reads them."""
+    steps = _float_half_steps(_EXACT_COMMANDS)
+    assert steps == [[None, []]] + [[0, []]] * len(_EXACT_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bessel", "j", "--nu", "2", "--x", "1"],
+    ["verify", "--check", "poisson-intertwining"],
+], ids=["bessel-j", "poisson-intertwining"])
+def test_a_float_command_runs_the_float_half(argv):
+    assert _float_half_steps([argv]) == [
+        [None, []], [0, ["umbra.numeric", "umbra.quadrature"]]]
+
+
+def test_a_float_half_imported_before_the_cli_is_the_one_it_uses():
+    """The CLI registers no second umbra.numeric beside one imported
+    before it: a command then calls through the module the importer
+    holds."""
+    argv = ["bessel", "j", "--nu", "2", "--x", "1"]
+    assert _float_half_steps([argv], "import umbra.numeric\n") == [
+        [None, ["umbra.numeric", "umbra.quadrature"]], [0, ["umbra.numeric", "umbra.quadrature"]]]
 
 
 # every subcommand, the refusals of this module (exit 2), an argparse

@@ -286,7 +286,7 @@ def test_metaplectic_bracket_on_vacuum_vector():
     m = build_model("monomial", 8)
     l2, r2, z = metaplectic(m)
     comm = (l2 @ r2) - (r2 @ l2)
-    p0 = m.basis[0]
+    p0 = ref.basis(m)[0]
     assert comm.apply(p0) == p0.scale(2)
     assert (z.apply(p0)) == p0.scale(Fraction(1, 2))
 

@@ -626,7 +626,7 @@ def test_heat_covariant_matches_symbolic_transform():
     # numeric smoothing of t^{2n}/(2n)! against the exact image u^n/n!
     m = build_model("heat", 4)
     for n in range(5):
-        f = m.basis[n]
+        f = ref.basis(m)[n]
         coeffs = [float(c) for c in f.coeffs]
 
         def poly(t, cs=coeffs):
@@ -724,7 +724,7 @@ def test_cosine_consistent_with_heat_generating_rows():
     # rows of the heat model's generating table, its basis p_k, are
     # t^{2k}/(2k)!, the series of cos(sqrt(v) t) at v = -s; check
     # d^2/dt^2 row_k = row_{k-1}
-    rows = [list(p.coeffs) for p in build_model("heat", 5).basis]
+    rows = [list(p.coeffs) for p in ref.basis(build_model("heat", 5))]
     for k in range(1, 6):
         twice = ref.p_deriv(ref.p_deriv([Fraction(c) for c in rows[k]]))
         assert ref.p_trim(twice) == ref.p_trim(

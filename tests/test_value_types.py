@@ -58,19 +58,20 @@ def test_a_replace_keeps_the_other_fields_and_leaves_the_original_alone():
 
 def test_the_transforms_refuse_a_tolerance_their_scaling_sends_to_zero():
     """poisson_transform and heat_covariant divide abs_tol by their
-    constant on a replaced spec; past the double range that is 0, which
-    the replaced spec refuses as its constructor does, and the CLI
-    exits 2."""
+    constant; past the double range that is 0, which each refuses by
+    naming the tolerance and the constant, and the CLI exits 2."""
     tiny = QuadratureSpec(abs_tol=5e-324)
     gauss = ScalarFn(fn=lambda t: math.exp(-t * t), decay="exponential", rate=1.0)
-    with pytest.raises(ParameterError, match="tolerances must be positive"):
+    underflow = r"tolerance 5e-324 divided by the transform's constant \S+ underflows to 0"
+    with pytest.raises(ParameterError, match=underflow):
         poisson_transform(100.0, gauss, 1.0, tiny)
-    with pytest.raises(ParameterError, match="tolerances must be positive"):
+    with pytest.raises(ParameterError, match=underflow):
         heat_covariant(gauss, 1e-6, tiny)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["heat", "covariant", "--fn", "gauss", "--u", "1e-6", "--tol", "5e-324"])
-    assert (code, err.getvalue()) == (2, "umbra: tolerances must be positive\n")
+    assert (code, err.getvalue()) == (
+        2, "umbra: tolerance 5e-324 divided by the transform's constant 282.095 underflows to 0\n")
 
 
 def test_reports_built_without_dicts_each_get_their_own():
