@@ -9,9 +9,11 @@ the evaluation point and cancels in the difference quotients.  An
 adaptive rule there would amplify its panel-boundary noise by 1/h^2.
 
 The kernel j_nu has three evaluation paths, chosen from the argument
-(see little_bessel_j): its power series in floats for small arguments,
-the same series in fixed point with a certified rounding check, and
-Hankel's asymptotic expansion for large arguments.  Every evaluation
+(see little_bessel_j): its power series in floats for small arguments;
+in fixed point, the correctly rounded partial sum of the same series,
+decided by Hankel's expansion in integers where that encloses it
+closely enough and by the series itself elsewhere; and Hankel's
+asymptotic expansion in floats for large arguments.  Every evaluation
 either returns within about a second or raises ParameterError, as does
 a non-finite input to any transform.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import count
 from typing import Callable, Sequence
 
@@ -29,14 +31,19 @@ from .quadrature import FIXED, QuadratureSpec, ScalarFn, integrate
 from .reports import ResidualReport
 
 _EXACT_SERIES_THRESHOLD = 25.0   # on |lam| t^2; see little_bessel_j
-_ASYMPTOTIC_X = 2000.0           # x = sqrt(lam) |t| from which Hankel's expansion may run;
-                                 # the series takes about 6.5 ms a call there, 2.5 ms at
-                                 # x = 1200 (lam = 1, t = x, one 2-vCPU Xeon core)
+_ASYMPTOTIC_X = 2000.0           # x = sqrt(lam) |t| from which Hankel's expansion runs in
+                                 # floats; below it, the fixed-point path returns the series'
+                                 # correctly rounded partial sum, from the expansion in
+                                 # integers where that decides the rounding
 _SERIES_MAX_X = 4000.0           # work budget of the fixed-point series, on x
 _GUARD_BITS = 64                 # first guard beyond 53 bits; doubled on each retry
 _GUARD_RETRIES = 6
 _STOP_INV = 10 ** 25             # the series stops at an n > peak with |term_n| < 1e-25 / 2^k
 _LOG2_E = 1.4426950408889634
+_HANKEL_BITS = 104               # bits of the expansion in integers beyond k: its own error
+                                 # then stays below 2^-9 of the series' tail 2^-(k+86)
+_HANKEL_MAX_DEN = 8              # it serves nu = p/q with q <= 8 (see _hankel_decides)
+_PI_ERR = 2                      # _pi_fixed(prec) is within 2 of pi 2^prec
 _POISSON_MAX_NU = 1e6            # see poisson_transform
 _POISSON_CHECK_MAX_NU = 8000.0   # see poisson_intertwining_check
 
@@ -69,8 +76,10 @@ def little_bessel_j(nu: float | Fraction, lam: float, t: float) -> float:
     - where _hankel_applies: Hankel's expansion (_hankel_expansion),
       within a few hundred ulps of the envelope
       Gamma(a+1) (2/x)^a sqrt(2/(pi x)), a = (nu-1)/2;
-    - otherwise, up to x = 4000: the series in fixed point
-      (_bessel_series_exact), correctly rounded.
+    - otherwise, up to x = 4000: the series' partial sum, correctly
+      rounded (_bessel_series_exact); for lam > 0 Hankel's expansion in
+      integers decides the rounding where it can, else the series in
+      fixed point does.
 
     Each path takes at most about a second; an input beyond all three,
     a non-finite one and a result beyond the double range raise
@@ -127,13 +136,31 @@ def little_bessel_j_with_derivatives(
 
 
 def _hankel_applies(nu: float | Fraction, lam: float, x: float) -> bool:
-    """Whether Hankel's expansion serves j_nu at x = sqrt(lam) |t|: for
-    lam > 0 from x = 2000 on, where it needs 16 (|a| + 1)^2 <= x with
-    a = (nu-1)/2; the + 2 here lets j_{nu+2} (a + 1) use it as well."""
+    """Whether Hankel's expansion in floats serves j_nu at x = sqrt(lam)
+    |t|: for lam > 0 from x = 2000 on, where _hankel_terms_fall."""
+    return lam > 0 and _ASYMPTOTIC_X <= x < math.inf and _hankel_terms_fall(nu, x)
+
+
+def _hankel_terms_fall(nu: float | Fraction, x: float) -> bool:
+    """16 (|a| + 2)^2 <= x, a = (nu-1)/2: Hankel's expansion needs
+    16 (|a| + 1)^2 <= x, and the + 2 lets j_{nu+2} (a + 1) use it too."""
     try:
-        return lam > 0 and _ASYMPTOTIC_X <= x < math.inf and 16 * (abs(nu - 1) / 2 + 2) ** 2 <= x
+        return 16 * (abs(nu - 1) / 2 + 2) ** 2 <= x
     except OverflowError:   # a bound past the double range (nu > 2.7e154) is past every x
         return False
+
+
+def _hankel_decides(nu: Fraction, x: float) -> bool:
+    """Whether _bessel_series_exact tries Hankel's expansion in integers
+    at z = x^2 > 0 before the series: for nu = p/q with q <= 8, which
+    keeps the envelope's integer 4q-th root small, where either nu is
+    even and nu (nu - 2) <= 8 x, so that the terms of P and Q do not
+    grow and end at k = nu/2 - 1, or _hankel_terms_fall."""
+    p, q = nu.as_integer_ratio()
+    if q > _HANKEL_MAX_DEN:
+        return False
+    even = q == 1 and p % 2 == 0
+    return p * (p - 2) <= 8 * x if even else _hankel_terms_fall(p / q, x)
 
 
 def _bessel_series_float(nu: float, lam: float, t: float) -> float:
@@ -154,43 +181,71 @@ def _bessel_series_exact(nu: Fraction, lam: float, t: float) -> float:
     their digits to cancellation: the terms peak near e^x, x =
     sqrt(|lam|) |t|, while the sum is O(x^(-nu/2)) for lam > 0.
 
-    The value is the correctly rounded double of the partial sum through
-    the first n > isqrt(|lam t^2|) + 2 with |term_n| < 1e-25 / 2^k,
-    which is what summing the same terms in Fractions and rounding once
-    gives.  k = _stop_halvings(z, nu) is 0 unless lam > 0 and j_nu's
-    envelope is below about 1.15e-7; then the stop follows the envelope
-    down, so that a small j_nu keeps its own digits.  The terms are
-    summed in fixed point over integers scaled by 2^P,
-    P = bits(e^x) + k + 53 + guard bits, with the rounding-error bound
-    of _fixed_point_series.  Where the stop test is in doubt, the terms
-    after the first doubtful n widen the bound.
-    A value returns only when both ends of the enclosure round to the
-    same double; otherwise the guard bits double, at most
-    _GUARD_RETRIES times (Ziv, ACM TOMS 17(3), 1991).  The cost is
-    O(x^2) bit operations per try."""
+    The value is the correctly rounded double of the partial sum S_N
+    through the first n > isqrt(|lam t^2|) + 2 with |term_n| < 1e-25 /
+    2^k, which is what summing the same terms in Fractions and rounding
+    once gives.  k = _stop_halvings(z, nu) is 0 unless lam > 0 and
+    j_nu's envelope is below about 1.15e-7; then the stop follows the
+    envelope down, so that a small j_nu keeps its own digits.
+
+    For lam > 0, where _hankel_decides, Hankel's expansion in integers
+    (_hankel_fixed_point) encloses j_nu first.  Past the stop every term
+    is below a quarter of the one before, so |S_N - j_nu| < 1e-25 /
+    (3 2^k), and the enclosure widened by that holds S_N too.  When both
+    of its ends round to one double, that is S_N's, at a cost that does
+    not grow with x.  Otherwise, as for lam < 0, the series itself
+    decides (_series_rounded), at O(x^2) bit operations per try."""
     (ln, ld), (tn, td) = lam.as_integer_ratio(), t.as_integer_ratio()
     z = Fraction(ln * tn * tn, ld * td * td)
     k = _stop_halvings(z, nu)
+    value = None
+    if z.numerator > 0 and _hankel_decides(nu, math.sqrt(z.numerator / z.denominator)):
+        prec = -(-(k + _HANKEL_BITS) // 8) * 8   # a multiple of 8, so the caches serve it again
+        s, err = _hankel_fixed_point(z, nu, prec)
+        err += -(-(1 << prec) // (3 * _STOP_INV << k))   # the series' tail past its stop
+        value = _rounded(s, err, prec)
+    if value is None:
+        value = _series_rounded(z, nu, k)
+    if value is None:
+        raise ParameterError(
+            f"j_nu(nu={nu}, lambda={lam!r}, t={t!r}) could not be rounded in "
+            f"{_GUARD_RETRIES} tries"
+        )
+    if math.isinf(value):
+        raise ParameterError(
+            f"j_nu(nu={nu}, lambda={lam!r}, t={t!r}) exceeds the double "
+            "range (|value| > 1.8e308)"
+        )
+    return value
+
+
+def _series_rounded(z: Fraction, nu: Fraction, k: int) -> float | None:
+    """The correctly rounded partial sum S_N of _bessel_series_exact,
+    z = lam t^2 != 0, or None.  The terms are summed in fixed point over
+    integers scaled by 2^P, P = bits(e^x) + k + 53 + guard bits, with the
+    rounding-error bound of _fixed_point_series.  A value returns only
+    when both ends of the enclosure round to the same double; otherwise
+    the guard bits double, at most _GUARD_RETRIES times (Ziv, ACM TOMS
+    17(3), 1991)."""
     top = int(math.sqrt(abs(z.numerator) / z.denominator) * _LOG2_E) + 2   # terms < e^x
     guard = _GUARD_BITS
     for _ in range(_GUARD_RETRIES):
         prec = top + k + 53 + guard
-        s, err = _fixed_point_series(z, nu, k, prec)
-        # the value is s / 2^prec to within err / 2^prec
-        lo = _ratio_to_float(s - err, 1 << prec)
-        hi = _ratio_to_float(s + err, 1 << prec)
-        if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
-            if math.isinf(lo):
-                raise ParameterError(
-                    f"j_nu(nu={nu}, lambda={lam!r}, t={t!r}) exceeds the double "
-                    "range (|value| > 1.8e308)"
-                )
-            return lo
+        value = _rounded(*_fixed_point_series(z, nu, k, prec), prec)
+        if value is not None:
+            return value
         guard *= 2
-    raise ParameterError(
-        f"j_nu(nu={nu}, lambda={lam!r}, t={t!r}) could not be rounded in "
-        f"{_GUARD_RETRIES} tries"
-    )
+    return None
+
+
+def _rounded(s: int, err: int, prec: int) -> float | None:
+    """The double to which every value within err / 2^prec of s / 2^prec
+    rounds, a signed infinity past the double range, or None."""
+    lo = _ratio_to_float(s - err, 1 << prec)
+    hi = _ratio_to_float(s + err, 1 << prec)
+    if lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi):
+        return lo
+    return None
 
 
 def _stop_halvings(z: Fraction, nu: Fraction) -> int:
@@ -264,6 +319,156 @@ def _ratio_to_float(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
+
+
+def _hankel_fixed_point(z: Fraction, nu: Fraction, prec: int) -> tuple[int, int]:
+    """(s, err): 2^prec j_nu at z = lam t^2 > 0 is within err of s, from
+    Hankel's expansion (DLMF 10.17.3) in integers:
+
+        j_nu = Gamma(a+1)/sqrt(pi) (4/z)^(nu/4) (P cos w - Q sin w),
+
+    a = (nu-1)/2, x = sqrt(z), w = x - nu pi/4.  P sums (-1)^l u_2l and
+    Q sums (-1)^l u_(2l+1), u_k = a_k(a) / x^k, mu = 4 a^2 = (nu-1)^2,
+    u_(k+1) = u_k (mu - (2k+1)^2) / (8 (k+1) x).  u_0 is exact and u_1
+    within 1; each later term is one floor of the one two before times
+    an exact rational in z, and its error bound follows.  For real a
+    and x > 0, the first neglected term bounds the remainder of P after
+    l >= max(|a|/2 - 1/4, 1) terms, and of Q after l >= max(|a|/2 -
+    3/4, 1) (DLMF 10.17(iii), in |a|, as mu is).  Each sum stops at the
+    first such l with its next term within 1 of 0, or at 2l >= x, before
+    the terms can grow.  For even nu the terms from k = nu/2 on are 0,
+    and so are the remainders.  w is reduced by a multiple of pi/2, with
+    pi from _pi_fixed, whose error counts once per pi taken away.  Sound
+    for every z > 0 and prec; well below x = 16 (|a| + 1)^2 the
+    remainders make the enclosure wide."""
+    (zn, zd), (p, q) = z.as_integer_ratio(), nu.as_integer_ratio()
+    one, m, d = 1 << prec, (p - q) ** 2, q * q   # mu = m / d
+    x = math.isqrt((zn << 2 * prec) // zd)   # within 1 of 2^prec x
+    u1 = math.isqrt(((m - d) ** 2 * zd << 2 * prec) // (64 * d * d * zn))
+    pq = []
+    for i, t, e in ((0, one, 0), (1, u1 if m >= d else -u1, 1)):
+        # the terms (-1)^l u_(2l+i), l = 0, 1, ...: P's for i = 0, Q's for i = 1
+        total = err = l = 0
+        l_min = max(1, abs(p - q) / (4 * q) - (1 + 2 * i) / 4)   # l >= max(|a|/2 - 1/4 - i/2, 1)
+        while l < l_min or abs(t) > 1 and 2 * l * one < x:
+            total, err = total + t, err + e
+            j = 2 * l + i   # u_(j+2) / u_j, and the sign that alternates the terms
+            num = -(m - (2 * j + 1) ** 2 * d) * (m - (2 * j + 3) ** 2 * d) * zd
+            den = 64 * (j + 1) * (j + 2) * d * d * zn
+            t, e = t * num // den, -(-e * abs(num) // den) + (num != 0)
+            l += 1
+        pq.append((total, err + abs(t) + e))   # the remainder (DLMF 10.17(iii))
+
+    pi = _pi_fixed(prec)
+    turns = round((x / one - p / q * math.pi / 4) / (math.pi / 2))
+    cn = p + 2 * q * turns   # r = x - cn pi / (4q) = w - turns pi/2, |r| < 1
+    c, s, ecs = _cos_sin_fixed(x - pi * cn // (4 * q), prec)
+    ecs += 2 + -(-_PI_ERR * abs(cn) // (4 * q))   # x's floor, this one, and pi's error
+    for _ in range(turns % 4):
+        c, s = -s, c
+    pc, epc = _fx_mul(*pq[0], c, ecs, prec)
+    qs, eqs = _fx_mul(*pq[1], s, ecs, prec)
+    g, eg = _gamma_over_root_pi(p, q, prec)
+    # 2^(prec+b) (4/z)^(nu/4) within 1, the floor of a floor's root of
+    # index en = 4q / gcd(p, 4q); b more bits than prec where g needs
+    # them, so that g times the root's error stays within 1 of 2^prec
+    b = max(0, g.bit_length() - prec)
+    h = math.gcd(p, 4 * q)
+    pn, en = p // h, 4 * q // h
+    root = _iroot(((4 * zd) ** pn << en * (prec + b)) // zn ** pn, en)
+    env, eenv = _fx_mul(g, eg, root, 1, prec + b)
+    return _fx_mul(env, eenv, pc - qs, epc + eqs, prec)
+
+
+def _fx_mul(a: int, ea: int, b: int, eb: int, prec: int) -> tuple[int, int]:
+    """(floor(a b / 2^prec), err): the product of values within ea of a
+    and eb of b, all scaled by 2^prec, is within err of it."""
+    return a * b >> prec, ((abs(a) + ea) * eb + abs(b) * ea >> prec) + 2
+
+
+def _cos_sin_fixed(r: int, prec: int) -> tuple[int, int, int]:
+    """(c, s, err): 2^prec cos rho and 2^prec sin rho, rho = r / 2^prec,
+    |r| <= 2^prec, each within err.  Each Taylor term of sin is one
+    floor of the one before times rho^2 / (2m (2m+1)) <= 1/6, so it is
+    within 2 of exact; the series alternates with falling terms, so the
+    first neglected one bounds the remainder.  cos rho =
+    sqrt(1 - sin^2 rho) >= 0 moves by at most tan 1 < 2 times sin's
+    error, and its square root's floor by less than 1 more."""
+    s, t, r2, p2, n = 0, r, r * r, 2 * prec, 1   # t: the term rho^n / n!
+    while abs(t) > 1:
+        s += t if n % 4 == 1 else -t
+        n += 2
+        t = (t * r2 >> p2) // (n * (n - 1))
+    err = n - 1 + abs(t) + 2   # 2 for each of the (n-1)/2 terms, then the remainder
+    return math.isqrt((1 << p2) - s * s), s, 2 * err + 1
+
+
+@cache
+def _pi_fixed(prec: int) -> int:
+    """pi 2^prec within _PI_ERR = 2, from Machin's pi = 16 arctan(1/5) -
+    4 arctan(1/239) at 20 guard bits: each term is one floor of 2^w /
+    (n m^n), and the alternating tail is below 1."""
+    w = prec + 20
+
+    def arctan_inv(m: int) -> int:
+        total, power, n = 0, (1 << w) // m, 1
+        while power:
+            total += power // n if n % 4 == 1 else -(power // n)
+            power //= m * m
+            n += 2
+        return total
+
+    return 16 * arctan_inv(5) - 4 * arctan_inv(239) >> 20
+
+
+@lru_cache(maxsize=64)
+def _gamma_over_root_pi(p: int, q: int, prec: int) -> tuple[int, int]:
+    """(g, err): 2^prec Gamma(a+1) / sqrt(pi), a = (nu-1)/2, nu = p/q,
+    within err of g.  2^prec / sqrt(pi) is the floor of a floor's
+    square root, and pi's error of 2 moves it by less than 1, so it is
+    within 2."""
+    inv_root_pi = math.isqrt((1 << 3 * prec) // _pi_fixed(prec))
+    return _fx_mul(*_gamma_fixed(Fraction(p + q, 2 * q), prec), inv_root_pi, 2, prec)
+
+
+def _gamma_fixed(s: Fraction, prec: int) -> tuple[int, int]:
+    """(g, err): 2^prec Gamma(s), s > 0, within err of g.  Gamma(s) =
+    Gamma(f) f (f+1) ... (s-1) with f in (0, 1], and Gamma(f) =
+    gamma(f, n) + Gamma(f, n): gamma(f, n) = n^f sum_k (-n)^k /
+    (k! (f+k)) (DLMF 8.7.1), and 0 < Gamma(f, n) <= n^(f-1) e^-n
+    (DLMF 8.10.1) < 2^-prec for n > prec ln 2.  The sum runs at
+    2^w, w = prec + bits(e^n) + 32, since its terms reach e^n; past
+    k = n they fall, so the first neglected one bounds its tail."""
+    m = math.ceil(s) - 1
+    pf, qf = (s - m).as_integer_ratio()
+    n = int(prec * 0.6931471805599453) + 2
+    w = prec + int(n * _LOG2_E) + 32
+    t, et, total, err, k = 1 << w, 0, 0, 0, 0   # t = 2^w n^k / k!, within et
+    while k <= n or t > 1:
+        d = pf + k * qf
+        total += t * qf // d if k % 2 == 0 else -(t * qf // d)
+        err += -(-et * qf // d) + 1
+        k += 1
+        t, et = t * n // k, -(-et * n // k) + 1
+    root = _iroot(n ** pf << qf * w, qf)   # 2^w n^f, within 1
+    g, e = _fx_mul(root, 1, total, err + t + et, w)
+    g, e = g >> w - prec, (e >> w - prec) + 3   # + 1 for Gamma(f, n)
+    rise = math.prod(pf + i * qf for i in range(m))
+    return g * rise // qf ** m, -(-e * rise // qf ** m) + 1
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, k >= 1."""
+    while k % 2 == 0:   # the floor of a floor's root is the floor of the root
+        n, k = math.isqrt(n), k // 2
+    if k == 1 or n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)   # above the root
+    while True:   # Newton's step from above ends at the floor
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _hankel_expansion(nu: float | Fraction, lam: float, t: float) -> float:
@@ -402,7 +607,9 @@ def poisson_intertwining_check(
     resolves the nu^(-1/2)-wide peak of (cos theta)^(nu-1) up to
     nu = 8000: past it, r2 on the cos grid reaches 1e-6 at nu = 8250
     and 1.7e-3 at nu = 1e5, so larger nu is refused rather than
-    reported as failing."""
+    reported as failing.  So is an f with f'(0) != 0 (``exp``): there
+    B f has a pole (nu/t) f'(0) at 0, P(B f) diverges, and r1 would be
+    a finite number for it."""
     q, h = QuadratureSpec(rule=FIXED, nodes=64), 1e-3
     if f.dfn is None or f.d2fn is None:
         raise ParameterError("intertwining check needs analytic dfn and d2fn")
@@ -415,6 +622,10 @@ def poisson_intertwining_check(
             raise ParameterError(
                 f"poisson-intertwining needs every grid point x > h = {h:g}, the difference "
                 f"step, got {x:g}")
+    if f.dfn(0.0) != 0.0:
+        raise ParameterError(
+            f"poisson-intertwining needs f'(0) = 0, where B f = f'' + (nu/t) f' stays "
+            f"bounded, got f'(0) = {f.dfn(0.0):g}")
     bf = singular_second_order(nu, f)
     f2 = f._replace(fn=f.d2fn, dfn=None, d2fn=None)
 

@@ -383,6 +383,34 @@ MUTANTS = (
         ("tests/test_numeric.py::test_fixed_point_error_bound_does_not_grow_with_x",),
     ),
     Mutant(
+        "the expansion's enclosure not widened by the series' tail past its stop",
+        "src/umbra/numeric.py",
+        "        err += -(-(1 << prec) // (3 * _STOP_INV << k))   # the series' tail past its stop\n",
+        "",
+        ("tests/test_numeric.py::test_near_a_zero_of_j_nu_the_partial_sum_is_returned",),
+    ),
+    Mutant(
+        "the expansion's phase reduced without pi's error",
+        "src/umbra/numeric.py",
+        "ecs += 2 + -(-_PI_ERR * abs(cn) // (4 * q))",
+        "ecs += 2",
+        ("tests/test_numeric.py::test_the_expansion_in_integers_encloses_j_nu_at_low_precision",),
+    ),
+    Mutant(
+        "P and Q without the remainder of DLMF 10.17(iii)",
+        "src/umbra/numeric.py",
+        "pq.append((total, err + abs(t) + e))",
+        "pq.append((total, err))",
+        ("tests/test_numeric.py::test_the_expansion_in_integers_encloses_j_nu_at_low_precision",),
+    ),
+    Mutant(
+        "nu counted as even from its numerator alone",
+        "src/umbra/numeric.py",
+        "even = q == 1 and p % 2 == 0",
+        "even = p % 2 == 0",
+        ("tests/test_numeric.py::test_the_path_rule_picks_the_expansion_or_the_series",),
+    ),
+    Mutant(
         "j_{nu+2} for the derivatives always read through little_bessel_j",
         "src/umbra/numeric.py",
         "up = _hankel_expansion if _hankel_applies(nu, lam, x) else little_bessel_j",

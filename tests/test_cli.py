@@ -324,6 +324,16 @@ def test_poisson_intertwining_past_its_rule_is_a_usage_error(capsys):
     assert "64-node fixed rule" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("nu", ["2", "5/2"])
+def test_poisson_intertwining_refuses_an_f_whose_slope_at_0_is_not_0(capsys, nu):
+    # exp has f'(0) = -1: B f has the pole (nu/t) f'(0) at 0, so P(B f)
+    # diverges, and r1 would be a finite number for it
+    rc, out, err = run(capsys, "verify", "--check", "poisson-intertwining", "--fn", "exp", "--nu", nu)
+    assert (rc, out) == (2, "")
+    assert err == ("umbra: poisson-intertwining needs f'(0) = 0, where B f = f'' + (nu/t) f' "
+                   "stays bounded, got f'(0) = -1\n")
+
+
 @pytest.mark.parametrize("nu", ["1", "2", "5/2", "3"])
 def test_poisson_intertwining_of_the_bump_holds_as_r2(capsys, nu):
     rc, out, _ = run(capsys, "verify", "--check", "poisson-intertwining", "--fn", "bump", "--nu", nu)

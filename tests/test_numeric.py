@@ -375,6 +375,120 @@ def test_beyond_both_paths_raises_quickly(nu, lam, t):
     assert time.perf_counter() - start < 0.5
 
 
+# -- Hankel's expansion in integers on the fixed-point path --------------
+
+def series_alone(nu, lam, t):
+    """_bessel_series_exact's value from _fixed_point_series and its Ziv
+    loop alone, without trying Hankel's expansion first."""
+    z = Fraction(lam) * Fraction(t) ** 2
+    return numeric._series_rounded(z, nu, numeric._stop_halvings(z, nu))
+
+
+def mp_j_at(nu, z):
+    """j_nu at the exact z = lam t^2 > 0: Gamma(a+1) (2/x)^a J_a(x),
+    a = (nu-1)/2, x = sqrt(z), in mpmath at 60 digits."""
+    with mpmath.workdps(60):
+        a = (mpmath.mpf(nu.numerator) / nu.denominator - 1) / 2
+        x = mpmath.sqrt(mpmath.mpf(z.numerator) / z.denominator)
+        return mpmath.gamma(a + 1) * (2 / x) ** a * mpmath.besselj(a, x)
+
+
+EXPANSION_NUS = [Fraction(1, 2), Fraction(2), Fraction(5, 2), Fraction(4), Fraction(7), Fraction(31, 2)]
+
+
+def expansion_cases():
+    """(nu, lam, t) at five x from where _hankel_decides for nu (x > 5
+    for even nu, else 16 (|a| + 2)^2) up to 2000: lam and t doubles,
+    then lam = 7/3 and t a multiple of 1/64."""
+    cases = []
+    for nu in EXPANSION_NUS:
+        lo = 5.5 if nu in (2, 4) else 16 * (abs(float(nu) - 1) / 2 + 2) ** 2 + 0.5
+        for i in range(5):
+            x = lo * (1999.9 / lo) ** (i / 4)
+            assert numeric._hankel_decides(nu, x)
+            cases.append((nu, 0.7312345, x / math.sqrt(0.7312345)))
+            cases.append((nu, Fraction(7, 3), Fraction(round(x * math.sqrt(3 / 7) * 64), 64)))
+    return cases
+
+
+@pytest.mark.parametrize("nu, lam, t", expansion_cases())
+def test_the_expansion_in_integers_returns_what_the_series_alone_returns(nu, lam, t):
+    got = numeric._bessel_series_exact(nu, lam, t)
+    assert got.hex() == series_alone(nu, lam, t).hex()
+    env = envelope(nu, float(lam), float(t))
+    assert abs(got - ref.normalized_bessel(float(nu), float(lam), float(t))) <= 1e-12 * env
+    if math.sqrt(lam) * t <= 130:   # where the Fraction loop is fast enough
+        assert got.hex() == float(ref.bessel_series_fraction(nu, lam, t)).hex()
+
+
+@pytest.mark.parametrize("nu", EXPANSION_NUS)
+def test_near_a_zero_of_j_nu_the_partial_sum_is_returned(nu):
+    # where |j_nu| is 2^-30 to 2^-36 of its envelope, its ulp lies far
+    # below the series' tail past its stop, 1e-25 / (3 2^k), yet above
+    # the expansion's own error: S_N and j_nu round to different doubles,
+    # and only the enclosure widened by that tail holds S_N
+    a = (mpmath.mpf(nu.numerator) / nu.denominator - 1) / 2
+    # the 500th zero, from McMahon's estimate (m + a/2 - 1/4) pi
+    zero = float(mpmath.findroot(lambda y: mpmath.besselj(a, y), (500 + a / 2 - 0.25) * mpmath.pi))
+    moved = 0
+    for bits in range(30, 37):
+        x = zero + 2.0**-bits
+        assert numeric._hankel_decides(nu, x)
+        got = numeric._bessel_series_exact(nu, 1.0, x)
+        assert got.hex() == series_alone(nu, 1.0, x).hex()
+        moved += got != float(mp_j_at(nu, Fraction(x) ** 2))
+    assert moved
+
+
+@pytest.mark.parametrize("nu, lam, t, expansion, series", [
+    (Fraction(2), 1.0, 20.0, True, False),
+    (Fraction(5, 2), 1.0, 316.0, True, False),
+    (Fraction(2), -1.0, 20.0, False, True),       # lam < 0
+    (Fraction(5, 2), -1.0, 316.0, False, True),
+    (Fraction(4, 3), 1.0, 20.0, False, True),     # nu = 4/3 is not even: its sums do not end
+    (Fraction(3), 1.0, 20.0, False, True),        # x < 16 (|a| + 2)^2 = 144
+])
+def test_the_path_rule_picks_the_expansion_or_the_series(monkeypatch, nu, lam, t, expansion, series):
+    ran = []
+    for name in ("_hankel_fixed_point", "_fixed_point_series"):
+        monkeypatch.setattr(numeric, name,
+                            lambda *args, name=name, real=getattr(numeric, name): ran.append(name) or real(*args))
+    little_bessel_j(nu, lam, t)
+    assert ("_hankel_fixed_point" in ran, "_fixed_point_series" in ran) == (expansion, series)
+
+
+@pytest.mark.parametrize("prec", [40, 64, 90])
+@pytest.mark.parametrize("nu, x", [
+    # far below 16 (|a| + 1)^2 the remainders of P and Q dominate
+    (Fraction(5, 2), 3.5), (Fraction(7), 9.0), (Fraction(1, 2), 12.0), (Fraction(4, 3), 20.0),
+    # near x = 2000, pi's error times x / pi does
+    (Fraction(1, 2), 1999.5), (Fraction(2), 1500.25), (Fraction(5, 2), 1000.125),
+    (Fraction(31, 2), 1900.0), (Fraction(40), 1900.0), (Fraction(4), 6.0),
+])
+def test_the_expansion_in_integers_encloses_j_nu_at_low_precision(nu, x, prec):
+    z = Fraction(x) ** 2
+    s, err = numeric._hankel_fixed_point(z, nu, prec)
+    assert s - err <= mp_j_at(nu, z) * 2**prec <= s + err
+
+
+@pytest.mark.parametrize("prec", [10, 64, 104, 333])
+def test_pi_and_gamma_in_integers_lie_within_their_bounds(prec):
+    with mpmath.workdps(prec // 3 + 30):
+        assert abs(numeric._pi_fixed(prec) - mpmath.pi * 2**prec) <= numeric._PI_ERR
+        for s in (Fraction(1, 8), Fraction(1, 2), Fraction(3, 4), 1, Fraction(7, 4), Fraction(33, 4), Fraction(127, 2)):
+            s = Fraction(s)
+            g, err = numeric._gamma_fixed(s, prec)
+            want = mpmath.gamma(mpmath.mpf(s.numerator) / s.denominator) * 2**prec
+            assert abs(g - want) <= err <= 16 + want / 2**(prec - 8), s
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 12])
+def test_the_integer_root_is_the_floor(k):
+    for n in (0, 1, 2, 3**k - 1, 3**k, 10**40, 10**40 + 1, 7**(5 * k) - 1):
+        r = numeric._iroot(n, k)
+        assert r**k <= n < (r + 1) ** k, (n, k)
+
+
 # -- non-finite inputs to the transforms ----------------------------------
 
 @pytest.mark.parametrize("bad", NON_FINITE)
