@@ -21,8 +21,7 @@ monomial basis t^k.  Three data types live here:
   so operator products and the products of an operator with a vector
   all run in the kernels' one loop.  Its one
   constructor, ``LinearOp(cols, den, cap, trunc_cols)``, takes integer
-  columns over any nonzero denominator and canonicalizes them;
-  ``from_columns`` builds it from rationals.
+  columns over any nonzero denominator and canonicalizes them.
   Operators remember which input columns are unreliable because the
   construction already truncated them (``trunc_cols``).  ``step``, the
   one product of an operator with an exact vector, holds the one rule
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import kernels
 
@@ -341,30 +340,6 @@ class LinearOp:
         self.trunc_cols = frozenset(trunc_cols)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_columns(
-        cls,
-        cap: int,
-        columns: Mapping[int, Mapping[int, Fraction]] | Callable[[int], Mapping[int, Fraction]],
-        trunc_cols: frozenset[int] = frozenset(),
-    ) -> "LinearOp":
-        """Build from the action on monomials: columns[j] maps output
-        degree -> rational coefficient of the image of t^j."""
-        out = []
-        for j in range(cap + 1):
-            col = columns(j) if callable(columns) else columns.get(j, {})
-            for i in col:
-                if not 0 <= i <= cap:
-                    raise CapMismatchError(f"output degree {i} outside cap {cap}")
-            fracs = sorted((i, as_fraction(v)) for i, v in col.items())
-            out.append([(i, q) for i, q in fracs if q])
-        nums, den = _common_denominator([q for col in out for _, q in col])
-        nums = iter(nums)
-        return cls(
-            [(tuple(i for i, _ in col), tuple(next(nums) for _ in col)) for col in out],
-            den, cap, trunc_cols,
-        )
 
     @classmethod
     def identity(cls, cap: int) -> "LinearOp":

@@ -68,7 +68,7 @@ from .core import (
 from .formal import FormalOpSeries, Index, max_abs_entry, series_first_difference
 from .models import UmbralModel, on_fock_twin
 from .reports import VerificationReport
-from .kernels import EMPTY
+from .kernels import Column
 from .transforms import require_column_input
 
 
@@ -370,50 +370,51 @@ def metaplectic_sequences(
 ) -> tuple[list[Fraction], list[Fraction], list[Fraction], bool]:
     """Diagonal data (a, b, c) of the squared-ladder triple on the
     even-index sub-ladder q_k = p_{2k}: lower2 q_k = a_k q_{k-1},
-    raise2 q_k = b_k q_{k+1}, z q_k = c_k q_k, extracted honestly as
-    entries of the product D S B of the dual matrix, each squared
-    ladder S and the even basis columns, and the truncation flag of
-    the images S p_2k it reads: the marks of S B on those columns.
-    The top raising entry cannot be read off a capped space and is
-    stored as 0; the closure solver never consults it.  Each image
-    must lie in the model's space, at or below the top basis degree,
-    and its expansion D S p_2k must have one nonzero, on the expected
-    index; anything else there leaks."""
+    raise2 q_k = b_k q_{k+1}, z q_k = c_k q_k, and the truncation flag
+    of the images it reads.  Each basis column p_2k, tainted where B
+    marks it, is stepped through each squared ladder S
+    (``LinearOp.step``, whose taint is the image's), and the image
+    S p_2k through the dual matrix D, into its expansion.  The top
+    raising entry cannot be read off a capped space and is stored as 0;
+    the closure solver never consults it.  Each image must lie in the
+    model's space, at or below the top basis degree, and its expansion
+    D S p_2k must have one nonzero, on the expected index; anything
+    else there leaks.  At each k the lower2 and z images are refused
+    outside the space before either expansion is read, and the raise2
+    image after both."""
     top = m.n_max // 2
     basis, d = m.basis_op, m.dual_op
-    b_even = LinearOp(
-        [col if n % 2 == 0 else EMPTY for n, col in enumerate(basis.cols)],
-        basis.den, basis.cap, basis.trunc_cols,
-    )
     l2, r2, z = metaplectic(m)
-    low, diag, high = (op @ b_even for op in (l2, z, r2))
-    d_low, d_diag, d_high = d @ low, d @ diag, d @ high
+    tainted = False
 
-    def entry(expanded: LinearOp, k: int, want: int, what: str) -> Fraction:
-        rows, vals = expanded.cols[2 * k]
+    def entry(image: tuple[Column, int, bool], k: int, want: int, what: str) -> Fraction:
+        nonlocal tainted
+        col, den, marked = image
+        tainted |= marked
+        (rows, vals), den, _ = d.step(col, den, False)
         for n in rows:
             if n != want:
                 raise ParameterError(
                     f"{what} is not diagonal on {m.label()}: "
                     f"index {2 * k} leaks onto {n}"
                 )
-        return Fraction(vals[0], expanded.den) if rows else ZERO
+        return Fraction(vals[0], den) if rows else ZERO
 
     a: list[Fraction] = []
     b: list[Fraction] = []
     c: list[Fraction] = []
     for k in range(top + 1):
-        require_column_input(m, low.cols[2 * k][0])
-        require_column_input(m, diag.cols[2 * k][0])
-        a.append(entry(d_low, k, 2 * k - 2, "squared lowering"))
-        c.append(entry(d_diag, k, 2 * k, "z"))
+        p = basis.cols[2 * k], basis.den, 2 * k in basis.trunc_cols
+        low, diag = l2.step(*p), z.step(*p)
+        require_column_input(m, low[0][0])
+        require_column_input(m, diag[0][0])
+        a.append(entry(low, k, 2 * k - 2, "squared lowering"))
+        c.append(entry(diag, k, 2 * k, "z"))
         if k < top:
-            require_column_input(m, high.cols[2 * k][0])
-            b.append(entry(d_high, k, 2 * k + 2, "squared raising"))
-        else:
-            b.append(ZERO)
-    reads = ((low, top + 1), (diag, top + 1), (high, top))
-    tainted = any(2 * k in image.trunc_cols for image, count in reads for k in range(count))
+            high = r2.step(*p)
+            require_column_input(m, high[0][0])
+            b.append(entry(high, k, 2 * k + 2, "squared raising"))
+    b.append(ZERO)
     return a, b, c, tainted
 
 

@@ -125,8 +125,8 @@ MUTANTS = (
     Mutant(
         "the sl2 taint taken from the dual matrix's closure marks",
         "src/umbra/heisenberg.py",
-        "    tainted = any(2 * k in image.trunc_cols",
-        "    tainted = any(2 * k in m.dual_op.trunc_cols",
+        "        tainted |= marked\n",
+        "        tainted |= 2 * k in d.trunc_cols\n",
         (
             "tests/test_truncation_rule.py::test_a_marked_raising_never_passes",
             "tests/test_truncation_rule.py::test_basis_expansion_agrees_with_the_fraction_pairing",
@@ -135,9 +135,28 @@ MUTANTS = (
     Mutant(
         "the sl2 taint of the squared-ladder images ignored",
         "src/umbra/heisenberg.py",
-        "tainted = any(2 * k in image.trunc_cols",
-        "tainted = False and any(2 * k in image.trunc_cols",
+        "        tainted |= marked\n",
+        "",
         ("tests/test_truncation_rule.py::test_a_marked_raising_never_passes",),
+    ),
+    Mutant(
+        "the sl2 leak check expecting the index one step up",
+        "src/umbra/heisenberg.py",
+        "            if n != want:",
+        "            if n != want + 2:",
+        ("tests/test_truncation_rule.py::test_basis_expansion_agrees_with_the_fraction_pairing",),
+    ),
+    Mutant(
+        "the z image refused outside the space after the squared lowering's leak",
+        "src/umbra/heisenberg.py",
+        "        require_column_input(m, diag[0][0])\n"
+        "        a.append(entry(low, k, 2 * k - 2, \"squared lowering\"))\n",
+        "        a.append(entry(low, k, 2 * k - 2, \"squared lowering\"))\n"
+        "        require_column_input(m, diag[0][0])\n",
+        (
+            "tests/test_truncation_rule.py::"
+            "test_the_z_image_leaving_the_space_is_refused_before_the_lowering_leak",
+        ),
     ),
     Mutant(
         "reassembly dropping the basis matrix's marks",

@@ -14,9 +14,10 @@ model's p_n off its basis matrix as the package's ``Poly``s.
 """
 
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, lcm
 
 import mpmath
+from hypothesis import strategies as st
 
 from umbra.core import CapMismatchError, LinearOp, Poly, column_poly
 from umbra.reports import VerificationReport
@@ -101,10 +102,29 @@ def word_marks(letters, marks, size):
     return out
 
 
+def op_from_columns(cap, columns, trunc_cols=frozenset()):
+    """The package's LinearOp of the action on monomials: columns[j], or
+    columns(j) when columns is callable, maps output degree -> rational
+    coefficient of the image of t^j, put over one common denominator."""
+    out = []
+    for j in range(cap + 1):
+        col = columns(j) if callable(columns) else columns.get(j, {})
+        for i in col:
+            if not 0 <= i <= cap:
+                raise CapMismatchError(f"output degree {i} outside cap {cap}")
+        out.append(sorted((i, Fraction(q)) for i, q in col.items() if q))
+    den = lcm(*(q.denominator for col in out for _, q in col))
+    return LinearOp(
+        [(tuple(i for i, _ in col), tuple(q.numerator * (den // q.denominator) for _, q in col))
+         for col in out],
+        den, cap, trunc_cols,
+    )
+
+
 def op_from_grid(a, marks=frozenset()):
     """The package's LinearOp of the square matrix a, built column by
-    column through ``LinearOp.from_columns``, with marked columns marks."""
-    return LinearOp.from_columns(
+    column through ``op_from_columns``, with marked columns marks."""
+    return op_from_columns(
         len(a) - 1, lambda j: {i: row[j] for i, row in enumerate(a)}, frozenset(marks)
     )
 
@@ -376,25 +396,41 @@ def hermite_he(n):
 def raising_from_basis(basis):
     """Dense grid R[row][col] with R p_n = (n+1) p_{n+1}, for a basis
     p_0..p_N given as coefficient lists (p_n of exact degree n, its list
-    of length n+1 to N+1).  Each monomial t^j is expanded in the basis
-    by a triangular solve, t^j = sum_n g_n p_n, and sent to
-    sum_{n<N} g_n (n+1) p_{n+1}: the top term g_N (N+1) p_{N+1} has no
-    image in the space and is dropped."""
-    size = len(basis)
-    grid = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(size):
+    of length n+1 to N+1): the raising grid of ``graded_ladders``."""
+    return graded_ladders(basis)[1]
+
+
+def graded_ladders(basis, step=1):
+    """Dense grids L and R and the vacuum row of a graded basis p_0..p_N
+    given as coefficient lists, p_n of exact degree step*n.  Each
+    monomial t^j with j a multiple of step is expanded in the basis by a
+    triangular solve, t^j = sum_n g_n p_n, and sent to sum_n g_n p_(n-1)
+    by L and to sum_(n<N) g_n (n+1) p_(n+1) by R: the top term
+    g_N (N+1) p_(N+1) has no image in the space and is dropped.  The
+    vacuum pairs t^j to g_0, so <vac, p_n> = delta_0n.  Columns and
+    entries at the other degrees are zero."""
+    top = len(basis) - 1
+    size = step * top + 1
+    ps = [list(p) + [Fraction(0)] * (size - len(p)) for p in basis]
+    low = [[Fraction(0)] * size for _ in range(size)]
+    high = [[Fraction(0)] * size for _ in range(size)]
+    vac = [Fraction(0)] * size
+    for j in range(0, size, step):
         residual = [Fraction(0)] * size
         residual[j] = Fraction(1)
-        for n in range(j, -1, -1):
-            g = residual[n] / basis[n][n]
+        for n in range(j // step, -1, -1):
+            g = residual[step * n] / ps[n][step * n]
+            if n == 0:
+                vac[j] = g
             if not g:
                 continue
-            for i, c in enumerate(basis[n]):
+            for i, c in enumerate(ps[n]):
                 residual[i] -= g * c
-            if n + 1 < size:
-                for i, c in enumerate(basis[n + 1]):
-                    grid[i][j] += g * (n + 1) * c
-    return grid
+            for grid, k, w in ((low, n - 1, 1), (high, n + 1, n + 1)):
+                if 0 <= k <= top:
+                    for i, c in enumerate(ps[k]):
+                        grid[i][j] += g * w * c
+    return low, high, vac
 
 
 def normal_moment(k):
@@ -463,6 +499,37 @@ def bessel_series_fraction(nu, lam, t):
         acc += term
         if n > peak and abs(term) < stop:
             return acc
+
+
+# -- random graded premise models --------------------------------------
+
+SMALL = [Fraction(p, q) for p in range(-2, 3) for q in (1, 2, 3)]
+
+
+@st.composite
+def graded_premise_models(draw):
+    """A plain model, with the keys of the tests' plain catalog models
+    but iota and label, on a random graded basis: p_n has exact degree
+    n, or 2n for even parity, with small rational coefficients on the
+    degrees of its parity.  L, R and the vacuum are ``graded_ladders``
+    of it, and R's top column, whose p_(N+1) term is dropped, is its one
+    mark.  Such a model meets the premise of the Fock twin with dense
+    ladders that are no catalog family's."""
+    even = draw(st.booleans())
+    top = draw(st.integers(1, 5))
+    step = 2 if even else 1
+    size = step * top + 1
+    basis = [
+        [draw(st.sampled_from(SMALL)) if i % step == 0 else Fraction(0) for i in range(step * n)]
+        + [draw(st.sampled_from([q for q in SMALL if q]))]
+        + [Fraction(0)] * (size - step * n - 1)
+        for n in range(top + 1)
+    ]
+    low, high, vac = graded_ladders(basis, step)
+    return {
+        "L": low, "l_marks": set(), "R": high, "r_marks": {size - 1}, "vac": vac,
+        "basis": basis, "b_marks": set(), "even": even,
+    }
 
 
 # -- ladder axioms as plain first-failure searches ---------------------

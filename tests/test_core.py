@@ -29,13 +29,13 @@ def mono(k, cap, c=1):
 
 
 def deriv_op(cap):
-    return LinearOp.from_columns(
+    return ref.op_from_columns(
         cap, lambda j: {j - 1: Fraction(j)} if j else {}
     )
 
 
 def mult_t_op(cap):
-    return LinearOp.from_columns(
+    return ref.op_from_columns(
         cap,
         lambda j: {j + 1: Fraction(1)} if j < cap else {},
         trunc_cols=frozenset({cap}),
@@ -156,7 +156,7 @@ def ops(cap):
                 if draw(st.booleans()):
                     col[i] = draw(entry)
             cols[j] = col
-        return LinearOp.from_columns(cap, lambda j: cols[j])
+        return ref.op_from_columns(cap, lambda j: cols[j])
 
     return build()
 
@@ -198,7 +198,7 @@ def test_eval_at_zero_functional():
     l0 = Functional((1,), 5)
     assert l0.pair(mono(0, 5)) == 1
     assert l0.pair(mono(3, 5)) == 0
-    shift = LinearOp.from_columns(
+    shift = ref.op_from_columns(
         5, lambda j: {i: c for i, c in enumerate(ref.p_shift([0] * j + [1], 2)) if c}
     )
     shifted = l0.after(shift)

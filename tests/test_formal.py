@@ -20,13 +20,13 @@ import reference as ref
 
 
 def deriv_op(cap):
-    return LinearOp.from_columns(
+    return ref.op_from_columns(
         cap, lambda j: {j - 1: Fraction(j)} if j else {}
     )
 
 
 def mult_t_op(cap):
-    return LinearOp.from_columns(
+    return ref.op_from_columns(
         cap,
         lambda j: {j + 1: Fraction(1)} if j < cap else {},
         trunc_cols=frozenset({cap}),

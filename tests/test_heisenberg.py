@@ -344,7 +344,7 @@ def test_failed_checks_report_the_largest_entry_difference():
     assert r.first_failure == {"multi_index": {"x": 1}}
     assert r.max_residual == Fraction(3, 2)
     # metaplectic: a perturbed lowering operator breaks the brackets
-    bump = LinearOp.from_columns(m.degree_cap, {4: {1: Fraction(1, 7)}})
+    bump = ref.op_from_columns(m.degree_cap, {4: {1: Fraction(1, 7)}})
     bad = m._replace(lowering=m.lowering + bump)
     l2, r2, z = metaplectic(bad)
     lam, lam_minus, lam_plus = METAPLECTIC_CONSTANTS

@@ -53,7 +53,7 @@ def two_ways(grid):
     from its nonzero columns."""
     cap = len(grid) - 1
     cols = {j: {i: grid[i][j] for i in range(cap + 1) if grid[i][j]} for j in range(cap + 1)}
-    return ref.op_from_grid(grid), LinearOp.from_columns(cap, cols)
+    return ref.op_from_grid(grid), ref.op_from_columns(cap, cols)
 
 
 def assert_canonical(op):

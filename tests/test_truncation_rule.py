@@ -88,7 +88,7 @@ def _rebuilt(m, d: dict):
         lowering=ref.op_from_grid(d["L"], d["l_marks"]),
         raising=ref.op_from_grid(d["R"], d["r_marks"]),
         vacuum=integer_vector(d["vac"]),
-        basis_op=LinearOp.from_columns(
+        basis_op=ref.op_from_columns(
             cap, {n: dict(enumerate(c)) for n, c in enumerate(d["basis"])}, frozenset(d["b_marks"])
         ),
     )
@@ -603,6 +603,23 @@ def test_basis_expansion_agrees_with_the_fraction_pairing(case, data):
     )
 
 
+def test_the_z_image_leaving_the_space_is_refused_before_the_lowering_leak():
+    """monomial(4) at cap 6 with L t^2 = 2t + t^4.  At k = 1 the squared
+    lowering's image L^2 p_2 = 1 + 2t^3 expands to p_0 + 12 p_3, a leak
+    onto index 3, and the z image 5/4 t^2 + 1/2 t^5 lies above the top
+    basis degree.  Both images at k are refused outside the space before
+    either one's leak is read, so the refusal is the DomainError."""
+    m = build_model("monomial", 4, cap=6)
+    d = _plain(m)
+    d["L"][4][2] += 1
+    m = _rebuilt(m, d)
+    lowered = ref.m_vec(ref.m_mul(d["L"], d["L"]), d["basis"][2])
+    assert ref.expand(d, lowered) == [1, 0, 0, 12, 0]
+    want = ("DomainError", "degree 5 exceeds the top basis degree 4")
+    assert _outcome(lambda: metaplectic_sequences(m)) == want
+    assert _ref_outcome(lambda: ref.metaplectic_by_expansion(d)) == want
+
+
 STEPS = st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-3, 5), Fraction(7, 3)])
 
 
@@ -743,6 +760,27 @@ def test_the_premise_paths_report_what_the_direct_paths_report(case, at_top, oth
     m, _, order = case
     o = build_model(other, m.n_max, Fraction(3, 2) if other == "bessel" else None)
     _assert_decided_as_directly(m, order, m.n_max if at_top else order, o)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ref.graded_premise_models(),
+    st.data(),
+    st.sampled_from(["monomial", "upper-factorial", "hermite", "heat", "bessel"]),
+)
+def test_random_graded_premise_models_are_decided_as_directly(d, data, other):
+    """Models on a random graded basis, whose dense ladders no catalog
+    family has, each meet the premise, and every check that the Fock
+    twin or the expansion theorem may decide reports what its direct
+    path reports, as in the test above; the sweep runs to the drawn
+    order."""
+    top = len(d["basis"]) - 1
+    name, cap = ("heat", 2 * top) if d["even"] else ("monomial", top)
+    m = _rebuilt(build_model(name, top, cap=cap), d)
+    assert m.premise
+    order = data.draw(st.integers(0, top))
+    o = build_model(other, top, Fraction(3, 2) if other == "bessel" else None)
+    _assert_decided_as_directly(m, order, order, o)
 
 
 def test_the_catalog_models_are_decided_on_their_fock_twin():
