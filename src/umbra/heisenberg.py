@@ -64,6 +64,7 @@ from .core import (
     as_fraction,
     format_rational,
     op_commutator,
+    outcome,
 )
 from .formal import FormalOpSeries, Index, max_abs_entry, series_first_difference
 from .models import UmbralModel, on_fock_twin
@@ -282,19 +283,16 @@ def twisted_convolve_check() -> VerificationReport:
     k2 = DiscreteKernel.atom(3, 0, "1/2", 1)
     k3 = DiscreteKernel.atom("1/5", "-1/4", "2/7", "3/2")
     d = DiscreteKernel.delta()
-    failures = []
-    if twisted_convolve(k1, d) != k1 or twisted_convolve(d, k1) != k1:
-        failures.append("identity")
     lhs = twisted_convolve(twisted_convolve(k1, k2), k3)
     rhs = twisted_convolve(k1, twisted_convolve(k2, k3))
-    if lhs != rhs:
-        failures.append("associativity")
     reorder = twisted_convolve(
         DiscreteKernel.atom(1, 0, 1, 0), DiscreteKernel.atom(1, 0, 0, 1)
     )
-    if reorder != DiscreteKernel.atom(1, -1, 1, 1):
-        failures.append("reorder-phase")
-    ff = failures[0] if failures else None
+    ff, _ = outcome((
+        ("identity", twisted_convolve(k1, d) == k1 and twisted_convolve(d, k1) == k1, False),
+        ("associativity", lhs == rhs, False),
+        ("reorder-phase", reorder == DiscreteKernel.atom(1, -1, 1, 1), False),
+    ))
     return VerificationReport(
         check="twisted-convolution",
         model=None,
@@ -452,40 +450,19 @@ def generic_sl2_ladder(
         raise ParameterError("need sequences up to index 1 to solve for constants")
     top = len(fa) - 1
 
-    def comm_diag(k: int) -> Fraction:
-        # [lower2, raise2]-style diagonal at index k
-        v = fb[k] * fa[k + 1]
-        if k:
-            v -= fa[k] * fb[k - 1]
-        return v
-
-    lam = ZERO
-    for k in (0, 1):
-        if k + 1 <= top and fc[k]:
-            lam = comm_diag(k) / fc[k]
-            break
+    # the [lower2, raise2] diagonal at each index k < N
+    diag = [fb[k] * fa[k + 1] - (fa[k] * fb[k - 1] if k else 0) for k in range(top)]
+    lam = next((diag[k] / fc[k] for k in (0, 1) if k < top and fc[k]), ZERO)
     lam_minus = (fc[0] - fc[1]) if fa[1] else ZERO
-    lam_plus = ZERO
-    for k in (0, 1):
-        if k + 1 <= top and fb[k]:
-            lam_plus = fc[k + 1] - fc[k]
-            break
-
-    violation: tuple[str, int] | None = None
-    if fa[0]:
-        violation = ("lowering-bottom", 0)
-    else:
-        for k in range(top):
-            if comm_diag(k) != lam * fc[k]:
-                violation = ("commutator-diagonal", k)
-                break
-            if k >= 1 and fa[k] and fc[k - 1] - fc[k] != lam_minus:
-                violation = ("z-lowering", k)
-                break
-            if fb[k] and fc[k + 1] - fc[k] != lam_plus:
-                violation = ("z-raising", k)
-                break
-
+    lam_plus = next((fc[k + 1] - fc[k] for k in (0, 1) if k < top and fb[k]), ZERO)
+    violation, _ = outcome(itertools.chain(
+        [(("lowering-bottom", 0), not fa[0], False)],
+        (check for k in range(top) for check in (
+            (("commutator-diagonal", k), diag[k] == lam * fc[k], False),
+            (("z-lowering", k), not (k >= 1 and fa[k]) or fc[k - 1] - fc[k] == lam_minus, False),
+            (("z-raising", k), not fb[k] or fc[k + 1] - fc[k] == lam_plus, False),
+        )),
+    ))
     return Sl2LadderResult(
         ok=violation is None,
         lam=lam, lam_minus=lam_minus, lam_plus=lam_plus,

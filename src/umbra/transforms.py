@@ -24,7 +24,8 @@ only at the edges: the input is read into a kernel column once
 W_0 is linear: W_0 = diag(1/k!) D.  On the basis matrix B its defining
 properties are the operator identities W_0 B = diag(1/n!),
 W_0 L B = D_u W_0 B and W_0 R B = U W_0 B, with D_u = d/du and U the
-product by u, and that is how ``covariant_check`` tests them.
+product by u, and that is how ``covariant_check`` tests them: each
+identity, compared column by column, is one check for ``core.outcome``.
 ``covariant_w0`` walks L^k f for its one input and pairs each power
 with l_0: for one request on a freshly built model that costs less
 than building D from its integer rows.
@@ -48,8 +49,9 @@ The transmutation V = B_dst D_src maps one model onto another, and
 it to a ``Poly``, as the ``transmute`` command does;
 ``check_transmutation_intertwining`` tests V L_src = L_dst V and
 V R_src = R_dst V with it on kernel columns, each basis column of the
-source carried through the ladders and V, and the two sides compared
-by ``kernels.icol_eq``.  Where both models meet the premise it is
+source carried through the ladders and V, the two sides compared by
+``kernels.icol_eq``, and each ladder and index one check for
+``core.outcome``.  Where both models meet the premise it is
 transported too, decided once on (pair, pair): D_src B_src = I gives
 V p_n = p_n^dst, so V L_src p_n = p_(n-1)^dst = L_dst V p_n and, on
 n < n_max, V R_src p_n = (n+1) p_(n+1)^dst = R_dst V p_n, index by
@@ -75,7 +77,7 @@ from .core import (
     outcome,
 )
 from .kernels import EMPTY, Column, icol_eq
-from .models import Parity, UmbralModel, axiom_outcomes, on_fock_twin, require_order, vacuum_op
+from .models import UmbralModel, axiom_outcomes, on_fock_twin, require_order, vacuum_op
 from .models import dual_functionals  # noqa: F401  (public here: the duals l_k)
 from .models import _derivative_op, _mult_by_t_op
 from .reports import VerificationReport
@@ -192,14 +194,16 @@ def check_transmutation_intertwining(
     goes through the source ladder and ``transmute_vector`` on one side,
     and through ``transmute_vector`` and the target ladder on the other,
     every product a ``LinearOp.step``, and ``kernels.icol_eq`` compares
-    the two images over their denominators.  V p_n is formed once per
-    index, and the raising pass reuses what the lowering pass made.  A
-    side is tainted when B_src marks column n or when one of its
-    products reads a column its operator marks, as ``umbral_map`` and
-    the ladders' ``apply`` flag it; each vector that D_src expands and
-    each image the target ladder acts on must lie in its model's space,
-    as there.  Both models must carry the same number of basis
-    elements; parity may differ.  Decided on the Fock pair, as
+    the two images over their denominators: one check for
+    ``core.outcome`` per index, lowering first, marked when either side
+    is tainted.  V p_n is formed once per index, and the raising pass
+    reuses what the lowering pass made.  A side is tainted when B_src
+    marks column n or when one of its products reads a column its
+    operator marks, as ``umbral_map`` and the ladders' ``apply`` flag
+    it; each vector that D_src expands and each image the target ladder
+    acts on must lie in its model's space, as there.  Both models must
+    carry the same number of basis elements; parity may differ.
+    Decided on the Fock pair, as
     (pair, pair), where both models have a Fock twin.
     """
     if src.n_max != dst.n_max:
@@ -209,30 +213,27 @@ def check_transmutation_intertwining(
     params = {"src": src.label(), "dst": dst.label()}
     if (moved := on_fock_twin((src, dst), check_transmutation_intertwining, **params)) is not None:
         return moved
-    b_src = src.basis_op
-    bad, tainted = None, False
-    images = {}  # n -> V p_n
-    for kind, on_src, on_dst, indices in (
-        ("lowering", src.lowering, dst.lowering, range(1, src.n_max + 1)),
-        ("raising", src.raising, dst.raising, range(src.n_max)),
-    ):
-        for n in indices:
-            col = b_src.cols[n]
-            src.check_degrees_in_space(col[0])
-            p = col, b_src.den, n in b_src.trunc_cols
-            l, dl, lt = transmute_vector(src, dst, *on_src.step(*p))
-            if n in images:
-                r, dr, rt = images[n]
-            else:
-                r, dr, rt = images[n] = transmute_vector(src, dst, *p)
-                dst.check_degrees_in_space(r[0])
-            r, dr, rt = on_dst.step(r, dr, rt)
-            tainted |= lt or rt
-            if not icol_eq(l, dl, r, dr):
-                bad = (kind, n)
-                break
-        if bad is not None:
-            break
+    b_src, images = src.basis_op, {}  # n -> V p_n
+
+    def sides(on_src: LinearOp, on_dst: LinearOp, n: int) -> tuple[bool, bool]:
+        col = b_src.cols[n]
+        src.check_degrees_in_space(col[0])
+        p = col, b_src.den, n in b_src.trunc_cols
+        l, dl, lt = transmute_vector(src, dst, *on_src.step(*p))
+        if n not in images:
+            (rows, _), _, _ = images[n] = transmute_vector(src, dst, *p)
+            dst.check_degrees_in_space(rows)
+        r, dr, rt = on_dst.step(*images[n])
+        return icol_eq(l, dl, r, dr), lt or rt
+
+    bad, tainted = outcome(
+        ((kind, n), *sides(on_src, on_dst, n))
+        for kind, on_src, on_dst, indices in (
+            ("lowering", src.lowering, dst.lowering, range(1, src.n_max + 1)),
+            ("raising", src.raising, dst.raising, range(src.n_max)),
+        )
+        for n in indices
+    )
     return VerificationReport(
         check="transmutation-intertwining",
         model=f"{src.label()} -> {dst.label()}",
@@ -279,7 +280,8 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
     W0 L = d/du W0 (n >= 1) and W0 R = u W0 (n < n_max, the top raising
     image being outside the safe zone), tested in that order as
     W0 B = diag(1/n!), W0 (L B) = D_u (W0 B) and W0 (R B) = U (W0 B),
-    with W0 = diag(1/k!) D and the taint gathered across them; U marks
+    with W0 = diag(1/k!) D, each one check for ``core.outcome``, which
+    gathers the taint across them; U marks
     its top column, as u * flags a coefficient pushed past the cap.
     An image L p_n or R p_n outside the model's space raises
     DomainError.  Last, ``covariant_w0`` of sum_n (n+1)/(n+2) p_n must
@@ -294,20 +296,21 @@ def covariant_check(m: UmbralModel) -> VerificationReport:
     w0, b = inv_fact @ m.dual_op, m.basis_op
     wb = w0 @ b
     lb, rb = m.lowering @ b, m.raising @ b
-    bad, tainted = None, False
-    for kind, image, lhs, rhs, cols in (
+
+    def identity(
+        kind: str, image: LinearOp, lhs: LinearOp, rhs: LinearOp, cols: range
+    ) -> tuple[tuple[str, int | None], bool, bool]:
+        n, marked = lhs.compare_on_columns(rhs, cols)
+        m.check_degrees_in_space(  # the images compared, up to the first failure
+            k for j in (cols if n is None else range(cols.start, n + 1)) for k in image.cols[j][0]
+        )
+        return (kind, n), n is None, marked
+
+    bad, tainted = outcome(identity(*row) for row in (
         ("image", b, wb, inv_fact, range(top + 1)),
         ("exchange-lowering", lb, w0 @ lb, _derivative_op(cap) @ wb, range(1, top + 1)),
         ("exchange-raising", rb, w0 @ rb, _mult_by_t_op(cap) @ wb, range(top)),
-    ):
-        n, marked = lhs.compare_on_columns(rhs, cols)
-        if m.parity is Parity.EVEN:
-            for j in cols if n is None else range(cols.start, n + 1):
-                m.check_degrees_in_space(image.cols[j][0])
-        tainted |= marked
-        if n is not None:
-            bad = (kind, n)
-            break
+    ))
     if bad is None:
         want = [Fraction(n + 1, (n + 2) * math.factorial(n)) for n in range(top + 1)]
         if covariant_w0(m, _dense_combination(m)) != Poly(want, cap):

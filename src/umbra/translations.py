@@ -22,6 +22,8 @@ translation and the character check walk L^k by ``LinearOp.powers``,
 the package's one power loop, which ends after the first zero power.
 The translation runs on kernel columns from input to output: p_k(y)
 from column k of the basis matrix, and one ``Poly`` at the end.
+The character check hands each order, and ``binomial_sweep`` each
+index's report, to ``core.outcome``, the one verdict rule.
 ``binomial_sweep`` is the binomial check over a range of n, as
 ``verify`` runs it.  It builds no table where the expansion theorem of
 finite operator calculus decides the identity (Rota, Kahaner and
@@ -53,6 +55,7 @@ from .core import (
     as_fraction,
     column_poly,
     integer_vector,
+    outcome,
 )
 from .kernels import imat_comb
 from .models import UmbralModel, _derivative_op, _form, axiom_outcomes, require_order
@@ -138,17 +141,18 @@ def _require_binomial_type(m: UmbralModel) -> None:
 
 def binomial_sweep(m: UmbralModel, top: int) -> list[VerificationReport]:
     """``binomial_check`` at n = 0..top in turn, as ``verify`` runs it:
-    the first report that does not pass, or one pass report for the
+    the first report that does not pass (``core.outcome`` over the
+    reports, each holding when it passes), or one pass report for the
     whole range.  The refusals come first; then, where
     ``_expansion_theorem_applies``, the pass report comes with no table
     built."""
     require_order(m, top)
     _require_binomial_type(m)
     if not _expansion_theorem_applies(m):
-        for n in range(top + 1):
-            r = binomial_check(m, n)
-            if not r.passed:
-                return [r]
+        reports = (binomial_check(m, n) for n in range(top + 1))
+        first, _ = outcome((r, r.passed, False) for r in reports)
+        if first is not None:
+            return [first]
     return [VerificationReport("binomial", m.label(), {"n_max": top})]
 
 
@@ -211,21 +215,19 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
     possible.  L^k p_a comes from ``LinearOp.powers`` as a kernel
     column; it is tainted when B marks p_a or L marks a column that
     L^j p_a, j < k, reaches.  A zero L^k p_a adds nothing to the table,
-    so the powers end at the first one."""
+    so the powers end at the first one.  Each order is one check for
+    ``core.outcome``, marked by the taint of the last power it reads."""
     require_order(m, order)
     b, low, forms = m.basis_op, m.lowering, m.basis_forms
-    bad = None
-    tainted = False
-    for a in range(order + 1):
-        pairs = []
-        powers = low.powers(b.cols[a], b.den, a in b.trunc_cols)
-        for form, (g, den, marked) in zip(forms[: a + 1], powers):
-            pairs.append((_form(*g, den), form))
-        tainted |= marked
-        diff = first_difference(pairs, [(forms[a - i], forms[i]) for i in range(a + 1)])
-        if diff is not None:
-            bad = (a, diff)
-            break
+    bad, tainted = outcome(
+        ((a, diff), diff is None, powers[-1][2])  # the last power read carries their taint
+        for a in range(order + 1)
+        for powers in [list(islice(low.powers(b.cols[a], b.den, a in b.trunc_cols), a + 1))]
+        for diff in [first_difference(
+            [(_form(*g, den), form) for (g, den, _), form in zip(powers, forms)],
+            [(forms[a - i], forms[i]) for i in range(a + 1)],
+        )]
+    )
     return VerificationReport(
         check="character",
         model=m.label(),

@@ -183,10 +183,10 @@ MUTANTS = (
         ("tests/test_truncation_rule.py::test_the_marks_of_d_reach_the_transmutation_and_its_check",),
     ),
     Mutant(
-        "covariant keeping only the last identity's taint",
+        "covariant's identities handed to the verdict rule without their marks",
         "src/umbra/transforms.py",
-        "tainted |= marked",
-        "tainted = marked",
+        "        return (kind, n), n is None, marked\n",
+        "        return (kind, n), n is None, False\n",
         ("tests/test_truncation_rule.py::test_a_flagged_top_basis_polynomial_leaves_covariant_inconclusive",),
     ),
     Mutant(
@@ -206,8 +206,8 @@ MUTANTS = (
     Mutant(
         "the transmutation check's target-side ladder step dropping its taint",
         "src/umbra/transforms.py",
-        "r, dr, rt = on_dst.step(r, dr, rt)",
-        "r, dr, _ = on_dst.step(r, dr, rt)",
+        "        r, dr, rt = on_dst.step(*images[n])\n",
+        "        (r, dr, _), rt = on_dst.step(*images[n]), images[n][2]\n",
         (
             "tests/test_truncation_rule.py::test_a_marked_target_ladder_leaves_the_transmutation_check_inconclusive",
             "tests/test_truncation_rule.py::test_the_transmutation_check_agrees_with_the_poly_oracle_on_perturbed_models",
@@ -216,12 +216,40 @@ MUTANTS = (
     Mutant(
         "the transmutation check comparing numerators over different denominators",
         "src/umbra/transforms.py",
-        "if not icol_eq(l, dl, r, dr):",
-        "if l != r:",
+        "return icol_eq(l, dl, r, dr), lt or rt",
+        "return l == r, lt or rt",
         (
             "tests/test_transforms.py::test_the_transmutation_check_matches_the_poly_oracle",
             "tests/test_golden.py::test_default_output_unchanged[check-transmute.json]",
         ),
+    ),
+    Mutant(
+        "the transmutation taint taken from the target side only",
+        "src/umbra/transforms.py",
+        "icol_eq(l, dl, r, dr), lt or rt",
+        "icol_eq(l, dl, r, dr), rt",
+        ("tests/test_truncation_rule.py::test_a_marked_source_raising_leaves_the_transmutation_check_inconclusive",),
+    ),
+    Mutant(
+        "the character taint read off L^0 p_a only",
+        "src/umbra/translations.py",
+        "powers[-1][2]",
+        "powers[0][2]",
+        ("tests/test_truncation_rule.py::test_a_marked_lowering_never_passes",),
+    ),
+    Mutant(
+        "the binomial sweep keeping an inconclusive report as a pass",
+        "src/umbra/translations.py",
+        "(r, r.passed, False)",
+        "(r, r.first_failure is None, False)",
+        ("tests/test_truncation_rule.py::test_a_flagged_basis_polynomial_never_passes_binomial",),
+    ),
+    Mutant(
+        "the sl2 closure never testing z against the squared raising",
+        "src/umbra/heisenberg.py",
+        "not fb[k] or fc[k + 1] - fc[k] == lam_plus",
+        "True",
+        ("tests/test_heisenberg.py::test_generic_ladder_reports_its_first_violation",),
     ),
     Mutant(
         "binomial taint read from p_n alone",
@@ -240,8 +268,8 @@ MUTANTS = (
     Mutant(
         "the transmutation check dropping B's marks on the source p_n",
         "src/umbra/transforms.py",
-        "            p = col, b_src.den, n in b_src.trunc_cols\n",
-        "            p = col, b_src.den, False\n",
+        "        p = col, b_src.den, n in b_src.trunc_cols\n",
+        "        p = col, b_src.den, False\n",
         ("tests/test_truncation_rule.py::test_the_basis_view_carries_the_marks_of_b",),
     ),
     Mutant(
@@ -503,6 +531,16 @@ MUTANTS = (
         "return sum((recurse(a, b, _panel(fn, a, b, spec.nodes), 0) for a, b in pieces), -0.0)",
         "return recurse(lo, hi, _panel(fn, lo, hi, spec.nodes), 0)",
         ("tests/test_cli.py::test_a_mass_narrower_than_the_node_gaps_is_integrated",),
+    ),
+    Mutant(
+        "the adaptive rule without its panel budget",
+        "src/umbra/quadrature.py",
+        "        if panels > MAX_PANELS:\n",
+        "        if False:\n",
+        (
+            "tests/test_quadrature.py::test_the_panel_budget_stops_one_integration_with_its_residual",
+            "tests/test_cli.py::test_an_integral_past_the_panel_budget_exits_3_in_seconds",
+        ),
     ),
     Mutant(
         "the fixed rule summing one panel over the whole interval, ignoring f's mass",

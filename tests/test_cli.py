@@ -116,6 +116,20 @@ def test_bessel_j_large_argument_matches_mpmath(capsys):
     assert elapsed < 1.0
 
 
+def test_an_integral_past_the_panel_budget_exits_3_in_seconds():
+    # the bump's cosine transform at v = 1e16 bisects without end; the
+    # panel budget stops it with exit 3 and a message, not a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    umbra = "import sys; from umbra.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", umbra, "cosine", "--fn", "bump", "--v", "1e16"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("umbra: no convergence within 524288 panels: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_binomial_hermite_is_a_usage_error(capsys):
     rc, _, err = run(capsys, "verify", "--check", "binomial", "--model", "hermite")
     assert rc == 2

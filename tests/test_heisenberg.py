@@ -415,6 +415,24 @@ def test_generic_ladder_rejects_perturbed_sequence():
     assert res.first_violation is not None
 
 
+@pytest.mark.parametrize("seq, k, delta, want", [
+    # a_0 != 0 is reported before any diagonal
+    (0, 0, 1, ("lowering-bottom", 0)),
+    # a_2 enters the [lower2, raise2] diagonal at index 1 first
+    (0, 2, 1, ("commutator-diagonal", 1)),
+    # c_3 enters c_3 - c_2 = lam_plus at index 2 before c_2 - c_3 at 3
+    (2, 3, 1, ("z-raising", 2)),
+])
+def test_generic_ladder_reports_its_first_violation(seq, k, delta, want):
+    # heat's even sub-ladder closes with (4, -2, 2), and c_0 = 1/2, so
+    # the constants come from index 0 and one changed entry breaks only
+    # the closure rules that read it, from its lowest index on
+    seqs = [list(s) for s in metaplectic_sequences(build_model("heat", 8))[:3]]
+    seqs[seq][k] += delta
+    res = generic_sl2_ladder(*seqs)
+    assert (res.ok, res.first_violation) == (False, want)
+
+
 def test_generic_ladder_consistent_with_metaplectic():
     for name, nu in (("monomial", None), ("bessel", NU)):
         m = build_model(name, 8, nu=nu)

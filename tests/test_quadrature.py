@@ -115,6 +115,20 @@ def test_depth_exhaustion_reports_residual():
     assert "after 32 subdivisions" in str(err.value) and "residual" in str(err.value)
 
 
+def test_the_panel_budget_stops_one_integration_with_its_residual(monkeypatch):
+    # cos(1e4 t) on [0, 1] takes 1,023 panels and cos(100 t) 15; each call
+    # has the whole budget, however many calls came before it
+    want = integrate(lambda t: math.cos(100 * t), 0.0, 1.0, QuadratureSpec())
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
+    for _ in range(5):
+        assert integrate(lambda t: math.cos(100 * t), 0.0, 1.0, QuadratureSpec()) == want
+    with pytest.raises(QuadratureError, match=(
+        r"^no convergence within 64 panels: 67 used, achieved residual \S+e-07 "
+        r"against budget \S+e-15 on \[0\.0546875, 0\.0625\]$"
+    )):
+        integrate(lambda t: math.cos(1e4 * t), 0.0, 1.0, QuadratureSpec())
+
+
 def test_spec_validation():
     with pytest.raises(ParameterError):
         QuadratureSpec(rule="simpson")

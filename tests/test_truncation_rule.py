@@ -18,16 +18,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from umbra import cli, kernels, translations
+from umbra import cli, heisenberg, kernels, transforms, translations
 from umbra.core import (
     DomainError, LinearOp, ParameterError, Poly, UmbraError, column_poly, integer_vector,
 )
 from umbra.heisenberg import (
     composition_check_formal,
+    generic_sl2_ladder,
     group_law_check,
     metaplectic_check,
     metaplectic_sequences,
     sl2_closure_check,
+    twisted_convolve_check,
     weyl_relation_check,
 )
 from umbra.models import (
@@ -372,6 +374,29 @@ def test_a_flagged_top_basis_polynomial_leaves_covariant_inconclusive():
     assert covariant_check(_flagged(build_model("monomial", 8), 8)).status == "inconclusive"
 
 
+@pytest.mark.parametrize("module, check", [
+    (transforms, lambda m: check_transmutation_intertwining(m, build_model("upper-factorial", 6))),
+    (transforms, covariant_check),
+    (translations, lambda m: character_check(m, 4)),
+    (translations, lambda m: binomial_sweep(m, 6)),
+    (heisenberg, lambda m: generic_sl2_ladder(*metaplectic_sequences(m)[:3])),
+    (heisenberg, lambda m: twisted_convolve_check()),
+], ids=["transmutation", "covariant", "character", "binomial-sweep", "sl2-ladder", "twisted"])
+def test_each_first_failure_scan_is_the_one_verdict_rule(module, check, count_calls):
+    """Each exact check that scans its identities for the first failure
+    hands its (key, holds, marked) triples to ``core.outcome``, read
+    through its module, and keeps no scan of its own: on a model that a
+    basis mark takes off the premise, so that none is decided on the
+    Fock twin or by the expansion theorem."""
+    d = _plain(build_model("monomial", 6))
+    d["b_marks"].add(4)
+    m = _rebuilt(build_model("monomial", 6), d)
+    assert not m.premise and not m.lowering_premise
+    calls = count_calls(module, "outcome")
+    check(m)
+    assert calls
+
+
 def test_the_basis_view_carries_the_marks_of_b():
     """The basis view read off B: p_n is flagged exactly when B marks
     column n, so the transmutation check, which maps the source p_n,
@@ -479,6 +504,20 @@ def test_a_marked_target_ladder_leaves_the_transmutation_check_inconclusive(ladd
     src, dst = build_model("hermite", 8), build_model("monomial", 8)
     op = getattr(dst, ladder)
     dst = dst._replace(**{ladder: LinearOp(op.cols, op.den, op.cap, range(op.cap + 1))})
+    report = check_transmutation_intertwining(src, dst)
+    assert report.status == "inconclusive"
+    assert report == ref.transmutation_by_poly(src, dst)
+
+
+def test_a_marked_source_raising_leaves_the_transmutation_check_inconclusive():
+    """A monomial source whose raising marks every column: of the two
+    sides of V R_src = R_dst V only the source side, V R_src p_n, reads
+    those marks (D_src carries the marks of L alone), so the check onto
+    hermite is inconclusive, as the ``Poly`` oracle says, though nothing
+    on the target side is marked."""
+    src, dst = build_model("monomial", 8), build_model("hermite", 8)
+    r = src.raising
+    src = src._replace(raising=LinearOp(r.cols, r.den, r.cap, range(r.cap + 1)))
     report = check_transmutation_intertwining(src, dst)
     assert report.status == "inconclusive"
     assert report == ref.transmutation_by_poly(src, dst)
