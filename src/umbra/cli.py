@@ -38,10 +38,10 @@ from .core import (
     Poly,
     QuadratureError,
     UmbraError,
-    column_poly,
     format_rational,
     parse_rational,
 )
+from .kernels import Column
 from .models import MODEL_NAMES, UmbralModel, build_model, verify_model
 from .reports import (
     ResidualReport,
@@ -422,35 +422,33 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _genfun_row(col: Column, den: int, cap: int) -> list[str]:
+    """The t^0..t^cap coefficients of a kernel column over den > 0 as
+    ``format_rational`` prints them: one gcd per nonzero, "0" elsewhere."""
+    row = ["0"] * (cap + 1)
+    for i, x in zip(*col):
+        g = math.gcd(x, den)
+        row[i] = str(x // g) if g == den else f"{x // g}/{den // g}"
+    return row
+
+
 def _cmd_genfun(args: argparse.Namespace) -> int:
     m = _load_model(args)
     order = _order(args, min(8, m.n_max))
     report = transforms.generating_function(m, order)
-    b = m.basis_op
-    table = [column_poly(col, b.den, m.degree_cap).coeffs for col in b.cols[: order + 1]]
+    cols = m.basis_op.cols[: order + 1]
+    table = [_genfun_row(col, m.basis_op.den, m.degree_cap) for col in cols]
     if args.format == "json":
-        _emit(args, json.dumps(
-            {
-                "report": report.to_dict(),
-                "rows": [[format_rational(c) for c in row] for row in table],
-            },
-            sort_keys=True, default=str,
-        ))
+        out = {"report": report.to_dict(), "rows": table}
+        _emit(args, json.dumps(out, sort_keys=True, default=str))
     elif args.format == "plain":
         lines = [_report_output(args, [report])]
-        for k, row in enumerate(table):
-            top = max((j for j, c in enumerate(row) if c), default=0)
-            lines.append(
-                f"s^{k}: " + ", ".join(format_rational(c) for c in row[: top + 1])
-            )
+        for k, (row, (rows, _)) in enumerate(zip(table, cols)):
+            lines.append(f"s^{k}: " + ", ".join(row[: rows[-1] + 1 if rows else 1]))
         _emit(args, "\n".join(lines))
     else:
         header = ["s_order"] + [f"t^{j}" for j in range(m.degree_cap + 1)]
-        rows = [
-            [k] + [format_rational(c) for c in row]
-            for k, row in enumerate(table)
-        ]
-        _emit(args, rows_to_csv(header, rows))
+        _emit(args, rows_to_csv(header, [[k] + row for k, row in enumerate(table)]))
     return _report_exit([report])
 
 

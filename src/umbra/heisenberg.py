@@ -224,16 +224,19 @@ class DiscreteKernel:
     at ladder parameters (x, y), the exponent kept rational so that
     kernel equality is decidable.  ``atoms`` holds them canonically as
     ((x, y, log_weight), coef) pairs: atoms sharing (x, y, log_weight)
-    are merged, zero coefficients dropped, order fixed by
-    (x, y, log_weight)."""
+    are merged (sorted, neighbours added: no Fraction is hashed), zero
+    coefficients dropped, order fixed by (x, y, log_weight)."""
 
     __slots__ = ("atoms",)
 
     def __init__(self, atoms: Iterable[Atom] = ()):
-        merged: dict[tuple, Fraction] = {}
-        for k, q in atoms:
-            merged[k] = merged.get(k, ZERO) + q
-        self.atoms: tuple[Atom, ...] = tuple((k, q) for k, q in sorted(merged.items()) if q)
+        merged: list[list] = []
+        for k, q in sorted(atoms, key=lambda atom: atom[0]):
+            if merged and merged[-1][0] == k:
+                merged[-1][1] += q
+            else:
+                merged.append([k, q])
+        self.atoms: tuple[Atom, ...] = tuple((k, q) for k, q in merged if q)
 
     @classmethod
     def atom(

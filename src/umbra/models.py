@@ -30,11 +30,11 @@ even (nu >= 0)        q_n = t^{2n}/c_n with c_n = prod 2k(2k+nu-1),
 A model stores its basis once, as the integer basis matrix B
 (``basis_op``): column n is p_n, as integer numerators over one
 denominator, for n <= n_max; the columns above are zero, and B's
-truncation marks are the flagged p_n.  Every builder emits B and the
-factorial and even ladders straight from integer columns.
-The factorial raising operators are the closed form R = t f'(D)^{-1}
-of the delta operator L = f(D) (finite operator calculus), also built
-over the integers.  On the capped space the factorial raising loses
+truncation marks are the flagged p_n.  Every builder emits B, L and R
+as kernel columns, each from a closed form or a recurrence, with no
+dense coefficient list and no operator arithmetic.  The factorial
+raising is the closed form R = t f'(D)^{-1} of the delta operator
+L = f(D) (finite operator calculus); on the capped space it loses
 (n_max+1) p_{n_max+1} from its top column, which is marked truncated.
 The duals l_k = l_0 L^k are integer rows too (``dual_functionals``),
 stacked once per model into the dual matrix D (``dual_op``), which
@@ -238,15 +238,11 @@ def _form(
     return tuple(zip(rows, [x // g for x in vals])), den // g
 
 
-def _basis_op(cap: int, polys: Sequence[tuple[Sequence[int], int]]) -> LinearOp:
-    """B from p_n = sum_i c[i] t^i / d over the pairs (c, d) of
-    ``polys``, c an integer coefficient list and d > 0, for
-    n = 0..len(polys)-1; the columns above are zero."""
+def _basis_op(cap: int, polys: Sequence[tuple[Column, int]]) -> LinearOp:
+    """B from p_n = c / d for the pairs (c, d) of ``polys``, c a kernel
+    column, d > 0: column n is c times lcm(d) // d, the columns above zero."""
     den = math.lcm(*(d for _, d in polys))
-    cols = []
-    for cs, d in polys:
-        rows, vals = icol(cs)
-        cols.append((rows, tuple(den // d * x for x in vals)))
+    cols = [(rows, tuple([c * x for x in vals])) for (rows, vals), d in polys for c in (den // d,)]
     return LinearOp(cols + [EMPTY] * (cap + 1 - len(cols)), den, cap)
 
 
@@ -256,17 +252,6 @@ def _derivative_op(cap: int) -> LinearOp:
 
 def _mult_by_t_op(cap: int) -> LinearOp:
     return LinearOp([((j + 1,), (1,)) for j in range(cap)] + [EMPTY], 1, cap, {cap})
-
-
-def _shift_cols(cap: int, y: int) -> list[Column]:
-    """The columns of f(t) -> f(t+y) for an integer y != 0: column j is
-    (t+y)^j, all j+1 entries nonzero, by Pascal's rule
-    C(j+1, i) y^(j+1-i) = y C(j, i) y^(j-i) + C(j, i-1) y^(j-i+1)."""
-    col, cols = [1], []
-    for j in range(cap + 1):
-        cols.append((tuple(range(j + 1)), tuple(col)))
-        col = [y * a + b for a, b in zip(col + [0], [0] + col)]
-    return cols
 
 
 def _checked_cap(n_max: int, cap: int | None, parity: Parity) -> int:
@@ -288,23 +273,27 @@ def _build_appell(name: str, n_max: int, cap: int | None, s: int) -> UmbralModel
     R = t* - s d/dt.  The vacuum is the expectation under the centred
     Gaussian of variance s, which kills every He_n with n >= 1:
     <l_0, t^k> = s^{k/2} (k-1)!! for even k <= n_max, else 0.  It is
-    evaluation at 0 only when s = 0 (He_2(0) = -s)."""
+    evaluation at 0 only when s = 0 (He_2(0) = -s).  Column j of R is
+    t^(j+1) - s j t^(j-1); the top column loses t^(cap+1), and is marked."""
     cap = _checked_cap(n_max, cap, Parity.ALL)
-    he = [[1], [0, 1]]
-    for n in range(1, n_max):
-        he.append([y - s * n * x for x, y in zip(he[-2] + [0, 0], [0] + he[-1])])
-    moments = [
-        0 if k % 2 else s ** (k // 2) * math.prod(range(k - 1, 0, -2)) for k in range(n_max + 1)
-    ]
-    lowering = _derivative_op(cap)
+    # He_n = t^n at s = 0; else He_(n+1) = t He_n - s n He_(n-1), on its rows
+    he = [((n,), (1,)) for n in range(2 if s else n_max + 1)]
+    for n in range(len(he) - 1, n_max):
+        (_, a), (_, b) = he[-1], he[-2]
+        a = (0, *a) if n % 2 else a
+        vals = tuple([x - s * n * y for x, y in zip(a, (*b, 0))])
+        he.append((tuple(range(1 - n % 2, n + 2, 2)), vals))
+    moments = [0 if k % 2 else s ** (k // 2) * math.prod(range(k - 1, 0, -2))
+               for k in range(n_max + 1)]
+    raising = [((j - 1, j + 1), (-s * j, 1)) if s and j else ((j + 1,), (1,)) for j in range(cap)]
     return UmbralModel(
         name=name,
         n_max=n_max,
         degree_cap=cap,
         parity=Parity.ALL,
         basis_op=_basis_op(cap, [(c, math.factorial(n)) for n, c in enumerate(he)]),
-        lowering=lowering,
-        raising=_mult_by_t_op(cap) - lowering.scale(s),
+        lowering=_derivative_op(cap),
+        raising=LinearOp(raising + [((cap - 1,), (-s * cap,)) if s else EMPTY], 1, cap, {cap}),
         vacuum=(icol(moments), 1),
         shift_invariant=True,
     )
@@ -315,7 +304,9 @@ def _build_factorial(name: str, n_max: int, cap: int | None, step: int) -> Umbra
     pair in closed form: L f = step*(f(t+step) - f(t)) and
     R f = t f(t-step).  Column j < cap of R is t(t-step)^j.  The top
     column is t(t-step)^cap less the (n_max+1) p_{n_max+1} = c_{cap+1}
-    term that leaves the space; their t^{cap+1} terms cancel."""
+    term that leaves the space; their t^{cap+1} terms cancel.  Each of
+    c_n, L and R has no zero below its top entry, so each column is one
+    recurrence's numerators on consecutive rows."""
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
     cap = n_max if cap is None else cap
@@ -324,24 +315,29 @@ def _build_factorial(name: str, n_max: int, cap: int | None, step: int) -> Umbra
             "factorial models need the degree cap equal to the top basis "
             "index (the top raising column is defined relative to cap = n_max)"
         )
-    # c_{n+1} = c_n * (t - step*n), for n = 0..cap
-    cs = [[1]]
-    for n in range(cap + 1):
-        cs.append([y - step * n * x for x, y in zip(cs[-1] + [0], [0] + cs[-1])])
-    # L = step * (ahead - 1): the shift's columns without their diagonal
-    ahead, back = _shift_cols(cap, step), _shift_cols(cap, -step)
-    lowering = [(rows[:-1], tuple(step * x for x in vals[:-1])) for rows, vals in ahead]
-    cols = [(tuple(i + 1 for i in rows), vals) for rows, vals in back[:cap]]
-    top = [x - y for x, y in zip(back[cap][1], cs[cap + 1][1:])]
-    cols.append((tuple(i + 1 for i, x in enumerate(top) if x), tuple(x for x in top if x)))
+    # c_{n+1} = (t - step*n) c_n, for n = 1..cap
+    cs, c = [((0,), (1,)), ((1,), (1,))], (1,)
+    for n in range(1, cap + 1):
+        c = tuple([y - step * n * x for x, y in zip((*c, 0), (0, *c))])
+        cs.append((tuple(range(1, n + 2)), c))
+    # Pascal's rule on step (t+step)^j, whose top entry step is L's
+    # missing diagonal, and on (t-step)^j
+    ahead, back, lowering, raising = (step,), (1,), [EMPTY], []
+    for j in range(cap):
+        raising.append((cs[j + 1][0], back))
+        ahead = tuple([step * x + y for x, y in zip((*ahead, 0), (0, *ahead))])
+        back = tuple([y - step * x for x, y in zip((*back, 0), (0, *back))])
+        lowering.append((tuple(range(j + 1)), ahead[:-1]))
+    top = [x - y for x, y in zip(back, cs[cap + 1][1])]
+    raising.append((tuple(i + 1 for i, x in enumerate(top) if x), tuple(x for x in top if x)))
     return UmbralModel(
         name=name,
         n_max=n_max,
         degree_cap=cap,
         parity=Parity.ALL,
-        basis_op=_basis_op(cap, [(c, math.factorial(n)) for n, c in enumerate(cs[: n_max + 1])]),
+        basis_op=_basis_op(cap, [(c, math.factorial(n)) for n, c in enumerate(cs[:-1])]),
         lowering=LinearOp(lowering, 1, cap),
-        raising=LinearOp(cols, 1, cap, {cap}),
+        raising=LinearOp(raising, 1, cap, {cap}),
         vacuum=EVAL0,
         shift_invariant=True,
     )
@@ -355,29 +351,32 @@ def _build_even(name: str, n_max: int, cap: int | None, nu: Fraction) -> UmbralM
     Operators are stored on the even columns only; the odd columns are
     zero and unreachable."""
     cap = _checked_cap(n_max, cap, Parity.EVEN)
-    # 1/c_n = q^n / a_n over the integers, with nu = p/q and
-    # a_n = prod_{k<=n} 2k(2kq + p - q) > 0
-    p, q = nu.numerator, nu.denominator
-    a = [1]
-    for k in range(1, n_max + 1):
-        a.append(a[-1] * 2 * k * (2 * k * q + p - q))
-    basis_op = _basis_op(cap, [([0] * (2 * n) + [q**n], a[n]) for n in range(n_max + 1)])
-    # B_nu t^j = j (j + nu - 1) t^{j-2};  R t^j = t^{j+2} / (2 (j + nu + 1)),
-    # the raising over the lcm of its denominators 2 (jq + p + q) / q
-    low = [((j - 2,), (j * (j * q + p - q),)) if j % 2 == 0 else EMPTY for j in range(2, cap + 1)]
-    lowering = LinearOp([EMPTY, EMPTY] + low, q, cap)
+    # 1/c_n = q^n / a_n in lowest terms, nu = p/q, a_n = prod_{k<=n} 2k(2kq + p - q)
+    p, q, a, polys = nu.numerator, nu.denominator, 1, [(((0,), (1,)), 1)]
+    for n in range(1, n_max + 1):
+        a *= 2 * n * (2 * n * q + p - q)
+        g = math.gcd(q**n, a)
+        polys.append((((2 * n,), (q**n // g,)), a // g))
+    # B_nu t^j = j (j + nu - 1) t^{j-2} and R t^j = q t^(j+2) / dens[j], each
+    # over its content g: gcd(q, den) for R, as the den // dens[j] have gcd 1
+    low = {j: j * (j * q + p - q) for j in range(2, cap + 1, 2)}
+    g = math.gcd(q, *low.values())
+    lowering = LinearOp(
+        [((j - 2,), (low[j] // g,)) if j in low else EMPTY for j in range(cap + 1)], q // g, cap
+    )
     dens = {j: 2 * (j * q + p + q) for j in range(0, cap - 1, 2)}
     den = math.lcm(*dens.values())
+    g = math.gcd(q, den)
     raising = LinearOp(
-        [((j + 2,), (q * (den // dens[j]),)) if j in dens else EMPTY for j in range(cap + 1)],
-        den, cap, frozenset(j for j in range(0, cap + 1, 2) if j + 2 > cap),
+        [((j + 2,), (q // g * (den // dens[j]),)) if j in dens else EMPTY for j in range(cap + 1)],
+        den // g, cap, frozenset(j for j in range(0, cap + 1, 2) if j + 2 > cap),
     )
     return UmbralModel(
         name=name,
         n_max=n_max,
         degree_cap=cap,
         parity=Parity.EVEN,
-        basis_op=basis_op,
+        basis_op=_basis_op(cap, polys),
         lowering=lowering,
         raising=raising,
         vacuum=EVAL0,

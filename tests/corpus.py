@@ -6,7 +6,10 @@ and ``test_float_commands``; every ``verify --check`` on every catalog
 model (``transmute`` from each model to each) in each format; and
 ``bessel j`` at points where j_nu takes the series in fixed point or
 Hankel's expansion in integers (x from 30 to 1900) and where it takes
-Hankel's expansion in floats (x past 2000).
+Hankel's expansion in floats (x past 2000); and, in each format, argvs
+that exit 1 (an intertwining check that holds in neither direction or
+fails at a tolerance no float meets) and 3 (a heat covariant whose tail
+bound is past the double range).
 
     python tests/corpus.py --against DIR
 
@@ -33,6 +36,11 @@ FORMATS = ("plain", "json", "csv")
 J_NUS = ("2", "5/2", "2.7", "31/2", "7")
 J_SERIES_X = ("30", "60", "130", "400", "1000", "1900")
 J_FLOAT_HANKEL_X = ("2500", "5000", "1e4")
+NOT_PASSING = (
+    ["heat", "covariant", "--fn", "gauss", "--u", "1e308"],
+    ["verify", "--check", "poisson-intertwining", "--nu", "2", "--fn", "cos", "--tol", "1e-30"],
+    ["verify", "--check", "hankel-intertwining", "--nu", "2", "--fn", "bump", "--tol", "1e-30"],
+)
 
 
 def corpus() -> list[list[str]]:
@@ -62,6 +70,7 @@ def corpus() -> list[list[str]]:
               for nu in J_NUS for x in J_SERIES_X + J_FLOAT_HANKEL_X]
     argvs += [["bessel", "j", "--nu", nu, "--lambda=-1", "--x", x]
               for nu in J_NUS for x in ("30", "300")]
+    argvs += [[*argv, "--format", fmt] for argv in NOT_PASSING for fmt in FORMATS]
     return list(map(list, dict.fromkeys(map(tuple, argvs))))
 
 

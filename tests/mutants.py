@@ -521,9 +521,39 @@ MUTANTS = (
     Mutant(
         "the factorial lowering keeping the shift's diagonal",
         "src/umbra/models.py",
-        "lowering = [(rows[:-1], tuple(step * x for x in vals[:-1])) for rows, vals in ahead]",
-        "lowering = [(rows, tuple(step * x for x in vals)) for rows, vals in ahead]",
-        ("tests/test_models.py::test_factorial_lowering_is_the_unit_difference",),
+        "lowering.append((tuple(range(j + 1)), ahead[:-1]))",
+        "lowering.append((tuple(range(j + 2)), ahead))",
+        (
+            "tests/test_models.py::test_factorial_lowering_is_the_unit_difference",
+            "tests/test_models.py::test_every_catalog_build_is_the_fraction_reference[lower-factorial-8]",
+        ),
+    ),
+    Mutant(
+        "the Appell raising's -s j t^(j-1) term with its sign flipped",
+        "src/umbra/models.py",
+        "((j - 1, j + 1), (-s * j, 1))",
+        "((j - 1, j + 1), (s * j, 1))",
+        ("tests/test_models.py::test_every_catalog_build_is_the_fraction_reference[hermite-8]",),
+    ),
+    Mutant(
+        "the even basis numerator q^n replaced by q",
+        "src/umbra/models.py",
+        "(q**n // g,)",
+        "(q // g,)",
+        (
+            "tests/test_models.py::test_every_catalog_build_is_the_fraction_reference[bessel-1_3-8]",
+            "tests/test_models.py::test_every_catalog_build_is_the_fraction_reference[bessel-5_2-8]",
+        ),
+    ),
+    Mutant(
+        "the basis matrix's multiplier taken from the next column",
+        "src/umbra/models.py",
+        "for (rows, vals), d in polys for c",
+        "for ((rows, vals), _), (_, d) in zip(polys, polys[1:] + polys[:1]) for c",
+        (
+            "tests/test_models.py::test_every_catalog_build_is_the_fraction_reference[monomial-8]",
+            "tests/test_models.py::test_every_catalog_build_is_the_fraction_reference[bessel-7-8]",
+        ),
     ),
     Mutant(
         "the adaptive rule started on the whole interval, not on the pieces f's mass cuts",

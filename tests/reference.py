@@ -415,6 +415,7 @@ def graded_ladders(basis, step=1):
     low = [[Fraction(0)] * size for _ in range(size)]
     high = [[Fraction(0)] * size for _ in range(size)]
     vac = [Fraction(0)] * size
+    nonzero = [[(i, c) for i, c in enumerate(p) if c] for p in ps]
     for j in range(0, size, step):
         residual = [Fraction(0)] * size
         residual[j] = Fraction(1)
@@ -424,11 +425,11 @@ def graded_ladders(basis, step=1):
                 vac[j] = g
             if not g:
                 continue
-            for i, c in enumerate(ps[n]):
+            for i, c in nonzero[n]:
                 residual[i] -= g * c
             for grid, k, w in ((low, n - 1, 1), (high, n + 1, n + 1)):
                 if 0 <= k <= top:
-                    for i, c in enumerate(ps[k]):
+                    for i, c in nonzero[k]:
                         grid[i][j] += g * w * c
     return low, high, vac
 

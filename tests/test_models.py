@@ -1,5 +1,6 @@
 """Model catalog: ladder axioms, basis identities, parity bookkeeping."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,93 @@ def test_basis_matrix_columns_match_the_reference_bases(name, degree):
             assert list(ps[n].coeffs) == want and not ps[n].truncated, n
     assert m.basis_op.trunc_cols == frozenset()
     assert len(ps) == degree + 1
+
+
+# -- every catalog build against operators built in Fractions ----------
+
+BUILD_NUS = (Fraction(1, 3), Fraction(5, 2), Fraction(7))
+BUILDS = [(name, nu) for name in MODEL_NAMES for nu in (BUILD_NUS if name == "bessel" else (None,))]
+
+# the Appell family's variance s at each of its catalog names
+_APPELL = {"monomial": 0, "hermite": 1}
+
+
+def _monomial(j):
+    return [Fraction(0)] * j + [Fraction(1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_basis(name, nu, n):
+    """p_n of a catalog name from its classical family, as a trimmed
+    tuple of Fractions, made once for every degree that reads it."""
+    if name in _APPELL:
+        p = scaled_family(ref.hermite_he if _APPELL[name] else _monomial, n)
+    elif name in FACTORIAL_FAMILIES:
+        p = scaled_family(FACTORIAL_FAMILIES[name][0], n)
+    else:
+        p = ref.p_scale(_monomial(2 * n), 1 / ref.bessel_c(nu or 0, n))
+    return tuple(ref.p_trim(p))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_lowering(name, nu, j):
+    """L t^j of a catalog name on the monomial t^j: the derivative, the
+    difference step (f(t+step) - f(t)), or the Bessel operator
+    f'' + (nu/t) f' on even j and zero on odd j."""
+    mono = _monomial(j)
+    if name in _APPELL:
+        low = ref.p_deriv(mono)
+    elif name in FACTORIAL_FAMILIES:
+        step = FACTORIAL_FAMILIES[name][1]
+        low = ref.p_scale(ref.p_add(ref.p_shift(mono, step), ref.p_scale(mono, -1)), step)
+    elif j % 2:
+        low = []
+    else:
+        d1 = ref.p_deriv(mono)
+        low = ref.p_add(ref.p_deriv(d1), ref.p_scale(d1[1:], nu or 0))
+    return tuple(ref.p_trim(low))
+
+
+def reference_build(name, nu, n_max):
+    """B, L, R and the vacuum row of the catalog model at n_max, built in
+    Fractions: B from the family, L on each monomial, R and the vacuum
+    by the triangular solve of ``graded_ladders``, whose top column of R
+    drops (n_max+1) p_(n_max+1).  The Appell family's R = t* - s d/dt
+    drops t^(cap+1) from its top column instead, so that column is
+    -s (t^cap)' there; the top column of R is marked in every family."""
+    step = 2 if name in ("heat", "bessel") else 1
+    cap = step * n_max
+    ps = [_reference_basis(name, nu, n) for n in range(n_max + 1)]
+    _, high, vac = ref.graded_ladders(ps, step)
+    if name in _APPELL:
+        top = ref.p_scale(ref.p_deriv(_monomial(cap)), -_APPELL[name])
+        for i, row in enumerate(high):
+            row[cap] = top[i] if i < len(top) else Fraction(0)
+
+    def op(columns, marks=frozenset()):
+        return ref.op_from_columns(cap, lambda j: dict(enumerate(columns(j))), marks)
+
+    return (
+        op(lambda j: ps[j] if j <= n_max else ()),
+        op(lambda j: _reference_lowering(name, nu, j)),
+        op(lambda j: [row[j] for row in high], {cap}),
+        {i: q for i, q in enumerate(vac) if q},
+    )
+
+
+@pytest.mark.parametrize("degree", range(1, 41))
+@pytest.mark.parametrize(
+    "name,nu", BUILDS, ids=[f"{n}-{nu}".replace("/", "_") if nu else n for n, nu in BUILDS]
+)
+def test_every_catalog_build_is_the_fraction_reference(name, nu, degree):
+    """B, L and R, their marks included, and the vacuum of each catalog
+    model at each degree equal the ones ``reference_build`` makes."""
+    m = build_model(name, degree, nu=nu)
+    b, low, high, vac = reference_build(name, nu, degree)
+    for got, want in ((m.basis_op, b), (m.lowering, low), (m.raising, high)):
+        assert got == want and got.trunc_cols == want.trunc_cols
+    (rows, vals), den = m.vacuum
+    assert {i: Fraction(x, den) for i, x in zip(rows, vals)} == vac
 
 
 # -- lowering in raw polynomial terms ----------------------------------

@@ -265,7 +265,7 @@ def test_the_genfun_check_builds_no_row_and_the_command_its_order_plus_one(m, co
     checked = count_calls(transforms, "column_poly")
     assert generating_function(m, m.n_max).status == PASS
     assert checked == []
-    made = count_calls(cli, "column_poly")
+    made = count_calls(cli, "_genfun_row")
     nu = ["--nu", "5/2"] if m.name == "bessel" else []
     for order, given in ((min(8, m.n_max), []), (2, ["--order", "2"])):
         made.clear()
