@@ -150,6 +150,13 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def format_float(x: float) -> str:
+    """x as its ``:g`` text when that reads back as x, else as ``repr``:
+    a message never rounds the value it names onto another one."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def _require_same_cap(cap: int, other: int) -> None:
     """Refuse operands at two different degree caps."""
     if cap != other:
@@ -209,13 +216,6 @@ class Poly:
         self.truncated = truncated
 
     # -- inspection ---------------------------------------------------
-
-    def degree(self) -> int:
-        """Degree of the stored polynomial; -1 for the zero polynomial."""
-        for k in range(self.cap, -1, -1):
-            if self.coeffs[k]:
-                return k
-        return -1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):

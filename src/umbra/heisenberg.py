@@ -70,7 +70,6 @@ from .formal import FormalOpSeries, Index, max_abs_entry, series_first_differenc
 from .models import UmbralModel, on_fock_twin
 from .reports import VerificationReport
 from .kernels import Column
-from .transforms import require_column_input
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,8 @@ def metaplectic_sequences(
     S p_2k through the dual matrix D, into its expansion.  The top
     raising entry cannot be read off a capped space and is stored as 0;
     the closure solver never consults it.  Each image must lie in the
-    model's space, at or below the top basis degree, and its expansion
+    model's space, at or below the top basis degree
+    (``UmbralModel.require_column``), and its expansion
     D S p_2k must have one nonzero, on the expected index; anything
     else there leaks.  At each k the lower2 and z images are refused
     outside the space before either expansion is read, and the raise2
@@ -407,13 +407,13 @@ def metaplectic_sequences(
     for k in range(top + 1):
         p = basis.cols[2 * k], basis.den, 2 * k in basis.trunc_cols
         low, diag = l2.step(*p), z.step(*p)
-        require_column_input(m, low[0][0])
-        require_column_input(m, diag[0][0])
+        m.require_column(low[0][0])
+        m.require_column(diag[0][0])
         a.append(entry(low, k, 2 * k - 2, "squared lowering"))
         c.append(entry(diag, k, 2 * k, "z"))
         if k < top:
             high = r2.step(*p)
-            require_column_input(m, high[0][0])
+            m.require_column(high[0][0])
             b.append(entry(high, k, 2 * k + 2, "squared raising"))
     b.append(ZERO)
     return a, b, c, tainted

@@ -47,7 +47,9 @@ B's columns decides them all (``_axiom_outcome``), with no operator product.
 The even models grade by basis index n <-> degree 2n and live on the
 even subspace only; applying their operators to a polynomial with
 odd-degree content raises DomainError (for the Bessel lowering this is
-forced: B_nu t = nu/t is not a polynomial).
+forced: B_nu t = nu/t is not a polynomial).  A model refuses what lies
+outside its space: ``require_poly`` a ``Poly`` (space, then cap) and
+``require_column`` a kernel column (space, then top basis degree).
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .core import (
     LinearOp,
     ONE,
     ParameterError,
+    Poly,
     Record,
     ZERO,
     as_fraction,
@@ -124,6 +127,21 @@ class UmbralModel(Record):
                         f"{self.label()} lives on even polynomials; "
                         f"input has a nonzero t^{k} coefficient"
                     )
+
+    def require_poly(self, f: Poly) -> None:
+        """Refuse a polynomial outside the model's space or at another
+        cap, in that order."""
+        self.check_degrees_in_space(k for k, c in enumerate(f.coeffs) if c)
+        if f.cap != self.degree_cap:
+            raise CapMismatchError(f"input cap {f.cap} differs from model cap {self.degree_cap}")
+
+    def require_column(self, rows: Sequence[int]) -> None:
+        """Refuse a kernel column, given by its nonzero rows, outside the
+        model's space or above its top basis degree, in that order."""
+        self.check_degrees_in_space(rows)
+        top = self.degree_of_index(self.n_max)
+        if rows and rows[-1] > top:
+            raise DomainError(f"degree {rows[-1]} exceeds the top basis degree {top}")
 
     def vacuum_is_eval0(self) -> bool:
         return icol_eq(*self.vacuum, *EVAL0)
@@ -255,10 +273,8 @@ def _mult_by_t_op(cap: int) -> LinearOp:
 
 
 def _checked_cap(n_max: int, cap: int | None, parity: Parity) -> int:
-    """The degree cap, by default the degree of p_{n_max}; refuses
-    n_max < 1 and a cap below that degree."""
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
+    """The degree cap, by default the degree of p_{n_max}; refuses a
+    cap below that degree."""
     even = parity is Parity.EVEN
     top = 2 * n_max if even else n_max
     cap = top if cap is None else cap
@@ -307,8 +323,6 @@ def _build_factorial(name: str, n_max: int, cap: int | None, step: int) -> Umbra
     term that leaves the space; their t^{cap+1} terms cancel.  Each of
     c_n, L and R has no zero below its top entry, so each column is one
     recurrence's numerators on consecutive rows."""
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
     cap = n_max if cap is None else cap
     if cap != n_max:
         raise CapMismatchError(
@@ -552,7 +566,7 @@ def build_model(
 ) -> UmbralModel:
     """Catalog dispatch by name; ``nu`` is required for (and only for)
     the bessel model, and must be > 0.  An unknown name is refused
-    before its ``nu`` is looked at."""
+    before its ``nu`` is looked at, and n_max < 1 after both."""
     if name not in _CATALOG:
         raise ParameterError(
             f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}"
@@ -565,5 +579,7 @@ def build_model(
             raise ParameterError(f"bessel model needs nu > 0, got {format_rational(nu)}")
     elif nu is not None:
         raise ParameterError(f"model {name!r} takes no nu parameter")
+    if n_max < 1:
+        raise ParameterError("n_max must be >= 1")
     build, param = _CATALOG[name]
     return build(name, n_max, cap, nu if param is None else param)

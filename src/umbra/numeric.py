@@ -26,7 +26,7 @@ from functools import cache, lru_cache
 from itertools import count
 from typing import Callable, Sequence
 
-from .core import ParameterError, QuadratureError
+from .core import ParameterError, QuadratureError, format_float
 from .quadrature import FIXED, QuadratureSpec, ScalarFn, integrate
 from .reports import ResidualReport
 
@@ -107,7 +107,7 @@ def _j_path(nu: float | Fraction, lam: float, t: float) -> str:
     if x > _SERIES_MAX_X:
         raise ParameterError(
             f"j_nu(nu={nu}, lambda={lam!r}, t={t!r}) is beyond the work budget: "
-            f"x = sqrt(|lambda|) |t| = {x:.6g} exceeds {_SERIES_MAX_X:g} for the "
+            f"x = sqrt(|lambda|) |t| = {format_float(x)} exceeds {_SERIES_MAX_X:g} for the "
             "series, and Hankel's expansion needs lambda > 0 and "
             "x >= 16 (|nu-1|/2 + 2)^2"
         )
@@ -537,14 +537,14 @@ def poisson_transform(
     _require_finite(nu=nu, x=x)
     if nu < 1:
         raise ParameterError(
-            f"poisson_transform supports nu >= 1 only, got {nu:g}"
+            f"poisson_transform supports nu >= 1 only, got {format_float(nu)}"
         )
     if nu > _POISSON_MAX_NU:
         raise ParameterError(
-            f"poisson_transform supports nu <= {_POISSON_MAX_NU:g} only, got {nu:g}"
+            f"poisson_transform supports nu <= {_POISSON_MAX_NU:g} only, got {format_float(nu)}"
         )
     if x <= 0:
-        raise ParameterError(f"need x > 0, got {x:g}")
+        raise ParameterError(f"need x > 0, got {format_float(x)}")
 
     fn, p = f.fn, nu - 1.0
 
@@ -615,13 +615,14 @@ def poisson_intertwining_check(
         raise ParameterError("intertwining check needs analytic dfn and d2fn")
     if nu > _POISSON_CHECK_MAX_NU:
         raise ParameterError(
-            f"poisson-intertwining supports nu <= {_POISSON_CHECK_MAX_NU:g} only, got {nu:g}: its "
-            f"{q.nodes}-node fixed rule cannot resolve the nu^(-1/2)-wide peak of (cos theta)^(nu-1)")
+            f"poisson-intertwining supports nu <= {_POISSON_CHECK_MAX_NU:g} only, "
+            f"got {format_float(nu)}: its {q.nodes}-node fixed rule cannot resolve the "
+            "nu^(-1/2)-wide peak of (cos theta)^(nu-1)")
     for x in grid:
         if x <= h:
             raise ParameterError(
                 f"poisson-intertwining needs every grid point x > h = {h:g}, the difference "
-                f"step, got {x:g}")
+                f"step, got {format_float(x)}")
     if f.dfn(0.0) != 0.0:
         raise ParameterError(
             f"poisson-intertwining needs f'(0) = 0, where B f = f'' + (nu/t) f' stays "
@@ -691,9 +692,9 @@ def hankel_transform(
     wherever j_nu would."""
     _require_finite(nu=nu, lam=lam)
     if nu <= 0:
-        raise ParameterError(f"hankel_transform needs nu > 0, got {nu:g}")
+        raise ParameterError(f"hankel_transform needs nu > 0, got {format_float(nu)}")
     if lam <= 0:
-        raise ParameterError(f"need lam > 0, got {lam:g}")
+        raise ParameterError(f"need lam > 0, got {format_float(lam)}")
     if f.decay not in ("compact", "exponential"):
         raise ParameterError(
             "hankel_transform needs declared decay (compact or exponential)"
@@ -703,7 +704,7 @@ def hankel_transform(
         hi ** nu
     except OverflowError:
         raise ParameterError(
-            f"hankel_transform: t^nu leaves the double range for nu = {nu:g}") from None
+            f"hankel_transform: t^nu leaves the double range for nu = {format_float(nu)}") from None
 
     fn = f.fn
 
@@ -739,7 +740,7 @@ def hankel_intertwining_check(
             hankel_transform(nu, bf, lam)
             + lam * hankel_transform(nu, f, lam)
         )
-        residuals[f"{lam:g}"] = r
+        residuals[format_float(lam)] = r
         worst = max(worst, r)
     return ResidualReport(
         check="hankel-intertwining",
@@ -804,7 +805,7 @@ def heat_covariant(
     at every finite u."""
     _require_finite(u=u)
     if u <= 0:
-        raise ParameterError(f"need u > 0, got {u:g}")
+        raise ParameterError(f"need u > 0, got {format_float(u)}")
     # pi u leaves the double range from u = 5.7e307 on
     root = math.sqrt(math.pi * u) if math.pi * u < math.inf else math.sqrt(math.pi) * math.sqrt(u)
     norm = 1.0 / (2.0 * root)
@@ -832,7 +833,7 @@ def cosine_transform(
     |f(+-T)| must not exceed e^(-rate T)."""
     _require_finite(v=v)
     if v < 0:
-        raise ParameterError(f"need v >= 0, got {v:g}")
+        raise ParameterError(f"need v >= 0, got {format_float(v)}")
     if f.decay == "compact":
         lo, hi = f.a, f.b
     elif f.decay == "exponential":

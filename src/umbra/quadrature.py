@@ -19,7 +19,7 @@ import math
 from functools import lru_cache
 from typing import Callable
 
-from .core import ParameterError, QuadratureError, Record
+from .core import ParameterError, QuadratureError, Record, format_float
 
 ADAPTIVE = "adaptive"
 FIXED = "fixed"
@@ -242,7 +242,7 @@ def integrate(
             return fine
         if depth >= MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"no convergence on [{a:g}, {b:g}] after "
+                f"no convergence on [{format_float(a)}, {format_float(b)}] after "
                 f"{MAX_SUBDIVISIONS} subdivisions; achieved residual "
                 f"{err:.3e} against budget {budget:.3e}"
             )
@@ -250,7 +250,7 @@ def integrate(
             raise QuadratureError(
                 f"no convergence within {MAX_PANELS} panels: {panels} used, "
                 f"achieved residual {err:.3e} against budget {budget:.3e} "
-                f"on [{a:g}, {b:g}]"
+                f"on [{format_float(a)}, {format_float(b)}]"
             )
         return (
             recurse(a, m, left, depth + 1)

@@ -16,10 +16,11 @@ computes as an integer row, and the reassembly is B c, B being the
 model's stored basis matrix (``basis_op``) with column n the basis
 element p_n.  Every product of an operator with a vector is one
 ``LinearOp.step`` on a kernel column over a running denominator, and
-every walk through L^k f is ``LinearOp.powers``.  A ``Poly`` appears
-only at the edges: the input is read into a kernel column once
-(``core.integer_vector``) and the output made once
-(``core.column_poly``).
+every walk through L^k f is ``LinearOp.powers``.  The model refuses
+an input outside its space (``UmbralModel.require_poly`` and
+``require_column``).  A ``Poly`` appears only at the edges: the input
+is read into a kernel column once (``core.integer_vector``) and the
+output made once (``core.column_poly``).
 
 W_0 is linear: W_0 = diag(1/k!) D.  On the basis matrix B its defining
 properties are the operator identities W_0 B = diag(1/n!),
@@ -69,7 +70,6 @@ from fractions import Fraction
 
 from .core import (
     CapMismatchError,
-    DomainError,
     LinearOp,
     Poly,
     column_poly,
@@ -83,13 +83,6 @@ from .models import _derivative_op, _mult_by_t_op
 from .reports import VerificationReport
 
 
-def require_model_input(m: UmbralModel, f: Poly) -> None:
-    """Refuse a polynomial outside the model's space or at another cap."""
-    m.check_degrees_in_space(k for k, c in enumerate(f.coeffs) if c)
-    if f.cap != m.degree_cap:
-        raise CapMismatchError(f"input cap {f.cap} differs from model cap {m.degree_cap}")
-
-
 def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
     """Profile of f in the monomial picture: coefficient k of the output
     is <l_0, L^k f>/k!, in a fresh variable u at the same cap.
@@ -100,7 +93,7 @@ def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
     when forming L^k f reads a column L marks, for k up to n_max + 1:
     the power past the top index is what shows that the series ends.
     """
-    require_model_input(m, f)
+    m.require_poly(f)
     vac, coeffs, kfact = vacuum_op(m), [], 1
     powers = m.lowering.powers(*integer_vector(f.coeffs), f.truncated)
     for k, (g, den, tainted) in zip(range(m.n_max + 2), powers):
@@ -108,22 +101,6 @@ def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
         (_, pair), pden, _ = vac.step(g, den, False)  # (<l_0, g>,), or () when it is 0
         coeffs.append(Fraction(sum(pair), pden * kfact))
     return Poly(coeffs[: m.n_max + 1], f.cap, tainted)
-
-
-def require_top_degree(m: UmbralModel, degree: int) -> None:
-    """Refuse a polynomial of degree above the model's top basis degree."""
-    top = m.degree_of_index(m.n_max)
-    if degree > top:
-        raise DomainError(
-            f"degree {degree} exceeds the top basis degree {top}"
-        )
-
-
-def require_column_input(m: UmbralModel, rows: tuple[int, ...]) -> None:
-    """Refuse a kernel column, given by its nonzero rows, outside the
-    model's space or above its top basis degree, in that order."""
-    m.check_degrees_in_space(rows)
-    require_top_degree(m, rows[-1] if rows else -1)
 
 
 def expand_in_basis(m: UmbralModel, f: Poly) -> list[Fraction]:
@@ -134,8 +111,8 @@ def expand_in_basis(m: UmbralModel, f: Poly) -> list[Fraction]:
     (the basis matrix is triangular with nonzero diagonal there);
     odd-degree content in an even-parity model raises DomainError.
     """
-    require_model_input(m, f)
-    require_top_degree(m, f.degree())
+    m.require_poly(f)
+    m.require_column(integer_vector(f.coeffs)[0][0])
     return list(m.dual_op.apply(f).coeffs[: m.n_max + 1])
 
 
@@ -154,8 +131,8 @@ def transmute_vector(
     """V vec = B_dst (D_src vec) for vec, a kernel column over den: the
     one transmutation of the package, two ``LinearOp.step``s that take
     the marks of D_src and B_dst.  vec must lie in the source space, at
-    or below its top basis degree (``require_column_input``)."""
-    require_column_input(src, vec[0])
+    or below its top basis degree (``UmbralModel.require_column``)."""
+    src.require_column(vec[0])
     return dst.basis_op.step(*src.dual_op.step(vec, den, tainted))
 
 
@@ -175,7 +152,7 @@ def umbral_map(src: UmbralModel, dst: UmbralModel, f: Poly) -> Poly:
         raise CapMismatchError(
             f"index counts differ: {src.n_max} vs {dst.n_max}"
         )
-    require_model_input(src, f)
+    src.require_poly(f)
     col, den, tainted = transmute_vector(src, dst, *integer_vector(f.coeffs), f.truncated)
     return column_poly(col, den, dst.degree_cap, tainted)
 
@@ -196,15 +173,14 @@ def check_transmutation_intertwining(
     every product a ``LinearOp.step``, and ``kernels.icol_eq`` compares
     the two images over their denominators: one check for
     ``core.outcome`` per index, lowering first, marked when either side
-    is tainted.  V p_n is formed once per index, and the raising pass
-    reuses what the lowering pass made.  A side is tainted when B_src
-    marks column n or when one of its products reads a column its
-    operator marks, as ``umbral_map`` and the ladders' ``apply`` flag
-    it; each vector that D_src expands and each image the target ladder
-    acts on must lie in its model's space, as there.  Both models must
-    carry the same number of basis elements; parity may differ.
-    Decided on the Fock pair, as
-    (pair, pair), where both models have a Fock twin.
+    is tainted.  V p_n is formed anew in each pass.  A side is tainted
+    when B_src marks column n or when one of its products reads a
+    column its operator marks, as ``umbral_map`` and the ladders'
+    ``apply`` flag it; each vector that D_src expands and each image the
+    target ladder acts on must lie in its model's space, as there.  Both
+    models must carry the same number of basis elements; parity may
+    differ.  Decided on the Fock pair, as (pair, pair), where both
+    models have a Fock twin.
     """
     if src.n_max != dst.n_max:
         raise CapMismatchError(
@@ -213,17 +189,16 @@ def check_transmutation_intertwining(
     params = {"src": src.label(), "dst": dst.label()}
     if (moved := on_fock_twin((src, dst), check_transmutation_intertwining, **params)) is not None:
         return moved
-    b_src, images = src.basis_op, {}  # n -> V p_n
+    b_src = src.basis_op
 
     def sides(on_src: LinearOp, on_dst: LinearOp, n: int) -> tuple[bool, bool]:
         col = b_src.cols[n]
         src.check_degrees_in_space(col[0])
         p = col, b_src.den, n in b_src.trunc_cols
         l, dl, lt = transmute_vector(src, dst, *on_src.step(*p))
-        if n not in images:
-            (rows, _), _, _ = images[n] = transmute_vector(src, dst, *p)
-            dst.check_degrees_in_space(rows)
-        r, dr, rt = on_dst.step(*images[n])
+        image = transmute_vector(src, dst, *p)
+        dst.check_degrees_in_space(image[0][0])
+        r, dr, rt = on_dst.step(*image)
         return icol_eq(l, dl, r, dr), lt or rt
 
     bad, tainted = outcome(

@@ -60,7 +60,6 @@ from .core import (
 from .kernels import imat_comb
 from .models import UmbralModel, _derivative_op, _form, axiom_outcomes, require_order
 from .reports import VerificationReport
-from .transforms import require_model_input
 
 
 def first_difference(lhs: list, rhs: list) -> tuple[int, int] | None:
@@ -183,7 +182,7 @@ def generalized_translate(m: UmbralModel, y: Fraction | int, f: Poly) -> Poly:
     is flagged when f is or when some L^k f read a column L marks, for
     then the true L^s f may not be zero."""
     y = as_fraction(y)
-    require_model_input(m, f)
+    m.require_poly(f)
     cap, b, low = m.degree_cap, m.basis_op, m.lowering
     a, c = y.numerator, y.denominator
     ypow = [a**i * c ** (cap - i) for i in range(cap + 1)]

@@ -9,7 +9,9 @@ Hankel's expansion in integers (x from 30 to 1900) and where it takes
 Hankel's expansion in floats (x past 2000); and, in each format, argvs
 that exit 1 (an intertwining check that holds in neither direction or
 fails at a tolerance no float meets) and 3 (a heat covariant whose tail
-bound is past the double range).
+bound is past the double range); in each format, ``models`` and a
+Hankel intertwining on grid points 1e-7 apart; and the command-line
+refusals that no golden reaches, each exiting 2.
 
     python tests/corpus.py --against DIR
 
@@ -18,12 +20,23 @@ on the tree at DIR (a checkout with its own ``src/``), each tree in its
 own process, and prints each argv whose exit code, stdout or stderr
 differ.  It exits 1 when one does, else 0.  ``--list`` prints the
 corpus, one JSON argv a line.
+
+    python tests/corpus.py --record
+
+rewrites ``tests/golden/corpus-digests.json``, one digest of (exit code,
+stdout, stderr) per argv, which ``tests/test_corpus.py`` checks (only
+for an intended output change, noted in CHANGES.md).  The same test
+runs the corpus under ``sys.setprofile`` (``traced_sweep``) and fails
+on any function of ``src/umbra`` that it never enters and that
+``tests/unreached.txt`` does not list with a reason.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -32,6 +45,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "tests" / "golden" / "corpus-digests.json"
 FORMATS = ("plain", "json", "csv")
 J_NUS = ("2", "5/2", "2.7", "31/2", "7")
 J_SERIES_X = ("30", "60", "130", "400", "1000", "1900")
@@ -40,6 +54,26 @@ NOT_PASSING = (
     ["heat", "covariant", "--fn", "gauss", "--u", "1e308"],
     ["verify", "--check", "poisson-intertwining", "--nu", "2", "--fn", "cos", "--tol", "1e-30"],
     ["verify", "--check", "hankel-intertwining", "--nu", "2", "--fn", "bump", "--tol", "1e-30"],
+)
+#: three grid points whose :g texts coincide, each a residual of its own
+CLOSE_GRID = ["verify", "--check", "hankel-intertwining", "--nu", "2", "--fn", "bump",
+              "--grid", "1.0000001,1.0000002,1.0000003"]
+REFUSALS = (
+    ["models", "--out", "/nonexistent/dir/models.json"],
+    ["verify", "--model", "monomial"],
+    ["w0", "--model", "monomial"],
+    ["transmute", "--from", "monomial", "--to", "hermite"],
+    ["translate", "--model", "monomial", "--poly", "1,2"],
+    ["verify", "--check", "transmute", "--to", "hermite"],
+    ["verify", "--check", "transmute", "--from", "monomial", "--to", "hermite", "--nu", "2"],
+    # a refused value whose :g text would round onto the bound
+    ["bessel", "poisson", "--nu", "0.9999999", "--x", "1", "--fn", "cos"],
+    ["bessel", "poisson", "--nu", "1000001", "--x", "1", "--fn", "cos"],
+    ["verify", "--check", "poisson-intertwining", "--nu", "8000.001", "--fn", "cos"],
+    ["bessel", "j", "--nu", "2", "--lambda=-1", "--x", "4000.0001"],
+    ["bessel", "hankel", "--nu", "60", "--fn", "gauss", "--lambda", "21000"],
+    ["verify", "--check", "poisson-intertwining", "--nu", "2", "--fn", "cos",
+     "--grid", "0.00099999999"],
 )
 
 
@@ -71,6 +105,8 @@ def corpus() -> list[list[str]]:
     argvs += [["bessel", "j", "--nu", nu, "--lambda=-1", "--x", x]
               for nu in J_NUS for x in ("30", "300")]
     argvs += [[*argv, "--format", fmt] for argv in NOT_PASSING for fmt in FORMATS]
+    argvs += [[*argv, "--format", fmt] for argv in (CLOSE_GRID, ["models"]) for fmt in FORMATS]
+    argvs += REFUSALS
     return list(map(list, dict.fromkeys(map(tuple, argvs))))
 
 
@@ -91,14 +127,74 @@ def run(argv: list[str]) -> list:
     return [code, out.getvalue(), err.getvalue()]
 
 
-def sweep(tree: Path, argvs: list[list[str]]) -> list[list]:
-    """``run`` on every argv, in one fresh process on ``tree``'s src."""
+def work(argvs: list[list[str]], reach: bool) -> list:
+    """[``run`` of each argv, the (file, first line) of every code object
+    entered], the second empty unless ``reach``.  The profile hook goes
+    in before anything imports umbra, so import-time calls count."""
+    entered: dict[int, object] = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered[id(frame.f_code)] = frame.f_code  # the dict keeps each id's code alive
+
+    if reach:
+        sys.setprofile(profile)
+    results = [run(argv) for argv in argvs]
+    sys.setprofile(None)
+    return [results, sorted({(c.co_filename, c.co_firstlineno) for c in entered.values()})]
+
+
+def sweep(tree: Path, argvs: list[list[str]], reach: bool = False) -> list:
+    """``work`` on every argv, in one fresh process on ``tree``'s src."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     done = subprocess.run(
-        [sys.executable, __file__, "--worker"], input=json.dumps(argvs),
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, __file__, "--worker", *(["--reach"] if reach else [])],
+        input=json.dumps(argvs), capture_output=True, text=True, env=env, check=True,
     )
     return json.loads(done.stdout)
+
+
+def functions(package: Path) -> dict[tuple[str, int], str]:
+    """Every function that the modules of ``package`` define, by (file,
+    first line as its code object has it, decorators included) ->
+    "module.Class.name"."""
+    out: dict[tuple[str, int], str] = {}
+
+    def walk(node: ast.AST, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[str(path), first] = name
+                walk(child, path, name)
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.resolve(), path.stem)
+    return out
+
+
+def traced_sweep(argvs: list[list[str]]) -> tuple[list[list], set[str]]:
+    """(``run`` of each argv, the functions of this tree's ``umbra`` that
+    no argv entered), from one fresh process under ``sys.setprofile``."""
+    results, entered = sweep(ROOT, argvs, reach=True)
+    entered = {(str(Path(f).resolve()), line) for f, line in entered}
+    defined = functions(ROOT / "src" / "umbra")
+    return results, {name for key, name in defined.items() if key not in entered}
+
+
+def digest(result: list) -> str:
+    """A short digest of one [exit code, stdout, stderr]."""
+    return hashlib.sha256(json.dumps(result).encode()).hexdigest()[:16]
+
+
+def digests(argvs: list[list[str]], results: list[list]) -> dict[str, str]:
+    """{argv joined by spaces: ``digest``}, in corpus order."""
+    out = {" ".join(argv): digest(result) for argv, result in zip(argvs, results)}
+    assert len(out) == len(argvs), "two argvs join to the same key"
+    return out
 
 
 def main() -> int:
@@ -106,18 +202,24 @@ def main() -> int:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--against", type=Path, metavar="DIR")
     group.add_argument("--list", action="store_true")
+    group.add_argument("--record", action="store_true")
     group.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--reach", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        results = [run(argv) for argv in json.load(sys.stdin)]
-        json.dump(results, sys.stdout)
+        json.dump(work(json.load(sys.stdin), args.reach), sys.stdout)
         return 0
     argvs = corpus()
     if args.list:
         for argv in argvs:
             print(json.dumps(argv))
         return 0
-    ours, theirs = sweep(ROOT, argvs), sweep(args.against.resolve(), argvs)
+    if args.record:
+        results, _ = sweep(ROOT, argvs)
+        DIGESTS.write_text(json.dumps(digests(argvs, results), indent=1) + "\n")
+        print(f"{len(argvs)} digests written to {DIGESTS.relative_to(ROOT)}")
+        return 0
+    (ours, _), (theirs, _) = sweep(ROOT, argvs), sweep(args.against.resolve(), argvs)
     differ = [argv for argv, a, b in zip(argvs, ours, theirs) if a != b]
     for argv in differ:
         print("differs:", " ".join(argv))

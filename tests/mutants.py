@@ -149,10 +149,10 @@ MUTANTS = (
     Mutant(
         "the z image refused outside the space after the squared lowering's leak",
         "src/umbra/heisenberg.py",
-        "        require_column_input(m, diag[0][0])\n"
+        "        m.require_column(diag[0][0])\n"
         "        a.append(entry(low, k, 2 * k - 2, \"squared lowering\"))\n",
         "        a.append(entry(low, k, 2 * k - 2, \"squared lowering\"))\n"
-        "        require_column_input(m, diag[0][0])\n",
+        "        m.require_column(diag[0][0])\n",
         (
             "tests/test_truncation_rule.py::"
             "test_the_z_image_leaving_the_space_is_refused_before_the_lowering_leak",
@@ -206,8 +206,8 @@ MUTANTS = (
     Mutant(
         "the transmutation check's target-side ladder step dropping its taint",
         "src/umbra/transforms.py",
-        "        r, dr, rt = on_dst.step(*images[n])\n",
-        "        (r, dr, _), rt = on_dst.step(*images[n]), images[n][2]\n",
+        "        r, dr, rt = on_dst.step(*image)\n",
+        "        (r, dr, _), rt = on_dst.step(*image), image[2]\n",
         (
             "tests/test_truncation_rule.py::test_a_marked_target_ladder_leaves_the_transmutation_check_inconclusive",
             "tests/test_truncation_rule.py::test_the_transmutation_check_agrees_with_the_poly_oracle_on_perturbed_models",
@@ -926,6 +926,36 @@ MUTANTS = (
         "self, check: str, model: str | None, params: dict[str, Any] | None = None,",
         "self, check: str, model: str | None, params: dict[str, Any] | None = {},",
         ("tests/test_value_types.py::test_reports_built_without_dicts_each_get_their_own",),
+    ),
+    Mutant(
+        "a kernel column one degree above the top basis degree let through",
+        "src/umbra/models.py",
+        "        if rows and rows[-1] > top:\n",
+        "        if rows and rows[-1] > top + 1:\n",
+        ("tests/test_truncation_rule.py::"
+         "test_the_transmutation_check_refuses_what_the_poly_oracle_refuses",),
+    ),
+    Mutant(
+        "hankel-intertwining residuals keyed by the :g text alone",
+        "src/umbra/numeric.py",
+        "        residuals[format_float(lam)] = r\n",
+        '        residuals[f"{lam:g}"] = r\n',
+        ("tests/test_numeric.py::test_hankel_intertwining_keys_each_grid_point_apart",),
+    ),
+    Mutant(
+        "a message's float kept as its :g text when that does not read back",
+        "src/umbra/core.py",
+        "    return text if float(text) == x else repr(x)\n",
+        "    return text\n",
+        ("tests/test_core.py::test_a_float_keeps_its_g_text_only_when_that_reads_back",
+         "tests/test_numeric.py::test_a_refusal_never_rounds_the_refused_value_onto_its_bound"),
+    ),
+    Mutant(
+        "a basis form reduced by the gcd of its top coefficient alone",
+        "src/umbra/models.py",
+        "    g = math.gcd(den, *vals)\n",
+        "    g = math.gcd(den, *vals[-1:])\n",
+        ("tests/test_truncation_rule.py::test_random_delta_operators_reach_the_expansion_theorem",),
     ),
 )
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from umbra.core import CapMismatchError, LinearOp, Poly, column_poly
 from umbra.reports import VerificationReport
-from umbra.transforms import require_model_input, umbral_map
+from umbra.transforms import umbral_map
 
 mpmath.mp.dps = 40
 
@@ -533,6 +533,56 @@ def graded_premise_models(draw):
     }
 
 
+def delta_matrix(c, size):
+    """The grid of Q = sum_k c[k-1] D^k, D = d/dt, on t^0..t^(size-1):
+    Q t^j = sum_k c_k j!/(j-k)! t^(j-k)."""
+    grid = [[Fraction(0)] * size for _ in range(size)]
+    for j in range(size):
+        for k, ck in enumerate(c, 1):
+            if k <= j:
+                grid[j - k][j] += ck * factorial(j) / factorial(j - k)
+    return grid
+
+
+def basic_sequence(c, top):
+    """q_0..q_top of the delta operator Q = sum_k c[k-1] D^k, c[0] != 0:
+    the polynomials with Q q_n = n q_(n-1) and q_n(0) = delta_n0 (Roman,
+    *The Umbral Calculus*, 1984, ch. 2).  q_n = sum_(j=1..n) a_j t^j is
+    solved top down: the t^i coefficient of Q q_n is
+    sum_k c_k (i+k)!/i! a_(i+k), which must be n times that of q_(n-1),
+    and its k = 1 term gives a_(i+1)."""
+    qs = [[Fraction(1)]]
+    for n in range(1, top + 1):
+        prev, a = qs[-1], [Fraction(0)] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            rest = sum(ck * factorial(i + k) / factorial(i) * a[i + k]
+                       for k, ck in enumerate(c[1:], 2) if i + k <= n)
+            a[i + 1] = (n * prev[i] - rest) / (c[0] * (i + 1))
+        qs.append(a)
+    return qs
+
+
+@st.composite
+def delta_operator_models(draw):
+    """A plain model, with the keys of ``graded_premise_models``, on the
+    basis p_n = q_n/n! of a random delta operator Q = sum_k c_k D^k:
+    c_1 != 0, each c_k small and rational (``basic_sequence``).  Then
+    L p_n = p_(n-1) makes L = Q on the capped space ("Q" holds its grid),
+    and the vacuum is evaluation at 0.  Q commutes with D and Q t = c_1,
+    so every such model meets the expansion theorem's hypotheses with a
+    lowering that is no catalog family's."""
+    top = draw(st.integers(1, 6))
+    c = [draw(st.sampled_from([q for q in SMALL if q]))]
+    c += draw(st.lists(st.sampled_from(SMALL), max_size=top - 1))
+    basis = [[x / factorial(n) for x in q] + [Fraction(0)] * (top - n)
+             for n, q in enumerate(basic_sequence(c, top))]
+    low, high, vac = graded_ladders(basis)
+    return {
+        "L": low, "l_marks": set(), "R": high, "r_marks": {top}, "vac": vac,
+        "basis": basis, "b_marks": set(), "even": False, "Q": delta_matrix(c, top + 1),
+    }
+
+
 # -- ladder axioms as plain first-failure searches ---------------------
 #
 # A model is a dict of dense Fraction lists: the ladder matrices "L" and
@@ -896,7 +946,7 @@ def basis(m):
 
 def _in_space(m, op, f):
     """op f, refused as the model refuses an input outside its space."""
-    require_model_input(m, f)
+    m.require_poly(f)
     return op.apply(f)
 
 
@@ -941,7 +991,7 @@ def translate_by_poly(m, y, f):
     power that is not zero), and refuses a series that outlives the
     basis."""
     y = Fraction(y)
-    require_model_input(m, f)
+    m.require_poly(f)
     acc = Poly([], m.degree_cap, f.truncated)
     g = f
     ps = basis(m)
@@ -950,6 +1000,6 @@ def translate_by_poly(m, y, f):
         if w:
             acc = acc + g.scale(w)
         g = m.lowering.apply(g)
-        if g.degree() < 0:
+        if not any(g.coeffs):
             return Poly(acc.coeffs, acc.cap, acc.truncated or g.truncated)
     raise CapMismatchError("translation series did not terminate within the basis range")

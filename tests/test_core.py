@@ -16,6 +16,7 @@ from umbra.core import (
     LinearOp,
     ParameterError,
     Poly,
+    format_float,
     format_rational,
     op_commutator,
     parse_rational,
@@ -58,6 +59,17 @@ def test_parse_format_round_trip():
 @given(st.fractions())
 def test_format_parse_inverse(q):
     assert parse_rational(format_rational(q)) == q
+
+
+def test_a_float_keeps_its_g_text_only_when_that_reads_back():
+    for x, text in [(0.25, "0.25"), (1.0, "1"), (4.0, "4"), (1e6, "1e+06"), (-1e-07, "-1e-07"),
+                    (1000001.0, "1000001.0"), (0.9999999, "0.9999999"), (1 / 3, repr(1 / 3))]:
+        assert format_float(x) == text
+
+
+@given(st.floats(allow_nan=False))
+def test_a_formatted_float_reads_back(x):
+    assert float(format_float(x)) == x
 
 
 # -- Poly --------------------------------------------------------------

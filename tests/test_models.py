@@ -14,7 +14,6 @@ from umbra.models import (
     verify_model,
 )
 from umbra.reports import PASS
-from umbra.transforms import require_model_input
 from umbra.translations import binomial_sweep
 
 import reference as ref
@@ -338,7 +337,7 @@ def test_even_models_reject_odd_content():
         m = build_model(name, 3, nu=NU if name == "bessel" else None)
         odd = Poly([0, 0, 0, 1], m.degree_cap)
         with pytest.raises(DomainError):
-            require_model_input(m, odd)
+            m.require_poly(odd)
 
 
 def test_degree_of_index_grading():

@@ -714,6 +714,30 @@ def test_hankel_intertwining_bump():
         assert rep.max_residual <= 1e-6, nu
 
 
+def test_hankel_intertwining_keys_each_grid_point_apart():
+    # :g reads the three points as "1"; each keeps a key that reads back
+    grid = [1.0000001, 1.0000002, 1.0000003]
+    rep = hankel_intertwining_check(2.0, canned_fn("bump"), grid)
+    assert [float(k) for k in rep.residuals] == grid
+    rep = hankel_intertwining_check(2.0, canned_fn("bump"), [0.25, 1.0, 4.0])
+    assert list(rep.residuals) == ["0.25", "1", "4"]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: poisson_transform(0.9999999, canned_fn("cos"), 1.0), "nu >= 1 only, got 0.9999999"),
+    (lambda: poisson_transform(1000001.0, canned_fn("cos"), 1.0), "nu <= 1e+06 only, got 1000001.0"),
+    (lambda: poisson_intertwining_check(8000.001, canned_fn("cos"), [1.0]),
+     "nu <= 8000 only, got 8000.001:"),
+    (lambda: poisson_intertwining_check(2.0, canned_fn("cos"), [0.00099999999]),
+     "x > h = 0.001, the difference step, got 0.00099999999"),
+    (lambda: little_bessel_j(2.0, -1.0, 4000.0001), "|t| = 4000.0001 exceeds 4000 for"),
+])
+def test_a_refusal_never_rounds_the_refused_value_onto_its_bound(call, message):
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert message in str(err.value)
+
+
 def test_hankel_intertwining_requires_interior_support():
     whole_line = canned_fn("gauss")
     with pytest.raises(ParameterError):

@@ -113,6 +113,9 @@ def test_depth_exhaustion_reports_residual():
     with pytest.raises(QuadratureError) as err:
         integrate(step, 0.0, 1.0, QuadratureSpec())
     assert "after 32 subdivisions" in str(err.value) and "residual" in str(err.value)
+    # the panel's ends are told apart, and hold the jump
+    a, b = map(float, str(err.value).split("[")[1].split("]")[0].split(", "))
+    assert a < 1 / 3 < b and b - a < 1e-9
 
 
 def test_the_panel_budget_stops_one_integration_with_its_residual(monkeypatch):

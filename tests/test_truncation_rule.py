@@ -822,6 +822,31 @@ def test_random_graded_premise_models_are_decided_as_directly(d, data, other):
     _assert_decided_as_directly(m, order, order, o)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    ref.delta_operator_models(),
+    st.data(),
+    st.sampled_from(["monomial", "upper-factorial", "hermite", "heat", "bessel"]),
+)
+def test_random_delta_operators_reach_the_expansion_theorem(d, data, other):
+    """The basic sequence of a random delta operator Q, with L = Q and
+    the vacuum evaluation at 0, meets the premise and the expansion
+    theorem; at every n the sweep's theorem report is what the direct
+    ``binomial_check`` tables give, and every other check reports what
+    its direct path reports."""
+    top = len(d["basis"]) - 1
+    assert d["L"] == d["Q"]
+    m = _rebuilt(build_model("monomial", top), d)
+    assert m.premise and m.vacuum_is_eval0()
+    assert translations._expansion_theorem_applies(m)
+    for n in range(top + 1):
+        assert binomial_sweep(m, n) == _binomial_by_tables(m, n) == [
+            VerificationReport("binomial", m.label(), {"n_max": n})
+        ]
+    o = build_model(other, top, Fraction(3, 2) if other == "bessel" else None)
+    _assert_decided_as_directly(m, data.draw(st.integers(0, top)), top, o)
+
+
 def test_the_catalog_models_are_decided_on_their_fock_twin():
     """Every catalog model, monomial included, meets the premise of both
     transports, and so has the Fock pair as its twin, the pair being its
