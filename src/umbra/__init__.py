@@ -23,7 +23,6 @@ from .core import (
     QuadratureError,
     UmbraError,
     format_rational,
-    op_commutator,
     parse_rational,
 )
 

@@ -84,8 +84,9 @@ class QuadratureError(UmbraError):
 
 class Record:
     """A value of the fields ``_fields``, which its ``__init__`` checks
-    and sets once: equal and hashed by class and fields, and copied with
-    some changed by ``_replace``, through ``__init__`` and its refusals."""
+    and sets once: equal by class and fields (and not hashable), and
+    copied with some changed by ``_replace``, through ``__init__`` and
+    its refusals."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -97,9 +98,6 @@ class Record:
         return type(other) is type(self) and all(
             getattr(self, k) == getattr(other, k) for k in self._fields
         )
-
-    def __hash__(self) -> int:
-        return hash(tuple(getattr(self, k) for k in self._fields))
 
 
 def outcome(checks: Iterable[tuple[Any, bool, bool]]) -> tuple[Any, bool]:
@@ -221,9 +219,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.cap == other.cap and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.cap))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -370,9 +365,6 @@ class LinearOp:
             and self.cols == other.cols
         )
 
-    def __hash__(self) -> int:
-        return hash((self.cols, self.den, self.cap))
-
     # -- algebra ------------------------------------------------------
 
     def __matmul__(self, other: "LinearOp") -> "LinearOp":
@@ -493,11 +485,3 @@ class Functional:
         if not isinstance(other, Functional):
             return NotImplemented
         return self.cap == other.cap and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.terms, self.cap))
-
-
-def op_commutator(a: LinearOp, b: LinearOp) -> LinearOp:
-    """[a, b] = a @ b - b @ a."""
-    return (a @ b) - (b @ a)

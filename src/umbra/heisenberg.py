@@ -63,7 +63,6 @@ from .core import (
     ZERO,
     as_fraction,
     format_rational,
-    op_commutator,
     outcome,
 )
 from .formal import FormalOpSeries, Index, max_abs_entry, series_first_difference
@@ -343,9 +342,9 @@ def metaplectic_check(m: UmbralModel) -> list[VerificationReport]:
     l2, r2, z = metaplectic(m)
     lam, lam_minus, lam_plus = METAPLECTIC_CONSTANTS
     checks = [
-        ("sl2-commutator", op_commutator(l2, r2), z.scale(lam)),
-        ("sl2-z-lowering", op_commutator(z, l2), l2.scale(lam_minus)),
-        ("sl2-z-raising", op_commutator(z, r2), r2.scale(lam_plus)),
+        ("sl2-commutator", l2 @ r2 - r2 @ l2, z.scale(lam)),
+        ("sl2-z-lowering", z @ l2 - l2 @ z, l2.scale(lam_minus)),
+        ("sl2-z-raising", z @ r2 - r2 @ z, r2.scale(lam_plus)),
     ]
     params = {
         "constants": [format_rational(q) for q in METAPLECTIC_CONSTANTS],

@@ -163,13 +163,6 @@ class UmbralModel(Record):
         return LinearOp(imat_transpose(rows, self.degree_cap + 1), den, self.degree_cap, marks)
 
     @functools.cached_property
-    def basis_forms(self) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-        """``_form`` of each column of B, made once per model for the
-        two-variable tables of the binomial and character checks."""
-        b = self.basis_op
-        return [_form(rows, vals, b.den) for rows, vals in b.cols]
-
-    @functools.cached_property
     def words(self) -> OpWordTable:
         """The one table of ladder-word operators that the formal
         checks and the squared-ladder triple share."""
@@ -243,17 +236,6 @@ class UmbralModel(Record):
         nothing writes to an operator's columns in place, and a check is
         a pure function of (models, args)."""
         return {}
-
-
-def _form(
-    rows: Sequence[int], vals: Sequence[int], den: int
-) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The polynomial sum_i vals[i] t^rows[i] / den as its nonzero
-    (degree, integer numerator) pairs over its own reduced denominator:
-    the smaller the integers, the cheaper the two-variable tables of
-    ``translations.first_difference``."""
-    g = math.gcd(den, *vals)
-    return tuple(zip(rows, [x // g for x in vals])), den // g
 
 
 def _basis_op(cap: int, polys: Sequence[tuple[Column, int]]) -> LinearOp:

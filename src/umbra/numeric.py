@@ -46,6 +46,7 @@ _HANKEL_MAX_DEN = 8              # it serves nu = p/q with q <= 8 (see _hankel_d
 _PI_ERR = 2                      # _pi_fixed(prec) is within 2 of pi 2^prec
 _POISSON_MAX_NU = 1e6            # see poisson_transform
 _POISSON_CHECK_MAX_NU = 8000.0   # see poisson_intertwining_check
+_POISSON_CHECK_MAX_X = 1e4       # ditto, for an f of no declared decay
 
 
 def _require_finite(**values: float) -> None:
@@ -554,7 +555,7 @@ def poisson_transform(
 
     c = poisson_constant(nu)
     mass = tuple(math.asin(t / x) for t in f.mass if 0 < t < x)  # f's mass, in theta
-    q = _scaled(q, c, mass)
+    q = _scaled(q, c, q.mass + mass)
     return c * integrate(integrand, 0.0, math.pi / 2, q)
 
 
@@ -603,7 +604,10 @@ def poisson_intertwining_check(
     are Richardson-extrapolated central differences, step h = 1e-3,
     over P on the 64-node fixed rule, one panel per piece that f's mass
     cuts.  The cuts move smoothly with x, so the quadrature error
-    cancels in the quotients; every grid point must exceed h.  The rule
+    cancels in the quotients; every grid point must exceed h.  An f of
+    no declared decay has no cuts, and one panel cannot resolve
+    cos(x sin theta) past x = 150: at grid point x it gets ceil(x/64)
+    equal panels, the same at all five stencil points, for x <= 1e4.  The rule
     resolves the nu^(-1/2)-wide peak of (cos theta)^(nu-1) up to
     nu = 8000: past it, r2 on the cos grid reaches 1e-6 at nu = 8250
     and 1.7e-3 at nu = 1e5, so larger nu is refused rather than
@@ -623,24 +627,26 @@ def poisson_intertwining_check(
             raise ParameterError(
                 f"poisson-intertwining needs every grid point x > h = {h:g}, the difference "
                 f"step, got {format_float(x)}")
+        if not f.mass and not x <= _POISSON_CHECK_MAX_X:
+            raise ParameterError(
+                f"poisson-intertwining needs every grid point x <= {_POISSON_CHECK_MAX_X:g} "
+                f"for an f of no declared decay, got {format_float(x)}")
     if f.dfn(0.0) != 0.0:
         raise ParameterError(
             f"poisson-intertwining needs f'(0) = 0, where B f = f'' + (nu/t) f' stays "
             f"bounded, got f'(0) = {f.dfn(0.0):g}")
     bf = singular_second_order(nu, f)
     f2 = f._replace(fn=f.d2fn, dfn=None, d2fn=None)
-
-    @cache
-    def pf(x: float) -> float:
-        return poisson_transform(nu, f, x, q)
-
     r1s: list[float] = []
     r2s: list[float] = []
     for x in grid:
+        n = 1 if f.mass else math.ceil(x / q.nodes)
+        qx = q._replace(mass=tuple(k * math.pi / (2 * n) for k in range(1, n)))
+        pf = cache(lambda y: poisson_transform(nu, f, y, qx))
         d1 = _richardson_d1(pf, x, h)
         d2 = _richardson_d2(pf, x, h)
-        r1s.append(abs(poisson_transform(nu, bf, x, q) - d2))
-        r2s.append(abs(d2 + nu * d1 / x - poisson_transform(nu, f2, x, q)))
+        r1s.append(abs(poisson_transform(nu, bf, x, qx) - d2))
+        r2s.append(abs(d2 + nu * d1 / x - poisson_transform(nu, f2, x, qx)))
     m1 = max(r1s, default=0.0)
     m2 = max(r2s, default=0.0)
     if m1 <= tol and m2 <= tol:
@@ -673,7 +679,7 @@ def _hankel_cutoff(nu: float, f: ScalarFn, q: QuadratureSpec) -> float:
         t *= 1.5
         if t > 1e4:
             raise QuadratureError(
-                f"cannot meet tail bound {q.abs_tol:g} for rate {r:g}"
+                f"cannot meet tail bound {format_float(q.abs_tol)} for rate {format_float(r)}"
             )
     return t
 
@@ -763,7 +769,8 @@ def _edge_size(f: ScalarFn, t: float, u: float) -> float:
     except OverflowError:
         sizes = [math.inf]
     if not all(x < math.inf for x in sizes):  # also refuses NaN
-        raise QuadratureError(f"heat_covariant: f overflows at the cut +-{t:g} for u={u:g}")
+        raise QuadratureError(
+            f"heat_covariant: f overflows at the cut +-{format_float(t)} for u={format_float(u)}")
     return max(1.0, *sizes)
 
 
@@ -786,7 +793,7 @@ def _gaussian_cutoff(f: ScalarFn, u: float, q: QuadratureSpec) -> float:
         t *= 1.5
         if t > 1e6:
             raise QuadratureError(
-                f"cannot meet Gaussian tail bound {q.abs_tol:g} at u={u:g}"
+                f"cannot meet Gaussian tail bound {format_float(q.abs_tol)} at u={format_float(u)}"
             )
 
 
@@ -843,8 +850,9 @@ def cosine_transform(
         for side, at in (("left", lo), ("right", hi)):
             if not abs(f(at)) <= bound:
                 raise ParameterError(
-                    f"cosine_transform: |f({at:g})| = {abs(f(at)):.6g} breaks the declared "
-                    f"decay e^(-{f.rate:g}*{t:g}) = {bound:.6g} on the {side}")
+                    f"cosine_transform: |f({format_float(at)})| = {abs(f(at)):.6g} breaks the "
+                    f"declared decay e^(-{format_float(f.rate)}*{format_float(t)}) = {bound:.6g} "
+                    f"on the {side}")
     else:
         raise ParameterError(
             "cosine_transform needs declared decay (compact or exponential)"
@@ -894,10 +902,12 @@ CANNED_FNS: dict[str, ScalarFn] = {
         fn=lambda t: math.exp(-t), decay="exponential", rate=1.0,
         dfn=lambda t: -math.exp(-t), d2fn=lambda t: math.exp(-t),
     ),
+    # e^(-t^2) is 0.0 from |t| = 27.3 on; from |t| = 30 on each derivative
+    # is the (signed) 0.0 it was, not an inf times 0.0 once -2t or 4t^2 overflows
     "gauss": ScalarFn(
         fn=lambda t: math.exp(-t * t), decay="exponential", rate=1.0,
-        dfn=lambda t: -2.0 * t * math.exp(-t * t),
-        d2fn=lambda t: (4.0 * t * t - 2.0) * math.exp(-t * t),
+        dfn=lambda t: -2.0 * t * math.exp(-t * t) if abs(t) < 30.0 else math.copysign(0.0, -t),
+        d2fn=lambda t: (4.0 * t * t - 2.0) * math.exp(-t * t) if abs(t) < 30.0 else 0.0,
     ),
     "bump": ScalarFn(
         fn=_bump, decay="compact", a=1.0, b=2.0,

@@ -16,8 +16,8 @@ property for the generating function F(lambda, t) = sum_k lambda^k p_k:
 T_t^y F = F(lambda, y) F(lambda, t), order by order in lambda.
 
 The two-variable identities here are checked on exact integer tables
-in (t, y) at one common denominator, each basis column reduced once per
-model (``UmbralModel.basis_forms``); no float ever enters.  The
+in (t, y) at one common denominator, each basis column that a check
+reads reduced to its own denominator (``_form``); no float ever enters.  The
 translation and the character check walk L^k by ``LinearOp.powers``,
 the package's one power loop, which ends after the first zero power.
 The translation runs on kernel columns from input to output: p_k(y)
@@ -57,16 +57,26 @@ from .core import (
     integer_vector,
     outcome,
 )
-from .kernels import imat_comb
-from .models import UmbralModel, _derivative_op, _form, axiom_outcomes, require_order
+from .kernels import Column, imat_comb
+from .models import UmbralModel, _derivative_op, axiom_outcomes, require_order
 from .reports import VerificationReport
+
+
+def _form(col: Column, den: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The polynomial of the kernel column ``col`` over ``den`` as its
+    nonzero (degree, integer numerator) pairs over its own reduced
+    denominator: the smaller the integers, the cheaper the two-variable
+    tables of ``first_difference``."""
+    rows, vals = col
+    g = math.gcd(den, *vals)
+    return tuple(zip(rows, [x // g for x in vals])), den // g
 
 
 def first_difference(lhs: list, rhs: list) -> tuple[int, int] | None:
     """Smallest (t-degree, y-degree) at which the tables sum a(t) b(y)
     over the (a, b) pairs of ``lhs`` and of ``rhs`` differ, each
-    polynomial given by ``models._form``; both are summed over the
-    integers at one common denominator."""
+    polynomial given by ``_form``; both are summed over the integers at
+    one common denominator."""
     d = math.lcm(*(da * db for (_, da), (_, db) in lhs + rhs))
     size = 1 + max((b[-1][0] for _, (b, _) in lhs + rhs if b), default=0)
     tables = []
@@ -107,7 +117,8 @@ def binomial_check(m: UmbralModel, n: int) -> VerificationReport:
         raise CapMismatchError(f"basis index {n} outside 0..{m.n_max}")
     _require_binomial_type(m)
     # Taylor: p_n(t + y) = sum_i t^i (d/dy)^i p_n(y) / i!, as pairs of integer forms
-    b, forms = m.basis_op, m.basis_forms
+    b = m.basis_op
+    forms = [_form(b.cols[k], b.den) for k in range(n + 1)]
     c, den = forms[n]
     shifted = [
         ((((i, 1),), 1), (tuple((j - i, x * math.comb(j, i)) for j, x in c if j >= i), den))
@@ -217,13 +228,14 @@ def character_check(m: UmbralModel, order: int) -> VerificationReport:
     so the powers end at the first one.  Each order is one check for
     ``core.outcome``, marked by the taint of the last power it reads."""
     require_order(m, order)
-    b, low, forms = m.basis_op, m.lowering, m.basis_forms
+    b, low = m.basis_op, m.lowering
+    forms = [_form(b.cols[a], b.den) for a in range(order + 1)]
     bad, tainted = outcome(
         ((a, diff), diff is None, powers[-1][2])  # the last power read carries their taint
         for a in range(order + 1)
         for powers in [list(islice(low.powers(b.cols[a], b.den, a in b.trunc_cols), a + 1))]
         for diff in [first_difference(
-            [(_form(*g, den), form) for (g, den, _), form in zip(powers, forms)],
+            [(_form(g, den), form) for (g, den, _), form in zip(powers, forms)],
             [(forms[a - i], forms[i]) for i in range(a + 1)],
         )]
     )

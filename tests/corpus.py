@@ -10,8 +10,9 @@ Hankel's expansion in floats (x past 2000); and, in each format, argvs
 that exit 1 (an intertwining check that holds in neither direction or
 fails at a tolerance no float meets) and 3 (a heat covariant whose tail
 bound is past the double range); in each format, ``models`` and a
-Hankel intertwining on grid points 1e-7 apart; and the command-line
-refusals that no golden reaches, each exiting 2.
+Hankel intertwining on grid points 1e-7 apart; the command-line
+refusals that no golden reaches, each exiting 2; and one argv for each
+path that nothing else enters, and for each fixed bug.
 
     python tests/corpus.py --against DIR
 
@@ -50,6 +51,7 @@ FORMATS = ("plain", "json", "csv")
 J_NUS = ("2", "5/2", "2.7", "31/2", "7")
 J_SERIES_X = ("30", "60", "130", "400", "1000", "1900")
 J_FLOAT_HANKEL_X = ("2500", "5000", "1e4")
+HUGE = "1" + "0" * 400 + "/3"  # a p/q past the double range
 NOT_PASSING = (
     ["heat", "covariant", "--fn", "gauss", "--u", "1e308"],
     ["verify", "--check", "poisson-intertwining", "--nu", "2", "--fn", "cos", "--tol", "1e-30"],
@@ -74,6 +76,32 @@ REFUSALS = (
     ["bessel", "hankel", "--nu", "60", "--fn", "gauss", "--lambda", "21000"],
     ["verify", "--check", "poisson-intertwining", "--nu", "2", "--fn", "cos",
      "--grid", "0.00099999999"],
+    ["verify", "--check", "poisson-intertwining", "--nu", "2", "--fn", "cos", "--grid", "10000.001"],
+    # the model catalog's own refusals
+    ["verify", "--check", "ladder", "--model", "bessel"],
+    ["verify", "--check", "ladder", "--model", "bessel", "--nu", "0"],
+    ["verify", "--check", "ladder", "--model", "monomial", "--nu", "2"],
+    ["verify", "--check", "ladder", "--model", "monomial", "--degree", "0"],
+    ["translate", "--model", "monomial", "--y", "1"],
+    ["heat", "covariant", "--poly=" + HUGE, "--u", "1"],
+    ["bessel", "j", "--nu", "2", "--x", HUGE],
+    ["verify", "--check", "group-law", "--order", "40", "--degree", "32", "--model", "hermite"],
+    ["verify", "--check", "metaplectic", "--degree", "1", "--model", "monomial"],
+    ["verify", "--check", "sl2", "--degree", "1", "--model", "heat"],
+    ["w0", "--model", "heat", "--poly", "0,1"],
+    ["bessel", "j", "--nu", "2", "--lambda=-1", "--x", "800"],
+)
+#: paths that no argv above enters and that do not refuse, and fixed bugs
+FAR_PATHS = (
+    ["transmute", "--from", "bessel", "--nu", "5/2", "--to", "heat", "--degree", "8", "--poly=1,0,2"],
+    # exit 3: the adaptive rule's subdivision limit
+    ["bessel", "hankel", "--nu", "2", "--fn", "exp", "--lambda", "1", "--tol", "1e-300"],
+    # nan in the report, and "neither" from one panel, before
+    ["verify", "--check", "poisson-intertwining", "--nu", "1", "--fn", "gauss", "--grid", "1e155"],
+    ["verify", "--check", "poisson-intertwining", "--nu", "2", "--fn", "cos", "--grid", "200"],
+    # exit 3, its input once rounded in the message
+    ["heat", "covariant", "--fn", "gauss", "--u", "1.0000001e308"],
+    ["heat", "covariant", "--fn", "exp", "--u", "100"],
 )
 
 
@@ -106,7 +134,7 @@ def corpus() -> list[list[str]]:
               for nu in J_NUS for x in ("30", "300")]
     argvs += [[*argv, "--format", fmt] for argv in NOT_PASSING for fmt in FORMATS]
     argvs += [[*argv, "--format", fmt] for argv in (CLOSE_GRID, ["models"]) for fmt in FORMATS]
-    argvs += REFUSALS
+    argvs += REFUSALS + FAR_PATHS
     return list(map(list, dict.fromkeys(map(tuple, argvs))))
 
 

@@ -952,10 +952,70 @@ MUTANTS = (
     ),
     Mutant(
         "a basis form reduced by the gcd of its top coefficient alone",
-        "src/umbra/models.py",
+        "src/umbra/translations.py",
         "    g = math.gcd(den, *vals)\n",
         "    g = math.gcd(den, *vals[-1:])\n",
         ("tests/test_truncation_rule.py::test_random_delta_operators_reach_the_expansion_theorem",),
+    ),
+    Mutant(
+        "the character check's forms one column short",
+        "src/umbra/translations.py",
+        "    forms = [_form(b.cols[a], b.den) for a in range(order + 1)]\n",
+        "    forms = [_form(b.cols[a], b.den) for a in range(order)]\n",
+        ("tests/test_translations.py",),
+    ),
+    Mutant(
+        "the guard of gauss's second derivative past where 4 t^2 overflows",
+        "src/umbra/numeric.py",
+        "if abs(t) < 30.0 else 0.0,",
+        "if abs(t) < 1e200 else 0.0,",
+        ("tests/test_numeric.py::test_gauss_and_its_derivatives_are_finite_and_keep_every_finite_value",),
+    ),
+    Mutant(
+        "an f of no declared decay given one panel at every grid point",
+        "src/umbra/numeric.py",
+        "        n = 1 if f.mass else math.ceil(x / q.nodes)\n",
+        "        n = 1\n",
+        ("tests/test_numeric.py::test_the_intertwining_check_cuts_an_f_of_no_decay_alike_at_every_stencil_point",
+         "tests/test_cli.py::test_poisson_intertwining_of_cos_holds_as_r2_far_out"),
+    ),
+    Mutant(
+        "the panel count taken at each stencil point, not at the grid point",
+        "src/umbra/numeric.py",
+        "        pf = cache(lambda y: poisson_transform(nu, f, y, qx))\n",
+        "        pf = cache(lambda y: poisson_transform(nu, f, y, qx if f.mass else q._replace(\n"
+        "            mass=tuple(k * math.pi / (2 * math.ceil(y / q.nodes))\n"
+        "                       for k in range(1, math.ceil(y / q.nodes))))))\n",
+        ("tests/test_numeric.py::test_the_intertwining_check_cuts_an_f_of_no_decay_alike_at_every_stencil_point",),
+    ),
+    Mutant(
+        "the Poisson transform's spec cuts dropped",
+        "src/umbra/numeric.py",
+        "    q = _scaled(q, c, q.mass + mass)\n",
+        "    q = _scaled(q, c, mass)\n",
+        ("tests/test_numeric.py::test_poisson_keeps_the_specs_cuts_beside_fs",
+         "tests/test_cli.py::test_poisson_intertwining_of_cos_holds_as_r2_far_out"),
+    ),
+    Mutant(
+        "no bound on the grid of an f of no declared decay",
+        "src/umbra/numeric.py",
+        "        if not f.mass and not x <= _POISSON_CHECK_MAX_X:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_poisson_intertwining_refuses_a_grid_point_past_its_panel_bound",),
+    ),
+    Mutant(
+        "an exit-3 message that rounds its cut with :g",
+        "src/umbra/numeric.py",
+        "f overflows at the cut +-{format_float(t)}",
+        "f overflows at the cut +-{t:g}",
+        ("tests/test_cli.py::test_heat_covariant_of_exp_at_u_100_exits_3",),
+    ),
+    Mutant(
+        "an axiom's image taint ignored",
+        "src/umbra/models.py",
+        "(n, icol_eq(col, den, want, wden), marked or wmarked)",
+        "(n, icol_eq(col, den, want, wden), wmarked)",
+        ("tests/test_truncation_rule.py::test_a_report_that_moves_with_the_cap_was_tainted_below",),
     ),
 )
 

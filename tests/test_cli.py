@@ -235,7 +235,7 @@ def test_heat_covariant_at_a_tiny_time_prints_about_1(capsys):
 def test_heat_covariant_of_exp_at_u_100_exits_3(capsys):
     rc, out, err = run(capsys, "heat", "covariant", "--fn", "exp", "--u", "100")
     assert (rc, out) == (3, "")
-    assert err == "umbra: heat_covariant: f overflows at the cut +-1025.16 for u=100\n"
+    assert err == "umbra: heat_covariant: f overflows at the cut +-1025.15625 for u=100\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -253,6 +253,12 @@ def test_heat_covariant_at_a_huge_time_is_refused(capsys, argv):
     rc, out, err = run(capsys, "heat", "covariant", *argv)
     assert (rc, out) == (3, "")
     assert err == f"umbra: cannot meet Gaussian tail bound 1e-12 at u={float(argv[-1]):g}\n"
+
+
+def test_a_heat_covariant_tail_bound_message_names_u_unrounded(capsys):
+    rc, out, err = run(capsys, "heat", "covariant", "--fn", "gauss", "--u", "1.0000001e308")
+    assert (rc, out) == (3, "")
+    assert err == "umbra: cannot meet Gaussian tail bound 1e-12 at u=1.0000001e+308\n"
 
 
 @pytest.mark.parametrize("u", ["5e307", "6e307", "1.7976931348623157e308"])
@@ -352,6 +358,37 @@ def test_poisson_intertwining_refuses_an_f_whose_slope_at_0_is_not_0(capsys, nu)
 def test_poisson_intertwining_of_the_bump_holds_as_r2(capsys, nu):
     rc, out, _ = run(capsys, "verify", "--check", "poisson-intertwining", "--fn", "bump", "--nu", nu)
     assert rc == 0 and out.endswith(" direction=r2\n")
+
+
+@pytest.mark.parametrize("grid", ["1e150", "1e155"])
+def test_poisson_intertwining_of_gauss_far_out_reports_a_finite_residual(capsys, grid):
+    # (4 t^2 - 2) e^(-t^2) was inf * 0 = nan past |t| = 1.34e154
+    rc, out, _ = run(capsys, "verify", "--check", "poisson-intertwining", "--nu", "1",
+                     "--fn", "gauss", "--grid", grid, "--format", "json")
+    report = json.loads(out)
+    assert rc == 0 and report["direction_holding"] == "both"
+    assert all(math.isfinite(r) for r in report["residuals"].values())
+
+
+@pytest.mark.parametrize("nu", ["1", "2", "15/2"])
+@pytest.mark.parametrize("grid", ["200", "1000", "10000"])
+def test_poisson_intertwining_of_cos_holds_as_r2_far_out(capsys, nu, grid):
+    # one 64-node panel on [0, pi/2] gave r2 = 0.2 at x = 200, and "neither"
+    rc, out, _ = run(capsys, "verify", "--check", "poisson-intertwining", "--nu", nu,
+                     "--fn", "cos", "--grid", grid, "--format", "json")
+    report = json.loads(out)
+    assert rc == 0 and report["direction_holding"] == "r2"
+    assert report["residuals"]["r2"] <= 1e-7
+
+
+@pytest.mark.parametrize("fn", ["cos", "one"])
+@pytest.mark.parametrize("grid", ["10000.000000000002", "100000", "3,20000"])
+def test_poisson_intertwining_refuses_a_grid_point_past_its_panel_bound(capsys, fn, grid):
+    rc, out, err = run(capsys, "verify", "--check", "poisson-intertwining", "--fn", fn,
+                       f"--grid={grid}")
+    assert (rc, out) == (2, "")
+    assert err == ("umbra: poisson-intertwining needs every grid point x <= 10000 for an f "
+                   f"of no declared decay, got {grid.split(',')[-1]}\n")
 
 
 def test_missing_nu_for_bessel_model(capsys):

@@ -620,6 +620,40 @@ def test_poisson_intertwining_refuses_nu_past_what_its_rule_resolves():
             poisson_intertwining_check(nu, canned_fn("cos"), grid)
 
 
+@pytest.mark.parametrize("x,n", [(5.0, 1), (64.0, 1), (64.0002, 2), (200.0, 4), (1e4, 157)])
+def test_the_intertwining_check_cuts_an_f_of_no_decay_alike_at_every_stencil_point(
+    monkeypatch, x, n
+):
+    """An f of no declared decay gets ceil(x/64) equal panels at grid
+    point x, and the same cuts at x, x +- h and x +- h/2, where the
+    count may differ (64.0002 - 0.001 < 64); a decaying f gets none."""
+    seen = []
+    real = numeric.poisson_transform
+    monkeypatch.setattr(numeric, "poisson_transform",
+                        lambda nu, f, y, q: seen.append((y, q.mass)) or real(nu, f, y, q))
+    cuts = [k * math.pi / (2 * n) for k in range(1, n)]
+    for name, want in (("cos", cuts), ("gauss", [])):
+        seen.clear()
+        poisson_intertwining_check(2.0, canned_fn(name), [x])
+        assert len(seen) == 7 and len({y for y, _ in seen}) == 5
+        assert all(list(mass) == pytest.approx(want, rel=1e-15) for _, mass in seen)
+
+
+def test_poisson_keeps_the_specs_cuts_beside_fs(monkeypatch):
+    seen = []
+    real = numeric.integrate
+    monkeypatch.setattr(numeric, "integrate",
+                        lambda fn, lo, hi, q: seen.append(q.mass) or real(fn, lo, hi, q))
+    q = QuadratureSpec(rule="fixed", nodes=64, mass=(0.1,))
+    poisson_transform(2.5, canned_fn("bump"), 1.5, q)
+    assert seen == [(0.1, math.asin(1 / 1.5))]
+    # P cos = sinc at nu = 2: four panels resolve cos(200 sin theta), and one is off by 0.2
+    four = q._replace(mass=tuple(k * math.pi / 8 for k in range(1, 4)))
+    errs = [abs(poisson_transform(2.0, canned_fn("cos"), 200.0, spec) - math.sin(200.0) / 200.0)
+            for spec in (four, q._replace(mass=()))]
+    assert errs[0] <= 1e-14 and errs[1] >= 0.1
+
+
 def test_the_intertwining_checks_fixed_rule_splits_at_the_bumps_mass():
     # one 64-node panel over [0, pi/2] straddles asin(1/x), where the
     # bump's third derivative jumps, and is off by 1.1e-5 relative
@@ -636,6 +670,34 @@ def test_the_intertwining_checks_fixed_rule_splits_at_the_bumps_mass():
         c = 2 * mpmath.gamma((n + 1) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(n / 2))
         want = float(c * mpmath.quad(g, [0, *cuts, mpmath.pi / 2]))
     assert got == pytest.approx(want, rel=1e-8)
+
+
+_GAUSS_BEFORE = (  # the canned gauss and its derivatives as they were, nan past 1.34e154
+    lambda t: math.exp(-t * t),
+    lambda t: -2.0 * t * math.exp(-t * t),
+    lambda t: (4.0 * t * t - 2.0) * math.exp(-t * t),
+)
+
+
+def _gauss_keeps_every_finite_value(t):
+    g = canned_fn("gauss")
+    for new, old in zip((g.fn, g.dfn, g.d2fn), _GAUSS_BEFORE):
+        got, was = new(t), old(t)
+        assert math.isfinite(got), t
+        assert not math.isfinite(was) or got.hex() == was.hex(), t  # -0.0 included
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 5.0, 27.2, 27.3, 29.999, 30.0, 1e3, 1.3e154, 1.35e154,
+                               1e155, 9e307, 1.7976931348623157e308])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_gauss_and_its_derivatives_are_finite_and_keep_every_finite_value(t, sign):
+    _gauss_keeps_every_finite_value(sign * t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_gauss_and_its_derivatives_are_finite_and_keep_every_finite_value_anywhere(t):
+    _gauss_keeps_every_finite_value(t)
 
 
 # -- Hankel transform --------------------------------------------------

@@ -12,6 +12,7 @@ theorem, report what their direct paths report."""
 import contextlib
 import functools
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -1013,13 +1014,16 @@ def test_a_pair_with_one_side_off_the_premise_is_decided_directly(other):
 
 @pytest.mark.parametrize("name", ["lower-factorial", "upper-factorial"])
 @pytest.mark.parametrize("top", [3, 16])
-def test_the_binomial_sweep_of_a_factorial_model_builds_no_table(name, top):
+def test_the_binomial_sweep_of_a_factorial_model_builds_no_table(name, top, monkeypatch):
     """The expansion theorem decides the binomial sweep of a factorial
     model, to n_max or below it: one pass report, and no integer form of
     the basis made for a table, nor R B, which its proof never reads."""
     m = build_model(name, 16)
-    assert binomial_sweep(m, top) == _binomial_by_tables(build_model(name, 16), top)
-    assert "basis_forms" not in vars(m)
+    want = _binomial_by_tables(build_model(name, 16), top)
+    forms = []
+    monkeypatch.setattr(translations, "_form", lambda *a: forms.append(a))
+    assert binomial_sweep(m, top) == want
+    assert forms == []
     assert "raising_outcome" not in vars(m)
 
 
@@ -1098,3 +1102,103 @@ def test_a_lowering_that_is_no_delta_operator_is_swept_by_tables():
     got = binomial_sweep(m, 2)
     assert [(r.status, r.first_failure is not None) for r in got] == [("fail", True)]
     assert got == _binomial_by_tables(m, 2)
+
+
+# -- the marks across caps ---------------------------------------------
+
+_ONE_MODEL_CHECKS = tuple(
+    name for name in cli.CHECKS
+    if name not in ("transmute", "twisted", "poisson-intertwining", "hankel-intertwining")
+)
+
+
+def _verify(check, model, degree):
+    """(exit code, the statuses printed) of ``verify --check`` at
+    ``--degree``, the statuses None where it refuses."""
+    nu = ["--nu", "5/2"] if model == "bessel" else []
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", "--check", check, "--model", model, *nu,
+                         "--degree", str(degree), "--format", "json"])
+    if code == 2:
+        return code, None
+    got = json.loads(out.getvalue())
+    return code, [r["status"] for r in (got if isinstance(got, list) else [got])]
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_a_pass_at_one_degree_stays_a_pass_at_higher_ones(model):
+    """Cap monotonicity: each check of ``verify`` that acts on one model
+    passes at degrees N + 1 and N + 8 wherever it passes at N, for N
+    from 2 to 8."""
+    passes = 0
+    for check in _ONE_MODEL_CHECKS:
+        got = {n: _verify(check, model, n) for n in range(2, 17)}
+        for n in range(2, 9):
+            if got[n][0] == 0:
+                passes += 1
+                assert set(got[n][1]) == {PASS}
+                for k in (1, 8):
+                    assert got[n + k] == (0, [PASS] * len(got[n][1])), (check, n, k)
+    assert passes
+
+
+def _grown(m, d, extra):
+    """The model that ``perturbed_models`` drew as m, with the plain
+    dict d, rebuilt with the same n_max at a degree cap ``extra`` larger
+    and the same edit: each entry of d moved from the unedited model's
+    by the same amount, and each mark added at the same place."""
+    base = _plain(build_model(m.name, m.n_max, cap=m.degree_cap))
+    big = build_model(m.name, m.n_max, cap=m.degree_cap + extra)
+    g = _plain(big)
+    for key in ("L", "R", "basis"):
+        for i, row in enumerate(d[key]):
+            for j, x in enumerate(row):
+                g[key][i][j] += x - base[key][i][j]
+    for i, x in enumerate(d["vac"]):
+        g["vac"][i] += x - base["vac"][i]
+    for key in ("l_marks", "r_marks", "b_marks"):
+        g[key] |= d[key] - base[key]
+    return _rebuilt(big, g)
+
+
+_CAP_CHECKS = {
+    "model axioms": lambda m, k: verify_model(m),
+    "group law": lambda m, k: [group_law_check(m, k)],
+    "weyl": lambda m, k: [weyl_relation_check(m, k)],
+    "metaplectic": lambda m, k: metaplectic_check(m),
+    "sl2": lambda m, k: [sl2_closure_check(m)],
+    "biorthogonality": lambda m, k: [biorthogonality_check(m)],
+    "covariant": lambda m, k: [covariant_check(m)],
+    "character": lambda m, k: [character_check(m, k)],
+}
+
+
+def _reports_or_none(check, m, order):
+    try:
+        return check(m, order)
+    except UmbraError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)), st.integers(1, 4))
+def test_a_report_that_moves_with_the_cap_was_tainted_below(case, order):
+    """Taint soundness: the same edit of the same model at a cap 8
+    larger, with the same n_max, changes a check's status or first
+    failure only where the smaller cap's report is tainted.  A check
+    that refuses at both caps decides at neither; one that refuses at
+    the smaller cap alone would have no report to carry the taint.
+    The factorial models take no cap above their top index."""
+    m, d, _ = case
+    assume(m.name != "lower-factorial")
+    big = _grown(m, d, 8)
+    order = min(order, m.n_max)
+    for name, check in _CAP_CHECKS.items():
+        small, large = _reports_or_none(check, m, order), _reports_or_none(check, big, order)
+        if small is None:
+            assert large is None, name
+            continue
+        for s, g in zip(small, large or [None] * len(small)):
+            if g is None or (s.status, s.first_failure) != (g.status, g.first_failure):
+                assert s.tainted, (name, s.to_dict(), g and g.to_dict())

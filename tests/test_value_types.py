@@ -1,6 +1,6 @@
 """The package's value types: every path that builds one refuses what
-its constructor refuses, each report owns its dicts, models compare and
-hash by value, and importing the CLI generates no code."""
+its constructor refuses, each report owns its dicts, models compare
+by value, and importing the CLI generates no code."""
 
 import contextlib
 import io
@@ -91,13 +91,12 @@ def test_reports_compare_by_value():
     assert ResidualReport("c", {"tol": 1}) != VerificationReport("c", None)
 
 
-def test_a_model_rebuilt_equal_to_the_fock_pair_compares_and_hashes_equal():
+def test_a_model_rebuilt_equal_to_the_fock_pair_compares_equal():
     pair = build_model("hermite", 6).fock_twin
     rebuilt = build_model("monomial", 6)
-    assert rebuilt is not pair and rebuilt == pair and hash(rebuilt) == hash(pair)
-    assert {pair: "kept"}[rebuilt] == "kept"
+    assert rebuilt is not pair and rebuilt == pair
     copy = pair._replace()
-    assert copy == pair and hash(copy) == hash(pair) and "transported" not in vars(copy)
+    assert copy == pair and "transported" not in vars(copy)
     assert pair._replace(raising=pair.raising.scale(2)) != pair
     assert pair._replace(n_max=5) != pair
 
