@@ -562,7 +562,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     top = _Parser(
         prog="umbra",
         description="Exact ladder-operator calculus and its numeric transforms.",
@@ -638,15 +638,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float)
         p.set_defaults(handler=_cmd_float)
 
-    return top
+    return top, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code.  The parser is built
     on the first call and reused by every later one in the process; it
-    holds no per-call state, as each parse starts a fresh namespace."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    holds no per-call state, as each parse starts a fresh namespace; a
+    command's own subparser alone parses an argv that starts with it."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
+    else:
+        args = parser.parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

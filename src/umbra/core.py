@@ -405,10 +405,10 @@ class LinearOp:
         self, vec: kernels.Column, den: int, tainted: bool
     ) -> tuple[kernels.Column, int, bool]:
         """(self vec, den * self.den, taint) for vec a kernel column over
-        den: the taint is raised when vec reads a column self marks,
-        even one with no image."""
+        den, summed in a list as tall as the operator: the taint is raised
+        when vec reads a column self marks, even one with no image."""
         return (
-            kernels.icol_mul(self.cols, vec), den * self.den,
+            kernels.icol_mul(self.cols, vec, len(self.cols)), den * self.den,
             tainted or not self.trunc_cols.isdisjoint(vec[0]),
         )
 

@@ -37,9 +37,10 @@ raising is the closed form R = t f'(D)^{-1} of the delta operator
 L = f(D) (finite operator calculus); on the capped space it loses
 (n_max+1) p_{n_max+1} from its top column, which is marked truncated.
 The duals l_k = l_0 L^k are integer rows too (``dual_functionals``),
-stacked once per model into the dual matrix D (``dual_op``), which
-carries from the start the closure of L's marks: every column from
-which a power of L reads a marked column.
+stacked once per model into the dual matrix D (``dual_op``), marked on
+the closure of L's marks (``dual_marks``): every column from which a
+power of L reads a marked column.  l_0 pairs with a column by
+``vacuum_step``, and a walk through L^k f needs neither D nor its rows.
 
 Each model axiom is an identity on one p_n at a time: one loop over
 B's columns decides them all (``_axiom_outcome``), with no operator product.
@@ -146,21 +147,31 @@ class UmbralModel(Record):
     def vacuum_is_eval0(self) -> bool:
         return icol_eq(*self.vacuum, *EVAL0)
 
+    def vacuum_step(self, vec: Column, den: int, tainted: bool) -> tuple[Column, int, bool]:
+        """<l_0, vec> as a one-row ``LinearOp.step``: row 0 over den * l_0's den."""
+        (rows, vals), vden = self.vacuum
+        at = dict(zip(*vec))
+        x = sum([v * at[i] for i, v in zip(rows, vals) if i in at])
+        return ((0,), (x,)) if x else EMPTY, den * vden, tainted
+
+    @functools.cached_property
+    def dual_marks(self) -> frozenset[int]:
+        """D's marks: the closure of L's marks under L's sparsity pattern,
+        which holds each mark ``@`` gives a power L^k."""
+        low, marks = self.lowering, set(self.lowering.trunc_cols)
+        while new := {j for j, (r, _) in enumerate(low.cols) if not marks.isdisjoint(r)} - marks:
+            marks |= new
+        return frozenset(marks)
+
     @functools.cached_property
     def dual_op(self) -> LinearOp:
         """D, whose row k is the dual l_k = l_0 o L^k, computed once per
         model: each row of ``dual_functionals`` put over the last one's
-        denominator vden * L.den^n_max.  D marks every column from which
-        L's sparsity pattern leads to a column L marks: the closure of
-        L's marks, which holds each mark ``@`` gives a power L^k."""
-        low = self.lowering
-        marks = set(low.trunc_cols)
-        while new := {j for j, (r, _) in enumerate(low.cols) if not marks.isdisjoint(r)} - marks:
-            marks |= new
-        duals = dual_functionals(self)
+        denominator vden * L.den^n_max, and marked on ``dual_marks``."""
+        duals, cap = dual_functionals(self), self.degree_cap
         den = duals[-1][1]
         rows = [(r, tuple(x * (den // d) for x in v)) for (r, v), d in duals]
-        return LinearOp(imat_transpose(rows, self.degree_cap + 1), den, self.degree_cap, marks)
+        return LinearOp(imat_transpose(rows, cap + 1), den, cap, self.dual_marks)
 
     @functools.cached_property
     def words(self) -> OpWordTable:
@@ -171,20 +182,21 @@ class UmbralModel(Record):
     @functools.cached_property
     def lowering_outcome(self) -> tuple[int | None, bool]:
         """The outcome of L p_n = p_(n-1) on n = 0..n_max (``_axiom_outcome``)."""
-        b = self.basis_op
-        return _axiom_outcome(self, self.lowering, lambda n: _multiple(b, n - 1, 1), self.n_max)
+        b, top = self.basis_op, self.n_max
+        return _axiom_outcome(self, self.lowering.step, lambda n: _multiple(b, n - 1, 1), top)
 
     @functools.cached_property
     def raising_outcome(self) -> tuple[int | None, bool]:
         """The outcome of R p_n = (n+1) p_(n+1) on n = 0..n_max-1."""
         b, top = self.basis_op, self.n_max - 1
-        return _axiom_outcome(self, self.raising, lambda n: _multiple(b, n + 1, n + 1), top)
+        return _axiom_outcome(self, self.raising.step, lambda n: _multiple(b, n + 1, n + 1), top)
 
     @functools.cached_property
     def vacuum_outcome(self) -> tuple[int | None, bool]:
         """The outcome of <l_0, p_n> = delta_0n on n = 0..n_max."""
         e0, top = EVAL0[0], self.n_max
-        return _axiom_outcome(self, vacuum_op(self), lambda n: (EMPTY if n else e0, 1, False), top)
+        return _axiom_outcome(
+            self, self.vacuum_step, lambda n: (EMPTY if n else e0, 1, False), top)
 
     @functools.cached_property
     def lowering_premise(self) -> bool:
@@ -381,15 +393,6 @@ def _build_even(name: str, n_max: int, cap: int | None, nu: Fraction) -> UmbralM
     )
 
 
-def vacuum_op(m: UmbralModel) -> LinearOp:
-    """The operator whose row 0 is l_0 and whose other rows are zero."""
-    (rows, vals), den = m.vacuum
-    cols = [EMPTY] * (m.degree_cap + 1)
-    for i, x in zip(rows, vals):
-        cols[i] = ((0,), (x,))
-    return LinearOp(cols, den, m.degree_cap)
-
-
 def dual_functionals(m: UmbralModel) -> list[tuple[Column, int]]:
     """l_k = l_0 o L^k for k = 0..n_max, each an integer row over its own
     denominator vden * L.den^k, vden being l_0's (``vacuum``);
@@ -416,27 +419,30 @@ def require_order(m: UmbralModel, order: int) -> None:
 
 
 def _multiple(b: LinearOp, n: int, q: Fraction | int) -> tuple[Column, int, bool]:
-    """q p_n off B as (column, den, marked when B marks p_n); p_n = 0
-    for n < 0."""
+    """q p_n off B as (column, den, marked when B marks p_n): B's stored
+    column itself when q = 1; p_n = 0 for n < 0."""
     if n < 0:
         return EMPTY, 1, False
-    rows, vals = b.cols[n]
-    return (rows, tuple(q.numerator * x for x in vals)), b.den * q.denominator, n in b.trunc_cols
+    rows, vals = col = b.cols[n]
+    col = col if q == 1 else (rows, tuple(q.numerator * x for x in vals))
+    return col, b.den * q.denominator, n in b.trunc_cols
 
 
 def _axiom_outcome(
-    m: UmbralModel, op: LinearOp, target: Callable[[int], tuple[Column, int, bool]], top: int
+    m: UmbralModel, step: Callable[..., tuple[Column, int, bool]],
+    target: Callable[[int], tuple[Column, int, bool]], top: int,
 ) -> tuple[int | None, bool]:
     """``outcome`` of op p_n = target(n) on n = 0..top: op p_n is
-    ``LinearOp.step`` of B's column n, tainted when B marks p_n, and
-    target(n) is the right side as (column, den, marked); check n is
-    marked when either side is."""
-    b = m.basis_op
+    ``step`` (an operator's ``LinearOp.step``, or l_0's
+    ``UmbralModel.vacuum_step``) of B's column n, tainted when B marks
+    p_n, and target(n) is the right side as (column, den, marked); check
+    n is marked when either side is."""
+    b, indices = m.basis_op, range(top + 1)
+    images = (step(b.cols[n], b.den, n in b.trunc_cols) for n in indices)
     return outcome(
         (n, icol_eq(col, den, want, wden), marked or wmarked)
-        for n in range(top + 1)
-        for col, den, marked in (op.step(b.cols[n], b.den, n in b.trunc_cols),)
-        for want, wden, wmarked in (target(n),)
+        for n, (col, den, marked), (want, wden, wmarked)
+        in zip(indices, images, map(target, indices))
     )
 
 
@@ -507,12 +513,12 @@ def verify_model(m: UmbralModel) -> list["VerificationReport"]:
         params["nu"] = m.nu
     if (moved := on_fock_twin(m, verify_model, **params)) is not None:
         return moved
-    comm, b = m.words.op("RL") - m.words.op("LR"), m.basis_op
+    comm, b, top = m.words.op("RL") - m.words.op("LR"), m.basis_op, m.n_max
     outcomes = {
         "ladder-lowering": m.lowering_outcome,
         "ladder-raising": m.raising_outcome,
         "vacuum": m.vacuum_outcome,
-        "commutator": _axiom_outcome(m, comm, lambda n: _multiple(b, n, -IOTA), m.n_max - 1),
+        "commutator": _axiom_outcome(m, comm.step, lambda n: _multiple(b, n, -IOTA), top - 1),
     }
     return [
         VerificationReport(check, m.label(), dict(params), tainted, first_failure=bad)

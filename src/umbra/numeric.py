@@ -46,7 +46,7 @@ _HANKEL_MAX_DEN = 8              # it serves nu = p/q with q <= 8 (see _hankel_d
 _PI_ERR = 2                      # _pi_fixed(prec) is within 2 of pi 2^prec
 _POISSON_MAX_NU = 1e6            # see poisson_transform
 _POISSON_CHECK_MAX_NU = 8000.0   # see poisson_intertwining_check
-_POISSON_CHECK_MAX_X = 1e4       # ditto, for an f of no declared decay
+_POISSON_CHECK_MAX_X = 1e4       # ditto, for every grid point
 
 
 def _require_finite(**values: float) -> None:
@@ -604,10 +604,11 @@ def poisson_intertwining_check(
     are Richardson-extrapolated central differences, step h = 1e-3,
     over P on the 64-node fixed rule, one panel per piece that f's mass
     cuts.  The cuts move smoothly with x, so the quadrature error
-    cancels in the quotients; every grid point must exceed h.  An f of
-    no declared decay has no cuts, and one panel cannot resolve
+    cancels in the quotients; every grid point must exceed h, and none
+    pass x = 1e4 (past 8.8e12, x +- h/2 rounds to x).  An f of no
+    declared decay has no cuts, and one panel cannot resolve
     cos(x sin theta) past x = 150: at grid point x it gets ceil(x/64)
-    equal panels, the same at all five stencil points, for x <= 1e4.  The rule
+    equal panels, the same at all five stencil points.  The rule
     resolves the nu^(-1/2)-wide peak of (cos theta)^(nu-1) up to
     nu = 8000: past it, r2 on the cos grid reaches 1e-6 at nu = 8250
     and 1.7e-3 at nu = 1e5, so larger nu is refused rather than
@@ -627,10 +628,10 @@ def poisson_intertwining_check(
             raise ParameterError(
                 f"poisson-intertwining needs every grid point x > h = {h:g}, the difference "
                 f"step, got {format_float(x)}")
-        if not f.mass and not x <= _POISSON_CHECK_MAX_X:
+        if not x <= _POISSON_CHECK_MAX_X:
             raise ParameterError(
-                f"poisson-intertwining needs every grid point x <= {_POISSON_CHECK_MAX_X:g} "
-                f"for an f of no declared decay, got {format_float(x)}")
+                f"poisson-intertwining needs every grid point x <= {_POISSON_CHECK_MAX_X:g}, "
+                f"got {format_float(x)}")
     if f.dfn(0.0) != 0.0:
         raise ParameterError(
             f"poisson-intertwining needs f'(0) = 0, where B f = f'' + (nu/t) f' stays "

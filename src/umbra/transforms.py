@@ -8,28 +8,26 @@ the hub for mapping one umbral model onto another: expand in the source
 basis through the dual functionals l_k = l_0 o L^k, reassemble in the
 target basis.
 
-Both halves of that map are products over the integers with two
-operators of the model: the expansion is D f, D being built once per
-model (``UmbralModel.dual_op``, marked where a power of L reads a
-marked column) with row k the dual l_k that ``dual_functionals``
-computes as an integer row, and the reassembly is B c, B being the
-model's stored basis matrix (``basis_op``) with column n the basis
-element p_n.  Every product of an operator with a vector is one
-``LinearOp.step`` on a kernel column over a running denominator, and
-every walk through L^k f is ``LinearOp.powers``.  The model refuses
-an input outside its space (``UmbralModel.require_poly`` and
-``require_column``).  A ``Poly`` appears only at the edges: the input
-is read into a kernel column once (``core.integer_vector``) and the
-output made once (``core.column_poly``).
+The expansion is D f, D being the model's dual matrix
+(``UmbralModel.dual_op``, marked on ``dual_marks``, where a power of L
+reads a marked column), with row k the dual l_k that
+``dual_functionals`` computes as an integer row; the reassembly is B c,
+B being the model's stored basis matrix (``basis_op``).  Every product
+of an operator with a vector is one ``LinearOp.step`` on a kernel
+column over a running denominator, every walk through L^k f is
+``LinearOp.powers``, and l_0 pairs with a column by
+``UmbralModel.vacuum_step``.  The model refuses an input outside its
+space (``require_poly``, ``require_column``).  A ``Poly`` appears only
+at the edges (``core.integer_vector``, ``core.column_poly``).
 
 W_0 is linear: W_0 = diag(1/k!) D.  On the basis matrix B its defining
 properties are the operator identities W_0 B = diag(1/n!),
 W_0 L B = D_u W_0 B and W_0 R B = U W_0 B, with D_u = d/du and U the
 product by u, and that is how ``covariant_check`` tests them: each
 identity, compared column by column, is one check for ``core.outcome``.
-``covariant_w0`` walks L^k f for its one input and pairs each power
-with l_0: for one request on a freshly built model that costs less
-than building D from its integer rows.
+``covariant_w0`` and ``umbral_map`` walk L^k f for their one input
+and pair each power with l_0: for one request on a freshly built model
+that costs far less than building D, n_max row products with L^T.
 
 ``biorthogonality_check`` and ``covariant_check`` are decided on the
 model's Fock twin (``UmbralModel.fock_twin``, through
@@ -45,14 +43,14 @@ and only the direct path reports "fail" or "inconclusive".  The pair,
 monomial, is its own twin: it decides each check once, directly, and
 keeps the report.
 
-The transmutation V = B_dst D_src maps one model onto another, and
-``transmute_vector`` is its one implementation.  ``umbral_map`` applies
-it to a ``Poly``, as the ``transmute`` command does;
-``check_transmutation_intertwining`` tests V L_src = L_dst V and
-V R_src = R_dst V with it on kernel columns, each basis column of the
-source carried through the ladders and V, the two sides compared by
-``kernels.icol_eq``, and each ladder and index one check for
-``core.outcome``.  Where both models meet the premise it is
+The transmutation V = B_dst D_src maps one model onto another.
+``umbral_map`` applies it to a ``Poly``, as the ``transmute`` command
+does, with D_src f from the walk; ``transmute_vector`` is V through
+D_src's matrix, and ``check_transmutation_intertwining`` tests
+V L_src = L_dst V and V R_src = R_dst V with it on kernel columns,
+each basis column of the source carried through the ladders and V,
+the two sides compared by ``kernels.icol_eq``, and each ladder and
+index one check for ``core.outcome``.  Where both models meet the premise it is
 transported too, decided once on (pair, pair): D_src B_src = I gives
 V p_n = p_n^dst, so V L_src p_n = p_(n-1)^dst = L_dst V p_n and, on
 n < n_max, V R_src p_n = (n+1) p_(n+1)^dst = R_dst V p_n, index by
@@ -67,6 +65,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from .core import (
     CapMismatchError,
@@ -77,7 +76,7 @@ from .core import (
     outcome,
 )
 from .kernels import EMPTY, Column, icol_eq
-from .models import UmbralModel, axiom_outcomes, on_fock_twin, require_order, vacuum_op
+from .models import UmbralModel, axiom_outcomes, on_fock_twin, require_order
 from .models import dual_functionals  # noqa: F401  (public here: the duals l_k)
 from .models import _derivative_op, _mult_by_t_op
 from .reports import VerificationReport
@@ -88,18 +87,18 @@ def covariant_w0(m: UmbralModel, f: Poly) -> Poly:
     is <l_0, L^k f>/k!, in a fresh variable u at the same cap.
 
     L^k f comes from ``LinearOp.powers`` as a kernel column of integer
-    numerators over one denominator, and l_0 pairs with it as the
-    one-row operator ``vacuum_op``.  The output is flagged when f is or
+    numerators over one denominator, and l_0 pairs with it by
+    ``UmbralModel.vacuum_step``.  The output is flagged when f is or
     when forming L^k f reads a column L marks, for k up to n_max + 1:
     the power past the top index is what shows that the series ends.
     """
     m.require_poly(f)
-    vac, coeffs, kfact = vacuum_op(m), [], 1
+    coeffs, kfact = [], 1
     powers = m.lowering.powers(*integer_vector(f.coeffs), f.truncated)
-    for k, (g, den, tainted) in zip(range(m.n_max + 2), powers):
+    for k, power in enumerate(islice(powers, m.n_max + 2)):
         kfact *= k or 1
-        (_, pair), pden, _ = vac.step(g, den, False)  # (<l_0, g>,), or () when it is 0
-        coeffs.append(Fraction(sum(pair), pden * kfact))
+        (_, pair), den, tainted = m.vacuum_step(*power)  # (<l_0, L^k f>,), or () when it is 0
+        coeffs.append(Fraction(sum(pair), den * kfact))
     return Poly(coeffs[: m.n_max + 1], f.cap, tainted)
 
 
@@ -128,10 +127,10 @@ def reassemble(m: UmbralModel, coeffs: list[Fraction]) -> Poly:
 def transmute_vector(
     src: UmbralModel, dst: UmbralModel, vec: Column, den: int, tainted: bool
 ) -> tuple[Column, int, bool]:
-    """V vec = B_dst (D_src vec) for vec, a kernel column over den: the
-    one transmutation of the package, two ``LinearOp.step``s that take
-    the marks of D_src and B_dst.  vec must lie in the source space, at
-    or below its top basis degree (``UmbralModel.require_column``)."""
+    """V vec = B_dst (D_src vec) for vec, a kernel column over den, through
+    D_src's matrix: two ``LinearOp.step``s that take the marks of D_src
+    and B_dst.  vec must lie in the source space, at or below its top
+    basis degree (``UmbralModel.require_column``)."""
     src.require_column(vec[0])
     return dst.basis_op.step(*src.dual_op.step(vec, den, tainted))
 
@@ -139,9 +138,10 @@ def transmute_vector(
 def umbral_map(src: UmbralModel, dst: UmbralModel, f: Poly) -> Poly:
     """Transmutation between models: expand f in the source basis and
     reassemble index-wise in the target basis (p_k -> ptilde_k), as
-    ``transmute_vector`` on f's integer column.  The image is flagged
-    when f is, when f reads a column D_src marks, or when it uses a
-    flagged target basis element.
+    ``transmute_vector`` does without D_src: c_k = <l_0, L^k f> for
+    k <= n_max, over the last one's denominator, then one step through
+    B_dst.  The image is flagged when f is, when f reads a column D_src
+    marks (``UmbralModel.dual_marks``), or when it uses a flagged p_k.
 
     Both models must carry the same number of basis elements.  The map
     is index-wise, so crossing parity is fine (monomial index n lands
@@ -149,11 +149,16 @@ def umbral_map(src: UmbralModel, dst: UmbralModel, f: Poly) -> Poly:
     content in an even *source* model, which is refused.
     """
     if src.n_max != dst.n_max:
-        raise CapMismatchError(
-            f"index counts differ: {src.n_max} vs {dst.n_max}"
-        )
+        raise CapMismatchError(f"index counts differ: {src.n_max} vs {dst.n_max}")
     src.require_poly(f)
-    col, den, tainted = transmute_vector(src, dst, *integer_vector(f.coeffs), f.truncated)
+    vec, den = integer_vector(f.coeffs)
+    src.require_column(vec[0])
+    powers = islice(src.lowering.powers(vec, den, False), src.n_max + 1)
+    pairs = [src.vacuum_step(*power)[:2] for power in powers]
+    top = pairs[-1][1]
+    c = [(k, x[0] * (top // pden)) for k, ((_, x), pden) in enumerate(pairs) if x]
+    tainted = f.truncated or not src.dual_marks.isdisjoint(vec[0])
+    col, den, tainted = dst.basis_op.step(tuple(zip(*c)) or EMPTY, top, tainted)
     return column_poly(col, den, dst.degree_cap, tainted)
 
 
@@ -166,26 +171,21 @@ def check_transmutation_intertwining(
     zone).
 
     The identities hold by construction; the check guards the
-    implementation by computing each side through the matrices, on
-    integer kernel columns over a running denominator: column n of B_src
-    goes through the source ladder and ``transmute_vector`` on one side,
-    and through ``transmute_vector`` and the target ladder on the other,
-    every product a ``LinearOp.step``, and ``kernels.icol_eq`` compares
-    the two images over their denominators: one check for
-    ``core.outcome`` per index, lowering first, marked when either side
-    is tainted.  V p_n is formed anew in each pass.  A side is tainted
-    when B_src marks column n or when one of its products reads a
-    column its operator marks, as ``umbral_map`` and the ladders'
-    ``apply`` flag it; each vector that D_src expands and each image the
-    target ladder acts on must lie in its model's space, as there.  Both
+    implementation by computing each side through the matrices: column
+    n of B_src goes through the source ladder and ``transmute_vector``
+    on one side, and through ``transmute_vector`` and the target ladder
+    on the other, and ``kernels.icol_eq`` compares the two images: one
+    check for ``core.outcome`` per index, lowering first, marked when
+    either side is tainted.  A side is tainted when B_src marks column n
+    or when one of its products reads a column its operator marks, as
+    ``umbral_map`` flags it; each vector that D_src expands and each
+    image the target ladder acts on must lie in its model's space.  Both
     models must carry the same number of basis elements; parity may
     differ.  Decided on the Fock pair, as (pair, pair), where both
     models have a Fock twin.
     """
     if src.n_max != dst.n_max:
-        raise CapMismatchError(
-            f"index counts differ: {src.n_max} vs {dst.n_max}"
-        )
+        raise CapMismatchError(f"index counts differ: {src.n_max} vs {dst.n_max}")
     params = {"src": src.label(), "dst": dst.label()}
     if (moved := on_fock_twin((src, dst), check_transmutation_intertwining, **params)) is not None:
         return moved

@@ -96,8 +96,9 @@ FAR_PATHS = (
     ["transmute", "--from", "bessel", "--nu", "5/2", "--to", "heat", "--degree", "8", "--poly=1,0,2"],
     # exit 3: the adaptive rule's subdivision limit
     ["bessel", "hankel", "--nu", "2", "--fn", "exp", "--lambda", "1", "--tol", "1e-300"],
-    # nan in the report, and "neither" from one panel, before
+    # nan in the report, then "both" from quotients that were 0: now refused
     ["verify", "--check", "poisson-intertwining", "--nu", "1", "--fn", "gauss", "--grid", "1e155"],
+    # "neither" from one panel, before
     ["verify", "--check", "poisson-intertwining", "--nu", "2", "--fn", "cos", "--grid", "200"],
     # exit 3, its input once rounded in the message
     ["heat", "covariant", "--fn", "gauss", "--u", "1.0000001e308"],

@@ -166,20 +166,46 @@ MUTANTS = (
         ("tests/test_truncation_rule.py::test_a_flagged_target_basis_polynomial_taints_the_umbral_map",),
     ),
     Mutant(
-        "the transmutation keeping only its input's taint, not the marks of D_src and B_dst",
+        "the transmutation check's V keeping only its input's taint, not the marks of D_src and B_dst",
         "src/umbra/transforms.py",
         "return dst.basis_op.step(*src.dual_op.step(vec, den, tainted))",
         "return dst.basis_op.step(*src.dual_op.step(vec, den, tainted))[:2] + (tainted,)",
         (
-            "tests/test_truncation_rule.py::test_a_flagged_target_basis_polynomial_taints_the_umbral_map",
             "tests/test_truncation_rule.py::test_the_marks_of_d_reach_the_transmutation_and_its_check",
+            "tests/test_truncation_rule.py::"
+            "test_the_transmutation_check_agrees_with_the_poly_oracle_on_perturbed_models",
         ),
+    ),
+    Mutant(
+        "the walk's coefficients put over one denominator without the L.den^(top-k) rescale",
+        "src/umbra/transforms.py",
+        "x[0] * (top // pden)",
+        "x[0]",
+        ("tests/test_truncation_rule.py::test_the_walk_maps_as_the_dual_matrix_on_every_catalog_pair",),
+    ),
+    Mutant(
+        "the umbral map tainted by L's own marks in place of their closure",
+        "src/umbra/transforms.py",
+        "src.dual_marks.isdisjoint(vec[0])",
+        "src.lowering.trunc_cols.isdisjoint(vec[0])",
+        (
+            "tests/test_truncation_rule.py::test_the_marks_of_d_reach_the_transmutation_and_its_check",
+            "tests/test_truncation_rule.py::"
+            "test_the_walk_maps_as_the_dual_matrix_through_a_marked_lowering_never_zero",
+        ),
+    ),
+    Mutant(
+        "l_0's step dropping its input's taint",
+        "src/umbra/models.py",
+        "return ((0,), (x,)) if x else EMPTY, den * vden, tainted",
+        "return ((0,), (x,)) if x else EMPTY, den * vden, False",
+        ("tests/test_truncation_rule.py::test_a_flagged_p0_leaves_the_vacuum_axiom_inconclusive",),
     ),
     Mutant(
         "the dual matrix built without the closure of the lowering's marks",
         "src/umbra/models.py",
-        "return LinearOp(imat_transpose(rows, self.degree_cap + 1), den, self.degree_cap, marks)",
-        "return LinearOp(imat_transpose(rows, self.degree_cap + 1), den, self.degree_cap)",
+        "return LinearOp(imat_transpose(rows, cap + 1), den, cap, self.dual_marks)",
+        "return LinearOp(imat_transpose(rows, cap + 1), den, cap)",
         ("tests/test_truncation_rule.py::test_the_marks_of_d_reach_the_transmutation_and_its_check",),
     ),
     Mutant(
@@ -289,8 +315,8 @@ MUTANTS = (
     Mutant(
         "an axiom's mark of p_n counted from the next column on",
         "src/umbra/models.py",
-        "op.step(b.cols[n], b.den, n in b.trunc_cols)",
-        "op.step(b.cols[n], b.den, n - 1 in b.trunc_cols)",
+        "step(b.cols[n], b.den, n in b.trunc_cols)",
+        "step(b.cols[n], b.den, n - 1 in b.trunc_cols)",
         ("tests/test_truncation_rule.py::test_an_axiom_that_fails_on_a_marked_column_reports_its_taint",),
     ),
     Mutant(
@@ -997,11 +1023,32 @@ MUTANTS = (
          "tests/test_cli.py::test_poisson_intertwining_of_cos_holds_as_r2_far_out"),
     ),
     Mutant(
-        "no bound on the grid of an f of no declared decay",
+        "no bound on the Poisson check's grid",
         "src/umbra/numeric.py",
-        "        if not f.mass and not x <= _POISSON_CHECK_MAX_X:\n",
+        "        if not x <= _POISSON_CHECK_MAX_X:\n",
         "        if False:\n",
         ("tests/test_cli.py::test_poisson_intertwining_refuses_a_grid_point_past_its_panel_bound",),
+    ),
+    Mutant(
+        "the Poisson check's grid bounded only for an f of no declared decay",
+        "src/umbra/numeric.py",
+        "        if not x <= _POISSON_CHECK_MAX_X:\n",
+        "        if not f.mass and not x <= _POISSON_CHECK_MAX_X:\n",
+        ("tests/test_cli.py::test_poisson_intertwining_of_gauss_far_out_reports_a_finite_residual",),
+    ),
+    Mutant(
+        "words a command leaves over let through",
+        "src/umbra/cli.py",
+        "        if extra:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_a_refused_command_line_gets_the_top_parsers_usage_and_message",),
+    ),
+    Mutant(
+        "a command line parsed by the top parser after its subparser",
+        "src/umbra/cli.py",
+        "        args.command = argv[0]\n",
+        "        args.command = parser.parse_args(argv).command\n",
+        ("tests/test_cli.py::test_a_command_is_parsed_by_its_subparser_alone",),
     ),
     Mutant(
         "an exit-3 message that rounds its cut with :g",

@@ -362,12 +362,13 @@ def test_poisson_intertwining_of_the_bump_holds_as_r2(capsys, nu):
 
 @pytest.mark.parametrize("grid", ["1e150", "1e155"])
 def test_poisson_intertwining_of_gauss_far_out_reports_a_finite_residual(capsys, grid):
-    # (4 t^2 - 2) e^(-t^2) was inf * 0 = nan past |t| = 1.34e154
-    rc, out, _ = run(capsys, "verify", "--check", "poisson-intertwining", "--nu", "1",
-                     "--fn", "gauss", "--grid", grid, "--format", "json")
-    report = json.loads(out)
-    assert rc == 0 and report["direction_holding"] == "both"
-    assert all(math.isfinite(r) for r in report["residuals"].values())
+    # (4 t^2 - 2) e^(-t^2) was inf * 0 = nan past |t| = 1.34e154; then
+    # "both" from two difference quotients that were exactly 0, as
+    # x +- h/2 rounds to x past x = 8.8e12: now no residual, a refusal
+    rc, out, err = run(capsys, "verify", "--check", "poisson-intertwining", "--nu", "1",
+                       "--fn", "gauss", "--grid", grid, "--format", "json")
+    assert (rc, out) == (2, "")
+    assert err == f"umbra: poisson-intertwining needs every grid point x <= 10000, got 1e+{grid[2:]}\n"
 
 
 @pytest.mark.parametrize("nu", ["1", "2", "15/2"])
@@ -381,14 +382,15 @@ def test_poisson_intertwining_of_cos_holds_as_r2_far_out(capsys, nu, grid):
     assert report["residuals"]["r2"] <= 1e-7
 
 
-@pytest.mark.parametrize("fn", ["cos", "one"])
+@pytest.mark.parametrize("fn", ["cos", "one", "gauss", "bump"])
 @pytest.mark.parametrize("grid", ["10000.000000000002", "100000", "3,20000"])
 def test_poisson_intertwining_refuses_a_grid_point_past_its_panel_bound(capsys, fn, grid):
+    # an f of declared decay too: past x = 8.8e12 its quotients were 0
     rc, out, err = run(capsys, "verify", "--check", "poisson-intertwining", "--fn", fn,
                        f"--grid={grid}")
     assert (rc, out) == (2, "")
-    assert err == ("umbra: poisson-intertwining needs every grid point x <= 10000 for an f "
-                   f"of no declared decay, got {grid.split(',')[-1]}\n")
+    assert err == ("umbra: poisson-intertwining needs every grid point x <= 10000, "
+                   f"got {grid.split(',')[-1]}\n")
 
 
 def test_missing_nu_for_bessel_model(capsys):
@@ -799,6 +801,50 @@ def test_the_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     fresh = _outcomes(capsys, argvs)
     assert reused == fresh + fresh
     assert {rc for rc, _, _ in fresh} == {0, 2}
+
+
+_TOP_USAGE = ("usage: umbra [-h]\n"
+              "             {models,verify,w0,transmute,translate,genfun,bessel,heat,cosine}\n"
+              "             ...\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["models", "stray"], "unrecognized arguments: stray"),
+    (["verify", "--check", "sl2", "--model", "monomial", "--degree", "4", "x", "--", "y"],
+     "unrecognized arguments: x -- y"),
+    ([], "the following arguments are required: command"),
+    (["nope", "--degree", "4"], "argument command: invalid choice: 'nope' (choose from 'models', "
+     "'verify', 'w0', 'transmute', 'translate', 'genfun', 'bessel', 'heat', 'cosine')"),
+])
+def test_a_refused_command_line_gets_the_top_parsers_usage_and_message(capsys, monkeypatch,
+                                                                        argv, err):
+    """Words a command leaves over, no command and an unknown one are
+    refused with exit 2 by the top parser, as argparse refuses them."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    got = capsys.readouterr()
+    assert (exc.value.code, got.out, got.err) == (2, "", f"{_TOP_USAGE}umbra: error: {err}\n")
+
+
+def test_a_command_is_parsed_by_its_subparser_alone(capsys, monkeypatch):
+    """An argv that starts with a command never reaches the top parser,
+    and -h after the command prints that command's help, exit 0."""
+    parser, commands = cli._build_parser()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the top parser parsed a command line")
+
+    monkeypatch.setattr(parser, "parse_args", refused)
+    monkeypatch.setattr(parser, "parse_known_args", refused)
+    assert run(capsys, "models", "--format", "csv")[0] == 0
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h", "--model", "nope"])
+    got = capsys.readouterr()
+    assert (exc.value.code, got.err) == (0, "")
+    assert got.out == commands["verify"].format_help()
+    assert got.out.startswith("usage: umbra verify [-h]")
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,6 +12,7 @@ theorem, report what their direct paths report."""
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -46,6 +47,7 @@ from umbra.transforms import (
     expand_in_basis,
     generating_function,
     reassemble,
+    transmute_vector,
     umbral_map,
 )
 from umbra.translations import (
@@ -724,6 +726,104 @@ def test_the_marks_of_d_reach_the_transmutation_and_its_check(name):
     others = [biorthogonality_check(m), covariant_check(m)]
     assert [r.status for r in others] == ["inconclusive"] * 2
     assert covariant_w0(m, Poly([0, 0, 1], 8)).truncated
+
+
+def _by_dual_matrix(src, dst, f):
+    """The umbral map of f through D_src's matrix: ``transmute_vector``
+    on f's kernel column, refused where ``umbral_map`` refuses f."""
+    src.require_poly(f)
+    col, den, tainted = transmute_vector(src, dst, *integer_vector(f.coeffs), f.truncated)
+    return column_poly(col, den, dst.degree_cap, tainted)
+
+
+def _mapped(fn):
+    """(coefficients, flag) of the Poly fn() returns, or its refusal."""
+    try:
+        image = fn()
+    except UmbraError as exc:
+        return type(exc).__name__, str(exc)
+    return image.coeffs, image.truncated
+
+
+def _walk_and_matrix(src, dst, f):
+    return _mapped(lambda: umbral_map(src, dst, f)), _mapped(lambda: _by_dual_matrix(src, dst, f))
+
+
+#: every catalog model, bessel at three nu: at nu = 1/3 its lowering
+#: keeps the denominator 3, so the walk's powers have denominators of
+#: their own
+CATALOG_SPECS = [(name, None) for name in MODEL_NAMES if name != "bessel"] + [
+    ("bessel", Fraction(1, 3)), ("bessel", Fraction(5, 2)), ("bessel", Fraction(7)),
+]
+
+
+@pytest.mark.parametrize("degree", range(1, 41))
+def test_the_walk_maps_as_the_dual_matrix_on_every_catalog_pair(degree):
+    """``umbral_map`` walks L^k f and never forms D_src, yet its value
+    and flag are those of ``transmute_vector``, on every ordered pair of
+    catalog models: for a dense f on every basis degree of the source,
+    flagged at odd degrees."""
+    models = [build_model(name, degree, nu) for name, nu in CATALOG_SPECS]
+    for src, dst in itertools.permutations(models, 2):
+        cs = [0] * (src.degree_cap + 1)
+        for n in range(degree + 1):
+            cs[src.degree_of_index(n)] = Fraction((-1) ** n * (n + 1), n + 2)
+        f = Poly(cs, src.degree_cap, bool(degree % 2))
+        got, want = _walk_and_matrix(src, dst, f)
+        assert got == want, (src.label(), dst.label())
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)), st.sampled_from(CATALOG_SPECS), st.data())
+def test_the_walk_maps_as_the_dual_matrix_on_perturbed_models(case, spec, data):
+    """A perturbed model, as source and as target, beside a catalog model
+    of its n_max: each map gives the value, the flag or the refusal of
+    ``transmute_vector``, whatever marks L carries and whether or not a
+    power of L ever vanishes; f spans the source's space up to its cap."""
+    m, _, _ = case
+    other = build_model(spec[0], m.n_max, spec[1])
+    for src, dst in ((m, other), (other, m)):
+        step = 2 if src.parity is Parity.EVEN else 1
+        cs = [data.draw(VALUES) if k % step == 0 else 0 for k in range(src.degree_cap + 1)]
+        f = Poly(cs, src.degree_cap, data.draw(st.booleans()))
+        got, want = _walk_and_matrix(src, dst, f)
+        assert got == want
+
+
+def test_the_walk_maps_as_the_dual_matrix_through_a_marked_lowering_never_zero():
+    """monomial(8) with L t^3 = 3 t^2 + t^3/2, so no power of L vanishes
+    on t^3, and L marking column 5, whose closure is t^5..t^8: the walk
+    stops at n_max, and the image of t^3 is unflagged and that of t^6
+    flagged, as through D."""
+    m = build_model("monomial", 8)
+    d = _plain(m)
+    d["L"][3][3] += Fraction(1, 2)
+    d["l_marks"].add(5)
+    m, dst = _rebuilt(m, d), build_model("hermite", 8)
+    assert m.dual_marks == {5, 6, 7, 8}
+    t3, t6 = Poly([0, 0, 0, 1], 8), Poly([0] * 6 + [1], 8)
+    assert not umbral_map(m, dst, t3).truncated and umbral_map(m, dst, t6).truncated
+    for f in (t3, t6, Poly([1, 0, 0, 1, 0, 0, 1], 8, True)):
+        for src, dst2 in ((m, dst), (dst, m)):
+            got, want = _walk_and_matrix(src, dst2, f)
+            assert got == want
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_a_transmute_or_w0_request_builds_no_dual_matrix(name, monkeypatch):
+    """``transmute`` and ``w0`` walk L^k f for their one input, so no
+    model they build stacks its duals into D."""
+    built, load = [], cli._load_model
+    monkeypatch.setattr(cli, "_load_model", lambda *a: built.append(load(*a)) or built[-1])
+    even = name in ("heat", "bessel")
+    nu = ["--nu", "1/3"] if name == "bessel" else []
+    poly = "--poly=" + ("1,0,-2,0,3/4" if even else "1,-2,3/4,0,5")
+    for argv in (["transmute", "--from", name, *nu, "--to", "upper-factorial"],
+                 ["w0", "--model", name, *nu]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--degree", "16", poly]) == 0
+    assert len(built) == 3
+    assert not any("dual_op" in vars(m) for m in built)
 
 
 # -- the Fock twin and the expansion theorem decide as the direct path --
