@@ -539,16 +539,6 @@ def _cmd_float(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, *, model: bool = False) -> None:
-    if model:
-        p.add_argument("--model", choices=MODEL_NAMES)
-        p.add_argument("--nu", help='Bessel parameter as "p/q"')
-        p.add_argument("--degree", type=int, default=DEFAULT_DEGREE_CAP,
-                       help="working basis-index cap")
-    p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
-    p.add_argument("--out", help="write output to this path instead of stdout")
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a word starting with "-" and a
     digit, or "-." and a digit, as a value, never as a flag, so that
@@ -561,74 +551,66 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-@cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    top = _Parser(
-        prog="umbra",
-        description="Exact ladder-operator calculus and its numeric transforms.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+#: Each command's help line in the top parser, in its order there, its
+#: handler and, for a float command, its modes, its point flags as
+#: (flag, dest, help) and what its --grid holds.
+COMMANDS: dict[str, tuple] = {
+    "models": ("list the model catalog", _cmd_models),
+    "verify": ("run verification checks", _cmd_verify),
+    "w0": ("covariant transform of a polynomial", _cmd_w0),
+    "transmute": ("map a polynomial between models", _cmd_transmute),
+    "translate": ("generalized translation of a polynomial", _cmd_translate),
+    "genfun": ("generating-function coefficient table", _cmd_genfun),
+    "bessel": ("Bessel-type numeric transforms", _cmd_float, ("j", "poisson", "hankel"),
+               (("--nu", "nu", "parameter (float or p/q)"),
+                ("--lambda", "lam", "spectral parameter"), ("--x", "x", "evaluation point")),
+               "evaluation points"),
+    "heat": ("heat-kernel covariant transform", _cmd_float, ("covariant",),
+             (("--u", "u", "diffusion time"),), "u values"),
+    "cosine": ("cosine transform", _cmd_float, (),
+               (("--v", "v", "frequency-squared parameter"),), "v values"),
+}
 
-    p = sub.add_parser("models", help="list the model catalog")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_models)
 
-    p = sub.add_parser("verify", help="run verification checks")
-    _add_common(p, model=True)
-    p.add_argument("--check", choices=tuple(CHECKS))
-    p.add_argument("--all", action="store_true",
-                   help="every check applicable to the model")
-    p.add_argument("--order", type=int, help="formal order for series checks")
-    p.add_argument("--tol", type=float, help="tolerance for residual checks")
-    p.add_argument("--from", dest="src", choices=MODEL_NAMES,
-                   help="source model for --check transmute")
-    p.add_argument("--to", dest="to", choices=MODEL_NAMES)
-    p.add_argument("--from-nu", dest="src_nu", help='source --nu as "p/q"')
-    p.add_argument("--to-nu", dest="to_nu", help='target --nu as "p/q"')
-    p.add_argument("--fn", help="canned function for numeric checks")
-    p.add_argument("--grid", help="comma-separated evaluation points")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("w0", help="covariant transform of a polynomial")
-    _add_common(p, model=True)
-    p.add_argument("--poly", help='coefficients "c0,c1,..." as rationals')
-    p.set_defaults(handler=_cmd_w0)
-
-    p = sub.add_parser("transmute", help="map a polynomial between models")
-    _add_common(p)
-    p.add_argument("--from", dest="src", choices=MODEL_NAMES, required=True)
-    p.add_argument("--to", dest="to", choices=MODEL_NAMES, required=True)
-    p.add_argument("--nu", help='Bessel parameter for either side, as "p/q"')
-    p.add_argument("--from-nu", dest="src_nu")
-    p.add_argument("--to-nu", dest="to_nu")
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE_CAP)
-    p.add_argument("--poly", help='coefficients "c0,c1,..." as rationals')
-    p.set_defaults(handler=_cmd_transmute)
-
-    p = sub.add_parser("translate", help="generalized translation of a polynomial")
-    _add_common(p, model=True)
-    p.add_argument("--y", help='translation step as "p/q"')
-    p.add_argument("--poly", help='coefficients "c0,c1,..." as rationals')
-    p.set_defaults(handler=_cmd_translate)
-
-    p = sub.add_parser("genfun", help="generating-function coefficient table")
-    _add_common(p, model=True)
-    p.add_argument("--order", type=int, help="series order in s")
-    p.set_defaults(handler=_cmd_genfun)
-
-    for name, text, modes, points, grid in (
-        ("bessel", "Bessel-type numeric transforms", ("j", "poisson", "hankel"),
-         (("--nu", "nu", "parameter (float or p/q)"), ("--lambda", "lam", "spectral parameter"),
-          ("--x", "x", "evaluation point")), "evaluation points"),
-        ("heat", "heat-kernel covariant transform", ("covariant",),
-         (("--u", "u", "diffusion time"),), "u values"),
-        ("cosine", "cosine transform", (), (("--v", "v", "frequency-squared parameter"),),
-         "v values"),
-    ):
-        p = sub.add_parser(name, help=text)
+def _fill(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """p with the arguments of command ``name``, whether p is the top
+    parser's subparser or the command's parser alone; returns p."""
+    _, handler, *floats = COMMANDS[name]
+    if name in ("verify", "w0", "translate", "genfun"):
+        p.add_argument("--model", choices=MODEL_NAMES)
+        p.add_argument("--nu", help='Bessel parameter as "p/q"')
+        p.add_argument("--degree", type=int, default=DEFAULT_DEGREE_CAP,
+                       help="working basis-index cap")
+    p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
+    p.add_argument("--out", help="write output to this path instead of stdout")
+    if name == "verify":
+        p.add_argument("--check", choices=tuple(CHECKS))
+        p.add_argument("--all", action="store_true",
+                       help="every check applicable to the model")
+        p.add_argument("--order", type=int, help="formal order for series checks")
+        p.add_argument("--tol", type=float, help="tolerance for residual checks")
+        p.add_argument("--from", dest="src", choices=MODEL_NAMES,
+                       help="source model for --check transmute")
+        p.add_argument("--to", dest="to", choices=MODEL_NAMES)
+        p.add_argument("--from-nu", dest="src_nu", help='source --nu as "p/q"')
+        p.add_argument("--to-nu", dest="to_nu", help='target --nu as "p/q"')
+        p.add_argument("--fn", help="canned function for numeric checks")
+        p.add_argument("--grid", help="comma-separated evaluation points")
+    elif name == "transmute":
+        p.add_argument("--from", dest="src", choices=MODEL_NAMES, required=True)
+        p.add_argument("--to", dest="to", choices=MODEL_NAMES, required=True)
+        p.add_argument("--nu", help='Bessel parameter for either side, as "p/q"')
+        p.add_argument("--from-nu", dest="src_nu")
+        p.add_argument("--to-nu", dest="to_nu")
+        p.add_argument("--degree", type=int, default=DEFAULT_DEGREE_CAP)
+    elif name == "translate":
+        p.add_argument("--y", help='translation step as "p/q"')
+    elif name == "genfun":
+        p.add_argument("--order", type=int, help="series order in s")
+    elif floats:
+        modes, points, grid = floats
         if modes:
             p.add_argument("mode", choices=modes)
-        _add_common(p)
         for flag, dest, help_ in points:
             p.add_argument(flag, dest=dest, help=help_)
         p.add_argument("--grid", help=f"comma-separated {grid}")
@@ -636,25 +618,46 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--poly", help="polynomial input (rational coefficients)")
         p.add_argument("--degree", type=int, default=DEFAULT_DEGREE_CAP)
         p.add_argument("--tol", type=float)
-        p.set_defaults(handler=_cmd_float)
+    if name in ("w0", "transmute", "translate"):
+        p.add_argument("--poly", help='coefficients "c0,c1,..." as rationals')
+    p.set_defaults(handler=handler)
+    return p
 
+
+@cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser, with every command's subparser."""
+    top = _Parser(
+        prog="umbra",
+        description="Exact ladder-operator calculus and its numeric transforms.",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (text, *_) in COMMANDS.items():
+        _fill(name, sub.add_parser(name, help=text))
     return top, sub.choices
 
 
+@cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Command ``name``'s parser alone: its subparser in the top parser,
+    built without the others."""
+    return _fill(name, _Parser(prog=f"umbra {name}"))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command and return its exit code.  The parser is built
-    on the first call and reused by every later one in the process; it
-    holds no per-call state, as each parse starts a fresh namespace; a
-    command's own subparser alone parses an argv that starts with it."""
-    parser, commands = _build_parser()
+    """Run one command and return its exit code.  An argv that starts
+    with a command is parsed by that command's parser alone; the top
+    parser is built only for any other argv and to refuse the words a
+    command leaves over.  Each parser is built on first use and reused
+    by later calls: each parse starts a fresh namespace."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in commands:
-        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if argv and argv[0] in COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
         if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            _build_parser()[0].error(f"unrecognized arguments: {' '.join(extra)}")
         args.command = argv[0]
     else:
-        args = parser.parse_args(argv)
+        args = _build_parser()[0].parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

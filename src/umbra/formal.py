@@ -22,14 +22,18 @@ Each coefficient is a linear combination of ladder words.  A word is a
 string over "L" (the lowering operator) and "R" (the raising one), read
 in written order, so "LR" is L o R and the product of two words is
 their concatenation.  One ``OpWordTable`` per model makes each word's
-operator once, letter by letter; the coefficient operators are summed
-from those on demand.
+operator once, letter by letter, and reads a word's marks off the
+letters' patterns without forming its operator.
 
 A series keeps its coefficients as integer numerators over one series
 denominator, order! for the identities' differences, so building one
-is plain integer arithmetic.  ``materialize`` reduces each numerator
-against the denominator before it sums the word operators, so the
-kernels see the multipliers a Fraction coefficient would give them.
+is plain integer arithmetic.  ``sums`` adds up one coefficient on the
+certified columns in one kernel call, each numerator reduced against
+the denominator first, so the kernels see the multipliers a Fraction
+coefficient would give them; the comparison reads zero off those sums
+without forming an operator.  A caller may name coefficients that can
+never be the first to fail (``series_first_difference``'s ``summed``):
+those are not summed, and only their marks count.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .core import CapMismatchError, LinearOp, ZERO, outcome
+from .core import CapMismatchError, LinearOp, outcome
 from . import kernels
 
 Index = tuple[int, ...]
@@ -52,7 +56,9 @@ class OpWordTable:
     has an identity operand, and column j of a word's operator is
     marked truncated when some path from j through the letters reaches
     a column that one of them marks.  That closure is never weaker than
-    the marks of any other bracketing of the same product.
+    the marks of any other bracketing of the same product.  ``marks``
+    reads the same closure off the letters' stored patterns, so a word
+    whose sums are never needed costs no arithmetic.
     """
 
     def __init__(self, lowering: LinearOp, raising: LinearOp):
@@ -60,6 +66,7 @@ class OpWordTable:
             raise CapMismatchError("ladder operators at different caps")
         self.cap = lowering.cap
         self._ops = {"": LinearOp.identity(self.cap), "L": lowering, "R": raising}
+        self._marks: dict[str, frozenset[int]] = {"": frozenset()}
 
     def op(self, word: str) -> LinearOp:
         """The operator of ``word``; the same object on every call."""
@@ -67,6 +74,18 @@ class OpWordTable:
         if hit is None:
             hit = self.op(word[:-1]) @ self._ops[word[-1]]
             self._ops[word] = hit
+        return hit
+
+    def marks(self, word: str) -> frozenset[int]:
+        """``op(word).trunc_cols`` with no operator formed: the marks of
+        the last letter x, and each column of x whose stored rows meet
+        the marks of ``word[:-1]``, as ``LinearOp.__matmul__`` marks
+        them; a fold over the letters' patterns, with no arithmetic."""
+        hit = self._marks.get(word)
+        if hit is None:
+            x, rest = self._ops[word[-1]], self.marks(word[:-1])
+            hit = self._marks[word] = x.trunc_cols.union(
+                j for j, (rows, _) in enumerate(x.cols) if rest and not rest.isdisjoint(rows))
         return hit
 
     # The two helpers below are boundaries that perfbench's tracer
@@ -86,7 +105,7 @@ class FormalOpSeries:
     params^idx.  Each coefficient is a {word: numerator} combination of
     the words of ``table``, on integer numerators over one series
     denominator ``den`` > 0; the coefficient of a word is its numerator
-    over ``den``.  Coefficient operators are materialized on demand."""
+    over ``den``.  Coefficients are summed on demand."""
 
     __slots__ = ("params", "order", "table", "terms", "den")
 
@@ -111,7 +130,8 @@ class FormalOpSeries:
         """Series product in the written order: a word of ``self``
         followed by a word of ``other``.  Each product word's operator
         is made here, where its cost belongs."""
-        self._check(other)
+        if (self.params, self.order, self.table) != (other.params, other.order, other.table):
+            raise CapMismatchError("mixed series shapes")
         out = FormalOpSeries(self.params, self.order, self.table, self.den * other.den)
         op = self.table.op
         items_b = [(ib, sum(ib), coef_b) for ib, coef_b in other.terms.items()]
@@ -133,75 +153,64 @@ class FormalOpSeries:
                             bucket[word] = n + na * nb
         return out
 
+    def sums(self, idx: Index, cols: list[int]) -> tuple[list[kernels.Column], int]:
+        """The coefficient at ``idx`` summed on ``cols`` alone, in one
+        kernel call over the words with a nonzero numerator: (its
+        columns, one for each of ``cols``, over their denominator).  A
+        coefficient whose words all cancel is no columns, over 1, and
+        costs no kernel call."""
+        ops = []
+        for word, n in self.terms.get(idx, {}).items():
+            if n:
+                op = self.table.op(word)
+                # n / den in lowest terms, as a Fraction has it
+                g = math.gcd(n, self.den)
+                ops.append((n // g, self.den // g * op.den, op.cols))
+        if not ops:
+            return [], 1
+        den = math.lcm(*(d for _, d, _ in ops))
+        return kernels.imat_comb([((den // d) * n, [m[j] for j in cols]) for n, d, m in ops]), den
+
     def materialize(self, idx: Index, columns: Iterable[int]) -> LinearOp:
         """Exact sum of the combination at one multi-index on
-        ``columns``, over the words with a nonzero coefficient.  Every
-        other column of the result is zero whatever the true sum holds
-        there, so it is meant only for comparison on ``columns``; pass
-        every column, ``range(cap + 1)``, for the whole sum.  Its marks
-        are those of every word there, a word whose coefficients
-        cancelled to 0 included."""
-        cap = self.table.cap
-        coef = self.terms.get(idx, {})
-        words = [(n, self.table.op(word)) for word, n in coef.items()]
-        tcols = frozenset().union(*(op.trunc_cols for _, op in words))
-        # each coefficient n / den in lowest terms, as a Fraction has it
-        ops = []
-        for n, op in words:
-            if n:
-                g = math.gcd(n, self.den)
-                ops.append((n // g, self.den // g * op.den, op))
-        if not ops:
-            return LinearOp([kernels.EMPTY] * (cap + 1), 1, cap, tcols)
-        den = math.lcm(*(d for _, d, _ in ops))
-        terms = [((den // d) * n, op.cols) for n, d, op in ops]
+        ``columns`` (``sums``).  Every other column of the result is
+        zero whatever the true sum holds there, so it is meant only for
+        comparison on ``columns``; pass every column, ``range(cap + 1)``,
+        for the whole sum.  Its marks are those of every word there, a
+        word whose coefficients cancelled to 0 included."""
         js = sorted(set(columns))
-        part = kernels.imat_comb([(c, [m[j] for j in js]) for c, m in terms])
-        cols = [kernels.EMPTY] * (cap + 1)
+        part, den = self.sums(idx, js)
+        cols = [kernels.EMPTY] * (self.table.cap + 1)
         for j, col in zip(js, part):
             cols[j] = col
-        return LinearOp(cols, den, cap, tcols)
-
-    def indices(self) -> list[Index]:
-        return sorted(self.terms, key=lambda idx: (sum(idx), idx))
-
-    def _check(self, other: "FormalOpSeries") -> None:
-        if (
-            self.params != other.params
-            or self.order != other.order
-            or self.table is not other.table
-        ):
-            raise CapMismatchError("mixed series shapes")
-
-
-def max_abs_entry(op: LinearOp, cols: Iterable[int]) -> Fraction:
-    """Largest |entry| of ``op`` over the given columns."""
-    return max(
-        (abs(Fraction(x, op.den)) for j in cols for x in op.cols[j][1]),
-        default=ZERO,
-    )
+        tcols = frozenset().union(*map(self.table.marks, self.terms.get(idx, ())))
+        return LinearOp(cols, den, self.table.cap, tcols)
 
 
 def series_first_difference(
-    diff: FormalOpSeries, columns: Iterable[int]
+    diff: FormalOpSeries,
+    columns: Iterable[int],
+    summed: Callable[[Index], bool] = lambda idx: True,
 ) -> tuple[Index | None, bool, Fraction]:
-    """``core.outcome`` over the coefficients of ``diff``, in total order
-    and then lexicographically, each summed on ``columns`` only and
-    compared with zero there by ``LinearOp.compare_on_columns``: (first
+    """``core.outcome`` over the coefficients of ``diff``, the difference
+    of an identity's two sides, in total order and then lexicographically,
+    each summed on ``columns`` only (``FormalOpSeries.sums``) and compared
+    with zero there, column by column in the order given: (first
     multi-index where ``diff`` is nonzero, or None; tainted; residual,
     the largest |entry| of that coefficient over ``columns``, else 0).
-
-    ``diff`` is the difference of an identity's two sides.  A word on
-    both sides keeps its marks in the difference even where its
-    coefficients agree, so the taint is that of comparing the two sides;
-    a coefficient whose words all cancel costs no kernel call."""
-    cols = list(columns)
-    zero = LinearOp.zero(diff.table.cap)
+    A coefficient is marked when a compared column up to and including
+    its first nonzero one is among its words' marks, cancelled words
+    included, so the taint is that of comparing the two sides.  A
+    coefficient that ``summed`` rejects, one the caller knows vanishes
+    wherever an earlier one does, is not summed and holds: only its
+    marks count, on every column."""
+    cols, marks_of = list(columns), diff.table.marks
     found, tainted = outcome(
-        ((idx, coef), bad is None, marked)
-        for idx in diff.indices()
-        for coef in (diff.materialize(idx, cols),)
-        for bad, marked in (coef.compare_on_columns(zero, cols),)
+        ((idx, part, den), bad == len(cols), not marks.isdisjoint(cols[: bad + 1]))
+        for idx in sorted(diff.terms, key=lambda i: (sum(i), i))
+        for part, den in (diff.sums(idx, cols) if summed(idx) else ([], 1),)
+        for bad in (next((k for k, (rows, _) in enumerate(part) if rows), len(cols)),)
+        for marks in (frozenset().union(*map(marks_of, diff.terms[idx])),)
     )
-    idx, coef = found or (None, zero)
-    return idx, tainted, max_abs_entry(coef, cols)
+    idx, part, den = found or (None, [], 1)
+    return idx, tainted, Fraction(max((abs(x) for _, vals in part for x in vals), default=0), den)

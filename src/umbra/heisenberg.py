@@ -54,7 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     CapShortfallError,
@@ -65,7 +65,7 @@ from .core import (
     format_rational,
     outcome,
 )
-from .formal import FormalOpSeries, Index, max_abs_entry, series_first_difference
+from .formal import FormalOpSeries, Index, series_first_difference
 from .models import UmbralModel, on_fock_twin
 from .reports import VerificationReport
 from .kernels import Column
@@ -135,10 +135,11 @@ def _weyl_difference(m: UmbralModel, order: int) -> FormalOpSeries:
 
 
 def _formal_report(
-    check: str, m: UmbralModel, order: int, output_degree: int, diff: FormalOpSeries
+    check: str, m: UmbralModel, order: int, output_degree: int, diff: FormalOpSeries,
+    summed: Callable[[Index], bool] = lambda idx: True,
 ) -> VerificationReport:
     cols = [m.degree_of_index(j) for j in range(output_degree + 1)]
-    idx, tainted, worst = series_first_difference(diff, cols)
+    idx, tainted, worst = series_first_difference(diff, cols, summed)
     params = {
         "order": order,
         "output_index": output_degree,
@@ -166,11 +167,16 @@ def group_law_check(m: UmbralModel, order: int) -> VerificationReport:
     the same words.  Those lie at a higher total order than their s-free
     twin, so they fail only after it and carry no mark it lacks: the
     first failure, the taint and the residual are those of the six
-    coordinates."""
+    coordinates.  Of theirs only the y1-free ones are summed: the
+    coefficient at (a, b, c, d) is (-1)^b / b! L^b times the one at
+    (a, 0, c, d), word by word, so it vanishes wherever that earlier one
+    does: the first failure has y1 = 0, and one with y1 > 0 adds only
+    its marks."""
     output_degree = _require_cap(m, order)
     if (moved := on_fock_twin(m, group_law_check, order)) is not None:
         return moved
-    return _formal_report("group-law", m, order, output_degree, _group_law_difference(m, order))
+    diff = _group_law_difference(m, order)
+    return _formal_report("group-law", m, order, output_degree, diff, lambda idx: not idx[1])
 
 
 def weyl_relation_check(m: UmbralModel, order: int) -> VerificationReport:
@@ -355,7 +361,8 @@ def metaplectic_check(m: UmbralModel) -> list[VerificationReport]:
         bad, tainted = lhs.compare_on_columns(rhs, cols)
         worst, ff = ZERO, None
         if bad is not None:
-            worst = max_abs_entry(lhs - rhs, [bad])
+            gap = lhs - rhs
+            worst = max(abs(Fraction(x, gap.den)) for x in gap.cols[bad][1])
             ff = {"degree": bad}
         out.append(VerificationReport(
             check=name, model=m.label(), params=dict(params),

@@ -43,13 +43,14 @@ def icol(acc) -> Column:
 def icol_mul(a, col: Column, height: int | None = None) -> Column:
     """Product a @ col for one column: the combination of a's columns
     that ``col`` names, summed in a dense list ``height`` rows tall, or
-    by default as tall as the columns it names."""
+    by default as tall as the columns it names.  A column with one
+    entry, 1, names a's column itself, which comes back as it is."""
     rows, vals = col
     if not rows:
         return EMPTY
     if len(rows) == 1:
-        (arows, avals), x = a[rows[0]], vals[0]
-        return arows, tuple(y * x for y in avals)
+        col, x = a[rows[0]], vals[0]
+        return col if x == 1 else (col[0], tuple([y * x for y in col[1]]))
     if height is None:
         height = max((a[k][0][-1] + 1 for k in rows if a[k][0]), default=0)
     acc = [0] * height

@@ -41,21 +41,67 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
-        "a coefficient's marks taken only from words with a nonzero coefficient",
+        "a compared coefficient's marks taken only from words with a nonzero coefficient",
         "src/umbra/formal.py",
-        "tcols = frozenset().union(*(op.trunc_cols for _, op in words))",
-        "tcols = frozenset().union(*(op.trunc_cols for q, op in words if q))",
-        (
-            "tests/test_formal.py::test_a_word_cancelled_in_the_difference_still_taints",
-            "tests/test_formal.py::test_a_cancelled_word_keeps_its_marks",
-        ),
+        "frozenset().union(*map(marks_of, diff.terms[idx]))",
+        "frozenset().union(*(marks_of(w) for w, n in diff.terms[idx].items() if n))",
+        ("tests/test_formal.py::test_a_word_cancelled_in_the_difference_still_taints",),
+    ),
+    Mutant(
+        "a materialized coefficient's marks taken only from words with a nonzero coefficient",
+        "src/umbra/formal.py",
+        "frozenset().union(*map(self.table.marks, self.terms.get(idx, ())))",
+        "frozenset().union(*(self.table.marks(w) for w, n in self.terms.get(idx, {}).items() if n))",
+        ("tests/test_formal.py::test_a_cancelled_word_keeps_its_marks",),
     ),
     Mutant(
         "an index whose words all cancel skipped",
         "src/umbra/formal.py",
-        "        for idx in diff.indices()\n",
-        "        for idx in diff.indices() if any(diff.terms[idx].values())\n",
+        "        for idx in sorted(diff.terms, key=lambda i: (sum(i), i))\n",
+        "        for idx in sorted(diff.terms, key=lambda i: (sum(i), i)) if any(diff.terms[idx].values())\n",
         ("tests/test_formal.py::test_a_word_cancelled_in_the_difference_still_taints",),
+    ),
+    Mutant(
+        "the marks fold dropping the prefix's marks",
+        "src/umbra/formal.py",
+        "if rest and not rest.isdisjoint(rows)",
+        "if False",
+        ("tests/test_truncation_rule.py::test_word_marks_folded_off_the_letters_are_the_products_marks",),
+    ),
+    Mutant(
+        "a failing coefficient's taint counted past its first nonzero column",
+        "src/umbra/formal.py",
+        "not marks.isdisjoint(cols[: bad + 1])",
+        "not marks.isdisjoint(cols)",
+        ("tests/test_formal.py::test_a_failing_coefficient_counts_marks_up_to_its_first_nonzero_column",),
+    ),
+    Mutant(
+        "the residual read off the lowest index's coefficient, not the first failure's",
+        "src/umbra/formal.py",
+        "((idx, part, den), bad == len(cols),",
+        "((idx, *diff.sums(min(diff.terms), cols)), bad == len(cols),",
+        ("tests/test_formal.py::test_series_first_difference_locates_mismatch",),
+    ),
+    Mutant(
+        "the group law summing only the coefficients with a power of y1",
+        "src/umbra/heisenberg.py",
+        "diff, lambda idx: not idx[1])",
+        "diff, lambda idx: bool(idx[1]))",
+        ("tests/test_truncation_rule.py::test_the_formal_checks_are_the_full_evaluation_reference",),
+    ),
+    Mutant(
+        "the group law summing every coefficient",
+        "src/umbra/heisenberg.py",
+        "diff, lambda idx: not idx[1])",
+        "diff)",
+        ("tests/test_heisenberg.py::test_the_group_law_sums_only_y1_free_coefficients_and_forms_only_their_words",),
+    ),
+    Mutant(
+        "a one-entry product reusing its column whatever the entry",
+        "src/umbra/kernels.py",
+        "return col if x == 1 else",
+        "return col if True else",
+        ("tests/test_kernels.py",),
     ),
     Mutant(
         "the last certified column left out of the restricted combination",
@@ -94,8 +140,8 @@ MUTANTS = (
     Mutant(
         "a compared coefficient's taint dropped",
         "src/umbra/formal.py",
-        "((idx, coef), bad is None, marked)",
-        "((idx, coef), bad is None, False)",
+        "bad == len(cols), not marks.isdisjoint(cols[: bad + 1]))",
+        "bad == len(cols), False)",
         ("tests/test_formal.py::test_series_first_difference_locates_mismatch",),
     ),
     Mutant(
@@ -1047,8 +1093,15 @@ MUTANTS = (
         "a command line parsed by the top parser after its subparser",
         "src/umbra/cli.py",
         "        args.command = argv[0]\n",
-        "        args.command = parser.parse_args(argv).command\n",
+        "        args.command = _build_parser()[0].parse_args(argv).command\n",
         ("tests/test_cli.py::test_a_command_is_parsed_by_its_subparser_alone",),
+    ),
+    Mutant(
+        "a command's parser alone named as the top parser",
+        "src/umbra/cli.py",
+        'return _fill(name, _Parser(prog=f"umbra {name}"))',
+        'return _fill(name, _Parser(prog="umbra"))',
+        ("tests/test_cli.py::test_a_commands_parser_alone_is_its_subparser_in_the_top_parser",),
     ),
     Mutant(
         "an exit-3 message that rounds its cut with :g",

@@ -11,6 +11,9 @@ runs the package's ``umbral_map`` and ladder ``apply``, the path the
 held to the maps that command prints; and ``translate_by_poly`` is the
 ``Poly`` loop of the generalized translation.  ``basis`` reads a
 model's p_n off its basis matrix as the package's ``Poly``s.
+``first_difference_by_materialize`` is the formal comparison that
+summed every coefficient into an operator, through the package's
+``FormalOpSeries.materialize`` and ``compare_on_columns``.
 """
 
 from fractions import Fraction
@@ -187,6 +190,25 @@ def two_sided_first_difference(a, b, letters, cols):
             if ma[j] != mb[j]:
                 residual = max(abs(x - y) for c in cols for x, y in zip(ma[c], mb[c]))
                 return idx, tainted, residual
+    return None, tainted, Fraction(0)
+
+
+def first_difference_by_materialize(diff, columns, summed=None):
+    """``series_first_difference`` evaluated in full: every coefficient
+    of the series ``diff``, by total order and then lexicographically,
+    materialized on ``columns`` and compared with zero there by
+    ``compare_on_columns``, whatever ``summed`` says.  Returns (first
+    nonzero index or None, whether a compared column up to it was
+    marked, largest |entry| of that coefficient over ``columns`` or 0)."""
+    cols = list(columns)
+    zero = LinearOp.zero(diff.table.cap)
+    tainted = False
+    for idx in sorted(diff.terms, key=lambda i: (sum(i), i)):
+        coef = diff.materialize(idx, cols)
+        bad, marked = coef.compare_on_columns(zero, cols)
+        tainted = tainted or marked
+        if bad is not None:
+            return idx, tainted, max(abs(Fraction(x, coef.den)) for j in cols for x in coef.cols[j][1])
     return None, tainted, Fraction(0)
 
 

@@ -794,10 +794,12 @@ def test_the_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     gives each call the exit code, stdout and stderr of a freshly built
     parser."""
     assert cli._build_parser() is cli._build_parser()
+    assert cli._command_parser("verify") is cli._command_parser("verify")
     argvs = list(_REUSE_CASES)
     random.Random(16).shuffle(argvs)
     reused = _outcomes(capsys, argvs + argvs)
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    monkeypatch.setattr(cli, "_command_parser", cli._command_parser.__wrapped__)
     fresh = _outcomes(capsys, argvs)
     assert reused == fresh + fresh
     assert {rc for rc, _, _ in fresh} == {0, 2}
@@ -845,6 +847,47 @@ def test_a_command_is_parsed_by_its_subparser_alone(capsys, monkeypatch):
     assert (exc.value.code, got.err) == (0, "")
     assert got.out == commands["verify"].format_help()
     assert got.out.startswith("usage: umbra verify [-h]")
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_a_commands_parser_alone_is_its_subparser_in_the_top_parser(monkeypatch, name):
+    """The parser a command line is read by, built without the others,
+    gives the help and usage of that command's subparser in the top
+    parser, as ``umbra <command> -h`` prints them."""
+    monkeypatch.setenv("COLUMNS", "80")
+    alone, sub = cli._command_parser(name), cli._build_parser()[1][name]
+    assert alone is not sub
+    assert alone.prog == sub.prog == f"umbra {name}"
+    assert (alone.format_help(), alone.format_usage()) == (sub.format_help(), sub.format_usage())
+
+
+def test_a_command_line_builds_no_top_parser(capsys, monkeypatch):
+    """Each command runs, and prints its help, with the top parser never
+    built: only an argv that starts with no command, or one that leaves
+    words over, needs it."""
+
+    def refused():
+        raise AssertionError("the top parser was built")
+
+    monkeypatch.setattr(cli, "_build_parser", refused)
+    monkeypatch.setattr(cli, "_command_parser", cli._command_parser.__wrapped__)
+    for argv in (
+        ["models", "--format", "csv"],
+        ["verify", "--check", "twisted"],
+        ["w0", "--model", "monomial", "--degree", "4", "--poly", "1,2"],
+        ["transmute", "--from", "monomial", "--to", "hermite", "--degree", "4", "--poly", "1,2"],
+        ["translate", "--model", "monomial", "--degree", "4", "--y", "1", "--poly", "1,2"],
+        ["genfun", "--model", "monomial", "--degree", "4"],
+        ["bessel", "j", "--nu", "2", "--x", "1"],
+        ["heat", "covariant", "--fn", "gauss", "--u", "0.5"],
+        ["cosine", "--fn", "bump", "--v", "2"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    for name in cli.COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: umbra {name} [-h]")
 
 
 @pytest.mark.parametrize("argv", [

@@ -207,7 +207,7 @@ def test_series_drops_zero_and_overflow_terms():
     table = OpWordTable(deriv_op(cap), mult_t_op(cap))
     s = FormalOpSeries(("x", "y"), 2, table)
     s.add_numerator((1, 1), 1, "L")
-    assert s.mul(s).indices() == []
+    assert s.mul(s).terms == {}
 
 
 def test_series_first_difference_locates_mismatch():
@@ -224,6 +224,18 @@ def test_series_first_difference_locates_mismatch():
     b.append(((1,), 1, "R"))
     assert series_first_difference(difference(table, 3, 1, a, a), cols) == (None, True, 0)
     assert series_first_difference(difference(table, 3, 1, a, b), cols[:5]) == ((2,), False, 4)
+
+
+def test_a_failing_coefficient_counts_marks_up_to_its_first_nonzero_column():
+    """At x^1 the difference is -L, first nonzero on column 1; the
+    cancelled R marks column 5.  The comparison is tainted when column 5
+    comes before column 1 in the columns given, and not when it comes
+    after; the residual, 5 on column 5, is the same either way."""
+    cap = 5
+    table = OpWordTable(deriv_op(cap), mult_t_op(cap))
+    diff = difference(table, 2, 1, [((1,), 1, "R"), ((1,), 1, "L")], [((1,), 1, "R"), ((1,), 2, "L")])
+    assert series_first_difference(diff, [1, 5]) == ((1,), False, 5)
+    assert series_first_difference(diff, [5, 1]) == ((1,), True, 5)
 
 
 # -- comparison through the word-merged difference ---------------------

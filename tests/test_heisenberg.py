@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from umbra import heisenberg
+from umbra import heisenberg, kernels
 from umbra.core import CapShortfallError, ParameterError
-from umbra.formal import FormalOpSeries
+from umbra.formal import FormalOpSeries, OpWordTable
 from umbra.heisenberg import (
     METAPLECTIC_CONSTANTS,
     DiscreteKernel,
@@ -222,6 +222,26 @@ def test_composition_formal_lower_factorial():
 def test_composition_formal_first_order():
     r = composition_check_formal(build_model("monomial", 6), 1)
     assert r.status == PASS
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_the_group_law_sums_only_y1_free_coefficients_and_forms_only_their_words(count_calls, order):
+    """The check makes one kernel combination per y1-free coefficient
+    with a word left after cancelling, and no other; every word operator
+    it asks for is a prefix of such a word, so none that only a y1 > 0
+    coefficient uses is formed."""
+    m = build_model("hermite", 8)
+    pair = m.fock_twin
+    assert pair.fock_twin is pair
+    diff = _group_law_difference(pair, order)
+    free = [coef for idx, coef in diff.terms.items() if not idx[1] and any(coef.values())]
+    prefixes = {w[:k] for coef in free for w, n in coef.items() if n for k in range(len(w) + 1)}
+    assert len(free) < len(diff.terms)
+    combs = count_calls(kernels, "imat_comb")
+    words = count_calls(OpWordTable, "op")
+    assert group_law_check(m, order).passed
+    assert len(combs) == len(free)
+    assert {w for _, w in words} <= prefixes
 
 
 def test_the_composition_builds_no_series_of_its_own(count_calls):

@@ -16,11 +16,13 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from umbra import cli, heisenberg, kernels, transforms, translations
+from umbra.formal import OpWordTable
 from umbra.core import (
     DomainError, LinearOp, ParameterError, Poly, UmbraError, column_poly, integer_vector,
 )
@@ -208,6 +210,92 @@ def test_the_group_law_off_the_premise_is_the_six_coordinate_oracle(order):
         model = _rebuilt(m, d)
         assert model.fock_twin is None
         assert _assert_group_law_is_the_six_coordinate_oracle(model, d, order).status == status
+
+
+def _marked_letters(m, d, data):
+    """m rebuilt with up to two more truncation marks on each of L and R."""
+    index = st.sets(st.integers(0, m.degree_cap), max_size=2)
+    d = {**d, "l_marks": d["l_marks"] | data.draw(index), "r_marks": d["r_marks"] | data.draw(index)}
+    return _rebuilt(m, d)
+
+
+WORDS = ["".join(w) for n in range(9) for w in itertools.product("LR", repeat=n)]
+
+
+def _assert_marks_fold_is_the_products_marks(m):
+    """Every word of length <= 8: the marks ``OpWordTable.marks`` folds
+    off the letters, in a table that forms no operator, are the marks
+    of the word's operator, formed letter by letter in another."""
+    folded, formed = OpWordTable(m.lowering, m.raising), OpWordTable(m.lowering, m.raising)
+    for word in WORDS:
+        assert folded.marks(word) == formed.op(word).trunc_cols, word
+    assert folded._ops.keys() == {"", "L", "R"}
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_word_marks_folded_off_the_letters_are_the_products_marks_on_the_catalog(name):
+    _assert_marks_fold_is_the_products_marks(build_model(name, 6, nu=Fraction(5, 2) if name == "bessel" else None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)), st.data())
+def test_word_marks_folded_off_the_letters_are_the_products_marks(case, data):
+    m, d, _ = case
+    _assert_marks_fold_is_the_products_marks(_marked_letters(m, d, data))
+
+
+FORMAL_CHECKS = (group_law_check, weyl_relation_check, composition_check_formal)
+
+
+def _formal_outcomes(m, order):
+    """What each formal check gives m at ``order``: the report's check,
+    status, first failure, taint and residual, or its refusal's type and
+    message.  Whatever the Fock twin keeps is dropped first."""
+    out = []
+    for check in FORMAL_CHECKS:
+        if m.fock_twin is not None:
+            m.fock_twin.transported.clear()
+        try:
+            r = check(m, order)
+        except UmbraError as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((r.check, r.status, r.first_failure, r.tainted, r.max_residual))
+    return out
+
+
+def _assert_formal_checks_are_the_full_evaluation(m, order):
+    """The formal checks report what they report when every coefficient
+    is summed into an operator and compared (``ref.first_difference_by_materialize``)."""
+    got = _formal_outcomes(m, order)
+    with mock.patch.object(heisenberg, "series_first_difference", ref.first_difference_by_materialize):
+        want = _formal_outcomes(m, order)
+    assert got == want
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_models(spare=st.integers(0, 2)), st.integers(0, 6), st.data())
+def test_the_formal_checks_are_the_full_evaluation_reference(case, order, data):
+    m, d, _ = case
+    if data.draw(st.booleans()):
+        m = _marked_letters(m, d, data)
+    _assert_formal_checks_are_the_full_evaluation(m, order)
+
+
+def test_the_full_evaluation_reference_sees_fail_and_inconclusive():
+    """monomial(6) with R t^2 = 2 t^3 fails, and with R marked at t is
+    inconclusive, on the direct path at every order that shows it."""
+    m = build_model("monomial", 6)
+    bad, marked = _plain(m), _plain(m)
+    bad["R"][3][2] += 1
+    marked["r_marks"].add(1)
+    seen = set()
+    for d in (bad, marked):
+        model = _rebuilt(m, d)
+        for order in range(7):
+            seen.update(o[1] for o in _assert_formal_checks_are_the_full_evaluation(model, order))
+    assert seen == {PASS, "fail", "inconclusive"}
 
 
 @functools.lru_cache(maxsize=None)
